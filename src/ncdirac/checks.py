@@ -22,7 +22,6 @@ import numpy as np
 
 from .scalars import ExactScalar, ParamPoly, poly, sym
 from .lie_algebra import (
-    DEFORMED_BASIS,
     StructureConstants,
     build_deformed_algebra,
     build_orthogonal_algebra,

@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import expm
 
+from .lie_algebra import ETA4_DIAG
 from .matrices import ExactMatrix
 from .scalars import ExactScalar, ParamPoly, poly
 
@@ -58,7 +59,7 @@ class GammaRep:
 
     @property
     def metric5(self):
-        return (1, -1, -1, -1, self.eps5)
+        return ETA4_DIAG + (self.eps5,)
 
     def eta(self, a: int, b: int) -> int:
         return self.metric5[a] if a == b else 0
@@ -184,7 +185,7 @@ def majorana_imaginary_check(rep: GammaRep) -> RelationCheck:
     )
 
 
-_ETA4_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
+_ETA4_DIAG = np.array(ETA4_DIAG, dtype=float)
 
 
 def _check_omega(omega) -> np.ndarray:

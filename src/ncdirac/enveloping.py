@@ -9,8 +9,12 @@ then momenta, then coordinates, then C and its formal inverse:
 Momenta precede coordinates so that vacuum rules (p acting rightward on a
 p-annihilated state) read off the trailing letters directly.
 
-Cinv is a formal generator subject to C*Cinv = Cinv*C = 1; its commutators
-follow from [x_mu, C] = i eps5 l^2 p_mu, giving the exact rule
+The rewriting rules b a -> a b + [b, a] are not written here: they are read
+from the flat (rho = 0) table of ``lie_algebra.build_deformed_algebra``,
+whose basis lines up position by position with the first 15 tokens.  The
+only local rule is the one for Cinv, a formal generator subject to
+C*Cinv = Cinv*C = 1; its commutators follow from [x_mu, C] = i eps5 l^2 p_mu,
+giving the exact rule
 
     Cinv x_mu = x_mu Cinv + i eps5 l^2 p_mu Cinv Cinv.
 
@@ -24,6 +28,7 @@ declared truncation order only bounds the l-degree kept in coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -36,7 +41,7 @@ from .scalars import (
     poly,
     sym,
 )
-from .lie_algebra import eta4
+from .lie_algebra import build_deformed_algebra, contract, eta4
 
 _HALF = ExactScalar(Fraction(1, 2))
 
@@ -173,12 +178,6 @@ class NCExpression:
     def substitute(self, bindings) -> "NCExpression":
         return NCExpression({w: c.substitute(bindings) for w, c in self.words.items()})
 
-    def coefficient_norm(self, assignment) -> float:
-        """l1 norm of coefficients under a numeric assignment of symbols."""
-        return float(
-            sum(abs(c.evaluate_complex(assignment)) for c in self.words.values())
-        )
-
     def __eq__(self, other) -> bool:
         other = _coerce_nc(other)
         return self.words == other.words
@@ -206,66 +205,34 @@ def _coerce_nc(value) -> NCExpression:
     raise TypeError(f"cannot coerce {type(value).__name__} to NCExpression")
 
 
-def _swap_correction(eps5: int, a: str, b: str) -> NCExpression:
-    """[a, b] for rank(a) > rank(b), as sums of normal-friendly words."""
-    ka, kb = a[0], b[0]
+@cache
+def _flat_table(eps5: int):
+    """The flat deformed table; its basis index k is the token TOKENS[k]."""
+    return contract(build_deformed_algebra(1, eps5), rho_to_zero=True)
+
+
+def _bracket(eps5: int, i: int, j: int) -> NCExpression:
+    """[TOKENS[i], TOKENS[j]] from the flat table."""
+    combo = _flat_table(eps5).bracket(i, j)
+    return NCExpression({(TOKENS[k],): c for k, c in combo.items()})
+
+
+@cache
+def _swap_rules(eps5: int) -> dict:
+    """(a, b) -> [a, b] for every pair with rank(a) > rank(b) whose bracket
+    is nonzero; a pair missing here commutes."""
+    rules = {}
+    for i in range(_flat_table(eps5).dim()):
+        for j in range(i):
+            rule = _bracket(eps5, i, j)
+            if not rule.is_zero():
+                rules[(TOKENS[i], TOKENS[j])] = rule
     ell2 = sym("l", 2)
-    if ka == "p" and kb == "M":
-        mu = int(a[1])
-        rh, sg = int(b[1]), int(b[2])
-        out = NCExpression()
-        if eta4(sg, mu) != 0:
-            out = out + NCExpression.gen(f"p{rh}", -I * poly(eta4(sg, mu)))
-        if eta4(rh, mu) != 0:
-            out = out + NCExpression.gen(f"p{sg}", I * poly(eta4(rh, mu)))
-        return out
-    if ka == "x" and kb == "M":
-        mu = int(a[1])
-        rh, sg = int(b[1]), int(b[2])
-        out = NCExpression()
-        if eta4(sg, mu) != 0:
-            out = out + NCExpression.gen(f"x{rh}", -I * poly(eta4(sg, mu)))
-        if eta4(rh, mu) != 0:
-            out = out + NCExpression.gen(f"x{sg}", I * poly(eta4(rh, mu)))
-        return out
-    if ka == "x" and kb == "p":
-        mu, nu = int(a[1]), int(b[1])
-        if eta4(mu, nu) == 0:
-            return NCExpression()
-        return NCExpression.gen(C_TOKEN, -I * poly(eta4(mu, nu)))
-    if ka == "x" and kb == "x":
-        mu, nu = int(a[1]), int(b[1])  # mu > nu here
-        return NCExpression.gen(f"M{nu}{mu}", I * eps5 * ell2)
-    if ka == "p" and kb == "p":
-        return NCExpression()
-    if ka == "M" and kb == "M":
-        amu, anu = int(a[1]), int(a[2])
-        bmu, bnu = int(b[1]), int(b[2])
-        out = NCExpression()
-        for (p, q), metric in (
-            ((amu, bnu), eta4(anu, bmu)),
-            ((anu, bmu), eta4(amu, bnu)),
-            ((anu, bnu), -eta4(amu, bmu)),
-            ((amu, bmu), -eta4(anu, bnu)),
-        ):
-            if metric == 0 or p == q:
-                continue
-            if p < q:
-                out = out + NCExpression.gen(f"M{p}{q}", I * poly(metric))
-            else:
-                out = out + NCExpression.gen(f"M{q}{p}", -I * poly(metric))
-        return out
-    if a == C_TOKEN:
-        if kb == "x":
-            return NCExpression.gen(f"p{b[1]}", -I * eps5 * ell2)
-        return NCExpression()
-    if a == CINV_TOKEN:
-        if kb == "x":
-            return NCExpression(
-                {(f"p{b[1]}", CINV_TOKEN, CINV_TOKEN): I * eps5 * ell2}
-            )
-        return NCExpression()
-    raise AssertionError(f"no swap rule for ({a}, {b})")
+    for p, x in zip(P_TOKENS, X_TOKENS):
+        rules[(CINV_TOKEN, x)] = NCExpression(
+            {(p, CINV_TOKEN, CINV_TOKEN): I * eps5 * ell2}
+        )
+    return rules
 
 
 def _find_redex(word: tuple, leftmost: bool):
@@ -283,6 +250,7 @@ def _find_redex(word: tuple, leftmost: bool):
 
 
 _NF_MEMO: dict = {}
+_EMPTY = NCExpression()
 
 
 def _nf_word(eps5: int, word: tuple, leftmost: bool) -> NCExpression:
@@ -300,7 +268,8 @@ def _nf_word(eps5: int, word: tuple, leftmost: bool) -> NCExpression:
             result = _nf_word(eps5, head + tail, leftmost)
         else:
             result = _nf_word(eps5, head + (b, a) + tail, leftmost)
-            for corr_word, coeff in _swap_correction(eps5, a, b).words.items():
+            rule = _swap_rules(eps5).get((a, b), _EMPTY)
+            for corr_word, coeff in rule.words.items():
                 sub = _nf_word(eps5, head + corr_word + tail, leftmost)
                 result = result + sub.scale(coeff)
     _NF_MEMO[key] = result
@@ -339,9 +308,10 @@ def anticommutator(a: NCExpression, b: NCExpression) -> NCExpression:
 class Derivation:
     """Leibniz extension of a generator action; the basis is x_mu and xi4.
 
-    d_mu sends x_nu to eta_munu C and rotations to their momentum gradient;
-    d_4 sends x_mu to -eps5 l p_mu C.  Momenta, C and the formal inverse are
-    annihilated, so d(Cinv) = -Cinv d(C) Cinv = 0 automatically.
+    d_mu = -i[p_mu, .], read from the flat table: it sends x_nu to
+    eta_munu C and rotations to their momentum gradient.  d_4 sends x_mu to
+    -eps5 l p_mu C.  Momenta, C and the formal inverse are annihilated, so
+    d(Cinv) = -Cinv d(C) Cinv = 0 automatically.
     """
 
     def __init__(self, eps5: int, index: int):
@@ -352,24 +322,14 @@ class Derivation:
         self.eps5 = eps5
         self.index = index
         self.action: dict[str, NCExpression] = {t: NCExpression() for t in TOKENS}
-        ell = sym("l")
         if index < 4:
-            mu = index
-            for nu in range(4):
-                if eta4(mu, nu) != 0:
-                    self.action[f"x{nu}"] = NCExpression.gen(C_TOKEN, poly(eta4(mu, nu)))
-            for a in range(4):
-                for b in range(a + 1, 4):
-                    out = NCExpression()
-                    if eta4(mu, a) != 0:
-                        out = out + NCExpression.gen(f"p{b}", poly(eta4(mu, a)))
-                    if eta4(mu, b) != 0:
-                        out = out + NCExpression.gen(f"p{a}", -poly(eta4(mu, b)))
-                    self.action[f"M{a}{b}"] = out
+            p_idx = TOKENS.index(P_TOKENS[index])
+            for k in range(_flat_table(eps5).dim()):
+                self.action[TOKENS[k]] = _bracket(eps5, p_idx, k).scale(-I)
         else:
             for mu in range(4):
                 self.action[f"x{mu}"] = NCExpression(
-                    {(f"p{mu}", C_TOKEN): -poly(eps5) * ell}
+                    {(f"p{mu}", C_TOKEN): -poly(eps5) * sym("l")}
                 )
 
     def __call__(self, expr: NCExpression, order: int | None = None) -> NCExpression:
@@ -405,9 +365,6 @@ class PlaneWaveExponent:
             words[(f"x{mu}", CINV_TOKEN)] = half
             words[(CINV_TOKEN, f"x{mu}")] = half
         self.expression = NCExpression(words)
-
-    def normal_ordered(self) -> NCExpression:
-        return normal_form(self.expression, self.eps5, order=self.order)
 
 
 def k_lower(mu: int) -> ParamPoly:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalars import (
-    ExactScalar,
     P_I,
     P_ONE,
     ParamPoly,
@@ -40,11 +39,13 @@ _M_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _M_INDEX = {pair: i for i, pair in enumerate(_M_PAIRS)}
 
 
+# the Minkowski metric diagonal; every module lowers indices with this one
+ETA4_DIAG = (1, -1, -1, -1)
+
+
 def eta4(mu: int, nu: int) -> Fraction:
     """Minkowski metric diag(1,-1,-1,-1)."""
-    if mu != nu:
-        return Fraction(0)
-    return Fraction(1) if mu == 0 else Fraction(-1)
+    return Fraction(ETA4_DIAG[mu]) if mu == nu else Fraction(0)
 
 
 Combo = dict  # generator index -> ParamPoly coefficient
@@ -147,13 +148,27 @@ class StructureConstants:
         return alg
 
 
-def _signed_m(mu: int, nu: int):
-    """Index and orientation sign of M_munu within the 4-d M block."""
-    if mu == nu:
-        return None, 0
-    if mu < nu:
-        return _M_INDEX[(mu, nu)], 1
-    return _M_INDEX[(nu, mu)], -1
+def _rotation_brackets(alg: StructureConstants, pairs, metric):
+    """Set [M_ab, M_cd] = i(M_ad g_bc + M_bc g_ad - M_bd g_ac - M_ac g_bd).
+
+    ``pairs`` lists the index pairs (a < b) of the rotation generators in
+    basis order, starting at index 0; ``metric`` is the diagonal metric g.
+    """
+    index = {pair: i for i, pair in enumerate(pairs)}
+    for (a, b), (c, d) in itertools.combinations(pairs, 2):
+        combo: Combo = {}
+        for (p, q), g in (
+            ((a, d), metric(b, c)),
+            ((b, c), metric(a, d)),
+            ((b, d), -metric(a, c)),
+            ((a, c), -metric(b, d)),
+        ):
+            if g == 0:
+                continue
+            # a diagonal metric never pairs p with itself; M_qp = -M_pq
+            idx, orient = (index[(p, q)], 1) if p < q else (index[(q, p)], -1)
+            _combo_add(combo, idx, I * poly(g * orient))
+        alg.set_bracket(index[(a, b)], index[(c, d)], combo)
 
 
 def build_deformed_algebra(eps4: int, eps5: int) -> StructureConstants:
@@ -168,23 +183,7 @@ def build_deformed_algebra(eps4: int, eps5: int) -> StructureConstants:
     x_of = lambda mu: n_m + 4 + mu
     c_idx = n_m + 8
 
-    # [M_munu, M_rhosig] = i(M_musig eta_nurho + M_nurho eta_musig
-    #                        - M_nusig eta_murho - M_murho eta_nusig)
-    for (mu, nu), (rh, sg) in itertools.combinations(_M_PAIRS, 2):
-        combo: Combo = {}
-        for (a, b), metric in (
-            ((mu, sg), eta4(nu, rh)),
-            ((nu, rh), eta4(mu, sg)),
-            ((nu, sg), -eta4(mu, rh)),
-            ((mu, rh), -eta4(nu, sg)),
-        ):
-            if metric == 0:
-                continue
-            idx, orient = _signed_m(a, b)
-            if idx is None:
-                continue
-            _combo_add(combo, idx, I * poly(metric * orient))
-        alg.set_bracket(_M_INDEX[(mu, nu)], _M_INDEX[(rh, sg)], combo)
+    _rotation_brackets(alg, _M_PAIRS, eta4)
 
     # [M_munu, P_lam] = i(P_mu eta_nulam - P_nu eta_mulam); same pattern for x
     for (mu, nu), lam in itertools.product(_M_PAIRS, range(4)):
@@ -229,7 +228,7 @@ def contract(alg: StructureConstants, *, rho_to_zero=False, ell_to_zero=False) -
 
 
 def orthogonal_metric(eps4: int, eps5: int):
-    diag = (Fraction(1), Fraction(-1), Fraction(-1), Fraction(-1), Fraction(eps4), Fraction(eps5))
+    diag = tuple(Fraction(g) for g in ETA4_DIAG + (eps4, eps5))
 
     def eta6(a: int, b: int) -> Fraction:
         return diag[a] if a == b else Fraction(0)
@@ -241,34 +240,9 @@ def build_orthogonal_algebra(eps4: int, eps5: int) -> StructureConstants:
     """so-type algebra of the 6-d metric diag(1,-1,-1,-1,eps4,eps5)."""
     if eps4 not in (1, -1) or eps5 not in (1, -1):
         raise ValueError("eps4 and eps5 must be +1 or -1")
-    eta6 = orthogonal_metric(eps4, eps5)
-    pairs = list(itertools.combinations(range(6), 2))
-    pair_index = {p: i for i, p in enumerate(pairs)}
-    basis = tuple(f"M{a}{b}" for a, b in pairs)
-    alg = StructureConstants(basis)
-
-    def signed(a: int, b: int):
-        if a == b:
-            return None, 0
-        if a < b:
-            return pair_index[(a, b)], 1
-        return pair_index[(b, a)], -1
-
-    for (a, b), (c, d) in itertools.combinations(pairs, 2):
-        combo: Combo = {}
-        for (p, q), metric in (
-            ((a, d), eta6(b, c)),
-            ((b, c), eta6(a, d)),
-            ((b, d), -eta6(a, c)),
-            ((a, c), -eta6(b, d)),
-        ):
-            if metric == 0:
-                continue
-            idx, orient = signed(p, q)
-            if idx is None:
-                continue
-            _combo_add(combo, idx, I * poly(metric * orient))
-        alg.set_bracket(pair_index[(a, b)], pair_index[(c, d)], combo)
+    pairs = tuple(itertools.combinations(range(6), 2))
+    alg = StructureConstants(tuple(f"M{a}{b}" for a, b in pairs))
+    _rotation_brackets(alg, pairs, orthogonal_metric(eps4, eps5))
     return alg
 
 

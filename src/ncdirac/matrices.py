@@ -106,9 +106,6 @@ class ExactMatrix:
     def conjugate(self) -> "ExactMatrix":
         return ExactMatrix([[a.conjugate() for a in row] for row in self.rows])
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix([list(col) for col in zip(*self.rows)])
-
     def is_zero(self) -> bool:
         return all(a.is_zero() for row in self.rows for a in row)
 

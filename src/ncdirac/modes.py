@@ -19,7 +19,6 @@ from fractions import Fraction
 import numpy as np
 
 from .clifford import (
-    GammaRep,
     SpinorMatrix,
     VerificationError,
     boost_matrix,
@@ -27,22 +26,12 @@ from .clifford import (
     reality_class,
     vector_boost,
 )
+from .lie_algebra import ETA4_DIAG
 from .matrices import ExactMatrix
-from .scalars import ExactScalar, ParamPoly, poly, sym
-
-_ETA_DIAG = (1, -1, -1, -1)
+from .scalars import (ExactScalar, ParamPoly, as_fraction, is_exact_number,
+                      poly, sym)
 
 BRANCHES = ("massless", "heavy")
-
-
-def _is_exact_number(x) -> bool:
-    return isinstance(x, (int, Fraction, ExactScalar))
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, ExactScalar):
-        return x.to_fraction()
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -65,11 +54,11 @@ class ModeProblem:
 
     @property
     def exact(self) -> bool:
-        return _is_exact_number(self.ell) and all(_is_exact_number(c) for c in self.k)
+        return is_exact_number(self.ell) and all(is_exact_number(c) for c in self.k)
 
     def k_squared(self):
         if self.exact:
-            kf = [_as_fraction(c) for c in self.k]
+            kf = [as_fraction(c) for c in self.k]
             return kf[0] ** 2 - kf[1] ** 2 - kf[2] ** 2 - kf[3] ** 2
         k = [float(c) for c in self.k]
         return k[0] ** 2 - k[1] ** 2 - k[2] ** 2 - k[3] ** 2
@@ -79,12 +68,12 @@ def dirac_matrix(p: ModeProblem) -> SpinorMatrix:
     """g^mu k_mu - eps5 g^4 (l/2) k^2; exact when all inputs are rational."""
     rep = build_majorana_rep(p.eps5)
     if p.exact:
-        ell = _as_fraction(p.ell)
-        kf = [_as_fraction(c) for c in p.k]
+        ell = as_fraction(p.ell)
+        kf = [as_fraction(c) for c in p.k]
         ksq = p.k_squared()
         out = ExactMatrix.zeros(4)
         for mu in range(4):
-            k_low = kf[mu] * _ETA_DIAG[mu]
+            k_low = kf[mu] * ETA4_DIAG[mu]
             if k_low:
                 out = out + rep.gamma[mu].scale(poly(ExactScalar(k_low)))
         coeff = Fraction(-p.eps5) * ell / 2 * ksq
@@ -96,7 +85,7 @@ def dirac_matrix(p: ModeProblem) -> SpinorMatrix:
     ksq = p.k_squared()
     out = np.zeros((4, 4), dtype=complex)
     for mu in range(4):
-        out += rep.numeric(mu) * (k[mu] * _ETA_DIAG[mu])
+        out += rep.numeric(mu) * (k[mu] * ETA4_DIAG[mu])
     out += rep.numeric(4) * (-p.eps5 * ell / 2 * ksq)
     return SpinorMatrix(matrix=out, mode="float")
 
@@ -107,7 +96,7 @@ def dirac_matrix_symbolic(eps5: int) -> ExactMatrix:
     ksq = sym("k0") ** 2 - sym("k1") ** 2 - sym("k2") ** 2 - sym("k3") ** 2
     out = ExactMatrix.zeros(4)
     for mu in range(4):
-        out = out + rep.gamma[mu].scale(sym(f"k{mu}") * poly(_ETA_DIAG[mu]))
+        out = out + rep.gamma[mu].scale(sym(f"k{mu}") * poly(ETA4_DIAG[mu]))
     half = ParamPoly.from_scalar(ExactScalar(Fraction(1, 2)))
     out = out + rep.gamma[4].scale(ksq * sym("l") * half * poly(-eps5))
     return out
@@ -127,8 +116,8 @@ def dispersion_roots(ell, eps5: int) -> set:
     {0, 4/l^2} for eps5 = -1, {0, -4/l^2} for eps5 = +1."""
     if eps5 not in (1, -1):
         raise ValueError("eps5 must be +1 or -1")
-    if _is_exact_number(ell):
-        ellf = _as_fraction(ell)
+    if is_exact_number(ell):
+        ellf = as_fraction(ell)
         if ellf <= 0:
             raise ValueError("ell must be positive")
         return {Fraction(0), Fraction(-4 * eps5) / ellf ** 2}
@@ -169,14 +158,14 @@ def reference_solutions(ell, eps5: int, branch: str, energy_sign: int = 1,
         raise ValueError(f"branch must be one of {BRANCHES}")
     if energy_sign not in (1, -1):
         raise ValueError("energy_sign must be +1 or -1")
-    ellf = _as_fraction(ell)
+    ellf = as_fraction(ell)
     if ellf <= 0:
         raise ValueError("ell must be positive")
     if branch == "heavy":
         edge = Fraction(2 * energy_sign) / ellf
         k = (edge, 0, 0, 0) if eps5 == -1 else (0, 0, 0, edge)
     else:
-        kap = _as_fraction(kappa)
+        kap = as_fraction(kappa)
         if kap <= 0:
             raise ValueError("kappa must be positive")
         k = (kap, 0, 0, kap)
@@ -204,7 +193,7 @@ def residual(k, u, ell, eps5: int) -> float:
     """||D(k) u|| / ||u||; exactly 0.0 when an exact input annihilates."""
     u = list(u)
     problem = ModeProblem(eps5=eps5, ell=ell, k=tuple(k))
-    if problem.exact and all(_is_exact_number(c) or isinstance(c, complex) for c in u):
+    if problem.exact and all(is_exact_number(c) or isinstance(c, complex) for c in u):
         op = dirac_matrix(problem).matrix
         uvec = ExactMatrix.from_complex_entries([[c] for c in u])
         if uvec.is_zero():

@@ -46,13 +46,22 @@ class TruncationOrderError(ValueError):
     """Raised when a required truncation order is missing or invalid."""
 
 
-def _as_fraction(value) -> Fraction:
+def is_exact_number(value) -> bool:
+    """True for int, Fraction, str and ExactScalar; floats are not exact."""
+    return isinstance(value, (int, Fraction, str, ExactScalar))
+
+
+def as_fraction(value) -> Fraction:
+    """The exact rational value of an int, Fraction, str or real ExactScalar.
+
+    Floats are rejected rather than silently embedded as dyadic rationals.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
+    if isinstance(value, ExactScalar):
+        return value.to_fraction()
     raise TypeError(
         f"expected an exact rational, got {type(value).__name__}; "
         "convert floats explicitly with ExactScalar.from_float"
@@ -67,14 +76,10 @@ class ExactScalar:
     im: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "re", _as_fraction(self.re))
-        object.__setattr__(self, "im", _as_fraction(self.im))
+        object.__setattr__(self, "re", as_fraction(self.re))
+        object.__setattr__(self, "im", as_fraction(self.im))
 
     # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def from_int(n: int) -> "ExactScalar":
-        return ExactScalar(Fraction(n))
 
     @staticmethod
     def from_float(x: float) -> "ExactScalar":
@@ -201,7 +206,7 @@ def _coerce_scalar(value) -> ExactScalar:
     if isinstance(value, ExactScalar):
         return value
     if isinstance(value, (int, Fraction)):
-        return ExactScalar(_as_fraction(value))
+        return ExactScalar(as_fraction(value))
     raise TypeError(f"cannot coerce {type(value).__name__} to ExactScalar")
 
 
@@ -218,7 +223,7 @@ class ParamPoly:
 
     Terms are a dict mapping exponent tuples (aligned with SYMBOLS) to
     nonzero coefficients.  Construction normalizes, so every instance is
-    already canonical and ``normalize`` is the identity.
+    already canonical.
     """
 
     __slots__ = ("_terms",)
@@ -423,16 +428,6 @@ class ParamPoly:
             total = total + value
         return total
 
-    def evaluate_complex(self, assignment: Mapping[str, complex]) -> complex:
-        total = 0j
-        for exps, coeff in self._terms.items():
-            value = complex(coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    value *= complex(assignment[SYMBOLS[i]]) ** e
-            total += value
-        return total
-
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> list:
@@ -503,15 +498,6 @@ def sym(name: str, power: int = 1) -> ParamPoly:
     return ParamPoly.symbol(name, power)
 
 
-def normalize(p: ParamPoly) -> ParamPoly:
-    """Return the canonical form.  Idempotent; construction already normalizes."""
-    return ParamPoly(dict(p._terms))
-
-
-def substitute(p: ParamPoly, bindings: Mapping[str, PolyLike]) -> ParamPoly:
-    return p.substitute(bindings)
-
-
 @dataclass(frozen=True)
 class TruncatedSeries:
     """A polynomial known only modulo O(l^(order+1)).
@@ -558,11 +544,6 @@ class TruncatedSeries:
 
     def __str__(self) -> str:
         return f"{self.poly} + O(l^{self.order + 1})"
-
-
-def series_truncate(p: ParamPoly, order: int) -> TruncatedSeries:
-    """Declare p known only to the given order in l and drop the excess."""
-    return TruncatedSeries(p, order)
 
 
 def geometric_inverse(unit_plus: ParamPoly, order: int) -> TruncatedSeries:

@@ -28,9 +28,10 @@ from fractions import Fraction
 import numpy as np
 
 from .clifford import build_majorana_rep, gamma5, reality_class
+from .lie_algebra import ETA4_DIAG
 from .matrices import ExactMatrix
-from .modes import _ETA_DIAG, _as_fraction, _is_exact_number
-from .scalars import SYMBOLS, ExactScalar, ParamPoly, poly, sym
+from .scalars import (SYMBOLS, ExactScalar, ParamPoly, as_fraction,
+                      is_exact_number, poly, sym)
 
 _HALF = ExactScalar(Fraction(1, 2))
 
@@ -74,8 +75,8 @@ class CouplingConfig:
     def exact(self) -> bool:
         return (
             _as_exact_complex(self.g) is not None
-            and _is_exact_number(self.vev)
-            and _is_exact_number(self.ell)
+            and is_exact_number(self.vev)
+            and is_exact_number(self.ell)
         )
 
     def g_exact(self) -> ExactScalar:
@@ -95,12 +96,6 @@ class CouplingConfig:
             return (g * g.conjugate()).to_fraction()
         return abs(complex(self.g)) ** 2
 
-    def heavy_scale(self):
-        """M = 2/l."""
-        if _is_exact_number(self.ell):
-            return Fraction(2) / _as_fraction(self.ell)
-        return 2.0 / float(self.ell)
-
     def mu(self) -> float:
         """|g| * vev."""
         return math.sqrt(float(self.coupling_squared())) * float(self.vev)
@@ -111,9 +106,9 @@ def _gamma_dot_k_exact(eps5: int, k) -> ExactMatrix:
     out = ExactMatrix.zeros(4)
     for mu in range(4):
         coeff = poly(k[mu]) if isinstance(k[mu], ParamPoly) else poly(
-            ExactScalar(_as_fraction(k[mu]))
+            ExactScalar(as_fraction(k[mu]))
         )
-        out = out + rep.gamma[mu].scale(coeff * poly(_ETA_DIAG[mu]))
+        out = out + rep.gamma[mu].scale(coeff * poly(ETA4_DIAG[mu]))
     return out
 
 
@@ -124,16 +119,16 @@ def coupled_matrix(k, c: CouplingConfig):
     symbolic form is what the spectrum code solves.  Float inputs fall back
     to a complex ndarray.
     """
-    k_ok = all(isinstance(x, ParamPoly) or _is_exact_number(x) for x in k)
+    k_ok = all(isinstance(x, ParamPoly) or is_exact_number(x) for x in k)
     if not (c.exact and k_ok):
         return _coupled_matrix_float(k, c)
     rep = build_majorana_rep(c.eps5)
     gk = _gamma_dot_k_exact(c.eps5, k)
     g = c.g_exact()
-    v = ExactScalar(_as_fraction(c.vev))
+    v = ExactScalar(as_fraction(c.vev))
     gv = poly(g * v)
     gvc = poly(g.conjugate() * v)
-    mh = poly(ExactScalar(Fraction(2) / _as_fraction(c.ell)))
+    mh = poly(ExactScalar(Fraction(2) / as_fraction(c.ell)))
     lower_right = gk + rep.gamma[4].scale(mh)
     eye = ExactMatrix.identity(4)
     out = ExactMatrix.zeros(8)
@@ -150,7 +145,7 @@ def _coupled_matrix_float(k, c: CouplingConfig) -> np.ndarray:
     rep = build_majorana_rep(c.eps5)
     gk = np.zeros((4, 4), dtype=complex)
     for mu in range(4):
-        gk += rep.numeric(mu) * (float(k[mu]) * _ETA_DIAG[mu])
+        gk += rep.numeric(mu) * (float(k[mu]) * ETA4_DIAG[mu])
     g = c.g_complex()
     v = float(c.vev)
     out = np.zeros((8, 8), dtype=complex)
@@ -166,8 +161,8 @@ def leading_order_reduction(c: CouplingConfig):
     effective light operator as a function of the four-momentum."""
     rep = build_majorana_rep(c.eps5)
     g = c.g_exact()
-    v = ExactScalar(_as_fraction(c.vev))
-    ell = ExactScalar(_as_fraction(c.ell))
+    v = ExactScalar(as_fraction(c.vev))
+    ell = ExactScalar(as_fraction(c.ell))
     w_coeff = poly(-c.eps5) * poly(g.conjugate() * v * ell * _HALF)
     W = rep.gamma[4].scale(w_coeff)
     mass_term = W.scale(poly(g * v))
@@ -181,7 +176,7 @@ def leading_order_reduction(c: CouplingConfig):
 def leading_mass(c: CouplingConfig):
     """m = |g|^2 vev^2 l / 2, exact when the config is."""
     if c.exact:
-        return c.coupling_squared() * _as_fraction(c.vev) ** 2 * _as_fraction(c.ell) / 2
+        return c.coupling_squared() * as_fraction(c.vev) ** 2 * as_fraction(c.ell) / 2
     return c.coupling_squared() * float(c.vev) ** 2 * float(c.ell) / 2
 
 
@@ -356,7 +351,6 @@ class ModeSpectrum:
     roots: tuple
     light_k2_exact: Fraction | None
     heavy_k2_exact: Fraction | None
-    frame_symbol: str
 
 
 def _u1_block_class(basis, tol: float = 1e-8) -> str | None:
@@ -403,7 +397,7 @@ def exact_mode_spectrum(c: CouplingConfig) -> ModeSpectrum:
         )
 
     # exact candidates first: 0 and +-2/l (the decoupled branch points)
-    mh = Fraction(2) / _as_fraction(c.ell)
+    mh = Fraction(2) / as_fraction(c.ell)
     exact_roots = []
     for cand in (Fraction(0), mh, -mh):
         if det.evaluate({name: ExactScalar(cand)}).is_zero():
@@ -471,5 +465,4 @@ def exact_mode_spectrum(c: CouplingConfig) -> ModeSpectrum:
         roots=tuple(float(r) for r in merged),
         light_k2_exact=light_k2 if isinstance(light_k2, Fraction) else None,
         heavy_k2_exact=heavy_k2 if isinstance(heavy_k2, Fraction) else None,
-        frame_symbol=name,
     )

@@ -16,12 +16,10 @@ placement used everywhere else in the package.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial
 
 from .lie_algebra import (
     DEFORMED_BASIS,
-    StructureConstants,
     build_deformed_algebra,
     contract,
     eta4,
@@ -218,22 +216,14 @@ def weyl_commutator(a: WeylOperator, b: WeylOperator) -> WeylOperator:
     return a.commutator(b)
 
 
-_FAMILY_OF = {"M": "M", "P": "P", "x": "x", "C": "C"}
-
 # the eight bracket lines of the deformed table; pairs outside them
 # ([M, C] and C with itself) are swept inside the MM family
 BRACKET_FAMILIES = ("MM", "MP", "Mx", "PP", "Px", "PC", "xx", "xC")
 
 
 def _family(name_a: str, name_b: str) -> str:
-    fa, fb = _FAMILY_OF[name_a[0]], _FAMILY_OF[name_b[0]]
-    order = {"M": 0, "P": 1, "x": 2, "C": 3}
-    if order[fa] > order[fb]:
-        fa, fb = fb, fa
-    fam = fa + fb
-    if fam in ("MC", "CC"):
-        return "MM"
-    return fam
+    fam = "".join(sorted(name_a[0] + name_b[0], key="MPxC".index))
+    return "MM" if fam in ("MC", "CC") else fam
 
 
 def verify_rep_closure(eps5: int):

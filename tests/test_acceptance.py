@@ -210,6 +210,12 @@ def test_criterion_11_deterministic_reports(tmp_path):
     code2 = main(["check", "all", "--seed", "42", "--out", str(second)])
     same = first.read_bytes() == second.read_bytes()
     doc = json.loads(first.read_text())
-    ok = code1 == 0 and code2 == 0 and same and doc["summary"]["failed"] == 0
+    # reports arrive sorted by check name, then parameters
+    keys = [(r["check"], json.dumps(r["params"], sort_keys=True))
+            for r in doc["reports"]]
+    # timings stay null so reruns are byte-identical
+    untimed = all(r["duration_ms"] is None for r in doc["reports"])
+    ok = (code1 == 0 and code2 == 0 and same and doc["summary"]["failed"] == 0
+          and keys == sorted(keys) and untimed)
     verdict(ok, "criterion 11: check all --seed 42 is byte-identical across "
-                "runs and fully green")
+                "runs, sorted, untimed and fully green")

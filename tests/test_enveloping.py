@@ -23,6 +23,7 @@ from ncdirac.enveloping import (
     project_vacuum,
     verify_plane_wave_relations,
 )
+from ncdirac.lie_algebra import DEFORMED_BASIS, build_deformed_algebra, contract
 from ncdirac.scalars import ExactScalar, TruncationOrderError, poly, sym
 
 I = ExactScalar.i()
@@ -69,6 +70,26 @@ def test_known_commutators(eps5):
     assert nf(commutator(word("p0"), word("p1"))).is_zero()
     got = nf(commutator(word("x0"), word("x1")))
     assert got == word("M01").scale(poly(-I * eps5) * sym("l", 2))
+
+    # the rewriting rules come from the flat table, matched by position
+    table = contract(build_deformed_algebra(1, eps5), rho_to_zero=True)
+    gens = TOKENS[:table.dim()]
+    assert [t.replace("p", "P") for t in gens] == list(DEFORMED_BASIS)
+    # all 15 x 14 ordered pairs: the normal form of [a, b] is the bracket
+    for i, a in enumerate(gens):
+        for j, b in enumerate(gens):
+            if i == j:
+                continue
+            bracket = NCExpression(
+                {(gens[k],): c for k, c in table.bracket(i, j).items()}
+            )
+            assert nf(commutator(word(a), word(b))) == bracket, (a, b)
+    # d_mu = -i [p_mu, .] on every generator, the formal inverse included
+    for mu, p in enumerate(P_TOKENS):
+        action = Derivation(eps5, mu).action
+        for t in TOKENS:
+            minus_i_comm = normal_form(commutator(word(p), word(t)), eps5, order=4)
+            assert action[t] == minus_i_comm.scale(poly(-I)), (p, t)
 
 
 @pytest.mark.parametrize("leftmost", [True, False])

@@ -88,6 +88,16 @@ def test_negative_energy_branch():
     assert sol.k2 == Fraction(4)
 
 
+def test_float_length_is_rejected():
+    # a float would otherwise be embedded as a dyadic rational and the
+    # solution reported as exact at the wrong momentum
+    with pytest.raises(TypeError, match="convert floats explicitly"):
+        reference_solutions(0.1, -1, "heavy")
+    sol = reference_solutions(Fraction(1, 10), -1, "heavy")
+    assert sol.k == (Fraction(20), 0, 0, 0)
+    assert sol.mode == "exact"
+
+
 def test_residual_rejects_zero_vector():
     with pytest.raises(ValueError):
         residual((1, 0, 0, 0), (0, 0, 0, 0), Fraction(1), -1)

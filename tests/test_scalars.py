@@ -12,7 +12,9 @@ from ncdirac.scalars import (
     SYMBOLS,
     TruncationOrderError,
     UnknownSymbolError,
+    as_fraction,
     geometric_inverse,
+    is_exact_number,
     poly,
     sym,
 )
@@ -74,6 +76,18 @@ class TestExactScalar:
     def test_to_fraction_rejects_imaginary(self):
         with pytest.raises(ValueError):
             ExactScalar.i().to_fraction()
+
+
+def test_exact_rational_coercion():
+    for value in (3, Fraction(1, 10), "1/10", ExactScalar(Fraction(1, 10))):
+        assert is_exact_number(value)
+    assert as_fraction("1/10") == as_fraction(ExactScalar(Fraction(1, 10)))
+    assert as_fraction(3) == Fraction(3)
+    assert not is_exact_number(0.1)
+    with pytest.raises(TypeError, match="convert floats explicitly"):
+        as_fraction(0.1)
+    with pytest.raises(ValueError):
+        as_fraction(ExactScalar.i())
 
 
 class TestParamPoly:
