@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import ExactScalar, ParamPoly, poly, sym
+from .scalars import ExactScalar, ParamPoly, poly, real_value, sym
 from .lie_algebra import (
     StructureConstants,
     build_deformed_algebra,
@@ -513,6 +513,23 @@ def cmd_modes(cfg: RunConfig) -> list[CheckReport]:
 # -- seesaw -------------------------------------------------------------------
 
 
+def seesaw_verdict(coupling: CouplingConfig, spectrum) -> tuple[bool, float, float]:
+    """(ok, deviation tolerance, mu/M) for one exact spectrum: the light
+    mass within max(2 (mu/M)^2, 1e-12) of its leading value, the heavy mass
+    within 2 (mu/M)^2 of M = 2/l, and the light class unset or the one the
+    leading order predicts."""
+    big_m = 2.0 / float(real_value(coupling.ell))
+    ratio = coupling.mu() / big_m
+    tol = max(2.0 * ratio * ratio, 1e-12)
+    heavy_drift = abs(math.sqrt(abs(spectrum.heavy_k2)) - big_m) / big_m
+    ok = (
+        spectrum.deviation <= tol
+        and heavy_drift <= 2.0 * ratio * ratio + 1e-12
+        and spectrum.light_class in (None, light_mass_leading(coupling)[1])
+    )
+    return ok, tol, ratio
+
+
 def cmd_seesaw(cfg: RunConfig) -> list[CheckReport]:
     reports: list[CheckReport] = []
     for e5 in cfg.eps5_values():
@@ -547,10 +564,6 @@ def cmd_seesaw(cfg: RunConfig) -> list[CheckReport]:
         )
 
         t0 = time.perf_counter()
-        mu = coupling.mu()
-        big_m = 2.0 / float(cfg.ell)
-        ratio = mu / big_m
-        tol = max(2.0 * ratio * ratio, 1e-12)
         spectrum_relation = ("light root of det(coupled matrix) matches "
                              "|g|^2 vev^2 l/2 to second order in mu/M")
         try:
@@ -562,17 +575,10 @@ def cmd_seesaw(cfg: RunConfig) -> list[CheckReport]:
                 details={"error": str(exc), "diagnostics": _fmt(exc.diagnostics)},
             )
         else:
-            heavy_mass = math.sqrt(abs(spectrum.heavy_k2))
-            heavy_drift = abs(heavy_mass - big_m) / big_m
-            heavy_ok = heavy_drift <= 2.0 * ratio * ratio + 1e-12
-            if mu == 0.0:
-                heavy_ok = spectrum.heavy_k2_exact is not None and abs(
-                    spectrum.heavy_k2_exact
-                ) == Fraction(4) / Fraction(cfg.ell) ** 2
-            class_ok = spectrum.light_class in (None, cls)
+            ok, tol, ratio = seesaw_verdict(coupling, spectrum)
             _report(
                 reports, cfg, t0, "seesaw_spectrum", params,
-                ok=spectrum.deviation <= tol and heavy_ok and class_ok,
+                ok=ok,
                 relation=spectrum_relation,
                 residual=spectrum.deviation,
                 details={
@@ -692,7 +698,7 @@ def cmd_scan(cfg: RunConfig, param: str, start: Fraction, stop: Fraction,
                 heavy_k2=spectrum.heavy_k2,
                 leading_light_mass=spectrum.leading_light_mass,
                 deviation=spectrum.deviation,
-                status="ok",
+                status="ok" if seesaw_verdict(coupling, spectrum)[0] else "fail",
                 error=None,
             )
         except (RootFindingError, ValueError) as exc:

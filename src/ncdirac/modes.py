@@ -29,7 +29,7 @@ from .clifford import (
 from .lie_algebra import ETA4_DIAG
 from .matrices import ExactMatrix
 from .scalars import (ExactScalar, ParamPoly, as_fraction, is_exact_number,
-                      poly, sym)
+                      poly, real_value, sym)
 
 BRANCHES = ("massless", "heavy")
 
@@ -46,7 +46,7 @@ class ModeProblem:
     def __post_init__(self):
         if self.eps5 not in (1, -1):
             raise ValueError("eps5 must be +1 or -1")
-        if not float(self.ell) > 0:
+        if not real_value(self.ell) > 0:
             raise ValueError("ell must be positive")
         if len(self.k) != 4:
             raise ValueError("k must have four components")

@@ -68,6 +68,12 @@ def as_fraction(value) -> Fraction:
     )
 
 
+def real_value(value):
+    """`as_fraction(value)` for exact numbers, `float(value)` otherwise; for
+    sign and range checks that accept both."""
+    return as_fraction(value) if is_exact_number(value) else float(value)
+
+
 @dataclass(frozen=True)
 class ExactScalar:
     """Gaussian rational a + b*i.  Components are Fractions in lowest terms."""

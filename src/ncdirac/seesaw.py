@@ -15,8 +15,10 @@ ratio mu^2 / M; the exact light root differs from it at relative order
 (mu/M)^2.
 
 The exact spectrum works in the rest frame k = (E,0,0,0) for eps5 = -1 and
-the z-frame k = (0,0,0,q) for eps5 = +1, where the determinant of the 8x8
-matrix is a univariate degree-8 polynomial (a perfect square of a quartic).
+the z-frame k = (0,0,0,q) for eps5 = +1.  There the determinant of the 8x8
+matrix is, exactly, the square of a quartic that is a quadratic in k^2;
+the masses follow in closed form from its exact discriminant, and the
+reality classes from the kernel of a 4x4 Schur complement at each root.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ import numpy as np
 from .clifford import build_majorana_rep, gamma5, reality_class
 from .lie_algebra import ETA4_DIAG
 from .matrices import ExactMatrix
-from .scalars import (SYMBOLS, ExactScalar, ParamPoly, as_fraction,
-                      is_exact_number, poly, sym)
+from .scalars import (ExactScalar, ParamPoly, as_fraction, is_exact_number,
+                      poly, real_value, sym)
 
 _HALF = ExactScalar(Fraction(1, 2))
 
@@ -66,9 +68,9 @@ class CouplingConfig:
     def __post_init__(self):
         if self.eps5 not in (1, -1):
             raise ValueError("eps5 must be +1 or -1")
-        if not float(self.ell) > 0:
+        if not real_value(self.ell) > 0:
             raise ValueError("ell must be positive")
-        if not float(self.vev) >= 0:
+        if not real_value(self.vev) >= 0:
             raise ValueError("vev must be nonnegative")
 
     @property
@@ -98,7 +100,7 @@ class CouplingConfig:
 
     def mu(self) -> float:
         """|g| * vev."""
-        return math.sqrt(float(self.coupling_squared())) * float(self.vev)
+        return math.sqrt(float(self.coupling_squared())) * float(real_value(self.vev))
 
 
 def _gamma_dot_k_exact(eps5: int, k) -> ExactMatrix:
@@ -147,12 +149,12 @@ def _coupled_matrix_float(k, c: CouplingConfig) -> np.ndarray:
     for mu in range(4):
         gk += rep.numeric(mu) * (float(k[mu]) * ETA4_DIAG[mu])
     g = c.g_complex()
-    v = float(c.vev)
+    v = float(real_value(c.vev))
     out = np.zeros((8, 8), dtype=complex)
     out[:4, :4] = gk
     out[:4, 4:] = g * v * np.eye(4)
     out[4:, :4] = np.conj(g) * v * np.eye(4)
-    out[4:, 4:] = gk + rep.numeric(4) * (2.0 / float(c.ell))
+    out[4:, 4:] = gk + rep.numeric(4) * (2.0 / float(real_value(c.ell)))
     return out
 
 
@@ -175,9 +177,7 @@ def leading_order_reduction(c: CouplingConfig):
 
 def leading_mass(c: CouplingConfig):
     """m = |g|^2 vev^2 l / 2, exact when the config is."""
-    if c.exact:
-        return c.coupling_squared() * as_fraction(c.vev) ** 2 * as_fraction(c.ell) / 2
-    return c.coupling_squared() * float(c.vev) ** 2 * float(c.ell) / 2
+    return c.coupling_squared() * real_value(c.vev) ** 2 * real_value(c.ell) / 2
 
 
 def light_mass_leading(c: CouplingConfig):
@@ -240,110 +240,12 @@ def verify_effective_equation(c: CouplingConfig) -> EffectiveCheck:
 # -- exact spectrum ------------------------------------------------------
 
 
-def _univariate_coeffs(p: ParamPoly, name: str) -> list[ExactScalar]:
-    """Coefficient list c[0..deg] of a polynomial in a single symbol."""
-    idx = SYMBOLS.index(name)
-    deg = max(p.degree_in(name), 0)
-    coeffs = [ExactScalar() for _ in range(deg + 1)]
-    for exps, coeff in p.terms():
-        if any(e != 0 and i != idx for i, e in enumerate(exps)):
-            raise ValueError(f"polynomial is not univariate in {name!r}")
-        coeffs[exps[idx]] = coeffs[exps[idx]] + coeff
-    return coeffs
-
-
-def _fraction_sqrt(x: Fraction) -> Fraction | None:
-    if x < 0:
-        return None
-    num, den = x.numerator, x.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
-def _poly_exact_sqrt(coeffs: list[ExactScalar]) -> list[ExactScalar] | None:
-    """Exact square root of an even-degree polynomial with rational
-    coefficients, or None."""
-    deg = len(coeffs) - 1
-    if deg % 2 != 0:
-        return None
-    if any(c.im != 0 for c in coeffs):
-        return None
-    half = deg // 2
-    lead = _fraction_sqrt(coeffs[-1].re)
-    if lead is None or lead == 0:
-        return None
-    q = [ExactScalar() for _ in range(half + 1)]
-    q[half] = ExactScalar(lead)
-    for j in range(1, half + 1):
-        # match the coefficient of x^(deg - j)
-        acc = ExactScalar()
-        for a in range(half - j + 1, half + 1):
-            b = deg - j - a
-            if 0 <= b <= half:
-                acc = acc + q[a] * q[b]
-        q[half - j] = (coeffs[deg - j] - acc) * ExactScalar(
-            Fraction(1, 2) / lead
-        )
-    # verify q*q == coeffs exactly
-    prod = [ExactScalar() for _ in range(deg + 1)]
-    for a, qa in enumerate(q):
-        for b, qb in enumerate(q):
-            prod[a + b] = prod[a + b] + qa * qb
-    if prod != coeffs:
-        return None
-    return q
-
-
-def _eval_coeffs(coeffs, x: float) -> float:
-    total = 0.0
-    for c in reversed(coeffs):
-        total = total * x + float(c.re)
-    return total
-
-
-def _newton_polish(coeffs, x0: float) -> float:
-    deriv = [c * ExactScalar(Fraction(i)) for i, c in enumerate(coeffs)][1:]
-    x = x0
-    for _ in range(100):
-        f = _eval_coeffs(coeffs, x)
-        d = _eval_coeffs(deriv, x)
-        if d == 0.0:
-            break
-        step = f / d
-        x -= step
-        if abs(step) <= 1e-14 * max(1.0, abs(x)):
-            return x
-    # bisection fallback around the best estimate
-    span = max(1.0, abs(x)) * 1e-6
-    lo, hi = x - span, x + span
-    flo, fhi = _eval_coeffs(coeffs, lo), _eval_coeffs(coeffs, hi)
-    if flo * fhi > 0:
-        raise RootFindingError(
-            "root polish failed",
-            diagnostics={"estimate": x, "bracket": (lo, hi), "values": (flo, fhi)},
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = _eval_coeffs(coeffs, mid)
-        if fm == 0.0 or (hi - lo) <= 1e-14 * max(1.0, abs(mid)):
-            return mid
-        if flo * fm <= 0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
 @dataclass(frozen=True)
 class ModeSpectrum:
     """Light / heavy root data of the exact 8x8 system in its rest frame."""
 
-    light_k2: object
-    heavy_k2: object
-    light_basis: tuple
-    heavy_basis: tuple
+    light_k2: float
+    heavy_k2: float
     leading_light_mass: object
     deviation: float
     light_class: str | None
@@ -353,116 +255,120 @@ class ModeSpectrum:
     heavy_k2_exact: Fraction | None
 
 
-def _u1_block_class(basis, tol: float = 1e-8) -> str | None:
-    """Reality class of the span of the u1 (first four) components."""
-    block = np.asarray([list(v)[:4] for v in basis], dtype=complex)
-    if block.size == 0:
-        return None
-    u, s, vh = np.linalg.svd(block)
-    rank = int(np.sum(s > tol * max(1.0, float(s[0])))) if len(s) else 0
-    if rank == 0:
-        return None
-    return reality_class([vh[i] for i in range(rank)], mode="float")
+def _schur_kernel(block: np.ndarray, root: float) -> np.ndarray:
+    """The two smallest right singular vectors of a 4x4 Schur complement,
+    after checking that exactly two singular values vanish."""
+    _, s, vh = np.linalg.svd(block)
+    if not s[2] <= 1e-6 * s[0] < s[1]:
+        raise RootFindingError(
+            "Schur complement kernel is not two-dimensional",
+            diagnostics={"root": root, "singular_values": [float(x) for x in s]},
+        )
+    return vh[2:].conj()
 
 
-def _nullspace_float(matrix: np.ndarray, tol: float = 1e-8):
-    u, s, vh = np.linalg.svd(matrix)
-    keep = s <= tol * max(1.0, float(s[0]))
-    return [tuple(vh[i].conj()) for i in range(len(s)) if keep[i]]
+def _mode_classes(c: CouplingConfig, light: float, heavy: float):
+    """Reality classes of the u1 components at the light and heavy roots.
+
+    Each root eliminates the block that is regular there: u2 at the light
+    root (D22 ~ M g4), u1 at the heavy root (D11 ~ M g.k_hat), so the 4x4
+    Schur complement has entries of one scale and a clean two-dimensional
+    kernel."""
+    axis = 0 if c.eps5 == -1 else 3
+
+    def blocks(x):
+        k = [0.0] * 4
+        k[axis] = x
+        d = _coupled_matrix_float(k, c)
+        return d[:4, :4], d[:4, 4:], d[4:, :4], d[4:, 4:]
+
+    d11, d12, d21, d22 = blocks(light)
+    u1 = _schur_kernel(d11 - d12 @ np.linalg.solve(d22, d21), light)
+    d11, d12, d21, d22 = blocks(heavy)
+    w = np.linalg.solve(d11, d12)
+    u2 = _schur_kernel(d22 - d21 @ w, heavy)
+    # u1 = -D11^-1 D12 u2, rescaled: the span is what gets classified
+    u1_heavy = u2 @ w.T
+    u1_heavy /= np.linalg.norm(u1_heavy, axis=1, keepdims=True)
+    return (reality_class(list(u1), mode="float"),
+            reality_class(list(u1_heavy), mode="float"))
 
 
 def exact_mode_spectrum(c: CouplingConfig) -> ModeSpectrum:
-    """All real roots of det(coupled_matrix) along the frame axis, with
-    nullspaces, branch labels, and the deviation of the light mass from its
-    leading-order value.
+    """Light and heavy roots of det(coupled_matrix) along the frame axis,
+    their reality classes, and the light mass's deviation from leading order.
 
-    The determinant is computed exactly as a univariate degree-8 polynomial
-    and reduced to its exact quartic square root before any floating point
-    enters; roots are polished to 1e-12 relative and deduplicated at 1e-9.
+    With M = 2/l and mu^2 = |g|^2 vev^2 the determinant is exactly q(x)^2,
+    q = x^4 - (M^2 - 2 eps5 mu^2) x^2 + mu^4, checked on every call.  Floats
+    enter only through the square root of q's exact discriminant; the heavy
+    root h gives d = M / sqrt(h) - 1 without cancellation, and light mass =
+    m_lead (1 + d), heavy mass = M / (1 + d), deviation = |d| at any mu/M.
+    The k^2 values stay exact when the discriminant is a rational square.
     """
     if not c.exact:
         raise ValueError("exact spectrum needs rational g, vev, ell")
-    name = "k0" if c.eps5 == -1 else "k3"
+    e5 = c.eps5
+    big_m = Fraction(2) / as_fraction(c.ell)
+    m2 = big_m * big_m
+    mu2 = c.coupling_squared() * as_fraction(c.vev) ** 2
+    s = m2 - 2 * e5 * mu2
+
+    axis = 0 if e5 == -1 else 3
     k = [poly(0)] * 4
-    k[0 if c.eps5 == -1 else 3] = sym(name)
-    matrix = coupled_matrix(tuple(k), c)
-    det = matrix.det()
-    coeffs = _univariate_coeffs(det, name)
-    quartic = _poly_exact_sqrt(coeffs)
-    work = quartic if quartic is not None else coeffs
-    if any(x.im != 0 for x in work):
+    k[axis] = sym(f"k{axis}")
+    x2 = sym(f"k{axis}", 2)
+    quartic = x2 * x2 - x2 * poly(s) + poly(mu2 * mu2)
+    if coupled_matrix(tuple(k), c).det() != quartic * quartic:
         raise RootFindingError(
-            "determinant has non-real coefficients in the frame variable",
-            diagnostics={"coefficients": [str(x) for x in work]},
+            "determinant is not the square of the seesaw quartic",
+            diagnostics={"quartic": str(quartic)},
         )
 
-    # exact candidates first: 0 and +-2/l (the decoupled branch points)
-    mh = Fraction(2) / as_fraction(c.ell)
-    exact_roots = []
-    for cand in (Fraction(0), mh, -mh):
-        if det.evaluate({name: ExactScalar(cand)}).is_zero():
-            exact_roots.append(cand)
-
-    float_coeffs = [float(x.re) for x in work]
-    poly_np = np.polynomial.Polynomial(float_coeffs)
-    raw = poly_np.roots()
-    merged: list = list(exact_roots)
-    for r in sorted(raw, key=lambda z: z.real):
-        if abs(r.imag) > 1e-9 * max(1.0, abs(r)):
-            continue
-        est = float(r.real)
-        # exact candidates win over nearby float estimates (and double
-        # roots at the decoupling point would stall Newton)
-        if any(abs(est - float(m)) <= 1e-9 * max(1.0, abs(est)) for m in merged):
-            continue
-        x = _newton_polish(work, est)
-        if all(abs(x - float(m)) > 1e-9 * max(1.0, abs(x)) for m in merged):
-            merged.append(x)
-    if not merged:
+    disc = s * s - 4 * mu2 * mu2
+    if disc < 0:
         raise RootFindingError(
-            "no real determinant roots found",
-            diagnostics={"coefficients": [str(x) for x in work]},
+            "no real determinant roots: the coupling is overcritical",
+            diagnostics={"discriminant": disc, "mu2": mu2, "M2": m2},
         )
+    rn, rd = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
+    exact_root = Fraction(rn, rd) if Fraction(rn * rn, rd * rd) == disc else None
+    root = exact_root if exact_root is not None else math.sqrt(disc)
+    heavy_x2 = (s + root) / 2
+    a = m2 + 2 * e5 * mu2
+    if a > 0:
+        # M^2 - h = (a - root) / 2, rationalised against cancellation
+        gap = (8 * e5 * m2 * mu2 + 4 * mu2 * mu2) / (2 * (a + root))
+    else:
+        gap = (a - root) / 2
+    sqrt_h = math.sqrt(heavy_x2)
+    d = float(gap / (sqrt_h * (big_m + sqrt_h)))
 
-    # k^2 = +E^2 in the rest frame, -q^2 in the z-frame
-    k2_values = [
-        (root, root * root if c.eps5 == -1 else -root * root) for root in merged
-    ]
     m_lead = leading_mass(c)
-    mu = c.mu()
+    light = float(m_lead) * (1 + d)
+    heavy = float(big_m) / (1 + d)
+    light_k2, heavy_k2 = -e5 * light * light, -e5 * heavy * heavy
+    light_exact = heavy_exact = None
+    if exact_root is not None:
+        heavy_exact = -e5 * heavy_x2
+        light_exact = -e5 * mu2 * mu2 / heavy_x2
+        light_k2, heavy_k2 = float(light_exact), float(heavy_exact)
 
-    nonzero = [(r, v) for r, v in k2_values if abs(float(v)) > 1e-18]
-    if mu == 0 or not nonzero:
-        light_root, light_k2 = min(k2_values, key=lambda rv: abs(float(rv[1])))
+    if mu2 == 0:
+        # 4-D light kernel at k = 0 and u1 = 0 at the heavy root: no mass
+        # to classify
+        light_class = heavy_class = None
+        roots = (-heavy, 0.0, heavy)
     else:
-        light_root, light_k2 = min(nonzero, key=lambda rv: abs(float(rv[1])))
-    # the heavy branch always carries the largest |k^2|
-    heavy_root, heavy_k2 = max(k2_values, key=lambda rv: abs(float(rv[1])))
-
-    m_lead_f = float(m_lead)
-    if m_lead_f > 0:
-        deviation = abs(math.sqrt(abs(float(light_k2))) - m_lead_f) / m_lead_f
-    else:
-        deviation = 0.0
-
-    def basis_at(root):
-        kvec = [0.0] * 4
-        kvec[0 if c.eps5 == -1 else 3] = float(root)
-        return tuple(_nullspace_float(_coupled_matrix_float(kvec, c)))
-
-    light_basis = basis_at(light_root)
-    heavy_basis = basis_at(heavy_root)
-
+        light_class, heavy_class = _mode_classes(c, light, heavy)
+        roots = (-heavy, -light, light, heavy)
     return ModeSpectrum(
-        light_k2=float(light_k2),
-        heavy_k2=float(heavy_k2),
-        light_basis=light_basis,
-        heavy_basis=heavy_basis,
+        light_k2=light_k2,
+        heavy_k2=heavy_k2,
         leading_light_mass=m_lead,
-        deviation=float(deviation),
-        light_class=_u1_block_class(light_basis),
-        heavy_class=_u1_block_class(heavy_basis),
-        roots=tuple(float(r) for r in merged),
-        light_k2_exact=light_k2 if isinstance(light_k2, Fraction) else None,
-        heavy_k2_exact=heavy_k2 if isinstance(heavy_k2, Fraction) else None,
+        deviation=abs(d),
+        light_class=light_class,
+        heavy_class=heavy_class,
+        roots=roots,
+        light_k2_exact=light_exact,
+        heavy_k2_exact=heavy_exact,
     )

@@ -2,10 +2,13 @@
 of `check all` is acceptance criterion 11)."""
 
 import copy
+import dataclasses
 import json
+import math
 
 import pytest
 
+from ncdirac import checks
 from ncdirac.cli import main
 from ncdirac.lie_algebra import build_deformed_algebra
 
@@ -99,6 +102,46 @@ def test_seesaw_example(capsys):
             assert r["details"]["mass"] == "1/20000"  # 5e-5
         if r["check"] == "seesaw_spectrum":
             assert float(r["residual"]) < 1e-3
+
+
+@pytest.mark.parametrize("vev", ["1/10000", "0"])
+def test_seesaw_hierarchy_and_zero_coupling(capsys, vev):
+    code, out = run(capsys, "seesaw", "--vev", vev, "--eps5", "-1")
+    assert code == 0
+    spectrum = [r for r in json.loads(out)["reports"] if r["check"] == "seesaw_spectrum"]
+    expected = "Dirac" if vev != "0" else None
+    assert spectrum[0]["details"]["light_class"] == expected
+
+
+def test_scan_deep_hierarchy(capsys):
+    code, out = run(
+        capsys, "scan", "--param", "vev", "--from", "1/1000000",
+        "--to", "1/1000000", "--steps", "1", "--eps5", "-1",
+    )
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["status"] == "ok"
+    assert float(row["deviation"]) < 1e-12
+
+
+def test_scan_row_fails_on_heavy_root_as_light(capsys, monkeypatch):
+    exact = checks.exact_mode_spectrum
+
+    def heavy_as_light(coupling):
+        right = exact(coupling)
+        m = float(right.leading_light_mass)
+        wrong = math.sqrt(abs(right.heavy_k2))
+        return dataclasses.replace(
+            right, light_k2=right.heavy_k2, deviation=abs(wrong - m) / m
+        )
+
+    monkeypatch.setattr(checks, "exact_mode_spectrum", heavy_as_light)
+    code, out = run(
+        capsys, "scan", "--param", "vev", "--from", "1/1000", "--to", "1/1000",
+        "--steps", "1", "--eps5", "-1",
+    )
+    assert code == 1
+    assert json.loads(out)["rows"][0]["status"] == "fail"
 
 
 def test_scan_rows(capsys):

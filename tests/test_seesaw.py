@@ -8,6 +8,7 @@ import pytest
 
 from ncdirac.clifford import build_majorana_rep, gamma, gamma5
 from ncdirac.matrices import ExactMatrix
+from ncdirac.modes import ModeProblem
 from ncdirac.scalars import ExactScalar, poly, sym
 from ncdirac.seesaw import (
     CouplingConfig,
@@ -100,15 +101,60 @@ def test_coupling_phase_invariance(eps5):
     assert a.heavy_k2 == pytest.approx(b.heavy_k2, rel=1e-12)
 
 
-def test_root_symmetry():
+@pytest.mark.parametrize("eps5", [1, -1])
+def test_hierarchy_sweep(eps5):
+    # mu/M = 1e-1 ... 1e-9 with a unit-modulus complex coupling and l = 1/3
+    ell = Fraction(1, 3)
+    big_m = 2.0 / float(ell)
+    for n in range(1, 10):
+        ratio = Fraction(1, 10 ** n)
+        config = CouplingConfig(
+            g=ExactScalar.parse("3/5+4/5i"), vev=2 * ratio / ell, ell=ell,
+            eps5=eps5,
+        )
+        spectrum = exact_mode_spectrum(config)
+        r2 = float(ratio) ** 2
+        assert r2 / 2 <= spectrum.deviation <= 2 * r2
+        assert spectrum.light_class == ("Dirac" if eps5 == -1 else "Majorana")
+        heavy = math.sqrt(abs(spectrum.heavy_k2))
+        assert abs(heavy - big_m) <= 2 * r2 * big_m
+        light = math.sqrt(abs(spectrum.light_k2))
+        assert light == pytest.approx(float(leading_mass(config)), rel=2 * r2)
+        roots = spectrum.roots
+        assert len(roots) == 4 and list(roots) == sorted(roots)
+        assert roots == tuple(-r for r in reversed(roots))
+        assert roots[2:] == pytest.approx((light, heavy), rel=1e-15)
+
+
+def test_determinant_certificate(monkeypatch):
+    import ncdirac.seesaw as seesaw
+
+    exact = seesaw.coupled_matrix
+
+    def perturbed(k, c):
+        out = exact(k, c)
+        out.rows[0][4] = out.rows[0][4] + poly(ExactScalar(Fraction(1, 10 ** 6)))
+        return out
+
+    monkeypatch.setattr(seesaw, "coupled_matrix", perturbed)
     config = CouplingConfig(
         g=ExactScalar(Fraction(1)), vev=Fraction(1, 10), ell=Fraction(1), eps5=-1
     )
-    spectrum = exact_mode_spectrum(config)
-    roots = sorted(spectrum.roots)
-    assert len(roots) == 4
-    assert roots[0] == pytest.approx(-roots[3], rel=1e-12)
-    assert roots[1] == pytest.approx(-roots[2], rel=1e-12)
+    with pytest.raises(RootFindingError) as err:
+        exact_mode_spectrum(config)
+    assert "quartic" in err.value.diagnostics
+
+
+def test_exact_string_parameters():
+    problem = ModeProblem(eps5=-1, ell="1/10", k=(1, 0, 0, 0))
+    assert problem.k_squared() == 1
+    config = CouplingConfig(g=1, vev="1/100", ell="1/10", eps5=1)
+    assert config.exact and leading_mass(config) == Fraction(1, 200000)
+    assert exact_mode_spectrum(config).light_class == "Majorana"
+    with pytest.raises(ValueError):
+        ModeProblem(eps5=-1, ell="-1/10", k=(1, 0, 0, 0))
+    with pytest.raises(ValueError):
+        CouplingConfig(g=1, vev="-1/100", ell="1/10", eps5=1)
 
 
 def test_leading_mass_example():
@@ -166,6 +212,9 @@ def test_decoupling_at_zero_coupling():
     assert spectrum.heavy_k2_exact == Fraction(16)
     assert spectrum.light_k2_exact == Fraction(0)
     assert spectrum.deviation == 0.0
+    # the light kernel at k = 0 is four-dimensional: no mass to classify
+    assert spectrum.light_class is None and spectrum.heavy_class is None
+    assert spectrum.roots == (-4.0, 0.0, 4.0)
 
 
 def test_symbolic_determinant_factorization():
