@@ -34,6 +34,7 @@ from .lie_algebra import (
 from .weyl import BRACKET_FAMILIES, verify_rep_closure
 from .enveloping import k_squared, lemma_matrix_check, verify_plane_wave_relations
 from .clifford import (
+    VerificationError,
     build_majorana_rep,
     gamma5_product_check,
     majorana_imaginary_check,
@@ -46,7 +47,6 @@ from .modes import (
     residual as mode_residual,
     squared_identity_residual,
 )
-from .clifford import VerificationError
 from .seesaw import (
     CouplingConfig,
     RootFindingError,

@@ -6,17 +6,23 @@ eta = diag(1,-1,-1,-1,eps5) are realized on 4x4 matrices: gamma0..gamma3
 have purely imaginary entries, gamma5 = i g0 g1 g2 g3, and the fifth
 element is gamma5 itself (eps5 = +1) or i*gamma5 (eps5 = -1).
 
-Clifford checks run in exact arithmetic; boosts use the matrix exponential
-and carry a 1e-12 float tolerance.
+Clifford checks run in exact arithmetic.  Float code reads the gammas
+from one read-only complex128 stack per eps5 (``float_gammas``), built once
+from the exact rep.  Boosts carry a 1e-12 float tolerance; their matrix
+exponential is scaling and squaring around a degree-18 Taylor polynomial
+(Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179): the generator is
+halved until its 1-norm is below 1, where the truncation error is below
+1e-17, and the result is squared back.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .lie_algebra import ETA4_DIAG
 from .matrices import ExactMatrix
@@ -24,7 +30,7 @@ from .scalars import ExactScalar, ParamPoly, poly
 
 
 class VerificationError(RuntimeError):
-    """A float-tolerance identity failed to hold."""
+    """A float-mode result failed its tolerance or finiteness check."""
 
 
 _J = 1j
@@ -64,9 +70,6 @@ class GammaRep:
     def eta(self, a: int, b: int) -> int:
         return self.metric5[a] if a == b else 0
 
-    def numeric(self, a: int) -> np.ndarray:
-        return self.gamma[a].to_complex_array()
-
 
 def build_majorana_rep(eps5: int) -> GammaRep:
     if eps5 not in (1, -1):
@@ -77,6 +80,14 @@ def build_majorana_rep(eps5: int) -> GammaRep:
     else:
         g4 = g5.scale(ParamPoly.from_scalar(ExactScalar(Fraction(0), Fraction(1))))
     return GammaRep(gamma=(gamma(0), gamma(1), gamma(2), gamma(3), g4), eps5=eps5)
+
+
+@cache
+def float_gammas(eps5: int) -> np.ndarray:
+    """Read-only complex128 stack gamma[0..4] of build_majorana_rep(eps5)."""
+    stack = np.stack([g.to_complex_array() for g in build_majorana_rep(eps5).gamma])
+    stack.flags.writeable = False
+    return stack
 
 
 @dataclass(frozen=True)
@@ -189,18 +200,41 @@ _ETA4_DIAG = np.array(ETA4_DIAG, dtype=float)
 
 
 def _check_omega(omega) -> np.ndarray:
-    omega = np.asarray(omega, dtype=float)
+    omega = np.asarray(omega)
+    if np.iscomplexobj(omega):
+        raise ValueError("omega must be real")
+    omega = omega.astype(float)
     if omega.shape != (4, 4):
         raise ValueError("omega must be a 4x4 array")
+    if not np.isfinite(omega).all():
+        raise ValueError("omega must be finite")
     if not np.allclose(omega, -omega.T, atol=1e-14):
         raise ValueError("omega must be antisymmetric")
     return omega
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring a degree-18 Taylor polynomial.
+
+    Raises VerificationError when the result overflows the float range."""
+    # 2^-s a has 1-norm below 1, where the dropped Taylor tail is below 1e-17
+    s = max(0, math.frexp(np.linalg.norm(a, 1))[1])
+    a = a * 0.5 ** s
+    eye = out = np.eye(len(a), dtype=a.dtype)
+    for n in range(18, 0, -1):  # Horner form
+        out = eye + a @ out / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            out = out @ out
+    if not np.isfinite(out).all():
+        raise VerificationError(f"matrix exponential overflows after {s} squarings")
+    return out
+
+
 def spinor_generator(omega) -> np.ndarray:
     """(1/4) omega_ab g^a g^b over a,b in 0..3."""
     omega = _check_omega(omega)
-    gs = [gamma(mu).to_complex_array() for mu in range(4)]
+    gs = float_gammas(1)  # g^0..g^3 do not depend on eps5
     G = np.zeros((4, 4), dtype=complex)
     for a in range(4):
         for b in range(4):
@@ -217,12 +251,12 @@ def vector_generator(omega) -> np.ndarray:
 
 def boost_matrix(omega) -> SpinorMatrix:
     """Spinor transformation S = exp((1/4) omega_ab g^a g^b)."""
-    return SpinorMatrix(matrix=expm(spinor_generator(omega)), mode="float")
+    return SpinorMatrix(matrix=_expm(spinor_generator(omega)), mode="float")
 
 
 def vector_boost(omega) -> np.ndarray:
     """Vector transformation Lambda^mu_nu paired with boost_matrix."""
-    return expm(vector_generator(omega))
+    return _expm(vector_generator(omega))
 
 
 def pairing_residual(omega) -> float:
@@ -230,7 +264,7 @@ def pairing_residual(omega) -> float:
     S = boost_matrix(omega).matrix
     Sinv = np.linalg.inv(S)
     lam = vector_boost(omega)
-    gs = [gamma(mu).to_complex_array() for mu in range(4)]
+    gs = float_gammas(1)
     worst = 0.0
     for mu in range(4):
         lhs = Sinv @ gs[mu] @ S

@@ -327,19 +327,24 @@ def _map_invertible(lmap: LinearMap) -> bool:
     return False
 
 
-def verify_linear_isomorphism(lmap: LinearMap) -> IsoCheck:
-    """Exact check that phi([a,b]_src) = [phi a, phi b]_dst on all basis pairs.
-
-    Non-invertibility is reported separately from bracket mismatches.
-    """
+def _bracket_mismatches(lmap: LinearMap):
+    """Yield ((name_i, name_j), residual combo) for each basis pair i < j
+    with phi([a_i,a_j]_src) != [phi a_i, phi a_j]_dst, lazily."""
     src, dst = lmap.src, lmap.dst
-    mismatches = []
     for i, j in itertools.combinations(range(src.dim()), 2):
         lhs = lmap.apply(src.bracket(i, j))
         rhs = dst.bracket_combos(lmap.image(i), lmap.image(j))
         residual = combo_sum(lhs, combo_scale(rhs, -1))
         if residual:
-            mismatches.append(((src.basis[i], src.basis[j]), residual))
+            yield (src.basis[i], src.basis[j]), residual
+
+
+def verify_linear_isomorphism(lmap: LinearMap) -> IsoCheck:
+    """Exact check that phi([a,b]_src) = [phi a, phi b]_dst on all basis pairs.
+
+    Non-invertibility is reported separately from bracket mismatches.
+    """
+    mismatches = list(_bracket_mismatches(lmap))
     invertible = _map_invertible(lmap)
     return IsoCheck(ok=invertible and not mismatches, invertible=invertible, mismatches=mismatches)
 
@@ -397,8 +402,9 @@ def solve_isomorphism_scalings(eps4: int, eps5: int) -> IsomorphismSolution:
         beta = poly(s_b) * ell
         gamma = poly(s_g) * r * ell
         lmap = scaling_map(src, dst, alpha, beta, gamma)
-        check = verify_linear_isomorphism(lmap)
-        if check.ok:
+        # a candidate is dropped at its first mismatch; only a full bracket
+        # match pays for the exact rank
+        if next(_bracket_mismatches(lmap), None) is None and _map_invertible(lmap):
             passing.append((s_a, s_b, s_g))
             if (s_a, s_b) == (1, 1):
                 canonical = (alpha, beta, gamma, lmap)

@@ -23,6 +23,7 @@ from .clifford import (
     VerificationError,
     boost_matrix,
     build_majorana_rep,
+    float_gammas,
     reality_class,
     vector_boost,
 )
@@ -61,13 +62,14 @@ class ModeProblem:
             kf = [as_fraction(c) for c in self.k]
             return kf[0] ** 2 - kf[1] ** 2 - kf[2] ** 2 - kf[3] ** 2
         k = [float(c) for c in self.k]
-        return k[0] ** 2 - k[1] ** 2 - k[2] ** 2 - k[3] ** 2
+        # products, not **: a float power raises OverflowError, a product is inf
+        return k[0] * k[0] - k[1] * k[1] - k[2] * k[2] - k[3] * k[3]
 
 
 def dirac_matrix(p: ModeProblem) -> SpinorMatrix:
     """g^mu k_mu - eps5 g^4 (l/2) k^2; exact when all inputs are rational."""
-    rep = build_majorana_rep(p.eps5)
     if p.exact:
+        rep = build_majorana_rep(p.eps5)
         ell = as_fraction(p.ell)
         kf = [as_fraction(c) for c in p.k]
         ksq = p.k_squared()
@@ -83,10 +85,11 @@ def dirac_matrix(p: ModeProblem) -> SpinorMatrix:
     ell = float(p.ell)
     k = [float(c) for c in p.k]
     ksq = p.k_squared()
+    gs = float_gammas(p.eps5)
     out = np.zeros((4, 4), dtype=complex)
     for mu in range(4):
-        out += rep.numeric(mu) * (k[mu] * ETA4_DIAG[mu])
-    out += rep.numeric(4) * (-p.eps5 * ell / 2 * ksq)
+        out += gs[mu] * (k[mu] * ETA4_DIAG[mu])
+    out += gs[4] * (-p.eps5 * ell / 2 * ksq)
     return SpinorMatrix(matrix=out, mode="float")
 
 
@@ -226,7 +229,7 @@ def boost_solution(s: SpinorSolution, omega) -> SpinorSolution:
     for u in s.basis:
         u_new = S @ np.asarray([complex(c) for c in u])
         r = residual(tuple(k_new), u_new, ell, s.eps5)
-        if r > 1e-10:
+        if not r <= 1e-10:
             raise VerificationError(
                 f"boosted solution residual {r:.3e} exceeds 1e-10"
             )
@@ -234,7 +237,7 @@ def boost_solution(s: SpinorSolution, omega) -> SpinorSolution:
     k2_old = float(s.k2)
     k2_new = k_new[0] ** 2 - k_new[1] ** 2 - k_new[2] ** 2 - k_new[3] ** 2
     scale = max(abs(k2_old), 1.0)
-    if abs(k2_new - k2_old) > 1e-10 * scale:
+    if not abs(k2_new - k2_old) <= 1e-10 * scale:
         raise VerificationError(
             f"k^2 changed under boost: {k2_old!r} -> {k2_new!r}"
         )

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .clifford import build_majorana_rep, gamma5, reality_class
+from .clifford import build_majorana_rep, float_gammas, gamma5, reality_class
 from .lie_algebra import ETA4_DIAG
 from .matrices import ExactMatrix
 from .scalars import (ExactScalar, ParamPoly, as_fraction, is_exact_number,
@@ -144,17 +144,17 @@ def coupled_matrix(k, c: CouplingConfig):
 
 
 def _coupled_matrix_float(k, c: CouplingConfig) -> np.ndarray:
-    rep = build_majorana_rep(c.eps5)
+    gs = float_gammas(c.eps5)
     gk = np.zeros((4, 4), dtype=complex)
     for mu in range(4):
-        gk += rep.numeric(mu) * (float(k[mu]) * ETA4_DIAG[mu])
+        gk += gs[mu] * (float(k[mu]) * ETA4_DIAG[mu])
     g = c.g_complex()
     v = float(real_value(c.vev))
     out = np.zeros((8, 8), dtype=complex)
     out[:4, :4] = gk
     out[:4, 4:] = g * v * np.eye(4)
     out[4:, :4] = np.conj(g) * v * np.eye(4)
-    out[4:, 4:] = gk + rep.numeric(4) * (2.0 / float(real_value(c.ell)))
+    out[4:, 4:] = gk + gs[4] * (2.0 / float(real_value(c.ell)))
     return out
 
 

@@ -1,13 +1,21 @@
 """Gamma matrices, boosts, and the conjugation-closure classifier."""
 
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ncdirac
 from ncdirac.clifford import (
+    VerificationError,
     boost_matrix,
     build_majorana_rep,
+    float_gammas,
     gamma,
     gamma5,
     gamma5_product_check,
@@ -16,6 +24,7 @@ from ncdirac.clifford import (
     reality_class,
     spinor_generator,
     vector_boost,
+    vector_generator,
     verify_clifford,
 )
 
@@ -107,6 +116,108 @@ def test_generator_antisymmetry_guard():
         spinor_generator(np.ones((4, 4)))
     with pytest.raises(ValueError):
         spinor_generator(np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+def test_float_gammas_are_the_exact_rep(eps5):
+    stack = float_gammas(eps5)
+    assert stack.dtype == np.complex128 and stack.shape == (5, 4, 4)
+    rep = build_majorana_rep(eps5)
+    for a in range(5):
+        assert np.array_equal(stack[a], rep.gamma[a].to_complex_array())
+    assert float_gammas(eps5) is stack
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 1.0
+
+
+def _axis_boost(y):
+    omega = np.zeros((4, 4))
+    omega[0, 3], omega[3, 0] = y, -y
+    return omega
+
+
+def _close(got, expect, rtol):
+    return np.abs(got - expect).max() <= rtol * np.abs(expect).max()
+
+
+RAPIDITIES = [0.5, 1.0, 5.0, 10.0, 20.0]
+
+
+@pytest.mark.parametrize("y", RAPIDITIES)
+def test_vector_boost_closed_form(y):
+    expect = np.eye(4)
+    expect[0, 0] = expect[3, 3] = math.cosh(y)
+    expect[0, 3] = expect[3, 0] = math.sinh(y)
+    assert _close(vector_boost(_axis_boost(y)), expect, 1e-12)
+
+
+@pytest.mark.parametrize("y", RAPIDITIES)
+def test_spinor_boost_closed_form(y):
+    # (1/4) omega_ab g^a g^b = (y/2) g0 g3 and (g0 g3)^2 = 1
+    g03 = gamma(0).to_complex_array() @ gamma(3).to_complex_array()
+    expect = math.cosh(y / 2) * np.eye(4) + math.sinh(y / 2) * g03
+    assert _close(boost_matrix(_axis_boost(y)).matrix, expect, 1e-12)
+
+
+def test_exponential_inverse_and_zero():
+    rng = np.random.default_rng(3)
+    omegas = [_axis_boost(y) for y in (0.5, 1.0, 5.0)]
+    for _ in range(10):
+        w = rng.uniform(-2, 2, (4, 4))
+        omegas.append(w - w.T)
+    for omega in omegas:
+        for expm in (vector_boost, lambda w: boost_matrix(w).matrix):
+            fwd, back = expm(omega), expm(-omega)
+            bound = 1e-13 * np.linalg.norm(fwd, 1) * np.linalg.norm(back, 1)
+            assert np.abs(fwd @ back - np.eye(4)).max() <= bound
+    zero = np.zeros((4, 4))
+    assert np.array_equal(vector_boost(zero), np.eye(4))
+    assert np.array_equal(boost_matrix(zero).matrix, np.eye(4))
+
+
+def _check_all_draws(seed, n):
+    """The antisymmetric generators `check all --seed` draws for boosts."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        omega = np.zeros((4, 4))
+        for a in range(4):
+            for b in range(a + 1, 4):
+                omega[a, b] = rng.uniform(-1.0, 1.0)
+                omega[b, a] = -omega[a, b]
+        yield omega
+
+
+def test_exponential_matches_scipy():
+    linalg = pytest.importorskip("scipy.linalg")
+    for omega in _check_all_draws(42, 100):
+        for ours, gen in ((boost_matrix(omega).matrix, spinor_generator(omega)),
+                          (vector_boost(omega), vector_generator(omega))):
+            ref = linalg.expm(gen)
+            assert np.linalg.norm(ours - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def test_bad_generators_are_rejected():
+    complex_omega = _axis_boost(1.0) * (1 + 1j)
+    infinite = _axis_boost(math.inf)
+    for omega in (complex_omega, infinite):
+        for fn in (boost_matrix, vector_boost, spinor_generator):
+            with pytest.raises(ValueError):
+                fn(omega)
+    # finite but past the float range: exp(1000) overflows
+    with pytest.raises(VerificationError):
+        boost_matrix(_axis_boost(2000.0))
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(ncdirac.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ncdirac; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 class TestRealityClass:

@@ -92,6 +92,26 @@ def test_isomorphism_scalings(eps4, eps5):
     assert check.mismatches == []
 
 
+@pytest.mark.parametrize("which", [0, -1])
+def test_scaled_coefficient_has_no_isomorphism(monkeypatch, which):
+    # the sign search stops each candidate at its first mismatch; one wrong
+    # coefficient, first or last in bracket order, must still defeat all
+    import ncdirac.lie_algebra as lie
+
+    build = lie.build_orthogonal_algebra
+
+    def tampered(eps4, eps5):
+        table = build(eps4, eps5)
+        (i, j), combo = sorted(table.brackets.items())[which]
+        k = min(combo)
+        table.set_bracket(i, j, {**combo, k: combo[k] * poly(2)})
+        return table
+
+    monkeypatch.setattr(lie, "build_orthogonal_algebra", tampered)
+    with pytest.raises(ArithmeticError):
+        solve_isomorphism_scalings(1, -1)
+
+
 def test_flipped_gamma_breaks_isomorphism():
     sol = solve_isomorphism_scalings(1, -1)
     broken = scaling_map(sol.src, sol.dst, sol.alpha, sol.beta, -sol.gamma)

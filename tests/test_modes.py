@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ncdirac.clifford import VerificationError
 from ncdirac.matrices import vector_matmul
 from ncdirac.modes import (
     ModeProblem,
@@ -120,11 +121,25 @@ def test_boost_covariance_seeded(eps5, branch):
         assert moved.spinor_class == sol.spinor_class
 
 
-def test_float_matrix_matches_exact():
+@pytest.mark.parametrize("eps5", [1, -1])
+@pytest.mark.parametrize("branch,rapidity", [("massless", 500.0), ("heavy", 1e200)])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_boost_raises(eps5, branch, rapidity):
+    # at 500 the exponentials are finite, but k'^2 and D(k') S u overflow to
+    # NaN, which a `>` gate lets through; at 1e200 the exponential overflows
+    sol = reference_solutions(Fraction(1), eps5, branch)
+    omega = np.zeros((4, 4))
+    omega[0, 3], omega[3, 0] = rapidity, -rapidity
+    with pytest.raises(VerificationError):
+        boost_solution(sol, omega)
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+def test_float_matrix_matches_exact(eps5):
     k = (Fraction(3, 2), Fraction(1, 3), 0, Fraction(-1, 2))
-    exact = dirac_matrix(ModeProblem(eps5=-1, ell=Fraction(1, 4), k=k))
+    exact = dirac_matrix(ModeProblem(eps5=eps5, ell=Fraction(1, 4), k=k))
     floaty = dirac_matrix(
-        ModeProblem(eps5=-1, ell=Fraction(1, 4), k=tuple(float(c) for c in k))
+        ModeProblem(eps5=eps5, ell=Fraction(1, 4), k=tuple(float(c) for c in k))
     )
     assert exact.mode == "exact"
     assert floaty.mode == "float"

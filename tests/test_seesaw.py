@@ -217,6 +217,20 @@ def test_decoupling_at_zero_coupling():
     assert spectrum.roots == (-4.0, 0.0, 4.0)
 
 
+@pytest.mark.parametrize("eps5", [1, -1])
+def test_float_coupled_matrix_matches_exact(eps5):
+    config = CouplingConfig(
+        g=ExactScalar.parse("3/5+4/5i"), vev=Fraction(1, 7), ell=Fraction(2, 3),
+        eps5=eps5,
+    )
+    k = (Fraction(3, 2), Fraction(1, 3), 0, Fraction(-1, 2))
+    exact = coupled_matrix(k, config)
+    floaty = coupled_matrix(tuple(float(c) for c in k), config)
+    assert isinstance(exact, ExactMatrix)
+    assert isinstance(floaty, np.ndarray)
+    assert np.allclose(floaty, exact.to_complex_array(), rtol=0, atol=1e-14)
+
+
 def test_symbolic_determinant_factorization():
     # det of the 8x8 at k = (E,0,0,0) is the square of a quartic in E
     config = CouplingConfig(
