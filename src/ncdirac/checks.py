@@ -29,7 +29,6 @@ from .lie_algebra import (
     jacobi_residual,
     jacobi_triple_count,
     solve_isomorphism_scalings,
-    verify_linear_isomorphism,
 )
 from .weyl import BRACKET_FAMILIES, verify_rep_closure
 from .enveloping import k_squared, lemma_matrix_check, verify_plane_wave_relations
@@ -202,7 +201,7 @@ def cmd_verify_algebra(cfg: RunConfig) -> list[CheckReport]:
 
         t0 = time.perf_counter()
         sol = solve_isomorphism_scalings(e4, e5)
-        iso = verify_linear_isomorphism(sol.map)
+        iso = sol.check
         ok = iso.ok and iso.invertible and len(sol.passing_sign_choices) == 4
         _report(
             reports, cfg, t0, "isomorphism", params,

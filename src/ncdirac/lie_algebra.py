@@ -70,14 +70,6 @@ def combo_sum(*combos: Combo) -> Combo:
     return out
 
 
-def combo_scale(combo: Combo, factor) -> Combo:
-    f = poly(factor)
-    out: Combo = {}
-    for idx, coeff in combo.items():
-        _combo_add(out, idx, f * coeff)
-    return out
-
-
 @dataclass
 class StructureConstants:
     """Antisymmetric bracket table over a named basis.
@@ -93,13 +85,25 @@ class StructureConstants:
     def __post_init__(self):
         self.basis = tuple(self.basis)
         self.index = {name: i for i, name in enumerate(self.basis)}
+        if len(self.index) != len(self.basis):
+            dups = sorted({name for name in self.basis if self.basis.count(name) > 1})
+            raise ValueError(f"duplicate basis names {dups}")
 
     def set_bracket(self, i: int, j: int, combo: Combo):
+        n = len(self.basis)
+        for idx in (i, j):
+            if not (isinstance(idx, int) and 0 <= idx < n):
+                raise ValueError(f"generator index {idx} of bracket [{i},{j}] "
+                                 f"is outside 0..{n - 1}")
+        for k in combo:
+            if not (isinstance(k, int) and 0 <= k < n):
+                raise ValueError(f"output index {k} of bracket [{i},{j}] "
+                                 f"is outside 0..{n - 1}")
         if i == j:
             raise ValueError("bracket of a generator with itself is zero")
         if i > j:
             i, j = j, i
-            combo = combo_scale(combo, -1)
+            combo = {k: -c for k, c in combo.items()}
         clean = {k: c for k, c in combo.items() if not c.is_zero()}
         if clean:
             self.brackets[(i, j)] = clean
@@ -111,15 +115,7 @@ class StructureConstants:
             return {}
         if i < j:
             return dict(self.brackets.get((i, j), {}))
-        return combo_scale(self.brackets.get((j, i), {}), -1)
-
-    def bracket_combos(self, a: Combo, b: Combo) -> Combo:
-        out: Combo = {}
-        for ia, ca in a.items():
-            for ib, cb in b.items():
-                for k, c in self.bracket(ia, ib).items():
-                    _combo_add(out, k, ca * cb * c)
-        return out
+        return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
 
     def substitute(self, bindings) -> "StructureConstants":
         out = StructureConstants(self.basis)
@@ -140,11 +136,30 @@ class StructureConstants:
 
     @staticmethod
     def from_json(data: dict) -> "StructureConstants":
-        alg = StructureConstants(tuple(data["basis"]))
-        for key, entries in data["brackets"].items():
-            i_s, j_s = key.split(",")
-            combo = {int(k): ParamPoly.from_json(pj) for k, pj in entries}
-            alg.set_bracket(int(i_s), int(j_s), combo)
+        """Parse the fixture format.  A malformed entry, an index outside the
+        basis or a pair given twice raises ValueError naming the bracket key."""
+        try:
+            alg = StructureConstants(tuple(data["basis"]))
+            brackets = data["brackets"].items()
+        except (AttributeError, KeyError, TypeError):
+            raise ValueError("a structure-constant table is an object with a "
+                             "'basis' list and a 'brackets' object") from None
+        seen = {}
+        for key, entries in brackets:
+            try:
+                i, j = (int(s) for s in key.split(","))
+                pair = (min(i, j), max(i, j))
+                if pair in seen:
+                    raise ValueError(f"repeats the pair of key {seen[pair]!r}")
+                seen[pair] = key
+                combo = {}
+                for k, pj in entries:
+                    if int(k) in combo:
+                        raise ValueError(f"lists output index {k} twice")
+                    combo[int(k)] = ParamPoly.from_json(pj)
+                alg.set_bracket(i, j, combo)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"bracket key {key!r}: {exc}") from None
         return alg
 
 
@@ -246,15 +261,40 @@ def build_orthogonal_algebra(eps4: int, eps5: int) -> StructureConstants:
     return alg
 
 
+def _signed_rows(alg: StructureConstants) -> list:
+    """rows[a][b]: the (k, coeff) entries of [e_a, e_b], or None when the
+    bracket is zero.
+
+    Entries keep the table's stored order (the order ``bracket`` returns);
+    the lower triangle negates each stored entry once.  Built per call, so
+    a table edited in place is always read afresh.
+    """
+    n = alg.dim()
+    rows = [[None] * n for _ in range(n)]
+    for (i, j), combo in alg.brackets.items():
+        rows[i][j] = list(combo.items())
+        rows[j][i] = [(k, -c) for k, c in combo.items()]
+    return rows
+
+
+def _nested_bracket(rows, ab, c: int) -> Combo:
+    """[[a, b], e_c] = sum_m c_ab^m c_mc^q e_q, from the row ``ab`` of [a, b]."""
+    out: Combo = {}
+    for m, c_ab in ab or ():
+        for q, c_mc in rows[m][c] or ():
+            _combo_add(out, q, c_ab * c_mc)
+    return out
+
+
 def jacobi_residual(alg: StructureConstants):
     """All violated Jacobi triples: [(names, residual combo), ...]."""
+    rows = _signed_rows(alg)
     violations = []
-    n = alg.dim()
-    for i, j, k in itertools.combinations(range(n), 3):
+    for i, j, k in itertools.combinations(range(alg.dim()), 3):
         residual = combo_sum(
-            alg.bracket_combos(alg.bracket(i, j), {k: P_ONE}),
-            alg.bracket_combos(alg.bracket(j, k), {i: P_ONE}),
-            alg.bracket_combos(alg.bracket(k, i), {j: P_ONE}),
+            _nested_bracket(rows, rows[i][j], k),
+            _nested_bracket(rows, rows[j][k], i),
+            _nested_bracket(rows, rows[k][i], j),
         )
         if residual:
             names = (alg.basis[i], alg.basis[j], alg.basis[k])
@@ -274,16 +314,6 @@ class LinearMap:
     src: StructureConstants
     dst: StructureConstants
     columns: list  # one Combo per src basis element
-
-    def image(self, i: int) -> Combo:
-        return dict(self.columns[i])
-
-    def apply(self, combo: Combo) -> Combo:
-        out: Combo = {}
-        for i, c in combo.items():
-            for j, m in self.columns[i].items():
-                _combo_add(out, j, c * m)
-        return out
 
 
 @dataclass
@@ -327,14 +357,28 @@ def _map_invertible(lmap: LinearMap) -> bool:
     return False
 
 
-def _bracket_mismatches(lmap: LinearMap):
+def _bracket_mismatches(lmap: LinearMap, src_rows, dst_rows):
     """Yield ((name_i, name_j), residual combo) for each basis pair i < j
-    with phi([a_i,a_j]_src) != [phi a_i, phi a_j]_dst, lazily."""
-    src, dst = lmap.src, lmap.dst
+    with phi([a_i,a_j]_src) != [phi a_i, phi a_j]_dst, lazily.
+
+    ``src_rows``/``dst_rows`` are the ``_signed_rows`` of the map's tables.
+    """
+    src, columns = lmap.src, lmap.columns
     for i, j in itertools.combinations(range(src.dim()), 2):
-        lhs = lmap.apply(src.bracket(i, j))
-        rhs = dst.bracket_combos(lmap.image(i), lmap.image(j))
-        residual = combo_sum(lhs, combo_scale(rhs, -1))
+        lhs: Combo = {}
+        for m, c in src_rows[i][j] or ():
+            for q, phi in columns[m].items():
+                _combo_add(lhs, q, c * phi)
+        # -[phi a_i, phi a_j] = sum ca cb [f_b, f_a]
+        neg_rhs: Combo = {}
+        for ia, ca in columns[i].items():
+            for ib, cb in columns[j].items():
+                row = dst_rows[ib][ia]
+                if row is not None:
+                    cab = ca * cb
+                    for q, c in row:
+                        _combo_add(neg_rhs, q, cab * c)
+        residual = combo_sum(lhs, neg_rhs)
         if residual:
             yield (src.basis[i], src.basis[j]), residual
 
@@ -344,7 +388,8 @@ def verify_linear_isomorphism(lmap: LinearMap) -> IsoCheck:
 
     Non-invertibility is reported separately from bracket mismatches.
     """
-    mismatches = list(_bracket_mismatches(lmap))
+    rows = _signed_rows(lmap.src), _signed_rows(lmap.dst)
+    mismatches = list(_bracket_mismatches(lmap, *rows))
     invertible = _map_invertible(lmap)
     return IsoCheck(ok=invertible and not mismatches, invertible=invertible, mismatches=mismatches)
 
@@ -379,6 +424,7 @@ class IsomorphismSolution:
     src: StructureConstants  # deformed table with rho -> r^2 substituted
     dst: StructureConstants
     passing_sign_choices: list  # [(s_alpha, s_beta, s_gamma), ...]
+    check: IsoCheck  # the search's own full verdict on ``map``
 
 
 def solve_isomorphism_scalings(eps4: int, eps5: int) -> IsomorphismSolution:
@@ -388,12 +434,14 @@ def solve_isomorphism_scalings(eps4: int, eps5: int) -> IsomorphismSolution:
     has no polynomial solution in rho itself; the deformed table is therefore
     reparametrized with rho = r^2 before matching.  All sign choices with
     gamma = -alpha*beta pass; the canonical representative (r, l, -r*l) is
-    returned.
+    returned, with the bracket match and exact rank the search computed
+    for it as ``check``.
     """
     r = sym("r")
     ell = sym("l")
     src = build_deformed_algebra(eps4, eps5).substitute({"rho": r * r})
     dst = build_orthogonal_algebra(eps4, eps5)
+    rows = _signed_rows(src), _signed_rows(dst)
 
     passing = []
     canonical = None
@@ -404,7 +452,7 @@ def solve_isomorphism_scalings(eps4: int, eps5: int) -> IsomorphismSolution:
         lmap = scaling_map(src, dst, alpha, beta, gamma)
         # a candidate is dropped at its first mismatch; only a full bracket
         # match pays for the exact rank
-        if next(_bracket_mismatches(lmap), None) is None and _map_invertible(lmap):
+        if next(_bracket_mismatches(lmap, *rows), None) is None and _map_invertible(lmap):
             passing.append((s_a, s_b, s_g))
             if (s_a, s_b) == (1, 1):
                 canonical = (alpha, beta, gamma, lmap)
@@ -414,4 +462,5 @@ def solve_isomorphism_scalings(eps4: int, eps5: int) -> IsomorphismSolution:
     return IsomorphismSolution(
         alpha=alpha, beta=beta, gamma=gamma, map=lmap,
         src=src, dst=dst, passing_sign_choices=sorted(passing),
+        check=IsoCheck(ok=True, invertible=True, mismatches=[]),
     )

@@ -148,11 +148,12 @@ class ExactMatrix:
                 continue
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
             inv = rows[r][c]
-            rows[r] = [x / inv for x in rows[r]]
+            # the maps ranked here are mostly zeros: leave those untouched
+            rows[r] = [x / inv if x else x for x in rows[r]]
             for i in range(self.nrows):
                 if i != r and not rows[i][c].is_zero():
                     factor = rows[i][c]
-                    rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+                    rows[i] = [x - factor * y if y else x for x, y in zip(rows[i], rows[r])]
             pivots.append(c)
             r += 1
             if r == self.nrows:

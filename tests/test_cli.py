@@ -5,6 +5,9 @@ import copy
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -199,6 +202,42 @@ def test_tampered_fixture_names_triple(tmp_path, capsys):
     assert fixture_reports[0]["status"] == "fail"
     assert fixture_reports[0]["details"]["first_violation"] == ["M01", "P0", "x1"]
     assert fixture_reports[0]["details"]["violations"] == 12
+    assert fixture_reports[0]["details"]["first_residual"] == {"C": "1"}
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc["brackets"].update({"0,99": [[14, [[[0] * 10, "1", "0"]]]]}),
+     "bracket key '0,99': generator index 99"),
+    (lambda doc: doc["brackets"].update({"6,10": [[-1, [[[0] * 10, "1", "0"]]]]}),
+     "bracket key '6,10': output index -1"),
+    (lambda doc: doc["brackets"].update({"10,6": doc["brackets"]["6,10"]}),
+     "bracket key '10,6': repeats the pair of key '6,10'"),
+    (lambda doc: doc.pop("brackets"),
+     "a structure-constant table is an object with a 'basis' list and a 'brackets' object"),
+    (lambda doc: doc["basis"].__setitem__(14, "x3"),
+     "duplicate basis names ['x3']"),
+])
+def test_malformed_fixture_is_usage_error(tmp_path, capsys, edit, message):
+    doc = build_deformed_algebra(1, -1).to_json()
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", "algebra", "--eps4", "1", "--eps5", "-1",
+                 "--fixture", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_module_entry_point_matches_main(capsys):
+    code, out = run(capsys, "verify", "clifford")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "ncdirac", "verify", "clifford"],
+                          capture_output=True, text=True, env=env, check=False)
+    assert (proc.returncode, proc.stdout) == (code, out)
 
 
 def test_intact_fixture_passes(tmp_path, capsys):

@@ -1,8 +1,11 @@
 """Structure constants, Jacobi identities, and the six-dimensional match."""
 
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncdirac.lie_algebra import (
     build_deformed_algebra,
@@ -74,7 +77,8 @@ def test_tampered_table_fails_jacobi():
     assert len(violations) == 12
     names, residual = violations[0]
     assert names == ("M01", "P0", "x1")
-    assert set(residual) == {ix["C"]}
+    # [[M01,P0],x1] + [[x1,M01],P0] = -C + 2C: the excess of the doubled bracket
+    assert residual == {ix["C"]: poly(1)}
 
 
 @pytest.mark.parametrize("eps4,eps5", SIGNS)
@@ -90,6 +94,8 @@ def test_isomorphism_scalings(eps4, eps5):
     check = verify_linear_isomorphism(sol.map)
     assert check.ok and check.invertible
     assert check.mismatches == []
+    # the search carries the same verdict on its canonical map
+    assert sol.check == check
 
 
 @pytest.mark.parametrize("which", [0, -1])
@@ -156,3 +162,126 @@ def test_json_round_trip():
             assert set(orig) == set(copy)
             for k in orig:
                 assert orig[k] == copy[k]
+
+
+# -- malformed tables ---------------------------------------------------------
+
+
+def _doc():
+    return build_deformed_algebra(1, -1).to_json()
+
+
+def test_bracket_index_outside_basis_is_rejected():
+    alg = build_deformed_algebra(1, -1)
+    with pytest.raises(ValueError, match="generator index 99"):
+        alg.set_bracket(0, 99, {1: poly(1)})
+    with pytest.raises(ValueError, match="generator index -1"):
+        alg.set_bracket(-1, 3, {1: poly(1)})
+    with pytest.raises(ValueError, match="output index -1"):
+        alg.set_bracket(0, 1, {-1: poly(1)})
+    with pytest.raises(ValueError, match="output index 15"):
+        alg.set_bracket(1, 0, {15: poly(1)})
+
+
+_ONE = [[14, poly(1).to_json()]]
+
+
+@pytest.mark.parametrize("key,entries,message", [
+    ("0,99", _ONE, "generator index 99 of bracket [0,99] is outside 0..14"),
+    ("6,10", [[-1, poly(1).to_json()]], "output index -1 of bracket [6,10] is outside 0..14"),
+    ("10,6", _doc()["brackets"]["6,10"], "repeats the pair of key '6,10'"),
+    ("6,10", _ONE + _ONE, "lists output index 14 twice"),
+    ("3,3", _ONE, "bracket of a generator with itself"),
+    ("0", _ONE, ""),
+    ("0,1,2", _ONE, ""),
+    ("a,b", _ONE, ""),
+    ("0,1", [[14]], ""),
+    ("0,1", [[14, "x"]], ""),
+])
+def test_fixture_malformed_entry_names_the_key(key, entries, message):
+    doc = _doc()
+    doc["brackets"][key] = entries
+    with pytest.raises(ValueError) as exc:
+        StructureConstants.from_json(doc)
+    assert str(exc.value).startswith(f"bracket key {key!r}: ")
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("data", [
+    {"basis": ["a", "b"]},
+    {"basis": ["a", "b"], "brackets": []},
+    {"basis": 3, "brackets": {}},
+    [],
+])
+def test_fixture_without_basis_or_brackets_is_rejected(data):
+    with pytest.raises(ValueError, match="a 'basis' list and a 'brackets' object"):
+        StructureConstants.from_json(data)
+
+
+def test_duplicate_basis_names_are_rejected():
+    doc = _doc()
+    doc["basis"][14] = "x3"
+    with pytest.raises(ValueError, match="duplicate basis names \\['x3'\\]"):
+        StructureConstants.from_json(doc)
+    with pytest.raises(ValueError, match="duplicate"):
+        StructureConstants(("a", "b", "a"))
+
+
+# -- sparse Jacobi against a float oracle ------------------------------------
+
+
+def _float_violations(table, point, rel_tol=1e-9):
+    """Index triples whose Jacobi sum, evaluated in complex floats at
+    `point`, exceeds rel_tol times the sum of its three terms' sizes."""
+    n = table.dim()
+    f = np.zeros((n, n, n), dtype=complex)
+    for (i, j), combo in table.brackets.items():
+        for k, c in combo.items():
+            f[i, j, k] = complex(c.evaluate(point))
+            f[j, i, k] = -f[i, j, k]
+    terms = (
+        np.einsum("ijm,mkq->ijkq", f, f),
+        np.einsum("jkm,miq->ijkq", f, f),
+        np.einsum("kim,mjq->ijkq", f, f),
+    )
+    bad = np.abs(sum(terms)) > rel_tol * sum(np.abs(t) for t in terms)
+    return {t for t in itertools.combinations(range(n), 3) if bad[t].any()}
+
+
+_NONZERO = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000).filter(bool)
+_POSITIVE = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=50)
+
+
+@st.composite
+def _fixture_tables(draw):
+    """A deformed or orthogonal table with its basis rescaled by random
+    rationals, and (maybe) one coefficient multiplied by a factor != 1."""
+    eps4, eps5 = draw(st.sampled_from(SIGNS))
+    build = draw(st.sampled_from((build_deformed_algebra, build_orthogonal_algebra)))
+    base = build(eps4, eps5)
+    s = draw(st.lists(_NONZERO, min_size=base.dim(), max_size=base.dim()))
+    table = StructureConstants(base.basis)
+    # e_a -> s_a e_a takes c_ab^k to (s_a s_b / s_k) c_ab^k
+    for (i, j), combo in base.brackets.items():
+        table.set_bracket(i, j, {k: c * poly(s[i] * s[j] / s[k]) for k, c in combo.items()})
+    tampered = draw(st.booleans())
+    if tampered:
+        pair = draw(st.sampled_from(sorted(table.brackets)))
+        combo = table.brackets[pair]
+        k = draw(st.sampled_from(sorted(combo)))
+        factor = draw(st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(
+            lambda x: x != 1))
+        table.set_bracket(*pair, {**combo, k: combo[k] * poly(factor)})
+    return table, tampered
+
+
+@settings(max_examples=30, deadline=None)
+@given(_fixture_tables(), _POSITIVE, _POSITIVE)
+def test_sparse_jacobi_matches_float_oracle(drawn, ell, rho):
+    table, tampered = drawn
+    violations = jacobi_residual(table)
+    index = table.index
+    got = {tuple(index[name] for name in names) for names, _ in violations}
+    assert got == _float_violations(table, {"l": ell, "rho": rho})
+    if not tampered:
+        assert violations == []
