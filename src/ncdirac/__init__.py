@@ -5,6 +5,7 @@ gamma matrices, extended Dirac dispersion branches with Dirac/Majorana
 classification, and the coupled-branch seesaw spectrum."""
 
 from .scalars import (
+    DegreeBoundError,
     ExactScalar,
     ParamPoly,
     SubstitutionError,
@@ -73,6 +74,7 @@ __all__ = [
     "ExactMatrix",
     "SubstitutionError",
     "TruncationOrderError",
+    "DegreeBoundError",
     "UnknownSymbolError",
     "VerificationError",
     "RootFindingError",

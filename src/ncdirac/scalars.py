@@ -1,11 +1,15 @@
 """Exact coefficient arithmetic for every symbolic computation in the package.
 
-Three layers:
+Three layers, all on plain Python ints:
 
-* ``ExactScalar``: a Gaussian rational a + b*i with ``fractions.Fraction``
-  components, always in lowest terms.
+* ``ExactScalar``: a Gaussian rational (a + b*i)/d stored as three ints in
+  canonical form (``d > 0``, ``gcd(a, b, d) == 1``); ``.re`` and ``.im``
+  are ``Fraction`` views.
 * ``ParamPoly``: a polynomial in the fixed parameter alphabet ``SYMBOLS``
-  with ExactScalar coefficients and no stored zero terms.
+  with ExactScalar coefficients and no stored zero terms.  Each monomial is
+  one packed int with a bit field per symbol, so a monomial product is one
+  integer addition; powers above ``MAX_DEGREE`` raise ``DegreeBoundError``.
+  The public API still speaks exponent tuples.
 * ``TruncatedSeries``: a ParamPoly together with a truncation order in the
   length parameter ``l``; products re-truncate at the smaller order.
 
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Union
 
 # Fixed parameter alphabet.  Order matters: monomial exponent vectors are
@@ -31,7 +36,18 @@ from typing import Iterable, Mapping, Union
 SYMBOLS = ("l", "rho", "r", "m", "k0", "k1", "k2", "k3", "mu", "v")
 _SYMBOL_INDEX = {name: i for i, name in enumerate(SYMBOLS)}
 _NSYM = len(SYMBOLS)
-_ZERO_EXP = (0,) * _NSYM
+
+# Packed monomials: an exponent tuple is stored as one int with a fixed
+# _FIELD_BITS-wide field per symbol, symbol 0 in the highest field, so
+# integer order is the lexicographic order of exponent tuples.  The top bit
+# of each field is a guard that no stored monomial sets.  Multiplying two
+# monomials is then one integer addition, and a symbol's power overflows
+# exactly when the sum sets that symbol's guard bit; no carry can reach the
+# next field.
+_FIELD_BITS = 8
+MAX_DEGREE = (1 << (_FIELD_BITS - 1)) - 1
+_SHIFTS = tuple(_FIELD_BITS * (_NSYM - 1 - i) for i in range(_NSYM))
+_GUARDS = sum((MAX_DEGREE + 1) << shift for shift in _SHIFTS)
 
 
 class UnknownSymbolError(ValueError):
@@ -44,6 +60,10 @@ class SubstitutionError(ValueError):
 
 class TruncationOrderError(ValueError):
     """Raised when a required truncation order is missing or invalid."""
+
+
+class DegreeBoundError(ValueError):
+    """Raised when a power of one symbol would exceed MAX_DEGREE."""
 
 
 def is_exact_number(value) -> bool:
@@ -74,16 +94,29 @@ def real_value(value):
     return as_fraction(value) if is_exact_number(value) else float(value)
 
 
-@dataclass(frozen=True)
+_new = object.__new__
+
+
 class ExactScalar:
-    """Gaussian rational a + b*i.  Components are Fractions in lowest terms."""
+    """Gaussian rational (a + b*i)/d held as three ints.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    The form is canonical: ``d > 0`` and ``gcd(a, b, d) == 1``, so zero is
+    ``(0, 0, 1)`` and equal values have equal fields.  Instances are
+    immutable by convention: the fields are private and nothing sets them
+    after construction.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", as_fraction(self.re))
-        object.__setattr__(self, "im", as_fraction(self.im))
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re=0, im=0):
+        re = as_fraction(re)
+        im = as_fraction(im)
+        q, s = re.denominator, im.denominator
+        d = q * s // gcd(q, s)
+        # both parts are in lowest terms, so gcd(a, b, d) is already 1
+        self._a = re.numerator * (d // q)
+        self._b = im.numerator * (d // s)
+        self._d = d
 
     # -- constructors -------------------------------------------------
 
@@ -94,20 +127,20 @@ class ExactScalar:
 
     @staticmethod
     def i() -> "ExactScalar":
-        return ExactScalar(Fraction(0), Fraction(1))
+        return _make(0, 1, 1)
 
     @staticmethod
     def parse(text: str) -> "ExactScalar":
-        """Parse "p/q", "0.25", "p/q+r/si" or "a-bi" ("i" or "j" suffix)."""
+        """Parse "p/q", "0.25", "1e-3", "p/q+r/si" or "a-bi" ("i" or "j" suffix)."""
         s = text.strip().replace(" ", "").replace("j", "i")
         if not s:
             raise ValueError("empty scalar literal")
         if s.endswith("i"):
             body = s[:-1]
-            # split real and imaginary at the last +/- that is not leading
-            # and not part of an exponent-free rational
+            # split real and imaginary at the last +/- that is not leading,
+            # not doubled and not the sign of an exponent
             for pos in range(len(body) - 1, 0, -1):
-                if body[pos] in "+-" and body[pos - 1] not in "+-/":
+                if body[pos] in "+-" and body[pos - 1] not in "+-/eE":
                     re_part, im_part = body[:pos], body[pos:]
                     break
             else:
@@ -119,41 +152,72 @@ class ExactScalar:
             return ExactScalar(Fraction(re_part), Fraction(im_part))
         return ExactScalar(Fraction(s))
 
+    # -- components ------------------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other) -> "ExactScalar":
-        other = _coerce_scalar(other)
-        return ExactScalar(self.re + other.re, self.im + other.im)
+        if type(other) is not ExactScalar:
+            other = _coerce_scalar(other)
+        d = self._d
+        od = other._d
+        if d == od:
+            a = self._a + other._a
+            b = self._b + other._b
+            if d == 1:
+                return _make(a, b, 1)
+        else:
+            a = self._a * od + other._a * d
+            b = self._b * od + other._b * d
+            d *= od
+        return _reduced(a, b, d)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "ExactScalar":
-        other = _coerce_scalar(other)
-        return ExactScalar(self.re - other.re, self.im - other.im)
+        return self + -_coerce_scalar(other)
 
     def __rsub__(self, other) -> "ExactScalar":
         return _coerce_scalar(other) - self
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __mul__(self, other) -> "ExactScalar":
-        other = _coerce_scalar(other)
-        return ExactScalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not ExactScalar:
+            other = _coerce_scalar(other)
+        a, b, d = self._a, self._b, self._d
+        oa, ob, od = other._a, other._b, other._d
+        if not b and not ob:
+            a *= oa
+            d *= od
+            g = gcd(a, d)
+            if g == 1:
+                return _make(a, 0, d)
+            return _make(a // g, 0, d // g)
+        return _reduced(a * oa - b * ob, a * ob + b * oa, d * od)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "ExactScalar":
-        other = _coerce_scalar(other)
-        den = other.re * other.re + other.im * other.im
-        if den == 0:
+        if type(other) is not ExactScalar:
+            other = _coerce_scalar(other)
+        oa, ob, od = other._a, other._b, other._d
+        norm = oa * oa + ob * ob
+        if not norm:
             raise ZeroDivisionError("division by zero ExactScalar")
-        return ExactScalar(
-            (self.re * other.re + self.im * other.im) / den,
-            (self.im * other.re - self.re * other.im) / den,
+        a, b = self._a, self._b
+        # (a + b i)/d / ((oa + ob i)/od) = (a + b i)(oa - ob i) od / (d |o|^2)
+        return _reduced(
+            (a * oa + b * ob) * od, (b * oa - a * ob) * od, self._d * norm
         )
 
     def __rtruediv__(self, other) -> "ExactScalar":
@@ -163,8 +227,8 @@ class ExactScalar:
         if not isinstance(n, int):
             raise TypeError("ExactScalar powers must be integers")
         if n < 0:
-            return ExactScalar(1) / self ** (-n)
-        out = ExactScalar(Fraction(1))
+            return ONE / self ** (-n)
+        out = ONE
         base = self
         k = n
         while k:
@@ -177,48 +241,93 @@ class ExactScalar:
     # -- queries -------------------------------------------------------
 
     def conjugate(self) -> "ExactScalar":
-        return ExactScalar(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self._a and not self._b
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._b
 
     def to_fraction(self) -> Fraction:
-        if self.im != 0:
+        if self._b:
             raise ValueError(f"{self} has a nonzero imaginary part")
-        return self.re
+        return Fraction(self._a, self._d)
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self._a or self._b)
+
+    def __eq__(self, other):
+        """Equal by value to an ExactScalar, int or Fraction; floats are not
+        compared."""
+        if type(other) is ExactScalar:
+            return (
+                self._a == other._a and self._b == other._b and self._d == other._d
+            )
+        if isinstance(other, int):
+            return not self._b and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (
+                not self._b
+                and self._a == other.numerator
+                and self._d == other.denominator
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        # a real value hashes like the int or Fraction it equals
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        if self._d == 1:
+            return hash(self._a)
+        return hash(Fraction(self._a, self._d))
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
+        re = self.re
+        if not self._b:
+            return str(re)
         im = f"{self.im}i"
-        if self.re == 0:
+        if not self._a:
             return im
-        sign = "+" if self.im > 0 else ""
-        return f"{self.re}{sign}{im}"
+        sign = "+" if self._b > 0 else ""
+        return f"{re}{sign}{im}"
 
     __repr__ = __str__
 
 
+def _make(a: int, b: int, d: int) -> ExactScalar:
+    """ExactScalar from fields already in canonical form; no checks."""
+    out = _new(ExactScalar)
+    out._a = a
+    out._b = b
+    out._d = d
+    return out
+
+
+def _reduced(a: int, b: int, d: int) -> ExactScalar:
+    """ExactScalar (a + b*i)/d for any d > 0, brought to canonical form."""
+    g = gcd(a, b, d)
+    if g == 1:
+        return _make(a, b, d)
+    return _make(a // g, b // g, d // g)
+
+
 def _coerce_scalar(value) -> ExactScalar:
-    if isinstance(value, ExactScalar):
+    if type(value) is ExactScalar:
         return value
-    if isinstance(value, (int, Fraction)):
-        return ExactScalar(as_fraction(value))
+    if isinstance(value, int):
+        return _make(value, 0, 1)
+    if isinstance(value, Fraction):
+        return _make(value.numerator, 0, value.denominator)
     raise TypeError(f"cannot coerce {type(value).__name__} to ExactScalar")
 
 
-ZERO = ExactScalar()
-ONE = ExactScalar(Fraction(1))
-I = ExactScalar.i()
+ZERO = _make(0, 0, 1)
+ONE = _make(1, 0, 1)
+I = _make(0, 1, 1)
 
 ScalarLike = Union[int, Fraction, ExactScalar]
 PolyLike = Union[int, Fraction, ExactScalar, "ParamPoly"]
@@ -227,30 +336,27 @@ PolyLike = Union[int, Fraction, ExactScalar, "ParamPoly"]
 class ParamPoly:
     """Polynomial over SYMBOLS with ExactScalar coefficients.
 
-    Terms are a dict mapping exponent tuples (aligned with SYMBOLS) to
-    nonzero coefficients.  Construction normalizes, so every instance is
-    already canonical.
+    Terms are a dict mapping packed monomials (see ``_pack``) to nonzero
+    coefficients.  Construction normalizes, so every instance is already
+    canonical.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple, ExactScalar] | None = None):
+        """`terms` maps exponent tuples aligned with SYMBOLS to scalars."""
         clean = {}
         if terms:
             for exps, coeff in terms.items():
-                exps = tuple(exps)
-                if len(exps) != _NSYM:
-                    raise ValueError("exponent tuple has wrong length")
-                if any(e < 0 for e in exps):
-                    raise ValueError("negative symbol powers are not stored")
+                key = _pack(exps)
                 coeff = _coerce_scalar(coeff)
                 if not coeff.is_zero():
-                    prev = clean.get(exps)
+                    prev = clean.get(key)
                     total = coeff if prev is None else prev + coeff
                     if total.is_zero():
-                        clean.pop(exps, None)
+                        clean.pop(key, None)
                     else:
-                        clean[exps] = total
+                        clean[key] = total
         self._terms = clean
 
     # -- constructors ---------------------------------------------------
@@ -260,7 +366,7 @@ class ParamPoly:
         value = _coerce_scalar(value)
         if value.is_zero():
             return ParamPoly()
-        return ParamPoly({_ZERO_EXP: value})
+        return _packed_poly({0: value})
 
     @staticmethod
     def symbol(name: str, power: int = 1) -> "ParamPoly":
@@ -277,16 +383,14 @@ class ParamPoly:
     def __add__(self, other) -> "ParamPoly":
         other = poly(other)
         terms = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            prev = terms.get(exps)
+        for key, coeff in other._terms.items():
+            prev = terms.get(key)
             total = coeff if prev is None else prev + coeff
             if total.is_zero():
-                terms.pop(exps, None)
+                terms.pop(key, None)
             else:
-                terms[exps] = total
-        out = ParamPoly.__new__(ParamPoly)
-        out._terms = terms
-        return out
+                terms[key] = total
+        return _packed_poly(terms)
 
     __radd__ = __add__
 
@@ -297,26 +401,26 @@ class ParamPoly:
         return poly(other) + (-self)
 
     def __neg__(self) -> "ParamPoly":
-        out = ParamPoly.__new__(ParamPoly)
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
+        return _packed_poly({k: -c for k, c in self._terms.items()})
 
     def __mul__(self, other) -> "ParamPoly":
         other = poly(other)
         terms: dict = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
+        get = terms.get
+        for ka, ca in self._terms.items():
+            for kb, cb in other._terms.items():
+                key = ka + kb
+                if key & _GUARDS:
+                    raise _degree_overflow(ka, kb)
                 c = ca * cb
-                prev = terms.get(exps)
-                total = c if prev is None else prev + c
-                if total.is_zero():
-                    terms.pop(exps, None)
-                else:
-                    terms[exps] = total
-        out = ParamPoly.__new__(ParamPoly)
-        out._terms = terms
-        return out
+                prev = get(key)
+                if prev is not None:
+                    c = prev + c
+                    if c.is_zero():
+                        del terms[key]
+                        continue
+                terms[key] = c
+        return _packed_poly(terms)
 
     __rmul__ = __mul__
 
@@ -339,10 +443,10 @@ class ParamPoly:
         return not self._terms
 
     def is_scalar(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and _ZERO_EXP in self._terms)
+        return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
 
     def constant_term(self) -> ExactScalar:
-        return self._terms.get(_ZERO_EXP, ZERO)
+        return self._terms.get(0, ZERO)
 
     def to_scalar(self) -> ExactScalar:
         if not self.is_scalar():
@@ -351,39 +455,37 @@ class ParamPoly:
 
     def terms(self) -> Iterable[tuple[tuple, ExactScalar]]:
         """Terms in canonical order: lexicographic on the exponent vector."""
-        return sorted(self._terms.items())
+        return [(_unpack(k), c) for k, c in sorted(self._terms.items())]
 
     def conjugate(self) -> "ParamPoly":
-        out = ParamPoly.__new__(ParamPoly)
-        out._terms = {e: c.conjugate() for e, c in self._terms.items()}
-        return out
+        return _packed_poly({k: c.conjugate() for k, c in self._terms.items()})
 
     def degree_in(self, name: str) -> int:
         """Largest power of the symbol; -1 for the zero polynomial."""
         if name not in _SYMBOL_INDEX:
             raise UnknownSymbolError(f"unknown symbol {name!r}")
-        idx = _SYMBOL_INDEX[name]
+        shift = _SHIFTS[_SYMBOL_INDEX[name]]
         if not self._terms:
             return -1
-        return max(e[idx] for e in self._terms)
+        return max((k >> shift) & MAX_DEGREE for k in self._terms)
 
     def min_degree_in(self, name: str):
         """Smallest power of the symbol across terms; None for zero poly."""
         if name not in _SYMBOL_INDEX:
             raise UnknownSymbolError(f"unknown symbol {name!r}")
-        idx = _SYMBOL_INDEX[name]
+        shift = _SHIFTS[_SYMBOL_INDEX[name]]
         if not self._terms:
             return None
-        return min(e[idx] for e in self._terms)
+        return min((k >> shift) & MAX_DEGREE for k in self._terms)
 
     def truncate_in(self, name: str, order: int) -> "ParamPoly":
         """Drop terms whose power of the symbol exceeds ``order``."""
         if order < 0:
             raise TruncationOrderError("truncation order must be >= 0")
-        idx = _SYMBOL_INDEX[name]
-        out = ParamPoly.__new__(ParamPoly)
-        out._terms = {e: c for e, c in self._terms.items() if e[idx] <= order}
-        return out
+        shift = _SHIFTS[_SYMBOL_INDEX[name]]
+        return _packed_poly(
+            {k: c for k, c in self._terms.items() if (k >> shift) & MAX_DEGREE <= order}
+        )
 
     def substitute(self, bindings: Mapping[str, PolyLike]) -> "ParamPoly":
         """Simultaneous substitution of symbols by exact values or polynomials.
@@ -396,35 +498,32 @@ class ParamPoly:
             if name not in _SYMBOL_INDEX:
                 raise UnknownSymbolError(f"unknown symbol {name!r}")
             values[_SYMBOL_INDEX[name]] = poly(value)
-        bound = set(values)
+        bound_fields = sum(MAX_DEGREE << _SHIFTS[i] for i in values)
         for value in values.values():
-            for exps, _ in value._terms.items():
-                if any(e > 0 and i in bound for i, e in enumerate(exps)):
-                    raise SubstitutionError(
-                        "substitution value reintroduces a bound symbol"
-                    )
+            if any(k & bound_fields for k in value._terms):
+                raise SubstitutionError(
+                    "substitution value reintroduces a bound symbol"
+                )
+        bound = sorted(values.items())
         total = ParamPoly()
-        for exps, coeff in self._terms.items():
+        for key, coeff in self._terms.items():
             term = ParamPoly.from_scalar(coeff)
-            rest = [0] * _NSYM
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                if i in values:
-                    term = term * values[i] ** e
-                else:
-                    rest[i] = e
-            if any(rest):
-                term = term * ParamPoly({tuple(rest): ONE})
+            for i, value in bound:
+                e = (key >> _SHIFTS[i]) & MAX_DEGREE
+                if e:
+                    term = term * value ** e
+            rest = key & ~bound_fields
+            if rest:
+                term = term * _packed_poly({rest: ONE})
             total = total + term
         return total
 
     def evaluate(self, assignment: Mapping[str, ScalarLike]) -> ExactScalar:
         """Evaluate with every appearing symbol bound to an exact scalar."""
         total = ZERO
-        for exps, coeff in self._terms.items():
+        for key, coeff in self._terms.items():
             value = coeff
-            for i, e in enumerate(exps):
+            for i, e in enumerate(_unpack(key)):
                 if e == 0:
                     continue
                 name = SYMBOLS[i]
@@ -488,9 +587,48 @@ class ParamPoly:
     __repr__ = __str__
 
 
+def _pack(exps) -> int:
+    """Packed monomial of an exponent tuple aligned with SYMBOLS."""
+    exps = tuple(exps)
+    if len(exps) != _NSYM:
+        raise ValueError("exponent tuple has wrong length")
+    key = 0
+    for name, e in zip(SYMBOLS, exps):
+        if e < 0:
+            raise ValueError("negative symbol powers are not stored")
+        if e > MAX_DEGREE:
+            raise DegreeBoundError(f"{name}^{e} exceeds the degree bound {MAX_DEGREE}")
+        key = (key << _FIELD_BITS) | e
+    return key
+
+
+def _unpack(key: int) -> tuple:
+    """Exponent tuple of a packed monomial."""
+    return tuple((key >> s) & MAX_DEGREE for s in _SHIFTS)
+
+
+def _degree_overflow(ka: int, kb: int) -> DegreeBoundError:
+    over = [
+        f"{name}^{x + y}"
+        for name, x, y in zip(SYMBOLS, _unpack(ka), _unpack(kb))
+        if x + y > MAX_DEGREE
+    ]
+    return DegreeBoundError(
+        f"product has {', '.join(over)}, beyond the degree bound {MAX_DEGREE}"
+    )
+
+
+def _packed_poly(terms: dict) -> ParamPoly:
+    """ParamPoly over a dict of packed monomials to nonzero coefficients;
+    no checks."""
+    out = _new(ParamPoly)
+    out._terms = terms
+    return out
+
+
 P_ZERO = ParamPoly()
-P_ONE = ParamPoly({_ZERO_EXP: ONE})
-P_I = ParamPoly({_ZERO_EXP: I})
+P_ONE = _packed_poly({0: ONE})
+P_I = _packed_poly({0: I})
 
 
 def poly(value: PolyLike) -> ParamPoly:

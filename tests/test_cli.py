@@ -107,6 +107,15 @@ def test_seesaw_example(capsys):
             assert float(r["residual"]) < 1e-3
 
 
+def test_seesaw_coupling_with_exponent(capsys):
+    # the sign of an exponent is not the real/imaginary split
+    code, out = run(capsys, "seesaw", "--g", "2e-3i", "--eps5", "-1")
+    assert code == 0
+    code, same = run(capsys, "seesaw", "--g", "1/500i", "--eps5", "-1")
+    assert code == 0
+    assert out == same
+
+
 @pytest.mark.parametrize("vev", ["1/10000", "0"])
 def test_seesaw_hierarchy_and_zero_coupling(capsys, vev):
     code, out = run(capsys, "seesaw", "--vev", vev, "--eps5", "-1")

@@ -1,11 +1,15 @@
 """Exact scalar and multivariate polynomial layer."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncdirac.scalars import (
+    MAX_DEGREE,
+    DegreeBoundError,
     ExactScalar,
     ParamPoly,
     P_ONE,
@@ -26,6 +30,24 @@ rationals = st.fractions(
 
 def scalars():
     return st.builds(ExactScalar, rationals, rationals)
+
+
+# numerators and denominators up to 10^30, with the 10^5..10^9 range that
+# rescaled fixture tables use, and zero parts for the real/imaginary paths
+big_numerators = st.one_of(
+    st.just(0),
+    st.integers(-12, 12),
+    st.integers(-10**9, 10**9),
+    st.integers(-10**30, 10**30),
+)
+big_denominators = st.one_of(
+    st.integers(1, 12),
+    st.integers(10**5, 10**9),
+    st.integers(1, 10**30),
+)
+big_rationals = st.builds(Fraction, big_numerators, big_denominators)
+# (re, im) reference pairs of Fractions
+gaussian_pairs = st.tuples(big_rationals, big_rationals)
 
 
 def small_polys():
@@ -72,10 +94,109 @@ class TestExactScalar:
         assert ExactScalar.parse("-2") == ExactScalar(Fraction(-2))
         assert ExactScalar.parse("i") == ExactScalar.i()
         assert ExactScalar.parse("1-i") == ExactScalar(Fraction(1), Fraction(-1))
+        # the sign of an exponent is not the real/imaginary split
+        assert ExactScalar.parse("2e-3i") == ExactScalar(0, Fraction(1, 500))
+        assert ExactScalar.parse("1/2+1e-2i") == ExactScalar(
+            Fraction(1, 2), Fraction(1, 100)
+        )
+        assert ExactScalar.parse("-2e-3-4e+1i") == ExactScalar(Fraction(-1, 500), -40)
+        assert ExactScalar.parse("1e+3i") == ExactScalar(0, 1000)
+        assert ExactScalar.parse("1e-3+2i") == ExactScalar(Fraction(1, 1000), 2)
+
+    def test_equals_numbers_by_value(self):
+        assert ExactScalar(1) == 1
+        assert ExactScalar(0) == Fraction(0)
+        assert ExactScalar(Fraction(3, 4)) == Fraction(3, 4)
+        assert ExactScalar(Fraction(3, 4)) != Fraction(3, 5)
+        assert ExactScalar(2) != 3
+        assert ExactScalar(1, 1) != 1
+        assert 2 == ExactScalar(2)
+        assert ExactScalar(1).__eq__(1.0) is NotImplemented
+        assert ExactScalar(1) != 1.0
+        for q in (0, 5, -7, Fraction(1, 3), Fraction(-22, 7)):
+            assert hash(ExactScalar(q)) == hash(q)
+
+    def test_float_components_rejected(self):
+        with pytest.raises(TypeError, match="convert floats explicitly"):
+            ExactScalar(0.5)
+        with pytest.raises(TypeError, match="convert floats explicitly"):
+            ExactScalar(1, 0.5)
 
     def test_to_fraction_rejects_imaginary(self):
         with pytest.raises(ValueError):
             ExactScalar.i().to_fraction()
+
+
+def _check_against(x, re, im):
+    """`x` has the value re + im*i, in canonical form, hashing like it."""
+    assert (x.re, x.im) == (re, im)
+    # the stored form (a + b*i)/d
+    a, b, d = x._a, x._b, x._d
+    assert d > 0
+    assert math.gcd(a, b, d) == 1
+    if re == 0 and im == 0:
+        assert (a, b, d) == (0, 0, 1)
+    ref = ExactScalar(re, im)
+    assert x == ref
+    assert hash(x) == hash(ref)
+    if im == 0:
+        assert x == re
+        assert hash(x) == hash(re)
+
+
+def _ref_mul(p, q):
+    (a, b), (c, d) = p, q
+    return a * c - b * d, a * d + b * c
+
+
+def _ref_inverse(p):
+    a, b = p
+    n = a * a + b * b
+    return a / n, -b / n
+
+
+class TestFractionReference:
+    """Differential check against (re, im) pairs of Fractions."""
+
+    @given(gaussian_pairs, gaussian_pairs)
+    @settings(max_examples=300, deadline=None)
+    def test_field_operations(self, p, q):
+        x, y = ExactScalar(*p), ExactScalar(*q)
+        _check_against(x, *p)
+        _check_against(x + y, p[0] + q[0], p[1] + q[1])
+        _check_against(x - y, p[0] - q[0], p[1] - q[1])
+        _check_against(-x, -p[0], -p[1])
+        _check_against(x * y, *_ref_mul(p, q))
+        _check_against(x.conjugate(), p[0], -p[1])
+        if q == (0, 0):
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        else:
+            _check_against(x / y, *_ref_mul(p, _ref_inverse(q)))
+
+    @given(gaussian_pairs, st.integers(min_value=-4, max_value=6))
+    @settings(max_examples=150, deadline=None)
+    def test_powers(self, p, n):
+        x = ExactScalar(*p)
+        if n < 0 and p == (0, 0):
+            with pytest.raises(ZeroDivisionError):
+                x ** n
+            return
+        want = (Fraction(1), Fraction(0))
+        for _ in range(abs(n)):
+            want = _ref_mul(want, p)
+        if n < 0:
+            want = _ref_inverse(want)
+        _check_against(x ** n, *want)
+
+    @given(big_rationals, big_rationals)
+    @settings(max_examples=100, deadline=None)
+    def test_mixed_with_int_and_fraction(self, q, r):
+        x = ExactScalar(q)
+        _check_against(x + r, q + r, Fraction(0))
+        _check_against(r - x, r - q, Fraction(0))
+        _check_against(x * r, q * r, Fraction(0))
+        _check_against(x * 3, q * 3, Fraction(0))
 
 
 def test_exact_rational_coercion():
@@ -127,6 +248,53 @@ class TestParamPoly:
         p = sym("l") ** 2 * poly(Fraction(1, 4)) + sym("k0")
         val = p.evaluate({"l": Fraction(2, 3), "k0": Fraction(1, 9)})
         assert val == ExactScalar(Fraction(2, 9))
+
+    def test_degree_bound(self):
+        assert sym("l", MAX_DEGREE).degree_in("l") == MAX_DEGREE
+        assert sym("v", MAX_DEGREE).degree_in("v") == MAX_DEGREE
+        with pytest.raises(DegreeBoundError):
+            sym("l", MAX_DEGREE + 1)
+        with pytest.raises(DegreeBoundError):
+            ParamPoly({(0, MAX_DEGREE + 1) + (0,) * 8: 1})
+
+    @pytest.mark.parametrize("name", SYMBOLS)
+    def test_product_past_bound_raises(self, name):
+        # the overflow must raise, not carry into the neighbouring field
+        i = SYMBOLS.index(name)
+        neighbours = SYMBOLS[max(i - 1, 0):i] + SYMBOLS[i + 1:i + 2]
+        high = sym(name, MAX_DEGREE - 2)
+        for other in neighbours:
+            high = high * sym(other)
+        with pytest.raises(DegreeBoundError, match=name):
+            high * sym(name, 3)
+        with pytest.raises(DegreeBoundError):
+            sym(name, 64) ** 2
+        top = high * sym(name, 2)
+        assert top.degree_in(name) == MAX_DEGREE
+        assert all(top.degree_in(other) == 1 for other in neighbours)
+
+    def test_terms_order_and_json_on_random_polys(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            given_terms = {}
+            for _ in range(rng.randint(0, 12)):
+                exps = tuple(
+                    rng.choice((0, 0, 1, 2, rng.randint(0, MAX_DEGREE)))
+                    for _ in SYMBOLS
+                )
+                given_terms[exps] = ExactScalar(
+                    Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)),
+                    rng.choice((0, Fraction(rng.randint(-99, 99), 7))),
+                )
+            p = ParamPoly(given_terms)
+            kept = {e: c for e, c in given_terms.items() if not c.is_zero()}
+            assert [e for e, _ in p.terms()] == sorted(kept)
+            assert dict(p.terms()) == kept
+            assert ParamPoly.from_json(p.to_json()) == p
+            for name in ("l", "k2", "v"):
+                i = SYMBOLS.index(name)
+                want = max((e[i] for e in kept), default=-1)
+                assert p.degree_in(name) == want
 
     def test_json_round_trip(self):
         p = sym("l") * poly(ExactScalar(Fraction(1, 2), Fraction(-3))) + poly(7)
