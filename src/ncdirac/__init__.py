@@ -47,9 +47,11 @@ from .clifford import (
     verify_clifford,
 )
 from .modes import (
+    BoostBatch,
     ModeProblem,
     SpinorSolution,
     boost_solution,
+    boost_solutions,
     dirac_matrix,
     dispersion_roots,
     reference_solutions,
@@ -112,6 +114,8 @@ __all__ = [
     "dispersion_roots",
     "reference_solutions",
     "boost_solution",
+    "boost_solutions",
+    "BoostBatch",
     "residual",
     "CouplingConfig",
     "ModeSpectrum",

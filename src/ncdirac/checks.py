@@ -40,7 +40,8 @@ from .clifford import (
     verify_clifford,
 )
 from .modes import (
-    boost_solution,
+    BOOST_TOL,
+    boost_solutions,
     dispersion_roots,
     reference_solutions,
     residual as mode_residual,
@@ -57,7 +58,6 @@ from .seesaw import (
 
 SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 BOOST_DRAWS = 100
-BOOST_TOL = 1e-10
 LEMMA_TOL = 1e-8
 
 
@@ -471,29 +471,12 @@ def cmd_modes(cfg: RunConfig) -> list[CheckReport]:
         )
 
         t0 = time.perf_counter()
-        rng = random.Random(cfg.seed)
-        worst_res = 0.0
-        worst_drift = 0.0
-        failure = None if heavy and massless else "reference solutions unavailable"
-        solutions = (heavy, massless)
-        for trial in range(BOOST_DRAWS if failure is None else 0):
-            omega = np.zeros((4, 4))
-            for a in range(4):
-                for b in range(a + 1, 4):
-                    omega[a, b] = rng.uniform(-1.0, 1.0)
-                    omega[b, a] = -omega[a, b]
-            sol = solutions[trial % 2]
-            try:
-                moved = boost_solution(sol, omega)
-            except VerificationError as exc:
-                failure = str(exc)
-                break
-            worst_res = max(
-                worst_res,
-                max(mode_residual(moved.k, u, moved.ell, e5) for u in moved.basis),
-            )
-            drift = abs(float(moved.k2) - float(sol.k2)) / max(abs(float(sol.k2)), 1.0)
-            worst_drift = max(worst_drift, drift)
+        if heavy and massless:
+            omegas = _boost_draws(random.Random(cfg.seed))
+            worst_res, worst_drift, failure = _boost_covariance((heavy, massless), omegas)
+        else:
+            worst_res = worst_drift = 0.0
+            failure = "reference solutions unavailable"
         _report(
             reports, cfg, t0, "modes_boost_covariance",
             {**params, "seed": cfg.seed},
@@ -507,6 +490,42 @@ def cmd_modes(cfg: RunConfig) -> list[CheckReport]:
             },
         )
     return _sorted_reports(reports)
+
+
+_UPPER = np.triu_indices(4, 1)
+
+
+def _boost_draws(rng: random.Random) -> np.ndarray:
+    """BOOST_DRAWS antisymmetric generators, each omega_ab for a < b drawn
+    uniformly from [-1, 1] in row order."""
+    upper = np.array([[rng.uniform(-1.0, 1.0) for _ in range(6)]
+                      for _ in range(BOOST_DRAWS)])
+    omegas = np.zeros((BOOST_DRAWS, 4, 4))
+    omegas[:, _UPPER[0], _UPPER[1]] = upper
+    omegas[:, _UPPER[1], _UPPER[0]] = -upper
+    return omegas
+
+
+def _boost_covariance(solutions, omegas) -> tuple[float, float, str | None]:
+    """Worst residual, worst k^2 drift and failure over the trials, trial t
+    moving solutions[t % 2] by omegas[t].  The worst values cover the trials
+    before the first failing one, which the failure names."""
+    batches, first, failure = [], len(omegas), None
+    for parity, sol in enumerate(solutions):
+        draws = omegas[parity::2]
+        try:
+            batches.append(boost_solutions(sol, draws))
+        except VerificationError as exc:
+            trial = 2 * exc.index + parity
+            if trial < first:
+                first, failure = trial, f"{sol.branch} {exc}"
+            batches.append(boost_solutions(sol, draws[:exc.index]))
+    worst_res = worst_drift = 0.0
+    for parity, batch in enumerate(batches):
+        done = (first + 1 - parity) // 2  # trials parity, parity + 2, ... < first
+        worst_res = max(worst_res, float(batch.residuals[:done].max(initial=0.0)))
+        worst_drift = max(worst_drift, float(batch.k2_drift[:done].max(initial=0.0)))
+    return worst_res, worst_drift, failure
 
 
 # -- seesaw -------------------------------------------------------------------

@@ -8,16 +8,17 @@ element is gamma5 itself (eps5 = +1) or i*gamma5 (eps5 = -1).
 
 Clifford checks run in exact arithmetic.  Float code reads the gammas
 from one read-only complex128 stack per eps5 (``float_gammas``), built once
-from the exact rep.  Boosts carry a 1e-12 float tolerance; their matrix
+from the exact rep.  Boosts carry a 1e-12 float tolerance and take one
+generator omega of shape (4, 4) or a stack of N of them, (N, 4, 4); a stack
+gives bit for bit the matrices its slices give one by one.  The matrix
 exponential is scaling and squaring around a degree-18 Taylor polynomial
-(Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179): the generator is
+(Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179): each generator is
 halved until its 1-norm is below 1, where the truncation error is below
 1e-17, and the result is squared back.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -30,7 +31,13 @@ from .scalars import ExactScalar, ParamPoly, poly
 
 
 class VerificationError(RuntimeError):
-    """A float-mode result failed its tolerance or finiteness check."""
+    """A float-mode result failed its tolerance or finiteness check.
+
+    ``index`` is the failing slice of a stacked input, None otherwise."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 _J = 1j
@@ -92,7 +99,8 @@ def float_gammas(eps5: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpinorMatrix:
-    """4x4 matrix tagged exact or float; float mode carries tolerance 1e-12."""
+    """4x4 matrix tagged exact or float; float mode carries tolerance 1e-12
+    and may hold a stack of shape (N, 4, 4)."""
 
     matrix: object
     mode: str
@@ -199,63 +207,90 @@ def majorana_imaginary_check(rep: GammaRep) -> RelationCheck:
 _ETA4_DIAG = np.array(ETA4_DIAG, dtype=float)
 
 
+def _stack_where(array: np.ndarray, index) -> str:
+    """' (slice i)' for a stack of matrices, '' for a single one."""
+    return f" (slice {index})" if array.ndim == 3 else ""
+
+
 def _check_omega(omega) -> np.ndarray:
+    """A real, finite, antisymmetric (4, 4) generator or (N, 4, 4) stack."""
     omega = np.asarray(omega)
     if np.iscomplexobj(omega):
         raise ValueError("omega must be real")
     omega = omega.astype(float)
-    if omega.shape != (4, 4):
-        raise ValueError("omega must be a 4x4 array")
+    if omega.ndim not in (2, 3) or omega.shape[-2:] != (4, 4):
+        raise ValueError("omega must be a 4x4 array or a stack of them")
     if not np.isfinite(omega).all():
         raise ValueError("omega must be finite")
-    if not np.allclose(omega, -omega.T, atol=1e-14):
-        raise ValueError("omega must be antisymmetric")
+    # relative to the entries, with no rtol slack: a 1e-5 asymmetry is a
+    # metric defect of the same size in the boost, not roundoff
+    defect = np.abs(omega + np.swapaxes(omega, -1, -2)).max(axis=(-2, -1))
+    scale = np.maximum(1.0, np.abs(omega).max(axis=(-2, -1)))
+    bad = np.flatnonzero(defect > 1e-14 * scale)
+    if bad.size:
+        raise ValueError(f"omega must be antisymmetric{_stack_where(omega, bad[0])}")
     return omega
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) by scaling and squaring a degree-18 Taylor polynomial.
+    """exp(a) of a square matrix or of each matrix in a stack, by scaling and
+    squaring a degree-18 Taylor polynomial.
 
-    Raises VerificationError when the result overflows the float range."""
+    Each matrix keeps its own scaling exponent, and only the matrices whose
+    squarings are not used up are squared, so a stack equals its slices
+    exponentiated one by one.  Raises VerificationError, with ``index`` set
+    for a stack, when a result overflows the float range."""
+    stack = a.reshape((-1,) + a.shape[-2:])
     # 2^-s a has 1-norm below 1, where the dropped Taylor tail is below 1e-17
-    s = max(0, math.frexp(np.linalg.norm(a, 1))[1])
-    a = a * 0.5 ** s
-    eye = out = np.eye(len(a), dtype=a.dtype)
+    s = np.maximum(0, np.frexp(np.abs(stack).sum(axis=-2).max(axis=-1))[1])
+    stack = stack * np.ldexp(1.0, -s)[:, None, None]
+    eye = out = np.eye(a.shape[-1], dtype=a.dtype)
     for n in range(18, 0, -1):  # Horner form
-        out = eye + a @ out / n
+        out = eye + stack @ out / n
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(s):
-            out = out @ out
-    if not np.isfinite(out).all():
-        raise VerificationError(f"matrix exponential overflows after {s} squarings")
-    return out
+        for step in range(s.max(initial=0)):
+            live = s > step
+            out[live] = out[live] @ out[live]
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=(-2, -1)))
+    if bad.size:
+        i = int(bad[0])
+        raise VerificationError(
+            f"matrix exponential overflows after {s[i]} squarings",
+            index=i if a.ndim == 3 else None,
+        )
+    return out.reshape(a.shape)
 
 
 def spinor_generator(omega) -> np.ndarray:
-    """(1/4) omega_ab g^a g^b over a,b in 0..3."""
+    """(1/4) omega_ab g^a g^b over a,b in 0..3, for one omega or a stack."""
     omega = _check_omega(omega)
-    gs = float_gammas(1)  # g^0..g^3 do not depend on eps5
-    G = np.zeros((4, 4), dtype=complex)
+    gs = float_gammas(1)[:4]  # g^0..g^3 do not depend on eps5
+    # each g^a g^b has one entry +-1 or +-i per row, so c * (g^a g^b) is
+    # exact and the sum below rounds as ((c g^a) g^b) summed over a, b does
+    products = gs[:, None] @ gs[None, :]
+    G = np.zeros(omega.shape, dtype=complex)
     for a in range(4):
         for b in range(4):
-            if omega[a, b] != 0.0:
-                G += 0.25 * omega[a, b] * gs[a] @ gs[b]
+            G += (0.25 * omega[..., a, b])[..., None, None] * products[a, b]
     return G
 
 
 def vector_generator(omega) -> np.ndarray:
-    """Mixed-index generator: omega^mu_nu = eta^{mu alpha} omega_{alpha nu}."""
+    """Mixed-index generator: omega^mu_nu = eta^{mu alpha} omega_{alpha nu},
+    for one omega or a stack."""
     omega = _check_omega(omega)
     return _ETA4_DIAG[:, None] * omega
 
 
 def boost_matrix(omega) -> SpinorMatrix:
-    """Spinor transformation S = exp((1/4) omega_ab g^a g^b)."""
+    """Spinor transformation S = exp((1/4) omega_ab g^a g^b); a stack of
+    generators gives a float SpinorMatrix holding the (N, 4, 4) stack."""
     return SpinorMatrix(matrix=_expm(spinor_generator(omega)), mode="float")
 
 
 def vector_boost(omega) -> np.ndarray:
-    """Vector transformation Lambda^mu_nu paired with boost_matrix."""
+    """Vector transformation Lambda^mu_nu paired with boost_matrix, for one
+    omega or a stack."""
     return _expm(vector_generator(omega))
 
 
@@ -307,9 +342,19 @@ def reality_class(basis, mode: str | None = None, tol: float = 1e-10) -> str:
         return "Majorana" if stacked.rank() == k else "Dirac"
     if mode != "float":
         raise ValueError("mode must be 'exact' or 'float'")
-    B = np.asarray(rows, dtype=complex)
-    k = np.linalg.matrix_rank(B, tol=tol)
-    if k != len(rows):
-        raise ValueError("basis is rank-deficient")
-    stacked = np.vstack([B, B.conj()])
-    return "Majorana" if np.linalg.matrix_rank(stacked, tol=tol) == k else "Dirac"
+    return _float_reality_classes(np.asarray(rows, dtype=complex), tol)[0]
+
+
+def _float_reality_classes(bases: np.ndarray, tol: float = 1e-10) -> list[str]:
+    """reality_class in float mode for one basis of shape (m, n), or for each
+    basis in a stack of shape (N, m, n), by stacked singular values.
+
+    Raises ValueError, naming the first such basis of a stack, when a basis
+    is rank-deficient."""
+    m = bases.shape[-2]
+    short = np.flatnonzero(np.linalg.matrix_rank(bases, tol=tol) != m)
+    if short.size:
+        raise ValueError(f"basis is rank-deficient{_stack_where(bases, short[0])}")
+    closed = np.concatenate([bases, bases.conj()], axis=-2)
+    ranks = np.atleast_1d(np.linalg.matrix_rank(closed, tol=tol))
+    return ["Majorana" if r == m else "Dirac" for r in ranks]

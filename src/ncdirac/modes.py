@@ -8,7 +8,10 @@ k^2 + eps5 (l^2/4)(k^2)^2, so the branches are k^2 = 0 and k^2 = -eps5 4/l^2.
 
 Momenta are stored upper-index and lowered with diag(1,-1,-1,-1) inside
 dirac_matrix.  Exact arithmetic covers reference frames and nullspaces;
-boosts run in float mode with tolerance 1e-10.
+boosts run in float mode with tolerance 1e-10.  ``boost_solutions`` moves
+one solution by a stack of N generators in one array pass (stacked
+exponentials, Dirac matrices and ranks); ``boost_solution`` is its one-draw
+case.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 from .clifford import (
     SpinorMatrix,
     VerificationError,
+    _float_reality_classes,
     boost_matrix,
     build_majorana_rep,
     float_gammas,
@@ -82,15 +86,22 @@ def dirac_matrix(p: ModeProblem) -> SpinorMatrix:
         if coeff:
             out = out + rep.gamma[4].scale(poly(ExactScalar(coeff)))
         return SpinorMatrix(matrix=out, mode="exact")
-    ell = float(p.ell)
-    k = [float(c) for c in p.k]
-    ksq = p.k_squared()
-    gs = float_gammas(p.eps5)
-    out = np.zeros((4, 4), dtype=complex)
-    for mu in range(4):
-        out += gs[mu] * (k[mu] * ETA4_DIAG[mu])
-    out += gs[4] * (-p.eps5 * ell / 2 * ksq)
+    out = _float_dirac(p.eps5, float(p.ell), np.array([float(c) for c in p.k]))
     return SpinorMatrix(matrix=out, mode="float")
+
+
+def _float_dirac(eps5: int, ell: float, k: np.ndarray) -> np.ndarray:
+    """The float operator at momenta k of shape (..., 4): shape (..., 4, 4)."""
+    gs = float_gammas(eps5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # products, not **, as ModeProblem.k_squared; a huge k gives inf/nan
+        ksq = (k[..., 0] * k[..., 0] - k[..., 1] * k[..., 1]
+               - k[..., 2] * k[..., 2] - k[..., 3] * k[..., 3])
+        out = np.zeros(k.shape[:-1] + (4, 4), dtype=complex)
+        for mu in range(4):
+            out += gs[mu] * (k[..., mu] * ETA4_DIAG[mu])[..., None, None]
+        out += gs[4] * (-eps5 * ell / 2 * ksq)[..., None, None]
+    return out
 
 
 def dirac_matrix_symbolic(eps5: int) -> ExactMatrix:
@@ -217,37 +228,86 @@ def residual(k, u, ell, eps5: int) -> float:
     return float(np.linalg.norm(D @ uarr) / norm)
 
 
-def boost_solution(s: SpinorSolution, omega) -> SpinorSolution:
-    """Transport a solution: k' = Lambda k, u' = S u; verifies the residual
-    stays below 1e-10 and k^2 is preserved to 1e-10 relative."""
-    lam = vector_boost(omega)
-    S = boost_matrix(omega).matrix
-    k = np.asarray([float(c) for c in s.k])
-    k_new = lam @ k
+BOOST_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class BoostBatch:
+    """One solution moved by N generators: the N moved solutions, the
+    residual ||D(k') u'|| / ||u'|| of each moved basis vector, shape
+    (N, dim ker), and each draw's |k'^2 - k^2| / max(|k^2|, 1), shape (N,)."""
+
+    solutions: tuple
+    residuals: np.ndarray
+    k2_drift: np.ndarray
+
+
+def boost_solutions(s: SpinorSolution, omegas) -> BoostBatch:
+    """Transport a solution by each generator of an (N, 4, 4) stack:
+    k' = Lambda k, u' = S u.
+
+    Every draw must keep its residuals at most 1e-10 and k^2 to 1e-10
+    relative.  The first draw that fails a check raises VerificationError
+    naming it (``index``); a draw's checks run in the order residual, k^2,
+    rank of the moved basis, so the error is the one boosting the draws one
+    by one meets first."""
+    omegas = np.asarray(omegas)
+    if omegas.ndim != 3:
+        raise ValueError("omegas must be a stack of 4x4 generators")
+    try:
+        lam = vector_boost(omegas)
+        S = boost_matrix(omegas).matrix
+    except VerificationError as exc:
+        # a draw before the overflowing one may fail a later check first
+        boost_solutions(s, omegas[:exc.index])
+        raise VerificationError(f"draw {exc.index}: {exc}", index=exc.index) from None
     ell = float(s.ell)
-    basis_new = []
-    for u in s.basis:
-        u_new = S @ np.asarray([complex(c) for c in u])
-        r = residual(tuple(k_new), u_new, ell, s.eps5)
-        if not r <= 1e-10:
-            raise VerificationError(
-                f"boosted solution residual {r:.3e} exceeds 1e-10"
-            )
-        basis_new.append(tuple(u_new))
+    k_new = lam @ np.asarray([float(c) for c in s.k])
+    u_new = np.stack([S @ np.asarray([complex(c) for c in u]) for u in s.basis], axis=1)
+    images = (_float_dirac(s.eps5, ell, k_new)[:, None] @ u_new[..., None])[..., 0]
+    # one norm per vector, as residual() takes it, so each value is the
+    # one a single draw gives
+    residuals = np.array([
+        [np.linalg.norm(img) / np.linalg.norm(u) for img, u in zip(draw_images, draw_u)]
+        for draw_images, draw_u in zip(images, u_new)
+    ]).reshape(u_new.shape[:2])
     k2_old = float(s.k2)
-    k2_new = k_new[0] ** 2 - k_new[1] ** 2 - k_new[2] ** 2 - k_new[3] ** 2
+    # numpy scalar powers, not k * k: C pow rounds about one square in a
+    # thousand the other way, and k'^2 is the drift the report prints
+    k2_new = np.array([k[0] ** 2 - k[1] ** 2 - k[2] ** 2 - k[3] ** 2 for k in k_new])
     scale = max(abs(k2_old), 1.0)
-    if not abs(k2_new - k2_old) <= 1e-10 * scale:
-        raise VerificationError(
-            f"k^2 changed under boost: {k2_old!r} -> {k2_new!r}"
+    res_bad = ~(residuals <= BOOST_TOL)
+    k2_bad = ~(abs(k2_new - k2_old) <= BOOST_TOL * scale)
+    failing = np.flatnonzero(res_bad.any(axis=1) | k2_bad)
+    first = int(failing[0]) if failing.size else len(omegas)
+    classes = _float_reality_classes(u_new[:first])
+    if first < len(omegas):
+        if res_bad[first].any():
+            r = residuals[first, np.argmax(res_bad[first])]
+            reason = f"boosted solution residual {r:.3e} exceeds 1e-10"
+        else:
+            reason = f"k^2 changed under boost: {k2_old!r} -> {k2_new[first]!r}"
+        raise VerificationError(f"draw {first}: {reason}", index=first)
+    solutions = tuple(
+        replace(
+            s,
+            k=tuple(float(c) for c in k),
+            basis=tuple(tuple(u) for u in basis),
+            k2=k2,
+            spinor_class=cls,
+            ell=ell,
+            mode="float",
         )
-    cls = reality_class([list(u) for u in basis_new], mode="float")
-    return replace(
-        s,
-        k=tuple(float(c) for c in k_new),
-        basis=tuple(basis_new),
-        k2=k2_new,
-        spinor_class=cls,
-        ell=ell,
-        mode="float",
+        for k, basis, k2, cls in zip(k_new, u_new, k2_new, classes)
     )
+    return BoostBatch(
+        solutions=solutions,
+        residuals=residuals,
+        k2_drift=abs(k2_new - k2_old) / scale,
+    )
+
+
+def boost_solution(s: SpinorSolution, omega) -> SpinorSolution:
+    """Transport a solution by one generator: boost_solutions on a stack of
+    one."""
+    return boost_solutions(s, np.asarray(omega)[None]).solutions[0]

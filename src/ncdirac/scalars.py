@@ -482,6 +482,8 @@ class ParamPoly:
         """Drop terms whose power of the symbol exceeds ``order``."""
         if order < 0:
             raise TruncationOrderError("truncation order must be >= 0")
+        if name not in _SYMBOL_INDEX:
+            raise UnknownSymbolError(f"unknown symbol {name!r}")
         shift = _SHIFTS[_SYMBOL_INDEX[name]]
         return _packed_poly(
             {k: c for k, c in self._terms.items() if (k >> shift) & MAX_DEGREE <= order}

@@ -13,6 +13,7 @@ import pytest
 import ncdirac
 from ncdirac.clifford import (
     VerificationError,
+    _expm,
     boost_matrix,
     build_majorana_rep,
     float_gammas,
@@ -206,6 +207,91 @@ def test_bad_generators_are_rejected():
     # finite but past the float range: exp(1000) overflows
     with pytest.raises(VerificationError):
         boost_matrix(_axis_boost(2000.0))
+
+
+def _nearly_antisymmetric():
+    # antisymmetric to 9e-6 relative: a metric defect of 1.6e-5 in the boost
+    omega = np.zeros((4, 4))
+    omega[0, 3], omega[3, 0] = 1.0, -1.000009
+    return omega
+
+
+def test_nearly_antisymmetric_generator_is_rejected():
+    for fn in (boost_matrix, vector_boost, spinor_generator):
+        with pytest.raises(ValueError, match="antisymmetric"):
+            fn(_nearly_antisymmetric())
+    stack = np.stack([_axis_boost(1.0), _nearly_antisymmetric(), _axis_boost(2.0)])
+    for fn in (boost_matrix, vector_boost, spinor_generator):
+        with pytest.raises(ValueError, match=r"antisymmetric \(slice 1\)"):
+            fn(stack)
+    # W - W.T is antisymmetric to the last bit at any scale
+    w = np.random.default_rng(5).uniform(-1e6, 1e6, (4, 4))
+    vector_boost((w - w.T) * 1e-6)
+
+
+def _scaled_generators(norms):
+    """Random antisymmetric generators whose vector generators have the
+    given 1-norms."""
+    rng = np.random.default_rng(8)
+    out = []
+    for norm in norms:
+        w = rng.uniform(-1, 1, (4, 4))
+        w = w - w.T
+        out.append(w * (norm / np.linalg.norm(vector_generator(w), 1)))
+    return np.stack(out)
+
+
+def _expm_one(a):
+    """Reference: one matrix at a time, scaled, Horner, squared back."""
+    s = max(0, math.frexp(np.linalg.norm(a, 1))[1])
+    a = a * 0.5 ** s
+    eye = out = np.eye(len(a), dtype=a.dtype)
+    for n in range(18, 0, -1):
+        out = eye + a @ out / n
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def _spinor_generator_one(omega):
+    """Reference: the term-by-term sum (1/4) omega_ab g^a g^b."""
+    gs = float_gammas(1)
+    G = np.zeros((4, 4), dtype=complex)
+    for a in range(4):
+        for b in range(4):
+            if omega[a, b] != 0.0:
+                G += 0.25 * omega[a, b] * gs[a] @ gs[b]
+    return G
+
+
+def test_stacked_boosts_equal_single_boosts_bit_for_bit():
+    # 1-norms 0.3, 5 and 200 take 0, 3 and 8 squarings
+    norms = (0.3, 5.0, 200.0)
+    assert [max(0, math.frexp(n)[1]) for n in norms] == [0, 3, 8]
+    omegas = _scaled_generators(norms)
+    generators = vector_generator(omegas)
+    assert np.allclose(np.linalg.norm(generators, 1, axis=(-2, -1)), norms)
+    for stack, fn in ((generators, _expm), (omegas, vector_boost),
+                      (omegas, lambda w: boost_matrix(w).matrix)):
+        got = fn(stack)
+        assert got.shape == stack.shape
+        for i in range(len(stack)):
+            assert np.array_equal(got[i], fn(stack[i]))
+    for i, omega in enumerate(omegas):
+        spinor = _spinor_generator_one(omega)
+        assert np.array_equal(spinor_generator(omegas)[i], spinor)
+        assert np.array_equal(boost_matrix(omegas).matrix[i], _expm_one(spinor))
+        assert np.array_equal(vector_boost(omegas)[i], _expm_one(generators[i]))
+
+
+def test_stacked_overflow_names_the_slice():
+    stack = np.stack([_axis_boost(1.0), _axis_boost(2000.0), _axis_boost(3000.0)])
+    with pytest.raises(VerificationError) as info:
+        vector_boost(stack)
+    assert info.value.index == 1
+    with pytest.raises(VerificationError) as info:
+        vector_boost(stack[1])
+    assert info.value.index is None
 
 
 def test_import_leaves_scipy_unloaded():

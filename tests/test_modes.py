@@ -1,15 +1,18 @@
 """Dispersion branches, exact nullspaces, and boost covariance."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ncdirac.checks import RunConfig, _boost_covariance, _boost_draws, cmd_modes
 from ncdirac.clifford import VerificationError
 from ncdirac.matrices import vector_matmul
 from ncdirac.modes import (
     ModeProblem,
     boost_solution,
+    boost_solutions,
     dirac_matrix,
     dispersion_roots,
     reference_solutions,
@@ -146,3 +149,100 @@ def test_float_matrix_matches_exact(eps5):
     a = exact.as_array()
     b = floaty.as_array()
     assert np.allclose(a, b, atol=1e-12)
+
+
+def _axis_boost(rapidity):
+    omega = np.zeros((4, 4))
+    omega[0, 3], omega[3, 0] = rapidity, -rapidity
+    return omega
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+@pytest.mark.parametrize("branch", ["heavy", "massless"])
+def test_boost_solutions_equal_single_draws(eps5, branch):
+    sol = reference_solutions(Fraction(1), eps5, branch)
+    rng = np.random.default_rng(9)
+    omegas = rng.uniform(-2, 2, (12, 4, 4))
+    omegas = omegas - np.swapaxes(omegas, -1, -2)
+    batch = boost_solutions(sol, omegas)
+    assert batch.residuals.shape == (12, 2) and batch.k2_drift.shape == (12,)
+    for i, omega in enumerate(omegas):
+        one, moved = boost_solution(sol, omega), batch.solutions[i]
+        assert np.array_equal(one.k, moved.k)
+        assert np.array_equal(one.basis, moved.basis)
+        assert one.k2 == moved.k2
+        assert one.spinor_class == moved.spinor_class == sol.spinor_class
+        assert list(batch.residuals[i]) == [
+            residual(one.k, u, one.ell, eps5) for u in one.basis
+        ]
+    assert boost_solutions(sol, omegas[:0]).solutions == ()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_boost_solutions_name_the_first_failing_draw():
+    sol = reference_solutions(Fraction(1), 1, "massless")
+    omegas = np.stack([_axis_boost(0.1 * (i + 1)) for i in range(8)])
+    omegas[3] = omegas[7] = _axis_boost(500.0)
+    with pytest.raises(VerificationError, match="^draw 3: ") as info:
+        boost_solutions(sol, omegas)
+    assert info.value.index == 3
+    # an overflowing exponential later in the stack does not hide draw 3
+    omegas[5] = _axis_boost(1e200)
+    with pytest.raises(VerificationError, match="^draw 3: "):
+        boost_solutions(sol, omegas)
+
+
+def test_boost_solution_rejects_nearly_antisymmetric_generator():
+    sol = reference_solutions(Fraction(1), -1, "heavy")
+    omega = _axis_boost(1.0)
+    omega[3, 0] = -1.000009
+    with pytest.raises(ValueError, match="antisymmetric"):
+        boost_solution(sol, omega)
+
+
+def _per_draw_covariance(seed, eps5, omegas=None, trials=100):
+    """Worst residual and k^2 drift of the boost loop as `check all` ran it
+    draw by draw: boost_solution and residual per trial, alternating the
+    heavy and massless reference solutions."""
+    solutions = [reference_solutions(Fraction(1), eps5, b) for b in ("heavy", "massless")]
+    rng = random.Random(seed)
+    worst_res = worst_drift = 0.0
+    for trial in range(trials):
+        if omegas is None:
+            omega = np.zeros((4, 4))
+            for a in range(4):
+                for b in range(a + 1, 4):
+                    omega[a, b] = rng.uniform(-1.0, 1.0)
+                    omega[b, a] = -omega[a, b]
+        else:
+            omega = omegas[trial]
+        sol = solutions[trial % 2]
+        moved = boost_solution(sol, omega)
+        worst_res = max(
+            worst_res, max(residual(moved.k, u, moved.ell, eps5) for u in moved.basis)
+        )
+        drift = abs(float(moved.k2) - float(sol.k2)) / max(abs(float(sol.k2)), 1.0)
+        worst_drift = max(worst_drift, drift)
+    return worst_res, worst_drift
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_boost_report_equals_per_draw_loop(seed):
+    reports = [r for r in cmd_modes(RunConfig(seed=seed))
+               if r.check == "modes_boost_covariance"]
+    assert len(reports) == 2
+    for report in reports:
+        want = _per_draw_covariance(seed, report.params["eps5"])
+        assert report.status == "pass"
+        assert (report.residual, report.details["worst_k2_drift"]) == want
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_boost_covariance_reports_first_failing_trial():
+    solutions = [reference_solutions(Fraction(1), -1, b) for b in ("heavy", "massless")]
+    omegas = _boost_draws(random.Random(3))
+    omegas[7] = _axis_boost(500.0)  # massless draw 3
+    omegas[10] = _axis_boost(1e200)  # heavy draw 5
+    worst_res, worst_drift, failure = _boost_covariance(solutions, omegas)
+    assert failure.startswith("massless draw 3: boosted solution residual")
+    assert (worst_res, worst_drift) == _per_draw_covariance(None, -1, omegas, trials=7)

@@ -237,6 +237,11 @@ class TestParamPoly:
     def test_unknown_symbol(self):
         with pytest.raises(UnknownSymbolError):
             sym("zeta")
+        for method in ("degree_in", "min_degree_in"):
+            with pytest.raises(UnknownSymbolError):
+                getattr(sym("l"), method)("zeta")
+        with pytest.raises(UnknownSymbolError):
+            sym("l").truncate_in("zeta", 1)
         assert set(SYMBOLS) >= {"l", "rho", "r", "k0", "v"}
 
     def test_substitute_rho_with_r_squared(self):
