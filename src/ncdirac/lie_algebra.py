@@ -23,6 +23,11 @@ from .scalars import (
     P_I,
     P_ONE,
     ParamPoly,
+    _GUARDS,
+    _degree_overflow,
+    _packed_poly,
+    _packed_terms,
+    _sum_of_products,
     poly,
     sym,
 )
@@ -60,14 +65,6 @@ def _combo_add(acc: Combo, idx: int, coeff: ParamPoly):
         acc.pop(idx, None)
     else:
         acc[idx] = total
-
-
-def combo_sum(*combos: Combo) -> Combo:
-    out: Combo = {}
-    for combo in combos:
-        for idx, coeff in combo.items():
-            _combo_add(out, idx, coeff)
-    return out
 
 
 @dataclass
@@ -261,44 +258,86 @@ def build_orthogonal_algebra(eps4: int, eps5: int) -> StructureConstants:
     return alg
 
 
-def _signed_rows(alg: StructureConstants) -> list:
-    """rows[a][b]: the (k, coeff) entries of [e_a, e_b], or None when the
-    bracket is zero.
+def _flat_terms(combo: Combo, negate: bool = False) -> list:
+    """The (k, packed monomial, scalar) terms of a combo, in its order."""
+    return [(k, mono, -c if negate else c)
+            for k, coeff in combo.items() for mono, c in _packed_terms(coeff)]
 
-    Entries keep the table's stored order (the order ``bracket`` returns);
-    the lower triangle negates each stored entry once.  Built per call, so
+
+def _signed_rows(alg: StructureConstants) -> list:
+    """rows[a][b]: the flat (k, packed monomial, scalar) terms of [e_a, e_b],
+    or None when the bracket is zero.
+
+    Terms keep the table's stored order (the order ``bracket`` returns);
+    the lower triangle negates each stored term once.  Built per call, so
     a table edited in place is always read afresh.
     """
     n = alg.dim()
     rows = [[None] * n for _ in range(n)]
     for (i, j), combo in alg.brackets.items():
-        rows[i][j] = list(combo.items())
-        rows[j][i] = [(k, -c) for k, c in combo.items()]
+        rows[i][j] = _flat_terms(combo)
+        rows[j][i] = _flat_terms(combo, negate=True)
     return rows
 
 
-def _nested_bracket(rows, ab, c: int) -> Combo:
-    """[[a, b], e_c] = sum_m c_ab^m c_mc^q e_q, from the row ``ab`` of [a, b]."""
-    out: Combo = {}
-    for m, c_ab in ab or ():
-        for q, c_mc in rows[m][c] or ():
-            _combo_add(out, q, c_ab * c_mc)
-    return out
+def _collect(sums: dict, left, right, c: int):
+    """Add the factor pairs of [left, e_c] to ``sums``, keyed (q, monomial):
+    ``left`` lists (m, monomial, scalar) terms and right[m][c] the flat
+    terms of [e_m, e_c] (or None)."""
+    for m, ma, sa in left:
+        row = right[m][c]
+        if row is None:
+            continue
+        for q, mb, sb in row:
+            mono = ma + mb
+            if mono & _GUARDS:
+                raise _degree_overflow(ma, mb)
+            key = (q, mono)
+            pairs = sums.get(key)
+            if pairs is None:
+                sums[key] = [(sa, sb)]
+            else:
+                pairs.append((sa, sb))
+
+
+def _combo_of_sums(sums: dict) -> Combo:
+    """The nonzero exact sums of the collected factor pairs, one reduction
+    per output coefficient, as a combo of ParamPoly."""
+    out = {}
+    for (q, mono), pairs in sums.items():
+        total = _sum_of_products(pairs)
+        if total is not None:
+            terms = out.get(q)
+            if terms is None:
+                out[q] = {mono: total}
+            else:
+                terms[mono] = total
+    return {q: _packed_poly(terms) for q, terms in out.items()}
 
 
 def jacobi_residual(alg: StructureConstants):
-    """All violated Jacobi triples: [(names, residual combo), ...]."""
+    """All violated Jacobi triples: [(names, residual combo), ...].
+
+    The residual of (i, j, k) is the exact sum of [[e_i, e_j], e_k] and its
+    two cyclic shifts, each nested bracket expanded into scalar products."""
     rows = _signed_rows(alg)
+    basis = alg.basis
     violations = []
     for i, j, k in itertools.combinations(range(alg.dim()), 3):
-        residual = combo_sum(
-            _nested_bracket(rows, rows[i][j], k),
-            _nested_bracket(rows, rows[j][k], i),
-            _nested_bracket(rows, rows[k][i], j),
-        )
-        if residual:
-            names = (alg.basis[i], alg.basis[j], alg.basis[k])
-            violations.append((names, residual))
+        sums = {}
+        left = rows[i][j]
+        if left is not None:
+            _collect(sums, left, rows, k)
+        left = rows[j][k]
+        if left is not None:
+            _collect(sums, left, rows, i)
+        left = rows[k][i]
+        if left is not None:
+            _collect(sums, left, rows, j)
+        if sums:
+            residual = _combo_of_sums(sums)
+            if residual:
+                violations.append(((basis[i], basis[j], basis[k]), residual))
     return violations
 
 
@@ -363,24 +402,28 @@ def _bracket_mismatches(lmap: LinearMap, src_rows, dst_rows):
 
     ``src_rows``/``dst_rows`` are the ``_signed_rows`` of the map's tables.
     """
-    src, columns = lmap.src, lmap.columns
+    src = lmap.src
+    columns = [_flat_terms(col) for col in lmap.columns]
+    # columns as the right factor of _collect: phi[m][0] lists phi(e_m)
+    phi = [[col] for col in columns]
     for i, j in itertools.combinations(range(src.dim()), 2):
-        lhs: Combo = {}
-        for m, c in src_rows[i][j] or ():
-            for q, phi in columns[m].items():
-                _combo_add(lhs, q, c * phi)
-        # -[phi a_i, phi a_j] = sum ca cb [f_b, f_a]
-        neg_rhs: Combo = {}
-        for ia, ca in columns[i].items():
-            for ib, cb in columns[j].items():
-                row = dst_rows[ib][ia]
-                if row is not None:
-                    cab = ca * cb
-                    for q, c in row:
-                        _combo_add(neg_rhs, q, cab * c)
-        residual = combo_sum(lhs, neg_rhs)
-        if residual:
-            yield (src.basis[i], src.basis[j]), residual
+        sums = {}
+        # phi([a_i, a_j]) = sum_m c_ij^m phi(a_m)
+        ij = src_rows[i][j]
+        if ij is not None:
+            _collect(sums, ij, phi, 0)
+        # -[phi a_i, phi a_j] = sum ca cb [f_b, f_a], ca * cb taken once
+        for ia, ma, sa in columns[i]:
+            for ib, mb, sb in columns[j]:
+                if dst_rows[ib][ia] is not None:
+                    mono = ma + mb
+                    if mono & _GUARDS:
+                        raise _degree_overflow(ma, mb)
+                    _collect(sums, ((ib, mono, sa * sb),), dst_rows, ia)
+        if sums:
+            residual = _combo_of_sums(sums)
+            if residual:
+                yield (src.basis[i], src.basis[j]), residual
 
 
 def verify_linear_isomorphism(lmap: LinearMap) -> IsoCheck:

@@ -246,11 +246,14 @@ def boost_solutions(s: SpinorSolution, omegas) -> BoostBatch:
     """Transport a solution by each generator of an (N, 4, 4) stack:
     k' = Lambda k, u' = S u.
 
-    Every draw must keep its residuals at most 1e-10 and k^2 to 1e-10
-    relative.  The first draw that fails a check raises VerificationError
-    naming it (``index``); a draw's checks run in the order residual, k^2,
-    rank of the moved basis, so the error is the one boosting the draws one
-    by one meets first."""
+    Every draw must give k' to 1e-10 relative by the forward error bound
+    2^-53 ||Lambda|| ||k|| <= 1e-10 ||k'|| (infinity norms; a large boost
+    that shrinks k leaves only roundoff in k'), keep its residuals at most
+    1e-10 ||D(k')|| (Frobenius norm) and keep k^2 to 1e-10 relative to
+    max(|k^2|, ||k'||^2, 1).  The first draw that fails a check raises
+    VerificationError naming it (``index``); a draw's checks run in the
+    order forward error, residual, k^2, rank of the moved basis, so the
+    error is the one boosting the draws one by one meets first."""
     omegas = np.asarray(omegas)
     if omegas.ndim != 3:
         raise ValueError("omegas must be a stack of 4x4 generators")
@@ -262,9 +265,11 @@ def boost_solutions(s: SpinorSolution, omegas) -> BoostBatch:
         boost_solutions(s, omegas[:exc.index])
         raise VerificationError(f"draw {exc.index}: {exc}", index=exc.index) from None
     ell = float(s.ell)
-    k_new = lam @ np.asarray([float(c) for c in s.k])
+    k_old = np.asarray([float(c) for c in s.k])
+    k_new = lam @ k_old
     u_new = np.stack([S @ np.asarray([complex(c) for c in u]) for u in s.basis], axis=1)
-    images = (_float_dirac(s.eps5, ell, k_new)[:, None] @ u_new[..., None])[..., 0]
+    ops = _float_dirac(s.eps5, ell, k_new)
+    images = (ops[:, None] @ u_new[..., None])[..., 0]
     # one norm per vector, as residual() takes it, so each value is the
     # one a single draw gives
     residuals = np.array([
@@ -276,15 +281,28 @@ def boost_solutions(s: SpinorSolution, omegas) -> BoostBatch:
     # thousand the other way, and k'^2 is the drift the report prints
     k2_new = np.array([k[0] ** 2 - k[1] ** 2 - k[2] ** 2 - k[3] ** 2 for k in k_new])
     scale = max(abs(k2_old), 1.0)
-    res_bad = ~(residuals <= BOOST_TOL)
-    k2_bad = ~(abs(k2_new - k2_old) <= BOOST_TOL * scale)
-    failing = np.flatnonzero(res_bad.any(axis=1) | k2_bad)
+    with np.errstate(over="ignore", invalid="ignore"):
+        roundoff = 2.0 ** -53 * np.abs(lam).sum(axis=2).max(axis=1) * np.abs(k_old).max()
+        k_size = np.abs(k_new).max(axis=1)
+        k2_scale = np.maximum(scale, k_size * k_size)
+        d_norm = np.linalg.norm(ops, axis=(-2, -1))
+    fwd_bad = ~(roundoff <= BOOST_TOL * k_size)
+    res_bad = ~(residuals <= BOOST_TOL * d_norm[:, None])
+    # k'^2 is a difference of squares of size ||k'||^2; its roundoff is
+    # relative to that, not to k^2 (0 on the massless branch)
+    k2_bad = ~(abs(k2_new - k2_old) <= BOOST_TOL * k2_scale)
+    failing = np.flatnonzero(fwd_bad | res_bad.any(axis=1) | k2_bad)
     first = int(failing[0]) if failing.size else len(omegas)
     classes = _float_reality_classes(u_new[:first])
     if first < len(omegas):
-        if res_bad[first].any():
+        if fwd_bad[first]:
+            reason = (f"boosted momentum is roundoff: 2^-53 ||Lambda|| ||k|| = "
+                      f"{roundoff[first]:.3e} exceeds 1e-10 ||k'|| = "
+                      f"{BOOST_TOL * k_size[first]:.3e}")
+        elif res_bad[first].any():
             r = residuals[first, np.argmax(res_bad[first])]
-            reason = f"boosted solution residual {r:.3e} exceeds 1e-10"
+            reason = (f"boosted solution residual {r:.3e} exceeds 1e-10 ||D(k')|| = "
+                      f"{BOOST_TOL * d_norm[first]:.3e}")
         else:
             reason = f"k^2 changed under boost: {k2_old!r} -> {k2_new[first]!r}"
         raise VerificationError(f"draw {first}: {reason}", index=first)

@@ -44,7 +44,7 @@ _NSYM = len(SYMBOLS)
 # monomials is then one integer addition, and a symbol's power overflows
 # exactly when the sum sets that symbol's guard bit; no carry can reach the
 # next field.
-_FIELD_BITS = 8
+_FIELD_BITS = 8  # _pack's fast path reads one byte per field
 MAX_DEGREE = (1 << (_FIELD_BITS - 1)) - 1
 _SHIFTS = tuple(_FIELD_BITS * (_NSYM - 1 - i) for i in range(_NSYM))
 _GUARDS = sum((MAX_DEGREE + 1) << shift for shift in _SHIFTS)
@@ -544,10 +544,18 @@ class ParamPoly:
 
     @staticmethod
     def from_json(data: list) -> "ParamPoly":
-        terms = {}
+        """Inverse of ``to_json``.  Coefficient parts are str or int; a later
+        term with the same exponents replaces an earlier one."""
+        parts = {}
         for exps, re_s, im_s in data:
-            terms[tuple(exps)] = ExactScalar(Fraction(re_s), Fraction(im_s))
-        return ParamPoly(terms)
+            parts[_pack(exps)] = _rational_parts(re_s) + _rational_parts(im_s)
+        terms = {}
+        for key, (rn, rd, jn, jd) in parts.items():
+            if rn or jn:
+                terms[key] = (
+                    _make(rn, jn, 1) if rd == jd == 1 else _reduced(rn * jd, jn * rd, rd * jd)
+                )
+        return _packed_poly(terms)
 
     # -- dunders -----------------------------------------------------------
 
@@ -592,6 +600,18 @@ class ParamPoly:
 def _pack(exps) -> int:
     """Packed monomial of an exponent tuple aligned with SYMBOLS."""
     exps = tuple(exps)
+    if len(exps) == _NSYM:
+        # fast path: with 8-bit fields the packed int is the big-endian
+        # bytes of the exponents; bytes() rejects non-ints and values
+        # outside 0..255, and the guard bits catch 128..255
+        try:
+            key = int.from_bytes(bytes(exps), "big")
+        except (TypeError, ValueError):
+            pass
+        else:
+            if not key & _GUARDS:
+                return key
+    # slow path: the same checks one by one, for the error message
     if len(exps) != _NSYM:
         raise ValueError("exponent tuple has wrong length")
     key = 0
@@ -626,6 +646,56 @@ def _packed_poly(terms: dict) -> ParamPoly:
     out = _new(ParamPoly)
     out._terms = terms
     return out
+
+
+def _packed_terms(p: ParamPoly):
+    """The (packed monomial, coefficient) items of a ParamPoly; the reading
+    half of ``_packed_poly``."""
+    return p._terms.items()
+
+
+def _sum_of_products(pairs) -> ExactScalar | None:
+    """Exact sum of x * y over (x, y) ExactScalar pairs, or None when the
+    sum is zero.  Products and partial sums stay unreduced (a, b, d) ints;
+    a nonzero sum is brought to canonical form by one gcd."""
+    a = b = 0
+    d = 1
+    for x, y in pairs:
+        xa, xb, ya, yb = x._a, x._b, y._a, y._b
+        pd = x._d * y._d
+        if pd == d:
+            a += xa * ya - xb * yb
+            b += xa * yb + xb * ya
+        else:
+            a = a * pd + (xa * ya - xb * yb) * d
+            b = b * pd + (xa * yb + xb * ya) * d
+            d *= pd
+    if not a and not b:
+        return None
+    return _reduced(a, b, d)
+
+
+def _rational_parts(value) -> tuple:
+    """(numerator, denominator > 0) of a JSON coefficient part: an int, or a
+    str that ``Fraction`` accepts.  The forms ``str(Fraction)`` writes,
+    ``-?digits`` and ``-?digits/digits``, are read with ``int``; floats are
+    rejected, as by ``as_fraction``."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is not str:
+        raise TypeError(
+            f"expected a str or int coefficient, got {type(value).__name__}"
+        )
+    num, slash, den = value.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if (value.isascii() and digits.isdigit()
+            and (not slash or (den.isdigit() and den.strip("0")))):
+        return int(num), int(den) if slash else 1
+    try:
+        q = Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {value!r} has a zero denominator") from None
+    return q.numerator, q.denominator
 
 
 P_ZERO = ParamPoly()

@@ -225,6 +225,10 @@ def test_tampered_fixture_names_triple(tmp_path, capsys):
      "a structure-constant table is an object with a 'basis' list and a 'brackets' object"),
     (lambda doc: doc["basis"].__setitem__(14, "x3"),
      "duplicate basis names ['x3']"),
+    (lambda doc: doc["brackets"]["0,1"][0][1][0].__setitem__(2, "1/0"),
+     "bracket key '0,1': coefficient '1/0' has a zero denominator"),
+    (lambda doc: doc["brackets"]["0,1"][0][1][0].__setitem__(1, 0.5),
+     "bracket key '0,1': expected a str or int coefficient, got float"),
 ])
 def test_malformed_fixture_is_usage_error(tmp_path, capsys, edit, message):
     doc = build_deformed_algebra(1, -1).to_json()

@@ -1,0 +1,35 @@
+"""Byte-for-byte pins of the exact engine's reports.
+
+The files under ``tests/golden/`` were written by the combo-of-ParamPoly
+bracket engine that the flat bracket kernel replaced, with the commands
+below run from the repository root.  The reports are exact-only (no float
+digits, no timings), so they must not depend on the Python or numpy
+version; change a golden file only together with a report change that is
+meant.  CI runs the same commands and compares with ``cmp``.
+
+``tampered_deformed_fixture.json`` is the deformed table for
+(eps4, eps5) = (1, -1) with generator a rescaled by (-1)^a (a+2)/(2a+1),
+and (1/3 - 2/5 i) l rho added to the M01 coefficient of [x0, x1].
+"""
+
+from pathlib import Path
+
+import pytest
+
+from ncdirac.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+FIXTURE = "tests/golden/tampered_deformed_fixture.json"
+
+
+@pytest.mark.parametrize("argv,golden,code", [
+    (["verify", "algebra", "--all-signs"], "verify_algebra_all_signs.json", 0),
+    (["verify", "algebra", "--eps4", "1", "--eps5", "-1", "--fixture", FIXTURE],
+     "verify_algebra_tampered_fixture.json", 1),
+])
+def test_exact_report_matches_golden(monkeypatch, capsys, argv, golden, code):
+    # the fixture path is part of the report, so run where CI runs
+    monkeypatch.chdir(GOLDEN.parent.parent)
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN / golden).read_bytes()

@@ -18,7 +18,7 @@ from ncdirac.lie_algebra import (
     verify_linear_isomorphism,
     StructureConstants,
 )
-from ncdirac.scalars import ExactScalar, poly, sym
+from ncdirac.scalars import MAX_DEGREE, DegreeBoundError, ExactScalar, poly, sym
 
 SIGNS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 
@@ -252,26 +252,47 @@ _NONZERO = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000).f
 _POSITIVE = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=50)
 
 
+_SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@st.composite
+def _polys(draw, max_terms=3):
+    """Sums of up to `max_terms` Gaussian-rational multiples of l^a rho^b."""
+    out = poly(0)
+    for _ in range(draw(st.integers(1, max_terms))):
+        c = ExactScalar(draw(_SMALL), draw(_SMALL))
+        out = out + poly(c) * sym("l", draw(st.integers(0, 2))) * sym(
+            "rho", draw(st.integers(0, 2)))
+    return out
+
+
 @st.composite
 def _fixture_tables(draw):
     """A deformed or orthogonal table with its basis rescaled by random
-    rationals, and (maybe) one coefficient multiplied by a factor != 1."""
+    rationals, maybe every bracket multiplied by one multi-term polynomial
+    f (which keeps Jacobi: its three terms each gain f^2, so partial sums
+    over different monomials cancel), and (maybe) one coefficient
+    multiplied by a factor != 1."""
     eps4, eps5 = draw(st.sampled_from(SIGNS))
     build = draw(st.sampled_from((build_deformed_algebra, build_orthogonal_algebra)))
     base = build(eps4, eps5)
     s = draw(st.lists(_NONZERO, min_size=base.dim(), max_size=base.dim()))
+    f = draw(st.one_of(st.just(poly(1)), _polys().filter(bool)))
     table = StructureConstants(base.basis)
     # e_a -> s_a e_a takes c_ab^k to (s_a s_b / s_k) c_ab^k
     for (i, j), combo in base.brackets.items():
-        table.set_bracket(i, j, {k: c * poly(s[i] * s[j] / s[k]) for k, c in combo.items()})
+        table.set_bracket(i, j, {k: c * poly(s[i] * s[j] / s[k]) * f
+                                 for k, c in combo.items()})
     tampered = draw(st.booleans())
     if tampered:
         pair = draw(st.sampled_from(sorted(table.brackets)))
         combo = table.brackets[pair]
         k = draw(st.sampled_from(sorted(combo)))
-        factor = draw(st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(
-            lambda x: x != 1))
-        table.set_bracket(*pair, {**combo, k: combo[k] * poly(factor)})
+        factor = draw(st.one_of(
+            _SMALL.filter(lambda x: x != 1).map(poly),
+            _polys().filter(lambda p: p != 1),
+        ))
+        table.set_bracket(*pair, {**combo, k: combo[k] * factor})
     return table, tampered
 
 
@@ -285,3 +306,120 @@ def test_sparse_jacobi_matches_float_oracle(drawn, ell, rho):
     assert got == _float_violations(table, {"l": ell, "rho": rho})
     if not tampered:
         assert violations == []
+
+
+# -- the flat kernel against the ParamPoly-combo engine it replaced -------------
+
+
+def _ref_combo_add(acc, idx, coeff):
+    if coeff.is_zero():
+        return
+    prev = acc.get(idx)
+    total = coeff if prev is None else prev + coeff
+    if total.is_zero():
+        acc.pop(idx, None)
+    else:
+        acc[idx] = total
+
+
+def _ref_combo_sum(*combos):
+    out = {}
+    for combo in combos:
+        for idx, coeff in combo.items():
+            _ref_combo_add(out, idx, coeff)
+    return out
+
+
+def _ref_signed_rows(alg):
+    n = alg.dim()
+    rows = [[None] * n for _ in range(n)]
+    for (i, j), combo in alg.brackets.items():
+        rows[i][j] = list(combo.items())
+        rows[j][i] = [(k, -c) for k, c in combo.items()]
+    return rows
+
+
+def _ref_nested_bracket(rows, ab, c):
+    out = {}
+    for m, c_ab in ab or ():
+        for q, c_mc in rows[m][c] or ():
+            _ref_combo_add(out, q, c_ab * c_mc)
+    return out
+
+
+def _ref_jacobi_residual(alg):
+    """Jacobi violations summed as dicts of ParamPoly, one product and one
+    sum at a time."""
+    rows = _ref_signed_rows(alg)
+    violations = []
+    for i, j, k in itertools.combinations(range(alg.dim()), 3):
+        residual = _ref_combo_sum(
+            _ref_nested_bracket(rows, rows[i][j], k),
+            _ref_nested_bracket(rows, rows[j][k], i),
+            _ref_nested_bracket(rows, rows[k][i], j),
+        )
+        if residual:
+            violations.append(((alg.basis[i], alg.basis[j], alg.basis[k]), residual))
+    return violations
+
+
+def _ref_bracket_mismatches(lmap):
+    src, columns = lmap.src, lmap.columns
+    src_rows, dst_rows = _ref_signed_rows(src), _ref_signed_rows(lmap.dst)
+    out = []
+    for i, j in itertools.combinations(range(src.dim()), 2):
+        lhs = {}
+        for m, c in src_rows[i][j] or ():
+            for q, phi in columns[m].items():
+                _ref_combo_add(lhs, q, c * phi)
+        neg_rhs = {}
+        for ia, ca in columns[i].items():
+            for ib, cb in columns[j].items():
+                row = dst_rows[ib][ia]
+                if row is not None:
+                    cab = ca * cb
+                    for q, c in row:
+                        _ref_combo_add(neg_rhs, q, cab * c)
+        residual = _ref_combo_sum(lhs, neg_rhs)
+        if residual:
+            out.append(((src.basis[i], src.basis[j]), residual))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(_fixture_tables())
+def test_jacobi_kernel_matches_reference(drawn):
+    table, tampered = drawn
+    got = jacobi_residual(table)
+    want = _ref_jacobi_residual(table)
+    assert [names for names, _ in got] == [names for names, _ in want]
+    assert got == want
+    assert bool(got) <= tampered
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(SIGNS), _polys(), _polys(), _polys(), st.booleans())
+def test_isomorphism_kernel_matches_reference(signs, da, db, dg, perturb):
+    sol = solve_isomorphism_scalings(*signs)
+    if perturb:
+        lmap = scaling_map(sol.src, sol.dst, sol.alpha + da, sol.beta * db, sol.gamma - dg)
+    else:
+        lmap = sol.map
+    check = verify_linear_isomorphism(lmap)
+    want = _ref_bracket_mismatches(lmap)
+    assert [names for names, _ in check.mismatches] == [names for names, _ in want]
+    assert check.mismatches == want
+    if not perturb:
+        assert check.ok and want == []
+
+
+def test_kernel_keeps_the_degree_bound():
+    # a product past MAX_DEGREE raises in the kernel as ParamPoly * does
+    alg = StructureConstants(("a", "b", "c", "d"))
+    # [[a, b], c] = l^MAX_DEGREE [d, c] = l^(MAX_DEGREE + 1) a
+    alg.set_bracket(0, 1, {3: sym("l", MAX_DEGREE)})
+    alg.set_bracket(3, 2, {0: sym("l")})
+    with pytest.raises(DegreeBoundError, match="l\\^"):
+        jacobi_residual(alg)
+    with pytest.raises(DegreeBoundError):
+        _ref_jacobi_residual(alg)

@@ -192,6 +192,32 @@ def test_boost_solutions_name_the_first_failing_draw():
         boost_solutions(sol, omegas)
 
 
+@pytest.mark.parametrize("eps5", [1, -1])
+def test_boost_that_shrinks_k_to_roundoff_raises(eps5):
+    # k' = e^-40 (1, 0, 0, 1) exactly, but Lambda k cancels terms of size
+    # e^40: the float k' is (16, 0, 0, -16), and the forward error bound
+    # must reject it before any residual is judged
+    sol = reference_solutions(Fraction(1), eps5, "massless")
+    with pytest.raises(VerificationError, match="^draw 0: boosted momentum is roundoff"):
+        boost_solution(sol, _axis_boost(-40.0))
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+@pytest.mark.parametrize("rapidity", [10.0, -10.0])
+def test_heavy_boost_at_rapidity_ten_passes(eps5, rapidity):
+    # ||D(k')|| is about 4.4e4 here: the residual (about 3e-8) and the
+    # k'^2 roundoff are judged relative to the size of D(k') and of k'
+    sol = reference_solutions(Fraction(1), eps5, "heavy")
+    moved = boost_solution(sol, _axis_boost(rapidity))
+    ch, sh = np.cosh(rapidity), np.sinh(rapidity)
+    lam = np.array([[ch, 0, 0, sh], [0, 1, 0, 0], [0, 0, 1, 0], [sh, 0, 0, ch]])
+    assert np.allclose(moved.k, lam @ [float(c) for c in sol.k], rtol=1e-12, atol=0.0)
+    assert moved.spinor_class == sol.spinor_class
+    worst = max(residual(moved.k, u, moved.ell, eps5) for u in moved.basis)
+    assert 1e-10 < worst < 1e-10 * np.linalg.norm(
+        dirac_matrix(ModeProblem(eps5=eps5, ell=1.0, k=moved.k)).as_array())
+
+
 def test_boost_solution_rejects_nearly_antisymmetric_generator():
     sol = reference_solutions(Fraction(1), -1, "heavy")
     omega = _axis_boost(1.0)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from re import escape as re_escape
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncdirac.scalars import (
     MAX_DEGREE,
+    ZERO,
     DegreeBoundError,
     ExactScalar,
     ParamPoly,
@@ -16,6 +18,7 @@ from ncdirac.scalars import (
     SYMBOLS,
     TruncationOrderError,
     UnknownSymbolError,
+    _sum_of_products,
     as_fraction,
     geometric_inverse,
     is_exact_number,
@@ -48,6 +51,7 @@ big_denominators = st.one_of(
 big_rationals = st.builds(Fraction, big_numerators, big_denominators)
 # (re, im) reference pairs of Fractions
 gaussian_pairs = st.tuples(big_rationals, big_rationals)
+big_scalars = gaussian_pairs.map(lambda pair: ExactScalar(*pair))
 
 
 def small_polys():
@@ -304,6 +308,87 @@ class TestParamPoly:
     def test_json_round_trip(self):
         p = sym("l") * poly(ExactScalar(Fraction(1, 2), Fraction(-3))) + poly(7)
         assert ParamPoly.from_json(p.to_json()) == p
+
+    @given(big_rationals, big_rationals)
+    def test_json_parse_matches_fraction(self, re, im):
+        # str(Fraction) forms take the int() path; the value and the
+        # canonical fields must be the ones Fraction parsing gives
+        exps = [0, 2] + [0] * 8
+        got = ParamPoly.from_json([[exps, str(re), str(im)]])
+        want = ParamPoly({tuple(exps): ExactScalar(re, im)})
+        assert got == want
+        assert ParamPoly.from_json([[exps, re.numerator, str(im)]]) == ParamPoly(
+            {tuple(exps): ExactScalar(re.numerator, im)}
+        )
+
+    @pytest.mark.parametrize("text", [
+        " 3 ", "+2", "1.5", "-1e-3", "3/6", "-0", "007", "-4/-2", "1_000",
+    ])
+    def test_json_other_strings_parse_as_fraction(self, text):
+        exps = [0] * 10
+        try:
+            want = ParamPoly({tuple(exps): ExactScalar(Fraction(text), 1)})
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                ParamPoly.from_json([[exps, text, "1"]])
+        else:
+            assert ParamPoly.from_json([[exps, text, "1"]]) == want
+
+    @pytest.mark.parametrize("value,error,message", [
+        ("1/0", ValueError, "coefficient '1/0' has a zero denominator"),
+        ("-3/000", ValueError, "zero denominator"),
+        ("x", ValueError, "Invalid literal for Fraction: 'x'"),
+        ("", ValueError, "Invalid literal for Fraction: ''"),
+        ("1/", ValueError, "Invalid literal"),
+        (0.5, TypeError, "expected a str or int coefficient, got float"),
+        (True, TypeError, "got bool"),
+        (None, TypeError, "got NoneType"),
+    ])
+    def test_json_rejects_bad_coefficients(self, value, error, message):
+        with pytest.raises(error, match=re_escape(message)):
+            ParamPoly.from_json([[[0] * 10, value, "0"]])
+
+    def test_json_monomial_checks(self):
+        one = ["1", "0"]
+        with pytest.raises(DegreeBoundError):
+            ParamPoly.from_json([[[MAX_DEGREE + 1] + [0] * 9, *one]])
+        with pytest.raises(ValueError, match="negative"):
+            ParamPoly.from_json([[[0, -1] + [0] * 8, *one]])
+        with pytest.raises(ValueError, match="wrong length"):
+            ParamPoly.from_json([[[0] * 9, *one]])
+        with pytest.raises(TypeError):
+            ParamPoly.from_json([[[0.0] * 10, *one]])
+        top = ParamPoly.from_json([[[MAX_DEGREE] * 10, *one]])
+        assert all(top.degree_in(name) == MAX_DEGREE for name in SYMBOLS)
+
+
+class TestSumOfProducts:
+    @given(st.lists(st.tuples(big_scalars, big_scalars), max_size=6), st.booleans())
+    def test_matches_fold(self, pairs, cancel):
+        if cancel:
+            # the same products negated, in another order: an exact zero
+            pairs = pairs + [(-x, y) for x, y in reversed(pairs)]
+        total = ZERO
+        for x, y in pairs:
+            total = total + x * y
+        got = _sum_of_products(pairs)
+        if total.is_zero():
+            assert got is None
+        else:
+            assert got == total
+        if cancel:
+            assert got is None
+
+    def test_empty_and_canonical(self):
+        assert _sum_of_products([]) is None
+        half = ExactScalar(Fraction(1, 2))
+        i = ExactScalar.i()
+        # 1/2 * 1/2 + 1/4 * 3 + i * i = 0; i/2 * 2 + 1/3 * 3/2 = 1/2 + i
+        assert _sum_of_products([(half, half), (half * half, poly(3).to_scalar()),
+                                 (i, i)]) is None
+        got = _sum_of_products([(i * half, ExactScalar(2)),
+                                (ExactScalar(Fraction(1, 3)), ExactScalar(Fraction(3, 2)))])
+        assert got == ExactScalar(Fraction(1, 2), 1)
 
 
 class TestSeries:
