@@ -26,6 +26,7 @@ from .lie_algebra import (
     build_deformed_algebra,
     build_orthogonal_algebra,
     contract,
+    flat_deformed_algebra,
     jacobi_residual,
     jacobi_triple_count,
     solve_isomorphism_scalings,
@@ -220,7 +221,7 @@ def cmd_verify_algebra(cfg: RunConfig) -> list[CheckReport]:
         )
 
         t0 = time.perf_counter()
-        flat_rho = contract(alg, rho_to_zero=True)
+        flat_rho = flat_deformed_algebra(e5)
         flat_ell = contract(alg, ell_to_zero=True)
         pp_vanish = all(
             not flat_rho.bracket(i, j) for i in _P_RANGE for j in _P_RANGE if i < j

@@ -6,7 +6,9 @@ eta = diag(1,-1,-1,-1,eps5) are realized on 4x4 matrices: gamma0..gamma3
 have purely imaginary entries, gamma5 = i g0 g1 g2 g3, and the fifth
 element is gamma5 itself (eps5 = +1) or i*gamma5 (eps5 = -1).
 
-Clifford checks run in exact arithmetic.  Float code reads the gammas
+Clifford checks run in exact arithmetic.  The exact gammas are built once
+per eps5 on first use, and the public builders hand out copies; every exact
+sum_a c_a gamma^a is written by ``gamma_sum``.  Float code reads the gammas
 from one read-only complex128 stack per eps5 (``float_gammas``), built once
 from the exact rep.  Boosts carry a 1e-12 float tolerance and take one
 generator omega of shape (4, 4) or a stack of N of them, (N, 4, 4); a stack
@@ -20,14 +22,13 @@ halved until its 1-norm is below 1, where the truncation error is below
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 import numpy as np
 
 from .lie_algebra import ETA4_DIAG
 from .matrices import ExactMatrix
-from .scalars import ExactScalar, ParamPoly, poly
+from .scalars import P_I, _packed_poly, _packed_terms, _sum_of_products, poly
 
 
 class VerificationError(RuntimeError):
@@ -52,15 +53,24 @@ _GAMMA_ENTRIES = {
 }
 
 
+@cache
+def _exact_gammas() -> tuple:
+    """g0..g3 and gamma5 = i g0 g1 g2 g3, built once and never handed out:
+    the public builders return copies."""
+    g = tuple(ExactMatrix.from_complex_entries(_GAMMA_ENTRIES[mu]) for mu in range(4))
+    return g + ((g[0] @ g[1] @ g[2] @ g[3]).scale(P_I),)
+
+
 def gamma(mu: int) -> ExactMatrix:
     """gamma^mu for mu in 0..3, exact entries."""
-    return ExactMatrix.from_complex_entries(_GAMMA_ENTRIES[mu])
+    if mu not in _GAMMA_ENTRIES:
+        raise KeyError(mu)
+    return _exact_gammas()[mu].copy()
 
 
 def gamma5() -> ExactMatrix:
     """i g0 g1 g2 g3, computed from the product."""
-    out = gamma(0) @ gamma(1) @ gamma(2) @ gamma(3)
-    return out.scale(ParamPoly.from_scalar(ExactScalar(Fraction(0), Fraction(1))))
+    return _exact_gammas()[4].copy()
 
 
 @dataclass(frozen=True)
@@ -78,21 +88,62 @@ class GammaRep:
         return self.metric5[a] if a == b else 0
 
 
-def build_majorana_rep(eps5: int) -> GammaRep:
+@cache
+def _majorana_table(eps5: int) -> tuple:
+    """The five exact gammas of the eps5 signature, shared by the builders
+    below and never handed out."""
     if eps5 not in (1, -1):
         raise ValueError("eps5 must be +1 or -1")
-    g5 = gamma5()
-    if eps5 == 1:
-        g4 = g5
-    else:
-        g4 = g5.scale(ParamPoly.from_scalar(ExactScalar(Fraction(0), Fraction(1))))
-    return GammaRep(gamma=(gamma(0), gamma(1), gamma(2), gamma(3), g4), eps5=eps5)
+    g0, g1, g2, g3, g5 = _exact_gammas()
+    return (g0, g1, g2, g3, g5 if eps5 == 1 else g5.scale(P_I))
+
+
+def build_majorana_rep(eps5: int) -> GammaRep:
+    """The Majorana rep of the eps5 signature; each call returns fresh
+    matrices, so editing them leaves later calls untouched."""
+    return GammaRep(gamma=tuple(g.copy() for g in _majorana_table(eps5)), eps5=eps5)
+
+
+@cache
+def _gamma_units(eps5: int) -> tuple:
+    """Per gamma^a, its nonzero entries as (row, column, scalar)."""
+    return tuple(
+        tuple((r, c, x.to_scalar()) for r, row in enumerate(g.rows)
+              for c, x in enumerate(row) if not x.is_zero())
+        for g in _majorana_table(eps5)
+    )
+
+
+def gamma_sum(eps5: int, coeffs) -> ExactMatrix:
+    """sum_a coeffs[a] gamma^a over the Majorana rep of the eps5 signature.
+
+    ``coeffs`` lists up to five ParamPoly (or exact numbers) for gamma^0,
+    gamma^1, ...; a zero coefficient adds nothing.  Each gamma has one
+    nonzero entry per row, so every output entry is one exact sum of
+    products per monomial, reduced once, with no ParamPoly product.
+    """
+    sums = {}
+    for units, coeff in zip(_gamma_units(eps5), coeffs):
+        terms = _packed_terms(poly(coeff))
+        for r, c, unit in units:
+            for mono, x in terms:
+                pairs = sums.get((r, c, mono))
+                if pairs is None:
+                    sums[(r, c, mono)] = [(unit, x)]
+                else:
+                    pairs.append((unit, x))
+    entries = [[{} for _ in range(4)] for _ in range(4)]
+    for (r, c, mono), pairs in sums.items():
+        total = _sum_of_products(pairs)
+        if total is not None:
+            entries[r][c][mono] = total
+    return ExactMatrix([[_packed_poly(t) for t in row] for row in entries])
 
 
 @cache
 def float_gammas(eps5: int) -> np.ndarray:
     """Read-only complex128 stack gamma[0..4] of build_majorana_rep(eps5)."""
-    stack = np.stack([g.to_complex_array() for g in build_majorana_rep(eps5).gamma])
+    stack = np.stack([g.to_complex_array() for g in _majorana_table(eps5)])
     stack.flags.writeable = False
     return stack
 
@@ -174,9 +225,8 @@ def verify_clifford(rep: GammaRep) -> list[RelationCheck]:
 
 
 def gamma5_product_check(rep: GammaRep) -> RelationCheck:
-    g5 = gamma5()
     prod = rep.gamma[0] @ rep.gamma[1] @ rep.gamma[2] @ rep.gamma[3]
-    expect = g5.scale(ParamPoly.from_scalar(ExactScalar(Fraction(0), Fraction(-1))))
+    expect = _exact_gammas()[4].scale(-P_I)
     diff = prod - expect
     ok = diff.is_zero()
     return RelationCheck(

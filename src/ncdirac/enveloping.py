@@ -10,7 +10,7 @@ Momenta precede coordinates so that vacuum rules (p acting rightward on a
 p-annihilated state) read off the trailing letters directly.
 
 The rewriting rules b a -> a b + [b, a] are not written here: they are read
-from the flat (rho = 0) table of ``lie_algebra.build_deformed_algebra``,
+from the flat (rho = 0) table of ``lie_algebra.flat_deformed_algebra``,
 whose basis lines up position by position with the first 15 tokens.  The
 only local rule is the one for Cinv, a formal generator subject to
 C*Cinv = Cinv*C = 1; its commutators follow from [x_mu, C] = i eps5 l^2 p_mu,
@@ -41,7 +41,7 @@ from .scalars import (
     poly,
     sym,
 )
-from .lie_algebra import build_deformed_algebra, contract, eta4
+from .lie_algebra import eta4, flat_deformed_algebra
 
 _HALF = ExactScalar(Fraction(1, 2))
 
@@ -208,7 +208,7 @@ def _coerce_nc(value) -> NCExpression:
 @cache
 def _flat_table(eps5: int):
     """The flat deformed table; its basis index k is the token TOKENS[k]."""
-    return contract(build_deformed_algebra(1, eps5), rho_to_zero=True)
+    return flat_deformed_algebra(eps5)
 
 
 def _bracket(eps5: int, i: int, j: int) -> NCExpression:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .scalars import (
     P_I,
@@ -114,6 +115,13 @@ class StructureConstants:
             return dict(self.brackets.get((i, j), {}))
         return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
 
+    def copy(self) -> "StructureConstants":
+        """A table whose bracket dicts are new; the immutable ParamPoly
+        coefficients are shared."""
+        out = StructureConstants(self.basis)
+        out.brackets = {pair: dict(combo) for pair, combo in self.brackets.items()}
+        return out
+
     def substitute(self, bindings) -> "StructureConstants":
         out = StructureConstants(self.basis)
         for (i, j), combo in self.brackets.items():
@@ -183,10 +191,43 @@ def _rotation_brackets(alg: StructureConstants, pairs, metric):
         alg.set_bracket(index[(a, b)], index[(c, d)], combo)
 
 
-def build_deformed_algebra(eps4: int, eps5: int) -> StructureConstants:
-    """Symbolic bracket table; coefficients are polynomials in l and rho."""
+def _check_signs(eps4: int, eps5: int):
     if eps4 not in (1, -1) or eps5 not in (1, -1):
         raise ValueError("eps4 and eps5 must be +1 or -1")
+
+
+# Each table below is built once per sign choice on first use.  The cached
+# tables are never handed out: the public builders return copies, so a
+# caller's set_bracket or in-place edit does not reach later calls.
+
+
+def build_deformed_algebra(eps4: int, eps5: int) -> StructureConstants:
+    """Symbolic bracket table; coefficients are polynomials in l and rho."""
+    _check_signs(eps4, eps5)
+    return _deformed_table(eps4, eps5).copy()
+
+
+def flat_deformed_algebra(eps5: int) -> StructureConstants:
+    """The rho -> 0 contraction of the deformed table.  It does not depend
+    on eps4, which only ever multiplies rho."""
+    if eps5 not in (1, -1):
+        raise ValueError("eps5 must be +1 or -1")
+    return _flat_table(eps5).copy()
+
+
+def build_orthogonal_algebra(eps4: int, eps5: int) -> StructureConstants:
+    """so-type algebra of the 6-d metric diag(1,-1,-1,-1,eps4,eps5)."""
+    _check_signs(eps4, eps5)
+    return _orthogonal_table(eps4, eps5).copy()
+
+
+@cache
+def _flat_table(eps5: int) -> StructureConstants:
+    return contract(_deformed_table(1, eps5), rho_to_zero=True)
+
+
+@cache
+def _deformed_table(eps4: int, eps5: int) -> StructureConstants:
     alg = StructureConstants(DEFORMED_BASIS)
     rho = sym("rho")
     ell2 = sym("l", 2)
@@ -248,10 +289,8 @@ def orthogonal_metric(eps4: int, eps5: int):
     return eta6
 
 
-def build_orthogonal_algebra(eps4: int, eps5: int) -> StructureConstants:
-    """so-type algebra of the 6-d metric diag(1,-1,-1,-1,eps4,eps5)."""
-    if eps4 not in (1, -1) or eps5 not in (1, -1):
-        raise ValueError("eps4 and eps5 must be +1 or -1")
+@cache
+def _orthogonal_table(eps4: int, eps5: int) -> StructureConstants:
     pairs = tuple(itertools.combinations(range(6), 2))
     alg = StructureConstants(tuple(f"M{a}{b}" for a, b in pairs))
     _rotation_brackets(alg, pairs, orthogonal_metric(eps4, eps5))
@@ -482,7 +521,8 @@ def solve_isomorphism_scalings(eps4: int, eps5: int) -> IsomorphismSolution:
     """
     r = sym("r")
     ell = sym("l")
-    src = build_deformed_algebra(eps4, eps5).substitute({"rho": r * r})
+    _check_signs(eps4, eps5)
+    src = _deformed_table(eps4, eps5).substitute({"rho": r * r})
     dst = build_orthogonal_algebra(eps4, eps5)
     rows = _signed_rows(src), _signed_rows(dst)
 

@@ -26,8 +26,8 @@ from .clifford import (
     VerificationError,
     _float_reality_classes,
     boost_matrix,
-    build_majorana_rep,
     float_gammas,
+    gamma_sum,
     reality_class,
     vector_boost,
 )
@@ -73,18 +73,10 @@ class ModeProblem:
 def dirac_matrix(p: ModeProblem) -> SpinorMatrix:
     """g^mu k_mu - eps5 g^4 (l/2) k^2; exact when all inputs are rational."""
     if p.exact:
-        rep = build_majorana_rep(p.eps5)
-        ell = as_fraction(p.ell)
         kf = [as_fraction(c) for c in p.k]
-        ksq = p.k_squared()
-        out = ExactMatrix.zeros(4)
-        for mu in range(4):
-            k_low = kf[mu] * ETA4_DIAG[mu]
-            if k_low:
-                out = out + rep.gamma[mu].scale(poly(ExactScalar(k_low)))
-        coeff = Fraction(-p.eps5) * ell / 2 * ksq
-        if coeff:
-            out = out + rep.gamma[4].scale(poly(ExactScalar(coeff)))
+        coeffs = [kf[mu] * ETA4_DIAG[mu] for mu in range(4)]
+        coeffs.append(Fraction(-p.eps5) * as_fraction(p.ell) / 2 * p.k_squared())
+        out = gamma_sum(p.eps5, coeffs)
         return SpinorMatrix(matrix=out, mode="exact")
     out = _float_dirac(p.eps5, float(p.ell), np.array([float(c) for c in p.k]))
     return SpinorMatrix(matrix=out, mode="float")
@@ -106,14 +98,10 @@ def _float_dirac(eps5: int, ell: float, k: np.ndarray) -> np.ndarray:
 
 def dirac_matrix_symbolic(eps5: int) -> ExactMatrix:
     """The operator with symbols k0..k3 and l, for identity checks."""
-    rep = build_majorana_rep(eps5)
     ksq = sym("k0") ** 2 - sym("k1") ** 2 - sym("k2") ** 2 - sym("k3") ** 2
-    out = ExactMatrix.zeros(4)
-    for mu in range(4):
-        out = out + rep.gamma[mu].scale(sym(f"k{mu}") * poly(ETA4_DIAG[mu]))
     half = ParamPoly.from_scalar(ExactScalar(Fraction(1, 2)))
-    out = out + rep.gamma[4].scale(ksq * sym("l") * half * poly(-eps5))
-    return out
+    coeffs = [sym(f"k{mu}") * poly(ETA4_DIAG[mu]) for mu in range(4)]
+    return gamma_sum(eps5, coeffs + [ksq * sym("l") * half * poly(-eps5)])
 
 
 def squared_identity_residual(eps5: int) -> ExactMatrix:
@@ -249,7 +237,8 @@ def boost_solutions(s: SpinorSolution, omegas) -> BoostBatch:
     Every draw must give k' to 1e-10 relative by the forward error bound
     2^-53 ||Lambda|| ||k|| <= 1e-10 ||k'|| (infinity norms; a large boost
     that shrinks k leaves only roundoff in k'), keep its residuals at most
-    1e-10 ||D(k')|| (Frobenius norm) and keep k^2 to 1e-10 relative to
+    1e-10 ||D(k')|| (Frobenius norm) plus (l/2) times the bound on the
+    error of the float k'^2 inside D(k'), and keep k^2 to 1e-10 relative to
     max(|k^2|, ||k'||^2, 1).  The first draw that fails a check raises
     VerificationError naming it (``index``); a draw's checks run in the
     order forward error, residual, k^2, rank of the moved basis, so the
@@ -286,14 +275,26 @@ def boost_solutions(s: SpinorSolution, omegas) -> BoostBatch:
         k_size = np.abs(k_new).max(axis=1)
         k2_scale = np.maximum(scale, k_size * k_size)
         d_norm = np.linalg.norm(ops, axis=(-2, -1))
+        # D(k') carries (l/2) fl(k'^2), and fl(k'^2) is off the invariant
+        # k^2 by the forward error of k' (at most 2 ||k'||_1 per unit of
+        # ``roundoff``) plus the rounding of four squares and three sums
+        # (4 * 2^-53 ||k'||_2^2); g^4 keeps norms, so the residual of an
+        # exact solution may carry (l/2) times that on top of 1e-10 ||D(k')||
+        k2_error = (2.0 * roundoff * np.abs(k_new).sum(axis=1)
+                    + 4.0 * 2.0 ** -53 * (k_new * k_new).sum(axis=1))
+        res_bound = BOOST_TOL * d_norm + ell / 2 * k2_error
     fwd_bad = ~(roundoff <= BOOST_TOL * k_size)
-    res_bad = ~(residuals <= BOOST_TOL * d_norm[:, None])
+    res_bad = ~(residuals <= res_bound[:, None])
     # k'^2 is a difference of squares of size ||k'||^2; its roundoff is
     # relative to that, not to k^2 (0 on the massless branch)
     k2_bad = ~(abs(k2_new - k2_old) <= BOOST_TOL * k2_scale)
     failing = np.flatnonzero(fwd_bad | res_bad.any(axis=1) | k2_bad)
     first = int(failing[0]) if failing.size else len(omegas)
-    classes = _float_reality_classes(u_new[:first])
+    # classify unit vectors: the classifier's 1e-10 rank tolerance is
+    # absolute, and a boost that stretches u by e^15 stretches the
+    # roundoff in its imaginary parts past it
+    moved = u_new[:first]
+    classes = _float_reality_classes(moved / np.linalg.norm(moved, axis=-1, keepdims=True))
     if first < len(omegas):
         if fwd_bad[first]:
             reason = (f"boosted momentum is roundoff: 2^-53 ||Lambda|| ||k|| = "
@@ -301,8 +302,8 @@ def boost_solutions(s: SpinorSolution, omegas) -> BoostBatch:
                       f"{BOOST_TOL * k_size[first]:.3e}")
         elif res_bad[first].any():
             r = residuals[first, np.argmax(res_bad[first])]
-            reason = (f"boosted solution residual {r:.3e} exceeds 1e-10 ||D(k')|| = "
-                      f"{BOOST_TOL * d_norm[first]:.3e}")
+            reason = (f"boosted solution residual {r:.3e} exceeds 1e-10 ||D(k')|| "
+                      f"+ (l/2) |error of fl(k'^2)| = {res_bound[first]:.3e}")
         else:
             reason = f"k^2 changed under boost: {k2_old!r} -> {k2_new[first]!r}"
         raise VerificationError(f"draw {first}: {reason}", index=first)

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .clifford import build_majorana_rep, float_gammas, gamma5, reality_class
+from .clifford import build_majorana_rep, float_gammas, gamma5, gamma_sum, reality_class
 from .lie_algebra import ETA4_DIAG
 from .matrices import ExactMatrix
 from .scalars import (ExactScalar, ParamPoly, as_fraction, is_exact_number,
@@ -103,14 +103,12 @@ class CouplingConfig:
         return math.sqrt(float(self.coupling_squared())) * float(real_value(self.vev))
 
 
-def _gamma_dot_k_exact(eps5: int, k) -> ExactMatrix:
-    rep = build_majorana_rep(eps5)
-    out = ExactMatrix.zeros(4)
+def _k_lower(k) -> list:
+    """k_mu = eta_munu k^nu as ParamPoly, from exact numbers or ParamPoly."""
+    out = []
     for mu in range(4):
-        coeff = poly(k[mu]) if isinstance(k[mu], ParamPoly) else poly(
-            ExactScalar(as_fraction(k[mu]))
-        )
-        out = out + rep.gamma[mu].scale(coeff * poly(ETA4_DIAG[mu]))
+        c = k[mu] if isinstance(k[mu], ParamPoly) else poly(ExactScalar(as_fraction(k[mu])))
+        out.append(c if ETA4_DIAG[mu] > 0 else -c)
     return out
 
 
@@ -124,14 +122,14 @@ def coupled_matrix(k, c: CouplingConfig):
     k_ok = all(isinstance(x, ParamPoly) or is_exact_number(x) for x in k)
     if not (c.exact and k_ok):
         return _coupled_matrix_float(k, c)
-    rep = build_majorana_rep(c.eps5)
-    gk = _gamma_dot_k_exact(c.eps5, k)
+    k_low = _k_lower(k)
+    gk = gamma_sum(c.eps5, k_low)
     g = c.g_exact()
     v = ExactScalar(as_fraction(c.vev))
     gv = poly(g * v)
     gvc = poly(g.conjugate() * v)
     mh = poly(ExactScalar(Fraction(2) / as_fraction(c.ell)))
-    lower_right = gk + rep.gamma[4].scale(mh)
+    lower_right = gamma_sum(c.eps5, k_low + [mh])
     eye = ExactMatrix.identity(4)
     out = ExactMatrix.zeros(8)
     for i in range(4):
@@ -167,10 +165,10 @@ def leading_order_reduction(c: CouplingConfig):
     ell = ExactScalar(as_fraction(c.ell))
     w_coeff = poly(-c.eps5) * poly(g.conjugate() * v * ell * _HALF)
     W = rep.gamma[4].scale(w_coeff)
-    mass_term = W.scale(poly(g * v))
+    mass_coeff = w_coeff * poly(g * v)
 
     def effective(k) -> ExactMatrix:
-        return _gamma_dot_k_exact(c.eps5, k) + mass_term
+        return gamma_sum(c.eps5, _k_lower(k) + [mass_coeff])
 
     return W, effective
 

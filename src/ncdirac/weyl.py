@@ -18,12 +18,7 @@ from __future__ import annotations
 
 from math import comb, factorial
 
-from .lie_algebra import (
-    DEFORMED_BASIS,
-    build_deformed_algebra,
-    contract,
-    eta4,
-)
+from .lie_algebra import DEFORMED_BASIS, eta4, flat_deformed_algebra
 from .scalars import P_I, P_ONE, ParamPoly, poly, sym
 
 NVARS = 5
@@ -115,31 +110,23 @@ class WeylOperator:
         if not isinstance(other, WeylOperator):
             return NotImplemented
         acc: dict = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                base = c1 * c2
-                # contract b1 against a2 componentwise
-                ranges = [range(min(x, y) + 1) for x, y in zip(b1, a2)]
-                for nu in _product(ranges):
-                    weight = 1
-                    for bc, ac, nc in zip(b1, a2, nu):
-                        weight *= comb(bc, nc) * comb(ac, nc) * factorial(nc)
-                    alpha = tuple(x + y - n for x, y, n in zip(a1, a2, nu))
-                    beta = tuple(x + y - n for x, y, n in zip(b1, b2, nu))
-                    coeff = base * weight
-                    key = (alpha, beta)
-                    prev = acc.get(key)
-                    total = coeff if prev is None else prev + coeff
-                    if total.is_zero():
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = total
+        _compose_into(acc, self.terms, other.terms, contractions_only=False)
         made = WeylOperator.__new__(WeylOperator)
         made.terms = acc
         return made
 
     def commutator(self, other: "WeylOperator") -> "WeylOperator":
-        return (self @ other) - (other @ self)
+        """self @ other - other @ self, from the contraction terms alone.
+
+        The nu = 0 term of a term pair is the same product of commuting
+        coefficients in both orders, so it cancels exactly and is never
+        formed."""
+        acc: dict = {}
+        _compose_into(acc, self.terms, other.terms, contractions_only=True)
+        _compose_into(acc, other.terms, self.terms, contractions_only=True, negate=True)
+        made = WeylOperator.__new__(WeylOperator)
+        made.terms = acc
+        return made
 
     def substitute(self, bindings) -> "WeylOperator":
         return WeylOperator({k: c.substitute(bindings) for k, c in self.terms.items()})
@@ -172,6 +159,38 @@ class WeylOperator:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+def _compose_into(acc: dict, left: dict, right: dict, contractions_only: bool,
+                  negate: bool = False):
+    """Add the normal-ordered terms of left @ right (or subtract them, with
+    ``negate``) to ``acc``; with ``contractions_only`` only the terms with
+    at least one contraction (nu != 0)."""
+    for (a1, b1), c1 in left.items():
+        for (a2, b2), c2 in right.items():
+            # contract b1 against a2 componentwise
+            ranges = [range(min(x, y) + 1) for x, y in zip(b1, a2)]
+            if contractions_only and all(len(r) == 1 for r in ranges):
+                continue
+            base = c1 * c2
+            if negate:
+                base = -base
+            for nu in _product(ranges):
+                if contractions_only and not any(nu):
+                    continue
+                weight = 1
+                for bc, ac, nc in zip(b1, a2, nu):
+                    weight *= comb(bc, nc) * comb(ac, nc) * factorial(nc)
+                alpha = tuple(x + y - n for x, y, n in zip(a1, a2, nu))
+                beta = tuple(x + y - n for x, y, n in zip(b1, b2, nu))
+                coeff = base if weight == 1 else base * weight
+                key = (alpha, beta)
+                prev = acc.get(key)
+                total = coeff if prev is None else prev + coeff
+                if total.is_zero():
+                    acc.pop(key, None)
+                else:
+                    acc[key] = total
 
 
 def _product(ranges):
@@ -233,7 +252,7 @@ def verify_rep_closure(eps5: int):
     representation is faithful to the flat table iff every residual is zero.
     """
     rep = build_rep(eps5)
-    table = contract(build_deformed_algebra(1, eps5), rho_to_zero=True)
+    table = flat_deformed_algebra(eps5)
     names = DEFORMED_BASIS
     out = {fam: [] for fam in BRACKET_FAMILIES}
     for idx_a in range(len(names)):

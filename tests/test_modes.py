@@ -1,6 +1,7 @@
 """Dispersion branches, exact nullspaces, and boost covariance."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -216,6 +217,46 @@ def test_heavy_boost_at_rapidity_ten_passes(eps5, rapidity):
     worst = max(residual(moved.k, u, moved.ell, eps5) for u in moved.basis)
     assert 1e-10 < worst < 1e-10 * np.linalg.norm(
         dirac_matrix(ModeProblem(eps5=eps5, ell=1.0, k=moved.k)).as_array())
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+@pytest.mark.parametrize("rapidity", [20.0, 30.0])
+def test_massless_boost_that_grows_k_passes(eps5, rapidity):
+    # k'^2 is 0, but the float k'^2 inside D(k') reads 128 at 20 and 3.4e10
+    # at 30 (k'0 and k'3 differ in their last bits): the residual is exactly
+    # (l/2) |fl(k'^2)|, inside the bound on that error
+    sol = reference_solutions(Fraction(1), eps5, "massless")
+    batch = boost_solutions(sol, _axis_boost(rapidity)[None])
+    moved = batch.solutions[0]
+    assert np.allclose(moved.k, np.exp(rapidity) * np.array([1.0, 0, 0, 1.0]),
+                       rtol=1e-12, atol=0.0)
+    assert moved.spinor_class == sol.spinor_class
+    k = moved.k
+    k2 = k[0] * k[0] - k[1] * k[1] - k[2] * k[2] - k[3] * k[3]
+    assert k2 != 0.0
+    assert np.allclose(batch.residuals, abs(k2) / 2, rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+@pytest.mark.parametrize("rapidity", [-20.0, -30.0])
+def test_massless_boost_that_shrinks_k_is_roundoff(eps5, rapidity):
+    # e^-20 (1, 0, 0, 1) comes out as about (3e-8, 0, 0, -3e-8)
+    sol = reference_solutions(Fraction(1), eps5, "massless")
+    with pytest.raises(VerificationError, match="^draw 0: boosted momentum is roundoff"):
+        boost_solution(sol, _axis_boost(rapidity))
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+@pytest.mark.parametrize("rapidity", [0.5, 20.0, 30.0])
+def test_off_shell_spinor_fails_at_large_boosts(eps5, rapidity):
+    # the massless kernel at k = (1, 0, 0, -1) is not a solution at
+    # (1, 0, 0, 1); boosted, its residual grows like e^rapidity (9.7e8 at
+    # 20 against a bound of 157) and stays far outside the roundoff bound
+    sol = reference_solutions(Fraction(1), eps5, "massless")
+    wrong = dirac_matrix(ModeProblem(eps5=eps5, ell=Fraction(1), k=(1, 0, 0, -1)))
+    bad = replace(sol, basis=tuple(tuple(v) for v in wrong.matrix.kernel()))
+    with pytest.raises(VerificationError, match="^draw 0: boosted solution residual"):
+        boost_solution(bad, _axis_boost(rapidity))
 
 
 def test_boost_solution_rejects_nearly_antisymmetric_generator():

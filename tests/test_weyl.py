@@ -1,8 +1,10 @@
 """Differential-operator realization closes on the flat-momentum algebra."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ncdirac.lie_algebra import build_deformed_algebra, contract
+from ncdirac import weyl
+from ncdirac.lie_algebra import DEFORMED_BASIS, build_deformed_algebra, contract
 from ncdirac.scalars import ExactScalar, poly, sym
 from ncdirac.weyl import (
     BRACKET_FAMILIES,
@@ -90,3 +92,54 @@ def test_weyl_product_is_associative_on_samples():
     rep = build_rep(1)
     a, b, c = rep["x0"], rep["M01"], rep["C"]
     assert ((a @ b) @ c - a @ (b @ c)).is_zero()
+
+
+# -- the contraction-only commutator against the full compositions ----------
+
+_ORDERS = st.tuples(*[st.integers(0, 3)] * 5)
+_COEFFS = st.builds(
+    lambda re, im, a: poly(ExactScalar(re, im)) * sym("l", a),
+    st.integers(-4, 4), st.integers(-4, 4), st.integers(0, 3),
+)
+_OPERATORS = st.dictionaries(st.tuples(_ORDERS, _ORDERS), _COEFFS, max_size=4).map(
+    WeylOperator
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_OPERATORS, _OPERATORS)
+def test_commutator_equals_difference_of_compositions(a, b):
+    assert a.commutator(b) == (a @ b) - (b @ a)
+    assert weyl_commutator(b, a) == (b @ a) - (a @ b)
+
+
+def _reference_closure(rep, eps5):
+    """verify_rep_closure's residuals with (a@b) - (b@a) commutators."""
+    table = contract(build_deformed_algebra(1, eps5), rho_to_zero=True)
+    out = {}
+    for i, a in enumerate(DEFORMED_BASIS):
+        for j in range(i + 1, len(DEFORMED_BASIS)):
+            b = DEFORMED_BASIS[j]
+            rhs = WeylOperator()
+            for k, coeff in table.bracket(i, j).items():
+                rhs = rhs + rep[DEFORMED_BASIS[k]].scale(coeff)
+            out[(a, b)] = (rep[a] @ rep[b]) - (rep[b] @ rep[a]) - rhs
+    return out
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+@pytest.mark.parametrize("name", ["x0", "x2"])
+def test_tampered_realization_gives_the_same_residuals(monkeypatch, eps5, name):
+    rep = build_rep(eps5)
+    # flip the sign of the l xi_mu d_4 term of one coordinate
+    key = next(k for k in rep[name].terms if k[1][4])
+    terms = dict(rep[name].terms)
+    terms[key] = -terms[key]
+    rep[name] = WeylOperator(terms)
+    monkeypatch.setattr(weyl, "build_rep", lambda e: dict(rep))
+    got = {pair: r for rows in verify_rep_closure(eps5).values() for pair, r in rows}
+    want = _reference_closure(rep, eps5)
+    assert got == want
+    broken = [pair for pair, r in got.items() if not r.is_zero()]
+    assert ("M02", name) in broken
+    assert not closure_holds(eps5)
