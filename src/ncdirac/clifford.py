@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-import numpy as np
-
+from ._numpy import np
 from .lie_algebra import ETA4_DIAG
 from .matrices import ExactMatrix
 from .scalars import P_I, _packed_poly, _packed_terms, _sum_of_products, poly
@@ -254,9 +253,6 @@ def majorana_imaginary_check(rep: GammaRep) -> RelationCheck:
     )
 
 
-_ETA4_DIAG = np.array(ETA4_DIAG, dtype=float)
-
-
 def _stack_where(array: np.ndarray, index) -> str:
     """' (slice i)' for a stack of matrices, '' for a single one."""
     return f" (slice {index})" if array.ndim == 3 else ""
@@ -329,7 +325,7 @@ def vector_generator(omega) -> np.ndarray:
     """Mixed-index generator: omega^mu_nu = eta^{mu alpha} omega_{alpha nu},
     for one omega or a stack."""
     omega = _check_omega(omega)
-    return _ETA4_DIAG[:, None] * omega
+    return np.array(ETA4_DIAG, dtype=float)[:, None] * omega
 
 
 def boost_matrix(omega) -> SpinorMatrix:
@@ -359,11 +355,11 @@ def pairing_residual(omega) -> float:
 
 
 def _is_float_entry(value) -> bool:
-    if isinstance(value, complex):
+    if isinstance(value, (complex, float)):
         return True
-    if isinstance(value, float):
-        return True
-    if isinstance(value, np.generic):
+    # numpy is asked only about values of its own types, so an exact basis
+    # does not load it
+    if type(value).__module__ == "numpy" and isinstance(value, np.generic):
         return np.iscomplexobj(value) or isinstance(value, np.floating)
     return False
 
@@ -373,7 +369,8 @@ def reality_class(basis, mode: str | None = None, tol: float = 1e-10) -> str:
     (equivalently, admits an all-real basis), 'Dirac' otherwise.
 
     Exact mode runs Gaussian elimination over the coefficient field; float
-    mode compares numerical ranks via singular values.  Rank-deficient
+    mode compares numerical ranks of the normalised vectors via singular
+    values, so ``tol`` does not depend on the basis's scale.  Rank-deficient
     input is rejected because the classification is about the spanned
     subspace, so the basis must actually be one.
     """
@@ -397,10 +394,14 @@ def reality_class(basis, mode: str | None = None, tol: float = 1e-10) -> str:
 
 def _float_reality_classes(bases: np.ndarray, tol: float = 1e-10) -> list[str]:
     """reality_class in float mode for one basis of shape (m, n), or for each
-    basis in a stack of shape (N, m, n), by stacked singular values.
+    basis in a stack of shape (N, m, n), by stacked singular values of the
+    normalised vectors (the rank tolerance is absolute, and a basis of
+    large norm carries roundoff above it).
 
     Raises ValueError, naming the first such basis of a stack, when a basis
     is rank-deficient."""
+    norms = np.linalg.norm(bases, axis=-1, keepdims=True)
+    bases = bases / np.where(norms == 0, 1.0, norms)  # a zero vector stays zero
     m = bases.shape[-2]
     short = np.flatnonzero(np.linalg.matrix_rank(bases, tol=tol) != m)
     if short.size:

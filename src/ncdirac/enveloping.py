@@ -30,8 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-import numpy as np
-
+from ._numpy import np
 from .scalars import (
     ExactScalar,
     P_I,

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
+from ._numpy import np
 from .scalars import ExactScalar, P_ONE, P_ZERO, ParamPoly, poly
 
 

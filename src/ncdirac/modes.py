@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import numpy as np
-
+from ._numpy import np
 from .clifford import (
     SpinorMatrix,
     VerificationError,
@@ -290,11 +289,7 @@ def boost_solutions(s: SpinorSolution, omegas) -> BoostBatch:
     k2_bad = ~(abs(k2_new - k2_old) <= BOOST_TOL * k2_scale)
     failing = np.flatnonzero(fwd_bad | res_bad.any(axis=1) | k2_bad)
     first = int(failing[0]) if failing.size else len(omegas)
-    # classify unit vectors: the classifier's 1e-10 rank tolerance is
-    # absolute, and a boost that stretches u by e^15 stretches the
-    # roundoff in its imaginary parts past it
-    moved = u_new[:first]
-    classes = _float_reality_classes(moved / np.linalg.norm(moved, axis=-1, keepdims=True))
+    classes = _float_reality_classes(u_new[:first])
     if first < len(omegas):
         if fwd_bad[first]:
             reason = (f"boosted momentum is roundoff: 2^-53 ||Lambda|| ||k|| = "

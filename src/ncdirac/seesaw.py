@@ -27,8 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from ._numpy import np
 from .clifford import build_majorana_rep, float_gammas, gamma5, gamma_sum, reality_class
 from .lie_algebra import ETA4_DIAG
 from .matrices import ExactMatrix

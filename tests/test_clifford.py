@@ -294,16 +294,52 @@ def test_stacked_overflow_names_the_slice():
     assert info.value.index is None
 
 
-def test_import_leaves_scipy_unloaded():
+def _run_python(code: str) -> list[str]:
     src = str(Path(ncdirac.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, ncdirac; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, check=True,
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
     ).stdout
-    assert out.strip() == "[]"
+    return out.splitlines()
+
+
+_QUIET_MAIN = """
+import contextlib, io, sys
+from ncdirac import cli
+
+def main(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.main(argv)
+        except SystemExit as exc:
+            return exc.code
+"""
+
+
+def test_import_leaves_scipy_unloaded():
+    # numpy is registered lazily and loads on first float use; its own
+    # import loads numpy.linalg (numpy 1.24 and 2.x), which shows it ran
+    loaded = ("print(sorted(m for m in sys.modules "
+              "if m.split('.')[0] == 'scipy' or m == 'numpy.linalg'))")
+    fixture = Path(__file__).resolve().parent / "golden" / "tampered_deformed_fixture.json"
+    exact = [["verify", "algebra", "--fixture", str(fixture)], ["verify", "rep"],
+             ["verify", "clifford"], ["--help"], ["verify", "--no-such-option"]]
+    out = _run_python(
+        "import sys, ncdirac\n"
+        "assert ncdirac.reality_class([(1, 1, 0, 0), (0, 0, 1, -1)]) == 'Majorana'\n"
+        f"{loaded}\n{_QUIET_MAIN}\n"
+        f"print([main(argv) for argv in {exact!r}])\n{loaded}\n"
+        f"print(main(['verify', 'planewave']))\n{loaded}\n"
+    )
+    assert out == ["[]", "[1, 0, 0, 0, 2]", "[]", "0", "['numpy.linalg']"]
+    # a caller that imported numpy first: the float code uses that module
+    out = _run_python(
+        f"import numpy, ncdirac\n{_QUIET_MAIN}\n"
+        "from ncdirac._numpy import np\n"
+        "print(np is numpy, main(['verify', 'planewave']))\n"
+    )
+    assert out == ["True 0"]
 
 
 class TestRealityClass:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ncdirac.checks import RunConfig, _boost_covariance, _boost_draws, cmd_modes
-from ncdirac.clifford import VerificationError
+from ncdirac.clifford import VerificationError, boost_matrix, reality_class
 from ncdirac.matrices import vector_matmul
 from ncdirac.modes import (
     ModeProblem,
@@ -235,6 +235,19 @@ def test_massless_boost_that_grows_k_passes(eps5, rapidity):
     k2 = k[0] * k[0] - k[1] * k[1] - k[2] * k[2] - k[3] * k[3]
     assert k2 != 0.0
     assert np.allclose(batch.residuals, abs(k2) / 2, rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+def test_float_class_does_not_depend_on_the_basis_scale(eps5):
+    # S u at rapidity 30 has entries of about 3.3e6; its imaginary parts
+    # are exactly 0, but the singular values of the conjugation closure
+    # carry roundoff above an absolute 1e-10
+    sol = reference_solutions(Fraction(1), eps5, "massless")
+    S = boost_matrix(_axis_boost(30.0)).matrix
+    moved = np.array([S @ np.array([complex(c) for c in u]) for u in sol.basis])
+    assert np.abs(moved).max() > 1e6
+    for basis in (moved, moved * 1e-12, moved / np.abs(moved).max()):
+        assert reality_class(basis, mode="float") == sol.spinor_class == "Majorana"
 
 
 @pytest.mark.parametrize("eps5", [1, -1])
