@@ -73,9 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd")
 
     p_verify = sub.add_parser("verify", help="run one family of identity checks")
-    p_verify.add_argument(
-        "target", choices=("algebra", "rep", "clifford", "planewave")
-    )
+    p_verify.add_argument("target", choices=checks.VERIFY_FAMILIES)
     p_verify.add_argument("--all-signs", action="store_true",
                           help="force the sweep over every sign choice")
     _add_common(p_verify)
@@ -121,37 +119,31 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
-    def pick(flag, key, convert):
+    defaults = RunConfig()
+
+    def pick(flag, key, convert, field=None):
+        """The flag, else the config file's value, else the default."""
         if flag is not None:
             return flag
         if key in file_cfg and file_cfg[key] is not None:
             return convert(file_cfg[key])
-        return None
+        return getattr(defaults, field or key)
 
     eps4 = pick(args.eps4, "eps4", int)
     eps5 = pick(args.eps5, "eps5", int)
     if getattr(args, "all_signs", False):
         eps4 = eps5 = None
-    ell = pick(args.ell, "ell", lambda v: Fraction(str(v)))
-    g = pick(args.g, "g", lambda v: ExactScalar.parse(str(v)))
-    vev = pick(args.vev, "vev", lambda v: Fraction(str(v)))
-    order = pick(args.order, "order", int)
-    seed = pick(args.seed, "seed", int)
-    fmt = pick(args.fmt, "format", str)
-    fixture = pick(args.fixture, "fixture", str)
-
-    defaults = RunConfig()
     return RunConfig(
         eps4=eps4,
         eps5=eps5,
-        ell=ell if ell is not None else defaults.ell,
-        g=g if g is not None else defaults.g,
-        vev=vev if vev is not None else defaults.vev,
-        order=order if order is not None else defaults.order,
-        seed=seed if seed is not None else defaults.seed,
-        fmt=fmt if fmt is not None else defaults.fmt,
+        ell=pick(args.ell, "ell", lambda v: Fraction(str(v))),
+        g=pick(args.g, "g", lambda v: ExactScalar.parse(str(v))),
+        vev=pick(args.vev, "vev", lambda v: Fraction(str(v))),
+        order=pick(args.order, "order", int),
+        seed=pick(args.seed, "seed", int),
+        fmt=pick(args.fmt, "format", str, "fmt"),
         out=args.out,
-        fixture=fixture,
+        fixture=pick(args.fixture, "fixture", str),
         timings=getattr(args, "timings", False),
     )
 
@@ -193,20 +185,11 @@ def main(argv=None) -> int:
             _emit(text, cfg.out)
             return 0 if all(r["status"] == "ok" for r in rows) else 1
 
-        if args.cmd == "verify":
-            runner = {
-                "algebra": checks.cmd_verify_algebra,
-                "rep": checks.cmd_verify_rep,
-                "clifford": checks.cmd_verify_clifford,
-                "planewave": checks.cmd_verify_planewave,
-            }[args.target]
-        elif args.cmd == "modes":
-            runner = checks.cmd_modes
-        elif args.cmd == "seesaw":
-            runner = checks.cmd_seesaw
+        if args.cmd == "check":
+            reports = checks.cmd_check_all(cfg)
         else:
-            runner = checks.cmd_check_all
-        reports = runner(cfg)
+            family = args.target if args.cmd == "verify" else args.cmd
+            reports = checks.command(family)(cfg)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"ncdirac: error: {exc}", file=sys.stderr)
         return 2

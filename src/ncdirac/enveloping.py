@@ -28,7 +28,7 @@ declared truncation order only bounds the l-degree kept in coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 from ._numpy import np
 from .scalars import (
@@ -401,45 +401,68 @@ def project_vacuum(expr: NCExpression) -> ParamPoly:
 
 
 class PlaneWaveCheck:
-    """Symbolic remainders of the three plane-wave commutation identities."""
+    """Symbolic remainders of the three plane-wave commutation identities.
+
+    Each remainder is formed on first access, so ``momentum_remainders``
+    costs the four ``[p_mu, A]`` normal forms and ``centrality_remainders``
+    adds only its sweep over the generators.
+    """
 
     def __init__(self, eps5: int, order: int = 4):
         self.eps5 = eps5
         self.order = order
-        A = PlaneWaveExponent(eps5, order).expression
-        d4 = Derivation(eps5, 4)
-        ell = sym("l")
+        self._exponent = PlaneWaveExponent(eps5, order).expression
 
-        # (i) [p_mu, A] = k_mu  (four remainders), plus centrality sweep
-        self.momentum_remainders = []
-        self.centrality_remainders = []
-        for mu in range(4):
-            comm = normal_form(
-                commutator(NCExpression.gen(f"p{mu}"), A), eps5, order=order
-            )
-            self.momentum_remainders.append(comm - NCExpression.unit(k_lower(mu)))
+    def _normal_commutator(self, a: NCExpression, b: NCExpression) -> NCExpression:
+        return normal_form(commutator(a, b), self.eps5, order=self.order)
+
+    @cached_property
+    def _momentum_commutators(self) -> list:
+        return [self._normal_commutator(NCExpression.gen(f"p{mu}"), self._exponent)
+                for mu in range(4)]
+
+    @cached_property
+    def momentum_remainders(self) -> list:
+        """(i) [p_mu, A] - k_mu for mu = 0..3"""
+        return [comm - NCExpression.unit(k_lower(mu))
+                for mu, comm in enumerate(self._momentum_commutators)]
+
+    @cached_property
+    def centrality_remainders(self) -> list:
+        """(mu, token, [[p_mu, A], X]) for each generator X it fails to commute with"""
+        out = []
+        for mu, comm in enumerate(self._momentum_commutators):
             for token in TOKENS:
-                c2 = normal_form(
-                    commutator(comm, NCExpression.gen(token)), eps5, order=order
-                )
+                c2 = self._normal_commutator(comm, NCExpression.gen(token))
                 if not c2.is_zero():
-                    self.centrality_remainders.append((mu, token, c2))
+                    out.append((mu, token, c2))
+        return out
 
-        # (ii) d_4(A) = i eps5 l k.p
-        dA = d4(A, order=order)
-        self.derivative_remainder = dA - momentum_dot(I * eps5 * ell)
+    @cached_property
+    def _derivative(self) -> NCExpression:
+        return Derivation(self.eps5, 4)(self._exponent, order=self.order)
 
-        # (iii) [A, d_4(A)] = -i eps5 l k^2
-        self.mixed_remainder = normal_form(
-            commutator(A, dA), eps5, order=order
-        ) + NCExpression.unit(I * eps5 * ell * k_squared())
+    @cached_property
+    def derivative_remainder(self) -> NCExpression:
+        """(ii) d_4(A) - i eps5 l k.p"""
+        return self._derivative - momentum_dot(I * self.eps5 * sym("l"))
 
-        # scalar acting on the vacuum through the exponential:
-        # dA + (1/2)[A, dA] with p_mu -> k_mu gives i eps5 l k^2 / 2
-        lemma_scalar = dA + normal_form(
-            commutator(A, dA), eps5, order=order
-        ).scale(ParamPoly.from_scalar(_HALF))
-        self.vacuum_scalar = project_vacuum(lemma_scalar)
+    @cached_property
+    def _mixed_commutator(self) -> NCExpression:
+        return self._normal_commutator(self._exponent, self._derivative)
+
+    @cached_property
+    def mixed_remainder(self) -> NCExpression:
+        """(iii) [A, d_4(A)] + i eps5 l k^2"""
+        return self._mixed_commutator + NCExpression.unit(
+            I * self.eps5 * sym("l") * k_squared())
+
+    @cached_property
+    def vacuum_scalar(self) -> ParamPoly:
+        """dA + (1/2)[A, dA] with p_mu -> k_mu, the scalar acting on the
+        vacuum through the exponential: i eps5 l k^2 / 2"""
+        half = ParamPoly.from_scalar(_HALF)
+        return project_vacuum(self._derivative + self._mixed_commutator.scale(half))
 
     def all_remainders(self):
         rems = list(self.momentum_remainders)

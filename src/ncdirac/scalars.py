@@ -19,9 +19,11 @@ equations are cleared of denominators or the dedicated symbol ``m`` is used.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from numbers import Integral
 from typing import Iterable, Mapping, Union
 
 # Fixed parameter alphabet.  Order matters: monomial exponent vectors are
@@ -82,6 +84,8 @@ def as_fraction(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, ExactScalar):
         return value.to_fraction()
+    if isinstance(value, Integral):  # numpy integers, say
+        return Fraction(operator.index(value))
     raise TypeError(
         f"expected an exact rational, got {type(value).__name__}; "
         "convert floats explicitly with ExactScalar.from_float"
@@ -322,6 +326,8 @@ def _coerce_scalar(value) -> ExactScalar:
         return _make(value, 0, 1)
     if isinstance(value, Fraction):
         return _make(value.numerator, 0, value.denominator)
+    if isinstance(value, Integral):  # numpy integers, say
+        return _make(operator.index(value), 0, 1)
     raise TypeError(f"cannot coerce {type(value).__name__} to ExactScalar")
 
 

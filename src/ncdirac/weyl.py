@@ -16,6 +16,7 @@ placement used everywhere else in the package.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb, factorial
 
 from .lie_algebra import DEFORMED_BASIS, eta4, flat_deformed_algebra
@@ -245,25 +246,36 @@ def _family(name_a: str, name_b: str) -> str:
     return "MM" if fam in ("MC", "CC") else fam
 
 
-def verify_rep_closure(eps5: int):
-    """Residuals rep([a,b]) - [rep a, rep b] for every generator pair.
+def closure_families(eps5: int):
+    """Residuals rep([a,b]) - [rep a, rep b] for every generator pair, one
+    bracket family at a time.
 
-    Returns dict family -> list of (pair names, residual WeylOperator); the
-    representation is faithful to the flat table iff every residual is zero.
+    Yields (family, list of (pair names, residual WeylOperator)) for each
+    entry of BRACKET_FAMILIES in turn, pairs in basis order; a family's
+    commutators are formed only when its step runs.
     """
     rep = build_rep(eps5)
     table = flat_deformed_algebra(eps5)
     names = DEFORMED_BASIS
-    out = {fam: [] for fam in BRACKET_FAMILIES}
-    for idx_a in range(len(names)):
-        for idx_b in range(idx_a + 1, len(names)):
+    pairs = {fam: [] for fam in BRACKET_FAMILIES}
+    for idx_a, idx_b in combinations(range(len(names)), 2):
+        pairs[_family(names[idx_a], names[idx_b])].append((idx_a, idx_b))
+    for fam in BRACKET_FAMILIES:
+        rows = []
+        for idx_a, idx_b in pairs[fam]:
             a, b = names[idx_a], names[idx_b]
             lhs = weyl_commutator(rep[a], rep[b])
             rhs = WeylOperator()
             for k, coeff in table.bracket(idx_a, idx_b).items():
                 rhs = rhs + rep[names[k]].scale(coeff)
-            out[_family(a, b)].append(((a, b), lhs - rhs))
-    return out
+            rows.append(((a, b), lhs - rhs))
+        yield fam, rows
+
+
+def verify_rep_closure(eps5: int):
+    """Dict family -> rows of `closure_families`; the representation is
+    faithful to the flat table iff every residual is zero."""
+    return dict(closure_families(eps5))
 
 
 def closure_holds(eps5: int) -> bool:

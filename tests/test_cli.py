@@ -8,10 +8,11 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from ncdirac import checks
+from ncdirac import checks, enveloping, weyl
 from ncdirac.cli import main
 from ncdirac.lie_algebra import build_deformed_algebra
 
@@ -75,6 +76,40 @@ def test_clifford_relation_count(capsys):
         if "anticommutator" in r["check"] or "square" in r["check"]
     ]
     assert len(relation_reports) == 20
+
+
+def test_timings_charge_each_row_its_own_work(capsys, monkeypatch):
+    # a fake clock that advances one second per Weyl commutator or normal
+    # form, so a row's duration counts the work its own check did
+    ticks = [0]
+
+    def counted(fn):
+        def wrapped(*args, **kwargs):
+            ticks[0] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(weyl.WeylOperator, "commutator",
+                        counted(weyl.WeylOperator.commutator))
+    monkeypatch.setattr(enveloping, "normal_form", counted(enveloping.normal_form))
+    monkeypatch.setattr(checks, "time", SimpleNamespace(perf_counter=lambda: float(ticks[0])))
+    code, out = run(capsys, "check", "all", "--eps5", "-1", "--timings")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    rep = [r for r in reports if r["check"].startswith("rep_closure_")]
+    assert len(rep) == 8
+    for r in rep:
+        assert float(r["duration_ms"]) == 1000 * r["details"]["pairs"], r["check"]
+    forms = {r["check"]: float(r["duration_ms"]) / 1000
+             for r in reports if r["check"].startswith("planewave_")}
+    assert forms == {
+        "planewave_momentum": 4,  # [p_mu, A]
+        "planewave_centrality": 4 * len(enveloping.TOKENS),  # [[p_mu, A], X]
+        "planewave_derivative": 1,
+        "planewave_mixed": 1,  # [A, d4(A)], which the vacuum row reuses
+        "planewave_vacuum": 0,
+        "planewave_lemma_numeric": 0,
+    }
 
 
 def test_planewave_order_flag(capsys):

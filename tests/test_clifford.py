@@ -345,6 +345,8 @@ def test_import_leaves_scipy_unloaded():
 class TestRealityClass:
     def test_real_basis_is_majorana(self):
         assert reality_class([(1, 1, 0, 0), (0, 0, 1, -1)]) == "Majorana"
+        # a numpy integer entry is exact too
+        assert reality_class([(np.int64(1), 1, 0, 0), (0, 0, 1, -1)]) == "Majorana"
 
     def test_paired_imaginary_is_dirac(self):
         assert reality_class([(1, 0, J, 0), (0, 1, 0, J)]) == "Dirac"
