@@ -18,9 +18,8 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 
-from ._numpy import np
 from .scalars import ExactScalar, ParamPoly, poly, real_value, sym
 from .lie_algebra import (
     StructureConstants,
@@ -34,6 +33,7 @@ from .lie_algebra import (
 )
 from .weyl import closure_families
 from .enveloping import k_squared, lemma_matrix_check, verify_plane_wave_relations
+from .cayley import boost_defect, cayley_boosts
 from .clifford import (
     VerificationError,
     build_majorana_rep,
@@ -42,8 +42,6 @@ from .clifford import (
     verify_clifford,
 )
 from .modes import (
-    BOOST_TOL,
-    boost_solutions,
     dispersion_roots,
     reference_solutions,
     residual as mode_residual,
@@ -60,7 +58,6 @@ from .seesaw import (
 
 SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 BOOST_DRAWS = 100
-LEMMA_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -385,12 +382,12 @@ def cmd_verify_planewave(cfg: RunConfig):
         res = lemma_matrix_check(e5)
         worst = max(res.values())
         yield _row(
-            "planewave_lemma_numeric", params,
-            ok=worst < LEMMA_TOL,
+            "planewave_lemma", params,
+            ok=worst == 0,
             relation="[p, e^A] = [p, A] e^A and d(e^A) = (dA + (1/2)[A, dA]) e^A "
                      "on a nilpotent matrix model",
             residual=worst,
-            details={k: v for k, v in sorted(res.items())},
+            details=res,
         )
 
 
@@ -399,6 +396,7 @@ def cmd_verify_planewave(cfg: RunConfig):
 
 @_command
 def cmd_modes(cfg: RunConfig):
+    draws = None
     for e5 in cfg.eps5_values():
         params = {"ell": str(cfg.ell), "eps5": e5}
 
@@ -452,62 +450,58 @@ def cmd_modes(cfg: RunConfig):
             )
 
         if len(solutions) == 2:
-            omegas = _boost_draws(random.Random(cfg.seed))
-            worst_res, worst_drift, failure = _boost_covariance(
-                (solutions["heavy"], solutions["massless"]), omegas
-            )
+            if draws is None:  # the draws depend on the seed only
+                draws = _cayley_draws(cfg.seed)
+            boosts, error = draws
+            pair = (solutions["heavy"], solutions["massless"])
+            # trial t moves pair[t % 2]; each trial before the first
+            # failing one holds its relations exactly, with residual 0
+            failures = []
+            for parity, sol in enumerate(pair):
+                defect = boost_defect(sol, boosts[parity::2])
+                if defect:
+                    t = 2 * defect[0] + parity
+                    failures.append((t, f"{sol.branch} draw {t}: {defect[1]}"))
+            if error is not None:
+                failures.append((error.index, f"{pair[error.index % 2].branch} {error}"))
+            failure = min(failures)[1] if failures else None
+            height = max((b.height_bits for b in boosts), default=None)
         else:
-            worst_res = worst_drift = 0.0
-            failure = "reference solutions unavailable"
+            failure, height = "reference solutions unavailable", None
         yield _row(
             "modes_boost_covariance",
             {**params, "seed": cfg.seed},
-            ok=failure is None and worst_res < BOOST_TOL and worst_drift < BOOST_TOL,
+            ok=failure is None,
             relation="D(Lambda k) S u = 0 and k^2 invariant under paired boosts",
-            residual=worst_res,
+            residual=Fraction(0),
             details={
                 "draws": BOOST_DRAWS,
-                "worst_k2_drift": worst_drift,
+                "worst_k2_drift": Fraction(0),
                 "failure": failure,
+                "max_height_bits": height,
             },
         )
 
 
-# (rows, columns) of the entries above the diagonal, as np.triu_indices(4, 1)
-_UPPER = ((0, 0, 0, 1, 1, 2), (1, 2, 3, 2, 3, 3))
-
-
-def _boost_draws(rng: random.Random) -> np.ndarray:
-    """BOOST_DRAWS antisymmetric generators, each omega_ab for a < b drawn
-    uniformly from [-1, 1] in row order."""
-    upper = np.array([[rng.uniform(-1.0, 1.0) for _ in range(6)]
-                      for _ in range(BOOST_DRAWS)])
-    omegas = np.zeros((BOOST_DRAWS, 4, 4))
-    omegas[:, _UPPER[0], _UPPER[1]] = upper
-    omegas[:, _UPPER[1], _UPPER[0]] = -upper
-    return omegas
-
-
-def _boost_covariance(solutions, omegas) -> tuple[float, float, str | None]:
-    """Worst residual, worst k^2 drift and failure over the trials, trial t
-    moving solutions[t % 2] by omegas[t].  The worst values cover the trials
-    before the first failing one, which the failure names."""
-    batches, first, failure = [], len(omegas), None
-    for parity, sol in enumerate(solutions):
-        draws = omegas[parity::2]
-        try:
-            batches.append(boost_solutions(sol, draws))
-        except VerificationError as exc:
-            trial = 2 * exc.index + parity
-            if trial < first:
-                first, failure = trial, f"{sol.branch} {exc}"
-            batches.append(boost_solutions(sol, draws[:exc.index]))
-    worst_res = worst_drift = 0.0
-    for parity, batch in enumerate(batches):
-        done = (first + 1 - parity) // 2  # trials parity, parity + 2, ... < first
-        worst_res = max(worst_res, float(batch.residuals[:done].max(initial=0.0)))
-        worst_drift = max(worst_drift, float(batch.k2_drift[:done].max(initial=0.0)))
-    return worst_res, worst_drift, failure
+def _cayley_draws(seed: int) -> tuple[list, VerificationError | None]:
+    """The Cayley boosts of BOOST_DRAWS seeded generators, up to the first
+    one that fails, and that failure.  Each generator draws one denominator
+    q uniform in 1..10, then its omega_ab, a < b in row order, as p/q with p
+    uniform in -q..q."""
+    rng = random.Random(seed)
+    ratios = {q: [Fraction(p, q) for p in range(-q, q + 1)] for q in range(1, 11)}
+    zero, omegas = Fraction(0), []
+    for _ in range(BOOST_DRAWS):
+        q = rng.randint(1, 10)
+        omega = [[zero] * 4 for _ in range(4)]
+        for a, b in combinations(range(4), 2):
+            p = rng.randint(-q, q)
+            omega[a][b], omega[b][a] = ratios[q][q + p], ratios[q][q - p]
+        omegas.append(omega)
+    try:
+        return cayley_boosts(omegas), None
+    except VerificationError as exc:
+        return cayley_boosts(omegas[:exc.index]), exc
 
 
 # -- seesaw -------------------------------------------------------------------

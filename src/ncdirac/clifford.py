@@ -8,9 +8,11 @@ element is gamma5 itself (eps5 = +1) or i*gamma5 (eps5 = -1).
 
 Clifford checks run in exact arithmetic.  The exact gammas are built once
 per eps5 on first use, and the public builders hand out copies; every exact
-sum_a c_a gamma^a is written by ``gamma_sum``.  Float code reads the gammas
+sum_a c_a gamma^a is written by ``gamma_sum`` (ParamPoly coefficients) or
+``gamma_rows`` (field scalars); the exact Cayley boosts are in
+``ncdirac.cayley``.  Float code reads the gammas
 from one read-only complex128 stack per eps5 (``float_gammas``), built once
-from the exact rep.  Boosts carry a 1e-12 float tolerance and take one
+from the exact rep.  Float boosts carry a 1e-12 tolerance and take one
 generator omega of shape (4, 4) or a stack of N of them, (N, 4, 4); a stack
 gives bit for bit the matrices its slices give one by one.  The matrix
 exponential is scaling and squaring around a degree-18 Taylor polynomial
@@ -31,9 +33,11 @@ from .scalars import P_I, _packed_poly, _packed_terms, _sum_of_products, poly
 
 
 class VerificationError(RuntimeError):
-    """A float-mode result failed its tolerance or finiteness check.
+    """A float-mode result failed its tolerance or finiteness check, or an
+    exact Cayley boost is singular or fails one of its identities.
 
-    ``index`` is the failing slice of a stacked input, None otherwise."""
+    ``index`` is the failing slice or draw of a stacked input, None
+    otherwise."""
 
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
@@ -137,6 +141,21 @@ def gamma_sum(eps5: int, coeffs) -> ExactMatrix:
         if total is not None:
             entries[r][c][mono] = total
     return ExactMatrix([[_packed_poly(t) for t in row] for row in entries])
+
+
+def gamma_rows(eps5: int, coeffs, zero) -> list:
+    """sum_a coeffs[a] gamma^a as a 4x4 list of rows of field scalars.
+
+    ``zero`` is the zero of the coefficients' field (ExactScalar or
+    QuadraticScalar); each coefficient multiplies the gammas' ExactScalar
+    entries from the left.  For ParamPoly coefficients use ``gamma_sum``.
+    """
+    rows = [[zero] * 4 for _ in range(4)]
+    for units, coeff in zip(_gamma_units(eps5), coeffs):
+        if coeff:
+            for r, c, unit in units:
+                rows[r][c] = rows[r][c] + coeff * unit
+    return rows
 
 
 @cache

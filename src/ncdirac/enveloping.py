@@ -23,16 +23,22 @@ lexicographically, so reduction terminates; the relations are consistent
 (they close on the flat deformed table), so the normal form is unique.
 Because the inverse relations are exact, nothing is ever dropped: the
 declared truncation order only bounds the l-degree kept in coefficients.
+
+``lemma_matrix_check`` verifies the exponential lemma behind the plane-wave
+identities on a nilpotent model, exactly, on polynomial coefficient lists.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cache, cached_property
 
-from ._numpy import np
 from .scalars import (
+    ONE,
+    ZERO,
     ExactScalar,
+    as_fraction,
     P_I,
     P_ONE,
     ParamPoly,
@@ -40,9 +46,10 @@ from .scalars import (
     poly,
     sym,
 )
-from .lie_algebra import eta4, flat_deformed_algebra
+from .lie_algebra import ETA4_DIAG, eta4, flat_deformed_algebra
 
 _HALF = ExactScalar(Fraction(1, 2))
+_LEMMA_DIM = 13  # polynomial degrees 0..12 of the lemma's model
 
 M_TOKENS = ("M01", "M02", "M03", "M12", "M13", "M23")
 P_TOKENS = ("p0", "p1", "p2", "p3")
@@ -482,71 +489,78 @@ def verify_plane_wave_relations(eps5: int, order: int = 4) -> PlaneWaveCheck:
     return PlaneWaveCheck(eps5, order)
 
 
-def lemma_matrix_check(eps5: int, ell_value: float = 0.1,
-                       k=(1.0, 0.0, 0.0, 0.0), series_order: int = 8) -> dict:
-    """Numeric spot check of the central-commutator exponential lemma.
+def lemma_matrix_check(eps5: int, ell_value=Fraction(1, 10), k=(1, 0, 0, 0)) -> dict:
+    """Exact check of the central-commutator exponential lemma on a model.
 
     The lemma: if [p, A] and [A, dA] are central then [p, e^A] = [p, A] e^A
-    and d(e^A) = (dA + (1/2)[A, dA]) e^A.  Instantiate the hypotheses with
-    the derivative and shift matrices on a truncated polynomial space (the
-    canonical pair with a central commutator); on test vectors of low degree
-    the order-8 exponential series is exact, so the conclusions must hold to
-    float roundoff.  Returns the relative residuals.
+    and d(e^A) = (dA + (1/2)[A, dA]) e^A.  The model meets the hypotheses
+    on polynomials of degree <= 12, held as coefficient lists: A = d/dx,
+    p_mu = -k_mu x (so [p_mu, A] = k_mu) and dA = c x with
+    c = -i eps5 l k^2 (so [A, dA] = c).  A is nilpotent there, so the full
+    series to order 12 is e^A itself (its terms stop once A^n f = 0), and
+    on v = 1 + x/2 + x^2/3 + x^3/4 no operator reaches the degree bound:
+    each residual, the largest |re| + |im| over the coefficients of
+    lhs - rhs, is exactly 0.  ``l`` and ``k`` are exact rationals; a float
+    raises TypeError.
     """
     if eps5 not in (1, -1):
         raise ValueError("eps5 must be +1 or -1")
-    dim = 13  # degrees 0..12: high enough that no operator hits the edge
-    D = np.zeros((dim, dim), dtype=complex)
-    S = np.zeros((dim, dim), dtype=complex)
-    for d in range(1, dim):
-        D[d - 1, d] = d
-        S[d, d - 1] = 1.0
-    k = np.asarray(k, dtype=float)
-    k_low = np.array([k[0], -k[1], -k[2], -k[3]])
-    ksq = k[0] ** 2 - k[1] ** 2 - k[2] ** 2 - k[3] ** 2
+    ell = as_fraction(ell_value)
+    k = [ExactScalar(as_fraction(c)) for c in k]
+    k_low = [c * eta for c, eta in zip(k, ETA4_DIAG)]
+    ksq = sum((a * b for a, b in zip(k, k_low)), ZERO)
+    c = ExactScalar(0, -eps5 * ell) * ksq
 
-    A = D
-    p_ops = [-k_low[mu] * S for mu in range(4)]  # [p_mu, A] = k_mu * 1
-    c = -1j * eps5 * ell_value * ksq            # target central [A, dA]
-    dA = c * S
+    # a polynomial of degree <= 12 is its coefficient list, lowest degree
+    # first, with no trailing zeros
+    def comb(*terms):  # sum of scalar * polynomial
+        out = [sum((a * f[n] for a, f in terms if n < len(f)), ZERO)
+               for n in range(max((len(f) for _, f in terms), default=0))]
+        while out and not out[-1]:
+            out.pop()
+        return out
 
-    # exponential series, order 8; exact on vectors of degree <= 3
-    E = np.zeros_like(A)
-    term = np.eye(dim, dtype=complex)
-    E += term
-    for n in range(1, series_order + 1):
-        term = term @ A / n
-        E += term
+    def d_dx(f):  # A
+        return [n * f[n] for n in range(1, len(f))]
 
-    v = np.zeros(dim, dtype=complex)
-    v[:4] = [1.0, 1 / 2, 1 / 3, 1 / 4]
-    Ev = E @ v
-    scale = np.linalg.norm(Ev)
+    def x_times(f):
+        if len(f) == _LEMMA_DIM:
+            raise ValueError("the model leaves degree 12")
+        return [ZERO] + f if f else f
 
-    residuals = {}
-    worst_comm = 0.0
-    for mu in range(4):
-        lhs = p_ops[mu] @ Ev - E @ (p_ops[mu] @ v)
-        rhs = k_low[mu] * Ev
-        worst_comm = max(worst_comm, float(np.linalg.norm(lhs - rhs)) / scale)
-    residuals["momentum_commutator"] = worst_comm
+    def exp_a(f):  # sum_n A^n f / n! to n = 12, stopping once A^n f = 0
+        total = term = f
+        for n in range(1, _LEMMA_DIM):
+            term = comb((ONE / n, d_dx(term)))
+            if not term:
+                break
+            total = comb((ONE, total), (ONE, term))
+        return total
 
-    # Leibniz expansion of d(e^A) against the lemma's collapsed form
-    dE = np.zeros_like(A)
-    for n in range(1, series_order + 1):
-        inner = np.zeros_like(A)
-        for j in range(n):
-            inner += np.linalg.matrix_power(A, j) @ dA @ np.linalg.matrix_power(A, n - 1 - j)
-        factor = 1.0
-        for q in range(2, n + 1):
-            factor /= q
-        dE += factor * inner
-    lemma_rhs = (dA + 0.5 * c * np.eye(dim)) @ E
-    residuals["derivative_lemma"] = float(np.linalg.norm(dE @ v - lemma_rhs @ v)) / scale
+    def residual(lhs, *rhs):  # lhs - sum of the rhs terms
+        diff = comb((ONE, lhs), *((-a, f) for a, f in rhs))
+        return max((abs(x.re) + abs(x.im) for x in diff), default=Fraction(0))
 
-    # same content written as the plane-wave derivative relation:
-    # d(e^A) = -i eps5 l (-k.p + k^2/2) e^A with k.p modeled by the p matrices
-    kp = sum(k[mu] * p_ops[mu] for mu in range(4))
-    pw_rhs = (-1j * eps5 * ell_value) * (-kp + 0.5 * ksq * np.eye(dim)) @ E
-    residuals["plane_wave_derivative"] = float(np.linalg.norm(dE @ v - pw_rhs @ v)) / scale
+    v = [ExactScalar(Fraction(1, n)) for n in range(1, 5)]
+    ev = exp_a(v)
+    # [p_mu, e^A] v = k_mu e^A v with p_mu = -k_mu x
+    residuals = {"momentum_commutator": max(
+        residual(comb((-k_mu, x_times(ev))), (-k_mu, exp_a(x_times(v))), (k_mu, ev))
+        for k_mu in k_low)}
+    # d(e^A) v = sum_n (1/n!) sum_j A^j dA A^(n-1-j) v with dA = c x
+    de_v, power = [], v
+    for m in range(1, _LEMMA_DIM):  # power = A^(m-1) v
+        term, weight = comb((c, x_times(power))), ONE / math.factorial(m)
+        for n in range(m, _LEMMA_DIM):  # term = A^(n-m) dA A^(m-1) v
+            if not term:
+                break
+            de_v = comb((ONE, de_v), (weight, term))
+            term, weight = d_dx(term), weight / (n + 1)
+        power = d_dx(power)
+    residuals["derivative_lemma"] = residual(de_v, (c, x_times(ev)), (c / 2, ev))
+    # the same as the plane-wave relation d(e^A) = -i eps5 l (-k.p + k^2/2) e^A
+    scale = ExactScalar(0, -eps5 * ell)
+    residuals["plane_wave_derivative"] = residual(
+        de_v, *((-scale * k_mu, comb((-low, x_times(ev)))) for k_mu, low in zip(k, k_low)),
+        (scale * ksq / 2, ev))
     return residuals

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._numpy import np
-from .scalars import ExactScalar, P_ONE, P_ZERO, ParamPoly, poly
+from .scalars import ONE, ZERO, ExactScalar, P_ONE, P_ZERO, ParamPoly, poly
 
 
 class ExactMatrix:
@@ -129,48 +129,16 @@ class ExactMatrix:
 
     # -- exact linear algebra (constant entries) -----------------------------
 
-    def _echelon(self):
-        """Row echelon form over the Gaussian rationals.
-
-        Returns (matrix rows, pivot column list).  Requires constant entries.
-        """
-        rows = [[x.to_scalar() for x in row] for row in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            pivot_row = None
-            for i in range(r, self.nrows):
-                if not rows[i][c].is_zero():
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv = rows[r][c]
-            # the maps ranked here are mostly zeros: leave those untouched
-            rows[r] = [x / inv if x else x for x in rows[r]]
-            for i in range(self.nrows):
-                if i != r and not rows[i][c].is_zero():
-                    factor = rows[i][c]
-                    rows[i] = [x - factor * y if y else x for x, y in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.nrows:
-                break
-        return rows, pivots
-
     def rank(self) -> int:
-        _, pivots = self._echelon()
-        return len(pivots)
+        return len(echelon(self.scalar_entries()))
 
     def kernel(self) -> list[list[ExactScalar]]:
         """Exact right-kernel basis (one vector per free column)."""
-        rows, pivots = self._echelon()
+        rows = self.scalar_entries()
+        pivots = echelon(rows)
         pivot_set = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivot_set]
         basis = []
-        from .scalars import ONE, ZERO
-
         for fc in free:
             vec = [ZERO] * self.ncols
             vec[fc] = ONE
@@ -216,6 +184,36 @@ class ExactMatrix:
         return "[" + ",\n ".join("[" + ", ".join(map(str, r)) + "]" for r in self.rows) + "]"
 
     __repr__ = __str__
+
+
+def echelon(rows: list) -> list[int]:
+    """Bring ``rows``, a list of lists of field scalars, to reduced row
+    echelon form in place and return the pivot columns.
+
+    The scalars need ``bool`` (nonzero), ``-``, ``*`` and ``/``, as
+    ExactScalar and QuadraticScalar give; rows of constant ExactMatrix
+    entries are the common case.
+    """
+    nrows, pivots, r = len(rows), [], 0
+    for c in range(len(rows[0]) if rows else 0):
+        for pivot_row in range(r, nrows):
+            if rows[pivot_row][c]:
+                break
+        else:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c]
+        # the maps ranked here are mostly zeros: leave those untouched
+        rows[r] = [x / inv if x else x for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y if y else x for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
 
 
 def vector_matmul(mat: ExactMatrix, vec) -> list[ParamPoly]:

@@ -7,8 +7,9 @@ k^2 for eps5 = -1.  Squaring gives the dispersion polynomial
 k^2 + eps5 (l^2/4)(k^2)^2, so the branches are k^2 = 0 and k^2 = -eps5 4/l^2.
 
 Momenta are stored upper-index and lowered with diag(1,-1,-1,-1) inside
-dirac_matrix.  Exact arithmetic covers reference frames and nullspaces;
-boosts run in float mode with tolerance 1e-10.  ``boost_solutions`` moves
+dirac_matrix.  Exact arithmetic covers reference frames and nullspaces
+(``ncdirac.cayley`` moves them by exact boosts); float boosts run with
+tolerance 1e-10.  ``boost_solutions`` moves
 one solution by a stack of N generators in one array pass (stacked
 exponentials, Dirac matrices and ranks); ``boost_solution`` is its one-draw
 case.

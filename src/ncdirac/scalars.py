@@ -22,7 +22,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from numbers import Integral
 from typing import Iterable, Mapping, Union
 
@@ -334,6 +334,73 @@ def _coerce_scalar(value) -> ExactScalar:
 ZERO = _make(0, 0, 1)
 ONE = _make(1, 0, 1)
 I = _make(0, 1, 1)
+
+
+class QuadraticScalar:
+    """a + b*sqrt(delta): ExactScalar parts a, b and a positive rational
+    delta that is not a square (``exact_sqrt`` makes the first one).
+
+    sqrt(delta) is then real and outside Q(i), so the element is zero
+    exactly when a = b = 0, the inverse goes through the conjugate
+    a - b*sqrt(delta) with the nonzero norm a^2 - b^2 delta, and complex
+    conjugation acts on the parts only.  Exact numbers combine as b = 0;
+    both operands of a binary operation share delta."""
+
+    __slots__ = ("a", "b", "delta")
+
+    def __init__(self, a, b, delta: Fraction):
+        self.a, self.b, self.delta = _coerce_scalar(a), _coerce_scalar(b), delta
+
+    def _parts(self, other) -> tuple:
+        if type(other) is not QuadraticScalar:
+            return _coerce_scalar(other), ZERO
+        if other.delta is not self.delta and other.delta != self.delta:
+            raise ValueError("operands lie in different quadratic fields")
+        return other.a, other.b
+
+    def __add__(self, other) -> "QuadraticScalar":
+        a, b = self._parts(other)
+        return QuadraticScalar(self.a + a, self.b + b, self.delta)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "QuadraticScalar":
+        return QuadraticScalar(-self.a, -self.b, self.delta)
+
+    def __sub__(self, other) -> "QuadraticScalar":
+        return self + -other
+
+    def __rsub__(self, other) -> "QuadraticScalar":
+        return -self + other
+
+    def __mul__(self, other) -> "QuadraticScalar":
+        a, b = self._parts(other)
+        if not b:
+            return QuadraticScalar(self.a * a, self.b * a, self.delta)
+        return QuadraticScalar(self.a * a + self.b * b * self.delta,
+                               self.a * b + self.b * a, self.delta)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "QuadraticScalar":
+        a, b = self._parts(other)
+        norm = a * a - b * b * self.delta
+        return self * QuadraticScalar(a / norm, -b / norm, self.delta)
+
+    def conjugate(self) -> "QuadraticScalar":
+        return QuadraticScalar(self.a.conjugate(), self.b.conjugate(), self.delta)
+
+    def __bool__(self) -> bool:
+        return bool(self.a or self.b)
+
+
+def exact_sqrt(q: Fraction):
+    """sqrt(q) of a rational q >= 0: an ExactScalar when q is a rational
+    square, the QuadraticScalar sqrt(q) otherwise."""
+    n, d = isqrt(q.numerator), isqrt(q.denominator)
+    if n * n == q.numerator and d * d == q.denominator:
+        return _make(n, 0, d)
+    return QuadraticScalar(ZERO, ONE, q)
 
 ScalarLike = Union[int, Fraction, ExactScalar]
 PolyLike = Union[int, Fraction, ExactScalar, "ParamPoly"]

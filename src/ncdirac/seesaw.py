@@ -17,8 +17,11 @@ ratio mu^2 / M; the exact light root differs from it at relative order
 The exact spectrum works in the rest frame k = (E,0,0,0) for eps5 = -1 and
 the z-frame k = (0,0,0,q) for eps5 = +1.  There the determinant of the 8x8
 matrix is, exactly, the square of a quartic that is a quadratic in k^2;
-the masses follow in closed form from its exact discriminant, and the
-reality classes from the kernel of a 4x4 Schur complement at each root.
+the masses follow in closed form from its exact discriminant.  The frame
+roots are x = (+-M +- sqrt(delta))/2 with delta = M^2 - 4 eps5 mu^2, and
+the reality classes come from the kernel of a 4x4 Schur complement at the
+exact light and heavy roots, in Q(i, sqrt(delta)) (QuadraticScalar), or in
+Q(i) when delta is a rational square.
 """
 
 from __future__ import annotations
@@ -28,10 +31,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._numpy import np
-from .clifford import build_majorana_rep, float_gammas, gamma5, gamma_sum, reality_class
+from .clifford import (build_majorana_rep, float_gammas, gamma5, gamma_rows,
+                       gamma_sum, reality_class)
 from .lie_algebra import ETA4_DIAG
-from .matrices import ExactMatrix
-from .scalars import (ExactScalar, ParamPoly, as_fraction, is_exact_number,
+from .matrices import ExactMatrix, echelon
+from .scalars import (ExactScalar, ParamPoly, as_fraction, exact_sqrt, is_exact_number,
                       poly, real_value, sym)
 
 _HALF = ExactScalar(Fraction(1, 2))
@@ -252,43 +256,32 @@ class ModeSpectrum:
     heavy_k2_exact: Fraction | None
 
 
-def _schur_kernel(block: np.ndarray, root: float) -> np.ndarray:
-    """The two smallest right singular vectors of a 4x4 Schur complement,
-    after checking that exactly two singular values vanish."""
-    _, s, vh = np.linalg.svd(block)
-    if not s[2] <= 1e-6 * s[0] < s[1]:
+def _root_class(e5: int, x, big_m: Fraction, mu2: Fraction) -> str:
+    """Reality class of the u1 components of the kernel at the frame root x.
+
+    Eliminating u2 leaves the Schur complement T = g.k - c (g.k + M g^4)
+    with c = mu^2 / (k^2 + eps5 M^2), since D22^2 = (k^2 + eps5 M^2) I;
+    k^2 + eps5 M^2 = eps5 (M^2 - x^2) vanishes only at mu = 0.  The u1
+    kernel is ker T, and it is closed under conjugation exactly when T and
+    conj(T) have the same row space, so the class is read from ranks: 2
+    for T, and 2 for [T; conj T] when Majorana."""
+    axis = 0 if e5 == -1 else 3
+    zero = 0 * x  # of x's field: ExactScalar, or QuadraticScalar with its delta
+    k2 = -e5 * x * x
+    c = (zero + mu2) / (k2 + e5 * big_m * big_m)
+    coeffs = [0] * 5
+    coeffs[axis] = (1 - c) * x * ETA4_DIAG[axis]
+    coeffs[4] = -c * big_m
+    rows = gamma_rows(e5, coeffs, zero)
+    rank = len(echelon(rows))
+    if rank != 2:
         raise RootFindingError(
             "Schur complement kernel is not two-dimensional",
-            diagnostics={"root": root, "singular_values": [float(x) for x in s]},
+            diagnostics={"rank": rank},
         )
-    return vh[2:].conj()
-
-
-def _mode_classes(c: CouplingConfig, light: float, heavy: float):
-    """Reality classes of the u1 components at the light and heavy roots.
-
-    Each root eliminates the block that is regular there: u2 at the light
-    root (D22 ~ M g4), u1 at the heavy root (D11 ~ M g.k_hat), so the 4x4
-    Schur complement has entries of one scale and a clean two-dimensional
-    kernel."""
-    axis = 0 if c.eps5 == -1 else 3
-
-    def blocks(x):
-        k = [0.0] * 4
-        k[axis] = x
-        d = _coupled_matrix_float(k, c)
-        return d[:4, :4], d[:4, 4:], d[4:, :4], d[4:, 4:]
-
-    d11, d12, d21, d22 = blocks(light)
-    u1 = _schur_kernel(d11 - d12 @ np.linalg.solve(d22, d21), light)
-    d11, d12, d21, d22 = blocks(heavy)
-    w = np.linalg.solve(d11, d12)
-    u2 = _schur_kernel(d22 - d21 @ w, heavy)
-    # u1 = -D11^-1 D12 u2, rescaled: the span is what gets classified
-    u1_heavy = u2 @ w.T
-    u1_heavy /= np.linalg.norm(u1_heavy, axis=1, keepdims=True)
-    return (reality_class(list(u1), mode="float"),
-            reality_class(list(u1_heavy), mode="float"))
+    # the two reduced rows span the row space of T
+    closed = rows[:2] + [[y.conjugate() for y in row] for row in rows[:2]]
+    return "Majorana" if len(echelon(closed)) == 2 else "Dirac"
 
 
 def exact_mode_spectrum(c: CouplingConfig) -> ModeSpectrum:
@@ -356,7 +349,12 @@ def exact_mode_spectrum(c: CouplingConfig) -> ModeSpectrum:
         light_class = heavy_class = None
         roots = (-heavy, 0.0, heavy)
     else:
-        light_class, heavy_class = _mode_classes(c, light, heavy)
+        # the positive frame roots (M - sqrt(delta))/2 up to sign and
+        # (M + sqrt(delta))/2, delta = M^2 - 4 eps5 mu^2, exact in
+        # Q(i, sqrt(delta))
+        root = exact_sqrt(m2 - 4 * e5 * mu2)
+        light_class = _root_class(e5, e5 * (big_m - root) / 2, big_m, mu2)
+        heavy_class = _root_class(e5, (big_m + root) / 2, big_m, mu2)
         roots = (-heavy, -light, light, heavy)
     return ModeSpectrum(
         light_k2=light_k2,

@@ -99,10 +99,10 @@ def test_criterion_05_plane_wave_identities():
                     chk.mixed_remainder]:
             deg = rem.min_ell_degree()
             ok = ok and (rem.is_zero() or (deg is not None and deg >= 5))
-        numeric = lemma_matrix_check(eps5, ell_value=0.1, k=(1, 0, 0, 0))
-        ok = ok and max(numeric.values()) < 1e-8
+        model = lemma_matrix_check(eps5, ell_value=Fraction(1, 10), k=(1, 0, 0, 0))
+        ok = ok and all(value == 0 for value in model.values())
     verdict(ok, "criterion 5: order-4 plane-wave remainders vanish to "
-                "l-degree >= 5 and the numeric model agrees below 1e-8")
+                "l-degree >= 5 and the nilpotent model agrees exactly")
 
 
 def test_criterion_06_dispersion_branches():

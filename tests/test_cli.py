@@ -108,7 +108,7 @@ def test_timings_charge_each_row_its_own_work(capsys, monkeypatch):
         "planewave_derivative": 1,
         "planewave_mixed": 1,  # [A, d4(A)], which the vacuum row reuses
         "planewave_vacuum": 0,
-        "planewave_lemma_numeric": 0,
+        "planewave_lemma": 0,
     }
 
 

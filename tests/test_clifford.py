@@ -319,20 +319,26 @@ def main(argv):
 
 def test_import_leaves_scipy_unloaded():
     # numpy is registered lazily and loads on first float use; its own
-    # import loads numpy.linalg (numpy 1.24 and 2.x), which shows it ran
+    # import loads numpy.linalg (numpy 1.24 and 2.x), which shows it ran.
+    # Every command below is exact, check all included
     loaded = ("print(sorted(m for m in sys.modules "
               "if m.split('.')[0] == 'scipy' or m == 'numpy.linalg'))")
     fixture = Path(__file__).resolve().parent / "golden" / "tampered_deformed_fixture.json"
     exact = [["verify", "algebra", "--fixture", str(fixture)], ["verify", "rep"],
-             ["verify", "clifford"], ["--help"], ["verify", "--no-such-option"]]
+             ["verify", "clifford"], ["--help"], ["verify", "--no-such-option"],
+             ["verify", "planewave"], ["check", "all", "--seed", "42"], ["modes"],
+             ["seesaw"], ["scan", "--param", "vev", "--from", "1/2", "--to", "2",
+                          "--steps", "4", "--eps5", "1"]]
     out = _run_python(
         "import sys, ncdirac\n"
         "assert ncdirac.reality_class([(1, 1, 0, 0), (0, 0, 1, -1)]) == 'Majorana'\n"
         f"{loaded}\n{_QUIET_MAIN}\n"
         f"print([main(argv) for argv in {exact!r}])\n{loaded}\n"
-        f"print(main(['verify', 'planewave']))\n{loaded}\n"
+        "print(ncdirac.reality_class([(1.0, 0.5, 0.0, 0.0)]))\n"
+        f"{loaded}\n"
     )
-    assert out == ["[]", "[1, 0, 0, 0, 2]", "[]", "0", "['numpy.linalg']"]
+    assert out == ["[]", "[1, 0, 0, 0, 2, 0, 0, 0, 0, 1]", "[]", "Majorana",
+                   "['numpy.linalg']"]
     # a caller that imported numpy first: the float code uses that module
     out = _run_python(
         f"import numpy, ncdirac\n{_QUIET_MAIN}\n"

@@ -179,9 +179,15 @@ def test_vacuum_projection_rules():
 
 @pytest.mark.parametrize("eps5", [1, -1])
 def test_numeric_exponential_model(eps5):
-    res = lemma_matrix_check(eps5)
-    assert set(res) == {
-        "momentum_commutator", "derivative_lemma", "plane_wave_derivative",
-    }
-    for name, value in res.items():
-        assert value < 1e-8, name
+    # the nilpotent model is exact: every residual is the rational 0, also
+    # away from the default l and k
+    for args in ((), (Fraction(7, 3), (Fraction(2, 5), -1, 3, Fraction(1, 2)))):
+        res = lemma_matrix_check(eps5, *args)
+        assert set(res) == {
+            "momentum_commutator", "derivative_lemma", "plane_wave_derivative",
+        }
+        assert all(type(v) is Fraction and v == 0 for v in res.values()), res
+    with pytest.raises(TypeError, match="convert floats explicitly"):
+        lemma_matrix_check(eps5, 0.1)
+    with pytest.raises(TypeError, match="convert floats explicitly"):
+        lemma_matrix_check(eps5, Fraction(1, 10), (1.0, 0, 0, 0))

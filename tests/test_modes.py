@@ -1,15 +1,19 @@
-"""Dispersion branches, exact nullspaces, and boost covariance."""
+"""Dispersion branches, exact nullspaces, and float and exact boost covariance."""
 
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ncdirac.checks import RunConfig, _boost_covariance, _boost_draws, cmd_modes
-from ncdirac.clifford import VerificationError, boost_matrix, reality_class
-from ncdirac.matrices import vector_matmul
+from ncdirac import cayley, checks, clifford
+from ncdirac.cayley import boost_defect, cayley_boost, cayley_boosts
+from ncdirac.checks import RunConfig, cmd_modes
+from ncdirac.clifford import VerificationError, boost_matrix, build_majorana_rep, reality_class
+from ncdirac.matrices import ExactMatrix, vector_matmul
 from ncdirac.modes import (
     ModeProblem,
     boost_solution,
@@ -280,49 +284,137 @@ def test_boost_solution_rejects_nearly_antisymmetric_generator():
         boost_solution(sol, omega)
 
 
-def _per_draw_covariance(seed, eps5, omegas=None, trials=100):
-    """Worst residual and k^2 drift of the boost loop as `check all` ran it
-    draw by draw: boost_solution and residual per trial, alternating the
-    heavy and massless reference solutions."""
-    solutions = [reference_solutions(Fraction(1), eps5, b) for b in ("heavy", "massless")]
-    rng = random.Random(seed)
-    worst_res = worst_drift = 0.0
-    for trial in range(trials):
-        if omegas is None:
-            omega = np.zeros((4, 4))
-            for a in range(4):
-                for b in range(a + 1, 4):
-                    omega[a, b] = rng.uniform(-1.0, 1.0)
-                    omega[b, a] = -omega[a, b]
-        else:
-            omega = omegas[trial]
-        sol = solutions[trial % 2]
-        moved = boost_solution(sol, omega)
-        worst_res = max(
-            worst_res, max(residual(moved.k, u, moved.ell, eps5) for u in moved.basis)
-        )
-        drift = abs(float(moved.k2) - float(sol.k2)) / max(abs(float(sol.k2)), 1.0)
-        worst_drift = max(worst_drift, drift)
-    return worst_res, worst_drift
+# -- exact Cayley boosts ------------------------------------------------------
+
+_GENERATOR = st.fractions(min_value=-2000, max_value=2000, max_denominator=50)
+
+
+def _omega(upper):
+    """The antisymmetric generator with omega_ab = upper[k], a < b in row
+    order."""
+    omega = [[Fraction(0)] * 4 for _ in range(4)]
+    for (a, b), x in zip(combinations(range(4), 2), upper):
+        omega[a][b], omega[b][a] = Fraction(x), -Fraction(x)
+    return omega
+
+
+def _exact(rows, denom=1) -> ExactMatrix:
+    return ExactMatrix([[ExactScalar(Fraction(x, denom)) for x in row] for row in rows])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_GENERATOR, min_size=6, max_size=6))
+def test_cayley_boost_pairs_s_with_lambda(upper):
+    # the oracle is ExactMatrix arithmetic on the exact gammas, apart from
+    # the integer builder: (I - A/2) S = I + A/2, S S^-1 = I,
+    # S^-1 g^mu S = Lambda^mu_nu g^nu, Lambda^T eta Lambda = eta
+    omega = _omega(upper)
+    gammas = build_majorana_rep(1).gamma
+    a = ExactMatrix.zeros(4)
+    for i, j in combinations(range(4), 2):
+        a = a + (gammas[i] @ gammas[j]).scale(poly(ExactScalar(omega[i][j] / 2)))
+    eye, half = ExactMatrix.identity(4), poly(ExactScalar(Fraction(1, 2)))
+    if (eye - a.scale(half)).det().is_zero():
+        with pytest.raises(VerificationError, match="singular"):
+            cayley_boost(omega)
+        return
+    boost = cayley_boost(omega)
+    s, s_inv = _exact(boost.numer, boost.denom), _exact(boost.inverse, boost.denom)
+    assert (eye - a.scale(half)) @ s == eye + a.scale(half)
+    assert s @ s_inv == eye
+    lam = [[Fraction(x, 4 * boost.denom ** 2) for x in row] for row in boost.lam_numer]
+    for mu in range(4):
+        paired = ExactMatrix.zeros(4)
+        for nu in range(4):
+            paired = paired + gammas[nu].scale(poly(ExactScalar(lam[mu][nu])))
+        assert s_inv @ gammas[mu] @ s == paired
+    eta = [1, -1, -1, -1]
+    assert [[sum(lam[c][a] * eta[c] * lam[c][b] for c in range(4)) for b in range(4)]
+            for a in range(4)] == [[eta[a] * (a == b) for b in range(4)] for a in range(4)]
+    assert boost.height_bits == max(
+        [boost.denom] + [abs(x) for row in boost.numer for x in row]).bit_length()
+
+
+def test_large_generators_stay_exact():
+    # a rapidity-1000 boost along z plus a rotation: only larger integers
+    boost = cayley_boost(_omega([0, 0, 1000, Fraction(2001, 2), 0, 0]))
+    for branch in ("heavy", "massless"):
+        for eps5 in (1, -1):
+            sol = reference_solutions(Fraction(1), eps5, branch)
+            assert boost_defect(sol, [boost]) is None
+    assert boost.height_bits > 40
+
+
+def test_singular_generator_names_its_draw():
+    # omega_01 = 4: A = g0 g1 is a pure boost with A^2 = 4 I, so I - A/2
+    # has no inverse
+    good = _omega([Fraction(1, 2), 0, 0, 0, Fraction(-1, 3), 0])
+    with pytest.raises(VerificationError, match="^draw 2: I - A/2 is singular") as info:
+        cayley_boosts([good, good, _omega([4, 0, 0, 0, 0, 0]), good])
+    assert info.value.index == 2
+    with pytest.raises(ValueError, match="antisymmetric"):
+        cayley_boost([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+
+
+def _boost_rows(cfg):
+    return {r.params["eps5"]: r for r in cmd_modes(cfg) if r.check == "modes_boost_covariance"}
 
 
 @pytest.mark.parametrize("seed", [42, 7])
-def test_boost_report_equals_per_draw_loop(seed):
-    reports = [r for r in cmd_modes(RunConfig(seed=seed))
-               if r.check == "modes_boost_covariance"]
-    assert len(reports) == 2
-    for report in reports:
-        want = _per_draw_covariance(seed, report.params["eps5"])
-        assert report.status == "pass"
-        assert (report.residual, report.details["worst_k2_drift"]) == want
+def test_boost_row_equals_per_draw_checks(seed):
+    # the row reads the draws it built once per seed the same way as one
+    # cayley_boost and one boost_defect per trial
+    rows = _boost_rows(RunConfig(seed=seed))
+    rng = random.Random(seed)
+    omegas = []
+    for _ in range(100):
+        q = rng.randint(1, 10)
+        omegas.append(_omega([Fraction(rng.randint(-q, q), q) for _ in range(6)]))
+    boosts = [cayley_boost(omega) for omega in omegas]
+    for eps5, row in rows.items():
+        pair = [reference_solutions(Fraction(1), eps5, b) for b in ("heavy", "massless")]
+        assert all(boost_defect(pair[t % 2], [b]) is None for t, b in enumerate(boosts))
+        assert row.status == "pass" and row.details["failure"] is None
+        assert row.residual == row.details["worst_k2_drift"] == 0
+        assert row.details["max_height_bits"] == max(b.height_bits for b in boosts)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_boost_covariance_reports_first_failing_trial():
-    solutions = [reference_solutions(Fraction(1), -1, b) for b in ("heavy", "massless")]
-    omegas = _boost_draws(random.Random(3))
-    omegas[7] = _axis_boost(500.0)  # massless draw 3
-    omegas[10] = _axis_boost(1e200)  # heavy draw 5
-    worst_res, worst_drift, failure = _boost_covariance(solutions, omegas)
-    assert failure.startswith("massless draw 3: boosted solution residual")
-    assert (worst_res, worst_drift) == _per_draw_covariance(None, -1, omegas, trials=7)
+def test_tampered_g4_fails_the_boost_row(monkeypatch):
+    # D(k') with the sign of g^4 flipped no longer kills the boosted heavy
+    # solutions (k^2 != 0); the massless ones (k^2 = 0) still pass, and the
+    # reference solutions come from the true operator
+    def flipped(eps5):
+        *gammas, g4 = clifford._gamma_units(eps5)
+        return (*gammas, tuple((r, c, -x) for r, c, x in g4))
+
+    monkeypatch.setattr(cayley, "_gamma_units", flipped)
+    rows = _boost_rows(RunConfig(seed=42))
+    for row in rows.values():
+        assert row.status == "fail"
+        assert row.details["failure"] == "heavy draw 0: D(Lambda k) S u != 0"
+
+
+def test_boost_row_names_the_first_failing_draw(monkeypatch):
+    # draw 7 (massless) is made singular: the row names it, and a heavy
+    # draw 4 that fails covariance comes before it
+    true_boosts = cayley.cayley_boosts
+
+    def with_singular(omegas):
+        singular = [_omega([4, 0, 0, 0, 0, 0])]
+        return true_boosts(omegas[:7] + singular + omegas[8:] if len(omegas) > 7 else omegas)
+
+    monkeypatch.setattr(checks, "cayley_boosts", with_singular)
+    for row in _boost_rows(RunConfig(seed=42)).values():
+        assert row.status == "fail"
+        assert row.details["failure"] == "massless draw 7: I - A/2 is singular"
+
+    true_defect = cayley.boost_defect
+
+    def bad_heavy(sol, boosts):
+        if sol.branch == "heavy":
+            return 2, "D(Lambda k) S u != 0"
+        return true_defect(sol, boosts)
+
+    monkeypatch.setattr(checks, "boost_defect", bad_heavy)
+    for row in _boost_rows(RunConfig(seed=42)).values():
+        assert row.details["failure"] == "heavy draw 4: D(Lambda k) S u != 0"

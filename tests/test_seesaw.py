@@ -1,5 +1,6 @@
 """Light/heavy mass splitting from the coupled 8x8 operator."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -253,3 +254,48 @@ def test_overcritical_coupling_raises():
     with pytest.raises(RootFindingError) as err:
         exact_mode_spectrum(config)
     assert err.value.diagnostics
+
+
+def _sweep_config(eps5, g, ratio, ell=Fraction(1)):
+    # |g| = 1 for every coupling below, so mu = vev and mu/M = vev l / 2
+    return CouplingConfig(g=ExactScalar.parse(g), vev=2 * ratio / ell, ell=ell, eps5=eps5)
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+@pytest.mark.parametrize("g", ["1", "3/5+4/5i", "i"])
+def test_exact_classes_sweep(eps5, g):
+    # mu/M through [0, 2] in steps of 1/20 at l = 1, where
+    # delta = M^2 - 4 eps5 mu^2 = 4 - 16 eps5 (mu/M)^2 is a rational square
+    # at mu/M = 3/10, 2/5, 1/2 (eps5 = +1) and 6/5 (eps5 = -1), and the
+    # square 9/25 at l = 2, mu/M = 2/5 (eps5 = +1) and l = 50/9,
+    # mu/M = 2/3 (eps5 = -1)
+    configs = [_sweep_config(eps5, g, Fraction(n, 20)) for n in range(41)]
+    configs.append(_sweep_config(eps5, g, Fraction(2, 5), Fraction(2)) if eps5 == 1
+                   else _sweep_config(eps5, g, Fraction(2, 3), Fraction(50, 9)))
+    squares = 0
+    for config in configs:
+        ratio = config.vev * config.ell / 2
+        delta = (2 / config.ell) ** 2 - 4 * eps5 * config.vev ** 2
+        if delta < 0:
+            with pytest.raises(RootFindingError, match="overcritical"):
+                exact_mode_spectrum(config)
+            continue
+        spectrum = exact_mode_spectrum(config)
+        want = None if ratio == 0 else light_mass_leading(config)[1]
+        assert (spectrum.light_class, spectrum.heavy_class) == (want, want), ratio
+        squares += math.isqrt(delta.numerator) ** 2 == delta.numerator and \
+            math.isqrt(delta.denominator) ** 2 == delta.denominator
+    assert squares == (5 if eps5 == 1 else 3)
+
+
+def test_critical_coupling_keeps_its_fail_row(capsys):
+    # vev = 1 at g = l = 1, eps5 = +1: delta = 0, the light and heavy roots
+    # meet at M/2 = 1, the classes are still read (Majorana) and the
+    # deviation 1 fails the row
+    from ncdirac.cli import main
+
+    assert main(["seesaw", "--vev", "1", "--eps5", "1"]) == 1
+    rows = {r["check"]: r for r in json.loads(capsys.readouterr().out)["reports"]}
+    spectrum = rows["seesaw_spectrum"]
+    assert spectrum["status"] == "fail" and spectrum["residual"] == "1"
+    assert spectrum["details"]["light_class"] == spectrum["details"]["heavy_class"] == "Majorana"
