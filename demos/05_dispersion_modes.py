@@ -7,12 +7,12 @@ pair) for eps5 = -1 and spacelike (two real Majorana lines) for eps5 = +1.
 Run:  python3 demos/05_dispersion_modes.py
 """
 
+import random
 from fractions import Fraction
-
-import numpy as np
+from itertools import combinations
 
 from ncdirac import dispersion_roots, reference_solutions
-from ncdirac.modes import boost_solution, residual
+from ncdirac.cayley import boost_defect, cayley_boost
 
 for eps5 in (-1, 1):
     print(f"== eps5 = {eps5:+d} ==")
@@ -29,11 +29,17 @@ for eps5 in (-1, 1):
     light = reference_solutions(Fraction(1), eps5, "massless")
     print(f"  massless branch: class {light.spinor_class}")
 
-    rng = np.random.default_rng(3)
-    w = rng.uniform(-1, 1, (4, 4))
-    w = w - w.T
-    moved = boost_solution(heavy, w)
-    worst = max(residual(moved.k, u, moved.ell, eps5) for u in moved.basis)
-    print(f"  after a random boost: k^2 = {float(moved.k2):+.12f}, "
-          f"residual {worst:.2e}, class {moved.spinor_class}")
+    rng = random.Random(3)
+    omega = [[Fraction(0)] * 4 for _ in range(4)]
+    for a, b in combinations(range(4), 2):
+        omega[a][b] = Fraction(rng.randint(-10, 10), 10)
+        omega[b][a] = -omega[a][b]
+    boost = cayley_boost(omega)
+    lam = [[Fraction(x, 4 * boost.denom ** 2) for x in row] for row in boost.lam_numer]
+    k = [sum(x * c for x, c in zip(row, heavy.k)) for row in lam]
+    k2 = k[0] ** 2 - k[1] ** 2 - k[2] ** 2 - k[3] ** 2
+    defect = boost_defect(heavy, [boost])
+    print(f"  after a seeded rational boost ({boost.height_bits} bits): "
+          f"k = ({', '.join(str(c) for c in k)})")
+    print(f"    k^2 = {k2}, {'still a solution' if defect is None else defect}")
     print()

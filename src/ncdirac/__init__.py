@@ -39,21 +39,15 @@ from .enveloping import (
 )
 from .clifford import (
     GammaRep,
-    SpinorMatrix,
     VerificationError,
-    boost_matrix,
     build_majorana_rep,
     gamma_sum,
     reality_class,
-    vector_boost,
     verify_clifford,
 )
 from .modes import (
-    BoostBatch,
     ModeProblem,
     SpinorSolution,
-    boost_solution,
-    boost_solutions,
     dirac_matrix,
     dispersion_roots,
     reference_solutions,
@@ -105,21 +99,15 @@ __all__ = [
     "verify_plane_wave_relations",
     "lemma_matrix_check",
     "GammaRep",
-    "SpinorMatrix",
     "build_majorana_rep",
     "gamma_sum",
     "verify_clifford",
-    "boost_matrix",
-    "vector_boost",
     "reality_class",
     "ModeProblem",
     "SpinorSolution",
     "dirac_matrix",
     "dispersion_roots",
     "reference_solutions",
-    "boost_solution",
-    "boost_solutions",
-    "BoostBatch",
     "residual",
     "CouplingConfig",
     "ModeSpectrum",

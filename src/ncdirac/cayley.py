@@ -115,6 +115,8 @@ def cayley_boost(omega) -> CayleyBoost:
     and [S, G] = 0, which is [S, g^4] = 0 for both signatures (g^4 = i G or
     -G).  A singular I - A/2 or a failed identity raises VerificationError."""
     omega = [[as_fraction(x) for x in row] for row in omega]
+    if len(omega) != 4 or any(len(row) != 4 for row in omega):
+        raise ValueError("omega must be a 4x4 array")
     q = math.lcm(*(x.denominator for row in omega for x in row))
     w = [[x.numerator * (q // x.denominator) for x in row] for row in omega]
     if any(w[a][b] != -w[b][a] for a in range(4) for b in range(a, 4)):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .scalars import ExactScalar, ParamPoly, poly, real_value, sym
+from .scalars import ExactScalar, ParamPoly, poly, sym
 from .lie_algebra import (
     StructureConstants,
     build_deformed_algebra,
@@ -512,7 +512,7 @@ def seesaw_verdict(coupling: CouplingConfig, spectrum) -> tuple[bool, float, flo
     mass within max(2 (mu/M)^2, 1e-12) of its leading value, the heavy mass
     within 2 (mu/M)^2 of M = 2/l, and the light class unset or the one the
     leading order predicts."""
-    big_m = 2.0 / float(real_value(coupling.ell))
+    big_m = 2.0 / float(coupling.ell)
     ratio = coupling.mu() / big_m
     tol = max(2.0 * ratio * ratio, 1e-12)
     heavy_drift = abs(math.sqrt(abs(spectrum.heavy_k2)) - big_m) / big_m

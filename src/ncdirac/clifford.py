@@ -1,24 +1,15 @@
-"""Gamma matrices in the Majorana imaginary representation, spinor boosts,
-and the Dirac vs Majorana reality classifier.
+"""Gamma matrices in the Majorana imaginary representation, Clifford
+relation checks, and the Dirac vs Majorana reality classifier.
 
 The five-dimensional Clifford relations {g^a, g^b} = 2 eta^ab with
 eta = diag(1,-1,-1,-1,eps5) are realized on 4x4 matrices: gamma0..gamma3
 have purely imaginary entries, gamma5 = i g0 g1 g2 g3, and the fifth
 element is gamma5 itself (eps5 = +1) or i*gamma5 (eps5 = -1).
 
-Clifford checks run in exact arithmetic.  The exact gammas are built once
-per eps5 on first use, and the public builders hand out copies; every exact
-sum_a c_a gamma^a is written by ``gamma_sum`` (ParamPoly coefficients) or
-``gamma_rows`` (field scalars); the exact Cayley boosts are in
-``ncdirac.cayley``.  Float code reads the gammas
-from one read-only complex128 stack per eps5 (``float_gammas``), built once
-from the exact rep.  Float boosts carry a 1e-12 tolerance and take one
-generator omega of shape (4, 4) or a stack of N of them, (N, 4, 4); a stack
-gives bit for bit the matrices its slices give one by one.  The matrix
-exponential is scaling and squaring around a degree-18 Taylor polynomial
-(Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179): each generator is
-halved until its 1-norm is below 1, where the truncation error is below
-1e-17, and the result is squared back.
+Everything here is exact.  The gammas are built once per eps5 on first
+use, and the public builders hand out copies; every sum_a c_a gamma^a is
+written by ``gamma_sum`` (ParamPoly coefficients) or ``gamma_rows`` (field
+scalars).  The exact Cayley boosts are in ``ncdirac.cayley``.
 """
 
 from __future__ import annotations
@@ -26,18 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from ._numpy import np
 from .lie_algebra import ETA4_DIAG
 from .matrices import ExactMatrix
 from .scalars import P_I, _packed_poly, _packed_terms, _sum_of_products, poly
 
 
 class VerificationError(RuntimeError):
-    """A float-mode result failed its tolerance or finiteness check, or an
-    exact Cayley boost is singular or fails one of its identities.
+    """An exact Cayley boost is singular or fails one of its identities, or
+    a reference nullspace has the wrong dimension.
 
-    ``index`` is the failing slice or draw of a stacked input, None
-    otherwise."""
+    ``index`` is the failing draw of a list of generators, None otherwise."""
 
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
@@ -158,48 +147,17 @@ def gamma_rows(eps5: int, coeffs, zero) -> list:
     return rows
 
 
-@cache
-def float_gammas(eps5: int) -> np.ndarray:
-    """Read-only complex128 stack gamma[0..4] of build_majorana_rep(eps5)."""
-    stack = np.stack([g.to_complex_array() for g in _majorana_table(eps5)])
-    stack.flags.writeable = False
-    return stack
-
-
-@dataclass(frozen=True)
-class SpinorMatrix:
-    """4x4 matrix tagged exact or float; float mode carries tolerance 1e-12
-    and may hold a stack of shape (N, 4, 4)."""
-
-    matrix: object
-    mode: str
-    tolerance: float | None = None
-
-    def __post_init__(self):
-        if self.mode == "exact":
-            if not isinstance(self.matrix, ExactMatrix):
-                raise ValueError("exact mode requires an ExactMatrix")
-            if self.tolerance is not None:
-                raise ValueError("exact mode carries no tolerance")
-        elif self.mode == "float":
-            if not isinstance(self.matrix, np.ndarray):
-                raise ValueError("float mode requires an ndarray")
-            object.__setattr__(self, "tolerance", self.tolerance or 1e-12)
-        else:
-            raise ValueError("mode must be 'exact' or 'float'")
-
-    def as_array(self) -> np.ndarray:
-        if self.mode == "exact":
-            return self.matrix.to_complex_array()
-        return self.matrix
-
-
 @dataclass(frozen=True)
 class RelationCheck:
     name: str
     relation: str
     ok: bool
     residual: float
+
+
+def _max_abs(diff: ExactMatrix) -> float:
+    """The largest entry modulus of a constant matrix, as a float."""
+    return max(abs(complex(x)) for row in diff.scalar_entries() for x in row)
 
 
 def _pair_residual(rep: GammaRep, a: int, b: int) -> ExactMatrix:
@@ -216,7 +174,7 @@ def verify_clifford(rep: GammaRep) -> list[RelationCheck]:
         for b in range(a, 5):
             diff = _pair_residual(rep, a, b)
             ok = diff.is_zero()
-            res = 0.0 if ok else float(np.abs(diff.to_complex_array()).max())
+            res = 0.0 if ok else _max_abs(diff)
             rhs = f"2*eta{a}{a}" if a == b else "0"
             checks.append(
                 RelationCheck(
@@ -236,7 +194,7 @@ def verify_clifford(rep: GammaRep) -> list[RelationCheck]:
                 name=f"square_g{a}",
                 relation=f"(g{a})^2 = eta{a}{a}",
                 ok=ok,
-                residual=0.0 if ok else float(np.abs(diff.to_complex_array()).max()),
+                residual=0.0 if ok else _max_abs(diff),
             )
         )
     return checks
@@ -251,7 +209,7 @@ def gamma5_product_check(rep: GammaRep) -> RelationCheck:
         name="gamma5_product",
         relation="g5 = i*g0*g1*g2*g3",
         ok=ok,
-        residual=0.0 if ok else float(np.abs(diff.to_complex_array()).max()),
+        residual=0.0 if ok else _max_abs(diff),
     )
 
 
@@ -263,7 +221,7 @@ def majorana_imaginary_check(rep: GammaRep) -> RelationCheck:
         diff = rep.gamma[mu].conjugate() + rep.gamma[mu]
         if not diff.is_zero():
             ok = False
-            worst = max(worst, float(np.abs(diff.to_complex_array()).max()))
+            worst = max(worst, _max_abs(diff))
     return RelationCheck(
         name="majorana_imaginary",
         relation="conj(g_mu) = -g_mu for mu in 0..3",
@@ -272,159 +230,22 @@ def majorana_imaginary_check(rep: GammaRep) -> RelationCheck:
     )
 
 
-def _stack_where(array: np.ndarray, index) -> str:
-    """' (slice i)' for a stack of matrices, '' for a single one."""
-    return f" (slice {index})" if array.ndim == 3 else ""
-
-
-def _check_omega(omega) -> np.ndarray:
-    """A real, finite, antisymmetric (4, 4) generator or (N, 4, 4) stack."""
-    omega = np.asarray(omega)
-    if np.iscomplexobj(omega):
-        raise ValueError("omega must be real")
-    omega = omega.astype(float)
-    if omega.ndim not in (2, 3) or omega.shape[-2:] != (4, 4):
-        raise ValueError("omega must be a 4x4 array or a stack of them")
-    if not np.isfinite(omega).all():
-        raise ValueError("omega must be finite")
-    # relative to the entries, with no rtol slack: a 1e-5 asymmetry is a
-    # metric defect of the same size in the boost, not roundoff
-    defect = np.abs(omega + np.swapaxes(omega, -1, -2)).max(axis=(-2, -1))
-    scale = np.maximum(1.0, np.abs(omega).max(axis=(-2, -1)))
-    bad = np.flatnonzero(defect > 1e-14 * scale)
-    if bad.size:
-        raise ValueError(f"omega must be antisymmetric{_stack_where(omega, bad[0])}")
-    return omega
-
-
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) of a square matrix or of each matrix in a stack, by scaling and
-    squaring a degree-18 Taylor polynomial.
-
-    Each matrix keeps its own scaling exponent, and only the matrices whose
-    squarings are not used up are squared, so a stack equals its slices
-    exponentiated one by one.  Raises VerificationError, with ``index`` set
-    for a stack, when a result overflows the float range."""
-    stack = a.reshape((-1,) + a.shape[-2:])
-    # 2^-s a has 1-norm below 1, where the dropped Taylor tail is below 1e-17
-    s = np.maximum(0, np.frexp(np.abs(stack).sum(axis=-2).max(axis=-1))[1])
-    stack = stack * np.ldexp(1.0, -s)[:, None, None]
-    eye = out = np.eye(a.shape[-1], dtype=a.dtype)
-    for n in range(18, 0, -1):  # Horner form
-        out = eye + stack @ out / n
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(s.max(initial=0)):
-            live = s > step
-            out[live] = out[live] @ out[live]
-    bad = np.flatnonzero(~np.isfinite(out).all(axis=(-2, -1)))
-    if bad.size:
-        i = int(bad[0])
-        raise VerificationError(
-            f"matrix exponential overflows after {s[i]} squarings",
-            index=i if a.ndim == 3 else None,
-        )
-    return out.reshape(a.shape)
-
-
-def spinor_generator(omega) -> np.ndarray:
-    """(1/4) omega_ab g^a g^b over a,b in 0..3, for one omega or a stack."""
-    omega = _check_omega(omega)
-    gs = float_gammas(1)[:4]  # g^0..g^3 do not depend on eps5
-    # each g^a g^b has one entry +-1 or +-i per row, so c * (g^a g^b) is
-    # exact and the sum below rounds as ((c g^a) g^b) summed over a, b does
-    products = gs[:, None] @ gs[None, :]
-    G = np.zeros(omega.shape, dtype=complex)
-    for a in range(4):
-        for b in range(4):
-            G += (0.25 * omega[..., a, b])[..., None, None] * products[a, b]
-    return G
-
-
-def vector_generator(omega) -> np.ndarray:
-    """Mixed-index generator: omega^mu_nu = eta^{mu alpha} omega_{alpha nu},
-    for one omega or a stack."""
-    omega = _check_omega(omega)
-    return np.array(ETA4_DIAG, dtype=float)[:, None] * omega
-
-
-def boost_matrix(omega) -> SpinorMatrix:
-    """Spinor transformation S = exp((1/4) omega_ab g^a g^b); a stack of
-    generators gives a float SpinorMatrix holding the (N, 4, 4) stack."""
-    return SpinorMatrix(matrix=_expm(spinor_generator(omega)), mode="float")
-
-
-def vector_boost(omega) -> np.ndarray:
-    """Vector transformation Lambda^mu_nu paired with boost_matrix, for one
-    omega or a stack."""
-    return _expm(vector_generator(omega))
-
-
-def pairing_residual(omega) -> float:
-    """max_mu || S^-1 g^mu S - Lambda^mu_nu g^nu ||, float mode."""
-    S = boost_matrix(omega).matrix
-    Sinv = np.linalg.inv(S)
-    lam = vector_boost(omega)
-    gs = float_gammas(1)
-    worst = 0.0
-    for mu in range(4):
-        lhs = Sinv @ gs[mu] @ S
-        rhs = sum(lam[mu, nu] * gs[nu] for nu in range(4))
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst
-
-
-def _is_float_entry(value) -> bool:
-    if isinstance(value, (complex, float)):
-        return True
-    # numpy is asked only about values of its own types, so an exact basis
-    # does not load it
-    if type(value).__module__ == "numpy" and isinstance(value, np.generic):
-        return np.iscomplexobj(value) or isinstance(value, np.floating)
-    return False
-
-
-def reality_class(basis, mode: str | None = None, tol: float = 1e-10) -> str:
+def reality_class(basis) -> str:
     """'Majorana' if span(basis) is closed under componentwise conjugation
-    (equivalently, admits an all-real basis), 'Dirac' otherwise.
+    (equivalently, admits an all-real basis), 'Dirac' otherwise, by exact
+    Gaussian elimination over the coefficient field.
 
-    Exact mode runs Gaussian elimination over the coefficient field; float
-    mode compares numerical ranks of the normalised vectors via singular
-    values, so ``tol`` does not depend on the basis's scale.  Rank-deficient
-    input is rejected because the classification is about the spanned
-    subspace, so the basis must actually be one.
+    Entries are exact numbers, or Python complex numbers with integer
+    parts; a float raises TypeError.  Rank-deficient input is rejected
+    because the classification is about the spanned subspace, so the basis
+    must actually be one.
     """
     rows = [list(v) for v in basis]
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("basis must be a nonempty list of equal-length vectors")
-    if mode is None:
-        flat = [x for r in rows for x in r]
-        mode = "float" if any(_is_float_entry(x) for x in flat) else "exact"
-    if mode == "exact":
-        B = ExactMatrix.from_complex_entries(rows)
-        k = B.rank()
-        if k != len(rows):
-            raise ValueError("basis is rank-deficient")
-        stacked = ExactMatrix(B.rows + B.conjugate().rows)
-        return "Majorana" if stacked.rank() == k else "Dirac"
-    if mode != "float":
-        raise ValueError("mode must be 'exact' or 'float'")
-    return _float_reality_classes(np.asarray(rows, dtype=complex), tol)[0]
-
-
-def _float_reality_classes(bases: np.ndarray, tol: float = 1e-10) -> list[str]:
-    """reality_class in float mode for one basis of shape (m, n), or for each
-    basis in a stack of shape (N, m, n), by stacked singular values of the
-    normalised vectors (the rank tolerance is absolute, and a basis of
-    large norm carries roundoff above it).
-
-    Raises ValueError, naming the first such basis of a stack, when a basis
-    is rank-deficient."""
-    norms = np.linalg.norm(bases, axis=-1, keepdims=True)
-    bases = bases / np.where(norms == 0, 1.0, norms)  # a zero vector stays zero
-    m = bases.shape[-2]
-    short = np.flatnonzero(np.linalg.matrix_rank(bases, tol=tol) != m)
-    if short.size:
-        raise ValueError(f"basis is rank-deficient{_stack_where(bases, short[0])}")
-    closed = np.concatenate([bases, bases.conj()], axis=-2)
-    ranks = np.atleast_1d(np.linalg.matrix_rank(closed, tol=tol))
-    return ["Majorana" if r == m else "Dirac" for r in ranks]
+    B = ExactMatrix.from_complex_entries(rows)
+    k = B.rank()
+    if k != len(rows):
+        raise ValueError("basis is rank-deficient")
+    stacked = ExactMatrix(B.rows + B.conjugate().rows)
+    return "Majorana" if stacked.rank() == k else "Dirac"

@@ -9,10 +9,7 @@ memoization, which is cheap at the 4x4 and 8x8 sizes used here.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from ._numpy import np
-from .scalars import ONE, ZERO, ExactScalar, P_ONE, P_ZERO, ParamPoly, poly
+from .scalars import ONE, ZERO, ExactScalar, P_ONE, P_ZERO, ParamPoly, _inexact, poly
 
 
 class ExactMatrix:
@@ -41,19 +38,11 @@ class ExactMatrix:
 
     @staticmethod
     def from_complex_entries(entries) -> "ExactMatrix":
-        """Build from nested lists of ints / Fractions / complex literals
-        whose parts are exact (used for gamma matrix tables)."""
-        rows = []
-        for row in entries:
-            out_row = []
-            for x in row:
-                if isinstance(x, complex):
-                    s = ExactScalar(Fraction(x.real), Fraction(x.imag))
-                    out_row.append(poly(s))
-                else:
-                    out_row.append(poly(x))
-            rows.append(out_row)
-        return ExactMatrix(rows)
+        """Build from nested lists of exact numbers and Python complex
+        numbers with integer parts, as the gamma tables hold.  Any other
+        complex raises TypeError: its float parts are not exact."""
+        return ExactMatrix([[_gaussian_integer(x) if isinstance(x, complex) else x
+                             for x in row] for row in entries])
 
     def copy(self) -> "ExactMatrix":
         return ExactMatrix([list(row) for row in self.rows])
@@ -123,10 +112,6 @@ class ExactMatrix:
         """Entries as ExactScalar; fails if any entry still carries symbols."""
         return [[a.to_scalar() for a in row] for row in self.rows]
 
-    def to_complex_array(self) -> np.ndarray:
-        data = self.scalar_entries()
-        return np.array([[complex(x) for x in row] for row in data], dtype=complex)
-
     # -- exact linear algebra (constant entries) -----------------------------
 
     def rank(self) -> int:
@@ -184,6 +169,12 @@ class ExactMatrix:
         return "[" + ",\n ".join("[" + ", ".join(map(str, r)) + "]" for r in self.rows) + "]"
 
     __repr__ = __str__
+
+
+def _gaussian_integer(x: complex) -> ExactScalar:
+    if not (x.real.is_integer() and x.imag.is_integer()):
+        raise _inexact(x, "number")
+    return ExactScalar(int(x.real), int(x.imag))
 
 
 def echelon(rows: list) -> list[int]:

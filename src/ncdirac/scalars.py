@@ -68,11 +68,6 @@ class DegreeBoundError(ValueError):
     """Raised when a power of one symbol would exceed MAX_DEGREE."""
 
 
-def is_exact_number(value) -> bool:
-    """True for int, Fraction, str and ExactScalar; floats are not exact."""
-    return isinstance(value, (int, Fraction, str, ExactScalar))
-
-
 def as_fraction(value) -> Fraction:
     """The exact rational value of an int, Fraction, str or real ExactScalar.
 
@@ -86,16 +81,14 @@ def as_fraction(value) -> Fraction:
         return value.to_fraction()
     if isinstance(value, Integral):  # numpy integers, say
         return Fraction(operator.index(value))
-    raise TypeError(
-        f"expected an exact rational, got {type(value).__name__}; "
+    raise _inexact(value, "rational")
+
+
+def _inexact(value, kind: str) -> TypeError:
+    return TypeError(
+        f"expected an exact {kind}, got {type(value).__name__}; "
         "convert floats explicitly with ExactScalar.from_float"
     )
-
-
-def real_value(value):
-    """`as_fraction(value)` for exact numbers, `float(value)` otherwise; for
-    sign and range checks that accept both."""
-    return as_fraction(value) if is_exact_number(value) else float(value)
 
 
 _new = object.__new__
@@ -328,6 +321,8 @@ def _coerce_scalar(value) -> ExactScalar:
         return _make(value.numerator, 0, value.denominator)
     if isinstance(value, Integral):  # numpy integers, say
         return _make(operator.index(value), 0, 1)
+    if isinstance(value, (float, complex)):
+        raise _inexact(value, "number")
     raise TypeError(f"cannot coerce {type(value).__name__} to ExactScalar")
 
 

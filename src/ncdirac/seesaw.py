@@ -30,13 +30,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._numpy import np
-from .clifford import (build_majorana_rep, float_gammas, gamma5, gamma_rows,
-                       gamma_sum, reality_class)
+from .clifford import build_majorana_rep, gamma5, gamma_rows, gamma_sum, reality_class
 from .lie_algebra import ETA4_DIAG
 from .matrices import ExactMatrix, echelon
-from .scalars import (ExactScalar, ParamPoly, as_fraction, exact_sqrt, is_exact_number,
-                      poly, real_value, sym)
+from .scalars import (ExactScalar, ParamPoly, _coerce_scalar, as_fraction, exact_sqrt,
+                      poly, sym)
 
 _HALF = ExactScalar(Fraction(1, 2))
 
@@ -49,61 +47,37 @@ class RootFindingError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
-def _as_exact_complex(g) -> ExactScalar | None:
-    if isinstance(g, ExactScalar):
-        return g
-    if isinstance(g, (int, Fraction)):
-        return ExactScalar(Fraction(g))
-    if isinstance(g, str):
-        return ExactScalar.parse(g)
-    return None
-
-
 @dataclass(frozen=True)
 class CouplingConfig:
-    """Yukawa coupling g (complex), condensate vev >= 0, length l > 0, eps5."""
+    """Yukawa coupling g (a Gaussian rational: ExactScalar, int, Fraction or
+    a string ExactScalar.parse reads), condensate vev >= 0, length l > 0,
+    and eps5.  g is held as an ExactScalar, vev and l as Fractions; a float
+    raises TypeError."""
 
-    g: object
-    vev: object
-    ell: object
+    g: ExactScalar
+    vev: Fraction
+    ell: Fraction
     eps5: int
 
     def __post_init__(self):
         if self.eps5 not in (1, -1):
             raise ValueError("eps5 must be +1 or -1")
-        if not real_value(self.ell) > 0:
+        g = ExactScalar.parse(self.g) if isinstance(self.g, str) else _coerce_scalar(self.g)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "vev", as_fraction(self.vev))
+        object.__setattr__(self, "ell", as_fraction(self.ell))
+        if not self.ell > 0:
             raise ValueError("ell must be positive")
-        if not real_value(self.vev) >= 0:
+        if not self.vev >= 0:
             raise ValueError("vev must be nonnegative")
 
-    @property
-    def exact(self) -> bool:
-        return (
-            _as_exact_complex(self.g) is not None
-            and is_exact_number(self.vev)
-            and is_exact_number(self.ell)
-        )
-
-    def g_exact(self) -> ExactScalar:
-        g = _as_exact_complex(self.g)
-        if g is None:
-            raise ValueError("coupling is not exact")
-        return g
-
-    def g_complex(self) -> complex:
-        g = _as_exact_complex(self.g)
-        return complex(g) if g is not None else complex(self.g)
-
-    def coupling_squared(self):
-        """|g|^2, exact when g is."""
-        g = _as_exact_complex(self.g)
-        if g is not None:
-            return (g * g.conjugate()).to_fraction()
-        return abs(complex(self.g)) ** 2
+    def coupling_squared(self) -> Fraction:
+        """|g|^2."""
+        return (self.g * self.g.conjugate()).to_fraction()
 
     def mu(self) -> float:
         """|g| * vev."""
-        return math.sqrt(float(self.coupling_squared())) * float(real_value(self.vev))
+        return math.sqrt(float(self.coupling_squared())) * float(self.vev)
 
 
 def _k_lower(k) -> list:
@@ -115,23 +89,18 @@ def _k_lower(k) -> list:
     return out
 
 
-def coupled_matrix(k, c: CouplingConfig):
+def coupled_matrix(k, c: CouplingConfig) -> ExactMatrix:
     """Exact 8x8 block matrix [[g.k, gv],[g*v, g.k + g^4 (2/l)]].
 
-    Momentum components may be exact numbers or ParamPoly symbols; the
-    symbolic form is what the spectrum code solves.  Float inputs fall back
-    to a complex ndarray.
+    Momentum components may be exact rationals or ParamPoly symbols; the
+    symbolic form is what the spectrum code solves.
     """
-    k_ok = all(isinstance(x, ParamPoly) or is_exact_number(x) for x in k)
-    if not (c.exact and k_ok):
-        return _coupled_matrix_float(k, c)
     k_low = _k_lower(k)
     gk = gamma_sum(c.eps5, k_low)
-    g = c.g_exact()
-    v = ExactScalar(as_fraction(c.vev))
-    gv = poly(g * v)
-    gvc = poly(g.conjugate() * v)
-    mh = poly(ExactScalar(Fraction(2) / as_fraction(c.ell)))
+    v = ExactScalar(c.vev)
+    gv = poly(c.g * v)
+    gvc = poly(c.g.conjugate() * v)
+    mh = poly(ExactScalar(Fraction(2) / c.ell))
     lower_right = gamma_sum(c.eps5, k_low + [mh])
     eye = ExactMatrix.identity(4)
     out = ExactMatrix.zeros(8)
@@ -144,31 +113,14 @@ def coupled_matrix(k, c: CouplingConfig):
     return out
 
 
-def _coupled_matrix_float(k, c: CouplingConfig) -> np.ndarray:
-    gs = float_gammas(c.eps5)
-    gk = np.zeros((4, 4), dtype=complex)
-    for mu in range(4):
-        gk += gs[mu] * (float(k[mu]) * ETA4_DIAG[mu])
-    g = c.g_complex()
-    v = float(real_value(c.vev))
-    out = np.zeros((8, 8), dtype=complex)
-    out[:4, :4] = gk
-    out[:4, 4:] = g * v * np.eye(4)
-    out[4:, :4] = np.conj(g) * v * np.eye(4)
-    out[4:, 4:] = gk + gs[4] * (2.0 / float(real_value(c.ell)))
-    return out
-
-
 def leading_order_reduction(c: CouplingConfig):
     """(W, effective): u2 = W u1 with W = -(l/2) eps5 g* vev g^4, and the
     effective light operator as a function of the four-momentum."""
     rep = build_majorana_rep(c.eps5)
-    g = c.g_exact()
-    v = ExactScalar(as_fraction(c.vev))
-    ell = ExactScalar(as_fraction(c.ell))
-    w_coeff = poly(-c.eps5) * poly(g.conjugate() * v * ell * _HALF)
+    v = ExactScalar(c.vev)
+    w_coeff = poly(-c.eps5) * poly(c.g.conjugate() * v * ExactScalar(c.ell) * _HALF)
     W = rep.gamma[4].scale(w_coeff)
-    mass_coeff = w_coeff * poly(g * v)
+    mass_coeff = w_coeff * poly(c.g * v)
 
     def effective(k) -> ExactMatrix:
         return gamma_sum(c.eps5, _k_lower(k) + [mass_coeff])
@@ -177,8 +129,8 @@ def leading_order_reduction(c: CouplingConfig):
 
 
 def leading_mass(c: CouplingConfig):
-    """m = |g|^2 vev^2 l / 2, exact when the config is."""
-    return c.coupling_squared() * real_value(c.vev) ** 2 * real_value(c.ell) / 2
+    """m = |g|^2 vev^2 l / 2."""
+    return c.coupling_squared() * c.vev ** 2 * c.ell / 2
 
 
 def light_mass_leading(c: CouplingConfig):
@@ -207,10 +159,9 @@ def verify_effective_equation(c: CouplingConfig) -> EffectiveCheck:
     the configured exact coupling: the eliminated system's mass term equals
     +i |g|^2 v^2 (l/2) g5 for eps5 = -1 and -|g|^2 v^2 (l/2) g5 for +1."""
     rep = build_majorana_rep(c.eps5)
-    g = c.g_exact()
-    w_coeff = poly(-c.eps5) * poly(g.conjugate() * _HALF) * sym("v") * sym("l")
+    w_coeff = poly(-c.eps5) * poly(c.g.conjugate() * _HALF) * sym("v") * sym("l")
     W = rep.gamma[4].scale(w_coeff)
-    mass_term = W.scale(poly(g) * sym("v"))
+    mass_term = W.scale(poly(c.g) * sym("v"))
     gsq = poly(ExactScalar(c.coupling_squared()))
     g5 = gamma5()
     if c.eps5 == -1:
@@ -223,13 +174,13 @@ def verify_effective_equation(c: CouplingConfig) -> EffectiveCheck:
     residual = mass_term - printed
 
     rest_class = None
-    if c.exact and c.coupling_squared() != 0:
+    if c.coupling_squared() != 0:
         m_lead = leading_mass(c)
         k = (m_lead, 0, 0, 0) if c.eps5 == -1 else (0, 0, 0, m_lead)
         _, effective = leading_order_reduction(c)
         kernel = effective(k).kernel()
         if len(kernel) == 2:
-            rest_class = reality_class(kernel, mode="exact")
+            rest_class = reality_class(kernel)
     return EffectiveCheck(
         identity_ok=residual.is_zero(),
         mass_term=mass_term,
@@ -295,12 +246,10 @@ def exact_mode_spectrum(c: CouplingConfig) -> ModeSpectrum:
     m_lead (1 + d), heavy mass = M / (1 + d), deviation = |d| at any mu/M.
     The k^2 values stay exact when the discriminant is a rational square.
     """
-    if not c.exact:
-        raise ValueError("exact spectrum needs rational g, vev, ell")
     e5 = c.eps5
-    big_m = Fraction(2) / as_fraction(c.ell)
+    big_m = Fraction(2) / c.ell
     m2 = big_m * big_m
-    mu2 = c.coupling_squared() * as_fraction(c.vev) ** 2
+    mu2 = c.coupling_squared() * c.vev ** 2
     s = m2 - 2 * e5 * mu2
 
     axis = 0 if e5 == -1 else 3

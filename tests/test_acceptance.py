@@ -4,11 +4,11 @@ Run `pytest tests/test_acceptance.py -v` for the line-per-criterion view.
 """
 
 import json
+import random
 from fractions import Fraction
+from itertools import combinations
 
-import numpy as np
-import pytest
-
+from ncdirac.cayley import boost_defect, cayley_boost
 from ncdirac.cli import main
 from ncdirac.clifford import (
     build_majorana_rep,
@@ -25,7 +25,6 @@ from ncdirac.lie_algebra import (
     verify_linear_isomorphism,
 )
 from ncdirac.modes import (
-    boost_solution,
     dispersion_roots,
     reference_solutions,
     residual as mode_residual,
@@ -140,23 +139,33 @@ def test_criterion_07_spinor_solutions():
 
 
 def test_criterion_08_boost_covariance():
-    rng = np.random.default_rng(1234)
+    rng = random.Random(1234)
+    boosts = []
+    for _ in range(100):
+        # omega_ab = p/q in [-2, 2], q in 1..10, a < b
+        q = rng.randint(1, 10)
+        omega = [[Fraction(0)] * 4 for _ in range(4)]
+        for a, b in combinations(range(4), 2):
+            omega[a][b] = Fraction(rng.randint(-2 * q, 2 * q), q)
+            omega[b][a] = -omega[a][b]
+        boosts.append(cayley_boost(omega))
     ok = True
     for eps5 in (1, -1):
         sol = reference_solutions(Fraction(1), eps5, "heavy")
-        for _ in range(100):
-            omega = rng.uniform(-2, 2, (4, 4))
-            omega = omega - omega.T
-            np.fill_diagonal(omega, 0.0)
-            moved = boost_solution(sol, omega)
+        ok = ok and boost_defect(sol, boosts) is None
+        for b in boosts:
+            lam = [[Fraction(x, 4 * b.denom ** 2) for x in row] for row in b.lam_numer]
+            k = [sum(x * c for x, c in zip(row, sol.k)) for row in lam]
+            drift = k[0] ** 2 - k[1] ** 2 - k[2] ** 2 - k[3] ** 2 - sol.k2
+            # denom * S u: the scale leaves the residual's zero in place
             worst = max(
-                mode_residual(moved.k, u, moved.ell, eps5) for u in moved.basis
+                mode_residual(k, [sum(x * c for x, c in zip(row, u)) for row in b.numer],
+                              sol.ell, eps5)
+                for u in sol.basis
             )
-            drift = abs(float(moved.k2) - float(sol.k2))
-            ok = ok and worst < 1e-10
-            ok = ok and drift <= 1e-10 * max(abs(float(sol.k2)), 1.0)
-    verdict(ok, "criterion 8: 100 seeded boosts keep residual < 1e-10 and "
-                "k^2 drift < 1e-10 relative, both signs")
+            ok = ok and worst == 0 and drift == 0
+    verdict(ok, "criterion 8: 100 seeded rational Cayley boosts keep residual "
+                "and k^2 drift exactly 0, both signs")
 
 
 def test_criterion_09_seesaw_scaling():

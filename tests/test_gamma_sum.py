@@ -41,7 +41,7 @@ def test_rational_dirac_matrix_equals_the_chain(eps5, k, ell):
     coeffs = [k[mu] * ETA4_DIAG[mu] for mu in range(4)]
     coeffs.append(Fraction(-eps5) * ell / 2 * p.k_squared())
     want = _add_scale_chain(eps5, [ExactScalar(c) for c in coeffs])
-    assert dirac_matrix(p).matrix == want
+    assert dirac_matrix(p) == want
 
 
 @pytest.mark.parametrize("eps5", [1, -1])
@@ -68,7 +68,7 @@ def test_coupled_and_effective_blocks_equal_the_chain(eps5, k):
     assert [row[:4] for row in full.rows[:4]] == gk.rows
     assert [row[4:] for row in full.rows[4:]] == heavy.rows
     W, effective = leading_order_reduction(c)
-    g, v = c.g_exact(), ExactScalar(Fraction(1, 3))
+    g, v = c.g, ExactScalar(Fraction(1, 3))
     assert effective(k) == gk + W.scale(poly(g * v))
 
 

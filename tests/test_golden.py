@@ -14,8 +14,9 @@ in exact arithmetic.  Each was written with the command below, run from
 the repository root.  The reports carry no timings, and every value is
 exact but the seesaw masses and deviations, which ``math`` computes from
 exact roots, with no BLAS involved.  Change a golden file only together
-with a report change that is meant.  CI runs the same commands and
-compares with ``cmp``.
+with a report change that is meant.  CI runs the same commands with
+``tests/golden/compare.sh``, which compares with ``cmp``, with and without
+numpy installed.
 
 ``tampered_deformed_fixture.json`` is the deformed table for
 (eps4, eps5) = (1, -1) with generator a rescaled by (-1)^a (a+2)/(2a+1),
@@ -67,7 +68,7 @@ NUMPY_FREE = [
 
 
 def test_commands_run_without_numpy(capsys):
-    # numpy is blocked in a fresh interpreter, so any float use raises
+    # numpy is blocked in a fresh interpreter, so importing it would raise
     argvs = [argv for argv, _, _ in NUMPY_FREE]
     script = (
         "import contextlib, io, json, sys\n"

@@ -46,8 +46,9 @@ def test_complex_entries_and_conjugate():
     m = ExactMatrix.from_complex_entries([[1j, 0], [0, -1j]])
     c = m.conjugate()
     assert (m + c).is_zero()
-    arr = m.to_complex_array()
-    assert arr[0, 0] == 1j
+    assert m.scalar_entries()[0][0] == ExactScalar.i()
+    with pytest.raises(TypeError, match="convert floats explicitly"):
+        ExactMatrix.from_complex_entries([[0.5j]])
 
 
 def test_vector_matmul():

@@ -1,30 +1,32 @@
-"""Dispersion branches, exact nullspaces, and float and exact boost covariance."""
+"""Dispersion branches, exact nullspaces, and exact boost covariance."""
 
 import random
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+from exact_arrays import as_array
 from hypothesis import given, settings, strategies as st
 
 from ncdirac import cayley, checks, clifford
 from ncdirac.cayley import boost_defect, cayley_boost, cayley_boosts
 from ncdirac.checks import RunConfig, cmd_modes
-from ncdirac.clifford import VerificationError, boost_matrix, build_majorana_rep, reality_class
+from ncdirac.clifford import VerificationError, build_majorana_rep, reality_class
 from ncdirac.matrices import ExactMatrix, vector_matmul
 from ncdirac.modes import (
     ModeProblem,
-    boost_solution,
-    boost_solutions,
     dirac_matrix,
+    _sqrt_rounded,
     dispersion_roots,
     reference_solutions,
     residual,
     squared_identity_residual,
 )
 from ncdirac.scalars import ExactScalar, poly
+from ncdirac.seesaw import CouplingConfig
 
 I = ExactScalar.i()
 
@@ -52,7 +54,7 @@ def test_dispersion_roots_rational_scale():
 
 
 def _in_kernel(problem: ModeProblem, vec) -> bool:
-    mat = dirac_matrix(problem).matrix
+    mat = dirac_matrix(problem)
     out = vector_matmul(mat, [poly(c) for c in vec])
     return all(entry.is_zero() for entry in out)
 
@@ -104,7 +106,6 @@ def test_float_length_is_rejected():
         reference_solutions(0.1, -1, "heavy")
     sol = reference_solutions(Fraction(1, 10), -1, "heavy")
     assert sol.k == (Fraction(20), 0, 0, 0)
-    assert sol.mode == "exact"
 
 
 def test_residual_rejects_zero_vector():
@@ -112,176 +113,144 @@ def test_residual_rejects_zero_vector():
         residual((1, 0, 0, 0), (0, 0, 0, 0), Fraction(1), -1)
 
 
+_NOT_EXACT = {
+    "ModeProblem-ell": lambda: ModeProblem(eps5=1, ell=0.5, k=(1, 0, 0, 1)),
+    "ModeProblem-k": lambda: ModeProblem(eps5=1, ell=1, k=(1.0, 0, 0, 1)),
+    "CouplingConfig-g": lambda: CouplingConfig(g=0.5, vev=1, ell=1, eps5=1),
+    "CouplingConfig-complex-g": lambda: CouplingConfig(g=1j, vev=1, ell=1, eps5=1),
+    "CouplingConfig-vev": lambda: CouplingConfig(g=1, vev=0.01, ell=1, eps5=1),
+    "reference_solutions": lambda: reference_solutions(0.5, 1, "massless"),
+    "reference_solutions-kappa": lambda: reference_solutions(1, 1, "massless", kappa=0.5),
+    "residual-u": lambda: residual((1, 0, 0, 1), (1 + 1e-13j, 0, 0, 1), 1, 1),
+    "residual-k": lambda: residual((1.0, 0, 0, 1), (1, 0, 0, 1), 1, 1),
+    "dispersion_roots": lambda: dispersion_roots(0.5, 1),
+    "reality_class": lambda: reality_class([(1 + 1e-13j, 0, 0, 0)]),
+    "reality_class-float": lambda: reality_class([(0.5, 1, 0, 0)]),
+    "cayley_boost": lambda: cayley_boost([[0, 0.5, 0, 0], [-0.5, 0, 0, 0], [0] * 4, [0] * 4]),
+}
+
+
+@pytest.mark.parametrize("case", _NOT_EXACT)
+def test_float_inputs_raise(case):
+    # a float, or a complex with float parts, would otherwise be read as an
+    # exact dyadic rational and reported as exact
+    with pytest.raises(TypeError, match="convert floats explicitly"):
+        _NOT_EXACT[case]()
+
+
+def test_integer_complex_entries_are_exact():
+    assert reality_class([(1j, 1j, 0, 0)]) == "Majorana"
+    assert residual((1, 0, 0, 1), (1j, 0, 0, -1j), 1, 1) == 0.0
+
+
+def test_residual_is_rounded_once():
+    # |D(k) u|^2 / |u|^2 is a rational; the float is its correctly rounded
+    # square root, which the float norms meet to a few ulps
+    k, u = (Fraction(3, 2), Fraction(1, 3), 0, Fraction(-1, 2)), (1, 2j, -3, 1 + 1j)
+    got = residual(k, u, Fraction(1, 4), -1)
+    op = as_array(dirac_matrix(ModeProblem(eps5=-1, ell=Fraction(1, 4), k=k)))
+    want = np.linalg.norm(op @ np.array(u)) / np.linalg.norm(u)
+    assert got == pytest.approx(want, rel=1e-15, abs=0)
+    assert residual((1, 0, 0, 1), (1, 0, 0, 0), 1, 1) == np.sqrt(2.0)
+    # against a 60-digit decimal root, rounded to a float
+    rng = random.Random(4)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for _ in range(300):
+            x = Fraction(rng.randint(1, 10 ** rng.randint(1, 40)),
+                         rng.randint(1, 10 ** rng.randint(1, 40)))
+            want = float((Decimal(x.numerator) / Decimal(x.denominator)).sqrt())
+            assert _sqrt_rounded(x) == want, x
+    assert _sqrt_rounded(Fraction(0)) == 0.0 and _sqrt_rounded(Fraction(9, 4)) == 1.5
+
+
+def _axis_boost(rapidity):
+    """omega_03 = -omega_30 = rapidity, read exactly from an int or a float."""
+    omega = [[Fraction(0)] * 4 for _ in range(4)]
+    omega[0][3], omega[3][0] = Fraction(rapidity), -Fraction(rapidity)
+    return omega
+
+
+def _moved_class(sol, boost):
+    """The reality class of S u over the basis u of sol, exactly."""
+    spinor = ExactMatrix([[ExactScalar(Fraction(x, boost.denom)) for x in row]
+                          for row in boost.numer])
+    columns = ExactMatrix([list(u) for u in zip(*sol.basis)])
+    return reality_class(list(zip(*(spinor @ columns).scalar_entries())))
+
+
+def _moved_k(sol, boost):
+    return [sum(Fraction(x, 4 * boost.denom ** 2) * c for x, c in zip(row, sol.k))
+            for row in boost.lam_numer]
+
+
 @pytest.mark.parametrize("eps5", [1, -1])
 @pytest.mark.parametrize("branch", ["heavy", "massless"])
 def test_boost_covariance_seeded(eps5, branch):
+    # 100 seeded rational generators: each moved solution solves the
+    # equation at Lambda k exactly and keeps its reality class (S is real)
     sol = reference_solutions(Fraction(1), eps5, branch)
-    rng = np.random.default_rng(42)
+    rng = random.Random(42)
+    boosts = []
     for _ in range(100):
-        omega = rng.uniform(-1, 1, (4, 4))
-        omega = omega - omega.T
-        moved = boost_solution(sol, omega)
-        assert moved.mode == "float"
-        worst = max(residual(moved.k, u, moved.ell, eps5) for u in moved.basis)
-        assert worst < 1e-10
-        drift = abs(float(moved.k2) - float(sol.k2))
-        assert drift <= 1e-10 * max(abs(float(sol.k2)), 1.0)
-        assert moved.spinor_class == sol.spinor_class
-
-
-@pytest.mark.parametrize("eps5", [1, -1])
-@pytest.mark.parametrize("branch,rapidity", [("massless", 500.0), ("heavy", 1e200)])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_overflowing_boost_raises(eps5, branch, rapidity):
-    # at 500 the exponentials are finite, but k'^2 and D(k') S u overflow to
-    # NaN, which a `>` gate lets through; at 1e200 the exponential overflows
-    sol = reference_solutions(Fraction(1), eps5, branch)
-    omega = np.zeros((4, 4))
-    omega[0, 3], omega[3, 0] = rapidity, -rapidity
-    with pytest.raises(VerificationError):
-        boost_solution(sol, omega)
+        q = rng.randint(1, 10)
+        boosts.append(cayley_boost(_omega([Fraction(rng.randint(-q, q), q) for _ in range(6)])))
+    assert boost_defect(sol, boosts) is None
+    assert all(_moved_class(sol, b) == sol.spinor_class for b in boosts)
 
 
 @pytest.mark.parametrize("eps5", [1, -1])
 def test_float_matrix_matches_exact(eps5):
+    # float oracle: the operator summed in complex128 from the exact gammas
     k = (Fraction(3, 2), Fraction(1, 3), 0, Fraction(-1, 2))
     exact = dirac_matrix(ModeProblem(eps5=eps5, ell=Fraction(1, 4), k=k))
-    floaty = dirac_matrix(
-        ModeProblem(eps5=eps5, ell=Fraction(1, 4), k=tuple(float(c) for c in k))
-    )
-    assert exact.mode == "exact"
-    assert floaty.mode == "float"
-    a = exact.as_array()
-    b = floaty.as_array()
-    assert np.allclose(a, b, atol=1e-12)
-
-
-def _axis_boost(rapidity):
-    omega = np.zeros((4, 4))
-    omega[0, 3], omega[3, 0] = rapidity, -rapidity
-    return omega
-
-
-@pytest.mark.parametrize("eps5", [1, -1])
-@pytest.mark.parametrize("branch", ["heavy", "massless"])
-def test_boost_solutions_equal_single_draws(eps5, branch):
-    sol = reference_solutions(Fraction(1), eps5, branch)
-    rng = np.random.default_rng(9)
-    omegas = rng.uniform(-2, 2, (12, 4, 4))
-    omegas = omegas - np.swapaxes(omegas, -1, -2)
-    batch = boost_solutions(sol, omegas)
-    assert batch.residuals.shape == (12, 2) and batch.k2_drift.shape == (12,)
-    for i, omega in enumerate(omegas):
-        one, moved = boost_solution(sol, omega), batch.solutions[i]
-        assert np.array_equal(one.k, moved.k)
-        assert np.array_equal(one.basis, moved.basis)
-        assert one.k2 == moved.k2
-        assert one.spinor_class == moved.spinor_class == sol.spinor_class
-        assert list(batch.residuals[i]) == [
-            residual(one.k, u, one.ell, eps5) for u in one.basis
-        ]
-    assert boost_solutions(sol, omegas[:0]).solutions == ()
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_boost_solutions_name_the_first_failing_draw():
-    sol = reference_solutions(Fraction(1), 1, "massless")
-    omegas = np.stack([_axis_boost(0.1 * (i + 1)) for i in range(8)])
-    omegas[3] = omegas[7] = _axis_boost(500.0)
-    with pytest.raises(VerificationError, match="^draw 3: ") as info:
-        boost_solutions(sol, omegas)
-    assert info.value.index == 3
-    # an overflowing exponential later in the stack does not hide draw 3
-    omegas[5] = _axis_boost(1e200)
-    with pytest.raises(VerificationError, match="^draw 3: "):
-        boost_solutions(sol, omegas)
-
-
-@pytest.mark.parametrize("eps5", [1, -1])
-def test_boost_that_shrinks_k_to_roundoff_raises(eps5):
-    # k' = e^-40 (1, 0, 0, 1) exactly, but Lambda k cancels terms of size
-    # e^40: the float k' is (16, 0, 0, -16), and the forward error bound
-    # must reject it before any residual is judged
-    sol = reference_solutions(Fraction(1), eps5, "massless")
-    with pytest.raises(VerificationError, match="^draw 0: boosted momentum is roundoff"):
-        boost_solution(sol, _axis_boost(-40.0))
+    gs = [as_array(g) for g in build_majorana_rep(eps5).gamma]
+    kf = [float(c) for c in k]
+    k2 = kf[0] ** 2 - kf[1] ** 2 - kf[2] ** 2 - kf[3] ** 2
+    floaty = sum(g * (c * eta) for g, c, eta in zip(gs, kf, (1, -1, -1, -1)))
+    floaty = floaty - eps5 * 0.25 / 2 * k2 * gs[4]
+    assert np.allclose(as_array(exact), floaty, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("eps5", [1, -1])
 @pytest.mark.parametrize("rapidity", [10.0, -10.0])
 def test_heavy_boost_at_rapidity_ten_passes(eps5, rapidity):
-    # ||D(k')|| is about 4.4e4 here: the residual (about 3e-8) and the
-    # k'^2 roundoff are judged relative to the size of D(k') and of k'
+    # omega_03 = +-10: Lambda mixes 0 and 3 by (1241, +-1160) / 441, with
+    # 1241^2 - 1160^2 = 441^2
     sol = reference_solutions(Fraction(1), eps5, "heavy")
-    moved = boost_solution(sol, _axis_boost(rapidity))
-    ch, sh = np.cosh(rapidity), np.sinh(rapidity)
-    lam = np.array([[ch, 0, 0, sh], [0, 1, 0, 0], [0, 0, 1, 0], [sh, 0, 0, ch]])
-    assert np.allclose(moved.k, lam @ [float(c) for c in sol.k], rtol=1e-12, atol=0.0)
-    assert moved.spinor_class == sol.spinor_class
-    worst = max(residual(moved.k, u, moved.ell, eps5) for u in moved.basis)
-    assert 1e-10 < worst < 1e-10 * np.linalg.norm(
-        dirac_matrix(ModeProblem(eps5=eps5, ell=1.0, k=moved.k)).as_array())
+    boost = cayley_boost(_axis_boost(rapidity))
+    assert boost_defect(sol, [boost]) is None
+    c, s = Fraction(1241, 441), Fraction(1160, 441) * (1 if rapidity > 0 else -1)
+    k = sol.k
+    assert _moved_k(sol, boost) == [c * k[0] + s * k[3], k[1], k[2], s * k[0] + c * k[3]]
+    assert _moved_class(sol, boost) == sol.spinor_class
 
 
 @pytest.mark.parametrize("eps5", [1, -1])
 @pytest.mark.parametrize("rapidity", [20.0, 30.0])
 def test_massless_boost_that_grows_k_passes(eps5, rapidity):
-    # k'^2 is 0, but the float k'^2 inside D(k') reads 128 at 20 and 3.4e10
-    # at 30 (k'0 and k'3 differ in their last bits): the residual is exactly
-    # (l/2) |fl(k'^2)|, inside the bound on that error
+    # k = (1, 0, 0, 1) grows by ((1 + t) / (1 - t))^2 with t = omega_03 / 4,
+    # and k'^2 stays exactly 0
     sol = reference_solutions(Fraction(1), eps5, "massless")
-    batch = boost_solutions(sol, _axis_boost(rapidity)[None])
-    moved = batch.solutions[0]
-    assert np.allclose(moved.k, np.exp(rapidity) * np.array([1.0, 0, 0, 1.0]),
-                       rtol=1e-12, atol=0.0)
-    assert moved.spinor_class == sol.spinor_class
-    k = moved.k
-    k2 = k[0] * k[0] - k[1] * k[1] - k[2] * k[2] - k[3] * k[3]
-    assert k2 != 0.0
-    assert np.allclose(batch.residuals, abs(k2) / 2, rtol=1e-6, atol=0.0)
-
-
-@pytest.mark.parametrize("eps5", [1, -1])
-def test_float_class_does_not_depend_on_the_basis_scale(eps5):
-    # S u at rapidity 30 has entries of about 3.3e6; its imaginary parts
-    # are exactly 0, but the singular values of the conjugation closure
-    # carry roundoff above an absolute 1e-10
-    sol = reference_solutions(Fraction(1), eps5, "massless")
-    S = boost_matrix(_axis_boost(30.0)).matrix
-    moved = np.array([S @ np.array([complex(c) for c in u]) for u in sol.basis])
-    assert np.abs(moved).max() > 1e6
-    for basis in (moved, moved * 1e-12, moved / np.abs(moved).max()):
-        assert reality_class(basis, mode="float") == sol.spinor_class == "Majorana"
-
-
-@pytest.mark.parametrize("eps5", [1, -1])
-@pytest.mark.parametrize("rapidity", [-20.0, -30.0])
-def test_massless_boost_that_shrinks_k_is_roundoff(eps5, rapidity):
-    # e^-20 (1, 0, 0, 1) comes out as about (3e-8, 0, 0, -3e-8)
-    sol = reference_solutions(Fraction(1), eps5, "massless")
-    with pytest.raises(VerificationError, match="^draw 0: boosted momentum is roundoff"):
-        boost_solution(sol, _axis_boost(rapidity))
+    boost = cayley_boost(_axis_boost(rapidity))
+    assert boost_defect(sol, [boost]) is None
+    t = Fraction(rapidity) / 4
+    grow = ((1 + t) / (1 - t)) ** 2
+    assert grow > 1
+    assert _moved_k(sol, boost) == [grow, 0, 0, grow]
+    assert _moved_class(sol, boost) == sol.spinor_class
 
 
 @pytest.mark.parametrize("eps5", [1, -1])
 @pytest.mark.parametrize("rapidity", [0.5, 20.0, 30.0])
 def test_off_shell_spinor_fails_at_large_boosts(eps5, rapidity):
     # the massless kernel at k = (1, 0, 0, -1) is not a solution at
-    # (1, 0, 0, 1); boosted, its residual grows like e^rapidity (9.7e8 at
-    # 20 against a bound of 157) and stays far outside the roundoff bound
+    # (1, 0, 0, 1), and no boost makes it one
     sol = reference_solutions(Fraction(1), eps5, "massless")
     wrong = dirac_matrix(ModeProblem(eps5=eps5, ell=Fraction(1), k=(1, 0, 0, -1)))
-    bad = replace(sol, basis=tuple(tuple(v) for v in wrong.matrix.kernel()))
-    with pytest.raises(VerificationError, match="^draw 0: boosted solution residual"):
-        boost_solution(bad, _axis_boost(rapidity))
-
-
-def test_boost_solution_rejects_nearly_antisymmetric_generator():
-    sol = reference_solutions(Fraction(1), -1, "heavy")
-    omega = _axis_boost(1.0)
-    omega[3, 0] = -1.000009
-    with pytest.raises(ValueError, match="antisymmetric"):
-        boost_solution(sol, omega)
+    bad = replace(sol, basis=tuple(tuple(v) for v in wrong.kernel()))
+    boost = cayley_boost(_axis_boost(rapidity))
+    assert boost_defect(bad, [boost]) == (0, "D(Lambda k) S u != 0")
 
 
 # -- exact Cayley boosts ------------------------------------------------------

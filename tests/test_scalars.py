@@ -21,7 +21,6 @@ from ncdirac.scalars import (
     _sum_of_products,
     as_fraction,
     geometric_inverse,
-    is_exact_number,
     poly,
     sym,
 )
@@ -204,11 +203,8 @@ class TestFractionReference:
 
 
 def test_exact_rational_coercion():
-    for value in (3, Fraction(1, 10), "1/10", ExactScalar(Fraction(1, 10))):
-        assert is_exact_number(value)
     assert as_fraction("1/10") == as_fraction(ExactScalar(Fraction(1, 10)))
     assert as_fraction(3) == Fraction(3)
-    assert not is_exact_number(0.1)
     with pytest.raises(TypeError, match="convert floats explicitly"):
         as_fraction(0.1)
     with pytest.raises(ValueError):

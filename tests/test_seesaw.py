@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from exact_arrays import as_array
 
 from ncdirac.clifford import build_majorana_rep, gamma, gamma5
 from ncdirac.matrices import ExactMatrix
@@ -36,8 +37,8 @@ def numeric_light_root(eps5: int, ell: float, mu: float) -> float:
     so the roots are the eigenvalues of -B^-1 A.  Independent of the exact
     spectrum code path."""
     big_m = 2.0 / ell
-    g4 = gamma5().to_complex_array() * (1 if eps5 == 1 else 1j)
-    g = gamma(0).to_complex_array() if eps5 == -1 else -gamma(3).to_complex_array()
+    g4 = as_array(gamma5()) * (1 if eps5 == 1 else 1j)
+    g = as_array(gamma(0)) if eps5 == -1 else -as_array(gamma(3))
     zero = np.zeros((4, 4))
     a = np.vstack(
         [np.hstack([zero, mu * np.eye(4)]),
@@ -150,7 +151,7 @@ def test_exact_string_parameters():
     problem = ModeProblem(eps5=-1, ell="1/10", k=(1, 0, 0, 0))
     assert problem.k_squared() == 1
     config = CouplingConfig(g=1, vev="1/100", ell="1/10", eps5=1)
-    assert config.exact and leading_mass(config) == Fraction(1, 200000)
+    assert leading_mass(config) == Fraction(1, 200000)
     assert exact_mode_spectrum(config).light_class == "Majorana"
     with pytest.raises(ValueError):
         ModeProblem(eps5=-1, ell="-1/10", k=(1, 0, 0, 0))
@@ -186,7 +187,7 @@ def test_heavy_block_elimination(eps5):
     w, _effective = leading_order_reduction(config)
     # rest-frame defining equation: gbar*v + (M g4) W = 0 with M = 2/l
     g4 = build_majorana_rep(eps5).gamma[4]
-    gbar_v = config.g_exact().conjugate() * ExactScalar(config.vev)
+    gbar_v = config.g.conjugate() * ExactScalar(config.vev)
     big_m = ExactScalar(Fraction(2) / config.ell)
     lhs = ExactMatrix.identity(4).scale(poly(gbar_v)) + g4.scale(poly(big_m)) @ w
     assert lhs.is_zero()
@@ -220,16 +221,19 @@ def test_decoupling_at_zero_coupling():
 
 @pytest.mark.parametrize("eps5", [1, -1])
 def test_float_coupled_matrix_matches_exact(eps5):
+    # float oracle: the 8x8 blocks assembled in complex128 from the gammas
     config = CouplingConfig(
         g=ExactScalar.parse("3/5+4/5i"), vev=Fraction(1, 7), ell=Fraction(2, 3),
         eps5=eps5,
     )
     k = (Fraction(3, 2), Fraction(1, 3), 0, Fraction(-1, 2))
     exact = coupled_matrix(k, config)
-    floaty = coupled_matrix(tuple(float(c) for c in k), config)
     assert isinstance(exact, ExactMatrix)
-    assert isinstance(floaty, np.ndarray)
-    assert np.allclose(floaty, exact.to_complex_array(), rtol=0, atol=1e-14)
+    gs = [as_array(g) for g in build_majorana_rep(eps5).gamma]
+    gk = sum(g * (float(c) * eta) for g, c, eta in zip(gs, k, (1, -1, -1, -1)))
+    gv = (0.6 + 0.8j) / 7 * np.eye(4)
+    floaty = np.block([[gk, gv], [gv.conj(), gk + 3.0 * gs[4]]])
+    assert np.allclose(as_array(exact), floaty, rtol=0, atol=1e-14)
 
 
 def test_symbolic_determinant_factorization():
