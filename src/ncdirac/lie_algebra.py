@@ -20,15 +20,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
+from .matrices import echelon
 from .scalars import (
     P_I,
     P_ONE,
+    ZERO,
     ParamPoly,
     _GUARDS,
     _degree_overflow,
+    _int_terms,
     _packed_poly,
-    _packed_terms,
-    _sum_of_products,
+    _reduced,
     poly,
     sym,
 )
@@ -141,8 +143,9 @@ class StructureConstants:
 
     @staticmethod
     def from_json(data: dict) -> "StructureConstants":
-        """Parse the fixture format.  A malformed entry, an index outside the
-        basis or a pair given twice raises ValueError naming the bracket key."""
+        """Parse the fixture format.  A malformed entry, an output index or
+        exponent that is not a JSON integer, an index outside the basis or a
+        pair given twice raises ValueError naming the bracket key."""
         try:
             alg = StructureConstants(tuple(data["basis"]))
             brackets = data["brackets"].items()
@@ -159,9 +162,11 @@ class StructureConstants:
                 seen[pair] = key
                 combo = {}
                 for k, pj in entries:
-                    if int(k) in combo:
+                    if type(k) is not int:
+                        raise TypeError(f"output index {k!r} is not an integer")
+                    if k in combo:
                         raise ValueError(f"lists output index {k} twice")
-                    combo[int(k)] = ParamPoly.from_json(pj)
+                    combo[k] = ParamPoly.from_json(pj)
                 alg.set_bracket(i, j, combo)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"bracket key {key!r}: {exc}") from None
@@ -297,87 +302,100 @@ def _orthogonal_table(eps4: int, eps5: int) -> StructureConstants:
     return alg
 
 
-def _flat_terms(combo: Combo, negate: bool = False) -> list:
-    """The (k, packed monomial, scalar) terms of a combo, in its order."""
-    return [(k, mono, -c if negate else c)
-            for k, coeff in combo.items() for mono, c in _packed_terms(coeff)]
+def _combo_ints(combo: Combo) -> list:
+    """The flat (q, packed monomial, a, b, d) int terms of a combo."""
+    return [(q, mono, a, b, d)
+            for q, coeff in combo.items() for mono, a, b, d in _int_terms(coeff)]
 
 
-def _signed_rows(alg: StructureConstants) -> list:
-    """rows[a][b]: the flat (k, packed monomial, scalar) terms of [e_a, e_b],
-    or None when the bracket is zero.
+def _int_rows(alg: StructureConstants) -> list:
+    """rows[a][c]: the flat (q, packed monomial, a, b, d) int terms of
+    [e_a, e_c], each term the coefficient (a + b*i)/d of e_q; a key c is
+    present only when that bracket is nonzero.
 
-    Terms keep the table's stored order (the order ``bracket`` returns);
-    the lower triangle negates each stored term once.  Built per call, so
-    a table edited in place is always read afresh.
+    Terms keep the table's stored order; the lower triangle negates the
+    stored ints, and no ExactScalar is built.  Built per call, so a table
+    edited in place is always read afresh.
     """
-    n = alg.dim()
-    rows = [[None] * n for _ in range(n)]
+    rows = [{} for _ in range(alg.dim())]
     for (i, j), combo in alg.brackets.items():
-        rows[i][j] = _flat_terms(combo)
-        rows[j][i] = _flat_terms(combo, negate=True)
+        terms = _combo_ints(combo)
+        rows[i][j] = terms
+        rows[j][i] = [(q, mono, -a, -b, d) for q, mono, a, b, d in terms]
     return rows
 
 
-def _collect(sums: dict, left, right, c: int):
-    """Add the factor pairs of [left, e_c] to ``sums``, keyed (q, monomial):
-    ``left`` lists (m, monomial, scalar) terms and right[m][c] the flat
-    terms of [e_m, e_c] (or None)."""
-    for m, ma, sa in left:
-        row = right[m][c]
-        if row is None:
-            continue
-        for q, mb, sb in row:
-            mono = ma + mb
-            if mono & _GUARDS:
-                raise _degree_overflow(ma, mb)
-            key = (q, mono)
-            pairs = sums.get(key)
-            if pairs is None:
-                sums[key] = [(sa, sb)]
+def _join(sums: dict, tag, mono: int, xa: int, xb: int, xd: int, row):
+    """Add (xa + xb*i)/xd times each term of ``row`` to ``sums``.
+
+    The left factor has packed monomial ``mono``; ``row`` lists
+    (q, monomial, a, b, d) terms.  sums[(tag, q, monomial)] holds the
+    running sum as an unreduced [a, b, d] list of ints, updated in place:
+    equal denominators add, others cross-multiply, and ``_residuals``
+    reduces each sum once.
+    """
+    for q, mb, ya, yb, yd in row:
+        m = mono + mb
+        if m & _GUARDS:
+            raise _degree_overflow(mono, mb)
+        key = (tag, q, m)
+        pa = xa * ya - xb * yb
+        pb = xa * yb + xb * ya
+        pd = xd * yd
+        acc = sums.get(key)
+        if acc is None:
+            sums[key] = [pa, pb, pd]
+        else:
+            d = acc[2]
+            if d == pd:
+                acc[0] += pa
+                acc[1] += pb
             else:
-                pairs.append((sa, sb))
+                acc[0] = acc[0] * pd + pa * d
+                acc[1] = acc[1] * pd + pb * d
+                acc[2] = d * pd
 
 
-def _combo_of_sums(sums: dict) -> Combo:
-    """The nonzero exact sums of the collected factor pairs, one reduction
-    per output coefficient, as a combo of ParamPoly."""
+def _residuals(sums: dict) -> dict:
+    """tag -> residual combo of the nonzero sums of ``_join``, each brought
+    to canonical form once."""
     out = {}
-    for (q, mono), pairs in sums.items():
-        total = _sum_of_products(pairs)
-        if total is not None:
-            terms = out.get(q)
-            if terms is None:
-                out[q] = {mono: total}
-            else:
-                terms[mono] = total
-    return {q: _packed_poly(terms) for q, terms in out.items()}
+    for (tag, q, mono), (a, b, d) in sums.items():
+        if a or b:
+            out.setdefault(tag, {}).setdefault(q, {})[mono] = _reduced(a, b, d)
+    return {tag: {q: _packed_poly(terms) for q, terms in combo.items()}
+            for tag, combo in out.items()}
 
 
 def jacobi_residual(alg: StructureConstants):
-    """All violated Jacobi triples: [(names, residual combo), ...].
+    """All violated Jacobi triples: [(names, residual combo), ...], in
+    ``itertools.combinations`` order.
 
     The residual of (i, j, k) is the exact sum of [[e_i, e_j], e_k] and its
-    two cyclic shifts, each nested bracket expanded into scalar products."""
-    rows = _signed_rows(alg)
+    two cyclic shifts.  A sparse join forms only the nonzero products: for
+    each stored pair a < b, each term c_ab^m of [e_a, e_b] and each
+    c not in {a, b} with [e_m, e_c] != 0, the product c_ab^m [e_m, e_c]
+    belongs to the triple sorted(a, b, c).  It enters with sign -1 when
+    a < c < b, where the cyclic term is [[e_b, e_a], e_c].
+    """
+    rows = _int_rows(alg)
+    sums = {}
+    for a, row in enumerate(rows):
+        for b, left in row.items():
+            if b < a:
+                continue
+            for m, mono, xa, xb, xd in left:
+                for c, right in rows[m].items():
+                    if c > b:
+                        _join(sums, (a, b, c), mono, xa, xb, xd, right)
+                    elif c < a:
+                        _join(sums, (c, a, b), mono, xa, xb, xd, right)
+                    elif a < c < b:
+                        _join(sums, (a, c, b), mono, -xa, -xb, xd, right)
+    residuals = _residuals(sums)
     basis = alg.basis
-    violations = []
-    for i, j, k in itertools.combinations(range(alg.dim()), 3):
-        sums = {}
-        left = rows[i][j]
-        if left is not None:
-            _collect(sums, left, rows, k)
-        left = rows[j][k]
-        if left is not None:
-            _collect(sums, left, rows, i)
-        left = rows[k][i]
-        if left is not None:
-            _collect(sums, left, rows, j)
-        if sums:
-            residual = _combo_of_sums(sums)
-            if residual:
-                violations.append(((basis[i], basis[j], basis[k]), residual))
-    return violations
+    return [((basis[i], basis[j], basis[k]), residuals[i, j, k])
+            for i, j, k in sorted(residuals)]
 
 
 def jacobi_triple_count(alg: StructureConstants) -> int:
@@ -420,17 +438,15 @@ _SAMPLE_POINTS = (
 
 def _map_invertible(lmap: LinearMap) -> bool:
     """Exact rank at fixed nonzero rational sample points of the symbols."""
-    from .matrices import ExactMatrix
-
     n_dst, n_src = lmap.dst.dim(), lmap.src.dim()
     if n_dst != n_src:
         return False
     for sample in _SAMPLE_POINTS:
-        rows = [[poly(0)] * n_src for _ in range(n_dst)]
+        rows = [[ZERO] * n_src for _ in range(n_dst)]
         for i, col in enumerate(lmap.columns):
             for j, coeff in col.items():
-                rows[j][i] = poly(coeff.evaluate(sample))
-        if ExactMatrix(rows).rank() == n_src:
+                rows[j][i] = coeff.evaluate(sample)
+        if len(echelon(rows)) == n_src:
             return True
     return False
 
@@ -439,30 +455,29 @@ def _bracket_mismatches(lmap: LinearMap, src_rows, dst_rows):
     """Yield ((name_i, name_j), residual combo) for each basis pair i < j
     with phi([a_i,a_j]_src) != [phi a_i, phi a_j]_dst, lazily.
 
-    ``src_rows``/``dst_rows`` are the ``_signed_rows`` of the map's tables.
+    ``src_rows``/``dst_rows`` are the ``_int_rows`` of the map's tables;
+    each pair's difference is summed by ``_join`` and reduced once.
     """
     src = lmap.src
-    columns = [_flat_terms(col) for col in lmap.columns]
-    # columns as the right factor of _collect: phi[m][0] lists phi(e_m)
-    phi = [[col] for col in columns]
+    columns = [_combo_ints(col) for col in lmap.columns]
     for i, j in itertools.combinations(range(src.dim()), 2):
         sums = {}
         # phi([a_i, a_j]) = sum_m c_ij^m phi(a_m)
-        ij = src_rows[i][j]
-        if ij is not None:
-            _collect(sums, ij, phi, 0)
+        for m, mono, xa, xb, xd in src_rows[i].get(j, ()):
+            _join(sums, None, mono, xa, xb, xd, columns[m])
         # -[phi a_i, phi a_j] = sum ca cb [f_b, f_a], ca * cb taken once
-        for ia, ma, sa in columns[i]:
-            for ib, mb, sb in columns[j]:
-                if dst_rows[ib][ia] is not None:
+        for ia, ma, a1, b1, d1 in columns[i]:
+            for ib, mb, a2, b2, d2 in columns[j]:
+                right = dst_rows[ib].get(ia)
+                if right is not None:
                     mono = ma + mb
                     if mono & _GUARDS:
                         raise _degree_overflow(ma, mb)
-                    _collect(sums, ((ib, mono, sa * sb),), dst_rows, ia)
-        if sums:
-            residual = _combo_of_sums(sums)
-            if residual:
-                yield (src.basis[i], src.basis[j]), residual
+                    _join(sums, None, mono, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
+                          d1 * d2, right)
+        residual = _residuals(sums).get(None)
+        if residual:
+            yield (src.basis[i], src.basis[j]), residual
 
 
 def verify_linear_isomorphism(lmap: LinearMap) -> IsoCheck:
@@ -470,7 +485,7 @@ def verify_linear_isomorphism(lmap: LinearMap) -> IsoCheck:
 
     Non-invertibility is reported separately from bracket mismatches.
     """
-    rows = _signed_rows(lmap.src), _signed_rows(lmap.dst)
+    rows = _int_rows(lmap.src), _int_rows(lmap.dst)
     mismatches = list(_bracket_mismatches(lmap, *rows))
     invertible = _map_invertible(lmap)
     return IsoCheck(ok=invertible and not mismatches, invertible=invertible, mismatches=mismatches)
@@ -524,7 +539,7 @@ def solve_isomorphism_scalings(eps4: int, eps5: int) -> IsomorphismSolution:
     _check_signs(eps4, eps5)
     src = _deformed_table(eps4, eps5).substitute({"rho": r * r})
     dst = build_orthogonal_algebra(eps4, eps5)
-    rows = _signed_rows(src), _signed_rows(dst)
+    rows = _int_rows(src), _int_rows(dst)
 
     passing = []
     canonical = None

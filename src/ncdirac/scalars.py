@@ -612,10 +612,14 @@ class ParamPoly:
 
     @staticmethod
     def from_json(data: list) -> "ParamPoly":
-        """Inverse of ``to_json``.  Coefficient parts are str or int; a later
-        term with the same exponents replaces an earlier one."""
+        """Inverse of ``to_json``.  Exponents are JSON integers (``int``,
+        never ``bool`` or ``float``); coefficient parts are str or int.  A
+        later term with the same exponents replaces an earlier one."""
         parts = {}
         for exps, re_s, im_s in data:
+            for e in exps:
+                if type(e) is not int:
+                    raise TypeError(f"exponent {e!r} is not an integer")
             parts[_pack(exps)] = _rational_parts(re_s) + _rational_parts(im_s)
         terms = {}
         for key, (rn, rd, jn, jd) in parts.items():
@@ -720,6 +724,13 @@ def _packed_terms(p: ParamPoly):
     """The (packed monomial, coefficient) items of a ParamPoly; the reading
     half of ``_packed_poly``."""
     return p._terms.items()
+
+
+def _int_terms(p: ParamPoly) -> list:
+    """The (packed monomial, a, b, d) ints of each term (a + b*i)/d of a
+    ParamPoly, for kernels that sum products unreduced and bring each
+    nonzero sum back with ``_reduced``."""
+    return [(mono, c._a, c._b, c._d) for mono, c in p._terms.items()]
 
 
 def _sum_of_products(pairs) -> ExactScalar | None:

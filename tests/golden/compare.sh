@@ -17,4 +17,7 @@ cmp "$out/check_all.json" tests/golden/check_all_seed42.json
 ncdirac verify algebra --eps4 1 --eps5 -1 \
   --fixture tests/golden/tampered_deformed_fixture.json > "$out/fixture.json" || test $? -eq 1
 cmp "$out/fixture.json" tests/golden/verify_algebra_tampered_fixture.json
+ncdirac verify algebra --eps4 1 --eps5 1 \
+  --fixture tests/golden/rescaled_tampered_fixture.json > "$out/rescaled.json" || test $? -eq 1
+cmp "$out/rescaled.json" tests/golden/verify_algebra_rescaled_fixture.json
 echo "golden reports match"

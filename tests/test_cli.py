@@ -264,6 +264,20 @@ def test_tampered_fixture_names_triple(tmp_path, capsys):
      "bracket key '0,1': coefficient '1/0' has a zero denominator"),
     (lambda doc: doc["brackets"]["0,1"][0][1][0].__setitem__(1, 0.5),
      "bracket key '0,1': expected a str or int coefficient, got float"),
+    # output indices and exponents are JSON integers: each of these was once
+    # read as a different, valid table or failed with an unrelated message
+    (lambda doc: doc["brackets"]["6,10"][0].__setitem__(0, 1.7),
+     "bracket key '6,10': output index 1.7 is not an integer"),
+    (lambda doc: doc["brackets"]["6,10"][0].__setitem__(0, 1.0),
+     "bracket key '6,10': output index 1.0 is not an integer"),
+    (lambda doc: doc["brackets"]["6,10"][0].__setitem__(0, True),
+     "bracket key '6,10': output index True is not an integer"),
+    (lambda doc: doc["brackets"]["6,10"][0].__setitem__(0, "2"),
+     "bracket key '6,10': output index '2' is not an integer"),
+    (lambda doc: doc["brackets"]["6,10"][0][1][0][0].__setitem__(0, True),
+     "bracket key '6,10': exponent True is not an integer"),
+    (lambda doc: doc["brackets"]["6,10"][0][1][0][0].__setitem__(0, 1.0),
+     "bracket key '6,10': exponent 1.0 is not an integer"),
 ])
 def test_malformed_fixture_is_usage_error(tmp_path, capsys, edit, message):
     doc = build_deformed_algebra(1, -1).to_json()

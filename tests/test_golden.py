@@ -21,6 +21,16 @@ numpy installed.
 ``tampered_deformed_fixture.json`` is the deformed table for
 (eps4, eps5) = (1, -1) with generator a rescaled by (-1)^a (a+2)/(2a+1),
 and (1/3 - 2/5 i) l rho added to the M01 coefficient of [x0, x1].
+
+``rescaled_tampered_fixture.json`` is a table as the ``algebra-fixtures``
+benchmark draws them: the deformed table for (1, 1) with each generator
+rescaled by a rational of up to 9 digits over 9 digits
+(``perfbench/workloads.py`` ``rescale_table`` and ``tamper_table`` with
+``random.Random("rescaled-tampered-fixture")``), and the P2 coefficient of
+[M02, P0] doubled.  Its report, ``verify_algebra_rescaled_fixture.json``,
+was written by the flat kernel that paired ExactScalars over all 455
+triples, before the integer sparse-join kernel replaced it; the residual
+it pins is a rational of 31 digits over 32.
 """
 
 import json
@@ -35,6 +45,7 @@ from ncdirac.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURE = "tests/golden/tampered_deformed_fixture.json"
+RESCALED = "tests/golden/rescaled_tampered_fixture.json"
 
 
 @pytest.mark.parametrize("argv,golden,code", [
@@ -47,6 +58,8 @@ FIXTURE = "tests/golden/tampered_deformed_fixture.json"
     (["verify", "rep", "--all-signs", "--format", "csv"], "verify_rep_all_signs.csv", 0),
     (["seesaw"], "seesaw_default.json", 0),
     (["check", "all", "--seed", "42"], "check_all_seed42.json", 0),
+    (["verify", "algebra", "--eps4", "1", "--eps5", "1", "--fixture", RESCALED],
+     "verify_algebra_rescaled_fixture.json", 1),
 ])
 def test_exact_report_matches_golden(monkeypatch, capsys, argv, golden, code):
     # the fixture path is part of the report, so run where CI runs

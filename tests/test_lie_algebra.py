@@ -18,7 +18,8 @@ from ncdirac.lie_algebra import (
     verify_linear_isomorphism,
     StructureConstants,
 )
-from ncdirac.scalars import MAX_DEGREE, DegreeBoundError, ExactScalar, poly, sym
+from ncdirac.scalars import (MAX_DEGREE, DegreeBoundError, ExactScalar, ParamPoly,
+                             poly, sym)
 
 SIGNS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 
@@ -124,6 +125,16 @@ def test_flipped_gamma_breaks_isomorphism():
     check = verify_linear_isomorphism(broken)
     assert not check.ok
     assert check.mismatches
+
+
+def test_map_rank_is_read_at_the_sample_points():
+    sol = solve_isomorphism_scalings(1, -1)
+    dropped = scaling_map(sol.src, sol.dst, sol.alpha, poly(0), sol.gamma)
+    check = verify_linear_isomorphism(dropped)
+    assert not check.invertible and not check.ok
+    # l - 2 vanishes at the first sample point (l = 2) but not at the second
+    vanishing = scaling_map(sol.src, sol.dst, sol.alpha, sym("l") - 2, sol.gamma)
+    assert verify_linear_isomorphism(vanishing).invertible
 
 
 @pytest.mark.parametrize("eps4,eps5", SIGNS)
@@ -395,6 +406,77 @@ def test_jacobi_kernel_matches_reference(drawn):
     assert [names for names, _ in got] == [names for names, _ in want]
     assert got == want
     assert bool(got) <= tampered
+
+
+_MIXED = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+
+
+@st.composite
+def _mixed_polys(draw):
+    """Nonzero sums of up to three Gaussian-rational multiples of
+    l^a rho^b, with unrelated denominators."""
+    p = ParamPoly({
+        (draw(st.integers(0, 2)), draw(st.integers(0, 2))) + (0,) * 8:
+            ExactScalar(draw(_MIXED), draw(_MIXED))
+        for _ in range(draw(st.integers(1, 3)))
+    })
+    return p if p else poly(ExactScalar(draw(_MIXED.filter(bool))))
+
+
+@st.composite
+def _sparse_tables(draw):
+    """Random tables that are not Lie algebras: dimension 3-8, a random
+    subset of brackets set in either orientation, each with up to three
+    outputs that often include the bracket's own generators."""
+    n = draw(st.integers(3, 8))
+    table = StructureConstants(tuple(f"e{a}" for a in range(n)))
+    pairs = list(itertools.combinations(range(n), 2))
+    for i, j in draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1)):
+        outs = draw(st.lists(st.one_of(st.sampled_from((i, j)), st.integers(0, n - 1)),
+                             unique=True, min_size=1, max_size=3))
+        combo = {k: draw(_mixed_polys()) for k in outs}
+        if draw(st.booleans()):
+            table.set_bracket(i, j, combo)
+        else:
+            table.set_bracket(j, i, combo)
+    return table
+
+
+def _assert_matches_reference(table):
+    got = jacobi_residual(table)
+    want = _ref_jacobi_residual(table)
+    assert [names for names, _ in got] == [names for names, _ in want]
+    assert got == want
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sparse_tables())
+def test_jacobi_join_matches_reference_on_sparse_tables(table):
+    # every orientation of the join runs: c above, below and between a < b
+    _assert_matches_reference(table)
+
+
+def test_jacobi_join_matches_reference_on_a_large_sparse_table():
+    n = 41
+    table = StructureConstants(tuple(f"e{a}" for a in range(n)))
+    half, third = ExactScalar(Fraction(1, 2)), ExactScalar(0, Fraction(-1, 3))
+    table.set_bracket(0, 40, {20: poly(1), 0: sym("l")})
+    table.set_bracket(20, 5, {40: poly(half), 5: sym("rho")})
+    table.set_bracket(39, 5, {0: poly(third), 39: poly(1) - sym("l", 2)})
+    table.set_bracket(1, 39, {20: sym("rho") * poly(ExactScalar(Fraction(2, 7), 1))})
+    table.set_bracket(40, 39, {1: poly(3), 40: poly(ExactScalar(Fraction(5, 9)))})
+    table.set_bracket(12, 20, {12: sym("l"), 30: poly(1)})
+    table.set_bracket(30, 12, {20: poly(half)})
+    got = _assert_matches_reference(table)
+    assert [names for names, _ in got] == [
+        ("e0", "e5", "e20"), ("e0", "e5", "e40"), ("e0", "e12", "e40"),
+        ("e0", "e39", "e40"), ("e1", "e5", "e39"), ("e1", "e12", "e39"),
+        ("e5", "e12", "e30"), ("e5", "e20", "e39"), ("e5", "e39", "e40"),
+        ("e12", "e20", "e30"),
+    ]
+    # [[e12, e20], e30] = [l e12 + e30, e30] = -l [e30, e12]; the rest vanish
+    assert got[-1][1] == {20: poly(Fraction(-1, 2)) * sym("l")}
 
 
 @settings(max_examples=15, deadline=None)
