@@ -25,13 +25,17 @@ from .scalars import as_fraction
 # the Cayley boosts below hold 4x4 integer matrices flat, row after row
 
 def _imul(x, y) -> list:
-    """X Y."""
-    cols = list(zip(y[0:4], y[4:8], y[8:12], y[12:16]))
-    out = []
-    for i in (0, 4, 8, 12):
-        a0, a1, a2, a3 = x[i:i + 4]
-        out += [a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 for b0, b1, b2, b3 in cols]
-    return out
+    """X Y, written out: it runs about ten times per boost."""
+    a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = x
+    e0, e1, e2, e3, f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3 = y
+    return [a0 * e0 + a1 * f0 + a2 * g0 + a3 * h0, a0 * e1 + a1 * f1 + a2 * g1 + a3 * h1,
+            a0 * e2 + a1 * f2 + a2 * g2 + a3 * h2, a0 * e3 + a1 * f3 + a2 * g3 + a3 * h3,
+            b0 * e0 + b1 * f0 + b2 * g0 + b3 * h0, b0 * e1 + b1 * f1 + b2 * g1 + b3 * h1,
+            b0 * e2 + b1 * f2 + b2 * g2 + b3 * h2, b0 * e3 + b1 * f3 + b2 * g3 + b3 * h3,
+            c0 * e0 + c1 * f0 + c2 * g0 + c3 * h0, c0 * e1 + c1 * f1 + c2 * g1 + c3 * h1,
+            c0 * e2 + c1 * f2 + c2 * g2 + c3 * h2, c0 * e3 + c1 * f3 + c2 * g3 + c3 * h3,
+            d0 * e0 + d1 * f0 + d2 * g0 + d3 * h0, d0 * e1 + d1 * f1 + d2 * g1 + d3 * h1,
+            d0 * e2 + d1 * f2 + d2 * g2 + d3 * h2, d0 * e3 + d1 * f3 + d2 * g3 + d3 * h3]
 
 
 def _lin(*terms) -> list:

@@ -9,14 +9,12 @@ Timings are opt-in (null by default) to keep that reproducibility.
 
 from __future__ import annotations
 
-import csv
 import functools
 import io
 import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -60,37 +58,34 @@ SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 BOOST_DRAWS = 100
 
 
-@dataclass(frozen=True)
 class RunConfig:
     """Shared knobs for every check command.  A None sign means
-    "sweep both values" (both eps4 values where eps4 matters)."""
+    "sweep both values" (both eps4 values where eps4 matters).  The default
+    background vev sits well inside the seesaw regime mu/M << 1."""
 
-    eps4: int | None = None
-    eps5: int | None = None
-    ell: Fraction = Fraction(1)
-    g: ExactScalar = ExactScalar(Fraction(1))
-    # default background sits well inside the seesaw regime mu/M << 1
-    vev: Fraction = Fraction(1, 100)
-    order: int = 4
-    seed: int = 0
-    fmt: str = "json"
-    out: str | None = None
-    fixture: str | None = None
-    timings: bool = False
+    __slots__ = ("eps4", "eps5", "ell", "g", "vev", "order", "seed", "fmt", "out",
+                 "fixture", "timings")
 
-    def __post_init__(self):
-        if self.eps4 not in (None, 1, -1) or self.eps5 not in (None, 1, -1):
+    def __init__(self, eps4: int | None = None, eps5: int | None = None,
+                 ell: Fraction = Fraction(1), g: ExactScalar = ExactScalar(Fraction(1)),
+                 vev: Fraction = Fraction(1, 100), order: int = 4, seed: int = 0,
+                 fmt: str = "json", out: str | None = None, fixture: str | None = None,
+                 timings: bool = False):
+        if eps4 not in (None, 1, -1) or eps5 not in (None, 1, -1):
             raise ValueError("sign parameters must be +1 or -1")
-        if not self.ell > 0:
+        if not ell > 0:
             raise ValueError("ell must be positive")
-        if self.vev < 0:
+        if vev < 0:
             raise ValueError("vev must be nonnegative")
-        if self.order < 1:
+        if order < 1:
             raise ValueError("truncation order must be >= 1")
-        if not 0 <= self.seed < 2 ** 64:
+        if not 0 <= seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
-        if self.fmt not in ("json", "csv"):
+        if fmt not in ("json", "csv"):
             raise ValueError("format must be json or csv")
+        self.eps4, self.eps5, self.ell, self.g, self.vev = eps4, eps5, ell, g, vev
+        self.order, self.seed, self.fmt, self.out = order, seed, fmt, out
+        self.fixture, self.timings = fixture, timings
 
     def sign_pairs(self):
         return tuple(
@@ -104,15 +99,18 @@ class RunConfig:
         return (1, -1) if self.eps5 is None else (self.eps5,)
 
 
-@dataclass
 class CheckReport:
-    check: str
-    params: dict
-    status: str
-    residual: object
-    relation: str
-    details: dict = field(default_factory=dict)
-    duration_ms: float | None = None
+    """One check's verdict; the runner sets ``duration_ms`` under --timings."""
+
+    __slots__ = ("check", "params", "status", "residual", "relation", "details",
+                 "duration_ms")
+
+    def __init__(self, check: str, params: dict, status: str, residual, relation: str,
+                 details: dict | None = None, duration_ms: float | None = None):
+        self.check, self.params, self.status = check, params, status
+        self.residual, self.relation = residual, relation
+        self.details = {} if details is None else details
+        self.duration_ms = duration_ms
 
     @property
     def passed(self) -> bool:
@@ -762,6 +760,8 @@ def render_json(document: dict) -> str:
 
 
 def render_reports_csv(reports: list[CheckReport]) -> str:
+    import csv  # only --format csv needs it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -786,6 +786,8 @@ def scan_document(cfg: RunConfig, rows: list[dict]) -> dict:
 
 
 def render_scan_csv(rows: list[dict]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SCAN_COLUMNS)

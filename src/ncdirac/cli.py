@@ -122,11 +122,17 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     defaults = RunConfig()
 
     def pick(flag, key, convert, field=None):
-        """The flag, else the config file's value, else the default."""
+        """The flag, else the config file's value, else the default.  An
+        integer key takes only a JSON integer: int() would round a float and
+        read a bool or a string."""
         if flag is not None:
             return flag
-        if key in file_cfg and file_cfg[key] is not None:
-            return convert(file_cfg[key])
+        value = file_cfg.get(key)
+        if value is not None:
+            if convert is int and type(value) is not int:
+                raise ValueError(f"config key {key!r} must be a JSON integer, "
+                                 f"got {value!r}")
+            return convert(value)
         return getattr(defaults, field or key)
 
     eps4 = pick(args.eps4, "eps4", int)

@@ -14,8 +14,8 @@ scalars).  The exact Cayley boosts are in ``ncdirac.cayley``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .lie_algebra import ETA4_DIAG
 from .matrices import ExactMatrix
@@ -65,8 +65,7 @@ def gamma5() -> ExactMatrix:
     return _exact_gammas()[4].copy()
 
 
-@dataclass(frozen=True)
-class GammaRep:
+class GammaRep(NamedTuple):
     """Five gamma matrices gamma[0..4] with the metric diag(1,-1,-1,-1,eps5)."""
 
     gamma: tuple
@@ -147,8 +146,7 @@ def gamma_rows(eps5: int, coeffs, zero) -> list:
     return rows
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(NamedTuple):
     name: str
     relation: str
     ok: bool

@@ -16,9 +16,9 @@ uses the symbol r with rho = r^2 substituted into the deformed table first.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from .matrices import echelon
 from .scalars import (
@@ -70,20 +70,20 @@ def _combo_add(acc: Combo, idx: int, coeff: ParamPoly):
         acc[idx] = total
 
 
-@dataclass
 class StructureConstants:
     """Antisymmetric bracket table over a named basis.
 
     ``brackets`` stores only i < j; bracket(j, i) is the negation and
     bracket(i, i) is empty.  Coefficients are ParamPoly, so a table can be
-    fully symbolic in the deformation parameters.
+    fully symbolic in the deformation parameters.  ``index`` maps each
+    basis name to its position.
     """
 
-    basis: tuple
-    brackets: dict = field(default_factory=dict)
+    __slots__ = ("basis", "brackets", "index")
 
-    def __post_init__(self):
-        self.basis = tuple(self.basis)
+    def __init__(self, basis, brackets: dict | None = None):
+        self.basis = tuple(basis)
+        self.brackets = {} if brackets is None else brackets
         self.index = {name: i for i, name in enumerate(self.basis)}
         if len(self.index) != len(self.basis):
             dups = sorted({name for name in self.basis if self.basis.count(name) > 1})
@@ -120,9 +120,8 @@ class StructureConstants:
     def copy(self) -> "StructureConstants":
         """A table whose bracket dicts are new; the immutable ParamPoly
         coefficients are shared."""
-        out = StructureConstants(self.basis)
-        out.brackets = {pair: dict(combo) for pair, combo in self.brackets.items()}
-        return out
+        return StructureConstants(
+            self.basis, {pair: dict(combo) for pair, combo in self.brackets.items()})
 
     def substitute(self, bindings) -> "StructureConstants":
         out = StructureConstants(self.basis)
@@ -143,7 +142,8 @@ class StructureConstants:
 
     @staticmethod
     def from_json(data: dict) -> "StructureConstants":
-        """Parse the fixture format.  A malformed entry, an output index or
+        """Parse the fixture format.  A malformed entry, a key not written
+        as ``to_json`` writes it ("i,j" in ASCII digits), an output index or
         exponent that is not a JSON integer, an index outside the basis or a
         pair given twice raises ValueError naming the bracket key."""
         try:
@@ -155,7 +155,10 @@ class StructureConstants:
         seen = {}
         for key, entries in brackets:
             try:
-                i, j = (int(s) for s in key.split(","))
+                i, j = map(int, key.split(","))
+                # int() also reads "+1", " 1", "1_0", "01" and non-ASCII digits
+                if key != f"{i},{j}":
+                    raise ValueError(f"is not written as {i},{j}")
                 pair = (min(i, j), max(i, j))
                 if pair in seen:
                     raise ValueError(f"repeats the pair of key {seen[pair]!r}")
@@ -403,8 +406,7 @@ def jacobi_triple_count(alg: StructureConstants) -> int:
     return n * (n - 1) * (n - 2) // 6
 
 
-@dataclass
-class LinearMap:
+class LinearMap(NamedTuple):
     """phi(src e_i) = sum_j matrix[j][i] dst f_j, coefficients ParamPoly."""
 
     src: StructureConstants
@@ -412,8 +414,7 @@ class LinearMap:
     columns: list  # one Combo per src basis element
 
 
-@dataclass
-class IsoCheck:
+class IsoCheck(NamedTuple):
     ok: bool
     invertible: bool
     mismatches: list  # [((name_i, name_j), residual combo)]
@@ -512,8 +513,7 @@ def scaling_map(src: StructureConstants, dst: StructureConstants,
     return LinearMap(src=src, dst=dst, columns=columns)
 
 
-@dataclass
-class IsomorphismSolution:
+class IsomorphismSolution(NamedTuple):
     alpha: ParamPoly
     beta: ParamPoly
     gamma: ParamPoly

@@ -15,8 +15,8 @@ boosts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .clifford import VerificationError, gamma_sum, reality_class
 from .lie_algebra import ETA4_DIAG
@@ -26,24 +26,22 @@ from .scalars import ExactScalar, ParamPoly, as_fraction, poly, sym
 BRANCHES = ("massless", "heavy")
 
 
-@dataclass(frozen=True)
 class ModeProblem:
     """eps5 sign, deformation length l > 0, and a real four-vector k
     (upper-index components k0..k3), held as Fractions."""
 
-    eps5: int
-    ell: Fraction
-    k: tuple
+    __slots__ = ("eps5", "ell", "k")
 
-    def __post_init__(self):
-        if self.eps5 not in (1, -1):
+    def __init__(self, eps5: int, ell: Fraction, k: tuple):
+        if eps5 not in (1, -1):
             raise ValueError("eps5 must be +1 or -1")
-        object.__setattr__(self, "ell", as_fraction(self.ell))
+        self.eps5 = eps5
+        self.ell = as_fraction(ell)
         if not self.ell > 0:
             raise ValueError("ell must be positive")
-        if len(self.k) != 4:
+        if len(k) != 4:
             raise ValueError("k must have four components")
-        object.__setattr__(self, "k", tuple(as_fraction(c) for c in self.k))
+        self.k = tuple(as_fraction(c) for c in k)
 
     def k_squared(self) -> Fraction:
         k = self.k
@@ -85,8 +83,7 @@ def dispersion_roots(ell, eps5: int) -> set:
     return {Fraction(0), Fraction(-4 * eps5) / ellf ** 2}
 
 
-@dataclass(frozen=True)
-class SpinorSolution:
+class SpinorSolution(NamedTuple):
     """Nullspace data of the operator at a fixed momentum."""
 
     k: tuple

@@ -1,6 +1,6 @@
 """Exact coefficient arithmetic for every symbolic computation in the package.
 
-Three layers, all on plain Python ints:
+Two layers, both on plain Python ints:
 
 * ``ExactScalar``: a Gaussian rational (a + b*i)/d stored as three ints in
   canonical form (``d > 0``, ``gcd(a, b, d) == 1``); ``.re`` and ``.im``
@@ -10,8 +10,6 @@ Three layers, all on plain Python ints:
   one packed int with a bit field per symbol, so a monomial product is one
   integer addition; powers above ``MAX_DEGREE`` raise ``DegreeBoundError``.
   The public API still speaks exponent tuples.
-* ``TruncatedSeries``: a ParamPoly together with a truncation order in the
-  length parameter ``l``; products re-truncate at the smaller order.
 
 Negative powers of ``l`` are never stored.  Where a rest mass 2/l is needed,
 equations are cleared of denominators or the dedicated symbol ``m`` is used.
@@ -20,7 +18,6 @@ equations are cleared of denominators or the dedicated symbol ``m`` is used.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from numbers import Integral
@@ -793,56 +790,9 @@ def sym(name: str, power: int = 1) -> ParamPoly:
     return ParamPoly.symbol(name, power)
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """A polynomial known only modulo O(l^(order+1)).
-
-    Arithmetic takes the min of the declared orders and re-truncates, so a
-    product never pretends to more accuracy than its worst factor.
-    """
-
-    poly: ParamPoly
-    order: int
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise TruncationOrderError("truncation order must be >= 0")
-        object.__setattr__(self, "poly", self.poly.truncate_in("l", self.order))
-
-    def __add__(self, other) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            order = min(self.order, other.order)
-            return TruncatedSeries(self.poly + other.poly, order)
-        return TruncatedSeries(self.poly + poly(other), self.order)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            order = min(self.order, other.order)
-            return TruncatedSeries(self.poly - other.poly, order)
-        return TruncatedSeries(self.poly - poly(other), self.order)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(-self.poly, self.order)
-
-    def __mul__(self, other) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            order = min(self.order, other.order)
-            return TruncatedSeries(self.poly * other.poly, order)
-        return TruncatedSeries(self.poly * poly(other), self.order)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    def __str__(self) -> str:
-        return f"{self.poly} + O(l^{self.order + 1})"
-
-
-def geometric_inverse(unit_plus: ParamPoly, order: int) -> TruncatedSeries:
-    """Inverse of 1 + u as a truncated geometric series, u with no constant term.
+def geometric_inverse(unit_plus: ParamPoly, order: int) -> ParamPoly:
+    """Inverse of 1 + u as a geometric series truncated after l^order, u
+    with no constant term.
 
     Used for series sanity checks; the operator algebra keeps its inverse
     generator formal instead of expanding it.
@@ -850,9 +800,11 @@ def geometric_inverse(unit_plus: ParamPoly, order: int) -> TruncatedSeries:
     u = unit_plus - P_ONE
     if not u.min_degree_in("l") and not u.is_zero():
         raise ValueError("expected 1 + (terms of positive l-degree)")
+    if order < 0:
+        raise TruncationOrderError("truncation order must be >= 0")
     total = P_ONE
     power = P_ONE
     for _ in range(order):
         power = (power * -u).truncate_in("l", order)
         total = total + power
-    return TruncatedSeries(total, order)
+    return total

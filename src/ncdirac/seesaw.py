@@ -27,8 +27,8 @@ Q(i) when delta is a rational square.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .clifford import build_majorana_rep, gamma5, gamma_rows, gamma_sum, reality_class
 from .lie_algebra import ETA4_DIAG
@@ -47,25 +47,21 @@ class RootFindingError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
-@dataclass(frozen=True)
 class CouplingConfig:
     """Yukawa coupling g (a Gaussian rational: ExactScalar, int, Fraction or
     a string ExactScalar.parse reads), condensate vev >= 0, length l > 0,
     and eps5.  g is held as an ExactScalar, vev and l as Fractions; a float
     raises TypeError."""
 
-    g: ExactScalar
-    vev: Fraction
-    ell: Fraction
-    eps5: int
+    __slots__ = ("g", "vev", "ell", "eps5")
 
-    def __post_init__(self):
-        if self.eps5 not in (1, -1):
+    def __init__(self, g: ExactScalar, vev: Fraction, ell: Fraction, eps5: int):
+        if eps5 not in (1, -1):
             raise ValueError("eps5 must be +1 or -1")
-        g = ExactScalar.parse(self.g) if isinstance(self.g, str) else _coerce_scalar(self.g)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "vev", as_fraction(self.vev))
-        object.__setattr__(self, "ell", as_fraction(self.ell))
+        self.eps5 = eps5
+        self.g = ExactScalar.parse(g) if isinstance(g, str) else _coerce_scalar(g)
+        self.vev = as_fraction(vev)
+        self.ell = as_fraction(ell)
         if not self.ell > 0:
             raise ValueError("ell must be positive")
         if not self.vev >= 0:
@@ -143,8 +139,7 @@ def light_mass_leading(c: CouplingConfig):
     return k2, cls
 
 
-@dataclass(frozen=True)
-class EffectiveCheck:
+class EffectiveCheck(NamedTuple):
     """Result of substituting the leading-order u2 back into the first
     equation: the printed gamma5 mass term must be reproduced exactly."""
 
@@ -192,8 +187,7 @@ def verify_effective_equation(c: CouplingConfig) -> EffectiveCheck:
 # -- exact spectrum ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModeSpectrum:
+class ModeSpectrum(NamedTuple):
     """Light / heavy root data of the exact 8x8 system in its rest frame."""
 
     light_k2: float

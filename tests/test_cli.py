@@ -2,7 +2,6 @@
 of `check all` is acceptance criterion 11)."""
 
 import copy
-import dataclasses
 import json
 import math
 import os
@@ -178,8 +177,8 @@ def test_scan_row_fails_on_heavy_root_as_light(capsys, monkeypatch):
         right = exact(coupling)
         m = float(right.leading_light_mass)
         wrong = math.sqrt(abs(right.heavy_k2))
-        return dataclasses.replace(
-            right, light_k2=right.heavy_k2, deviation=abs(wrong - m) / m
+        return right._replace(
+            light_k2=right.heavy_k2, deviation=abs(wrong - m) / m
         )
 
     monkeypatch.setattr(checks, "exact_mode_spectrum", heavy_as_light)
@@ -249,6 +248,11 @@ def test_tampered_fixture_names_triple(tmp_path, capsys):
     assert fixture_reports[0]["details"]["first_residual"] == {"C": "1"}
 
 
+def _rekeyed(key):
+    """An edit that moves the table's "0,10" entry to ``key``."""
+    return lambda doc: doc["brackets"].update({key: doc["brackets"].pop("0,10")})
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda doc: doc["brackets"].update({"0,99": [[14, [[[0] * 10, "1", "0"]]]]}),
      "bracket key '0,99': generator index 99"),
@@ -278,6 +282,12 @@ def test_tampered_fixture_names_triple(tmp_path, capsys):
      "bracket key '6,10': exponent True is not an integer"),
     (lambda doc: doc["brackets"]["6,10"][0][1][0][0].__setitem__(0, 1.0),
      "bracket key '6,10': exponent 1.0 is not an integer"),
+    # bracket keys are read only in the form to_json writes: int() once read
+    # "0,1_0" as (0, 10), " 2,+3" as (2, 3) and "\u0663,4" as (3, 4)
+    (_rekeyed("0,1_0"), "bracket key '0,1_0': is not written as 0,10"),
+    (_rekeyed(" 2,+3"), "bracket key ' 2,+3': is not written as 2,3"),
+    (_rekeyed("\u0663,4"), "bracket key '\u0663,4': is not written as 3,4"),
+    (_rekeyed("0, 12"), "bracket key '0, 12': is not written as 0,12"),
 ])
 def test_malformed_fixture_is_usage_error(tmp_path, capsys, edit, message):
     doc = build_deformed_algebra(1, -1).to_json()
@@ -326,6 +336,20 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["config"]["ell"] == "1"  # flag wins
+
+
+@pytest.mark.parametrize("key,value", [
+    ("seed", 1.9), ("order", 4.7), ("eps5", True), ("eps4", 1.0), ("seed", "7"),
+])
+def test_integer_config_key_takes_only_json_integers(tmp_path, capsys, key, value):
+    # int() would run seed 1, order 4 and eps5 = +1 from the first three
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    code = main(["modes", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"config key {key!r} must be a JSON integer" in captured.err
 
 
 def test_unknown_config_key(tmp_path, capsys):

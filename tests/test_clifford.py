@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -257,6 +258,22 @@ def test_import_leaves_scipy_unloaded():
         f"{loaded}\n"
     )
     assert out == ["[]", "[1, 0, 0, 0, 2, 0, 0, 0, 0, 1]", "[]", "[]"]
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # no class is a dataclass, so importing the CLI loads neither dataclasses
+    # nor inspect; csv is loaded only when a CSV report is rendered
+    loaded = "print(sorted({'csv', 'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = _run_python(
+        f"import sys, ncdirac.cli\n{loaded}\n{_QUIET_MAIN}\n"
+        f"print(main(['check', 'all', '--seed', '42']))\n{loaded}\n"
+        f"print(main(['verify', 'clifford', '--format', 'csv']))\n{loaded}\n"
+    )
+    assert out == ["[]", "0", "[]", "0", "['csv']"]
+    package = Path(ncdirac.__file__).resolve().parent
+    importers = [path.name for path in sorted(package.glob("*.py"))
+                 if re.search(r"^\s*(from|import)\s+dataclasses\b", path.read_text(), re.M)]
+    assert importers == []
 
 
 _TAMPERED_G4 = """

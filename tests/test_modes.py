@@ -1,7 +1,6 @@
 """Dispersion branches, exact nullspaces, and exact boost covariance."""
 
 import random
-from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
@@ -248,7 +247,7 @@ def test_off_shell_spinor_fails_at_large_boosts(eps5, rapidity):
     # (1, 0, 0, 1), and no boost makes it one
     sol = reference_solutions(Fraction(1), eps5, "massless")
     wrong = dirac_matrix(ModeProblem(eps5=eps5, ell=Fraction(1), k=(1, 0, 0, -1)))
-    bad = replace(sol, basis=tuple(tuple(v) for v in wrong.kernel()))
+    bad = sol._replace(basis=tuple(tuple(v) for v in wrong.kernel()))
     boost = cayley_boost(_axis_boost(rapidity))
     assert boost_defect(bad, [boost]) == (0, "D(Lambda k) S u != 0")
 
