@@ -4,7 +4,6 @@ Run:  python3 demos/02_differential_realization.py
 """
 
 from ncdirac import build_rep, verify_rep_closure
-from ncdirac.weyl import weyl_commutator
 
 for eps5 in (-1, 1):
     print(f"== eps5 = {eps5:+d} ==")
@@ -12,7 +11,7 @@ for eps5 in (-1, 1):
     for name in ("P0", "x0", "M01", "C"):
         print(f"  {name} = {rep[name]}")
 
-    got = weyl_commutator(rep["P0"], rep["x0"])
+    got = rep["P0"].commutator(rep["x0"])
     print(f"  [P0, x0] = {got}   (equals i*C)")
 
     table = verify_rep_closure(eps5)

@@ -32,7 +32,6 @@ from .enveloping import (
     NCExpression,
     PlaneWaveExponent,
     commutator,
-    anticommutator,
     lemma_matrix_check,
     normal_form,
     verify_plane_wave_relations,
@@ -94,7 +93,6 @@ __all__ = [
     "Derivation",
     "PlaneWaveExponent",
     "commutator",
-    "anticommutator",
     "normal_form",
     "verify_plane_wave_relations",
     "lemma_matrix_check",

@@ -18,8 +18,8 @@ from operator import mul
 from typing import NamedTuple
 
 from .clifford import VerificationError, _exact_gammas, _gamma_units
-from .lie_algebra import ETA4_DIAG
-from .modes import SpinorSolution
+from .lie_algebra import ETA4_DIAG, lower, minkowski_square
+from .modes import SpinorSolution, dirac_coefficients
 from .scalars import as_fraction
 
 # the Cayley boosts below hold 4x4 integer matrices flat, row after row
@@ -187,10 +187,10 @@ def boost_defect(s: SpinorSolution, boosts) -> tuple[int, str] | None:
     (sum_mu (Lambda_num K)_mu g_mu + 4 denom^2 Z g^4) numer u, once
     k'^2 = k^2 holds."""
     k = [as_fraction(c) for c in s.k]
-    z = -s.eps5 * as_fraction(s.ell) / 2 * s.k2
+    z = dirac_coefficients(k, as_fraction(s.ell), s.eps5)[4]
     big_l = math.lcm(z.denominator, *(c.denominator for c in k))
     big_k, big_z = [int(c * big_l) for c in k], int(z * big_l)
-    k2 = sum(eta * c * c for eta, c in zip(ETA4_DIAG, big_k))  # L^2 k^2
+    k2 = minkowski_square(big_k)  # L^2 k^2
     vectors = []
     for u in s.basis:
         d = math.lcm(*(part.denominator for x in u for part in (x.re, x.im)))
@@ -199,10 +199,9 @@ def boost_defect(s: SpinorSolution, boosts) -> tuple[int, str] | None:
     for index, b in enumerate(boosts):
         scale = 4 * b.denom ** 2
         tk = [sum(map(mul, row, big_k)) for row in b.lam_numer]
-        coeffs = [eta * c for eta, c in zip(ETA4_DIAG, tk)]
-        if sum(map(mul, coeffs, tk)) != scale * scale * k2:
+        if minkowski_square(tk) != scale * scale * k2:
             return index, "k^2 changed under boost"
-        coeffs.append(scale * big_z)
+        coeffs = [*lower(tk), scale * big_z]
         for re_u, im_u in vectors:
             re_w = [sum(map(mul, row, re_u)) for row in b.numer]
             im_w = [sum(map(mul, row, im_u)) for row in b.numer]

@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .scalars import ExactScalar, ParamPoly, poly, sym
+from .scalars import MOMENTUM_SYMBOLS, ExactScalar, ParamPoly, poly, sym
 from .lie_algebra import (
     StructureConstants,
     build_deformed_algebra,
@@ -27,10 +27,11 @@ from .lie_algebra import (
     flat_deformed_algebra,
     jacobi_residual,
     jacobi_triple_count,
+    minkowski_square,
     solve_isomorphism_scalings,
 )
 from .weyl import closure_families
-from .enveloping import k_squared, lemma_matrix_check, verify_plane_wave_relations
+from .enveloping import lemma_matrix_check, verify_plane_wave_relations
 from .cayley import boost_defect, cayley_boosts
 from .clifford import (
     VerificationError,
@@ -368,7 +369,7 @@ def cmd_verify_planewave(cfg: RunConfig):
 
         expect = (
             ParamPoly.from_scalar(ExactScalar(Fraction(0), Fraction(1)))
-            * poly(e5) * sym("l") * k_squared() * poly(half)
+            * poly(e5) * sym("l") * minkowski_square(MOMENTUM_SYMBOLS) * poly(half)
         )
         ok = chk.vacuum_scalar == expect
         yield _row(

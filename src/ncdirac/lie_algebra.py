@@ -47,13 +47,24 @@ _M_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _M_INDEX = {pair: i for i, pair in enumerate(_M_PAIRS)}
 
 
-# the Minkowski metric diagonal; every module lowers indices with this one
+# the Minkowski metric diagonal; ``lower`` and ``minkowski_square`` are the
+# one contraction with it
 ETA4_DIAG = (1, -1, -1, -1)
 
 
-def eta4(mu: int, nu: int) -> Fraction:
-    """Minkowski metric diag(1,-1,-1,-1)."""
-    return Fraction(ETA4_DIAG[mu]) if mu == nu else Fraction(0)
+def lower(k) -> tuple:
+    """k_mu = eta_munu k^nu for the four components of k: ints, Fractions,
+    exact scalars, ParamPoly or anything else with unary minus."""
+    return tuple(c if eta > 0 else -c for eta, c in zip(ETA4_DIAG, k, strict=True))
+
+
+def minkowski_square(k):
+    """k^2 = k^mu k_mu = k0^2 - k1^2 - k2^2 - k3^2, in the components' type."""
+    low = lower(k)
+    total = k[0] * low[0]
+    for c, c_low in zip(k[1:], low[1:]):
+        total = total + c * c_low
+    return total
 
 
 Combo = dict  # generator index -> ParamPoly coefficient
@@ -176,13 +187,15 @@ class StructureConstants:
         return alg
 
 
-def _rotation_brackets(alg: StructureConstants, pairs, metric):
+def _rotation_brackets(alg: StructureConstants, pairs, diag):
     """Set [M_ab, M_cd] = i(M_ad g_bc + M_bc g_ad - M_bd g_ac - M_ac g_bd).
 
     ``pairs`` lists the index pairs (a < b) of the rotation generators in
-    basis order, starting at index 0; ``metric`` is the diagonal metric g.
+    basis order, starting at index 0; ``diag`` is the diagonal of the
+    metric g.
     """
     index = {pair: i for i, pair in enumerate(pairs)}
+    metric = lambda x, y: diag[x] if x == y else 0
     for (a, b), (c, d) in itertools.combinations(pairs, 2):
         combo: Combo = {}
         for (p, q), g in (
@@ -244,16 +257,16 @@ def _deformed_table(eps4: int, eps5: int) -> StructureConstants:
     x_of = lambda mu: n_m + 4 + mu
     c_idx = n_m + 8
 
-    _rotation_brackets(alg, _M_PAIRS, eta4)
+    _rotation_brackets(alg, _M_PAIRS, ETA4_DIAG)
 
     # [M_munu, P_lam] = i(P_mu eta_nulam - P_nu eta_mulam); same pattern for x
     for (mu, nu), lam in itertools.product(_M_PAIRS, range(4)):
         for vec_of in (p_of, x_of):
             combo = {}
-            if eta4(nu, lam) != 0:
-                _combo_add(combo, vec_of(mu), I * poly(eta4(nu, lam)))
-            if eta4(mu, lam) != 0:
-                _combo_add(combo, vec_of(nu), -I * poly(eta4(mu, lam)))
+            if nu == lam:
+                _combo_add(combo, vec_of(mu), I * poly(ETA4_DIAG[lam]))
+            if mu == lam:
+                _combo_add(combo, vec_of(nu), -I * poly(ETA4_DIAG[lam]))
             alg.set_bracket(_M_INDEX[(mu, nu)], vec_of(lam), combo)
 
     for mu, nu in itertools.combinations(range(4), 2):
@@ -263,10 +276,9 @@ def _deformed_table(eps4: int, eps5: int) -> StructureConstants:
         # [x_mu, x_nu] = -i eps5 l^2 M_munu
         alg.set_bracket(x_of(mu), x_of(nu), {m_idx: -I * eps5 * ell2})
 
-    for mu, nu in itertools.product(range(4), repeat=2):
+    for mu in range(4):
         # [P_mu, x_nu] = i eta_munu C
-        if eta4(mu, nu) != 0:
-            alg.set_bracket(p_of(mu), x_of(nu), {c_idx: I * poly(eta4(mu, nu))})
+        alg.set_bracket(p_of(mu), x_of(mu), {c_idx: I * poly(ETA4_DIAG[mu])})
 
     for mu in range(4):
         # [P_mu, C] = -i eps4 rho x_mu ; [x_mu, C] = i eps5 l^2 P_mu
@@ -288,20 +300,11 @@ def contract(alg: StructureConstants, *, rho_to_zero=False, ell_to_zero=False) -
     return alg.substitute(bindings)
 
 
-def orthogonal_metric(eps4: int, eps5: int):
-    diag = tuple(Fraction(g) for g in ETA4_DIAG + (eps4, eps5))
-
-    def eta6(a: int, b: int) -> Fraction:
-        return diag[a] if a == b else Fraction(0)
-
-    return eta6
-
-
 @cache
 def _orthogonal_table(eps4: int, eps5: int) -> StructureConstants:
     pairs = tuple(itertools.combinations(range(6), 2))
     alg = StructureConstants(tuple(f"M{a}{b}" for a, b in pairs))
-    _rotation_brackets(alg, pairs, orthogonal_metric(eps4, eps5))
+    _rotation_brackets(alg, pairs, ETA4_DIAG + (eps4, eps5))
     return alg
 
 

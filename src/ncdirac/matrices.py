@@ -205,13 +205,3 @@ def echelon(rows: list) -> list[int]:
         if r == nrows:
             break
     return pivots
-
-
-def vector_matmul(mat: ExactMatrix, vec) -> list[ParamPoly]:
-    out = []
-    for row in mat.rows:
-        acc = P_ZERO
-        for a, x in zip(row, vec):
-            acc = acc + a * poly(x)
-        out.append(acc)
-    return out

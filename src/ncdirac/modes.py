@@ -6,10 +6,10 @@ representation, i.e. g.k - g5 (l/2) k^2 for eps5 = +1 and g.k + i g5 (l/2)
 k^2 for eps5 = -1.  Squaring gives the dispersion polynomial
 k^2 + eps5 (l^2/4)(k^2)^2, so the branches are k^2 = 0 and k^2 = -eps5 4/l^2.
 
-Momenta are stored upper-index and lowered with diag(1,-1,-1,-1) inside
-dirac_matrix.  Everything is exact: momenta and l are rationals, and a float
-raises TypeError.  ``ncdirac.cayley`` moves the reference solutions by exact
-boosts.
+Momenta are stored upper-index; ``dirac_coefficients``, the one place D(k)
+is written, lowers them with ``lie_algebra.lower``.  Everything is exact:
+momenta and l are rationals, and a float raises TypeError.
+``ncdirac.cayley`` moves the reference solutions by exact boosts.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .clifford import VerificationError, gamma_sum, reality_class
-from .lie_algebra import ETA4_DIAG
+from .lie_algebra import lower, minkowski_square
 from .matrices import ExactMatrix
-from .scalars import ExactScalar, ParamPoly, as_fraction, poly, sym
+from .scalars import MOMENTUM_SYMBOLS, as_fraction, sym
 
 BRANCHES = ("massless", "heavy")
 
@@ -44,31 +44,30 @@ class ModeProblem:
         self.k = tuple(as_fraction(c) for c in k)
 
     def k_squared(self) -> Fraction:
-        k = self.k
-        return k[0] ** 2 - k[1] ** 2 - k[2] ** 2 - k[3] ** 2
+        return minkowski_square(self.k)
+
+
+def dirac_coefficients(k, ell, eps5: int) -> list:
+    """The gamma^0..gamma^4 coefficients of D(k) = g^mu k_mu - eps5 g^4
+    (l/2) k^2: lower(k) and -eps5 (l/2) k^2, for exact numbers or ParamPoly."""
+    return [*lower(k), Fraction(-eps5, 2) * ell * minkowski_square(k)]
 
 
 def dirac_matrix(p: ModeProblem) -> ExactMatrix:
-    """g^mu k_mu - eps5 g^4 (l/2) k^2."""
-    coeffs = [p.k[mu] * ETA4_DIAG[mu] for mu in range(4)]
-    coeffs.append(Fraction(-p.eps5) * p.ell / 2 * p.k_squared())
-    return gamma_sum(p.eps5, coeffs)
+    """D(k) at the problem's momentum."""
+    return gamma_sum(p.eps5, dirac_coefficients(p.k, p.ell, p.eps5))
 
 
 def dirac_matrix_symbolic(eps5: int) -> ExactMatrix:
     """The operator with symbols k0..k3 and l, for identity checks."""
-    ksq = sym("k0") ** 2 - sym("k1") ** 2 - sym("k2") ** 2 - sym("k3") ** 2
-    half = ParamPoly.from_scalar(ExactScalar(Fraction(1, 2)))
-    coeffs = [sym(f"k{mu}") * poly(ETA4_DIAG[mu]) for mu in range(4)]
-    return gamma_sum(eps5, coeffs + [ksq * sym("l") * half * poly(-eps5)])
+    return gamma_sum(eps5, dirac_coefficients(MOMENTUM_SYMBOLS, sym("l"), eps5))
 
 
 def squared_identity_residual(eps5: int) -> ExactMatrix:
     """D(k)^2 - (k^2 + eps5 (l^2/4)(k^2)^2) * Id with symbolic k and l."""
     D = dirac_matrix_symbolic(eps5)
-    ksq = sym("k0") ** 2 - sym("k1") ** 2 - sym("k2") ** 2 - sym("k3") ** 2
-    quarter = ParamPoly.from_scalar(ExactScalar(Fraction(1, 4)))
-    scalar = ksq + ksq * ksq * sym("l") ** 2 * quarter * poly(eps5)
+    ksq = minkowski_square(MOMENTUM_SYMBOLS)
+    scalar = ksq + ksq * ksq * sym("l") ** 2 * Fraction(eps5, 4)
     return D @ D - ExactMatrix.identity(4).scale(scalar)
 
 

@@ -84,7 +84,7 @@ def as_fraction(value) -> Fraction:
 def _inexact(value, kind: str) -> TypeError:
     return TypeError(
         f"expected an exact {kind}, got {type(value).__name__}; "
-        "convert floats explicitly with ExactScalar.from_float"
+        "convert floats explicitly to a Fraction or with ExactScalar.parse"
     )
 
 
@@ -113,11 +113,6 @@ class ExactScalar:
         self._d = d
 
     # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def from_float(x: float) -> "ExactScalar":
-        """Exact dyadic embedding of a float.  The only float entry point."""
-        return ExactScalar(Fraction(x))
 
     @staticmethod
     def i() -> "ExactScalar":
@@ -239,9 +234,6 @@ class ExactScalar:
 
     def is_zero(self) -> bool:
         return not self._a and not self._b
-
-    def is_real(self) -> bool:
-        return not self._b
 
     def to_fraction(self) -> Fraction:
         if self._b:
@@ -525,15 +517,6 @@ class ParamPoly:
     def conjugate(self) -> "ParamPoly":
         return _packed_poly({k: c.conjugate() for k, c in self._terms.items()})
 
-    def degree_in(self, name: str) -> int:
-        """Largest power of the symbol; -1 for the zero polynomial."""
-        if name not in _SYMBOL_INDEX:
-            raise UnknownSymbolError(f"unknown symbol {name!r}")
-        shift = _SHIFTS[_SYMBOL_INDEX[name]]
-        if not self._terms:
-            return -1
-        return max((k >> shift) & MAX_DEGREE for k in self._terms)
-
     def min_degree_in(self, name: str):
         """Smallest power of the symbol across terms; None for zero poly."""
         if name not in _SYMBOL_INDEX:
@@ -790,21 +773,5 @@ def sym(name: str, power: int = 1) -> ParamPoly:
     return ParamPoly.symbol(name, power)
 
 
-def geometric_inverse(unit_plus: ParamPoly, order: int) -> ParamPoly:
-    """Inverse of 1 + u as a geometric series truncated after l^order, u
-    with no constant term.
-
-    Used for series sanity checks; the operator algebra keeps its inverse
-    generator formal instead of expanding it.
-    """
-    u = unit_plus - P_ONE
-    if not u.min_degree_in("l") and not u.is_zero():
-        raise ValueError("expected 1 + (terms of positive l-degree)")
-    if order < 0:
-        raise TruncationOrderError("truncation order must be >= 0")
-    total = P_ONE
-    power = P_ONE
-    for _ in range(order):
-        power = (power * -u).truncate_in("l", order)
-        total = total + power
-    return total
+# the momentum symbols k0..k3 as an upper-index four-vector
+MOMENTUM_SYMBOLS = tuple(sym(f"k{mu}") for mu in range(4))

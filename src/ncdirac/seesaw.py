@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .clifford import build_majorana_rep, gamma5, gamma_rows, gamma_sum, reality_class
-from .lie_algebra import ETA4_DIAG
+from .lie_algebra import lower, minkowski_square
 from .matrices import ExactMatrix, echelon
 from .scalars import (ExactScalar, ParamPoly, _coerce_scalar, as_fraction, exact_sqrt,
                       poly, sym)
@@ -76,13 +76,10 @@ class CouplingConfig:
         return math.sqrt(float(self.coupling_squared())) * float(self.vev)
 
 
-def _k_lower(k) -> list:
-    """k_mu = eta_munu k^nu as ParamPoly, from exact numbers or ParamPoly."""
-    out = []
-    for mu in range(4):
-        c = k[mu] if isinstance(k[mu], ParamPoly) else poly(ExactScalar(as_fraction(k[mu])))
-        out.append(c if ETA4_DIAG[mu] > 0 else -c)
-    return out
+def _momentum(k) -> list:
+    """The four components of k as ParamPoly; a component that is not one
+    must be a real exact number, so a float or complex one raises."""
+    return [c if isinstance(c, ParamPoly) else poly(as_fraction(c)) for c in k]
 
 
 def coupled_matrix(k, c: CouplingConfig) -> ExactMatrix:
@@ -91,13 +88,13 @@ def coupled_matrix(k, c: CouplingConfig) -> ExactMatrix:
     Momentum components may be exact rationals or ParamPoly symbols; the
     symbolic form is what the spectrum code solves.
     """
-    k_low = _k_lower(k)
+    k_low = lower(_momentum(k))
     gk = gamma_sum(c.eps5, k_low)
     v = ExactScalar(c.vev)
     gv = poly(c.g * v)
     gvc = poly(c.g.conjugate() * v)
     mh = poly(ExactScalar(Fraction(2) / c.ell))
-    lower_right = gamma_sum(c.eps5, k_low + [mh])
+    lower_right = gamma_sum(c.eps5, [*k_low, mh])
     eye = ExactMatrix.identity(4)
     out = ExactMatrix.zeros(8)
     for i in range(4):
@@ -119,7 +116,7 @@ def leading_order_reduction(c: CouplingConfig):
     mass_coeff = w_coeff * poly(c.g * v)
 
     def effective(k) -> ExactMatrix:
-        return gamma_sum(c.eps5, _k_lower(k) + [mass_coeff])
+        return gamma_sum(c.eps5, [*lower(_momentum(k)), mass_coeff])
 
     return W, effective
 
@@ -212,11 +209,10 @@ def _root_class(e5: int, x, big_m: Fraction, mu2: Fraction) -> str:
     for T, and 2 for [T; conj T] when Majorana."""
     axis = 0 if e5 == -1 else 3
     zero = 0 * x  # of x's field: ExactScalar, or QuadraticScalar with its delta
-    k2 = -e5 * x * x
-    c = (zero + mu2) / (k2 + e5 * big_m * big_m)
-    coeffs = [0] * 5
-    coeffs[axis] = (1 - c) * x * ETA4_DIAG[axis]
-    coeffs[4] = -c * big_m
+    k = [zero] * 4
+    k[axis] = x
+    c = (zero + mu2) / (minkowski_square(k) + e5 * big_m * big_m)
+    coeffs = [(1 - c) * k_mu for k_mu in lower(k)] + [-c * big_m]
     rows = gamma_rows(e5, coeffs, zero)
     rank = len(echelon(rows))
     if rank != 2:

@@ -16,10 +16,10 @@ placement used everywhere else in the package.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, factorial
 
-from .lie_algebra import DEFORMED_BASIS, eta4, flat_deformed_algebra
+from .lie_algebra import DEFORMED_BASIS, flat_deformed_algebra, lower
 from .scalars import P_I, P_ONE, ParamPoly, poly, sym
 
 NVARS = 5
@@ -176,7 +176,7 @@ def _compose_into(acc: dict, left: dict, right: dict, contractions_only: bool,
             base = c1 * c2
             if negate:
                 base = -base
-            for nu in _product(ranges):
+            for nu in product(*ranges):
                 if contractions_only and not any(nu):
                     continue
                 weight = 1
@@ -194,46 +194,29 @@ def _compose_into(acc: dict, left: dict, right: dict, contractions_only: bool,
                     acc[key] = total
 
 
-def _product(ranges):
-    if not ranges:
-        yield ()
-        return
-    head, *tail = ranges
-    for x in head:
-        for rest in _product(tail):
-            yield (x,) + rest
-
-
-def _xi_lower(mu: int) -> WeylOperator:
-    return WeylOperator.coordinate(mu).scale(eta4(mu, mu))
-
-
 def build_rep(eps5: int, ell: ParamPoly | None = None) -> dict:
     """Generator name -> WeylOperator.  Symbolic in l unless a value is given."""
     if eps5 not in (1, -1):
         raise ValueError("eps5 must be +1 or -1")
     ell = sym("l") if ell is None else poly(ell)
     i = P_I
+    xi_low = lower([WeylOperator.coordinate(mu) for mu in range(4)])
     rep = {}
     for mu in range(4):
         rep[f"P{mu}"] = WeylOperator.derivative(mu).scale(i)
     for mu in range(4):
         for nu in range(mu + 1, 4):
-            op = (_xi_lower(mu) @ WeylOperator.derivative(nu)) - (
-                _xi_lower(nu) @ WeylOperator.derivative(mu)
+            op = (xi_low[mu] @ WeylOperator.derivative(nu)) - (
+                xi_low[nu] @ WeylOperator.derivative(mu)
             )
             rep[f"M{mu}{nu}"] = op.scale(i)
     xi4 = WeylOperator.coordinate(4)
     d4 = WeylOperator.derivative(4)
     for mu in range(4):
-        correction = (_xi_lower(mu) @ d4) - (xi4 @ WeylOperator.derivative(mu)).scale(eps5)
-        rep[f"x{mu}"] = _xi_lower(mu) + correction.scale(i * ell)
+        correction = (xi_low[mu] @ d4) - (xi4 @ WeylOperator.derivative(mu)).scale(eps5)
+        rep[f"x{mu}"] = xi_low[mu] + correction.scale(i * ell)
     rep["C"] = WeylOperator.unit() + d4.scale(i * ell)
     return rep
-
-
-def weyl_commutator(a: WeylOperator, b: WeylOperator) -> WeylOperator:
-    return a.commutator(b)
 
 
 # the eight bracket lines of the deformed table; pairs outside them
@@ -264,7 +247,7 @@ def closure_families(eps5: int):
         rows = []
         for idx_a, idx_b in pairs[fam]:
             a, b = names[idx_a], names[idx_b]
-            lhs = weyl_commutator(rep[a], rep[b])
+            lhs = rep[a].commutator(rep[b])
             rhs = WeylOperator()
             for k, coeff in table.bracket(idx_a, idx_b).items():
                 rhs = rhs + rep[names[k]].scale(coeff)
@@ -276,11 +259,3 @@ def verify_rep_closure(eps5: int):
     """Dict family -> rows of `closure_families`; the representation is
     faithful to the flat table iff every residual is zero."""
     return dict(closure_families(eps5))
-
-
-def closure_holds(eps5: int) -> bool:
-    return all(
-        residual.is_zero()
-        for rows in verify_rep_closure(eps5).values()
-        for _, residual in rows
-    )

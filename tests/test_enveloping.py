@@ -16,8 +16,6 @@ from ncdirac.enveloping import (
     NCExpression,
     PlaneWaveExponent,
     commutator,
-    k_lower,
-    k_squared,
     lemma_matrix_check,
     normal_form,
     project_vacuum,
@@ -165,14 +163,14 @@ def test_plane_wave_identities_exact(eps5):
     assert chk.centrality_remainders == []
     assert chk.derivative_remainder.is_zero()
     assert chk.mixed_remainder.is_zero()
-    expect = poly(ExactScalar(0, Fraction(1, 2)) * eps5) * sym("l") * k_squared()
+    k_squared = sym("k0", 2) - sym("k1", 2) - sym("k2", 2) - sym("k3", 2)
+    expect = poly(ExactScalar(0, Fraction(1, 2)) * eps5) * sym("l") * k_squared
     assert chk.vacuum_scalar == expect
-    assert chk.passes()
 
 
 def test_vacuum_projection_rules():
     expr = word("p0").scale(sym("k1")) + NCExpression.unit(poly(3))
-    assert project_vacuum(expr) == sym("k1") * k_lower(0) + poly(3)
+    assert project_vacuum(expr) == sym("k1") * sym("k0") + poly(3)
     with pytest.raises(ValueError):
         project_vacuum(word("x0"))
 

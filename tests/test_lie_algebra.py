@@ -13,13 +13,15 @@ from ncdirac.lie_algebra import (
     contract,
     jacobi_residual,
     jacobi_triple_count,
+    lower,
+    minkowski_square,
     scaling_map,
     solve_isomorphism_scalings,
     verify_linear_isomorphism,
     StructureConstants,
 )
 from ncdirac.scalars import (MAX_DEGREE, DegreeBoundError, ExactScalar, ParamPoly,
-                             poly, sym)
+                             QuadraticScalar, poly, sym)
 
 SIGNS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 
@@ -27,6 +29,24 @@ SIGNS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 def _coeff(table, a, b, target):
     combo = table.bracket(table.basis.index(a), table.basis.index(b))
     return combo.get(table.basis.index(target), poly(0))
+
+
+def test_one_minkowski_contraction_for_every_scalar_type():
+    k = (Fraction(3, 2), -1, 2, Fraction(1, 3))
+    want_low = (Fraction(3, 2), 1, -2, Fraction(-1, 3))
+    want_square = Fraction(9, 4) - 1 - 4 - Fraction(1, 9)
+    assert lower(k) == want_low
+    assert minkowski_square(k) == want_square
+    assert minkowski_square(tuple(ExactScalar(c) for c in k)) == ExactScalar(want_square)
+    assert lower(tuple(poly(c) for c in k)) == tuple(poly(c) for c in want_low)
+    assert minkowski_square([sym(f"k{mu}") for mu in range(4)]) == (
+        sym("k0", 2) - sym("k1", 2) - sym("k2", 2) - sym("k3", 2))
+    # x = 1 + sqrt(2) along z: k^2 = -x^2 = -(3 + 2 sqrt(2))
+    zero = QuadraticScalar(0, 0, Fraction(2))
+    square = minkowski_square([zero, zero, zero, QuadraticScalar(1, 1, Fraction(2))])
+    assert not (square - QuadraticScalar(-3, -2, Fraction(2)))
+    with pytest.raises(ValueError):
+        lower((1, 0, 0))
 
 
 @pytest.mark.parametrize("eps4,eps5", SIGNS)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncdirac.matrices import ExactMatrix, vector_matmul
+from ncdirac.matrices import ExactMatrix
 from ncdirac.scalars import ExactScalar, poly, sym
 
 
@@ -49,12 +49,6 @@ def test_complex_entries_and_conjugate():
     assert m.scalar_entries()[0][0] == ExactScalar.i()
     with pytest.raises(TypeError, match="convert floats explicitly"):
         ExactMatrix.from_complex_entries([[0.5j]])
-
-
-def test_vector_matmul():
-    m = ExactMatrix([[0, 1], [1, 0]])
-    out = vector_matmul(m, [poly(3), poly(4)])
-    assert [str(x) for x in out] == ["4", "3"]
 
 
 def test_shape_mismatch():

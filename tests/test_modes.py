@@ -14,7 +14,7 @@ from ncdirac import cayley, checks, clifford
 from ncdirac.cayley import boost_defect, cayley_boost, cayley_boosts
 from ncdirac.checks import RunConfig, cmd_modes
 from ncdirac.clifford import VerificationError, build_majorana_rep, reality_class
-from ncdirac.matrices import ExactMatrix, vector_matmul
+from ncdirac.matrices import ExactMatrix
 from ncdirac.modes import (
     ModeProblem,
     dirac_matrix,
@@ -53,9 +53,7 @@ def test_dispersion_roots_rational_scale():
 
 
 def _in_kernel(problem: ModeProblem, vec) -> bool:
-    mat = dirac_matrix(problem)
-    out = vector_matmul(mat, [poly(c) for c in vec])
-    return all(entry.is_zero() for entry in out)
+    return (dirac_matrix(problem) @ ExactMatrix([[c] for c in vec])).is_zero()
 
 
 FROZEN_SPANS = {

@@ -14,13 +14,10 @@ from ncdirac.scalars import (
     DegreeBoundError,
     ExactScalar,
     ParamPoly,
-    P_ONE,
     SYMBOLS,
-    TruncationOrderError,
     UnknownSymbolError,
     _sum_of_products,
     as_fraction,
-    geometric_inverse,
     poly,
     sym,
 )
@@ -32,6 +29,12 @@ rationals = st.fractions(
 
 def scalars():
     return st.builds(ExactScalar, rationals, rationals)
+
+
+def _degree(p, name):
+    """Largest power of the symbol in p; -1 for the zero polynomial."""
+    i = SYMBOLS.index(name)
+    return max((e[i] for e, _ in p.terms()), default=-1)
 
 
 # numerators and denominators up to 10^30, with the 10^5..10^9 range that
@@ -79,7 +82,7 @@ class TestExactScalar:
     def test_conjugation_involution(self, a):
         assert a.conjugate().conjugate() == a
         norm = a * a.conjugate()
-        assert norm.is_real()
+        assert norm.im == 0
         assert norm.to_fraction() >= 0
 
     @given(scalars(), scalars())
@@ -205,7 +208,7 @@ class TestFractionReference:
 def test_exact_rational_coercion():
     assert as_fraction("1/10") == as_fraction(ExactScalar(Fraction(1, 10)))
     assert as_fraction(3) == Fraction(3)
-    with pytest.raises(TypeError, match="convert floats explicitly"):
+    with pytest.raises(TypeError, match="to a Fraction or with ExactScalar.parse"):
         as_fraction(0.1)
     with pytest.raises(ValueError):
         as_fraction(ExactScalar.i())
@@ -224,7 +227,7 @@ class TestParamPoly:
     def test_truncation_idempotent(self, p):
         t = p.truncate_in("l", 2)
         assert t.truncate_in("l", 2) == t
-        assert t.degree_in("l") <= 2
+        assert _degree(t, "l") <= 2
 
     @given(small_polys(), small_polys())
     @settings(max_examples=40, deadline=None)
@@ -237,9 +240,8 @@ class TestParamPoly:
     def test_unknown_symbol(self):
         with pytest.raises(UnknownSymbolError):
             sym("zeta")
-        for method in ("degree_in", "min_degree_in"):
-            with pytest.raises(UnknownSymbolError):
-                getattr(sym("l"), method)("zeta")
+        with pytest.raises(UnknownSymbolError):
+            sym("l").min_degree_in("zeta")
         with pytest.raises(UnknownSymbolError):
             sym("l").truncate_in("zeta", 1)
         assert set(SYMBOLS) >= {"l", "rho", "r", "k0", "v"}
@@ -255,8 +257,8 @@ class TestParamPoly:
         assert val == ExactScalar(Fraction(2, 9))
 
     def test_degree_bound(self):
-        assert sym("l", MAX_DEGREE).degree_in("l") == MAX_DEGREE
-        assert sym("v", MAX_DEGREE).degree_in("v") == MAX_DEGREE
+        assert _degree(sym("l", MAX_DEGREE), "l") == MAX_DEGREE
+        assert _degree(sym("v", MAX_DEGREE), "v") == MAX_DEGREE
         with pytest.raises(DegreeBoundError):
             sym("l", MAX_DEGREE + 1)
         with pytest.raises(DegreeBoundError):
@@ -275,8 +277,8 @@ class TestParamPoly:
         with pytest.raises(DegreeBoundError):
             sym(name, 64) ** 2
         top = high * sym(name, 2)
-        assert top.degree_in(name) == MAX_DEGREE
-        assert all(top.degree_in(other) == 1 for other in neighbours)
+        assert _degree(top, name) == MAX_DEGREE
+        assert all(_degree(top, other) == 1 for other in neighbours)
 
     def test_terms_order_and_json_on_random_polys(self):
         rng = random.Random(5)
@@ -296,10 +298,6 @@ class TestParamPoly:
             assert [e for e, _ in p.terms()] == sorted(kept)
             assert dict(p.terms()) == kept
             assert ParamPoly.from_json(p.to_json()) == p
-            for name in ("l", "k2", "v"):
-                i = SYMBOLS.index(name)
-                want = max((e[i] for e in kept), default=-1)
-                assert p.degree_in(name) == want
 
     def test_json_round_trip(self):
         p = sym("l") * poly(ExactScalar(Fraction(1, 2), Fraction(-3))) + poly(7)
@@ -355,7 +353,7 @@ class TestParamPoly:
         with pytest.raises(TypeError):
             ParamPoly.from_json([[[0.0] * 10, *one]])
         top = ParamPoly.from_json([[[MAX_DEGREE] * 10, *one]])
-        assert all(top.degree_in(name) == MAX_DEGREE for name in SYMBOLS)
+        assert all(_degree(top, name) == MAX_DEGREE for name in SYMBOLS)
 
 
 class TestSumOfProducts:
@@ -385,25 +383,3 @@ class TestSumOfProducts:
         got = _sum_of_products([(i * half, ExactScalar(2)),
                                 (ExactScalar(Fraction(1, 3)), ExactScalar(Fraction(3, 2)))])
         assert got == ExactScalar(Fraction(1, 2), 1)
-
-
-class TestSeries:
-    def test_geometric_inverse_oracle(self):
-        # (1 + l)^-1 = 1 - l + l^2 - l^3 + O(l^4)
-        inv = geometric_inverse(P_ONE + sym("l"), 3)
-        expect = P_ONE - sym("l") + sym("l") ** 2 - sym("l") ** 3
-        assert inv == expect
-
-    def test_geometric_inverse_is_inverse(self):
-        u = P_ONE + sym("l") * poly(2) + sym("l") ** 2 * poly(Fraction(1, 3))
-        inv = geometric_inverse(u, 5)
-        prod = (inv * u).truncate_in("l", 5)
-        assert prod == P_ONE
-
-    def test_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            geometric_inverse(sym("l"), 3)
-
-    def test_negative_order(self):
-        with pytest.raises(TruncationOrderError):
-            geometric_inverse(P_ONE + sym("l"), -1)

@@ -10,9 +10,7 @@ from ncdirac.weyl import (
     BRACKET_FAMILIES,
     WeylOperator,
     build_rep,
-    closure_holds,
     verify_rep_closure,
-    weyl_commutator,
 )
 
 FAMILY_SIZES = {
@@ -29,7 +27,6 @@ def test_closure_all_families(eps5):
         for (a, b), remainder in rows:
             assert remainder.is_zero(), f"[{a},{b}] fails for eps5={eps5}"
     assert sum(FAMILY_SIZES.values()) == 105
-    assert closure_holds(eps5)
 
 
 @pytest.mark.parametrize("eps5", [1, -1])
@@ -59,13 +56,13 @@ def test_operator_shapes(eps5):
 def test_commutators_match_flat_table(eps5):
     rep = build_rep(eps5)
     i = ExactScalar.i()
-    got = weyl_commutator(rep["P0"], rep["x0"])
+    got = rep["P0"].commutator(rep["x0"])
     assert (got - rep["C"].scale(poly(i))).is_zero()
-    got = weyl_commutator(rep["x0"], rep["x1"])
+    got = rep["x0"].commutator(rep["x1"])
     assert (got - rep["M01"].scale(poly(-i * eps5) * sym("l", 2))).is_zero()
     # momenta commute in the flat-momentum realization
-    assert weyl_commutator(rep["P0"], rep["P3"]).is_zero()
-    got = weyl_commutator(rep["x0"], rep["C"])
+    assert rep["P0"].commutator(rep["P3"]).is_zero()
+    got = rep["x0"].commutator(rep["C"])
     assert (got - rep["P0"].scale(poly(i * eps5) * sym("l", 2))).is_zero()
 
 
@@ -110,7 +107,7 @@ _OPERATORS = st.dictionaries(st.tuples(_ORDERS, _ORDERS), _COEFFS, max_size=4).m
 @given(_OPERATORS, _OPERATORS)
 def test_commutator_equals_difference_of_compositions(a, b):
     assert a.commutator(b) == (a @ b) - (b @ a)
-    assert weyl_commutator(b, a) == (b @ a) - (a @ b)
+    assert b.commutator(a) == (b @ a) - (a @ b)
 
 
 def _reference_closure(rep, eps5):
@@ -142,4 +139,3 @@ def test_tampered_realization_gives_the_same_residuals(monkeypatch, eps5, name):
     assert got == want
     broken = [pair for pair, r in got.items() if not r.is_zero()]
     assert ("M02", name) in broken
-    assert not closure_holds(eps5)
