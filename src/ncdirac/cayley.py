@@ -22,10 +22,12 @@ from .lie_algebra import ETA4_DIAG, lower, minkowski_square
 from .modes import SpinorSolution, dirac_coefficients
 from .scalars import as_fraction
 
-# the Cayley boosts below hold 4x4 integer matrices flat, row after row
+# the Cayley boosts below hold 4x4 integer matrices flat, row after row; a
+# signed permutation P is held as its four nonzeros, per row, per column or
+# as (flat index, sign)
 
 def _imul(x, y) -> list:
-    """X Y, written out: it runs about ten times per boost."""
+    """X Y, written out: it runs seven times per boost."""
     a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = x
     e0, e1, e2, e3, f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3 = y
     return [a0 * e0 + a1 * f0 + a2 * g0 + a3 * h0, a0 * e1 + a1 * f1 + a2 * g1 + a3 * h1,
@@ -38,11 +40,6 @@ def _imul(x, y) -> list:
             d0 * e2 + d1 * f2 + d2 * g2 + d3 * h2, d0 * e3 + d1 * f3 + d2 * g3 + d3 * h3]
 
 
-def _lin(*terms) -> list:
-    """sum c X over the pairs c, X of ``terms``, ints and matrices in turn."""
-    return [sum(map(mul, terms[0::2], vals)) for vals in zip(*terms[1::2])]
-
-
 def _transpose(x) -> list:
     return [v for j in range(4) for v in x[j::4]]
 
@@ -52,40 +49,63 @@ def _times_perm(x, column) -> list:
     return [x[i + k] * sign for i in (0, 4, 8, 12) for k, sign in column]
 
 
+def _perm_times(row, x) -> list:
+    """P X for a signed permutation P given per row as (column, sign)."""
+    return [v * sign for k, sign in row for v in x[4 * k:4 * k + 4]]
+
+
 class _Tables(NamedTuple):
     """The integer forms of the Majorana gammas.  g^mu = i R_mu for real
     signed permutations R_mu, so G = g0 g1 g2 g3 = R_0 R_1 R_2 R_3 and
-    every g^a g^b = -R_a R_b are real integer matrices, and G^2 = -I.  The
-    R_mu are orthogonal under <X, Y> = sum of X * Y entrywise, with
+    every g^a g^b = -R_a R_b are real signed permutations, and G^2 = -I.
+    The R_mu are orthogonal under <X, Y> = sum of X * Y entrywise, with
     <R_a, R_b> = 4 delta_ab, and R_mu^T = -eta_mu R_mu, so
     <X, R_mu> = -eta_mu tr(X R_mu)."""
 
     eye: list
     eta: list
-    r: list
     r_cols: list  # R_mu per column: its one nonzero as (row, sign)
-    g: list
-    g_t: list
+    r_entries: list  # R_mu as (flat index, sign)
+    m_entries: list  # (a, b, flat index, sign) of each R_a R_b, a < b
+    g_rows: list
     g_cols: list
-    pairs: dict  # (a, b) -> R_a R_b for a < b
+    g_trace: list  # (flat index, sign) with tr(X G) = sum sign X[index]
 
 
 @cache
 def _tables() -> _Tables:
-    def per_column(x):
-        return [(k, x[j + 4 * k]) for j in range(4) for k in range(4) if x[j + 4 * k]]
+    def entries(x):
+        return [(i, v) for i, v in enumerate(x) if v]
+
+    def per_row(x):
+        return [(i % 4, v) for i, v in entries(x)]
+
+    def signed_permutation(x):
+        nonzero = entries(x)
+        return (all(v * v == 1 for _, v in nonzero)
+                and sorted(i // 4 for i, _ in nonzero) == [0, 1, 2, 3]
+                and sorted(i % 4 for i, _ in nonzero) == [0, 1, 2, 3])
 
     r = [[int(x.to_scalar().im) for row in g.rows for x in row] for g in _exact_gammas()[:4]]
     if ([[sum(map(mul, a, b)) for b in r] for a in r] != [[4 * (i == j) for j in range(4)]
                                                            for i in range(4)]
-            or any(_transpose(x) != [-e * v for v in x] for e, x in zip(ETA4_DIAG, r))):
-        raise VerificationError("the real gammas are not orthogonal with R^T = -eta R")
+            or any(_transpose(x) != [-e * v for v in x] for e, x in zip(ETA4_DIAG, r))
+            or not all(map(signed_permutation, r))):
+        raise VerificationError("the real gammas are not signed permutations, "
+                                "orthogonal with R^T = -eta R")
     pairs = {(a, b): _imul(r[a], r[b]) for a in range(4) for b in range(a + 1, 4)}
     g = _imul(pairs[0, 1], pairs[2, 3])
     eye, eta = ([v * (i == j) for i, v in enumerate(d) for j in range(4)]
                 for d in ((1,) * 4, ETA4_DIAG))
-    return _Tables(eye, eta, r, [per_column(x) for x in r], g, _transpose(g),
-                   per_column(g), pairs)
+    return _Tables(
+        eye, eta,
+        r_cols=[per_row(_transpose(x)) for x in r],
+        r_entries=[entries(x) for x in r],
+        m_entries=[(a, b, i, v) for (a, b), x in pairs.items() for i, v in entries(x)],
+        g_rows=per_row(g),
+        g_cols=per_row(_transpose(g)),
+        g_trace=[(4 * (i % 4) + i // 4, v) for i, v in entries(g)],
+    )
 
 
 class CayleyBoost(NamedTuple):
@@ -110,14 +130,18 @@ def cayley_boost(omega) -> CayleyBoost:
     rationals, with its identities checked exactly.
 
     With q the common denominator of omega and n = 4q, A/2 = M/n for the
-    integer M = -sum_{a<b} q omega_ab R_a R_b.  The Clifford relations give
-    M^2 = alpha I + beta G, so with c = n^2 - alpha and den = c^2 + beta^2,
-    S = (I + A/2)^2 (I - A^2/4)^-1 = (nI + M)^2 (cI + beta G) / den and
-    S^-1 = (nI - M)^2 (cI + beta G) / den; den = 0 exactly when I - A/2 is
-    singular.  Lambda^mu_nu = tr(S^-1 g^mu S g^nu) / (4 eta_nunu).  Checked:
-    S^-1 S = I, S^-1 g^mu S = Lambda^mu_nu g^nu, Lambda^T eta Lambda = eta
-    and [S, G] = 0, which is [S, g^4] = 0 for both signatures (g^4 = i G or
-    -G).  A singular I - A/2 or a failed identity raises VerificationError."""
+    integer M = -sum_{a<b} q omega_ab R_a R_b.  Each R_a R_b and G is a
+    signed permutation, so M is written from its 24 signed entries and
+    every product with G or an R_mu only moves and negates entries.  The
+    Clifford relations give M^2 = alpha I + beta G, so with c = n^2 - alpha
+    and den = c^2 + beta^2, S = (I + A/2)^2 (I - A^2/4)^-1 =
+    (nI + M)^2 (cI + beta G) / den and S^-1 = (nI - M)^2 (cI + beta G) / den,
+    both squares n^2 I +- 2nM + M^2 from the one M^2; den = 0 exactly when
+    I - A/2 is singular.  Lambda^mu_nu = tr(S^-1 g^mu S g^nu) / (4 eta_nunu).
+    Checked on the integer matrices: S^-1 S = I, S^-1 g^mu S =
+    Lambda^mu_nu g^nu, Lambda^T eta Lambda = eta and [S, G] = 0, which is
+    [S, g^4] = 0 for both signatures (g^4 = i G or -G).  A singular I - A/2
+    or a failed identity raises VerificationError."""
     omega = [[as_fraction(x) for x in row] for row in omega]
     if len(omega) != 4 or any(len(row) != 4 for row in omega):
         raise ValueError("omega must be a 4x4 array")
@@ -127,16 +151,20 @@ def cayley_boost(omega) -> CayleyBoost:
         raise ValueError("omega must be antisymmetric")
     tab = _tables()
     n = 4 * q
-    m = _lin(*(x for (a, b), p in tab.pairs.items() for x in (-w[a][b], p)))
+    m = [0] * 16
+    for a, b, i, sign in tab.m_entries:
+        m[i] -= sign * w[a][b]
     m2 = _imul(m, m)
     c = n * n - sum(m2[0::5]) // 4
-    beta = -sum(map(mul, m2, tab.g_t)) // 4  # tr(M^2 G) = -4 beta
+    beta = -sum(sign * m2[i] for i, sign in tab.g_trace) // 4  # tr(M^2 G) = -4 beta
     den = c * c + beta * beta
     if not den:
         raise VerificationError("I - A/2 is singular")
-    base = _lin(n * n, tab.eye, 1, m2)
+    base = m2  # n^2 I + M^2
+    for i in (0, 5, 10, 15):
+        base[i] += n * n
     # (nI +- M)^2 (cI + beta G)
-    numer, inverse = (_lin(c, sq, beta, _times_perm(sq, tab.g_cols))
+    numer, inverse = ([c * x + beta * y for x, y in zip(sq, _times_perm(sq, tab.g_cols))]
                       for sq in ([x + 2 * sign * n * y for x, y in zip(base, m)]
                                  for sign in (1, -1)))
     common = math.gcd(den, *numer, *inverse)
@@ -152,14 +180,16 @@ def cayley_boost(omega) -> CayleyBoost:
     t = []
     for column in tab.r_cols:
         x = _imul(_times_perm(inverse, column), numer)
-        t.append([sum(map(mul, x, r_nu)) for r_nu in tab.r])
-        if 4 * sum(map(mul, x, x)) != sum(v * v for v in t[-1]):
+        row = [x[i0] * s0 + x[i1] * s1 + x[i2] * s2 + x[i3] * s3
+               for (i0, s0), (i1, s1), (i2, s2), (i3, s3) in tab.r_entries]
+        if 4 * sum(map(mul, x, x)) != sum(v * v for v in row):
             raise VerificationError("S^-1 g^mu S != Lambda^mu_nu g^nu")
+        t.append(row)
     t_flat = [v for row in t for v in row]
     eta_t = [ETA4_DIAG[i // 4] * v for i, v in enumerate(t_flat)]
     if _imul(_transpose(t_flat), eta_t) != [16 * d2 * d2 * v for v in tab.eta]:
         raise VerificationError("Lambda^T eta Lambda != eta")
-    if _times_perm(numer, tab.g_cols) != _imul(tab.g, numer):
+    if _times_perm(numer, tab.g_cols) != _perm_times(tab.g_rows, numer):
         raise VerificationError("[S, g^4] != 0")
     numer, inverse = ([mat[i:i + 4] for i in (0, 4, 8, 12)] for mat in (numer, inverse))
     return CayleyBoost(numer=numer, inverse=inverse, denom=den, lam_numer=t)

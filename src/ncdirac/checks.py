@@ -36,9 +36,9 @@ from .cayley import boost_defect, cayley_boosts
 from .clifford import (
     VerificationError,
     build_majorana_rep,
+    clifford_relations,
     gamma5_product_check,
     majorana_imaginary_check,
-    verify_clifford,
 )
 from .modes import (
     dispersion_roots,
@@ -314,10 +314,9 @@ def cmd_verify_rep(cfg: RunConfig):
 def cmd_verify_clifford(cfg: RunConfig):
     for e5 in cfg.eps5_values():
         rep = build_majorana_rep(e5)
-        # verify_clifford gives its relations from one call, charged to the
-        # first; the two product checks run in their own steps
+        # each relation and each product check runs in its own step
         results = chain(
-            verify_clifford(rep),
+            clifford_relations(rep),
             (check(rep) for check in (gamma5_product_check, majorana_imaginary_check)),
         )
         for rc in results:

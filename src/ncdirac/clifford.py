@@ -165,37 +165,36 @@ def _pair_residual(rep: GammaRep, a: int, b: int) -> ExactMatrix:
     return anti - target
 
 
-def verify_clifford(rep: GammaRep) -> list[RelationCheck]:
-    """The 15 unordered anticommutator pairs plus the 5 squares, exactly."""
-    checks = []
+def clifford_relations(rep: GammaRep):
+    """The 15 unordered anticommutator pairs, then the 5 squares, each
+    checked exactly when it is drawn from this generator."""
     for a in range(5):
         for b in range(a, 5):
             diff = _pair_residual(rep, a, b)
             ok = diff.is_zero()
-            res = 0.0 if ok else _max_abs(diff)
             rhs = f"2*eta{a}{a}" if a == b else "0"
-            checks.append(
-                RelationCheck(
-                    name=f"anticommutator_g{a}_g{b}",
-                    relation=f"{{g{a},g{b}}} = {rhs}",
-                    ok=ok,
-                    residual=res,
-                )
+            yield RelationCheck(
+                name=f"anticommutator_g{a}_g{b}",
+                relation=f"{{g{a},g{b}}} = {rhs}",
+                ok=ok,
+                residual=0.0 if ok else _max_abs(diff),
             )
     for a in range(5):
         sq = rep.gamma[a] @ rep.gamma[a]
         target = ExactMatrix.identity(4).scale(poly(rep.eta(a, a)))
         diff = sq - target
         ok = diff.is_zero()
-        checks.append(
-            RelationCheck(
-                name=f"square_g{a}",
-                relation=f"(g{a})^2 = eta{a}{a}",
-                ok=ok,
-                residual=0.0 if ok else _max_abs(diff),
-            )
+        yield RelationCheck(
+            name=f"square_g{a}",
+            relation=f"(g{a})^2 = eta{a}{a}",
+            ok=ok,
+            residual=0.0 if ok else _max_abs(diff),
         )
-    return checks
+
+
+def verify_clifford(rep: GammaRep) -> list[RelationCheck]:
+    """The 15 unordered anticommutator pairs plus the 5 squares, exactly."""
+    return list(clifford_relations(rep))
 
 
 def gamma5_product_check(rep: GammaRep) -> RelationCheck:

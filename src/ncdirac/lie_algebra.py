@@ -455,6 +455,31 @@ def _map_invertible(lmap: LinearMap) -> bool:
     return False
 
 
+def _pair_sums(columns, src_rows, dst_rows, i: int, j: int, tags) -> dict:
+    """The ``_join`` sums of phi([a_i, a_j]) - [phi a_i, phi a_j] for the
+    basis pair i < j: each term c_ij^m phi(a_m) under the tag
+    tags[i] ^ tags[j] ^ tags[m], the bracket under tag 0.
+
+    ``columns`` are the map's columns as ``_combo_ints``; ``src_rows`` and
+    ``dst_rows`` are the ``_int_rows`` of its tables.
+    """
+    sums = {}
+    flip = tags[i] ^ tags[j]
+    # phi([a_i, a_j]) = sum_m c_ij^m phi(a_m)
+    for m, mono, xa, xb, xd in src_rows[i].get(j, ()):
+        _join(sums, flip ^ tags[m], mono, xa, xb, xd, columns[m])
+    # -[phi a_i, phi a_j] = sum ca cb [f_b, f_a], ca * cb taken once
+    for ia, ma, a1, b1, d1 in columns[i]:
+        for ib, mb, a2, b2, d2 in columns[j]:
+            right = dst_rows[ib].get(ia)
+            if right is not None:
+                mono = ma + mb
+                if mono & _GUARDS:
+                    raise _degree_overflow(ma, mb)
+                _join(sums, 0, mono, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2, right)
+    return sums
+
+
 def _bracket_mismatches(lmap: LinearMap, src_rows, dst_rows):
     """Yield ((name_i, name_j), residual combo) for each basis pair i < j
     with phi([a_i,a_j]_src) != [phi a_i, phi a_j]_dst, lazily.
@@ -464,22 +489,9 @@ def _bracket_mismatches(lmap: LinearMap, src_rows, dst_rows):
     """
     src = lmap.src
     columns = [_combo_ints(col) for col in lmap.columns]
+    untagged = [0] * src.dim()
     for i, j in itertools.combinations(range(src.dim()), 2):
-        sums = {}
-        # phi([a_i, a_j]) = sum_m c_ij^m phi(a_m)
-        for m, mono, xa, xb, xd in src_rows[i].get(j, ()):
-            _join(sums, None, mono, xa, xb, xd, columns[m])
-        # -[phi a_i, phi a_j] = sum ca cb [f_b, f_a], ca * cb taken once
-        for ia, ma, a1, b1, d1 in columns[i]:
-            for ib, mb, a2, b2, d2 in columns[j]:
-                right = dst_rows[ib].get(ia)
-                if right is not None:
-                    mono = ma + mb
-                    if mono & _GUARDS:
-                        raise _degree_overflow(ma, mb)
-                    _join(sums, None, mono, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
-                          d1 * d2, right)
-        residual = _residuals(sums).get(None)
+        residual = _residuals(_pair_sums(columns, src_rows, dst_rows, i, j, untagged)).get(0)
         if residual:
             yield (src.basis[i], src.basis[j]), residual
 
@@ -495,24 +507,30 @@ def verify_linear_isomorphism(lmap: LinearMap) -> IsoCheck:
     return IsoCheck(ok=invertible and not mismatches, invertible=invertible, mismatches=mismatches)
 
 
+def _scaling_target(name: str) -> tuple[str, int]:
+    """Where the rescaling ansatz sends a deformed generator: the name of
+    its orthogonal image, and the bit of its coefficient, 0 for 1 and 1, 2
+    and 4 for alpha, beta and gamma."""
+    if name.startswith("M"):
+        return name, 0
+    if name.startswith("P"):
+        return f"M{int(name[1])}4", 1
+    if name.startswith("x"):
+        return f"M{int(name[1])}5", 2
+    if name == C_LABEL:
+        return "M45", 4
+    raise ValueError(f"unexpected basis label {name}")
+
+
 def scaling_map(src: StructureConstants, dst: StructureConstants,
                 alpha: ParamPoly, beta: ParamPoly, gamma: ParamPoly) -> LinearMap:
     """The rescaling ansatz M -> M, P_mu -> alpha M_mu4, x_mu -> beta M_mu5,
     C -> gamma M_45 as a LinearMap from the deformed to the orthogonal basis."""
+    coeffs = {0: P_ONE, 1: alpha, 2: beta, 4: gamma}
     columns = []
     for name in src.basis:
-        if name.startswith("M"):
-            columns.append({dst.index[name]: P_ONE})
-        elif name.startswith("P"):
-            mu = int(name[1])
-            columns.append({dst.index[f"M{mu}4"]: alpha})
-        elif name.startswith("x"):
-            mu = int(name[1])
-            columns.append({dst.index[f"M{mu}5"]: beta})
-        elif name == C_LABEL:
-            columns.append({dst.index["M45"]: gamma})
-        else:
-            raise ValueError(f"unexpected basis label {name}")
+        target, bit = _scaling_target(name)
+        columns.append({dst.index[target]: coeffs[bit]})
     return LinearMap(src=src, dst=dst, columns=columns)
 
 
@@ -527,41 +545,90 @@ class IsomorphismSolution(NamedTuple):
     check: IsoCheck  # the search's own full verdict on ``map``
 
 
+# the sign choices (s_alpha, s_beta, s_gamma); bit 1, 2 or 4 of a tag reads
+# s_alpha, s_beta or s_gamma, as in ``_scaling_target``
+_SIGN_CHOICES = tuple(itertools.product((1, -1), repeat=3))
+
+
+def _character(s) -> list:
+    """chi_t(s) for each tag t in 0..7: the product of the signs of s on
+    the bits of t."""
+    return [(s[0] if t & 1 else 1) * (s[1] if t & 2 else 1) * (s[2] if t & 4 else 1)
+            for t in range(8)]
+
+
+def _signed_sum_is_zero(terms, chi) -> bool:
+    """Whether sum chi[t] (a + b*i)/d over the (t, a, b, d) terms is zero."""
+    sa = sb = 0
+    sd = 1
+    for tag, a, b, d in terms:
+        if chi[tag] < 0:
+            a, b = -a, -b
+        if d == sd:
+            sa += a
+            sb += b
+        else:
+            sa = sa * d + a * sd
+            sb = sb * d + b * sd
+            sd *= d
+    return not (sa or sb)
+
+
+def _passing_signs(unsigned: LinearMap, src_rows, dst_rows) -> list:
+    """The sign choices s whose map phi_s matches every bracket, from one
+    pass over the basis pairs.
+
+    phi_s sends a_m to chi_m(s) phi(a_m), where phi is ``unsigned`` and
+    chi_m is the character of the coefficient bit of a_m.  Multiplied by
+    chi_i(s) chi_j(s), the match of the pair i < j reads
+    sum_m chi_i chi_j chi_m (s) c_ij^m phi(a_m) = [phi a_i, phi a_j]: so
+    ``_pair_sums`` sums each term under its character once, and a choice
+    passes when the sums weighted by its character values cancel at every
+    output generator and monomial.
+    """
+    src = unsigned.src
+    columns = [_combo_ints(col) for col in unsigned.columns]
+    bits = [_scaling_target(name)[1] for name in src.basis]
+    alive = [(s, _character(s)) for s in _SIGN_CHOICES]
+    for i, j in itertools.combinations(range(src.dim()), 2):
+        outputs = {}
+        for (tag, q, mono), acc in _pair_sums(columns, src_rows, dst_rows, i, j, bits).items():
+            outputs.setdefault((q, mono), []).append((tag, *acc))
+        for terms in outputs.values():
+            alive = [(s, chi) for s, chi in alive if _signed_sum_is_zero(terms, chi)]
+        if not alive:
+            break
+    return [s for s, _ in alive]
+
+
 def solve_isomorphism_scalings(eps4: int, eps5: int) -> IsomorphismSolution:
     """Exhaustive sign search for the rescaling identifying the two algebras.
 
     The bracket [P_mu, P_nu] = -i eps4 rho M_munu forces alpha^2 = rho, which
     has no polynomial solution in rho itself; the deformed table is therefore
-    reparametrized with rho = r^2 before matching.  All sign choices with
-    gamma = -alpha*beta pass; the canonical representative (r, l, -r*l) is
-    returned, with the bracket match and exact rank the search computed
-    for it as ``check``.
+    reparametrized with rho = r^2 before matching.  The eight candidates
+    (s_alpha r, s_beta l, s_gamma r l) are the map (r, l, r l) with a sign
+    on each generator class, so one pass over the basis pairs decides all
+    eight (``_passing_signs``), and one exact rank serves them all, since
+    flipping the signs of columns leaves the rank alone.  All sign choices
+    with gamma = -alpha*beta pass; the canonical representative
+    (r, l, -r*l) is returned, with the search's verdict on it as ``check``.
     """
     r = sym("r")
     ell = sym("l")
     _check_signs(eps4, eps5)
     src = _deformed_table(eps4, eps5).substitute({"rho": r * r})
     dst = build_orthogonal_algebra(eps4, eps5)
-    rows = _int_rows(src), _int_rows(dst)
-
-    passing = []
-    canonical = None
-    for s_a, s_b, s_g in itertools.product((1, -1), repeat=3):
-        alpha = poly(s_a) * r
-        beta = poly(s_b) * ell
-        gamma = poly(s_g) * r * ell
-        lmap = scaling_map(src, dst, alpha, beta, gamma)
-        # a candidate is dropped at its first mismatch; only a full bracket
-        # match pays for the exact rank
-        if next(_bracket_mismatches(lmap, *rows), None) is None and _map_invertible(lmap):
-            passing.append((s_a, s_b, s_g))
-            if (s_a, s_b) == (1, 1):
-                canonical = (alpha, beta, gamma, lmap)
+    unsigned = scaling_map(src, dst, r, ell, r * ell)
+    passing = _passing_signs(unsigned, _int_rows(src), _int_rows(dst))
+    if passing and not _map_invertible(unsigned):
+        passing = []
+    canonical = next((s for s in passing if s[:2] == (1, 1)), None)
     if canonical is None:
         raise ArithmeticError("no scaling signs satisfy the bracket match")
-    alpha, beta, gamma, lmap = canonical
+    gamma = poly(canonical[2]) * r * ell
     return IsomorphismSolution(
-        alpha=alpha, beta=beta, gamma=gamma, map=lmap,
+        alpha=r, beta=ell, gamma=gamma, map=scaling_map(src, dst, r, ell, gamma),
         src=src, dst=dst, passing_sign_choices=sorted(passing),
         check=IsoCheck(ok=True, invertible=True, mismatches=[]),
     )

@@ -15,7 +15,8 @@ import pytest
 from exact_arrays import as_array
 
 import ncdirac
-from ncdirac.cayley import cayley_boost
+from ncdirac import cayley, checks, clifford
+from ncdirac.cayley import cayley_boost, cayley_boosts
 from ncdirac.clifford import (
     VerificationError,
     build_majorana_rep,
@@ -78,6 +79,24 @@ def test_product_and_imaginarity(eps5):
     rep = build_majorana_rep(eps5)
     assert gamma5_product_check(rep).ok
     assert majorana_imaginary_check(rep).ok
+
+
+def test_each_clifford_relation_is_its_own_step(monkeypatch):
+    # the runner times each step of a family: when the first row arrives,
+    # only its own anticommutator has been computed
+    calls = []
+    true_residual = clifford._pair_residual
+
+    def counted(rep, a, b):
+        calls.append((a, b))
+        return true_residual(rep, a, b)
+
+    monkeypatch.setattr(clifford, "_pair_residual", counted)
+    rows = checks.cmd_verify_clifford.__wrapped__(checks.RunConfig(eps5=1))
+    assert next(rows).check == "clifford_anticommutator_g0_g0"
+    assert calls == [(0, 0)]
+    assert len(list(rows)) == 21
+    assert len(calls) == 15
 
 
 def _axis_boost(y):
@@ -213,6 +232,41 @@ def test_nearly_antisymmetric_generator_is_rejected():
     omega[3][0] = -Fraction(1000009, 1000000)
     with pytest.raises(ValueError, match="antisymmetric"):
         cayley_boost(omega)
+
+
+def _negate_first(entries):
+    (i, sign), *rest = entries
+    return [(i, -sign), *rest]
+
+
+# one table the boost kernel reads, corrupted, and the identity that must
+# then fail: a wrong tr(M^2 G) or G gives a wrong inverse, a wrong R_0 a
+# wrong pairing, a Euclidean eta a failed metric and a wrong G on the left
+# a failed commutator
+_CORRUPTIONS = {
+    "g_trace": (lambda tab: tab._replace(g_trace=_negate_first(tab.g_trace)),
+                "S^-1 S != I"),
+    "g_cols": (lambda tab: tab._replace(g_cols=_negate_first(tab.g_cols)),
+               "S^-1 S != I"),
+    "r_entries": (lambda tab: tab._replace(
+        r_entries=[_negate_first(tab.r_entries[0]), *tab.r_entries[1:]]),
+        "S^-1 g^mu S != Lambda^mu_nu g^nu"),
+    "eta": (lambda tab: tab._replace(eta=tab.eye), "Lambda^T eta Lambda != eta"),
+    "g_rows": (lambda tab: tab._replace(g_rows=_negate_first(tab.g_rows)),
+               "[S, g^4] != 0"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_CORRUPTIONS))
+def test_cayley_identities_fire_on_a_corrupted_table(monkeypatch, field):
+    corrupt, message = _CORRUPTIONS[field]
+    omegas = list(_seeded_generators(42, 5))
+    assert len(cayley_boosts(omegas)) == 5  # the true tables pass
+    true_tables = cayley._tables
+    monkeypatch.setattr(cayley, "_tables", lambda: corrupt(true_tables()))
+    with pytest.raises(VerificationError) as info:
+        cayley_boosts(omegas)
+    assert str(info.value) == f"draw 0: {message}"
 
 
 def _run_python(code: str) -> list[str]:

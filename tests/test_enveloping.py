@@ -8,10 +8,8 @@ from hypothesis import given, settings, strategies as st
 from ncdirac.enveloping import (
     CINV_TOKEN,
     C_TOKEN,
-    M_TOKENS,
     P_TOKENS,
     TOKENS,
-    X_TOKENS,
     Derivation,
     NCExpression,
     PlaneWaveExponent,

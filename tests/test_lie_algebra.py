@@ -139,6 +139,55 @@ def test_scaled_coefficient_has_no_isomorphism(monkeypatch, which):
         solve_isomorphism_scalings(1, -1)
 
 
+def _negated(table, names):
+    """The same algebra over the basis with each generator of ``names``
+    replaced by its negative: c_ij^m picks up the signs of i, j and m."""
+    flipped = {table.index[name] for name in names}
+    sign = [-1 if k in flipped else 1 for k in range(table.dim())]
+    out = StructureConstants(table.basis)
+    for (i, j), combo in table.brackets.items():
+        out.set_bracket(i, j, {m: c * poly(sign[i] * sign[j] * sign[m])
+                               for m, c in combo.items()})
+    return out
+
+
+@pytest.mark.parametrize("flips,signs_product", [
+    ((), -1),
+    # C -> gamma M45 now needs the opposite gamma
+    (("M45",), 1),
+    # beta and gamma both flip: the product stays -1
+    (("M05", "M15", "M25", "M35", "M45"), -1),
+    # P0 alone changes sign: no choice of alpha fits all four momenta
+    (("M04",), None),
+])
+@pytest.mark.parametrize("eps4,eps5", SIGNS)
+def test_sign_search_matches_per_candidate_verdicts(monkeypatch, eps4, eps5, flips,
+                                                    signs_product):
+    # the one-pass search against eight explicit verifications of
+    # scaling_map(s_alpha r, s_beta l, s_gamma r l); a relabelled target
+    # table moves the passing set, so a wrong character fails here
+    import ncdirac.lie_algebra as lie
+
+    build = lie.build_orthogonal_algebra
+    monkeypatch.setattr(lie, "build_orthogonal_algebra",
+                        lambda e4, e5: _negated(build(e4, e5), flips))
+    src = lie._deformed_table(eps4, eps5).substitute({"rho": sym("r", 2)})
+    dst = lie.build_orthogonal_algebra(eps4, eps5)
+    r, ell = sym("r"), sym("l")
+    choices = list(itertools.product((1, -1), repeat=3))
+    want = sorted(s for s in choices if verify_linear_isomorphism(
+        scaling_map(src, dst, poly(s[0]) * r, poly(s[1]) * ell, poly(s[2]) * r * ell)).ok)
+    assert want == sorted(s for s in choices if s[0] * s[1] * s[2] == signs_product)
+    if not want:
+        with pytest.raises(ArithmeticError):
+            solve_isomorphism_scalings(eps4, eps5)
+        return
+    sol = solve_isomorphism_scalings(eps4, eps5)
+    assert sol.passing_sign_choices == want
+    assert sol.gamma == poly(signs_product) * r * ell
+    assert verify_linear_isomorphism(sol.map).ok
+
+
 def test_flipped_gamma_breaks_isomorphism():
     sol = solve_isomorphism_scalings(1, -1)
     broken = scaling_map(sol.src, sol.dst, sol.alpha, sol.beta, -sol.gamma)

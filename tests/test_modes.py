@@ -360,6 +360,22 @@ def test_tampered_g4_fails_the_boost_row(monkeypatch):
         assert row.details["failure"] == "heavy draw 0: D(Lambda k) S u != 0"
 
 
+def test_corrupted_boost_table_fails_the_boost_row(monkeypatch):
+    # G with one entry negated gives a wrong S^-1 at the first draw, which
+    # the row names under the branch it would have moved
+    true_tables = cayley._tables
+
+    def corrupted():
+        tab = true_tables()
+        (row, sign), *rest = tab.g_cols
+        return tab._replace(g_cols=[(row, -sign), *rest])
+
+    monkeypatch.setattr(cayley, "_tables", corrupted)
+    for row in _boost_rows(RunConfig(seed=42)).values():
+        assert row.status == "fail"
+        assert row.details["failure"] == "heavy draw 0: S^-1 S != I"
+
+
 def test_boost_row_names_the_first_failing_draw(monkeypatch):
     # draw 7 (massless) is made singular: the row names it, and a heavy
     # draw 4 that fails covariance comes before it
