@@ -188,6 +188,8 @@ def _command(family):
 
 _P_RANGE = range(6, 10)
 _X_RANGE = range(10, 14)
+_ISO_RELATION = ("phi([a,b]) = [phi(a), phi(b)] with P -> alpha*M_mu4, "
+                 "x -> beta*M_mu5, C -> gamma*M45")
 
 
 @_command
@@ -221,24 +223,28 @@ def cmd_verify_algebra(cfg: RunConfig):
             details={"triples": jacobi_triple_count(ortho), "violations": len(oviol)},
         )
 
-        sol = solve_isomorphism_scalings(e4, e5)
-        iso = sol.check
-        ok = iso.ok and iso.invertible and len(sol.passing_sign_choices) == 4
-        yield _row(
-            "isomorphism", params,
-            ok=ok,
-            relation="phi([a,b]) = [phi(a), phi(b)] with P -> alpha*M_mu4, "
-                     "x -> beta*M_mu5, C -> gamma*M45",
-            residual=len(iso.mismatches),
-            details={
-                "alpha": str(sol.alpha),
-                "beta": str(sol.beta),
-                "gamma": str(sol.gamma),
-                "invertible": iso.invertible,
-                "passing_sign_choices": [list(s) for s in sol.passing_sign_choices],
-                "mismatched_brackets": len(iso.mismatches),
-            },
-        )
+        try:
+            sol = solve_isomorphism_scalings(e4, e5)
+        except ArithmeticError as exc:
+            # no sign choice passes: a fail row, and the run goes on
+            yield _row("isomorphism", params, ok=False, relation=_ISO_RELATION,
+                       details={"passing_sign_choices": [], "error": str(exc)})
+        else:
+            iso = sol.check
+            yield _row(
+                "isomorphism", params,
+                ok=iso.ok and iso.invertible and len(sol.passing_sign_choices) == 4,
+                relation=_ISO_RELATION,
+                residual=len(iso.mismatches),
+                details={
+                    "alpha": str(sol.alpha),
+                    "beta": str(sol.beta),
+                    "gamma": str(sol.gamma),
+                    "invertible": iso.invertible,
+                    "passing_sign_choices": [list(s) for s in sol.passing_sign_choices],
+                    "mismatched_brackets": len(iso.mismatches),
+                },
+            )
 
         if e5 not in rho_limit:
             flat_rho = flat_deformed_algebra(e5)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .lie_algebra import ETA4_DIAG
 from .matrices import ExactMatrix
-from .scalars import P_I, _packed_poly, _packed_terms, _sum_of_products, poly
+from .scalars import P_I, _poly_sum_of_products, poly
 
 
 class VerificationError(RuntimeError):
@@ -111,24 +111,15 @@ def gamma_sum(eps5: int, coeffs) -> ExactMatrix:
     ``coeffs`` lists up to five ParamPoly (or exact numbers) for gamma^0,
     gamma^1, ...; a zero coefficient adds nothing.  Each gamma has one
     nonzero entry per row, so every output entry is one exact sum of
-    products per monomial, reduced once, with no ParamPoly product.
+    products per monomial (``_poly_sum_of_products``), reduced once.
     """
-    sums = {}
-    for units, coeff in zip(_gamma_units(eps5), coeffs):
-        terms = _packed_terms(poly(coeff))
-        for r, c, unit in units:
-            for mono, x in terms:
-                pairs = sums.get((r, c, mono))
-                if pairs is None:
-                    sums[(r, c, mono)] = [(unit, x)]
-                else:
-                    pairs.append((unit, x))
-    entries = [[{} for _ in range(4)] for _ in range(4)]
-    for (r, c, mono), pairs in sums.items():
-        total = _sum_of_products(pairs)
-        if total is not None:
-            entries[r][c][mono] = total
-    return ExactMatrix([[_packed_poly(t) for t in row] for row in entries])
+    pairs = {}
+    for g, units, coeff in zip(_majorana_table(eps5), _gamma_units(eps5), coeffs):
+        coeff = poly(coeff)
+        for r, c, _ in units:
+            pairs.setdefault((r, c), []).append((g.rows[r][c], coeff))
+    return ExactMatrix([[_poly_sum_of_products(pairs.get((r, c), ())) for c in range(4)]
+                        for r in range(4)])
 
 
 def gamma_rows(eps5: int, coeffs, zero) -> list:

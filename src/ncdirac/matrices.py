@@ -9,7 +9,9 @@ memoization, which is cheap at the 4x4 and 8x8 sizes used here.
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO, ExactScalar, P_ONE, P_ZERO, ParamPoly, _inexact, poly
+from .scalars import (
+    ONE, ZERO, ExactScalar, P_ONE, P_ZERO, ParamPoly, _inexact, _poly_sum_of_products, poly,
+)
 
 
 class ExactMatrix:
@@ -65,20 +67,20 @@ class ExactMatrix:
         return ExactMatrix([[-a for a in row] for row in self.rows])
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        """Each entry is one exact sum over its nonzero-by-nonzero products,
+        reduced once per monomial (``_poly_sum_of_products``); an entry
+        with none is zero at once."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
+        cols = list(zip(*other.rows))
         out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = P_ZERO
-                for k in range(self.ncols):
-                    a = self.rows[i][k]
-                    if a.is_zero():
-                        continue
-                    acc = acc + a * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
+        for row in self.rows:
+            nonzero = [(k, a) for k, a in enumerate(row) if a]
+            out_row = []
+            for col in cols:
+                pairs = [(a, col[k]) for k, a in nonzero if col[k]]
+                out_row.append(_poly_sum_of_products(pairs) if pairs else P_ZERO)
+            out.append(out_row)
         return ExactMatrix(out)
 
     def scale(self, factor) -> "ExactMatrix":

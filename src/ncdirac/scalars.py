@@ -439,6 +439,12 @@ class ParamPoly:
 
     def __add__(self, other) -> "ParamPoly":
         other = poly(other)
+        # instances are immutable, so a zero operand hands back the other
+        # (and a zero factor gives the shared P_ZERO) with no copy
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         terms = dict(self._terms)
         for key, coeff in other._terms.items():
             prev = terms.get(key)
@@ -462,6 +468,8 @@ class ParamPoly:
 
     def __mul__(self, other) -> "ParamPoly":
         other = poly(other)
+        if not self._terms or not other._terms:
+            return P_ZERO
         terms: dict = {}
         get = terms.get
         for ka, ca in self._terms.items():
@@ -700,12 +708,6 @@ def _packed_poly(terms: dict) -> ParamPoly:
     return out
 
 
-def _packed_terms(p: ParamPoly):
-    """The (packed monomial, coefficient) items of a ParamPoly; the reading
-    half of ``_packed_poly``."""
-    return p._terms.items()
-
-
 def _int_terms(p: ParamPoly) -> list:
     """The (packed monomial, a, b, d) ints of each term (a + b*i)/d of a
     ParamPoly, for kernels that sum products unreduced and bring each
@@ -732,6 +734,33 @@ def _sum_of_products(pairs) -> ExactScalar | None:
     if not a and not b:
         return None
     return _reduced(a, b, d)
+
+
+def _poly_sum_of_products(pairs) -> ParamPoly:
+    """Exact sum of p * q over (p, q) ParamPoly pairs, in one pass: the
+    coefficient pairs of every term product are grouped by packed monomial
+    and each group is reduced once by ``_sum_of_products``.  A zero operand
+    adds nothing, and no partial product or sum is formed as a ParamPoly."""
+    groups: dict = {}
+    get = groups.get
+    for p, q in pairs:
+        q_terms = q._terms.items()
+        for ka, ca in p._terms.items():
+            for kb, cb in q_terms:
+                key = ka + kb
+                if key & _GUARDS:
+                    raise _degree_overflow(ka, kb)
+                group = get(key)
+                if group is None:
+                    groups[key] = [(ca, cb)]
+                else:
+                    group.append((ca, cb))
+    terms = {}
+    for key, group in groups.items():
+        total = _sum_of_products(group)
+        if total is not None:
+            terms[key] = total
+    return _packed_poly(terms)
 
 
 def _rational_parts(value) -> tuple:

@@ -16,6 +16,7 @@ placement used everywhere else in the package.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, product
 from math import comb, factorial
 
@@ -26,10 +27,25 @@ NVARS = 5
 _ZERO5 = (0,) * NVARS
 
 
+def _orders(orders) -> tuple:
+    """``orders`` as a tuple of NVARS non-negative ints; bools, floats and
+    negative orders are rejected, as ParamPoly exponents are."""
+    orders = tuple(orders)
+    if len(orders) != NVARS:
+        raise ValueError(f"orders {orders!r} do not have {NVARS} entries")
+    for e in orders:
+        if type(e) is not int:
+            raise TypeError(f"order {e!r} is not an integer")
+        if e < 0:
+            raise ValueError(f"negative order {e} in {orders!r}")
+    return orders
+
+
 class WeylOperator:
     """Normal-ordered sum  sum_terms  coeff * xi^alpha * d^beta.
 
-    Keys are (alpha, beta) pairs of 5-tuples; coefficients are ParamPoly.
+    Keys are (alpha, beta) pairs of 5-tuples of non-negative ints, checked
+    on construction; coefficients are ParamPoly.
     Multiplication applies the full normal-ordering contraction
 
         d^beta xi^gamma = sum_nu prod_c C(beta_c,nu_c) C(gamma_c,nu_c) nu_c!
@@ -41,12 +57,11 @@ class WeylOperator:
     def __init__(self, terms=None):
         clean = {}
         if terms:
-            for key, coeff in terms.items():
+            for (alpha, beta), coeff in terms.items():
+                key = (_orders(alpha), _orders(beta))
                 coeff = poly(coeff)
                 if coeff.is_zero():
                     continue
-                alpha, beta = key
-                key = (tuple(alpha), tuple(beta))
                 prev = clean.get(key)
                 total = coeff if prev is None else prev + coeff
                 if total.is_zero():
@@ -162,6 +177,22 @@ class WeylOperator:
     __repr__ = __str__
 
 
+@cache
+def _contraction_pattern(beta: tuple, gamma: tuple, contractions_only: bool) -> tuple:
+    """The (nu, weight) pairs of d^beta xi^gamma: every nu <= min(beta, gamma)
+    componentwise with weight prod_c C(beta_c,nu_c) C(gamma_c,nu_c) nu_c!,
+    nu = 0 left out under ``contractions_only``."""
+    out = []
+    for nu in product(*(range(min(b, g) + 1) for b, g in zip(beta, gamma))):
+        if contractions_only and not any(nu):
+            continue
+        weight = 1
+        for bc, gc, nc in zip(beta, gamma, nu):
+            weight *= comb(bc, nc) * comb(gc, nc) * factorial(nc)
+        out.append((nu, weight))
+    return tuple(out)
+
+
 def _compose_into(acc: dict, left: dict, right: dict, contractions_only: bool,
                   negate: bool = False):
     """Add the normal-ordered terms of left @ right (or subtract them, with
@@ -170,18 +201,13 @@ def _compose_into(acc: dict, left: dict, right: dict, contractions_only: bool,
     for (a1, b1), c1 in left.items():
         for (a2, b2), c2 in right.items():
             # contract b1 against a2 componentwise
-            ranges = [range(min(x, y) + 1) for x, y in zip(b1, a2)]
-            if contractions_only and all(len(r) == 1 for r in ranges):
+            pattern = _contraction_pattern(b1, a2, contractions_only)
+            if not pattern:
                 continue
             base = c1 * c2
             if negate:
                 base = -base
-            for nu in product(*ranges):
-                if contractions_only and not any(nu):
-                    continue
-                weight = 1
-                for bc, ac, nc in zip(b1, a2, nu):
-                    weight *= comb(bc, nc) * comb(ac, nc) * factorial(nc)
+            for nu, weight in pattern:
                 alpha = tuple(x + y - n for x, y, n in zip(a1, a2, nu))
                 beta = tuple(x + y - n for x, y, n in zip(b1, b2, nu))
                 coeff = base if weight == 1 else base * weight

@@ -1,12 +1,14 @@
 """Structure constants, Jacobi identities, and the six-dimensional match."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncdirac.cli import main
 from ncdirac.lie_algebra import (
     build_deformed_algebra,
     build_orthogonal_algebra,
@@ -119,10 +121,9 @@ def test_isomorphism_scalings(eps4, eps5):
     assert sol.check == check
 
 
-@pytest.mark.parametrize("which", [0, -1])
-def test_scaled_coefficient_has_no_isomorphism(monkeypatch, which):
-    # the sign search stops each candidate at its first mismatch; one wrong
-    # coefficient, first or last in bracket order, must still defeat all
+def _double_one_coefficient(monkeypatch, which):
+    """Make build_orthogonal_algebra double one coefficient of the
+    ``which``-th bracket in sorted order: no rescaling then matches."""
     import ncdirac.lie_algebra as lie
 
     build = lie.build_orthogonal_algebra
@@ -135,8 +136,35 @@ def test_scaled_coefficient_has_no_isomorphism(monkeypatch, which):
         return table
 
     monkeypatch.setattr(lie, "build_orthogonal_algebra", tampered)
+
+
+@pytest.mark.parametrize("which", [0, -1])
+def test_scaled_coefficient_has_no_isomorphism(monkeypatch, which):
+    # the sign search stops each candidate at its first mismatch; one wrong
+    # coefficient, first or last in bracket order, must still defeat all
+    _double_one_coefficient(monkeypatch, which)
     with pytest.raises(ArithmeticError):
         solve_isomorphism_scalings(1, -1)
+
+
+def test_scaled_coefficient_gives_a_failed_isomorphism_row(monkeypatch, capsys):
+    # the search's ArithmeticError becomes a fail row; every other row of
+    # the run is still reported and the run exits 1
+    _double_one_coefficient(monkeypatch, 0)
+    code = main(["verify", "algebra", "--eps4", "1", "--eps5", "-1"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    rows = {r["check"]: r for r in doc["reports"]}
+    assert sorted(rows) == [
+        "contraction", "isomorphism", "jacobi_deformed", "jacobi_orthogonal",
+    ]
+    iso = rows["isomorphism"]
+    assert iso["status"] == "fail"
+    assert iso["details"] == {
+        "passing_sign_choices": [],
+        "error": "no scaling signs satisfy the bracket match",
+    }
+    assert doc["summary"] == {"failed": 1, "passed": 3, "total": 4}
 
 
 def _negated(table, names):

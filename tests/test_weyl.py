@@ -139,3 +139,55 @@ def test_tampered_realization_gives_the_same_residuals(monkeypatch, eps5, name):
     assert got == want
     broken = [pair for pair, r in got.items() if not r.is_zero()]
     assert ("M02", name) in broken
+
+
+# -- malformed keys ----------------------------------------------------------
+
+_Z5 = (0,) * 5
+
+
+@pytest.mark.parametrize("key, error", [
+    (((0,) * 4, _Z5), ValueError),                  # alpha too short
+    ((_Z5, (0,) * 6), ValueError),                  # beta too long
+    ((_Z5, (-1, 0, 0, 0, 0)), ValueError),          # negative derivative order
+    (((0, 0, -2, 0, 0), _Z5), ValueError),          # negative coordinate order
+    (((0.5, 0, 0, 0, 0), _Z5), TypeError),          # float order
+    ((_Z5, (0, 1.0, 0, 0, 0)), TypeError),          # integral float order
+    (((True, 0, 0, 0, 0), _Z5), TypeError),         # bool order
+])
+def test_malformed_key_is_rejected(key, error):
+    with pytest.raises(error):
+        WeylOperator({key: 1})
+
+
+# -- composition against direct differentiation ------------------------------
+
+def _apply(op, f):
+    """op applied to f, a dict exponent 5-tuple -> ParamPoly coefficient:
+    each term differentiates f one variable, one order at a time, then
+    multiplies by its coordinate monomial."""
+    out = {}
+    for (alpha, beta), coeff in op.terms.items():
+        for gamma, c in f.items():
+            gamma, c = list(gamma), c * coeff
+            for var, order in enumerate(beta):
+                for _ in range(order):
+                    c = c * gamma[var]
+                    gamma[var] -= 1
+            if c.is_zero():
+                continue
+            key = tuple(g + a for g, a in zip(gamma, alpha))
+            out[key] = out.get(key, poly(0)) + c
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_OPERATORS, _OPERATORS, st.lists(st.tuples(*[st.integers(0, 6)] * 5),
+                                        min_size=1, max_size=4))
+def test_composition_matches_applying_each_factor(a, b, gammas):
+    # the oracle never forms a normal-ordered product: it applies b, then
+    # a, to each monomial xi^gamma
+    composed = a @ b
+    for gamma in gammas:
+        f = {gamma: poly(1)}
+        assert _apply(composed, f) == _apply(a, _apply(b, f))
