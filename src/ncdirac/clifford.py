@@ -18,7 +18,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .lie_algebra import ETA4_DIAG
-from .matrices import ExactMatrix
+from .matrices import ExactMatrix, echelon
 from .scalars import P_I, _poly_sum_of_products, poly
 
 
@@ -218,6 +218,14 @@ def majorana_imaginary_check(rep: GammaRep) -> RelationCheck:
     )
 
 
+def conjugation_closed(rows) -> bool:
+    """Whether the span of ``rows``, linearly independent rows of field
+    scalars with ``conjugate``, is closed under entrywise conjugation:
+    adding the conjugate rows leaves the rank unchanged."""
+    rows = [list(row) for row in rows]
+    return len(echelon(rows + [[x.conjugate() for x in row] for row in rows])) == len(rows)
+
+
 def reality_class(basis) -> str:
     """'Majorana' if span(basis) is closed under componentwise conjugation
     (equivalently, admits an all-real basis), 'Dirac' otherwise, by exact
@@ -232,8 +240,6 @@ def reality_class(basis) -> str:
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("basis must be a nonempty list of equal-length vectors")
     B = ExactMatrix.from_complex_entries(rows)
-    k = B.rank()
-    if k != len(rows):
+    if B.rank() != len(rows):
         raise ValueError("basis is rank-deficient")
-    stacked = ExactMatrix(B.rows + B.conjugate().rows)
-    return "Majorana" if stacked.rank() == k else "Dirac"
+    return "Majorana" if conjugation_closed(B.scalar_entries()) else "Dirac"

@@ -39,11 +39,13 @@ from .scalars import (
     ONE,
     ZERO,
     ExactScalar,
+    LinearCombination,
     as_fraction,
     P_I,
     P_ONE,
     ParamPoly,
     TruncationOrderError,
+    _accumulate,
     poly,
     sym,
 )
@@ -63,109 +65,48 @@ _RANK = {t: i for i, t in enumerate(TOKENS)}
 I = P_I
 
 
-class NCExpression:
-    """Linear combination of generator words with ParamPoly coefficients."""
+class NCExpression(LinearCombination):
+    """Linear combination of generator words (tuples of TOKENS) with
+    ParamPoly coefficients; an unknown token raises ValueError."""
 
-    __slots__ = ("words",)
+    __slots__ = ()
 
-    def __init__(self, words=None):
-        clean = {}
-        if words:
-            for word, coeff in words.items():
-                coeff = poly(coeff)
-                if coeff.is_zero():
-                    continue
-                word = tuple(word)
-                prev = clean.get(word)
-                total = coeff if prev is None else prev + coeff
-                if total.is_zero():
-                    clean.pop(word, None)
-                else:
-                    clean[word] = total
-        self.words = clean
+    @staticmethod
+    def _key(word) -> tuple:
+        word = tuple(word)
+        for token in word:
+            if token not in _RANK:
+                raise ValueError(f"unknown generator {token!r} in word {word!r}")
+        return word
+
+    @property
+    def words(self) -> dict:
+        return self.terms
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def unit(coeff=1) -> "NCExpression":
-        return NCExpression({(): poly(coeff)})
+        return NCExpression({(): coeff})
 
     @staticmethod
     def gen(token: str, coeff=1) -> "NCExpression":
-        if token not in _RANK:
-            raise ValueError(f"unknown generator {token!r}")
-        return NCExpression({(token,): poly(coeff)})
+        return NCExpression({(token,): coeff})
 
-    # -- linear and multiplicative structure --------------------------------
-
-    def __add__(self, other) -> "NCExpression":
-        other = _coerce_nc(other)
-        out = dict(self.words)
-        for word, coeff in other.words.items():
-            prev = out.get(word)
-            total = coeff if prev is None else prev + coeff
-            if total.is_zero():
-                out.pop(word, None)
-            else:
-                out[word] = total
-        made = NCExpression.__new__(NCExpression)
-        made.words = out
-        return made
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "NCExpression":
-        return self + (-_coerce_nc(other))
-
-    def __rsub__(self, other) -> "NCExpression":
-        return _coerce_nc(other) + (-self)
-
-    def __neg__(self) -> "NCExpression":
-        made = NCExpression.__new__(NCExpression)
-        made.words = {w: -c for w, c in self.words.items()}
-        return made
-
-    def scale(self, factor) -> "NCExpression":
-        f = poly(factor)
-        made = NCExpression.__new__(NCExpression)
-        made.words = {}
-        for word, coeff in self.words.items():
-            c = f * coeff
-            if not c.is_zero():
-                made.words[word] = c
-        return made
+    # -- product and queries ------------------------------------------------
 
     def __mul__(self, other) -> "NCExpression":
-        if isinstance(other, (int, ParamPoly)):
-            return self.scale(other)
-        other = _coerce_nc(other)
+        """Word concatenation; scalars act through ``scale``."""
+        if type(other) is not NCExpression:
+            return NotImplemented
         acc: dict = {}
-        for wa, ca in self.words.items():
-            for wb, cb in other.words.items():
-                word = wa + wb
-                c = ca * cb
-                prev = acc.get(word)
-                total = c if prev is None else prev + c
-                if total.is_zero():
-                    acc.pop(word, None)
-                else:
-                    acc[word] = total
-        made = NCExpression.__new__(NCExpression)
-        made.words = acc
-        return made
-
-    def __rmul__(self, other) -> "NCExpression":
-        if isinstance(other, (int, ParamPoly)):
-            return self.scale(other)
-        return _coerce_nc(other) * self
-
-    # -- queries ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.words
+        for wa, ca in self.terms.items():
+            for wb, cb in other.terms.items():
+                _accumulate(acc, wa + wb, ca * cb)
+        return NCExpression._made(acc)
 
     def has_inverse(self) -> bool:
-        return any(CINV_TOKEN in w for w in self.words)
+        return any(CINV_TOKEN in w for w in self.terms)
 
     def conjugate(self) -> "NCExpression":
         """Formal adjoint: reverse words, conjugate coefficients.
@@ -173,43 +114,21 @@ class NCExpression:
         All generators are self-conjugate, so a word conjugates to its
         reversal and i goes to -i in the coefficients.
         """
-        made = NCExpression.__new__(NCExpression)
-        made.words = {tuple(reversed(w)): c.conjugate() for w, c in self.words.items()}
-        return made
+        return NCExpression._made(
+            {tuple(reversed(w)): c.conjugate() for w, c in self.terms.items()})
 
     def min_ell_degree(self):
         """Smallest l-degree over all coefficients; None if zero."""
-        degrees = [c.min_degree_in("l") for c in self.words.values()]
+        degrees = [c.min_degree_in("l") for c in self.terms.values()]
         return min(degrees) if degrees else None
 
-    def substitute(self, bindings) -> "NCExpression":
-        return NCExpression({w: c.substitute(bindings) for w, c in self.words.items()})
+    @staticmethod
+    def _sort_key(word) -> tuple:
+        return len(word), word
 
-    def __eq__(self, other) -> bool:
-        other = _coerce_nc(other)
-        return self.words == other.words
-
-    def __hash__(self):
-        return hash(frozenset(self.words.items()))
-
-    def __str__(self) -> str:
-        if not self.words:
-            return "0"
-        parts = []
-        for word, coeff in sorted(self.words.items(), key=lambda kv: (len(kv[0]), kv[0])):
-            body = "*".join(word) if word else "1"
-            parts.append(f"({coeff})*{body}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-
-def _coerce_nc(value) -> NCExpression:
-    if isinstance(value, NCExpression):
-        return value
-    if isinstance(value, (int, ParamPoly)):
-        return NCExpression.unit(value)
-    raise TypeError(f"cannot coerce {type(value).__name__} to NCExpression")
+    @staticmethod
+    def _render(word) -> str:
+        return "*".join(word)
 
 
 @cache
@@ -226,19 +145,17 @@ def _bracket(eps5: int, i: int, j: int) -> NCExpression:
 
 @cache
 def _swap_rules(eps5: int) -> dict:
-    """(a, b) -> [a, b] for every pair with rank(a) > rank(b) whose bracket
-    is nonzero; a pair missing here commutes."""
+    """(a, b) -> the terms of [a, b] for every pair with rank(a) > rank(b)
+    whose bracket is nonzero; a pair missing here commutes."""
     rules = {}
     for i in range(_flat_table(eps5).dim()):
         for j in range(i):
             rule = _bracket(eps5, i, j)
-            if not rule.is_zero():
-                rules[(TOKENS[i], TOKENS[j])] = rule
-    ell2 = sym("l", 2)
+            if rule.terms:
+                rules[(TOKENS[i], TOKENS[j])] = rule.terms
+    ell2 = I * eps5 * sym("l", 2)
     for p, x in zip(P_TOKENS, X_TOKENS):
-        rules[(CINV_TOKEN, x)] = NCExpression(
-            {(p, CINV_TOKEN, CINV_TOKEN): I * eps5 * ell2}
-        )
+        rules[(CINV_TOKEN, x)] = {(p, CINV_TOKEN, CINV_TOKEN): ell2}
     return rules
 
 
@@ -257,7 +174,6 @@ def _find_redex(word: tuple, leftmost: bool):
 
 
 _NF_MEMO: dict = {}
-_EMPTY = NCExpression()
 
 
 def _nf_word(eps5: int, word: tuple, leftmost: bool) -> NCExpression:
@@ -267,7 +183,7 @@ def _nf_word(eps5: int, word: tuple, leftmost: bool) -> NCExpression:
         return cached
     pos = _find_redex(word, leftmost)
     if pos is None:
-        result = NCExpression({word: P_ONE})
+        result = NCExpression._made({word: P_ONE})
     else:
         a, b = word[pos], word[pos + 1]
         head, tail = word[:pos], word[pos + 2:]
@@ -275,8 +191,7 @@ def _nf_word(eps5: int, word: tuple, leftmost: bool) -> NCExpression:
             result = _nf_word(eps5, head + tail, leftmost)
         else:
             result = _nf_word(eps5, head + (b, a) + tail, leftmost)
-            rule = _swap_rules(eps5).get((a, b), _EMPTY)
-            for corr_word, coeff in rule.words.items():
+            for corr_word, coeff in _swap_rules(eps5).get((a, b), {}).items():
                 sub = _nf_word(eps5, head + corr_word + tail, leftmost)
                 result = result + sub.scale(coeff)
     _NF_MEMO[key] = result
@@ -296,12 +211,13 @@ def normal_form(expr: NCExpression, eps5: int, order: int | None = None,
         raise TruncationOrderError(
             "expression contains the formal inverse; declare a truncation order"
         )
-    out = NCExpression()
-    for word, coeff in expr.words.items():
-        out = out + _nf_word(eps5, word, leftmost).scale(coeff)
+    acc: dict = {}
+    for word, coeff in expr.terms.items():
+        for w, c in _nf_word(eps5, word, leftmost).terms.items():
+            _accumulate(acc, w, coeff * c)
     if order is not None:
-        out = NCExpression({w: c.truncate_in("l", order) for w, c in out.words.items()})
-    return out
+        acc = {w: c for w, c in ((w, c.truncate_in("l", order)) for w, c in acc.items()) if c}
+    return NCExpression._made(acc)
 
 
 def commutator(a: NCExpression, b: NCExpression) -> NCExpression:
@@ -331,21 +247,15 @@ class Derivation:
                 self.action[TOKENS[k]] = _bracket(eps5, p_idx, k).scale(-I)
         else:
             for mu in range(4):
-                self.action[f"x{mu}"] = NCExpression(
-                    {(f"p{mu}", C_TOKEN): -poly(eps5) * sym("l")}
-                )
+                self.action[f"x{mu}"] = NCExpression({(f"p{mu}", C_TOKEN): -eps5 * sym("l")})
 
     def __call__(self, expr: NCExpression, order: int | None = None) -> NCExpression:
-        out = NCExpression()
-        for word, coeff in expr.words.items():
+        acc: dict = {}
+        for word, coeff in expr.terms.items():
             for i, token in enumerate(word):
-                hit = self.action[token]
-                if hit.is_zero():
-                    continue
-                prefix = NCExpression({word[:i]: coeff})
-                suffix = NCExpression({word[i + 1:]: P_ONE})
-                out = out + prefix * hit * suffix
-        return normal_form(out, self.eps5, order=order)
+                for hit, c in self.action[token].terms.items():
+                    _accumulate(acc, word[:i] + hit + word[i + 1:], coeff * c)
+        return normal_form(NCExpression._made(acc), self.eps5, order=order)
 
 
 class PlaneWaveExponent:
@@ -361,21 +271,17 @@ class PlaneWaveExponent:
             raise TruncationOrderError("plane-wave truncation order must be >= 1")
         self.eps5 = eps5
         self.order = order
-        words = {}
-        for mu, k_up in enumerate(MOMENTUM_SYMBOLS):
-            # -(i/2) k^mu on each of the two anticommutator orderings
-            half = poly(-1) * I * k_up * ParamPoly.from_scalar(_HALF)
-            words[(f"x{mu}", CINV_TOKEN)] = half
-            words[(CINV_TOKEN, f"x{mu}")] = half
-        self.expression = NCExpression(words)
+        # -(i/2) k^mu on each of the two anticommutator orderings
+        self.expression = NCExpression({
+            word: poly(-1) * I * k_up * ParamPoly.from_scalar(_HALF)
+            for mu, k_up in enumerate(MOMENTUM_SYMBOLS)
+            for word in ((f"x{mu}", CINV_TOKEN), (CINV_TOKEN, f"x{mu}"))})
 
 
 def momentum_dot(expr_scale=1) -> NCExpression:
     """k.p = sum_mu k^mu p_mu as an expression."""
-    out = NCExpression()
-    for mu, k_up in enumerate(MOMENTUM_SYMBOLS):
-        out = out + NCExpression.gen(f"p{mu}", k_up * poly(expr_scale))
-    return out
+    return NCExpression({(f"p{mu}",): k_up * poly(expr_scale)
+                         for mu, k_up in enumerate(MOMENTUM_SYMBOLS)})
 
 
 def project_vacuum(expr: NCExpression) -> ParamPoly:
@@ -384,7 +290,7 @@ def project_vacuum(expr: NCExpression) -> ParamPoly:
     exponential, and p annihilates the vacuum afterwards."""
     k_low = lower(MOMENTUM_SYMBOLS)
     total = poly(0)
-    for word, coeff in expr.words.items():
+    for word, coeff in expr.terms.items():
         factor = coeff
         for token in word:
             if token[0] != "p":

@@ -27,6 +27,7 @@ from .scalars import (
     ZERO,
     ParamPoly,
     _GUARDS,
+    _accumulate,
     _degree_overflow,
     _int_terms,
     _packed_poly,
@@ -68,17 +69,6 @@ def minkowski_square(k):
 
 
 Combo = dict  # generator index -> ParamPoly coefficient
-
-
-def _combo_add(acc: Combo, idx: int, coeff: ParamPoly):
-    if coeff.is_zero():
-        return
-    prev = acc.get(idx)
-    total = coeff if prev is None else prev + coeff
-    if total.is_zero():
-        acc.pop(idx, None)
-    else:
-        acc[idx] = total
 
 
 class StructureConstants:
@@ -208,7 +198,7 @@ def _rotation_brackets(alg: StructureConstants, pairs, diag):
                 continue
             # a diagonal metric never pairs p with itself; M_qp = -M_pq
             idx, orient = (index[(p, q)], 1) if p < q else (index[(q, p)], -1)
-            _combo_add(combo, idx, I * poly(g * orient))
+            _accumulate(combo, idx, I * poly(g * orient))
         alg.set_bracket(index[(a, b)], index[(c, d)], combo)
 
 
@@ -264,9 +254,9 @@ def _deformed_table(eps4: int, eps5: int) -> StructureConstants:
         for vec_of in (p_of, x_of):
             combo = {}
             if nu == lam:
-                _combo_add(combo, vec_of(mu), I * poly(ETA4_DIAG[lam]))
+                _accumulate(combo, vec_of(mu), I * poly(ETA4_DIAG[lam]))
             if mu == lam:
-                _combo_add(combo, vec_of(nu), -I * poly(ETA4_DIAG[lam]))
+                _accumulate(combo, vec_of(nu), -I * poly(ETA4_DIAG[lam]))
             alg.set_bracket(_M_INDEX[(mu, nu)], vec_of(lam), combo)
 
     for mu, nu in itertools.combinations(range(4), 2):

@@ -52,12 +52,16 @@ class ExactMatrix:
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
         self._check_shape(other)
         return ExactMatrix(
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
         )
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
         self._check_shape(other)
         return ExactMatrix(
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
@@ -70,6 +74,8 @@ class ExactMatrix:
         """Each entry is one exact sum over its nonzero-by-nonzero products,
         reduced once per monomial (``_poly_sum_of_products``); an entry
         with none is zero at once."""
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
         cols = list(zip(*other.rows))

@@ -11,6 +11,10 @@ Two layers, both on plain Python ints:
   integer addition; powers above ``MAX_DEGREE`` raise ``DegreeBoundError``.
   The public API still speaks exponent tuples.
 
+``LinearCombination``, a sum of keys with ParamPoly coefficients, is shared
+by ``enveloping`` words and ``weyl`` operators; its ``_accumulate`` step
+also sums the bracket tables of ``lie_algebra``.
+
 Negative powers of ``l`` are never stored.  Where a rest mass 2/l is needed,
 equations are cleared of denominators or the dedicated symbol ``m`` is used.
 """
@@ -804,3 +808,92 @@ def sym(name: str, power: int = 1) -> ParamPoly:
 
 # the momentum symbols k0..k3 as an upper-index four-vector
 MOMENTUM_SYMBOLS = tuple(sym(f"k{mu}") for mu in range(4))
+
+
+def _accumulate(acc: dict, key, coeff: ParamPoly):
+    """Add ``coeff`` to ``acc[key]``; the key is dropped when the sum
+    cancels, so ``acc`` never holds a zero coefficient."""
+    prev = acc.get(key)
+    if prev is not None:
+        coeff = prev + coeff
+    if coeff._terms:
+        acc[key] = coeff
+    else:
+        acc.pop(key, None)
+
+
+class LinearCombination:
+    """Finite sum  sum_key coeff * key  with nonzero ParamPoly coefficients.
+
+    ``terms`` maps each key to its coefficient.  The constructor coerces
+    coefficients with ``poly``, drops zeros, merges repeated keys and checks
+    each key with the subclass's static ``_key``; a subclass adds its
+    product and writes a key with ``_render``.  Scalars act through
+    ``scale`` only: ``+``, ``-`` and ``==`` take an operand of the same
+    class, and anything else gives NotImplemented.  Instances are never
+    changed after construction, so results may share them.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        clean: dict = {}
+        if terms:
+            key_of = self._key
+            for key, coeff in terms.items():
+                _accumulate(clean, key_of(key), poly(coeff))
+        self.terms = clean
+
+    @staticmethod
+    def _sort_key(key):
+        return key
+
+    @classmethod
+    def _made(cls, terms: dict):
+        """An instance over ``terms``, already checked and zero-free."""
+        made = _new(cls)
+        made.terms = terms
+        return made
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            _accumulate(out, key, coeff)
+        return self._made(out)
+
+    def __sub__(self, other):
+        return self + -other if type(other) is type(self) else NotImplemented
+
+    def __neg__(self):
+        return self._made({k: -c for k, c in self.terms.items()})
+
+    def scale(self, factor):
+        """factor * self.  Q(i)[SYMBOLS] has no zero divisors, so only a
+        zero factor can cancel a term."""
+        f = poly(factor)
+        if not f._terms:
+            return self._made({})
+        return self._made({k: f * c for k, c in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def substitute(self, bindings):
+        return type(self)({k: c.substitute(bindings) for k, c in self.terms.items()})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __str__(self) -> str:
+        """(coeff)*key + ... in ``_sort_key`` order; "1" for the empty key."""
+        items = sorted(self.terms.items(), key=lambda kv: self._sort_key(kv[0]))
+        return " + ".join(f"({c})*{self._render(k) or '1'}" for k, c in items) or "0"
+
+    __repr__ = __str__

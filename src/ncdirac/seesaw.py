@@ -30,7 +30,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .clifford import build_majorana_rep, gamma5, gamma_rows, gamma_sum, reality_class
+from .clifford import (build_majorana_rep, conjugation_closed, gamma5, gamma_rows, gamma_sum,
+                       reality_class)
 from .lie_algebra import lower, minkowski_square
 from .matrices import ExactMatrix, echelon
 from .scalars import (ExactScalar, ParamPoly, _coerce_scalar, as_fraction, exact_sqrt,
@@ -221,8 +222,7 @@ def _root_class(e5: int, x, big_m: Fraction, mu2: Fraction) -> str:
             diagnostics={"rank": rank},
         )
     # the two reduced rows span the row space of T
-    closed = rows[:2] + [[y.conjugate() for y in row] for row in rows[:2]]
-    return "Majorana" if len(echelon(closed)) == 2 else "Dirac"
+    return "Majorana" if conjugation_closed(rows[:2]) else "Dirac"
 
 
 def exact_mode_spectrum(c: CouplingConfig) -> ModeSpectrum:

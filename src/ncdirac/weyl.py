@@ -21,7 +21,7 @@ from itertools import combinations, product
 from math import comb, factorial
 
 from .lie_algebra import DEFORMED_BASIS, flat_deformed_algebra, lower
-from .scalars import P_I, P_ONE, ParamPoly, poly, sym
+from .scalars import P_I, P_ONE, LinearCombination, ParamPoly, _accumulate, poly, sym
 
 NVARS = 5
 _ZERO5 = (0,) * NVARS
@@ -41,7 +41,7 @@ def _orders(orders) -> tuple:
     return orders
 
 
-class WeylOperator:
+class WeylOperator(LinearCombination):
     """Normal-ordered sum  sum_terms  coeff * xi^alpha * d^beta.
 
     Keys are (alpha, beta) pairs of 5-tuples of non-negative ints, checked
@@ -52,23 +52,12 @@ class WeylOperator:
                             xi^(gamma-nu) d^(beta-nu)
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for (alpha, beta), coeff in terms.items():
-                key = (_orders(alpha), _orders(beta))
-                coeff = poly(coeff)
-                if coeff.is_zero():
-                    continue
-                prev = clean.get(key)
-                total = coeff if prev is None else prev + coeff
-                if total.is_zero():
-                    clean.pop(key, None)
-                else:
-                    clean[key] = total
-        self.terms = clean
+    @staticmethod
+    def _key(key) -> tuple:
+        alpha, beta = key
+        return _orders(alpha), _orders(beta)
 
     # -- constructors ------------------------------------------------------
 
@@ -86,40 +75,7 @@ class WeylOperator:
         beta = tuple(1 if i == a else 0 for i in range(NVARS))
         return WeylOperator({(_ZERO5, beta): P_ONE})
 
-    # -- linear structure ----------------------------------------------------
-
-    def __add__(self, other) -> "WeylOperator":
-        if not isinstance(other, WeylOperator):
-            return NotImplemented
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            prev = out.get(key)
-            total = coeff if prev is None else prev + coeff
-            if total.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = total
-        made = WeylOperator.__new__(WeylOperator)
-        made.terms = out
-        return made
-
-    def __sub__(self, other) -> "WeylOperator":
-        return self + (-other)
-
-    def __neg__(self) -> "WeylOperator":
-        made = WeylOperator.__new__(WeylOperator)
-        made.terms = {k: -c for k, c in self.terms.items()}
-        return made
-
-    def scale(self, factor) -> "WeylOperator":
-        f = poly(factor)
-        made = WeylOperator.__new__(WeylOperator)
-        made.terms = {}
-        for key, coeff in self.terms.items():
-            c = f * coeff
-            if not c.is_zero():
-                made.terms[key] = c
-        return made
+    # -- composition -------------------------------------------------------
 
     def __matmul__(self, other) -> "WeylOperator":
         """Operator composition with normal reordering."""
@@ -127,9 +83,7 @@ class WeylOperator:
             return NotImplemented
         acc: dict = {}
         _compose_into(acc, self.terms, other.terms, contractions_only=False)
-        made = WeylOperator.__new__(WeylOperator)
-        made.terms = acc
-        return made
+        return WeylOperator._made(acc)
 
     def commutator(self, other: "WeylOperator") -> "WeylOperator":
         """self @ other - other @ self, from the contraction terms alone.
@@ -140,41 +94,13 @@ class WeylOperator:
         acc: dict = {}
         _compose_into(acc, self.terms, other.terms, contractions_only=True)
         _compose_into(acc, other.terms, self.terms, contractions_only=True, negate=True)
-        made = WeylOperator.__new__(WeylOperator)
-        made.terms = acc
-        return made
+        return WeylOperator._made(acc)
 
-    def substitute(self, bindings) -> "WeylOperator":
-        return WeylOperator({k: c.substitute(bindings) for k, c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeylOperator):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (alpha, beta), coeff in sorted(self.terms.items()):
-            factors = []
-            for i, e in enumerate(alpha):
-                if e:
-                    factors.append(f"xi{i}" + (f"^{e}" if e > 1 else ""))
-            for i, e in enumerate(beta):
-                if e:
-                    factors.append(f"d{i}" + (f"^{e}" if e > 1 else ""))
-            body = "*".join(factors) if factors else "1"
-            parts.append(f"({coeff})*{body}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
+    @staticmethod
+    def _render(key) -> str:
+        return "*".join(f"{name}{i}" + (f"^{e}" if e > 1 else "")
+                        for name, orders in zip(("xi", "d"), key)
+                        for i, e in enumerate(orders) if e)
 
 
 @cache
@@ -210,14 +136,7 @@ def _compose_into(acc: dict, left: dict, right: dict, contractions_only: bool,
             for nu, weight in pattern:
                 alpha = tuple(x + y - n for x, y, n in zip(a1, a2, nu))
                 beta = tuple(x + y - n for x, y, n in zip(b1, b2, nu))
-                coeff = base if weight == 1 else base * weight
-                key = (alpha, beta)
-                prev = acc.get(key)
-                total = coeff if prev is None else prev + coeff
-                if total.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = total
+                _accumulate(acc, (alpha, beta), base if weight == 1 else base * weight)
 
 
 def build_rep(eps5: int, ell: ParamPoly | None = None) -> dict:

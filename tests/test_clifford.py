@@ -20,6 +20,7 @@ from ncdirac.cayley import cayley_boost, cayley_boosts
 from ncdirac.clifford import (
     VerificationError,
     build_majorana_rep,
+    conjugation_closed,
     gamma,
     gamma5,
     gamma5_product_check,
@@ -409,3 +410,15 @@ class TestRealityClass:
     def test_full_space_is_majorana(self):
         basis = [tuple(int(i == j) for j in range(4)) for i in range(4)]
         assert reality_class(basis) == "Majorana"
+
+
+@pytest.mark.parametrize("rows, closed", [
+    ([[1, 0], [0, 1]], True),
+    ([[1, 1j]], False),
+    ([[1j, 1j]], True),                  # i times a real row
+    ([[1, 1j, 0], [1, -1j, 0]], True),   # a row with its conjugate
+    ([[1, 1j, 0], [0, 0, 1]], False),
+])
+def test_conjugation_closed(rows, closed):
+    rows = ExactMatrix.from_complex_entries(rows).scalar_entries()
+    assert conjugation_closed(rows) is closed

@@ -59,6 +59,18 @@ def test_shape_mismatch():
         ExactMatrix([[1]]) @ ExactMatrix([[1, 2], [3, 4]])
 
 
+@pytest.mark.parametrize("apply", [
+    lambda m: m + 3,
+    lambda m: m - 3,
+    lambda m: m @ 3,
+    lambda m: 3 + m,
+    lambda m: m + sym("l"),
+])
+def test_non_matrix_operand_raises_type_error(apply):
+    with pytest.raises(TypeError):
+        apply(ExactMatrix([[1]]))
+
+
 def test_substitute_into_entries():
     m = ExactMatrix([[sym("l"), poly(0)], [poly(0), sym("l")]])
     n = m.substitute({"l": poly(ExactScalar(Fraction(1, 2)))})
