@@ -219,11 +219,17 @@ def majorana_imaginary_check(rep: GammaRep) -> RelationCheck:
 
 
 def conjugation_closed(rows) -> bool:
-    """Whether the span of ``rows``, linearly independent rows of field
-    scalars with ``conjugate``, is closed under entrywise conjugation:
-    adding the conjugate rows leaves the rank unchanged."""
+    """Whether the span of ``rows``, rows of field scalars with
+    ``conjugate``, is closed under entrywise conjugation.
+
+    The reduced row echelon form (RREF) of a span is unique, and its
+    entrywise conjugate is the RREF of the conjugate span; so the span is
+    closed exactly when conjugation fixes every entry of its RREF.  The
+    RREF comes from one ``echelon`` of a copy of ``rows``, which costs
+    next to nothing when they are reduced already."""
     rows = [list(row) for row in rows]
-    return len(echelon(rows + [[x.conjugate() for x in row] for row in rows])) == len(rows)
+    echelon(rows)
+    return not any(x.conjugate() - x for row in rows for x in row if x)
 
 
 def reality_class(basis) -> str:
@@ -239,7 +245,7 @@ def reality_class(basis) -> str:
     rows = [list(v) for v in basis]
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("basis must be a nonempty list of equal-length vectors")
-    B = ExactMatrix.from_complex_entries(rows)
-    if B.rank() != len(rows):
+    entries = ExactMatrix.from_complex_entries(rows).scalar_entries()
+    if len(echelon(entries)) != len(rows):
         raise ValueError("basis is rank-deficient")
-    return "Majorana" if conjugation_closed(B.scalar_entries()) else "Dirac"
+    return "Majorana" if conjugation_closed(entries) else "Dirac"

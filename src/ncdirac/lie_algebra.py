@@ -22,21 +22,19 @@ from typing import NamedTuple
 
 from .matrices import echelon
 from .scalars import (
-    P_I,
     P_ONE,
     ZERO,
     ParamPoly,
     _GUARDS,
-    _accumulate,
     _degree_overflow,
     _int_terms,
+    _json_int_terms,
+    _make,
     _packed_poly,
     _reduced,
     poly,
     sym,
 )
-
-I = P_I
 
 M_LABELS = ("M01", "M02", "M03", "M12", "M13", "M23")
 P_LABELS = ("P0", "P1", "P2", "P3")
@@ -74,60 +72,78 @@ Combo = dict  # generator index -> ParamPoly coefficient
 class StructureConstants:
     """Antisymmetric bracket table over a named basis.
 
-    ``brackets`` stores only i < j; bracket(j, i) is the negation and
-    bracket(i, i) is empty.  Coefficients are ParamPoly, so a table can be
+    ``rows[i][j]`` is present for each ordered pair with a nonzero bracket
+    and holds [e_i, e_j] as the tuple of its (q, packed monomial, a, b, d)
+    int terms: each the canonical coefficient (a + b*i)/d of e_q, sorted by
+    (q, monomial).  rows[j][i] holds the same terms negated.  This is the
+    one store: the kernels below read it as it is, and ``bracket`` turns an
+    entry into a fresh combo of ParamPoly coefficients, so a table can be
     fully symbolic in the deformation parameters.  ``index`` maps each
     basis name to its position.
     """
 
-    __slots__ = ("basis", "brackets", "index")
+    __slots__ = ("basis", "rows", "index")
 
-    def __init__(self, basis, brackets: dict | None = None):
+    def __init__(self, basis):
         self.basis = tuple(basis)
-        self.brackets = {} if brackets is None else brackets
+        self.rows = [{} for _ in self.basis]
         self.index = {name: i for i, name in enumerate(self.basis)}
         if len(self.index) != len(self.basis):
             dups = sorted({name for name in self.basis if self.basis.count(name) > 1})
             raise ValueError(f"duplicate basis names {dups}")
 
-    def set_bracket(self, i: int, j: int, combo: Combo):
+    def _check(self, i, j, outputs=()):
+        """Raise ValueError naming the first of the generator indices i, j
+        and the ``outputs`` that is not a basis position."""
         n = len(self.basis)
-        for idx in (i, j):
+        for pos, idx in enumerate((i, j, *outputs)):
             if not (isinstance(idx, int) and 0 <= idx < n):
-                raise ValueError(f"generator index {idx} of bracket [{i},{j}] "
-                                 f"is outside 0..{n - 1}")
-        for k in combo:
-            if not (isinstance(k, int) and 0 <= k < n):
-                raise ValueError(f"output index {k} of bracket [{i},{j}] "
-                                 f"is outside 0..{n - 1}")
+                raise ValueError(f"{'output' if pos > 1 else 'generator'} index {idx} "
+                                 f"of bracket [{i},{j}] is outside 0..{n - 1}")
+
+    def _store(self, i: int, j: int, terms: list, outputs=()):
+        """Set [e_i, e_j] to ``terms``, a list of canonical (q, monomial,
+        a, b, d) ints with distinct (q, monomial) that is sorted in place,
+        once i, j and the output indices they were given for pass
+        ``_check``."""
+        self._check(i, j, outputs)
         if i == j:
             raise ValueError("bracket of a generator with itself is zero")
-        if i > j:
-            i, j = j, i
-            combo = {k: -c for k, c in combo.items()}
-        clean = {k: c for k, c in combo.items() if not c.is_zero()}
-        if clean:
-            self.brackets[(i, j)] = clean
+        rows = self.rows
+        if terms:
+            terms.sort()
+            rows[i][j] = tuple(terms)
+            rows[j][i] = tuple([(q, m, -a, -b, d) for q, m, a, b, d in terms])
         else:
-            self.brackets.pop((i, j), None)
+            rows[i].pop(j, None)
+            rows[j].pop(i, None)
+
+    def set_bracket(self, i: int, j: int, combo: Combo):
+        self._store(i, j, _combo_ints(combo), combo)
 
     def bracket(self, i: int, j: int) -> Combo:
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.brackets.get((i, j), {}))
-        return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
+        """[e_i, e_j] as a fresh combo; empty when i == j."""
+        self._check(i, j)
+        combo = {}
+        for q, mono, a, b, d in self.rows[i].get(j, ()):
+            combo.setdefault(q, {})[mono] = _make(a, b, d)
+        return {q: _packed_poly(terms) for q, terms in combo.items()}
+
+    def pairs(self) -> list:
+        """The pairs i < j with a nonzero bracket, sorted."""
+        return [(i, j) for i, row in enumerate(self.rows) for j in sorted(row) if i < j]
 
     def copy(self) -> "StructureConstants":
-        """A table whose bracket dicts are new; the immutable ParamPoly
-        coefficients are shared."""
-        return StructureConstants(
-            self.basis, {pair: dict(combo) for pair, combo in self.brackets.items()})
+        """A table whose row dicts are new; the immutable term tuples are
+        shared."""
+        out = StructureConstants(self.basis)
+        out.rows = [dict(row) for row in self.rows]
+        return out
 
     def substitute(self, bindings) -> "StructureConstants":
         out = StructureConstants(self.basis)
-        for (i, j), combo in self.brackets.items():
-            out.set_bracket(i, j, {k: c.substitute(bindings) for k, c in combo.items()})
+        for i, j in self.pairs():
+            out.set_bracket(i, j, {k: c.substitute(bindings) for k, c in self.bracket(i, j).items()})
         return out
 
     def dim(self) -> int:
@@ -136,23 +152,25 @@ class StructureConstants:
     # -- serialization (fixture file format) -----------------------------
 
     def to_json(self) -> dict:
-        brackets = {}
-        for (i, j), combo in sorted(self.brackets.items()):
-            brackets[f"{i},{j}"] = [[k, c.to_json()] for k, c in sorted(combo.items())]
+        brackets = {f"{i},{j}": [[k, c.to_json()] for k, c in self.bracket(i, j).items()]
+                    for i, j in self.pairs()}
         return {"basis": list(self.basis), "brackets": brackets}
 
     @staticmethod
     def from_json(data: dict) -> "StructureConstants":
-        """Parse the fixture format.  A malformed entry, a key not written
-        as ``to_json`` writes it ("i,j" in ASCII digits), an output index or
+        """Parse the fixture format straight into the store.  A basis that
+        is not a list of strings, a malformed entry, a key not written as
+        ``to_json`` writes it ("i,j" in ASCII digits), an output index or
         exponent that is not a JSON integer, an index outside the basis or a
         pair given twice raises ValueError naming the bracket key."""
         try:
-            alg = StructureConstants(tuple(data["basis"]))
-            brackets = data["brackets"].items()
+            basis, brackets = data["basis"], data["brackets"].items()
+            if type(basis) is not list or not all(type(name) is str for name in basis):
+                raise TypeError
         except (AttributeError, KeyError, TypeError):
             raise ValueError("a structure-constant table is an object with a "
                              "'basis' list and a 'brackets' object") from None
+        alg = StructureConstants(basis)
         seen = {}
         for key, entries in brackets:
             try:
@@ -164,14 +182,16 @@ class StructureConstants:
                 if pair in seen:
                     raise ValueError(f"repeats the pair of key {seen[pair]!r}")
                 seen[pair] = key
-                combo = {}
+                outputs, terms = [], []
                 for k, pj in entries:
                     if type(k) is not int:
                         raise TypeError(f"output index {k!r} is not an integer")
-                    if k in combo:
+                    if k in outputs:
                         raise ValueError(f"lists output index {k} twice")
-                    combo[k] = ParamPoly.from_json(pj)
-                alg.set_bracket(i, j, combo)
+                    outputs.append(k)
+                    for mono, (a, b, d) in _json_int_terms(pj).items():
+                        terms.append((k, mono, a, b, d))
+                alg._store(i, j, terms, outputs)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"bracket key {key!r}: {exc}") from None
         return alg
@@ -187,7 +207,7 @@ def _rotation_brackets(alg: StructureConstants, pairs, diag):
     index = {pair: i for i, pair in enumerate(pairs)}
     metric = lambda x, y: diag[x] if x == y else 0
     for (a, b), (c, d) in itertools.combinations(pairs, 2):
-        combo: Combo = {}
+        im = {}  # output index -> n, for the coefficient n*i
         for (p, q), g in (
             ((a, d), metric(b, c)),
             ((b, c), metric(a, d)),
@@ -198,8 +218,8 @@ def _rotation_brackets(alg: StructureConstants, pairs, diag):
                 continue
             # a diagonal metric never pairs p with itself; M_qp = -M_pq
             idx, orient = (index[(p, q)], 1) if p < q else (index[(q, p)], -1)
-            _accumulate(combo, idx, I * poly(g * orient))
-        alg.set_bracket(index[(a, b)], index[(c, d)], combo)
+            im[idx] = im.get(idx, 0) + g * orient
+        alg._store(index[(a, b)], index[(c, d)], [(k, 0, 0, n, 1) for k, n in im.items() if n])
 
 
 def _check_signs(eps4: int, eps5: int):
@@ -239,9 +259,11 @@ def _flat_table(eps5: int) -> StructureConstants:
 
 @cache
 def _deformed_table(eps4: int, eps5: int) -> StructureConstants:
+    """Each coefficient is n*i times a monomial: the term (q, monomial,
+    0, n, 1) of e_q."""
     alg = StructureConstants(DEFORMED_BASIS)
-    rho = sym("rho")
-    ell2 = sym("l", 2)
+    rho = _int_terms(sym("rho"))[0][0]  # packed monomials
+    ell2 = _int_terms(sym("l", 2))[0][0]
     n_m = len(M_LABELS)
     p_of = lambda mu: n_m + mu
     x_of = lambda mu: n_m + 4 + mu
@@ -252,28 +274,28 @@ def _deformed_table(eps4: int, eps5: int) -> StructureConstants:
     # [M_munu, P_lam] = i(P_mu eta_nulam - P_nu eta_mulam); same pattern for x
     for (mu, nu), lam in itertools.product(_M_PAIRS, range(4)):
         for vec_of in (p_of, x_of):
-            combo = {}
+            terms = []
             if nu == lam:
-                _accumulate(combo, vec_of(mu), I * poly(ETA4_DIAG[lam]))
+                terms.append((vec_of(mu), 0, 0, ETA4_DIAG[lam], 1))
             if mu == lam:
-                _accumulate(combo, vec_of(nu), -I * poly(ETA4_DIAG[lam]))
-            alg.set_bracket(_M_INDEX[(mu, nu)], vec_of(lam), combo)
+                terms.append((vec_of(nu), 0, 0, -ETA4_DIAG[lam], 1))
+            alg._store(_M_INDEX[(mu, nu)], vec_of(lam), terms)
 
     for mu, nu in itertools.combinations(range(4), 2):
         m_idx = _M_INDEX[(mu, nu)]
         # [P_mu, P_nu] = -i eps4 rho M_munu
-        alg.set_bracket(p_of(mu), p_of(nu), {m_idx: -I * eps4 * rho})
+        alg._store(p_of(mu), p_of(nu), [(m_idx, rho, 0, -eps4, 1)])
         # [x_mu, x_nu] = -i eps5 l^2 M_munu
-        alg.set_bracket(x_of(mu), x_of(nu), {m_idx: -I * eps5 * ell2})
+        alg._store(x_of(mu), x_of(nu), [(m_idx, ell2, 0, -eps5, 1)])
 
     for mu in range(4):
         # [P_mu, x_nu] = i eta_munu C
-        alg.set_bracket(p_of(mu), x_of(mu), {c_idx: I * poly(ETA4_DIAG[mu])})
+        alg._store(p_of(mu), x_of(mu), [(c_idx, 0, 0, ETA4_DIAG[mu], 1)])
 
     for mu in range(4):
         # [P_mu, C] = -i eps4 rho x_mu ; [x_mu, C] = i eps5 l^2 P_mu
-        alg.set_bracket(p_of(mu), c_idx, {x_of(mu): -I * eps4 * rho})
-        alg.set_bracket(x_of(mu), c_idx, {p_of(mu): I * eps5 * ell2})
+        alg._store(p_of(mu), c_idx, [(x_of(mu), rho, 0, -eps4, 1)])
+        alg._store(x_of(mu), c_idx, [(p_of(mu), ell2, 0, eps5, 1)])
 
     return alg
 
@@ -302,23 +324,6 @@ def _combo_ints(combo: Combo) -> list:
     """The flat (q, packed monomial, a, b, d) int terms of a combo."""
     return [(q, mono, a, b, d)
             for q, coeff in combo.items() for mono, a, b, d in _int_terms(coeff)]
-
-
-def _int_rows(alg: StructureConstants) -> list:
-    """rows[a][c]: the flat (q, packed monomial, a, b, d) int terms of
-    [e_a, e_c], each term the coefficient (a + b*i)/d of e_q; a key c is
-    present only when that bracket is nonzero.
-
-    Terms keep the table's stored order; the lower triangle negates the
-    stored ints, and no ExactScalar is built.  Built per call, so a table
-    edited in place is always read afresh.
-    """
-    rows = [{} for _ in range(alg.dim())]
-    for (i, j), combo in alg.brackets.items():
-        terms = _combo_ints(combo)
-        rows[i][j] = terms
-        rows[j][i] = [(q, mono, -a, -b, d) for q, mono, a, b, d in terms]
-    return rows
 
 
 def _join(sums: dict, tag, mono: int, xa: int, xb: int, xd: int, row):
@@ -374,7 +379,7 @@ def jacobi_residual(alg: StructureConstants):
     belongs to the triple sorted(a, b, c).  It enters with sign -1 when
     a < c < b, where the cyclic term is [[e_b, e_a], e_c].
     """
-    rows = _int_rows(alg)
+    rows = alg.rows
     sums = {}
     for a, row in enumerate(rows):
         for b, left in row.items():
@@ -451,7 +456,7 @@ def _pair_sums(columns, src_rows, dst_rows, i: int, j: int, tags) -> dict:
     tags[i] ^ tags[j] ^ tags[m], the bracket under tag 0.
 
     ``columns`` are the map's columns as ``_combo_ints``; ``src_rows`` and
-    ``dst_rows`` are the ``_int_rows`` of its tables.
+    ``dst_rows`` are the ``rows`` of its tables.
     """
     sums = {}
     flip = tags[i] ^ tags[j]
@@ -470,18 +475,16 @@ def _pair_sums(columns, src_rows, dst_rows, i: int, j: int, tags) -> dict:
     return sums
 
 
-def _bracket_mismatches(lmap: LinearMap, src_rows, dst_rows):
+def _bracket_mismatches(lmap: LinearMap):
     """Yield ((name_i, name_j), residual combo) for each basis pair i < j
-    with phi([a_i,a_j]_src) != [phi a_i, phi a_j]_dst, lazily.
-
-    ``src_rows``/``dst_rows`` are the ``_int_rows`` of the map's tables;
-    each pair's difference is summed by ``_join`` and reduced once.
+    with phi([a_i,a_j]_src) != [phi a_i, phi a_j]_dst, lazily; each pair's
+    difference is summed by ``_join`` and reduced once.
     """
     src = lmap.src
     columns = [_combo_ints(col) for col in lmap.columns]
     untagged = [0] * src.dim()
     for i, j in itertools.combinations(range(src.dim()), 2):
-        residual = _residuals(_pair_sums(columns, src_rows, dst_rows, i, j, untagged)).get(0)
+        residual = _residuals(_pair_sums(columns, src.rows, lmap.dst.rows, i, j, untagged)).get(0)
         if residual:
             yield (src.basis[i], src.basis[j]), residual
 
@@ -491,8 +494,7 @@ def verify_linear_isomorphism(lmap: LinearMap) -> IsoCheck:
 
     Non-invertibility is reported separately from bracket mismatches.
     """
-    rows = _int_rows(lmap.src), _int_rows(lmap.dst)
-    mismatches = list(_bracket_mismatches(lmap, *rows))
+    mismatches = list(_bracket_mismatches(lmap))
     invertible = _map_invertible(lmap)
     return IsoCheck(ok=invertible and not mismatches, invertible=invertible, mismatches=mismatches)
 
@@ -564,7 +566,7 @@ def _signed_sum_is_zero(terms, chi) -> bool:
     return not (sa or sb)
 
 
-def _passing_signs(unsigned: LinearMap, src_rows, dst_rows) -> list:
+def _passing_signs(unsigned: LinearMap) -> list:
     """The sign choices s whose map phi_s matches every bracket, from one
     pass over the basis pairs.
 
@@ -582,7 +584,8 @@ def _passing_signs(unsigned: LinearMap, src_rows, dst_rows) -> list:
     alive = [(s, _character(s)) for s in _SIGN_CHOICES]
     for i, j in itertools.combinations(range(src.dim()), 2):
         outputs = {}
-        for (tag, q, mono), acc in _pair_sums(columns, src_rows, dst_rows, i, j, bits).items():
+        for (tag, q, mono), acc in _pair_sums(columns, src.rows, unsigned.dst.rows, i, j,
+                                              bits).items():
             outputs.setdefault((q, mono), []).append((tag, *acc))
         for terms in outputs.values():
             alive = [(s, chi) for s, chi in alive if _signed_sum_is_zero(terms, chi)]
@@ -610,7 +613,7 @@ def solve_isomorphism_scalings(eps4: int, eps5: int) -> IsomorphismSolution:
     src = _deformed_table(eps4, eps5).substitute({"rho": r * r})
     dst = build_orthogonal_algebra(eps4, eps5)
     unsigned = scaling_map(src, dst, r, ell, r * ell)
-    passing = _passing_signs(unsigned, _int_rows(src), _int_rows(dst))
+    passing = _passing_signs(unsigned)
     if passing and not _map_invertible(unsigned):
         passing = []
     canonical = next((s for s in passing if s[:2] == (1, 1)), None)

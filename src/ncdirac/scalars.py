@@ -12,8 +12,7 @@ Two layers, both on plain Python ints:
   The public API still speaks exponent tuples.
 
 ``LinearCombination``, a sum of keys with ParamPoly coefficients, is shared
-by ``enveloping`` words and ``weyl`` operators; its ``_accumulate`` step
-also sums the bracket tables of ``lie_algebra``.
+by ``enveloping`` words and ``weyl`` operators.
 
 Negative powers of ``l`` are never stored.  Where a rest mass 2/l is needed,
 equations are cleared of denominators or the dedicated symbol ``m`` is used.
@@ -607,19 +606,7 @@ class ParamPoly:
         """Inverse of ``to_json``.  Exponents are JSON integers (``int``,
         never ``bool`` or ``float``); coefficient parts are str or int.  A
         later term with the same exponents replaces an earlier one."""
-        parts = {}
-        for exps, re_s, im_s in data:
-            for e in exps:
-                if type(e) is not int:
-                    raise TypeError(f"exponent {e!r} is not an integer")
-            parts[_pack(exps)] = _rational_parts(re_s) + _rational_parts(im_s)
-        terms = {}
-        for key, (rn, rd, jn, jd) in parts.items():
-            if rn or jn:
-                terms[key] = (
-                    _make(rn, jn, 1) if rd == jd == 1 else _reduced(rn * jd, jn * rd, rd * jd)
-                )
-        return _packed_poly(terms)
+        return _packed_poly({key: _make(*abd) for key, abd in _json_int_terms(data).items()})
 
     # -- dunders -----------------------------------------------------------
 
@@ -719,6 +706,30 @@ def _int_terms(p: ParamPoly) -> list:
     return [(mono, c._a, c._b, c._d) for mono, c in p._terms.items()]
 
 
+def _json_int_terms(data: list) -> dict:
+    """Packed monomial -> canonical (a, b, d) of each nonzero term
+    (a + b*i)/d of a ParamPoly in its ``to_json`` form, read as
+    ``ParamPoly.from_json`` reads it but with no ExactScalar built."""
+    terms = {}
+    for exps, re_s, im_s in data:
+        if {*map(type, exps)} != {int}:  # the loop names the culprit
+            for e in exps:
+                if type(e) is not int:
+                    raise TypeError(f"exponent {e!r} is not an integer")
+        rn, rd = _rational_parts(re_s)
+        jn, jd = _rational_parts(im_s)
+        key = _pack(exps)
+        if not (rn or jn):
+            terms.pop(key, None)
+        elif rd == jd == 1:
+            terms[key] = (rn, jn, 1)
+        else:
+            a, b, d = rn * jd, jn * rd, rd * jd
+            g = gcd(a, b, d)
+            terms[key] = (a, b, d) if g == 1 else (a // g, b // g, d // g)
+    return terms
+
+
 def _sum_of_products(pairs) -> ExactScalar | None:
     """Exact sum of x * y over (x, y) ExactScalar pairs, or None when the
     sum is zero.  Products and partial sums stay unreduced (a, b, d) ints;
@@ -774,6 +785,8 @@ def _rational_parts(value) -> tuple:
     rejected, as by ``as_fraction``."""
     if type(value) is int:
         return value, 1
+    if value == "0":  # the part ``to_json`` writes most often
+        return 0, 1
     if type(value) is not str:
         raise TypeError(
             f"expected a str or int coefficient, got {type(value).__name__}"

@@ -205,9 +205,9 @@ def _root_class(e5: int, x, big_m: Fraction, mu2: Fraction) -> str:
     Eliminating u2 leaves the Schur complement T = g.k - c (g.k + M g^4)
     with c = mu^2 / (k^2 + eps5 M^2), since D22^2 = (k^2 + eps5 M^2) I;
     k^2 + eps5 M^2 = eps5 (M^2 - x^2) vanishes only at mu = 0.  The u1
-    kernel is ker T, and it is closed under conjugation exactly when T and
-    conj(T) have the same row space, so the class is read from ranks: 2
-    for T, and 2 for [T; conj T] when Majorana."""
+    kernel is ker T, and it is closed under conjugation exactly when the
+    row space of T is: its rank must be 2, and the class is read from its
+    two reduced rows."""
     axis = 0 if e5 == -1 else 3
     zero = 0 * x  # of x's field: ExactScalar, or QuadraticScalar with its delta
     k = [zero] * 4

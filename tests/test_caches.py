@@ -19,13 +19,13 @@ from ncdirac.lie_algebra import (
     flat_deformed_algebra,
 )
 from ncdirac.matrices import ExactMatrix
-from ncdirac.scalars import ExactScalar, poly, sym
+from ncdirac.scalars import ExactScalar, poly
 
 SIGNS = list(itertools.product((1, -1), repeat=2))
 
 
 def _same_table(a, b):
-    return a.basis == b.basis and a.brackets == b.brackets
+    return a.basis == b.basis and a.rows == b.rows
 
 
 def _fresh_deformed(eps4, eps5):
@@ -45,11 +45,11 @@ def _fresh_gammas(eps5):
 
 
 def _vandalize(table):
-    """set_bracket on one pair and an in-place edit of another's combo."""
-    (i, j), combo = next(iter(table.brackets.items()))
-    table.set_bracket(i, j, {k: c * poly(3) for k, c in combo.items()})
-    last = list(table.brackets.values())[-1]
-    last[min(last)] = sym("l", 7)
+    """set_bracket on one pair and an in-place edit of another's row."""
+    i, j = table.pairs()[0]
+    table.set_bracket(i, j, {k: c * poly(3) for k, c in table.bracket(i, j).items()})
+    last = table.rows[-1]
+    last[min(last)] = ((0, 0, 7, 0, 1),)  # the term 7 e_0
 
 
 @pytest.mark.parametrize("eps4,eps5", SIGNS)

@@ -302,6 +302,18 @@ def test_malformed_fixture_is_usage_error(tmp_path, capsys, edit, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("basis", ["abc", [1, 2, 3]])
+def test_fixture_basis_that_is_not_a_list_of_names_is_usage_error(tmp_path, capsys, basis):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"basis": basis, "brackets": {}}))
+    code = main(["verify", "algebra", "--eps4", "1", "--eps5", "-1",
+                 "--fixture", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "a structure-constant table is an object with a 'basis' list" in captured.err
+
+
 def test_module_entry_point_matches_main(capsys):
     code, out = run(capsys, "verify", "clifford")
     env = dict(os.environ)

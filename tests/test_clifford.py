@@ -28,8 +28,8 @@ from ncdirac.clifford import (
     reality_class,
     verify_clifford,
 )
-from ncdirac.matrices import ExactMatrix
-from ncdirac.scalars import ExactScalar, poly
+from ncdirac.matrices import ExactMatrix, echelon
+from ncdirac.scalars import ExactScalar, QuadraticScalar, poly
 
 J = 1j
 ETA = (1, -1, -1, -1)
@@ -422,3 +422,66 @@ class TestRealityClass:
 def test_conjugation_closed(rows, closed):
     rows = ExactMatrix.from_complex_entries(rows).scalar_entries()
     assert conjugation_closed(rows) is closed
+
+
+def _stacked_rank_closed(rows) -> bool:
+    """The verdict conjugation_closed gave before: adding the conjugate
+    rows leaves the rank unchanged."""
+    rank = len(echelon([list(row) for row in rows]))
+    stacked = [list(row) for row in rows] + [[x.conjugate() for x in row] for row in rows]
+    return len(echelon(stacked)) == rank
+
+
+def _seeded_subspaces(rng, scalar):
+    """Row lists of three kinds: random rows (rarely closed), random
+    combinations of real rows, and rows next to their conjugates (both
+    closed, though no row need be real).  ``scalar(real)`` draws a field
+    element, real or not."""
+    for _ in range(40):
+        ncols = rng.randint(1, 4)
+        k = rng.randint(1, ncols)
+        kind = rng.choice(("random", "real span", "paired"))
+        if kind == "random":
+            rows = [[scalar(False) for _ in range(ncols)] for _ in range(k)]
+        elif kind == "real span":
+            real = [[scalar(True) for _ in range(ncols)] for _ in range(k)]
+            # row i mixes real rows i.. with a nonzero weight on row i: the
+            # mixing is triangular and invertible, so the span is kept
+            rows = []
+            for i in range(k):
+                lead = scalar(False)
+                while not lead:
+                    lead = scalar(False)
+                rest = [(scalar(False), row) for row in real[i + 1:]]
+                rows.append([sum((c * row[col] for c, row in rest), lead * real[i][col])
+                             for col in range(ncols)])
+        else:
+            row = [scalar(False) for _ in range(ncols)]
+            rows = [row, [x.conjugate() for x in row]]
+        yield kind, rows
+
+
+@pytest.mark.parametrize("field", ["Q(i)", "Q(i, sqrt 7/3)"])
+def test_conjugation_closed_matches_the_stacked_rank(field):
+    rng = random.Random(f"conjugation_closed:{field}")
+    delta = Fraction(7, 3)
+
+    def part(real=False):
+        im = 0 if real else Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        return ExactScalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), im)
+
+    def scalar(real):
+        if field == "Q(i)":
+            return part(real)
+        return QuadraticScalar(part(real), part(real), delta)
+
+    verdicts = {}
+    for kind, rows in _seeded_subspaces(rng, scalar):
+        want = _stacked_rank_closed(rows)
+        assert conjugation_closed(rows) is want
+        reduced = [list(row) for row in rows]
+        echelon(reduced)
+        assert conjugation_closed(reduced) is want
+        verdicts.setdefault(kind, set()).add(want)
+    assert verdicts["real span"] == verdicts["paired"] == {True}
+    assert False in verdicts["random"]

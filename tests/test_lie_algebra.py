@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -130,7 +131,8 @@ def _double_one_coefficient(monkeypatch, which):
 
     def tampered(eps4, eps5):
         table = build(eps4, eps5)
-        (i, j), combo = sorted(table.brackets.items())[which]
+        i, j = table.pairs()[which]
+        combo = table.bracket(i, j)
         k = min(combo)
         table.set_bracket(i, j, {**combo, k: combo[k] * poly(2)})
         return table
@@ -173,9 +175,9 @@ def _negated(table, names):
     flipped = {table.index[name] for name in names}
     sign = [-1 if k in flipped else 1 for k in range(table.dim())]
     out = StructureConstants(table.basis)
-    for (i, j), combo in table.brackets.items():
+    for i, j in table.pairs():
         out.set_bracket(i, j, {m: c * poly(sign[i] * sign[j] * sign[m])
-                               for m, c in combo.items()})
+                               for m, c in table.bracket(i, j).items()})
     return out
 
 
@@ -305,6 +307,8 @@ _ONE = [[14, poly(1).to_json()]]
     ("a,b", _ONE, ""),
     ("0,1", [[14]], ""),
     ("0,1", [[14, "x"]], ""),
+    # a zero coefficient stores nothing, but its index is still checked
+    ("6,10", [[99, [[[0] * 10, "0", "0"]]]], "output index 99 of bracket [6,10]"),
 ])
 def test_fixture_malformed_entry_names_the_key(key, entries, message):
     doc = _doc()
@@ -335,6 +339,125 @@ def test_duplicate_basis_names_are_rejected():
         StructureConstants(("a", "b", "a"))
 
 
+@pytest.mark.parametrize("i,j,bad", [(99, 3, 99), (-1, 3, -1), (3, 15, 15), (15, 15, 15)])
+def test_bracket_read_outside_basis_is_rejected(i, j, bad):
+    alg = build_deformed_algebra(1, 1)
+    with pytest.raises(ValueError, match=rf"generator index {bad} of bracket \[{i},{j}\]"):
+        alg.bracket(i, j)
+
+
+@pytest.mark.parametrize("basis", ["abc", [1, 2, 3], ["a", None]])
+def test_fixture_basis_must_be_a_list_of_names(basis):
+    # a string once loaded as one generator per character, and integers
+    # as integer names
+    with pytest.raises(ValueError, match="a 'basis' list and a 'brackets' object"):
+        StructureConstants.from_json({"basis": basis, "brackets": {}})
+
+
+# -- the store: set_bracket, to_json and from_json agree ----------------------
+
+
+def _seeded_poly(rng):
+    """Up to three Gaussian-rational multiples of l^a rho^b; may be zero."""
+    return ParamPoly({
+        (rng.randint(0, 2), rng.randint(0, 2)) + (0,) * 8:
+            ExactScalar(Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+        for _ in range(rng.randint(1, 3))
+    })
+
+
+def _seeded_table(rng, n=7):
+    """A table that need not be a Lie algebra, built with set_bracket: about
+    two pairs in three set, in either orientation, each with one to three
+    outputs."""
+    table = StructureConstants(tuple(f"e{a}" for a in range(n)))
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < 0.7:
+            combo = {k: _seeded_poly(rng) for k in rng.sample(range(n), rng.randint(1, 3))}
+            table.set_bracket(*((i, j) if rng.random() < 0.5 else (j, i)), combo)
+    return table
+
+
+def _negated_part(part):
+    return str(-Fraction(part))
+
+
+def _unusual_json(doc, rng):
+    """``doc`` written the ways to_json never writes it, as the same table:
+    pairs keyed "j,i" with negated coefficients, each term after a decoy
+    with the same exponents (a later term replaces an earlier one), and
+    zero coefficients, both whole outputs and single terms."""
+    n = len(doc["basis"])
+    brackets = {}
+    for key, entries in doc["brackets"].items():
+        i, j = map(int, key.split(","))
+        flip = rng.random() < 0.5
+        out = []
+        for k, terms in entries:
+            new = []
+            for exps, re_s, im_s in terms:
+                if flip:
+                    re_s, im_s = _negated_part(re_s), _negated_part(im_s)
+                new += [[exps, "5/3", "-7"], [exps, re_s, im_s]]
+            new.append([[0] * 9 + [1], "0", "0/4"])
+            out.append([k, new])
+        unused = [k for k in range(n) if k not in {k for k, _ in entries}]
+        if unused:
+            out.append([rng.choice(unused), [[[1] + [0] * 9, "0", "0"]]])
+        rng.shuffle(out)
+        brackets[f"{j},{i}" if flip else key] = out
+    return {"basis": doc["basis"], "brackets": brackets}
+
+
+def _assert_same_table(got, want):
+    assert got.basis == want.basis
+    assert got.rows == want.rows
+    for i, j in itertools.product(range(want.dim()), repeat=2):
+        assert got.bracket(i, j) == want.bracket(i, j)
+
+
+def test_set_bracket_and_both_json_forms_give_one_store():
+    rng = random.Random("store")
+    for _ in range(20):
+        table = _seeded_table(rng)
+        doc = table.to_json()
+        _assert_same_table(StructureConstants.from_json(doc), table)
+        _assert_same_table(StructureConstants.from_json(_unusual_json(doc, rng)), table)
+    for build in (build_deformed_algebra, build_orthogonal_algebra):
+        table = build(1, -1)
+        _assert_same_table(StructureConstants.from_json(table.to_json()), table)
+
+
+def test_from_json_builds_no_coefficient_objects(monkeypatch):
+    import ncdirac.lie_algebra as lie
+    import ncdirac.scalars as scalars
+
+    rng = random.Random("parse")
+    tables = [_seeded_table(rng) for _ in range(5)]
+    docs = [_unusual_json(table.to_json(), rng) for table in tables]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("from_json built an ExactScalar or a ParamPoly")
+
+    for owner, name in ((ParamPoly, "__init__"), (ExactScalar, "__init__"),
+                        (scalars, "_make"), (scalars, "_packed_poly"),
+                        (lie, "_make"), (lie, "_packed_poly"), (lie, "_reduced")):
+        monkeypatch.setattr(owner, name, forbidden)
+    loaded = [StructureConstants.from_json(doc) for doc in docs]
+    monkeypatch.undo()
+    for got, want in zip(loaded, tables):
+        _assert_same_table(got, want)
+
+
+@pytest.mark.parametrize("eps4", [1, -1])
+def test_ell_limit_does_not_depend_on_eps5(eps4):
+    # eps5 only multiplies l^2, so the report checks this limit once per eps4
+    plus, minus = (contract(build_deformed_algebra(eps4, e5), ell_to_zero=True)
+                   for e5 in (1, -1))
+    assert plus.rows == minus.rows
+
+
 # -- sparse Jacobi against a float oracle ------------------------------------
 
 
@@ -343,8 +466,8 @@ def _float_violations(table, point, rel_tol=1e-9):
     `point`, exceeds rel_tol times the sum of its three terms' sizes."""
     n = table.dim()
     f = np.zeros((n, n, n), dtype=complex)
-    for (i, j), combo in table.brackets.items():
-        for k, c in combo.items():
+    for i, j in table.pairs():
+        for k, c in table.bracket(i, j).items():
             f[i, j, k] = complex(c.evaluate(point))
             f[j, i, k] = -f[i, j, k]
     terms = (
@@ -388,13 +511,13 @@ def _fixture_tables(draw):
     f = draw(st.one_of(st.just(poly(1)), _polys().filter(bool)))
     table = StructureConstants(base.basis)
     # e_a -> s_a e_a takes c_ab^k to (s_a s_b / s_k) c_ab^k
-    for (i, j), combo in base.brackets.items():
+    for i, j in base.pairs():
         table.set_bracket(i, j, {k: c * poly(s[i] * s[j] / s[k]) * f
-                                 for k, c in combo.items()})
+                                 for k, c in base.bracket(i, j).items()})
     tampered = draw(st.booleans())
     if tampered:
-        pair = draw(st.sampled_from(sorted(table.brackets)))
-        combo = table.brackets[pair]
+        pair = draw(st.sampled_from(table.pairs()))
+        combo = table.bracket(*pair)
         k = draw(st.sampled_from(sorted(combo)))
         factor = draw(st.one_of(
             _SMALL.filter(lambda x: x != 1).map(poly),
@@ -441,7 +564,8 @@ def _ref_combo_sum(*combos):
 def _ref_signed_rows(alg):
     n = alg.dim()
     rows = [[None] * n for _ in range(n)]
-    for (i, j), combo in alg.brackets.items():
+    for i, j in alg.pairs():
+        combo = alg.bracket(i, j)
         rows[i][j] = list(combo.items())
         rows[j][i] = [(k, -c) for k, c in combo.items()]
     return rows
