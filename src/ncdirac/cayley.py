@@ -195,18 +195,6 @@ def cayley_boost(omega) -> CayleyBoost:
     return CayleyBoost(numer=numer, inverse=inverse, denom=den, lam_numer=t)
 
 
-def cayley_boosts(omegas) -> list[CayleyBoost]:
-    """cayley_boost of each generator in order; the first one that fails
-    raises VerificationError naming its draw (``index``)."""
-    out = []
-    for i, omega in enumerate(omegas):
-        try:
-            out.append(cayley_boost(omega))
-        except VerificationError as exc:
-            raise VerificationError(f"draw {i}: {exc}", index=i) from None
-    return out
-
-
 def boost_defect(s: SpinorSolution, boosts) -> tuple[int, str] | None:
     """(index, relation) of the first Cayley boost that moves the exact
     solution s, k' = Lambda k and u' = S u, off k'^2 = k^2 or off

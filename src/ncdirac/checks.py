@@ -13,10 +13,9 @@ import functools
 import io
 import json
 import math
-import random
 import time
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain
 
 from .scalars import MOMENTUM_SYMBOLS, ExactScalar, ParamPoly, poly, sym
 from .lie_algebra import (
@@ -32,7 +31,6 @@ from .lie_algebra import (
 )
 from .weyl import closure_families
 from .enveloping import lemma_matrix_check, verify_plane_wave_relations
-from .cayley import boost_defect, cayley_boosts
 from .clifford import (
     VerificationError,
     build_majorana_rep,
@@ -40,6 +38,7 @@ from .clifford import (
     gamma5_product_check,
     majorana_imaginary_check,
 )
+from .lorentz import lorentz_covariance
 from .modes import (
     dispersion_roots,
     reference_solutions,
@@ -56,7 +55,6 @@ from .seesaw import (
 )
 
 SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-BOOST_DRAWS = 100
 
 
 class RunConfig:
@@ -404,7 +402,6 @@ def cmd_verify_planewave(cfg: RunConfig):
 
 @_command
 def cmd_modes(cfg: RunConfig):
-    draws = None
     for e5 in cfg.eps5_values():
         params = {"ell": str(cfg.ell), "eps5": e5}
 
@@ -438,11 +435,10 @@ def cmd_modes(cfg: RunConfig):
             details=sweep,
         )
 
-        solutions = {}
         for branch, want in (("heavy", "Dirac" if e5 == -1 else "Majorana"),
                              ("massless", "Majorana")):
             try:
-                sol = solutions[branch] = reference_solutions(cfg.ell, e5, branch)
+                sol = reference_solutions(cfg.ell, e5, branch)
                 worst = max(mode_residual(sol.k, u, sol.ell, e5) for u in sol.basis)
                 ok = sol.spinor_class == want and worst == 0.0
                 details = {"k": [str(c) for c in sol.k],
@@ -457,59 +453,15 @@ def cmd_modes(cfg: RunConfig):
                 residual=worst, details=details,
             )
 
-        if len(solutions) == 2:
-            if draws is None:  # the draws depend on the seed only
-                draws = _cayley_draws(cfg.seed)
-            boosts, error = draws
-            pair = (solutions["heavy"], solutions["massless"])
-            # trial t moves pair[t % 2]; each trial before the first
-            # failing one holds its relations exactly, with residual 0
-            failures = []
-            for parity, sol in enumerate(pair):
-                defect = boost_defect(sol, boosts[parity::2])
-                if defect:
-                    t = 2 * defect[0] + parity
-                    failures.append((t, f"{sol.branch} draw {t}: {defect[1]}"))
-            if error is not None:
-                failures.append((error.index, f"{pair[error.index % 2].branch} {error}"))
-            failure = min(failures)[1] if failures else None
-            height = max((b.height_bits for b in boosts), default=None)
-        else:
-            failure, height = "reference solutions unavailable", None
+        covariance = lorentz_covariance(e5)
         yield _row(
-            "modes_boost_covariance",
-            {**params, "seed": cfg.seed},
-            ok=failure is None,
-            relation="D(Lambda k) S u = 0 and k^2 invariant under paired boosts",
-            residual=Fraction(0),
-            details={
-                "draws": BOOST_DRAWS,
-                "worst_k2_drift": Fraction(0),
-                "failure": failure,
-                "max_height_bits": height,
-            },
+            "modes_lorentz_generators", {"eps5": e5},
+            ok=covariance["failure"] is None,
+            relation="S_munu = (1/4)[g^mu, g^nu]: [S_munu, g^s] = g^r (L_munu)^r_s,"
+                     " [S_munu, g^4] = 0 and [S_munu, D(k)] = (L_munu k).grad D(k),"
+                     " k and l symbolic",
+            details=covariance,
         )
-
-
-def _cayley_draws(seed: int) -> tuple[list, VerificationError | None]:
-    """The Cayley boosts of BOOST_DRAWS seeded generators, up to the first
-    one that fails, and that failure.  Each generator draws one denominator
-    q uniform in 1..10, then its omega_ab, a < b in row order, as p/q with p
-    uniform in -q..q."""
-    rng = random.Random(seed)
-    ratios = {q: [Fraction(p, q) for p in range(-q, q + 1)] for q in range(1, 11)}
-    zero, omegas = Fraction(0), []
-    for _ in range(BOOST_DRAWS):
-        q = rng.randint(1, 10)
-        omega = [[zero] * 4 for _ in range(4)]
-        for a, b in combinations(range(4), 2):
-            p = rng.randint(-q, q)
-            omega[a][b], omega[b][a] = ratios[q][q + p], ratios[q][q - p]
-        omegas.append(omega)
-    try:
-        return cayley_boosts(omegas), None
-    except VerificationError as exc:
-        return cayley_boosts(omegas[:exc.index]), exc
 
 
 # -- seesaw -------------------------------------------------------------------

@@ -9,7 +9,8 @@ element is gamma5 itself (eps5 = +1) or i*gamma5 (eps5 = -1).
 Everything here is exact.  The gammas are built once per eps5 on first
 use, and the public builders hand out copies; every sum_a c_a gamma^a is
 written by ``gamma_sum`` (ParamPoly coefficients) or ``gamma_rows`` (field
-scalars).  The exact Cayley boosts are in ``ncdirac.cayley``.
+scalars).  ``ncdirac.lorentz`` proves Lorentz covariance from the six
+generators (1/4)[g^mu, g^nu] on the gammas' unit entries (``_gamma_units``).
 """
 
 from __future__ import annotations
@@ -24,13 +25,7 @@ from .scalars import P_I, _poly_sum_of_products, poly
 
 class VerificationError(RuntimeError):
     """An exact Cayley boost is singular or fails one of its identities, or
-    a reference nullspace has the wrong dimension.
-
-    ``index`` is the failing draw of a list of generators, None otherwise."""
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
+    a reference nullspace has the wrong dimension."""
 
 
 _J = 1j

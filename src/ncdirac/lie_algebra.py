@@ -67,6 +67,7 @@ def minkowski_square(k):
 
 
 Combo = dict  # generator index -> ParamPoly coefficient
+_PAIRS = "entries must be a list of [index, coefficient] pairs"
 
 
 class StructureConstants:
@@ -159,7 +160,8 @@ class StructureConstants:
     @staticmethod
     def from_json(data: dict) -> "StructureConstants":
         """Parse the fixture format straight into the store.  A basis that
-        is not a list of strings, a malformed entry, a key not written as
+        is not a list of strings, a bracket that is not a list of
+        [index, coefficient] pairs, a malformed entry, a key not written as
         ``to_json`` writes it ("i,j" in ASCII digits), an output index or
         exponent that is not a JSON integer, an index outside the basis or a
         pair given twice raises ValueError naming the bracket key."""
@@ -174,6 +176,8 @@ class StructureConstants:
         seen = {}
         for key, entries in brackets:
             try:
+                if type(key) is not str:
+                    raise TypeError("is not a string")
                 i, j = map(int, key.split(","))
                 # int() also reads "+1", " 1", "1_0", "01" and non-ASCII digits
                 if key != f"{i},{j}":
@@ -183,7 +187,13 @@ class StructureConstants:
                     raise ValueError(f"repeats the pair of key {seen[pair]!r}")
                 seen[pair] = key
                 outputs, terms = [], []
-                for k, pj in entries:
+                if type(entries) is not list:
+                    raise TypeError(_PAIRS)
+                for entry in entries:
+                    try:
+                        k, pj = entry
+                    except (TypeError, ValueError):
+                        raise TypeError(_PAIRS) from None
                     if type(k) is not int:
                         raise TypeError(f"output index {k!r} is not an integer")
                     if k in outputs:

@@ -9,7 +9,8 @@ k^2 + eps5 (l^2/4)(k^2)^2, so the branches are k^2 = 0 and k^2 = -eps5 4/l^2.
 Momenta are stored upper-index; ``dirac_coefficients``, the one place D(k)
 is written, lowers them with ``lie_algebra.lower``.  Everything is exact:
 momenta and l are rationals, and a float raises TypeError.
-``ncdirac.cayley`` moves the reference solutions by exact boosts.
+``ncdirac.lorentz`` proves that D(k) is Lorentz covariant from the six
+generators, with k and l symbolic.
 """
 
 from __future__ import annotations

@@ -548,6 +548,14 @@ class ParamPoly:
             {k: c for k, c in self._terms.items() if (k >> shift) & MAX_DEGREE <= order}
         )
 
+    def derivative(self, name: str) -> "ParamPoly":
+        """The partial derivative in one symbol, term by term."""
+        if name not in _SYMBOL_INDEX:
+            raise UnknownSymbolError(f"unknown symbol {name!r}")
+        shift = _SHIFTS[_SYMBOL_INDEX[name]]
+        return _packed_poly({k - (1 << shift): c * ((k >> shift) & MAX_DEGREE)
+                             for k, c in self._terms.items() if (k >> shift) & MAX_DEGREE})
+
     def substitute(self, bindings: Mapping[str, PolyLike]) -> "ParamPoly":
         """Simultaneous substitution of symbols by exact values or polynomials.
 

@@ -288,6 +288,14 @@ def _rekeyed(key):
     (_rekeyed(" 2,+3"), "bracket key ' 2,+3': is not written as 2,3"),
     (_rekeyed("\u0663,4"), "bracket key '\u0663,4': is not written as 3,4"),
     (_rekeyed("0, 12"), "bracket key '0, 12': is not written as 0,12"),
+    # a bracket is a list of [index, coefficient] pairs: these once failed
+    # with "not enough values to unpack"
+    (lambda doc: doc["brackets"].update({"6,10": {"1": 2}}),
+     "bracket key '6,10': entries must be a list of [index, coefficient] pairs"),
+    (lambda doc: doc["brackets"].update({"6,10": "x"}),
+     "bracket key '6,10': entries must be a list of [index, coefficient] pairs"),
+    (lambda doc: doc["brackets"].update({"6,10": [[1]]}),
+     "bracket key '6,10': entries must be a list of [index, coefficient] pairs"),
 ])
 def test_malformed_fixture_is_usage_error(tmp_path, capsys, edit, message):
     doc = build_deformed_algebra(1, -1).to_json()
@@ -312,6 +320,21 @@ def test_fixture_basis_that_is_not_a_list_of_names_is_usage_error(tmp_path, caps
     assert code == 2
     assert captured.out == ""
     assert "a structure-constant table is an object with a 'basis' list" in captured.err
+
+
+def test_fixture_key_that_is_not_a_string_is_usage_error(tmp_path, capsys, monkeypatch):
+    # JSON text cannot hold such a key, so the parsed document is swapped
+    # in: a tuple key once let an AttributeError escape
+    doc = {"basis": ["a", "b"], "brackets": {(0, 1): []}}
+    path = tmp_path / "bad.json"
+    path.write_text("{}")
+    monkeypatch.setattr(json, "load", lambda fh: doc)
+    code = main(["verify", "algebra", "--eps4", "1", "--eps5", "-1",
+                 "--fixture", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "bracket key (0, 1): is not a string" in captured.err
 
 
 def test_module_entry_point_matches_main(capsys):

@@ -16,7 +16,7 @@ from exact_arrays import as_array
 
 import ncdirac
 from ncdirac import cayley, checks, clifford
-from ncdirac.cayley import cayley_boost, cayley_boosts
+from ncdirac.cayley import cayley_boost
 from ncdirac.clifford import (
     VerificationError,
     build_majorana_rep,
@@ -262,12 +262,14 @@ _CORRUPTIONS = {
 def test_cayley_identities_fire_on_a_corrupted_table(monkeypatch, field):
     corrupt, message = _CORRUPTIONS[field]
     omegas = list(_seeded_generators(42, 5))
-    assert len(cayley_boosts(omegas)) == 5  # the true tables pass
+    for omega in omegas:  # the true tables pass
+        cayley_boost(omega)
     true_tables = cayley._tables
     monkeypatch.setattr(cayley, "_tables", lambda: corrupt(true_tables()))
-    with pytest.raises(VerificationError) as info:
-        cayley_boosts(omegas)
-    assert str(info.value) == f"draw 0: {message}"
+    for omega in omegas:
+        with pytest.raises(VerificationError) as info:
+            cayley_boost(omega)
+        assert str(info.value) == message
 
 
 def _run_python(code: str) -> list[str]:
@@ -313,6 +315,17 @@ def test_import_leaves_scipy_unloaded():
         f"{loaded}\n"
     )
     assert out == ["[]", "[1, 0, 0, 0, 2, 0, 0, 0, 0, 1]", "[]", "[]"]
+
+
+def test_cli_import_leaves_cayley_unloaded():
+    # check all proves Lorentz covariance from the generators: the Cayley
+    # boosts serve the demos and the tests, and the CLI never compiles them
+    loaded = "print('ncdirac.cayley' in sys.modules)"
+    out = _run_python(
+        f"import sys, ncdirac.cli\n{loaded}\n{_QUIET_MAIN}\n"
+        f"print(main(['check', 'all', '--seed', '42']))\n{loaded}\n"
+    )
+    assert out == ["False", "0", "False"]
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

@@ -309,6 +309,13 @@ _ONE = [[14, poly(1).to_json()]]
     ("0,1", [[14, "x"]], ""),
     # a zero coefficient stores nothing, but its index is still checked
     ("6,10", [[99, [[[0] * 10, "0", "0"]]]], "output index 99 of bracket [6,10]"),
+    # a non-string key and a bracket that is not a list of pairs once let
+    # an AttributeError or "not enough values to unpack" escape
+    ((0, 1), _ONE, "is not a string"),
+    ("0,1", {"1": 2}, "entries must be a list of [index, coefficient] pairs"),
+    ("0,1", "x", "entries must be a list of [index, coefficient] pairs"),
+    ("0,1", [[1]], "entries must be a list of [index, coefficient] pairs"),
+    ("0,1", [[1, [], 3]], "entries must be a list of [index, coefficient] pairs"),
 ])
 def test_fixture_malformed_entry_names_the_key(key, entries, message):
     doc = _doc()

@@ -10,9 +10,8 @@ import pytest
 from exact_arrays import as_array
 from hypothesis import given, settings, strategies as st
 
-from ncdirac import cayley, checks, clifford
-from ncdirac.cayley import boost_defect, cayley_boost, cayley_boosts
-from ncdirac.checks import RunConfig, cmd_modes
+from ncdirac import cayley, clifford
+from ncdirac.cayley import boost_defect, cayley_boost
 from ncdirac.clifford import VerificationError, build_majorana_rep, reality_class
 from ncdirac.matrices import ExactMatrix
 from ncdirac.modes import (
@@ -313,36 +312,46 @@ def test_large_generators_stay_exact():
 
 def test_singular_generator_names_its_draw():
     # omega_01 = 4: A = g0 g1 is a pure boost with A^2 = 4 I, so I - A/2
-    # has no inverse
+    # has no inverse; one cayley_boost per draw names the failing one
     good = _omega([Fraction(1, 2), 0, 0, 0, Fraction(-1, 3), 0])
-    with pytest.raises(VerificationError, match="^draw 2: I - A/2 is singular") as info:
-        cayley_boosts([good, good, _omega([4, 0, 0, 0, 0, 0]), good])
-    assert info.value.index == 2
+    failed = []
+    for index, omega in enumerate([good, good, _omega([4, 0, 0, 0, 0, 0]), good]):
+        try:
+            cayley_boost(omega)
+        except VerificationError as exc:
+            failed.append((index, str(exc)))
+    assert failed == [(2, "I - A/2 is singular")]
     with pytest.raises(ValueError, match="antisymmetric"):
         cayley_boost([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
 
 
-def _boost_rows(cfg):
-    return {r.params["eps5"]: r for r in cmd_modes(cfg) if r.check == "modes_boost_covariance"}
+def _seeded_boosts(seed):
+    """The Cayley boosts of 100 seeded generators: a denominator q uniform
+    in 1..10, then omega_ab, a < b in row order, as p/q with p uniform in
+    -q..q."""
+    rng = random.Random(seed)
+    boosts = []
+    for _ in range(100):
+        q = rng.randint(1, 10)
+        boosts.append(cayley_boost(_omega([Fraction(rng.randint(-q, q), q) for _ in range(6)])))
+    return boosts
+
+
+def _reference_pair(eps5):
+    return [reference_solutions(Fraction(1), eps5, b) for b in ("heavy", "massless")]
 
 
 @pytest.mark.parametrize("seed", [42, 7])
 def test_boost_row_equals_per_draw_checks(seed):
-    # the row reads the draws it built once per seed the same way as one
-    # cayley_boost and one boost_defect per trial
-    rows = _boost_rows(RunConfig(seed=seed))
-    rng = random.Random(seed)
-    omegas = []
-    for _ in range(100):
-        q = rng.randint(1, 10)
-        omegas.append(_omega([Fraction(rng.randint(-q, q), q) for _ in range(6)]))
-    boosts = [cayley_boost(omega) for omega in omegas]
-    for eps5, row in rows.items():
-        pair = [reference_solutions(Fraction(1), eps5, b) for b in ("heavy", "massless")]
+    # boost_defect over a list of draws, each branch taking every other
+    # one, agrees with one boost_defect per draw: all keep the equation
+    boosts = _seeded_boosts(seed)
+    for eps5 in (1, -1):
+        pair = _reference_pair(eps5)
         assert all(boost_defect(pair[t % 2], [b]) is None for t, b in enumerate(boosts))
-        assert row.status == "pass" and row.details["failure"] is None
-        assert row.residual == row.details["worst_k2_drift"] == 0
-        assert row.details["max_height_bits"] == max(b.height_bits for b in boosts)
+        assert [boost_defect(sol, boosts[parity::2]) for parity, sol in enumerate(pair)] == [
+            None, None]
+    assert max(b.height_bits for b in boosts) == 22
 
 
 def test_tampered_g4_fails_the_boost_row(monkeypatch):
@@ -353,50 +362,9 @@ def test_tampered_g4_fails_the_boost_row(monkeypatch):
         *gammas, g4 = clifford._gamma_units(eps5)
         return (*gammas, tuple((r, c, -x) for r, c, x in g4))
 
+    boosts = _seeded_boosts(42)
+    pairs = [_reference_pair(eps5) for eps5 in (1, -1)]
     monkeypatch.setattr(cayley, "_gamma_units", flipped)
-    rows = _boost_rows(RunConfig(seed=42))
-    for row in rows.values():
-        assert row.status == "fail"
-        assert row.details["failure"] == "heavy draw 0: D(Lambda k) S u != 0"
-
-
-def test_corrupted_boost_table_fails_the_boost_row(monkeypatch):
-    # G with one entry negated gives a wrong S^-1 at the first draw, which
-    # the row names under the branch it would have moved
-    true_tables = cayley._tables
-
-    def corrupted():
-        tab = true_tables()
-        (row, sign), *rest = tab.g_cols
-        return tab._replace(g_cols=[(row, -sign), *rest])
-
-    monkeypatch.setattr(cayley, "_tables", corrupted)
-    for row in _boost_rows(RunConfig(seed=42)).values():
-        assert row.status == "fail"
-        assert row.details["failure"] == "heavy draw 0: S^-1 S != I"
-
-
-def test_boost_row_names_the_first_failing_draw(monkeypatch):
-    # draw 7 (massless) is made singular: the row names it, and a heavy
-    # draw 4 that fails covariance comes before it
-    true_boosts = cayley.cayley_boosts
-
-    def with_singular(omegas):
-        singular = [_omega([4, 0, 0, 0, 0, 0])]
-        return true_boosts(omegas[:7] + singular + omegas[8:] if len(omegas) > 7 else omegas)
-
-    monkeypatch.setattr(checks, "cayley_boosts", with_singular)
-    for row in _boost_rows(RunConfig(seed=42)).values():
-        assert row.status == "fail"
-        assert row.details["failure"] == "massless draw 7: I - A/2 is singular"
-
-    true_defect = cayley.boost_defect
-
-    def bad_heavy(sol, boosts):
-        if sol.branch == "heavy":
-            return 2, "D(Lambda k) S u != 0"
-        return true_defect(sol, boosts)
-
-    monkeypatch.setattr(checks, "boost_defect", bad_heavy)
-    for row in _boost_rows(RunConfig(seed=42)).values():
-        assert row.details["failure"] == "heavy draw 4: D(Lambda k) S u != 0"
+    for heavy, massless in pairs:
+        assert boost_defect(heavy, boosts[0::2]) == (0, "D(Lambda k) S u != 0")
+        assert boost_defect(massless, boosts[1::2]) is None

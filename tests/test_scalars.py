@@ -244,7 +244,20 @@ class TestParamPoly:
             sym("l").min_degree_in("zeta")
         with pytest.raises(UnknownSymbolError):
             sym("l").truncate_in("zeta", 1)
+        with pytest.raises(UnknownSymbolError):
+            sym("l").derivative("zeta")
         assert set(SYMBOLS) >= {"l", "rho", "r", "k0", "v"}
+
+    def test_derivative_by_terms(self):
+        p = sym("k0") ** 3 * sym("l") * poly(Fraction(1, 2)) - sym("k1") * poly(ExactScalar(0, 2))
+        assert p.derivative("k0") == sym("k0") ** 2 * sym("l") * poly(Fraction(3, 2))
+        assert p.derivative("k1") == poly(ExactScalar(0, -2))
+        assert p.derivative("rho").is_zero()
+
+    @given(small_polys(), small_polys())
+    @settings(max_examples=40, deadline=None)
+    def test_derivative_product_rule(self, p, q):
+        assert (p * q).derivative("l") == p.derivative("l") * q + p * q.derivative("l")
 
     def test_substitute_rho_with_r_squared(self):
         p = sym("rho") * poly(3) + sym("l")
