@@ -325,16 +325,19 @@ def test_singular_generator_names_its_draw():
         cayley_boost([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
 
 
-def _seeded_boosts(seed):
-    """The Cayley boosts of 100 seeded generators: a denominator q uniform
-    in 1..10, then omega_ab, a < b in row order, as p/q with p uniform in
-    -q..q."""
+def _seeded_omegas(seed):
+    """100 seeded generators: a denominator q uniform in 1..10, then
+    omega_ab, a < b in row order, as p/q with p uniform in -q..q."""
     rng = random.Random(seed)
-    boosts = []
+    omegas = []
     for _ in range(100):
         q = rng.randint(1, 10)
-        boosts.append(cayley_boost(_omega([Fraction(rng.randint(-q, q), q) for _ in range(6)])))
-    return boosts
+        omegas.append(_omega([Fraction(rng.randint(-q, q), q) for _ in range(6)]))
+    return omegas
+
+
+def _seeded_boosts(seed):
+    return [cayley_boost(omega) for omega in _seeded_omegas(seed)]
 
 
 def _reference_pair(eps5):
@@ -368,3 +371,19 @@ def test_tampered_g4_fails_the_boost_row(monkeypatch):
     for heavy, massless in pairs:
         assert boost_defect(heavy, boosts[0::2]) == (0, "D(Lambda k) S u != 0")
         assert boost_defect(massless, boosts[1::2]) is None
+
+
+def test_corrupted_boost_table_fails_the_boost_row(monkeypatch):
+    # G with one entry negated gives a wrong S^-1 already at the first
+    # seeded draw, which cayley_boost refuses before any solution is moved
+    true_tables = cayley._tables
+
+    def corrupted():
+        tab = true_tables()
+        (row, sign), *rest = tab.g_cols
+        return tab._replace(g_cols=[(row, -sign), *rest])
+
+    omegas = _seeded_omegas(42)
+    monkeypatch.setattr(cayley, "_tables", corrupted)
+    with pytest.raises(VerificationError, match=r"^S\^-1 S != I$"):
+        cayley_boost(omegas[0])
