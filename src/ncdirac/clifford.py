@@ -6,11 +6,14 @@ eta = diag(1,-1,-1,-1,eps5) are realized on 4x4 matrices: gamma0..gamma3
 have purely imaginary entries, gamma5 = i g0 g1 g2 g3, and the fifth
 element is gamma5 itself (eps5 = +1) or i*gamma5 (eps5 = -1).
 
-Everything here is exact.  The gammas are built once per eps5 on first
-use, and the public builders hand out copies; every sum_a c_a gamma^a is
-written by ``gamma_sum`` (ParamPoly coefficients) or ``gamma_rows`` (field
-scalars).  ``ncdirac.lorentz`` proves Lorentz covariance from the six
-generators (1/4)[g^mu, g^nu] on the gammas' unit entries (``_gamma_units``).
+Everything here is exact.  Each gamma has one unit entry per row, so the
+gammas are stored once, as phased permutations: per row, the column of
+its nonzero entry and the power p of i there (``_gamma_perms``, multiplied
+by ``_perm_product``).  Everything else reads that store: the exact
+matrices the public builders copy, every sum_a c_a gamma^a
+(``gamma_sum`` for ParamPoly coefficients, ``gamma_rows`` for field
+scalars), the generator proof of ``ncdirac.lorentz`` and the integer
+tables of ``ncdirac.cayley``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import NamedTuple
 
 from .lie_algebra import ETA4_DIAG
 from .matrices import ExactMatrix, echelon
-from .scalars import P_I, _poly_sum_of_products, poly
+from .scalars import I, ONE, P_ZERO, _poly_sum_of_products, poly
 
 
 class VerificationError(RuntimeError):
@@ -28,36 +31,63 @@ class VerificationError(RuntimeError):
     a reference nullspace has the wrong dimension."""
 
 
-_J = 1j
+# g0..g3, per row (column, p) with the entry i^p there: the Kronecker
+# products g0 = s1 x s2, g1 = i 1 x s1, g2 = i s2 x s2 and g3 = i 1 x s3 of
+# the Pauli matrices, all four purely imaginary
+_GAMMA_PERMS = (
+    ((3, 3), (2, 1), (1, 3), (0, 1)),
+    ((1, 1), (0, 1), (3, 1), (2, 1)),
+    ((3, 3), (2, 1), (1, 1), (0, 3)),
+    ((0, 1), (1, 3), (2, 1), (3, 3)),
+)
+_POWERS = (ONE, I, -ONE, -I)  # i^p
+_POLY_POWERS = tuple(map(poly, _POWERS))
 
-_GAMMA_ENTRIES = {
-    # block forms over sigma1 = [[0,1],[1,0]], sigma2 = [[0,-i],[i,0]],
-    # sigma3 = [[1,0],[0,-1]]; all four entries purely imaginary
-    0: [[0, 0, 0, -_J], [0, 0, _J, 0], [0, -_J, 0, 0], [_J, 0, 0, 0]],
-    1: [[0, _J, 0, 0], [_J, 0, 0, 0], [0, 0, 0, _J], [0, 0, _J, 0]],
-    2: [[0, 0, 0, -_J], [0, 0, _J, 0], [0, _J, 0, 0], [-_J, 0, 0, 0]],
-    3: [[_J, 0, 0, 0], [0, -_J, 0, 0], [0, 0, _J, 0], [0, 0, 0, -_J]],
-}
+
+def _perm_product(*factors, turn: int = 0) -> tuple:
+    """i^turn times the product of one or more phased permutations: X Y
+    sends row r to the column Y gives X's column, and adds the phases."""
+    out, *rest = factors
+    for y in rest:
+        out = tuple((y[c][0], p + y[c][1]) for c, p in out)
+    return tuple((c, (p + turn) % 4) for c, p in out)
 
 
 @cache
-def _exact_gammas() -> tuple:
-    """g0..g3 and gamma5 = i g0 g1 g2 g3, built once and never handed out:
-    the public builders return copies."""
-    g = tuple(ExactMatrix.from_complex_entries(_GAMMA_ENTRIES[mu]) for mu in range(4))
-    return g + ((g[0] @ g[1] @ g[2] @ g[3]).scale(P_I),)
+def _gamma_perms(eps5: int) -> tuple:
+    """g^0..g^4 of the eps5 signature as phased permutations: gamma5 =
+    i g0 g1 g2 g3 is their phased product, and g^4 is gamma5 (eps5 = +1)
+    or i gamma5 (eps5 = -1)."""
+    if eps5 not in (1, -1):
+        raise ValueError("eps5 must be +1 or -1")
+    g5 = _perm_product(*_GAMMA_PERMS, turn=1)
+    return (*_GAMMA_PERMS, g5 if eps5 == 1 else _perm_product(g5, turn=1))
+
+
+def _exact(perm) -> ExactMatrix:
+    rows = [[P_ZERO] * 4 for _ in range(4)]
+    for r, (c, p) in enumerate(perm):
+        rows[r][c] = _POLY_POWERS[p]
+    return ExactMatrix(rows)
+
+
+@cache
+def _majorana_table(eps5: int) -> tuple:
+    """The five exact gammas of the eps5 signature, shared by the builders
+    below and never handed out."""
+    return tuple(map(_exact, _gamma_perms(eps5)))
 
 
 def gamma(mu: int) -> ExactMatrix:
     """gamma^mu for mu in 0..3, exact entries."""
-    if mu not in _GAMMA_ENTRIES:
+    if mu not in range(4):
         raise KeyError(mu)
-    return _exact_gammas()[mu].copy()
+    return _majorana_table(1)[mu].copy()
 
 
 def gamma5() -> ExactMatrix:
     """i g0 g1 g2 g3, computed from the product."""
-    return _exact_gammas()[4].copy()
+    return _majorana_table(1)[4].copy()
 
 
 class GammaRep(NamedTuple):
@@ -74,30 +104,10 @@ class GammaRep(NamedTuple):
         return self.metric5[a] if a == b else 0
 
 
-@cache
-def _majorana_table(eps5: int) -> tuple:
-    """The five exact gammas of the eps5 signature, shared by the builders
-    below and never handed out."""
-    if eps5 not in (1, -1):
-        raise ValueError("eps5 must be +1 or -1")
-    g0, g1, g2, g3, g5 = _exact_gammas()
-    return (g0, g1, g2, g3, g5 if eps5 == 1 else g5.scale(P_I))
-
-
 def build_majorana_rep(eps5: int) -> GammaRep:
     """The Majorana rep of the eps5 signature; each call returns fresh
     matrices, so editing them leaves later calls untouched."""
     return GammaRep(gamma=tuple(g.copy() for g in _majorana_table(eps5)), eps5=eps5)
-
-
-@cache
-def _gamma_units(eps5: int) -> tuple:
-    """Per gamma^a, its nonzero entries as (row, column, scalar)."""
-    return tuple(
-        tuple((r, c, x.to_scalar()) for r, row in enumerate(g.rows)
-              for c, x in enumerate(row) if not x.is_zero())
-        for g in _majorana_table(eps5)
-    )
 
 
 def gamma_sum(eps5: int, coeffs) -> ExactMatrix:
@@ -109,10 +119,10 @@ def gamma_sum(eps5: int, coeffs) -> ExactMatrix:
     products per monomial (``_poly_sum_of_products``), reduced once.
     """
     pairs = {}
-    for g, units, coeff in zip(_majorana_table(eps5), _gamma_units(eps5), coeffs):
+    for perm, coeff in zip(_gamma_perms(eps5), coeffs):
         coeff = poly(coeff)
-        for r, c, _ in units:
-            pairs.setdefault((r, c), []).append((g.rows[r][c], coeff))
+        for r, (c, p) in enumerate(perm):
+            pairs.setdefault((r, c), []).append((_POLY_POWERS[p], coeff))
     return ExactMatrix([[_poly_sum_of_products(pairs.get((r, c), ())) for c in range(4)]
                         for r in range(4)])
 
@@ -125,10 +135,10 @@ def gamma_rows(eps5: int, coeffs, zero) -> list:
     entries from the left.  For ParamPoly coefficients use ``gamma_sum``.
     """
     rows = [[zero] * 4 for _ in range(4)]
-    for units, coeff in zip(_gamma_units(eps5), coeffs):
+    for perm, coeff in zip(_gamma_perms(eps5), coeffs):
         if coeff:
-            for r, c, unit in units:
-                rows[r][c] = rows[r][c] + coeff * unit
+            for r, (c, p) in enumerate(perm):
+                rows[r][c] = rows[r][c] + coeff * _POWERS[p]
     return rows
 
 
@@ -185,7 +195,7 @@ def verify_clifford(rep: GammaRep) -> list[RelationCheck]:
 
 def gamma5_product_check(rep: GammaRep) -> RelationCheck:
     prod = rep.gamma[0] @ rep.gamma[1] @ rep.gamma[2] @ rep.gamma[3]
-    expect = _exact_gammas()[4].scale(-P_I)
+    expect = _exact(_perm_product(_gamma_perms(1)[4], turn=3))  # -i gamma5
     diff = prod - expect
     ok = diff.is_zero()
     return RelationCheck(

@@ -544,7 +544,6 @@ class IsomorphismSolution(NamedTuple):
     src: StructureConstants  # deformed table with rho -> r^2 substituted
     dst: StructureConstants
     passing_sign_choices: list  # [(s_alpha, s_beta, s_gamma), ...]
-    check: IsoCheck  # the search's own full verdict on ``map``
 
 
 # the sign choices (s_alpha, s_beta, s_gamma); bit 1, 2 or 4 of a tag reads
@@ -615,7 +614,9 @@ def solve_isomorphism_scalings(eps4: int, eps5: int) -> IsomorphismSolution:
     eight (``_passing_signs``), and one exact rank serves them all, since
     flipping the signs of columns leaves the rank alone.  All sign choices
     with gamma = -alpha*beta pass; the canonical representative
-    (r, l, -r*l) is returned, with the search's verdict on it as ``check``.
+    (r, l, -r*l) is returned.  Its map is invertible and matches every
+    bracket; when no sign choice gives such a map, ArithmeticError is
+    raised.
     """
     r = sym("r")
     ell = sym("l")
@@ -633,5 +634,4 @@ def solve_isomorphism_scalings(eps4: int, eps5: int) -> IsomorphismSolution:
     return IsomorphismSolution(
         alpha=r, beta=ell, gamma=gamma, map=scaling_map(src, dst, r, ell, gamma),
         src=src, dst=dst, passing_sign_choices=sorted(passing),
-        check=IsoCheck(ok=True, invertible=True, mismatches=[]),
     )

@@ -20,4 +20,10 @@ cmp "$out/fixture.json" tests/golden/verify_algebra_tampered_fixture.json
 python -m ncdirac verify algebra --eps4 1 --eps5 1 \
   --fixture tests/golden/rescaled_tampered_fixture.json > "$out/rescaled.json" || test $? -eq 1
 cmp "$out/rescaled.json" tests/golden/verify_algebra_rescaled_fixture.json
+# the sweep crosses the critical coupling on purpose: the run exits 1
+for fmt in json csv; do
+  python -m ncdirac scan --param vev --from 1/2 --to 2 --steps 4 --eps5 1 \
+    --format $fmt > "$out/scan.$fmt" || test $? -eq 1
+  cmp "$out/scan.$fmt" tests/golden/scan_vev_eps5_plus.$fmt
+done
 echo "golden reports match"

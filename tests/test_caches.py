@@ -8,8 +8,9 @@ that bypasses the caches.
 import itertools
 
 import pytest
+from test_clifford import DENSE_GAMMAS
 
-from ncdirac import clifford, lie_algebra
+from ncdirac import lie_algebra
 from ncdirac.cli import main
 from ncdirac.clifford import build_majorana_rep, gamma, gamma5
 from ncdirac.lie_algebra import (
@@ -37,8 +38,8 @@ def _fresh_orthogonal(eps4, eps5):
 
 
 def _fresh_gammas(eps5):
-    """g0..g3 from their entry tables and g4 from the product, uncached."""
-    g = [ExactMatrix.from_complex_entries(clifford._GAMMA_ENTRIES[mu]) for mu in range(4)]
+    """g0..g3 from their dense block forms and g4 from the product, uncached."""
+    g = [ExactMatrix.from_complex_entries(dense) for dense in DENSE_GAMMAS]
     i = poly(ExactScalar.i())
     g5 = (g[0] @ g[1] @ g[2] @ g[3]).scale(i)
     return g + [g5 if eps5 == 1 else g5.scale(i)], g5

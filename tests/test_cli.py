@@ -203,6 +203,21 @@ def test_scan_rows(capsys):
     assert [r["dispersion_heavy_k2"] for r in rows] == ["16", "4", "16/9", "1"]
 
 
+@pytest.mark.parametrize("start,stop,bad", [("0", "1", 1), ("-1", "1", 2)])
+def test_scan_nonpositive_ell_gives_error_rows(capsys, start, stop, bad):
+    # ell <= 0 leaves D(k) undefined: those rows carry no dispersion value,
+    # the run goes on to the positive ell and exits 1
+    code, out = run(capsys, "scan", "--param", "ell", "--from", start, "--to", stop,
+                    "--steps", str(bad + 1))
+    assert code == 1
+    rows = json.loads(out)["rows"]
+    for row in rows[:bad]:
+        assert (row["status"], row["error"], row["dispersion_heavy_k2"]) == (
+            "error", "ell must be positive", None)
+    assert (rows[-1]["value"], rows[-1]["status"], rows[-1]["dispersion_heavy_k2"]) == (
+        "1", "ok", "4")
+
+
 def test_scan_csv_and_error_rows(capsys):
     # vev sweep crosses the critical coupling for eps5 = +1
     code, out = run(

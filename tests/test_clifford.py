@@ -34,6 +34,36 @@ from ncdirac.scalars import ExactScalar, QuadraticScalar, poly
 J = 1j
 ETA = (1, -1, -1, -1)
 
+# g0..g3 as dense block forms over s1 = [[0,1],[1,0]], s2 = [[0,-i],[i,0]],
+# s3 = [[1,0],[0,-1]], all entries purely imaginary: the oracle that the
+# phased-permutation store of ``clifford`` must equal entrywise
+DENSE_GAMMAS = (
+    [[0, 0, 0, -J], [0, 0, J, 0], [0, -J, 0, 0], [J, 0, 0, 0]],
+    [[0, J, 0, 0], [J, 0, 0, 0], [0, 0, 0, J], [0, 0, J, 0]],
+    [[0, 0, 0, -J], [0, 0, J, 0], [0, J, 0, 0], [-J, 0, 0, 0]],
+    [[J, 0, 0, 0], [0, -J, 0, 0], [0, 0, J, 0], [0, 0, 0, -J]],
+)
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+def test_gamma_store_equals_the_dense_block_forms(eps5):
+    s1, s2, s3 = (np.array(m) for m in ([[0, 1], [1, 0]], [[0, -J], [J, 0]],
+                                        [[1, 0], [0, -1]]))
+    one = np.eye(2)
+    dense = [np.array(g) for g in DENSE_GAMMAS]
+    assert all(np.array_equal(d, k) for d, k in zip(dense, (
+        np.kron(s1, s2), J * np.kron(one, s1), np.kron(J * s2, s2), J * np.kron(one, s3))))
+    g5 = J * dense[0] @ dense[1] @ dense[2] @ dense[3]
+    want = dense + [g5 if eps5 == 1 else J * g5]
+    stored = clifford._gamma_perms(eps5)
+    for mu, (perm, d) in enumerate(zip(stored, want)):
+        assert np.array_equal(
+            [[J ** p if k == c else 0 for k in range(4)] for c, p in perm], d)
+        assert np.array_equal(as_array(build_majorana_rep(eps5).gamma[mu]), d)
+        if mu < 4:
+            assert np.array_equal(as_array(gamma(mu)), d)
+    assert np.array_equal(as_array(gamma5()), g5)
+
 
 def test_gamma5_frozen_value():
     expect = np.array(
@@ -235,37 +265,52 @@ def test_nearly_antisymmetric_generator_is_rejected():
         cayley_boost(omega)
 
 
-def _negate_first(entries):
-    (i, sign), *rest = entries
-    return [(i, -sign), *rest]
+def _negate_first(flat):
+    i = next(i for i, v in enumerate(flat) if v)
+    return [-v if j == i else v for j, v in enumerate(flat)]
 
 
-# one table the boost kernel reads, corrupted, and the identity that must
-# then fail: a wrong tr(M^2 G) or G gives a wrong inverse, a wrong R_0 a
-# wrong pairing, a Euclidean eta a failed metric and a wrong G on the left
-# a failed commutator
+def _tables_with(change):
+    def tamper(monkeypatch):
+        true_tables = cayley._tables
+        monkeypatch.setattr(cayley, "_tables", lambda: change(*true_tables()))
+    return tamper
+
+
+def _g4_with_first_row_negated(monkeypatch):
+    true_perms = clifford._gamma_perms
+
+    def perms(eps5):
+        *gammas, ((c, p), *rest) = true_perms(eps5)
+        return (*gammas, ((c, (p + 2) % 4), *rest))
+
+    monkeypatch.setattr(clifford, "_gamma_perms", perms)
+
+
+# one thing the boost kernel reads, tampered, and the identity that must
+# then fail on its own: a wrong R_0 R_1 or G gives a wrong inverse, a wrong
+# R_0 a wrong pairing, a Euclidean eta a failed metric, and a wrong g^4 in
+# the gammas' store a failed commutator
 _CORRUPTIONS = {
-    "g_trace": (lambda tab: tab._replace(g_trace=_negate_first(tab.g_trace)),
-                "S^-1 S != I"),
-    "g_cols": (lambda tab: tab._replace(g_cols=_negate_first(tab.g_cols)),
+    "pairs": (_tables_with(lambda r, pairs, g: (
+        r, {**pairs, (0, 1): _negate_first(pairs[0, 1])}, g)), "S^-1 S != I"),
+    "g_cols": (_tables_with(lambda r, pairs, g: (r, pairs, _negate_first(g))),
                "S^-1 S != I"),
-    "r_entries": (lambda tab: tab._replace(
-        r_entries=[_negate_first(tab.r_entries[0]), *tab.r_entries[1:]]),
-        "S^-1 g^mu S != Lambda^mu_nu g^nu"),
-    "eta": (lambda tab: tab._replace(eta=tab.eye), "Lambda^T eta Lambda != eta"),
-    "g_rows": (lambda tab: tab._replace(g_rows=_negate_first(tab.g_rows)),
-               "[S, g^4] != 0"),
+    "r_entries": (_tables_with(lambda r, pairs, g: ([_negate_first(r[0]), *r[1:]], pairs, g)),
+                  "S^-1 g^mu S != Lambda^mu_nu g^nu"),
+    "eta": (lambda monkeypatch: monkeypatch.setattr(cayley, "ETA4_DIAG", (1, 1, 1, 1)),
+            "Lambda^T eta Lambda != eta"),
+    "g_rows": (_g4_with_first_row_negated, "[S, g^4] != 0"),
 }
 
 
 @pytest.mark.parametrize("field", sorted(_CORRUPTIONS))
 def test_cayley_identities_fire_on_a_corrupted_table(monkeypatch, field):
-    corrupt, message = _CORRUPTIONS[field]
+    tamper, message = _CORRUPTIONS[field]
     omegas = list(_seeded_generators(42, 5))
     for omega in omegas:  # the true tables pass
         cayley_boost(omega)
-    true_tables = cayley._tables
-    monkeypatch.setattr(cayley, "_tables", lambda: corrupt(true_tables()))
+    tamper(monkeypatch)
     for omega in omegas:
         with pytest.raises(VerificationError) as info:
             cayley_boost(omega)

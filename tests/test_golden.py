@@ -31,6 +31,13 @@ rescaled by a rational of up to 9 digits over 9 digits
 was written by the flat kernel that paired ExactScalars over all 455
 triples, before the integer sparse-join kernel replaced it; the residual
 it pins is a rational of 31 digits over 32.
+
+``scan_vev_eps5_plus.json`` and its CSV rendering sweep the condensate
+over 1/2, 1, 3/2, 2 at eps5 = +1: one ok row, one whose light root is the
+heavy one (fail), and two overcritical error rows, so the run exits 1.
+They pin the scan path and the seesaw spectrum that ``gamma_rows`` feeds,
+and were written by the engine whose ``clifford`` kept dense gamma
+literals and whose ``cayley`` read them as signed permutations.
 """
 
 import json
@@ -46,6 +53,8 @@ from ncdirac.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURE = "tests/golden/tampered_deformed_fixture.json"
 RESCALED = "tests/golden/rescaled_tampered_fixture.json"
+SCAN_VEV = ["scan", "--param", "vev", "--from", "1/2", "--to", "2", "--steps", "4",
+            "--eps5", "1"]
 
 
 @pytest.mark.parametrize("argv,golden,code", [
@@ -60,6 +69,8 @@ RESCALED = "tests/golden/rescaled_tampered_fixture.json"
     (["check", "all", "--seed", "42"], "check_all_seed42.json", 0),
     (["verify", "algebra", "--eps4", "1", "--eps5", "1", "--fixture", RESCALED],
      "verify_algebra_rescaled_fixture.json", 1),
+    (SCAN_VEV, "scan_vev_eps5_plus.json", 1),
+    (SCAN_VEV + ["--format", "csv"], "scan_vev_eps5_plus.csv", 1),
 ])
 def test_exact_report_matches_golden(monkeypatch, capsys, argv, golden, code):
     # the fixture path is part of the report, so run where CI runs
@@ -75,8 +86,7 @@ NUMPY_FREE = [
     (["verify", "planewave", "--all-signs"], 0, "verify_planewave_all_signs.json"),
     (["modes"], 0, None),
     (["seesaw"], 0, "seesaw_default.json"),
-    (["scan", "--param", "vev", "--from", "1/2", "--to", "2", "--steps", "4",
-      "--eps5", "1"], 1, None),
+    (SCAN_VEV, 1, "scan_vev_eps5_plus.json"),
 ]
 
 

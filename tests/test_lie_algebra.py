@@ -115,11 +115,10 @@ def test_isomorphism_scalings(eps4, eps5):
     assert set(sol.passing_sign_choices) == {
         (1, 1, -1), (1, -1, 1), (-1, 1, 1), (-1, -1, -1),
     }
+    # the canonical map the search returns is an isomorphism
     check = verify_linear_isomorphism(sol.map)
     assert check.ok and check.invertible
     assert check.mismatches == []
-    # the search carries the same verdict on its canonical map
-    assert sol.check == check
 
 
 def _double_one_coefficient(monkeypatch, which):

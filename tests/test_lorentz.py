@@ -72,35 +72,49 @@ def test_k2_on_g0_fails_the_generator_row(monkeypatch):
 
 
 def test_g4_swapped_for_g0_fails_the_generator_row(monkeypatch):
-    true_units = clifford._gamma_units
-    monkeypatch.setattr(clifford, "_gamma_units",
-                        lambda eps5: (*true_units(eps5)[:4], true_units(eps5)[0]))
+    true_perms = clifford._gamma_perms
+    monkeypatch.setattr(clifford, "_gamma_perms",
+                        lambda eps5: (*true_perms(eps5)[:4], true_perms(eps5)[0]))
     for row in _generator_rows().values():
         assert row.status == "fail"
         assert row.details == {"generators": 1, "gamma_identities": 5, "dirac_identities": 0,
                                "failure": "[S_01, g^4] != 0"}
 
 
+def _turned(mu, turn, row_index=None):
+    """The gammas' store with row ``row_index`` of g^mu, or all of g^mu when
+    it is None, multiplied by i^turn."""
+    true_perms = clifford._gamma_perms
+
+    def perms(eps5):
+        gammas = list(true_perms(eps5))
+        gammas[mu] = tuple((c, (p + turn) % 4) if row_index in (None, r) else (c, p)
+                           for r, (c, p) in enumerate(gammas[mu]))
+        return tuple(gammas)
+
+    return perms
+
+
+@pytest.mark.parametrize("turned, counts, failure", [
+    # g^1 with one row negated no longer anticommutes with g^0
+    (_turned(1, 2, row_index=0), (1, 0, 0), "g^0 g^1 != -g^1 g^0"),
+    # i g^0 anticommutes with every g^a, but squares to -1: S_01 then
+    # turns g^0 into +g^1 where -g^1 is due
+    (_turned(0, 1), (1, 1, 0), "[S_01, g^0] != g^r (L_01)^r_0"),
+])
+def test_each_gamma_identity_fails_on_its_own_tamper(monkeypatch, turned, counts, failure):
+    monkeypatch.setattr(clifford, "_gamma_perms", turned)
+    for row in _generator_rows().values():
+        assert row.status == "fail"
+        assert row.details == {**dict(zip(("generators", "gamma_identities",
+                                           "dirac_identities"), counts)),
+                               "failure": failure}
+
+
 @pytest.mark.parametrize("eps5", [1, -1])
 @pytest.mark.parametrize("mu", range(4))
 @pytest.mark.parametrize("row_index", range(4))
 def test_one_flipped_gamma_sign_fails_the_generator_row(monkeypatch, eps5, mu, row_index):
-    true_units = clifford._gamma_units
-
-    def flipped(e5):
-        units = list(true_units(e5))
-        units[mu] = tuple((r, c, -x if r == row_index else x) for r, c, x in units[mu])
-        return tuple(units)
-
-    monkeypatch.setattr(clifford, "_gamma_units", flipped)
+    monkeypatch.setattr(clifford, "_gamma_perms", _turned(mu, 2, row_index))
     row = _generator_rows(RunConfig(eps5=eps5))[eps5]
     assert row.status == "fail" and row.details["failure"] is not None
-
-
-def test_gamma_that_is_no_phased_permutation_fails_the_generator_row(monkeypatch):
-    true_units = clifford._gamma_units
-    monkeypatch.setattr(clifford, "_gamma_units", lambda eps5: (
-        tuple((r, c, x * 2) for r, c, x in true_units(eps5)[0]), *true_units(eps5)[1:]))
-    for row in _generator_rows().values():
-        assert row.status == "fail"
-        assert row.details["failure"] == "a gamma is not a phased permutation"

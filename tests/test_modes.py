@@ -361,13 +361,15 @@ def test_tampered_g4_fails_the_boost_row(monkeypatch):
     # D(k') with the sign of g^4 flipped no longer kills the boosted heavy
     # solutions (k^2 != 0); the massless ones (k^2 = 0) still pass, and the
     # reference solutions come from the true operator
+    true_perms = clifford._gamma_perms
+
     def flipped(eps5):
-        *gammas, g4 = clifford._gamma_units(eps5)
-        return (*gammas, tuple((r, c, -x) for r, c, x in g4))
+        *gammas, g4 = true_perms(eps5)
+        return (*gammas, tuple((c, (p + 2) % 4) for c, p in g4))
 
     boosts = _seeded_boosts(42)
     pairs = [_reference_pair(eps5) for eps5 in (1, -1)]
-    monkeypatch.setattr(cayley, "_gamma_units", flipped)
+    monkeypatch.setattr(clifford, "_gamma_perms", flipped)
     for heavy, massless in pairs:
         assert boost_defect(heavy, boosts[0::2]) == (0, "D(Lambda k) S u != 0")
         assert boost_defect(massless, boosts[1::2]) is None
@@ -379,9 +381,9 @@ def test_corrupted_boost_table_fails_the_boost_row(monkeypatch):
     true_tables = cayley._tables
 
     def corrupted():
-        tab = true_tables()
-        (row, sign), *rest = tab.g_cols
-        return tab._replace(g_cols=[(row, -sign), *rest])
+        r, pairs, g = true_tables()
+        i = next(i for i, v in enumerate(g) if v)
+        return r, pairs, [-v if j == i else v for j, v in enumerate(g)]
 
     omegas = _seeded_omegas(42)
     monkeypatch.setattr(cayley, "_tables", corrupted)
