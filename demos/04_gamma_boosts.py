@@ -17,13 +17,12 @@ def vector_boost(boost):
 
 
 for eps5 in (-1, 1):
-    rep = build_majorana_rep(eps5)
-    checks = verify_clifford(rep)
+    checks = verify_clifford(eps5)
     failed = [c.name for c in checks if not c.ok]
     sig = "(3,2)" if eps5 == 1 else "(4,1)"
     print(f"eps5={eps5:+d}: Clifford algebra of signature {sig}, "
           f"{len(checks)} relations, failures: {failed or 'none'}")
-    g4 = rep.gamma[4]
+    g4 = build_majorana_rep(eps5).gamma[4]
     print(f"  gamma4 squared = {(g4 @ g4).rows[0][0]} * Id")
 
 print("\n== the Cayley boost of omega_03 = 1 ==")

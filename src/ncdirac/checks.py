@@ -33,7 +33,6 @@ from .weyl import closure_families
 from .enveloping import lemma_matrix_check, verify_plane_wave_relations
 from .clifford import (
     VerificationError,
-    build_majorana_rep,
     clifford_relations,
     gamma5_product_check,
     majorana_imaginary_check,
@@ -318,11 +317,10 @@ def cmd_verify_rep(cfg: RunConfig):
 @_command
 def cmd_verify_clifford(cfg: RunConfig):
     for e5 in cfg.eps5_values():
-        rep = build_majorana_rep(e5)
         # each relation and each product check runs in its own step
         results = chain(
-            clifford_relations(rep),
-            (check(rep) for check in (gamma5_product_check, majorana_imaginary_check)),
+            clifford_relations(e5),
+            (check(e5) for check in (gamma5_product_check, majorana_imaginary_check)),
         )
         for rc in results:
             yield _row(
@@ -468,13 +466,17 @@ def seesaw_verdict(coupling: CouplingConfig, spectrum) -> tuple[bool, float, flo
     """(ok, deviation tolerance, mu/M) for one exact spectrum: the light
     mass within max(2 (mu/M)^2, 1e-12) of its leading value, the heavy mass
     within 2 (mu/M)^2 of M = 2/l, and the light class unset or the one the
-    leading order predicts."""
+    leading order predicts.  Once 2 (mu/M)^2 reaches 1 those bounds admit
+    every light mass up to twice its leading value, the heavy root among
+    them, so such a coupling fails; that is decided exactly, as
+    2 |g|^2 vev^2 >= M^2."""
     big_m = 2.0 / float(coupling.ell)
     ratio = coupling.mu() / big_m
     tol = max(2.0 * ratio * ratio, 1e-12)
     heavy_drift = abs(math.sqrt(abs(spectrum.heavy_k2)) - big_m) / big_m
     ok = (
-        spectrum.deviation <= tol
+        2 * coupling.coupling_squared() * coupling.vev ** 2 < (2 / coupling.ell) ** 2
+        and spectrum.deviation <= tol
         and heavy_drift <= 2.0 * ratio * ratio + 1e-12
         and spectrum.light_class in (None, light_mass_leading(coupling)[1])
     )

@@ -53,7 +53,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--order", type=int, default=None,
                     help="truncation order in l for series checks")
     sp.add_argument("--seed", type=int, default=None,
-                    help="seed for randomized draws (64-bit unsigned)")
+                    help="echoed in the report's config only; no check reads it "
+                         "(64-bit unsigned)")
     sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
     sp.add_argument("--out", default=None, help="write the report here")
     sp.add_argument("--fixture", default=None,

@@ -9,16 +9,18 @@ element is gamma5 itself (eps5 = +1) or i*gamma5 (eps5 = -1).
 Everything here is exact.  Each gamma has one unit entry per row, so the
 gammas are stored once, as phased permutations: per row, the column of
 its nonzero entry and the power p of i there (``_gamma_perms``, multiplied
-by ``_perm_product``).  Everything else reads that store: the exact
-matrices the public builders copy, every sum_a c_a gamma^a
-(``gamma_sum`` for ParamPoly coefficients, ``gamma_rows`` for field
-scalars), the generator proof of ``ncdirac.lorentz`` and the integer
-tables of ``ncdirac.cayley``.
+by ``_perm_product``).  Everything else reads that store: the Clifford
+relations, decided by index arithmetic (a dense difference is built only
+for a failing relation, to size its residual), the exact matrices of
+``build_majorana_rep``, every sum_a c_a gamma^a (``gamma_sum`` for
+ParamPoly coefficients, ``gamma_rows`` for field scalars), the generator
+proof of ``ncdirac.lorentz`` and the integer tables of ``ncdirac.cayley``.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 from .lie_algebra import ETA4_DIAG
@@ -71,43 +73,17 @@ def _exact(perm) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
-@cache
-def _majorana_table(eps5: int) -> tuple:
-    """The five exact gammas of the eps5 signature, shared by the builders
-    below and never handed out."""
-    return tuple(map(_exact, _gamma_perms(eps5)))
-
-
-def gamma(mu: int) -> ExactMatrix:
-    """gamma^mu for mu in 0..3, exact entries."""
-    if mu not in range(4):
-        raise KeyError(mu)
-    return _majorana_table(1)[mu].copy()
-
-
-def gamma5() -> ExactMatrix:
-    """i g0 g1 g2 g3, computed from the product."""
-    return _majorana_table(1)[4].copy()
-
-
 class GammaRep(NamedTuple):
-    """Five gamma matrices gamma[0..4] with the metric diag(1,-1,-1,-1,eps5)."""
+    """Five gamma matrices gamma[0..4] of the eps5 signature."""
 
     gamma: tuple
     eps5: int
 
-    @property
-    def metric5(self):
-        return ETA4_DIAG + (self.eps5,)
-
-    def eta(self, a: int, b: int) -> int:
-        return self.metric5[a] if a == b else 0
-
 
 def build_majorana_rep(eps5: int) -> GammaRep:
-    """The Majorana rep of the eps5 signature; each call returns fresh
-    matrices, so editing them leaves later calls untouched."""
-    return GammaRep(gamma=tuple(g.copy() for g in _majorana_table(eps5)), eps5=eps5)
+    """The Majorana rep of the eps5 signature as exact matrices, built
+    fresh from the store on every call."""
+    return GammaRep(tuple(map(_exact, _gamma_perms(eps5))), eps5)
 
 
 def gamma_sum(eps5: int, coeffs) -> ExactMatrix:
@@ -149,78 +125,76 @@ class RelationCheck(NamedTuple):
     residual: float
 
 
-def _max_abs(diff: ExactMatrix) -> float:
-    """The largest entry modulus of a constant matrix, as a float."""
-    return max(abs(complex(x)) for row in diff.scalar_entries() for x in row)
+def _anticommute(x, y) -> bool:
+    """Whether the phased permutations x and y anticommute, x y = -y x."""
+    return _perm_product(x, y) == _perm_product(y, x, turn=2)
 
 
-def _pair_residual(rep: GammaRep, a: int, b: int) -> ExactMatrix:
-    ga, gb = rep.gamma[a], rep.gamma[b]
-    anti = ga @ gb + gb @ ga
-    target = ExactMatrix.identity(4).scale(poly(2 * rep.eta(a, b)))
-    return anti - target
+def _squares_to(x, eta: int) -> bool:
+    """Whether x x = eta I: the phased permutation with phase 0 (eta = 1)
+    or 2 (eta = -1) on the diagonal."""
+    return _perm_product(x, x) == tuple((r, 1 - eta) for r in range(4))
 
 
-def clifford_relations(rep: GammaRep):
+def _gap(terms, target: int = 0) -> ExactMatrix:
+    """The sum of the phased permutations ``terms`` minus target I, dense."""
+    out = ExactMatrix.identity(4).scale(poly(-target))
+    for perm in terms:
+        out = out + _exact(perm)
+    return out
+
+
+def _check(name: str, relation: str, ok: bool, gaps) -> RelationCheck:
+    """One relation's row.  ``gaps()`` gives the dense differences of its
+    two sides and is called only when the relation fails: the residual is
+    their largest entry modulus, as a float."""
+    residual = 0.0 if ok else max(abs(complex(x)) for gap in gaps()
+                                  for row in gap.scalar_entries() for x in row)
+    return RelationCheck(name, relation, ok, residual)
+
+
+def clifford_relations(eps5: int):
     """The 15 unordered anticommutator pairs, then the 5 squares, each
-    checked exactly when it is drawn from this generator."""
-    for a in range(5):
-        for b in range(a, 5):
-            diff = _pair_residual(rep, a, b)
-            ok = diff.is_zero()
-            rhs = f"2*eta{a}{a}" if a == b else "0"
-            yield RelationCheck(
-                name=f"anticommutator_g{a}_g{b}",
-                relation=f"{{g{a},g{b}}} = {rhs}",
-                ok=ok,
-                residual=0.0 if ok else _max_abs(diff),
-            )
-    for a in range(5):
-        sq = rep.gamma[a] @ rep.gamma[a]
-        target = ExactMatrix.identity(4).scale(poly(rep.eta(a, a)))
-        diff = sq - target
-        ok = diff.is_zero()
-        yield RelationCheck(
-            name=f"square_g{a}",
-            relation=f"(g{a})^2 = eta{a}{a}",
-            ok=ok,
-            residual=0.0 if ok else _max_abs(diff),
+    decided on the gammas' store when it is drawn from this generator."""
+    gammas = _gamma_perms(eps5)
+    metric = ETA4_DIAG + (eps5,)
+    for a, b in combinations_with_replacement(range(5), 2):
+        x, y = gammas[a], gammas[b]
+        eta = metric[a] if a == b else 0
+        yield _check(
+            f"anticommutator_g{a}_g{b}",
+            f"{{g{a},g{b}}} = {f'2*eta{a}{a}' if a == b else '0'}",
+            _squares_to(x, eta) if a == b else _anticommute(x, y),
+            lambda: [_gap((_perm_product(x, y), _perm_product(y, x)), 2 * eta)],
         )
+    for a, x in enumerate(gammas):
+        yield _check(f"square_g{a}", f"(g{a})^2 = eta{a}{a}", _squares_to(x, metric[a]),
+                     lambda: [_gap((_perm_product(x, x),), metric[a])])
 
 
-def verify_clifford(rep: GammaRep) -> list[RelationCheck]:
+def verify_clifford(eps5: int) -> list[RelationCheck]:
     """The 15 unordered anticommutator pairs plus the 5 squares, exactly."""
-    return list(clifford_relations(rep))
+    return list(clifford_relations(eps5))
 
 
-def gamma5_product_check(rep: GammaRep) -> RelationCheck:
-    prod = rep.gamma[0] @ rep.gamma[1] @ rep.gamma[2] @ rep.gamma[3]
-    expect = _exact(_perm_product(_gamma_perms(1)[4], turn=3))  # -i gamma5
-    diff = prod - expect
-    ok = diff.is_zero()
-    return RelationCheck(
-        name="gamma5_product",
-        relation="g5 = i*g0*g1*g2*g3",
-        ok=ok,
-        residual=0.0 if ok else _max_abs(diff),
-    )
+def gamma5_product_check(eps5: int) -> RelationCheck:
+    """g0 g1 g2 g3 = -i gamma5, with gamma5 read from g^4: g^4 itself for
+    eps5 = +1 and -i g^4 for eps5 = -1."""
+    gammas = _gamma_perms(eps5)
+    prod = _perm_product(*gammas[:4])
+    i_g5 = _perm_product(gammas[4], turn=1 if eps5 == 1 else 0)
+    # the gap prod - (-i gamma5) is prod + i gamma5
+    return _check("gamma5_product", "g5 = i*g0*g1*g2*g3", prod == _perm_product(i_g5, turn=2),
+                  lambda: [_gap((prod, i_g5))])
 
 
-def majorana_imaginary_check(rep: GammaRep) -> RelationCheck:
-    """conj(g^mu) = -g^mu entrywise for mu in 0..3."""
-    worst = 0.0
-    ok = True
-    for mu in range(4):
-        diff = rep.gamma[mu].conjugate() + rep.gamma[mu]
-        if not diff.is_zero():
-            ok = False
-            worst = max(worst, _max_abs(diff))
-    return RelationCheck(
-        name="majorana_imaginary",
-        relation="conj(g_mu) = -g_mu for mu in 0..3",
-        ok=ok,
-        residual=worst,
-    )
+def majorana_imaginary_check(eps5: int) -> RelationCheck:
+    """conj(g^mu) = -g^mu entrywise for mu in 0..3: every unit of g^0..g^3
+    is +-i, that is, every p is odd."""
+    gammas = _gamma_perms(eps5)[:4]
+    return _check("majorana_imaginary", "conj(g_mu) = -g_mu for mu in 0..3",
+                  all(p % 2 for g in gammas for _, p in g),
+                  lambda: [_exact(g).conjugate() + _exact(g) for g in gammas])
 
 
 def conjugation_closed(rows) -> bool:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import clifford, modes
-from .clifford import _perm_product
+from .clifford import _anticommute, _perm_product
 from .lie_algebra import ETA4_DIAG, lower
 from .scalars import MOMENTUM_SYMBOLS, P_ZERO, _poly_sum_of_products, poly, sym
 
@@ -50,9 +50,9 @@ def lorentz_covariance(eps5: int) -> dict:
     low_k = lower(MOMENTUM_SYMBOLS)
     for mu, nu in combinations(range(4), 2):
         counts["generators"] += 1
-        twice = _perm_product(gammas[mu], gammas[nu])  # 2 S_munu
-        if twice != _perm_product(gammas[nu], gammas[mu], turn=2):
+        if not _anticommute(gammas[mu], gammas[nu]):
             return {**counts, "failure": f"g^{mu} g^{nu} != -g^{nu} g^{mu}"}
+        twice = _perm_product(gammas[mu], gammas[nu])  # 2 S_munu
         vector = lorentz_generator(mu, nu)
         for sigma, g in enumerate(gammas):
             counts["gamma_identities"] += 1

@@ -41,8 +41,9 @@ class ExactMatrix:
     @staticmethod
     def from_complex_entries(entries) -> "ExactMatrix":
         """Build from nested lists of exact numbers and Python complex
-        numbers with integer parts, as the gamma tables hold.  Any other
-        complex raises TypeError: its float parts are not exact."""
+        numbers with integer parts, such as a basis ``reality_class`` is
+        given.  Any other complex raises TypeError: its float parts are not
+        exact."""
         return ExactMatrix([[_gaussian_integer(x) if isinstance(x, complex) else x
                              for x in row] for row in entries])
 

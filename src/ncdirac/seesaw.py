@@ -12,7 +12,9 @@ u2 = -(l/2) eps5 g^4 g* <phi> u1 and the effective light operator
 g.k - eps5 |g|^2 <phi>^2 (l/2) g^4, i.e. a gamma5 mass term of size
 m = |g|^2 <phi>^2 l / 2.  With M = 2/l and mu = |g|<phi| this is the seesaw
 ratio mu^2 / M; the exact light root differs from it at relative order
-(mu/M)^2.
+(mu/M)^2.  Every exact gamma term (g.k, g^4 (2/l), the eliminated W and the
+printed gamma5 mass term) is formed by ``clifford.gamma_sum`` from the
+gammas' one store, and the Schur complements below by ``gamma_rows``.
 
 The exact spectrum works in the rest frame k = (E,0,0,0) for eps5 = -1 and
 the z-frame k = (0,0,0,q) for eps5 = +1.  There the determinant of the 8x8
@@ -30,12 +32,11 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .clifford import (build_majorana_rep, conjugation_closed, gamma5, gamma_rows, gamma_sum,
-                       reality_class)
+from .clifford import conjugation_closed, gamma_rows, gamma_sum, reality_class
 from .lie_algebra import lower, minkowski_square
 from .matrices import ExactMatrix, echelon
-from .scalars import (ExactScalar, ParamPoly, _coerce_scalar, as_fraction, exact_sqrt,
-                      poly, sym)
+from .scalars import (I, ONE, ExactScalar, ParamPoly, _coerce_scalar, as_fraction,
+                      exact_sqrt, poly, sym)
 
 _HALF = ExactScalar(Fraction(1, 2))
 
@@ -110,10 +111,9 @@ def coupled_matrix(k, c: CouplingConfig) -> ExactMatrix:
 def leading_order_reduction(c: CouplingConfig):
     """(W, effective): u2 = W u1 with W = -(l/2) eps5 g* vev g^4, and the
     effective light operator as a function of the four-momentum."""
-    rep = build_majorana_rep(c.eps5)
     v = ExactScalar(c.vev)
     w_coeff = poly(-c.eps5) * poly(c.g.conjugate() * v * ExactScalar(c.ell) * _HALF)
-    W = rep.gamma[4].scale(w_coeff)
+    W = gamma_sum(c.eps5, [0, 0, 0, 0, w_coeff])
     mass_coeff = w_coeff * poly(c.g * v)
 
     def effective(k) -> ExactMatrix:
@@ -151,19 +151,13 @@ def verify_effective_equation(c: CouplingConfig) -> EffectiveCheck:
     """Exact algebraic identity in the vev and length symbols (v, l) with
     the configured exact coupling: the eliminated system's mass term equals
     +i |g|^2 v^2 (l/2) g5 for eps5 = -1 and -|g|^2 v^2 (l/2) g5 for +1."""
-    rep = build_majorana_rep(c.eps5)
     w_coeff = poly(-c.eps5) * poly(c.g.conjugate() * _HALF) * sym("v") * sym("l")
-    W = rep.gamma[4].scale(w_coeff)
+    W = gamma_sum(c.eps5, [0, 0, 0, 0, w_coeff])
     mass_term = W.scale(poly(c.g) * sym("v"))
-    gsq = poly(ExactScalar(c.coupling_squared()))
-    g5 = gamma5()
-    if c.eps5 == -1:
-        printed = g5.scale(
-            poly(ExactScalar(Fraction(0), Fraction(1))) * gsq
-            * sym("v", 2) * sym("l") * poly(_HALF)
-        )
-    else:
-        printed = g5.scale(-gsq * sym("v", 2) * sym("l") * poly(_HALF))
+    # the printed term is (+i or -1) |g|^2 v^2 (l/2) gamma5, and gamma5 is
+    # g^4 of the eps5 = +1 signature
+    size = poly((I if c.eps5 == -1 else -ONE) * ExactScalar(c.coupling_squared()))
+    printed = gamma_sum(1, [0, 0, 0, 0, size * sym("v", 2) * sym("l") * poly(_HALF)])
     residual = mass_term - printed
 
     rest_class = None

@@ -26,4 +26,9 @@ for fmt in json csv; do
     --format $fmt > "$out/scan.$fmt" || test $? -eq 1
   cmp "$out/scan.$fmt" tests/golden/scan_vev_eps5_plus.$fmt
 done
+# the demos that run verify_clifford and the Cayley boosts
+for demo in 04_gamma_boosts 05_dispersion_modes; do
+  python demos/$demo.py > "$out/$demo.txt"
+  cmp "$out/$demo.txt" tests/golden/demo_${demo%%_*}.txt
+done
 echo "golden reports match"

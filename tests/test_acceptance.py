@@ -11,7 +11,6 @@ from itertools import combinations
 from ncdirac.cayley import boost_defect, cayley_boost
 from ncdirac.cli import main
 from ncdirac.clifford import (
-    build_majorana_rep,
     gamma5_product_check,
     majorana_imaginary_check,
     verify_clifford,
@@ -81,11 +80,10 @@ def test_criterion_03_representation_closure():
 def test_criterion_04_clifford_relations():
     ok = True
     for eps5 in (1, -1):
-        rep = build_majorana_rep(eps5)
-        checks = verify_clifford(rep)
+        checks = verify_clifford(eps5)
         ok = ok and len(checks) == 20 and all(c.ok for c in checks)
-        ok = ok and gamma5_product_check(rep).ok
-        ok = ok and majorana_imaginary_check(rep).ok
+        ok = ok and gamma5_product_check(eps5).ok
+        ok = ok and majorana_imaginary_check(eps5).ok
     verdict(ok, "criterion 4: 15 anticommutator pairs + 5 squares exact for "
                 "both signatures; gamma5 product exact; entries imaginary")
 

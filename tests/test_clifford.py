@@ -21,8 +21,6 @@ from ncdirac.clifford import (
     VerificationError,
     build_majorana_rep,
     conjugation_closed,
-    gamma,
-    gamma5,
     gamma5_product_check,
     majorana_imaginary_check,
     reality_class,
@@ -45,44 +43,46 @@ DENSE_GAMMAS = (
 )
 
 
+def _dense_gammas(eps5):
+    """g^0..g^4 as numpy arrays, from DENSE_GAMMAS and g^4 = (i or -1)
+    g0 g1 g2 g3, independent of the store."""
+    dense = [np.array(g) for g in DENSE_GAMMAS]
+    g5 = J * dense[0] @ dense[1] @ dense[2] @ dense[3]
+    return dense + [g5 if eps5 == 1 else J * g5]
+
+
 @pytest.mark.parametrize("eps5", [1, -1])
 def test_gamma_store_equals_the_dense_block_forms(eps5):
     s1, s2, s3 = (np.array(m) for m in ([[0, 1], [1, 0]], [[0, -J], [J, 0]],
                                         [[1, 0], [0, -1]]))
     one = np.eye(2)
-    dense = [np.array(g) for g in DENSE_GAMMAS]
-    assert all(np.array_equal(d, k) for d, k in zip(dense, (
+    want = _dense_gammas(eps5)
+    assert all(np.array_equal(d, k) for d, k in zip(want, (
         np.kron(s1, s2), J * np.kron(one, s1), np.kron(J * s2, s2), J * np.kron(one, s3))))
-    g5 = J * dense[0] @ dense[1] @ dense[2] @ dense[3]
-    want = dense + [g5 if eps5 == 1 else J * g5]
     stored = clifford._gamma_perms(eps5)
     for mu, (perm, d) in enumerate(zip(stored, want)):
         assert np.array_equal(
             [[J ** p if k == c else 0 for k in range(4)] for c, p in perm], d)
         assert np.array_equal(as_array(build_majorana_rep(eps5).gamma[mu]), d)
-        if mu < 4:
-            assert np.array_equal(as_array(gamma(mu)), d)
-    assert np.array_equal(as_array(gamma5()), g5)
 
 
 def test_gamma5_frozen_value():
     expect = np.array(
         [[0, J, 0, 0], [-J, 0, 0, 0], [0, 0, 0, -J], [0, 0, J, 0]]
     )
-    assert np.array_equal(as_array(gamma5()), expect)
+    assert np.array_equal(as_array(build_majorana_rep(1).gamma[4]), expect)
 
 
 def test_gamma_entries_imaginary_and_traceless():
-    for mu in range(4):
-        arr = as_array(gamma(mu))
+    for g in build_majorana_rep(1).gamma[:4]:
+        arr = as_array(g)
         assert np.all(arr.real == 0)
         assert arr.trace() == 0
 
 
 @pytest.mark.parametrize("eps5", [1, -1])
 def test_clifford_relations(eps5):
-    rep = build_majorana_rep(eps5)
-    checks = verify_clifford(rep)
+    checks = verify_clifford(eps5)
     assert len(checks) == 20
     names = [c.name for c in checks]
     assert sum(n.startswith("anticommutator") for n in names) == 15
@@ -98,36 +98,156 @@ def test_gamma4_square_and_metric(eps5):
     g4 = rep.gamma[4]
     square = as_array(g4 @ g4)
     assert np.array_equal(square, eps5 * np.eye(4))
-    assert rep.metric5 == (1, -1, -1, -1, eps5)
     # extra direction: gamma5 itself or its rotation by i
-    g5 = as_array(gamma5())
+    g5 = as_array(build_majorana_rep(1).gamma[4])
     got = as_array(g4)
     assert np.allclose(got, g5 if eps5 == 1 else J * g5)
 
 
 @pytest.mark.parametrize("eps5", [1, -1])
 def test_product_and_imaginarity(eps5):
-    rep = build_majorana_rep(eps5)
-    assert gamma5_product_check(rep).ok
-    assert majorana_imaginary_check(rep).ok
+    assert gamma5_product_check(eps5).ok
+    assert majorana_imaginary_check(eps5).ok
+
+
+def _dense_rows(eps5, gammas):
+    """{row name: (ok, residual)} of the 22 Clifford rows, in numpy: each
+    residual is the largest entry modulus of the difference of the
+    relation's two sides."""
+    eta = ETA + (eps5,)
+    eye = np.eye(4)
+
+    def row(*diffs):
+        worst = max(float(np.abs(d).max()) for d in diffs)
+        return worst == 0, worst
+
+    rows = {}
+    for a, b in combinations(range(5), 2):
+        rows[f"anticommutator_g{a}_g{b}"] = row(gammas[a] @ gammas[b] + gammas[b] @ gammas[a])
+    for a in range(5):
+        rows[f"anticommutator_g{a}_g{a}"] = row(2 * gammas[a] @ gammas[a] - 2 * eta[a] * eye)
+        rows[f"square_g{a}"] = row(gammas[a] @ gammas[a] - eta[a] * eye)
+    g5 = gammas[4] if eps5 == 1 else -J * gammas[4]
+    rows["gamma5_product"] = row(gammas[0] @ gammas[1] @ gammas[2] @ gammas[3] + J * g5)
+    rows["majorana_imaginary"] = row(*(g.conj() + g for g in gammas[:4]))
+    return rows
+
+
+def _store_rows(eps5):
+    rows = [*verify_clifford(eps5), gamma5_product_check(eps5), majorana_imaginary_check(eps5)]
+    return {r.name: (r.ok, r.residual) for r in rows}
+
+
+def _flip_phase(a, r, k):
+    """Unit r of g^a times i^k."""
+    def store(perms):
+        perm = list(perms[a])
+        c, p = perm[r]
+        perm[r] = (c, (p + k) % 4)
+        return (*perms[:a], tuple(perm), *perms[a + 1:])
+
+    def dense(gammas):
+        gammas[a][r] *= J ** k
+    return store, dense
+
+
+def _swap_columns(a, r, s):
+    """Rows r and s of g^a trade the columns of their units."""
+    def store(perms):
+        perm = list(perms[a])
+        (c, p), (d, q) = perm[r], perm[s]
+        perm[r], perm[s] = (d, p), (c, q)
+        return (*perms[:a], tuple(perm), *perms[a + 1:])
+
+    def dense(gammas):
+        c, d = np.flatnonzero(gammas[a][r])[0], np.flatnonzero(gammas[a][s])[0]
+        order = list(range(4))
+        order[c], order[d] = d, c
+        gammas[a][[r, s]] = gammas[a][[r, s]][:, order]
+    return store, dense
+
+
+def _seeded_tampers(seed, n):
+    rng = random.Random(seed)
+    for _ in range(n):
+        yield _flip_phase(rng.randrange(5), rng.randrange(4), rng.randint(1, 3))
+        yield _swap_columns(rng.randrange(5), *rng.sample(range(4), 2))
+
+
+def _tamper_store(monkeypatch, store):
+    true_perms = clifford._gamma_perms
+    monkeypatch.setattr(clifford, "_gamma_perms", lambda eps5: store(true_perms(eps5)))
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+def test_clifford_rows_match_the_dense_oracle(monkeypatch, eps5):
+    assert _store_rows(eps5) == _dense_rows(eps5, _dense_gammas(eps5))
+    failed = 0
+    for store, dense in _seeded_tampers(eps5, 12):
+        gammas = _dense_gammas(eps5)
+        dense(gammas)
+        with monkeypatch.context() as m:
+            _tamper_store(m, store)
+            got = _store_rows(eps5)
+        assert got == _dense_rows(eps5, gammas)
+        failed += not all(ok for ok, _ in got.values())
+    assert failed == 24  # every tamper breaks some relation
+
+
+def _turn_g4(perms):
+    """g^4 times i: (i g^4)^2 = -eta_44, and it still anticommutes."""
+    return (*perms[:4], tuple((c, (p + 1) % 4) for c, p in perms[4]))
+
+
+def _g1_for_g2(perms):
+    """g^2 replaced by g^1: squares and imaginary entries kept."""
+    return (*perms[:2], perms[1], *perms[3:])
+
+
+def _phase_similarity(perms):
+    """U g U^-1 with U = diag(i, 1, 1, 1): every relation but the entries'
+    imaginarity is kept, and row 0 and column 0 of each g^mu turn real."""
+    return tuple(tuple((c, (p + (r == 0) - (c == 0)) % 4) for r, (c, p) in enumerate(perm))
+                 for perm in perms)
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+@pytest.mark.parametrize("store, failing", [
+    (_turn_g4, {"anticommutator_g4_g4", "square_g4", "gamma5_product"}),
+    (_g1_for_g2, {"anticommutator_g1_g2", "gamma5_product"}),
+    (_phase_similarity, {"majorana_imaginary"}),
+])
+def test_each_relation_kind_fails_on_its_own(monkeypatch, eps5, store, failing):
+    _tamper_store(monkeypatch, store)
+    rows = _store_rows(eps5)
+    assert {name for name, (ok, _) in rows.items() if not ok} == failing
 
 
 def test_each_clifford_relation_is_its_own_step(monkeypatch):
     # the runner times each step of a family: when the first row arrives,
-    # only its own anticommutator has been computed
+    # only its own relation has been decided, and a passing relation
+    # builds no dense matrix
+    gammas = clifford._gamma_perms(1)
     calls = []
-    true_residual = clifford._pair_residual
+    true_product = clifford._perm_product
 
-    def counted(rep, a, b):
-        calls.append((a, b))
-        return true_residual(rep, a, b)
+    def counted(*factors, turn=0):
+        # each factor by its gamma index, None for a product
+        calls.append(tuple(next((i for i, g in enumerate(gammas) if g is f), None)
+                           for f in factors))
+        return true_product(*factors, turn=turn)
 
-    monkeypatch.setattr(clifford, "_pair_residual", counted)
+    def no_dense(perm):
+        raise AssertionError("a passing relation built a dense matrix")
+
+    monkeypatch.setattr(clifford, "_perm_product", counted)
+    monkeypatch.setattr(clifford, "_exact", no_dense)
     rows = checks.cmd_verify_clifford.__wrapped__(checks.RunConfig(eps5=1))
     assert next(rows).check == "clifford_anticommutator_g0_g0"
     assert calls == [(0, 0)]
-    assert len(list(rows)) == 21
-    assert len(calls) == 15
+    assert next(rows).check == "clifford_anticommutator_g0_g1"
+    assert calls == [(0, 0), (0, 1), (1, 0)]
+    assert len(list(rows)) == 20
 
 
 def _axis_boost(y):
@@ -165,7 +285,8 @@ def _axis_closed_form(y):
     (g0 g3)^2 = I, so S = ((1 + t^2) I + 2t g0 g3) / (1 - t^2) and Lambda
     mixes 0 and 3 with ((1 + t^2)^2 + 4t^2, 4t (1 + t^2)) / (1 - t^2)^2."""
     t = Fraction(y) / 4
-    g03 = gamma(0) @ gamma(3)
+    g = build_majorana_rep(1).gamma
+    g03 = g[0] @ g[3]
     spinor = (ExactMatrix.identity(4).scale(poly(ExactScalar(1 + t * t)))
               + g03.scale(poly(ExactScalar(2 * t)))).scale(poly(ExactScalar(1 / (1 - t * t))))
     c = ((1 + t * t) ** 2 + 4 * t * t) / (1 - t * t) ** 2
@@ -181,9 +302,10 @@ def test_boost_pairing_rapidity_one():
     # (353 g0 + 272 g3) / 225, with 353^2 - 272^2 = 225^2
     boost = cayley_boost(_axis_boost(1))
     S, S_inv = _spinor(boost), _spinor(boost, "inverse")
-    expect = (gamma(0).scale(poly(ExactScalar(Fraction(353, 225))))
-              + gamma(3).scale(poly(ExactScalar(Fraction(272, 225)))))
-    assert S_inv @ gamma(0) @ S == expect
+    g = build_majorana_rep(1).gamma
+    expect = (g[0].scale(poly(ExactScalar(Fraction(353, 225))))
+              + g[3].scale(poly(ExactScalar(Fraction(272, 225)))))
+    assert S_inv @ g[0] @ S == expect
     # spinor boosts are real in this basis and unimodular
     assert S == S.conjugate()
     assert S.det() == poly(1)
@@ -277,16 +399,6 @@ def _tables_with(change):
     return tamper
 
 
-def _g4_with_first_row_negated(monkeypatch):
-    true_perms = clifford._gamma_perms
-
-    def perms(eps5):
-        *gammas, ((c, p), *rest) = true_perms(eps5)
-        return (*gammas, ((c, (p + 2) % 4), *rest))
-
-    monkeypatch.setattr(clifford, "_gamma_perms", perms)
-
-
 # one thing the boost kernel reads, tampered, and the identity that must
 # then fail on its own: a wrong R_0 R_1 or G gives a wrong inverse, a wrong
 # R_0 a wrong pairing, a Euclidean eta a failed metric, and a wrong g^4 in
@@ -300,7 +412,8 @@ _CORRUPTIONS = {
                   "S^-1 g^mu S != Lambda^mu_nu g^nu"),
     "eta": (lambda monkeypatch: monkeypatch.setattr(cayley, "ETA4_DIAG", (1, 1, 1, 1)),
             "Lambda^T eta Lambda != eta"),
-    "g_rows": (_g4_with_first_row_negated, "[S, g^4] != 0"),
+    "g_rows": (lambda monkeypatch: _tamper_store(monkeypatch, _flip_phase(4, 0, 2)[0]),
+               "[S, g^4] != 0"),
 }
 
 
@@ -392,21 +505,19 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
 _TAMPERED_G4 = """
 import contextlib, io, json, sys
 sys.modules["numpy"] = None
-from functools import cache
 from ncdirac import clifford
 from ncdirac.cli import main
 from ncdirac.modes import residual
 
-true_table = clifford._majorana_table.__wrapped__
+true_perms = clifford._gamma_perms
 
 
-@cache
 def tampered(eps5):
-    *gammas, g4 = true_table(eps5)
-    return (*gammas, g4.scale(2))
+    *gammas, ((c, p), *rest) = true_perms(eps5)
+    return (*gammas, ((c, (p + 2) % 4), *rest))
 
 
-clifford._majorana_table = tampered
+clifford._gamma_perms = tampered
 buf = io.StringIO()
 with contextlib.redirect_stdout(buf):
     code = main(["verify", "clifford", "--eps5", "1"])
@@ -417,8 +528,9 @@ print(repr(residual((1, 0, 0, 1), (1, 0, 0, 0), 1, 1)))
 
 
 def test_failing_relation_reports_without_numpy():
-    # gamma^4 scaled by 2, numpy blocked: the failing rows are sized from
-    # the exact entries, and the run exits 1 with no traceback
+    # the unit in row 0 of g^4 negated in the store, numpy blocked: the
+    # failing rows are sized from the exact entries, and the run exits 1
+    # with no traceback
     src = str(Path(ncdirac.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -428,12 +540,20 @@ def test_failing_relation_reports_without_numpy():
     report, size = done.stdout.splitlines()
     code, rows = json.loads(report)
     assert code == 1
-    # {g4, g4} = 8 and g4^2 = 4 where 2 and 1 are due; g4 anticommutes
-    # with the rest, tampered or not
-    assert rows["clifford_anticommutator_g4_g4"] == ["fail", "6"]
-    assert rows["clifford_square_g4"] == ["fail", "3"]
-    assert rows["clifford_anticommutator_g0_g4"] == ["pass", "0"]
-    assert sum(status == "fail" for status, _ in rows.values()) == 2
+    # the tampered g^4 is D g4 with D = diag(-1, 1, 1, 1), and g4 E00 g4 =
+    # E11: (D g4)^2 = diag(-1, -1, 1, 1) misses I by 2 twice, so the square
+    # is 2 off and {g4, g4} 4; {g^mu, D g4} = -2 (g^mu E00 g4 + E00 g4 g^mu)
+    # is 2 off but for the diagonal g3, where the two terms cancel; and
+    # g0 g1 g2 g3 - (-i gamma5) = -i g4 + i D g4 = -2i E00 g4
+    assert {check: row for check, row in rows.items() if row[0] == "fail"} == {
+        "clifford_anticommutator_g0_g4": ["fail", "2"],
+        "clifford_anticommutator_g1_g4": ["fail", "2"],
+        "clifford_anticommutator_g2_g4": ["fail", "2"],
+        "clifford_anticommutator_g4_g4": ["fail", "4"],
+        "clifford_square_g4": ["fail", "2"],
+        "clifford_gamma5_product": ["fail", "2"],
+    }
+    assert rows["clifford_anticommutator_g3_g4"] == ["pass", "0"]
     # the residual of a non-solution is rounded once from exact norms:
     # D(k) e_0 = (-i, 0, 0, i) at k = (1, 0, 0, 1), where k^2 = 0 leaves
     # g^4 out

@@ -38,10 +38,16 @@ heavy one (fail), and two overcritical error rows, so the run exits 1.
 They pin the scan path and the seesaw spectrum that ``gamma_rows`` feeds,
 and were written by the engine whose ``clifford`` kept dense gamma
 literals and whose ``cayley`` read them as signed permutations.
+
+``demo_04.txt`` and ``demo_05.txt`` pin the output of demos 04 and 05, the
+only callers of ``verify_clifford`` and of the Cayley boosts outside the
+tests.  They were written by the engine whose Clifford relations were
+checked on a cached dense copy of the gammas.
 """
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -78,6 +84,13 @@ def test_exact_report_matches_golden(monkeypatch, capsys, argv, golden, code):
     assert main(argv) == code
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("demo", ["04_gamma_boosts", "05_dispersion_modes"])
+def test_demo_output_matches_golden(capsys, demo):
+    runpy.run_path(str(GOLDEN.parent.parent / "demos" / f"{demo}.py"), run_name="__main__")
+    golden = GOLDEN / f"demo_{demo.split('_')[0]}.txt"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
 # (argv, exit code, golden file or None for the same command with numpy)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from exact_arrays import as_array
 
-from ncdirac.clifford import build_majorana_rep, gamma, gamma5
+from ncdirac.checks import seesaw_verdict
+from ncdirac.clifford import build_majorana_rep
 from ncdirac.matrices import ExactMatrix
 from ncdirac.modes import ModeProblem
 from ncdirac.scalars import ExactScalar, poly, sym
@@ -37,8 +38,9 @@ def numeric_light_root(eps5: int, ell: float, mu: float) -> float:
     so the roots are the eigenvalues of -B^-1 A.  Independent of the exact
     spectrum code path."""
     big_m = 2.0 / ell
-    g4 = as_array(gamma5()) * (1 if eps5 == 1 else 1j)
-    g = as_array(gamma(0)) if eps5 == -1 else -as_array(gamma(3))
+    gammas = [as_array(g) for g in build_majorana_rep(eps5).gamma]
+    g4 = gammas[4]
+    g = gammas[0] if eps5 == -1 else -gammas[3]
     zero = np.zeros((4, 4))
     a = np.vstack(
         [np.hstack([zero, mu * np.eye(4)]),
@@ -303,3 +305,47 @@ def test_critical_coupling_keeps_its_fail_row(capsys):
     spectrum = rows["seesaw_spectrum"]
     assert spectrum["status"] == "fail" and spectrum["residual"] == "1"
     assert spectrum["details"]["light_class"] == spectrum["details"]["heavy_class"] == "Majorana"
+
+
+def test_seesaw_and_scan_fail_past_the_hierarchy(capsys):
+    # g = l = 1, eps5 = -1: mu/M = vev/2.  At vev = 10 the bounds 2 (mu/M)^2
+    # = 50 would pass any light mass up to twice its leading value
+    from ncdirac.cli import main
+
+    assert main(["seesaw", "--vev", "10", "--eps5", "-1"]) == 1
+    rows = json.loads(capsys.readouterr().out)["reports"]
+    assert [r["check"] for r in rows if r["status"] == "fail"] == ["seesaw_spectrum"]
+    assert main(["scan", "--param", "vev", "--from", "1", "--to", "40", "--steps", "5",
+                 "--eps5", "-1"]) == 1
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(r["value"], r["status"]) for r in rows] == [
+        ("1", "ok"), ("43/4", "fail"), ("41/2", "fail"), ("121/4", "fail"), ("40", "fail")]
+
+
+def test_hierarchy_gate_is_exact():
+    # 2 (mu/M)^2 = 49/50: the bounds decide, at tolerance 0.98
+    below = CouplingConfig(g="1", vev=Fraction(7, 5), ell=Fraction(1), eps5=-1)
+    spectrum = exact_mode_spectrum(below)
+    ok, tol, _ = seesaw_verdict(below, spectrum)
+    assert ok and tol == pytest.approx(0.98)
+    assert not seesaw_verdict(below, spectrum._replace(deviation=0.99))[0]
+    # |g|^2 = 2 at vev = 1: 2 (mu/M)^2 is 1 exactly, 1 + 2^-52 in floats, and
+    # the row fails though its bounds pass
+    at = CouplingConfig(g="1+1i", vev=Fraction(1), ell=Fraction(1), eps5=-1)
+    spectrum = exact_mode_spectrum(at)
+    ok, tol, _ = seesaw_verdict(at, spectrum)
+    assert not ok and spectrum.deviation < 1 < tol
+
+
+def test_swapped_roots_fail_at_mu_over_m_five():
+    coupling = CouplingConfig(g="1", vev=Fraction(10), ell=Fraction(1), eps5=-1)
+    right = exact_mode_spectrum(coupling)
+    m = float(right.leading_light_mass)
+    swapped = right._replace(light_k2=right.heavy_k2, heavy_k2=right.light_k2,
+                             deviation=abs(math.sqrt(abs(right.heavy_k2)) - m) / m)
+    ok, tol, ratio = seesaw_verdict(coupling, swapped)
+    assert (ok, tol, ratio) == (False, 50.0, 5.0)
+    # the bounds alone admit it: deviation 0.78 and heavy drift 3.5
+    heavy_drift = abs(math.sqrt(abs(swapped.heavy_k2)) - 2) / 2
+    assert swapped.deviation == pytest.approx(0.78, abs=0.01)
+    assert heavy_drift == pytest.approx(3.5, abs=0.05)
