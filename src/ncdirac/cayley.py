@@ -29,7 +29,7 @@ from .scalars import as_fraction
 
 
 def _imul(x, y) -> list:
-    """X Y, written out: it runs fifteen times per boost."""
+    """X Y, written out: it runs seven times per boost."""
     a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = x
     e0, e1, e2, e3, f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3 = y
     return [a0 * e0 + a1 * f0 + a2 * g0 + a3 * h0, a0 * e1 + a1 * f1 + a2 * g1 + a3 * h1,
@@ -46,25 +46,49 @@ def _transpose(x) -> list:
     return [v for j in range(4) for v in x[j::4]]
 
 
-def _over_i(perm) -> list:
-    """-i X for a phased permutation X of entries +-i (``clifford``'s
-    store): a real signed permutation."""
-    x = [0] * 16
-    for r, (c, p) in enumerate(perm):
-        x[4 * r + c] = 2 - p
-    return x
+# a signed permutation holds per row the column of its one nonzero entry
+# and that entry, +1 or -1: multiplying by one moves and negates entries
+
+
+def _signed(*factors, turn: int = 0) -> tuple:
+    """i^turn times the product of phased permutations of ``clifford``'s
+    store, when that is real, as a signed permutation."""
+    return tuple((c, 1 - p) for c, p in clifford._perm_product(*factors, turn=turn))
+
+
+def _times(x, perm) -> list:
+    """X S for a signed permutation S: column k of X, times S's entry in
+    row k, lands in S's column of row k."""
+    out = [0] * 16
+    for k, (c, s) in enumerate(perm):
+        out[c], out[c + 4], out[c + 8], out[c + 12] = (s * x[k], s * x[k + 4], s * x[k + 8],
+                                                      s * x[k + 12])
+    return out
+
+
+def _perm_times(perm, x) -> list:
+    """S X for a signed permutation S: row r is S's entry in row r times
+    the row of X at S's column."""
+    return [s * v for c, s in perm for v in x[4 * c:4 * c + 4]]
+
+
+def _pair(x, perm) -> int:
+    """<X, S>, the sum of X * S entrywise, for a signed permutation S."""
+    (c0, s0), (c1, s1), (c2, s2), (c3, s3) = perm
+    return s0 * x[c0] + s1 * x[4 + c1] + s2 * x[8 + c2] + s3 * x[12 + c3]
 
 
 @cache
 def _tables() -> tuple:
     """R_mu with g^mu = i R_mu, then R_a R_b for a < b, then
-    G = R_0 R_1 R_2 R_3, as integer matrices.  So every g^a g^b = -R_a R_b,
-    g0 g1 g2 g3 = G and G^2 = -I.  The R_mu are orthogonal under
-    <X, Y> = sum of X * Y entrywise, with <R_a, R_b> = 4 delta_ab, and
-    R_mu^T = -eta_mu R_mu, so <X, R_mu> = -eta_mu tr(X R_mu)."""
-    r = [_over_i(g) for g in clifford._gamma_perms(1)[:4]]
-    pairs = {(a, b): _imul(r[a], r[b]) for a in range(4) for b in range(a + 1, 4)}
-    return r, pairs, _imul(pairs[0, 1], pairs[2, 3])
+    G = R_0 R_1 R_2 R_3, as signed permutations read from the gammas'
+    store.  So every g^a g^b = -R_a R_b, g0 g1 g2 g3 = G and G^2 = -I.
+    The R_mu are orthogonal under <X, Y> = sum of X * Y entrywise, with
+    <R_a, R_b> = 4 delta_ab, and R_mu^T = -eta_mu R_mu, so
+    <X, R_mu> = -eta_mu tr(X R_mu)."""
+    g = clifford._gamma_perms(1)[:4]
+    pairs = {(a, b): _signed(g[a], g[b], turn=2) for a in range(4) for b in range(a + 1, 4)}
+    return [_signed(x, turn=3) for x in g], pairs, _signed(*g)
 
 
 class CayleyBoost(NamedTuple):
@@ -89,18 +113,21 @@ def cayley_boost(omega) -> CayleyBoost:
     rationals, with its identities checked exactly.
 
     With q the common denominator of omega and n = 4q, A/2 = M/n for the
-    integer M = -sum_{a<b} q omega_ab R_a R_b; the R_a R_b and
-    G = R_0 R_1 R_2 R_3 are integer matrices read from the gammas' store
-    (``_tables``).  The Clifford relations give M^2 = alpha I + beta G, so
-    with c = n^2 - alpha and den = c^2 + beta^2, S = (I + A/2)^2 (I - A^2/4)^-1 =
+    integer M = -sum_{a<b} q omega_ab R_a R_b; the R_mu, R_a R_b and
+    G = R_0 R_1 R_2 R_3 are signed permutations read from the gammas'
+    store (``_tables``), so a product with one moves entries.  The
+    Clifford relations give M^2 = alpha I + beta G, so with c = n^2 - alpha
+    and den = c^2 + beta^2, S = (I + A/2)^2 (I - A^2/4)^-1 =
     (nI + M)^2 (cI + beta G) / den and S^-1 = (nI - M)^2 (cI + beta G) / den,
     both squares n^2 I +- 2nM + M^2 from the one M^2; den = 0 exactly when
     I - A/2 is singular.  Lambda^mu_nu = tr(S^-1 g^mu S g^nu) / (4 eta_nunu).
     Checked on the integer matrices: S^-1 S = I, S^-1 g^mu S =
     Lambda^mu_nu g^nu, Lambda^T eta Lambda = eta and [S, g^4] = 0, the
     last against the store's gamma5 = i G, which gives it for both
-    signatures (g^4 = i G or -G).  A singular I - A/2 or a failed identity
-    raises VerificationError."""
+    signatures (g^4 = i G or -G).  Seven products of dense integer
+    matrices remain: M^2, S^-1 S, the four S^-1 R_mu S and
+    Lambda^T eta Lambda.  A singular I - A/2 or a failed identity raises
+    VerificationError."""
     omega = [[as_fraction(x) for x in row] for row in omega]
     if len(omega) != 4 or any(len(row) != 4 for row in omega):
         raise ValueError("omega must be a 4x4 array")
@@ -110,11 +137,14 @@ def cayley_boost(omega) -> CayleyBoost:
         raise ValueError("omega must be antisymmetric")
     r, pairs, g = _tables()
     n = 4 * q
-    weights = [w[a][b] for a, b in pairs]
-    m = [-sum(map(mul, entries, weights)) for entries in zip(*pairs.values())]
+    m = [0] * 16
+    for (a, b), perm in pairs.items():
+        for row, (col, s) in enumerate(perm):
+            m[4 * row + col] -= s * w[a][b]
     m2 = _imul(m, m)
     c = n * n - sum(m2[0::5]) // 4
-    beta = -sum(map(mul, m2, _transpose(g))) // 4  # tr(M^2 G) = -4 beta
+    # tr(M^2 G) = -4 beta, G having the entry s at (k, col)
+    beta = -sum(s * m2[4 * col + k] for k, (col, s) in enumerate(g)) // 4
     den = c * c + beta * beta
     if not den:
         raise VerificationError("I - A/2 is singular")
@@ -122,7 +152,7 @@ def cayley_boost(omega) -> CayleyBoost:
     for i in (0, 5, 10, 15):
         base[i] += n * n
     # (nI +- M)^2 (cI + beta G)
-    numer, inverse = ([c * x + beta * y for x, y in zip(sq, _imul(sq, g))]
+    numer, inverse = ([c * x + beta * y for x, y in zip(sq, _times(sq, g))]
                       for sq in ([x + 2 * sign * n * y for x, y in zip(base, m)]
                                  for sign in (1, -1)))
     common = math.gcd(den, *numer, *inverse)
@@ -137,8 +167,8 @@ def cayley_boost(omega) -> CayleyBoost:
     # exactly when 4 <X_mu, X_mu> = sum_nu t[mu][nu]^2
     t = []
     for r_mu in r:
-        x = _imul(_imul(inverse, r_mu), numer)
-        row = [sum(map(mul, x, r_nu)) for r_nu in r]
+        x = _imul(_times(inverse, r_mu), numer)
+        row = [_pair(x, r_nu) for r_nu in r]
         if 4 * sum(map(mul, x, x)) != sum(v * v for v in row):
             raise VerificationError("S^-1 g^mu S != Lambda^mu_nu g^nu")
         t.append(row)
@@ -147,8 +177,8 @@ def cayley_boost(omega) -> CayleyBoost:
     if _imul(_transpose(t_flat), eta_t) != [16 * d2 * d2 * ETA4_DIAG[i // 4] * (i % 5 == 0)
                                              for i in range(16)]:
         raise VerificationError("Lambda^T eta Lambda != eta")
-    g5 = _over_i(clifford._gamma_perms(1)[4])  # -i gamma5 = G
-    if _imul(numer, g5) != _imul(g5, numer):
+    g5 = _signed(clifford._gamma_perms(1)[4], turn=3)  # -i gamma5 = G
+    if _times(numer, g5) != _perm_times(g5, numer):
         raise VerificationError("[S, g^4] != 0")
     numer, inverse = ([mat[i:i + 4] for i in (0, 4, 8, 12)] for mat in (numer, inverse))
     return CayleyBoost(numer=numer, inverse=inverse, denom=den, lam_numer=t)

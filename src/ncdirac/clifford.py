@@ -12,9 +12,9 @@ its nonzero entry and the power p of i there (``_gamma_perms``, multiplied
 by ``_perm_product``).  Everything else reads that store: the Clifford
 relations, decided by index arithmetic (a dense difference is built only
 for a failing relation, to size its residual), the exact matrices of
-``build_majorana_rep``, every sum_a c_a gamma^a (``gamma_sum`` for
-ParamPoly coefficients, ``gamma_rows`` for field scalars), the generator
-proof of ``ncdirac.lorentz`` and the integer tables of ``ncdirac.cayley``.
+``build_majorana_rep``, every sum_a c_a gamma^a (``gamma_sum``), the
+generator proof of ``ncdirac.lorentz``, the signed permutations of
+``ncdirac.cayley`` and the seesaw spectrum of ``ncdirac.seesaw``.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ _GAMMA_PERMS = (
     ((3, 3), (2, 1), (1, 1), (0, 3)),
     ((0, 1), (1, 3), (2, 1), (3, 3)),
 )
-_POWERS = (ONE, I, -ONE, -I)  # i^p
-_POLY_POWERS = tuple(map(poly, _POWERS))
+_POLY_POWERS = tuple(map(poly, (ONE, I, -ONE, -I)))  # i^p
 
 
 def _perm_product(*factors, turn: int = 0) -> tuple:
@@ -101,21 +100,6 @@ def gamma_sum(eps5: int, coeffs) -> ExactMatrix:
             pairs.setdefault((r, c), []).append((_POLY_POWERS[p], coeff))
     return ExactMatrix([[_poly_sum_of_products(pairs.get((r, c), ())) for c in range(4)]
                         for r in range(4)])
-
-
-def gamma_rows(eps5: int, coeffs, zero) -> list:
-    """sum_a coeffs[a] gamma^a as a 4x4 list of rows of field scalars.
-
-    ``zero`` is the zero of the coefficients' field (ExactScalar or
-    QuadraticScalar); each coefficient multiplies the gammas' ExactScalar
-    entries from the left.  For ParamPoly coefficients use ``gamma_sum``.
-    """
-    rows = [[zero] * 4 for _ in range(4)]
-    for perm, coeff in zip(_gamma_perms(eps5), coeffs):
-        if coeff:
-            for r, (c, p) in enumerate(perm):
-                rows[r][c] = rows[r][c] + coeff * _POWERS[p]
-    return rows
 
 
 class RelationCheck(NamedTuple):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cache
+from math import gcd
 from typing import NamedTuple
 
 from .matrices import echelon
@@ -26,6 +27,8 @@ from .scalars import (
     ZERO,
     ParamPoly,
     _GUARDS,
+    _bindings,
+    _bound_part,
     _degree_overflow,
     _int_terms,
     _json_int_terms,
@@ -119,9 +122,6 @@ class StructureConstants:
             rows[i].pop(j, None)
             rows[j].pop(i, None)
 
-    def set_bracket(self, i: int, j: int, combo: Combo):
-        self._store(i, j, _combo_ints(combo), combo)
-
     def bracket(self, i: int, j: int) -> Combo:
         """[e_i, e_j] as a fresh combo; empty when i == j."""
         self._check(i, j)
@@ -142,9 +142,28 @@ class StructureConstants:
         return out
 
     def substitute(self, bindings) -> "StructureConstants":
-        out = StructureConstants(self.basis)
+        """A new table, each coefficient substituted as by
+        ``ParamPoly.substitute``, on the integer rows: the bindings are
+        checked first, each distinct bound part of a packed monomial is
+        evaluated once, and each (pair, output, monomial) sum of ``_join``
+        is reduced once."""
+        values, bound_fields = _bindings(bindings)
+        parts, sums = {}, {}
         for i, j in self.pairs():
-            out.set_bracket(i, j, {k: c.substitute(bindings) for k, c in self.bracket(i, j).items()})
+            for q, mono, a, b, d in self.rows[i][j]:
+                bound = mono & bound_fields
+                part = parts.get(bound)
+                if part is None:
+                    part = parts[bound] = _int_terms(_bound_part(values, bound))
+                _join(sums, (i, j), mono - bound, a, b, d, [(q, *term) for term in part])
+        terms = {}
+        for (pair, q, mono), (a, b, d) in sums.items():
+            if a or b:
+                g = gcd(a, b, d)
+                terms.setdefault(pair, []).append((q, mono, a // g, b // g, d // g))
+        out = StructureConstants(self.basis)
+        for (i, j), pair_terms in terms.items():
+            out._store(i, j, pair_terms)
         return out
 
     def dim(self) -> int:
@@ -239,7 +258,7 @@ def _check_signs(eps4: int, eps5: int):
 
 # Each table below is built once per sign choice on first use.  The cached
 # tables are never handed out: the public builders return copies, so a
-# caller's set_bracket or in-place edit does not reach later calls.
+# caller's in-place edit of ``rows`` does not reach later calls.
 
 
 def build_deformed_algebra(eps4: int, eps5: int) -> StructureConstants:
@@ -311,14 +330,15 @@ def _deformed_table(eps4: int, eps5: int) -> StructureConstants:
 
 
 def contract(alg: StructureConstants, *, rho_to_zero=False, ell_to_zero=False) -> StructureConstants:
-    """Flat and/or commutative-coordinate limits of a symbolic table."""
+    """Flat and/or commutative-coordinate limits of a symbolic table, as a
+    new table; with neither limit, a copy of ``alg``."""
     bindings = {}
     if rho_to_zero:
         bindings["rho"] = 0
     if ell_to_zero:
         bindings["l"] = 0
     if not bindings:
-        return alg
+        return alg.copy()
     return alg.substitute(bindings)
 
 

@@ -562,25 +562,10 @@ class ParamPoly:
         A binding whose value mentions any bound symbol is rejected: the
         substitution must not reintroduce what it eliminates.
         """
-        values: dict[int, ParamPoly] = {}
-        for name, value in bindings.items():
-            if name not in _SYMBOL_INDEX:
-                raise UnknownSymbolError(f"unknown symbol {name!r}")
-            values[_SYMBOL_INDEX[name]] = poly(value)
-        bound_fields = sum(MAX_DEGREE << _SHIFTS[i] for i in values)
-        for value in values.values():
-            if any(k & bound_fields for k in value._terms):
-                raise SubstitutionError(
-                    "substitution value reintroduces a bound symbol"
-                )
-        bound = sorted(values.items())
+        values, bound_fields = _bindings(bindings)
         total = ParamPoly()
         for key, coeff in self._terms.items():
-            term = ParamPoly.from_scalar(coeff)
-            for i, value in bound:
-                e = (key >> _SHIFTS[i]) & MAX_DEGREE
-                if e:
-                    term = term * value ** e
+            term = _bound_part(values, key, ParamPoly.from_scalar(coeff))
             rest = key & ~bound_fields
             if rest:
                 term = term * _packed_poly({rest: ONE})
@@ -825,6 +810,32 @@ def poly(value: PolyLike) -> ParamPoly:
 
 def sym(name: str, power: int = 1) -> ParamPoly:
     return ParamPoly.symbol(name, power)
+
+
+def _bindings(bindings: Mapping[str, PolyLike]) -> tuple:
+    """(symbol index -> ParamPoly value in index order, the packed fields
+    of the bound symbols) of a request ``ParamPoly.substitute`` accepts;
+    it raises what that raises."""
+    values = {}
+    for name, value in bindings.items():
+        if name not in _SYMBOL_INDEX:
+            raise UnknownSymbolError(f"unknown symbol {name!r}")
+        values[_SYMBOL_INDEX[name]] = poly(value)
+    bound_fields = sum(MAX_DEGREE << _SHIFTS[i] for i in values)
+    for value in values.values():
+        if any(k & bound_fields for k in value._terms):
+            raise SubstitutionError("substitution value reintroduces a bound symbol")
+    return dict(sorted(values.items())), bound_fields
+
+
+def _bound_part(values: dict, key: int, factor: ParamPoly = P_ONE) -> ParamPoly:
+    """``factor`` times value**e for each bound symbol of ``_bindings``,
+    e its power in the packed monomial ``key``."""
+    for i, value in values.items():
+        e = (key >> _SHIFTS[i]) & MAX_DEGREE
+        if e:
+            factor = factor * value ** e
+    return factor
 
 
 # the momentum symbols k0..k3 as an upper-index four-vector

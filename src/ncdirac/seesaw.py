@@ -14,16 +14,18 @@ m = |g|^2 <phi>^2 l / 2.  With M = 2/l and mu = |g|<phi| this is the seesaw
 ratio mu^2 / M; the exact light root differs from it at relative order
 (mu/M)^2.  Every exact gamma term (g.k, g^4 (2/l), the eliminated W and the
 printed gamma5 mass term) is formed by ``clifford.gamma_sum`` from the
-gammas' one store, and the Schur complements below by ``gamma_rows``.
+gammas' one store; the exact spectrum reads the store's phased
+permutations directly.
 
 The exact spectrum works in the rest frame k = (E,0,0,0) for eps5 = -1 and
 the z-frame k = (0,0,0,q) for eps5 = +1.  There the determinant of the 8x8
-matrix is, exactly, the square of a quartic that is a quadratic in k^2;
-the masses follow in closed form from its exact discriminant.  The frame
-roots are x = (+-M +- sqrt(delta))/2 with delta = M^2 - 4 eps5 mu^2, and
-the reality classes come from the kernel of a 4x4 Schur complement at the
-exact light and heavy roots, in Q(i, sqrt(delta)) (QuadraticScalar), or in
-Q(i) when delta is a rational square.
+matrix, taken as the 4x4 determinant of AD - BC, is exactly the square of a
+quartic that is a quadratic in k^2; the masses follow in closed form from
+its exact discriminant.  The frame roots are x = (+-M +- sqrt(delta))/2
+with delta = M^2 - 4 eps5 mu^2, and the reality classes come from the
+kernel of a 4x4 Schur complement at the exact light and heavy roots, in
+Q(i, sqrt(delta)) (QuadraticScalar), or in Q(i) when delta is a rational
+square.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .clifford import conjugation_closed, gamma_rows, gamma_sum, reality_class
-from .lie_algebra import lower, minkowski_square
-from .matrices import ExactMatrix, echelon
-from .scalars import (I, ONE, ExactScalar, ParamPoly, _coerce_scalar, as_fraction,
+from .clifford import _POLY_POWERS, _gamma_perms, _perm_product, gamma_sum, reality_class
+from .lie_algebra import lower
+from .matrices import ExactMatrix
+from .scalars import (I, ONE, P_ZERO, ExactScalar, ParamPoly, _coerce_scalar, as_fraction,
                       exact_sqrt, poly, sym)
 
 _HALF = ExactScalar(Fraction(1, 2))
@@ -193,30 +195,48 @@ class ModeSpectrum(NamedTuple):
     heavy_k2_exact: Fraction | None
 
 
+def _frame_perm(e5: int) -> tuple:
+    """P = g^a g^4, a phased permutation; a = 0 for eps5 = -1, 3 for +1."""
+    gammas = _gamma_perms(e5)
+    return _perm_product(gammas[0 if e5 == -1 else 3], gammas[4])
+
+
+def _frame_block(e5: int, x: str, big_m: Fraction, mu2: Fraction) -> ExactMatrix:
+    """AD - BC for the blocks [[A, B], [C, D]] of ``coupled_matrix`` at the
+    frame momentum x (a symbol name).  C = g* vev I commutes with D, so
+    det(AD - BC) is the 8x8 determinant (Silvester, "Determinants of block
+    matrices", Math. Gazette 84 (2000) 460).  With g.k = eta x g^a,
+    eta = -eps5, and BC = mu^2 I it is (eta x^2 - mu^2) I + eta M x P."""
+    diag = poly(-e5) * sym(x, 2) - poly(mu2)
+    off = poly(-e5 * big_m) * sym(x)
+    rows = [[P_ZERO] * 4 for _ in range(4)]
+    for r, (col, p) in enumerate(_frame_perm(e5)):
+        rows[r][r] = diag
+        rows[r][col] = rows[r][col] + off * _POLY_POWERS[p]
+    return ExactMatrix(rows)
+
+
 def _root_class(e5: int, x, big_m: Fraction, mu2: Fraction) -> str:
     """Reality class of the u1 components of the kernel at the frame root x.
 
     Eliminating u2 leaves the Schur complement T = g.k - c (g.k + M g^4)
     with c = mu^2 / (k^2 + eps5 M^2), since D22^2 = (k^2 + eps5 M^2) I;
-    k^2 + eps5 M^2 = eps5 (M^2 - x^2) vanishes only at mu = 0.  The u1
-    kernel is ker T, and it is closed under conjugation exactly when the
-    row space of T is: its rank must be 2, and the class is read from its
-    two reduced rows."""
-    axis = 0 if e5 == -1 else 3
-    zero = 0 * x  # of x's field: ExactScalar, or QuadraticScalar with its delta
-    k = [zero] * 4
-    k[axis] = x
-    c = (zero + mu2) / (minkowski_square(k) + e5 * big_m * big_m)
-    coeffs = [(1 - c) * k_mu for k_mu in lower(k)] + [-c * big_m]
-    rows = gamma_rows(e5, coeffs, zero)
-    rank = len(echelon(rows))
+    k^2 + eps5 M^2 = eps5 (M^2 - x^2) vanishes only at mu = 0.  In the
+    frame T = eta g^a (alpha I + beta P) with alpha = (1 - c) x and
+    beta = -c M.  The certificate shows P has eigenvalues +1 and -1 twice
+    each, so P^2 = I, T has rank 2 [alpha + beta != 0] + 2 [alpha - beta != 0],
+    which must be 2, and ker T is an eigenspace of P: spanned by
+    e_r +- i^p e_col over the row pairs P swaps (and the rows it fixes),
+    it is closed under conjugation exactly when every phase i^p is real."""
+    c = (0 * x + mu2) / (e5 * (big_m * big_m - x * x))  # in x's field
+    alpha, beta = (1 - c) * x, -c * big_m
+    rank = 2 * bool(alpha + beta) + 2 * bool(alpha - beta)
     if rank != 2:
         raise RootFindingError(
             "Schur complement kernel is not two-dimensional",
             diagnostics={"rank": rank},
         )
-    # the two reduced rows span the row space of T
-    return "Majorana" if conjugation_closed(rows[:2]) else "Dirac"
+    return "Dirac" if any(p % 2 for _, p in _frame_perm(e5)) else "Majorana"
 
 
 def exact_mode_spectrum(c: CouplingConfig) -> ModeSpectrum:
@@ -224,10 +244,11 @@ def exact_mode_spectrum(c: CouplingConfig) -> ModeSpectrum:
     their reality classes, and the light mass's deviation from leading order.
 
     With M = 2/l and mu^2 = |g|^2 vev^2 the determinant is exactly q(x)^2,
-    q = x^4 - (M^2 - 2 eps5 mu^2) x^2 + mu^4, checked on every call.  Floats
-    enter only through the square root of q's exact discriminant; the heavy
-    root h gives d = M / sqrt(h) - 1 without cancellation, and light mass =
-    m_lead (1 + d), heavy mass = M / (1 + d), deviation = |d| at any mu/M.
+    q = x^4 - (M^2 - 2 eps5 mu^2) x^2 + mu^4, checked on every call on the
+    4x4 ``_frame_block``.  Floats enter only through the square root of q's
+    exact discriminant; the heavy root h gives d = M / sqrt(h) - 1 without
+    cancellation, and light mass = m_lead (1 + d), heavy mass = M / (1 + d),
+    deviation = |d| at any mu/M.
     The k^2 values stay exact when the discriminant is a rational square.
     """
     e5 = c.eps5
@@ -236,12 +257,10 @@ def exact_mode_spectrum(c: CouplingConfig) -> ModeSpectrum:
     mu2 = c.coupling_squared() * c.vev ** 2
     s = m2 - 2 * e5 * mu2
 
-    axis = 0 if e5 == -1 else 3
-    k = [poly(0)] * 4
-    k[axis] = sym(f"k{axis}")
-    x2 = sym(f"k{axis}", 2)
+    x = "k0" if e5 == -1 else "k3"  # the frame momentum
+    x2 = sym(x, 2)
     quartic = x2 * x2 - x2 * poly(s) + poly(mu2 * mu2)
-    if coupled_matrix(tuple(k), c).det() != quartic * quartic:
+    if _frame_block(e5, x, big_m, mu2).det() != quartic * quartic:
         raise RootFindingError(
             "determinant is not the square of the seesaw quartic",
             diagnostics={"quartic": str(quartic)},

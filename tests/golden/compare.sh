@@ -26,8 +26,9 @@ for fmt in json csv; do
     --format $fmt > "$out/scan.$fmt" || test $? -eq 1
   cmp "$out/scan.$fmt" tests/golden/scan_vev_eps5_plus.$fmt
 done
-# the demos that run verify_clifford and the Cayley boosts
-for demo in 04_gamma_boosts 05_dispersion_modes; do
+# the demos that print the contractions and isomorphism signs, run
+# verify_clifford and the Cayley boosts, and print the seesaw spectra
+for demo in 01_deformed_algebra 04_gamma_boosts 05_dispersion_modes 06_seesaw; do
   python demos/$demo.py > "$out/$demo.txt"
   cmp "$out/$demo.txt" tests/golden/demo_${demo%%_*}.txt
 done

@@ -10,6 +10,7 @@ import itertools
 
 import pytest
 from test_clifford import DENSE_GAMMAS
+from table_edits import set_bracket
 
 from ncdirac import lie_algebra
 from ncdirac.cli import main
@@ -49,7 +50,7 @@ def _fresh_gammas(eps5):
 def _vandalize(table):
     """set_bracket on one pair and an in-place edit of another's row."""
     i, j = table.pairs()[0]
-    table.set_bracket(i, j, {k: c * poly(3) for k, c in table.bracket(i, j).items()})
+    set_bracket(table, i, j, {k: c * poly(3) for k, c in table.bracket(i, j).items()})
     last = table.rows[-1]
     last[min(last)] = ((0, 0, 7, 0, 1),)  # the term 7 e_0
 

@@ -387,9 +387,10 @@ def test_nearly_antisymmetric_generator_is_rejected():
         cayley_boost(omega)
 
 
-def _negate_first(flat):
-    i = next(i for i, v in enumerate(flat) if v)
-    return [-v if j == i else v for j, v in enumerate(flat)]
+def _negate_first(perm):
+    """A signed permutation with the entry of its first row negated."""
+    (c, s), *rest = perm
+    return ((c, -s), *rest)
 
 
 def _tables_with(change):

@@ -35,14 +35,20 @@ it pins is a rational of 31 digits over 32.
 ``scan_vev_eps5_plus.json`` and its CSV rendering sweep the condensate
 over 1/2, 1, 3/2, 2 at eps5 = +1: one ok row, one whose light root is the
 heavy one (fail), and two overcritical error rows, so the run exits 1.
-They pin the scan path and the seesaw spectrum that ``gamma_rows`` feeds,
-and were written by the engine whose ``clifford`` kept dense gamma
-literals and whose ``cayley`` read them as signed permutations.
+They pin the scan path and the seesaw spectrum and classes, and were
+written by the engine whose ``clifford`` kept dense gamma literals and
+whose ``cayley`` read them as signed permutations.
 
 ``demo_04.txt`` and ``demo_05.txt`` pin the output of demos 04 and 05, the
 only callers of ``verify_clifford`` and of the Cayley boosts outside the
 tests.  They were written by the engine whose Clifford relations were
 checked on a cached dense copy of the gammas.
+
+``demo_01.txt`` pins the contractions and the isomorphism signs, and
+``demo_06.txt`` the seesaw deviations and reality classes.  They were
+written by the engine that substituted tables coefficient by coefficient
+through ``ParamPoly`` and took the seesaw certificate as a dense 8x8
+determinant.
 """
 
 import json
@@ -86,7 +92,8 @@ def test_exact_report_matches_golden(monkeypatch, capsys, argv, golden, code):
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
-@pytest.mark.parametrize("demo", ["04_gamma_boosts", "05_dispersion_modes"])
+@pytest.mark.parametrize("demo", ["01_deformed_algebra", "04_gamma_boosts",
+                                  "05_dispersion_modes", "06_seesaw"])
 def test_demo_output_matches_golden(capsys, demo):
     runpy.run_path(str(GOLDEN.parent.parent / "demos" / f"{demo}.py"), run_name="__main__")
     golden = GOLDEN / f"demo_{demo.split('_')[0]}.txt"

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from table_edits import set_bracket
 
 from ncdirac.cli import main
 from ncdirac.lie_algebra import (
@@ -24,7 +25,8 @@ from ncdirac.lie_algebra import (
     StructureConstants,
 )
 from ncdirac.scalars import (MAX_DEGREE, DegreeBoundError, ExactScalar, ParamPoly,
-                             QuadraticScalar, poly, sym)
+                             QuadraticScalar, SubstitutionError, UnknownSymbolError, poly,
+                             sym)
 
 SIGNS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 
@@ -96,7 +98,7 @@ def test_tampered_table_fails_jacobi():
     alg = build_deformed_algebra(1, -1)
     ix = {n: k for k, n in enumerate(alg.basis)}
     # double the [P0, x0] constant: iC -> 2iC
-    alg.set_bracket(ix["P0"], ix["x0"], {ix["C"]: poly(ExactScalar(0, 2))})
+    set_bracket(alg, ix["P0"], ix["x0"], {ix["C"]: poly(ExactScalar(0, 2))})
     violations = jacobi_residual(alg)
     assert len(violations) == 12
     names, residual = violations[0]
@@ -133,7 +135,7 @@ def _double_one_coefficient(monkeypatch, which):
         i, j = table.pairs()[which]
         combo = table.bracket(i, j)
         k = min(combo)
-        table.set_bracket(i, j, {**combo, k: combo[k] * poly(2)})
+        set_bracket(table, i, j, {**combo, k: combo[k] * poly(2)})
         return table
 
     monkeypatch.setattr(lie, "build_orthogonal_algebra", tampered)
@@ -175,8 +177,8 @@ def _negated(table, names):
     sign = [-1 if k in flipped else 1 for k in range(table.dim())]
     out = StructureConstants(table.basis)
     for i, j in table.pairs():
-        out.set_bracket(i, j, {m: c * poly(sign[i] * sign[j] * sign[m])
-                               for m, c in table.bracket(i, j).items()})
+        set_bracket(out, i, j, {m: c * poly(sign[i] * sign[j] * sign[m])
+                                for m, c in table.bracket(i, j).items()})
     return out
 
 
@@ -283,13 +285,13 @@ def _doc():
 def test_bracket_index_outside_basis_is_rejected():
     alg = build_deformed_algebra(1, -1)
     with pytest.raises(ValueError, match="generator index 99"):
-        alg.set_bracket(0, 99, {1: poly(1)})
+        set_bracket(alg, 0, 99, {1: poly(1)})
     with pytest.raises(ValueError, match="generator index -1"):
-        alg.set_bracket(-1, 3, {1: poly(1)})
+        set_bracket(alg, -1, 3, {1: poly(1)})
     with pytest.raises(ValueError, match="output index -1"):
-        alg.set_bracket(0, 1, {-1: poly(1)})
+        set_bracket(alg, 0, 1, {-1: poly(1)})
     with pytest.raises(ValueError, match="output index 15"):
-        alg.set_bracket(1, 0, {15: poly(1)})
+        set_bracket(alg, 1, 0, {15: poly(1)})
 
 
 _ONE = [[14, poly(1).to_json()]]
@@ -381,7 +383,7 @@ def _seeded_table(rng, n=7):
     for i, j in itertools.combinations(range(n), 2):
         if rng.random() < 0.7:
             combo = {k: _seeded_poly(rng) for k in rng.sample(range(n), rng.randint(1, 3))}
-            table.set_bracket(*((i, j) if rng.random() < 0.5 else (j, i)), combo)
+            set_bracket(table, *((i, j) if rng.random() < 0.5 else (j, i)), combo)
     return table
 
 
@@ -464,6 +466,94 @@ def test_ell_limit_does_not_depend_on_eps5(eps4):
     assert plus.rows == minus.rows
 
 
+# -- substitution on the integer rows ----------------------------------------
+
+
+def _substituted_per_coefficient(table, bindings):
+    """The reference: each coefficient through ``ParamPoly.substitute``."""
+    out = StructureConstants(table.basis)
+    for i, j in table.pairs():
+        set_bracket(out, i, j, {k: c.substitute(bindings) for k, c in table.bracket(i, j).items()})
+    return out
+
+
+def _arbitrary_poly(rng):
+    """Up to four Gaussian-rational terms in l, rho, r, m and k0, powers 0..3."""
+    return ParamPoly({
+        tuple(rng.randint(0, 3) for _ in range(5)) + (0,) * 5:
+            ExactScalar(Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+        for _ in range(rng.randint(1, 4))
+    })
+
+
+_BINDINGS = [
+    {"rho": 0}, {"l": 0}, {"rho": 0, "l": 0}, {"rho": sym("r", 2)},
+    {"l": Fraction(-3, 7)}, {"rho": ExactScalar(Fraction(1, 2), Fraction(-2, 3))},
+    {"m": ExactScalar(0, 1), "k0": sym("l") - sym("rho", 2), "r": 2},
+]
+
+
+def test_row_substitution_matches_the_coefficient_path():
+    rng = random.Random("substitute")
+    for _ in range(12):
+        table = StructureConstants(tuple(f"e{a}" for a in range(6)))
+        for i, j in itertools.combinations(range(6), 2):
+            if rng.random() < 0.7:
+                set_bracket(table, i, j, {k: _arbitrary_poly(rng)
+                                          for k in rng.sample(range(6), rng.randint(1, 3))})
+        for bindings in _BINDINGS:
+            got, want = table.substitute(bindings), _substituted_per_coefficient(table, bindings)
+            _assert_same_table(got, want)
+            assert [list(row) for row in got.rows] == [list(row) for row in want.rows]
+    for eps4, eps5 in SIGNS:
+        table = build_deformed_algebra(eps4, eps5)
+        for bindings in _BINDINGS:
+            _assert_same_table(table.substitute(bindings),
+                               _substituted_per_coefficient(table, bindings))
+
+
+@pytest.mark.parametrize("bindings,error", [
+    ({"zzz": 1}, UnknownSymbolError),
+    ({"rho": sym("rho")}, SubstitutionError),
+    ({"rho": sym("l"), "l": 1}, SubstitutionError),
+])
+def test_bad_bindings_raise_on_any_table(bindings, error):
+    # an empty table checks them too, though no coefficient reads them
+    with pytest.raises(error):
+        StructureConstants(["a", "b"]).substitute(bindings)
+    table = build_deformed_algebra(1, 1)
+    with pytest.raises(error):
+        table.substitute(bindings)
+    with pytest.raises(error):
+        _substituted_per_coefficient(table, bindings)
+
+
+def test_row_substitution_keeps_the_degree_bound():
+    # rho^64 -> r^128 overflows in the bound part, l^100 r^20 -> l^140 in
+    # its join with the rest of the monomial; both paths raise alike
+    for coeff, bindings in ((sym("rho", 64), {"rho": sym("r", 2)}),
+                            (sym("l", 100) * sym("r", 20), {"r": sym("l", 2)})):
+        table = StructureConstants(("a", "b", "c"))
+        set_bracket(table, 0, 1, {2: coeff})
+        with pytest.raises(DegreeBoundError) as got:
+            table.substitute(bindings)
+        with pytest.raises(DegreeBoundError) as want:
+            _substituted_per_coefficient(table, bindings)
+        assert str(got.value) == str(want.value)
+
+
+def test_contract_with_no_limit_is_a_copy():
+    alg = build_deformed_algebra(1, -1)
+    same = contract(alg)
+    assert same is not alg
+    _assert_same_table(same, alg)
+    i, j = same.pairs()[0]
+    set_bracket(same, i, j, {0: poly(5)})
+    same.rows[-1].clear()
+    _assert_same_table(alg, build_deformed_algebra(1, -1))
+
+
 # -- sparse Jacobi against a float oracle ------------------------------------
 
 
@@ -518,8 +608,8 @@ def _fixture_tables(draw):
     table = StructureConstants(base.basis)
     # e_a -> s_a e_a takes c_ab^k to (s_a s_b / s_k) c_ab^k
     for i, j in base.pairs():
-        table.set_bracket(i, j, {k: c * poly(s[i] * s[j] / s[k]) * f
-                                 for k, c in base.bracket(i, j).items()})
+        set_bracket(table, i, j, {k: c * poly(s[i] * s[j] / s[k]) * f
+                                  for k, c in base.bracket(i, j).items()})
     tampered = draw(st.booleans())
     if tampered:
         pair = draw(st.sampled_from(table.pairs()))
@@ -529,7 +619,7 @@ def _fixture_tables(draw):
             _SMALL.filter(lambda x: x != 1).map(poly),
             _polys().filter(lambda p: p != 1),
         ))
-        table.set_bracket(*pair, {**combo, k: combo[k] * factor})
+        set_bracket(table, *pair, {**combo, k: combo[k] * factor})
     return table, tampered
 
 
@@ -663,9 +753,9 @@ def _sparse_tables(draw):
                              unique=True, min_size=1, max_size=3))
         combo = {k: draw(_mixed_polys()) for k in outs}
         if draw(st.booleans()):
-            table.set_bracket(i, j, combo)
+            set_bracket(table, i, j, combo)
         else:
-            table.set_bracket(j, i, combo)
+            set_bracket(table, j, i, combo)
     return table
 
 
@@ -688,13 +778,13 @@ def test_jacobi_join_matches_reference_on_a_large_sparse_table():
     n = 41
     table = StructureConstants(tuple(f"e{a}" for a in range(n)))
     half, third = ExactScalar(Fraction(1, 2)), ExactScalar(0, Fraction(-1, 3))
-    table.set_bracket(0, 40, {20: poly(1), 0: sym("l")})
-    table.set_bracket(20, 5, {40: poly(half), 5: sym("rho")})
-    table.set_bracket(39, 5, {0: poly(third), 39: poly(1) - sym("l", 2)})
-    table.set_bracket(1, 39, {20: sym("rho") * poly(ExactScalar(Fraction(2, 7), 1))})
-    table.set_bracket(40, 39, {1: poly(3), 40: poly(ExactScalar(Fraction(5, 9)))})
-    table.set_bracket(12, 20, {12: sym("l"), 30: poly(1)})
-    table.set_bracket(30, 12, {20: poly(half)})
+    set_bracket(table, 0, 40, {20: poly(1), 0: sym("l")})
+    set_bracket(table, 20, 5, {40: poly(half), 5: sym("rho")})
+    set_bracket(table, 39, 5, {0: poly(third), 39: poly(1) - sym("l", 2)})
+    set_bracket(table, 1, 39, {20: sym("rho") * poly(ExactScalar(Fraction(2, 7), 1))})
+    set_bracket(table, 40, 39, {1: poly(3), 40: poly(ExactScalar(Fraction(5, 9)))})
+    set_bracket(table, 12, 20, {12: sym("l"), 30: poly(1)})
+    set_bracket(table, 30, 12, {20: poly(half)})
     got = _assert_matches_reference(table)
     assert [names for names, _ in got] == [
         ("e0", "e5", "e20"), ("e0", "e5", "e40"), ("e0", "e12", "e40"),
@@ -726,8 +816,8 @@ def test_kernel_keeps_the_degree_bound():
     # a product past MAX_DEGREE raises in the kernel as ParamPoly * does
     alg = StructureConstants(("a", "b", "c", "d"))
     # [[a, b], c] = l^MAX_DEGREE [d, c] = l^(MAX_DEGREE + 1) a
-    alg.set_bracket(0, 1, {3: sym("l", MAX_DEGREE)})
-    alg.set_bracket(3, 2, {0: sym("l")})
+    set_bracket(alg, 0, 1, {3: sym("l", MAX_DEGREE)})
+    set_bracket(alg, 3, 2, {0: sym("l")})
     with pytest.raises(DegreeBoundError, match="l\\^"):
         jacobi_residual(alg)
     with pytest.raises(DegreeBoundError):

@@ -382,8 +382,8 @@ def test_corrupted_boost_table_fails_the_boost_row(monkeypatch):
 
     def corrupted():
         r, pairs, g = true_tables()
-        i = next(i for i, v in enumerate(g) if v)
-        return r, pairs, [-v if j == i else v for j, v in enumerate(g)]
+        (c, s), *rest = g
+        return r, pairs, ((c, -s), *rest)
 
     omegas = _seeded_omegas(42)
     monkeypatch.setattr(cayley, "_tables", corrupted)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -133,20 +134,55 @@ def test_hierarchy_sweep(eps5):
 def test_determinant_certificate(monkeypatch):
     import ncdirac.seesaw as seesaw
 
-    exact = seesaw.coupled_matrix
+    exact = seesaw._frame_block
 
-    def perturbed(k, c):
-        out = exact(k, c)
-        out.rows[0][4] = out.rows[0][4] + poly(ExactScalar(Fraction(1, 10 ** 6)))
+    def perturbed(*args):
+        out = exact(*args)
+        out.rows[0][0] = out.rows[0][0] + poly(ExactScalar(Fraction(1, 10 ** 6)))
         return out
 
-    monkeypatch.setattr(seesaw, "coupled_matrix", perturbed)
+    monkeypatch.setattr(seesaw, "_frame_block", perturbed)
     config = CouplingConfig(
         g=ExactScalar(Fraction(1)), vev=Fraction(1, 10), ell=Fraction(1), eps5=-1
     )
     with pytest.raises(RootFindingError) as err:
         exact_mode_spectrum(config)
     assert "quartic" in err.value.diagnostics
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+def test_block_determinant_is_the_dense_one(eps5):
+    # Silvester's AD - BC against the dense 8x8 expansion, at seeded real,
+    # complex and zero couplings: both are q^2 along the frame axis
+    import ncdirac.seesaw as seesaw
+
+    rng = random.Random(f"block-{eps5}")
+    couplings = ["0", "1", "3+4i"] + [
+        f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}{rng.randint(-9, 9):+d}/{rng.randint(1, 9)}i"
+        for _ in range(3)]
+    x = "k0" if eps5 == -1 else "k3"
+    for g in couplings:
+        config = CouplingConfig(g=g, vev=Fraction(rng.randint(0, 9), rng.randint(1, 9)),
+                                ell=Fraction(rng.randint(1, 9), rng.randint(1, 9)), eps5=eps5)
+        big_m, mu2 = 2 / config.ell, config.coupling_squared() * config.vev ** 2
+        k = [0, 0, 0, 0]
+        k[int(x[1])] = sym(x)
+        dense = coupled_matrix(tuple(k), config).det()
+        block = seesaw._frame_block(eps5, x, big_m, mu2).det()
+        x2 = sym(x, 2)
+        quartic = x2 * x2 - x2 * poly(big_m ** 2 - 2 * eps5 * mu2) + poly(mu2 * mu2)
+        assert dense == block == quartic * quartic, g
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+def test_schur_rank_away_from_a_root(eps5):
+    # x = 1/3 is no root at M = 2, mu^2 = 1/100: the complement is invertible
+    from ncdirac.seesaw import _root_class
+
+    with pytest.raises(RootFindingError, match="^Schur complement kernel is not "
+                                              "two-dimensional$") as err:
+        _root_class(eps5, ExactScalar(Fraction(1, 3)), Fraction(2), Fraction(1, 100))
+    assert err.value.diagnostics == {"rank": 4}
 
 
 def test_exact_string_parameters():
