@@ -462,20 +462,27 @@ def cmd_modes(cfg: RunConfig):
 # -- seesaw -------------------------------------------------------------------
 
 
+PAST_HIERARCHY = "2 (mu/M)^2 >= 1: the coupling is outside the seesaw regime mu/M << 1"
+
+
+def past_hierarchy(coupling: CouplingConfig) -> bool:
+    """2 (mu/M)^2 >= 1, decided exactly as 2 |g|^2 vev^2 >= M^2."""
+    return 2 * coupling.coupling_squared() * coupling.vev ** 2 >= (2 / coupling.ell) ** 2
+
+
 def seesaw_verdict(coupling: CouplingConfig, spectrum) -> tuple[bool, float, float]:
     """(ok, deviation tolerance, mu/M) for one exact spectrum: the light
     mass within max(2 (mu/M)^2, 1e-12) of its leading value, the heavy mass
     within 2 (mu/M)^2 of M = 2/l, and the light class unset or the one the
     leading order predicts.  Once 2 (mu/M)^2 reaches 1 those bounds admit
     every light mass up to twice its leading value, the heavy root among
-    them, so such a coupling fails; that is decided exactly, as
-    2 |g|^2 vev^2 >= M^2."""
+    them, so such a coupling fails (``past_hierarchy``)."""
     big_m = 2.0 / float(coupling.ell)
     ratio = coupling.mu() / big_m
     tol = max(2.0 * ratio * ratio, 1e-12)
     heavy_drift = abs(math.sqrt(abs(spectrum.heavy_k2)) - big_m) / big_m
     ok = (
-        2 * coupling.coupling_squared() * coupling.vev ** 2 < (2 / coupling.ell) ** 2
+        not past_hierarchy(coupling)
         and spectrum.deviation <= tol
         and heavy_drift <= 2.0 * ratio * ratio + 1e-12
         and spectrum.light_class in (None, light_mass_leading(coupling)[1])
@@ -533,6 +540,8 @@ def cmd_seesaw(cfg: RunConfig):
                 "roots": list(spectrum.roots),
                 "mu_over_M": ratio,
             }
+            if past_hierarchy(coupling):
+                details["reason"] = PAST_HIERARCHY
         yield _row(
             "seesaw_spectrum", params, ok=ok,
             relation="light root of det(coupled matrix) matches "
@@ -644,7 +653,7 @@ def cmd_scan(cfg: RunConfig, param: str, start: Fraction, stop: Fraction,
                 leading_light_mass=spectrum.leading_light_mass,
                 deviation=spectrum.deviation,
                 status="ok" if seesaw_verdict(coupling, spectrum)[0] else "fail",
-                error=None,
+                error=PAST_HIERARCHY if past_hierarchy(coupling) else None,
             )
         except (RootFindingError, ValueError) as exc:
             row.update(

@@ -46,6 +46,7 @@ from .scalars import (
     ParamPoly,
     TruncationOrderError,
     _accumulate,
+    _sum_of_products,
     poly,
     sym,
 )
@@ -132,25 +133,15 @@ class NCExpression(LinearCombination):
 
 
 @cache
-def _flat_table(eps5: int):
-    """The flat deformed table; its basis index k is the token TOKENS[k]."""
-    return flat_deformed_algebra(eps5)
-
-
-def _bracket(eps5: int, i: int, j: int) -> NCExpression:
-    """[TOKENS[i], TOKENS[j]] from the flat table."""
-    combo = _flat_table(eps5).bracket(i, j)
-    return NCExpression({(TOKENS[k],): c for k, c in combo.items()})
-
-
-@cache
 def _swap_rules(eps5: int) -> dict:
     """(a, b) -> the terms of [a, b] for every pair with rank(a) > rank(b)
-    whose bracket is nonzero; a pair missing here commutes."""
+    whose bracket is nonzero; a pair missing here commutes.  The flat
+    table's basis index k is the token TOKENS[k]."""
+    table = flat_deformed_algebra(eps5)
     rules = {}
-    for i in range(_flat_table(eps5).dim()):
+    for i in range(table.dim()):
         for j in range(i):
-            rule = _bracket(eps5, i, j)
+            rule = NCExpression({(TOKENS[k],): c for k, c in table.bracket(i, j).items()})
             if rule.terms:
                 rules[(TOKENS[i], TOKENS[j])] = rule.terms
     ell2 = I * eps5 * sym("l", 2)
@@ -173,28 +164,21 @@ def _find_redex(word: tuple, leftmost: bool):
     return None
 
 
-_NF_MEMO: dict = {}
-
-
+@cache
 def _nf_word(eps5: int, word: tuple, leftmost: bool) -> NCExpression:
-    key = (eps5, leftmost, word)
-    cached = _NF_MEMO.get(key)
-    if cached is not None:
-        return cached
+    """Normal form of one word, memoised (``cache_clear``, ``cache_info``);
+    results are shared, so callers read them and never hand them out."""
     pos = _find_redex(word, leftmost)
     if pos is None:
-        result = NCExpression._made({word: P_ONE})
-    else:
-        a, b = word[pos], word[pos + 1]
-        head, tail = word[:pos], word[pos + 2:]
-        if {a, b} == {C_TOKEN, CINV_TOKEN}:
-            result = _nf_word(eps5, head + tail, leftmost)
-        else:
-            result = _nf_word(eps5, head + (b, a) + tail, leftmost)
-            for corr_word, coeff in _swap_rules(eps5).get((a, b), {}).items():
-                sub = _nf_word(eps5, head + corr_word + tail, leftmost)
-                result = result + sub.scale(coeff)
-    _NF_MEMO[key] = result
+        return NCExpression._made({word: P_ONE})
+    a, b = word[pos], word[pos + 1]
+    head, tail = word[:pos], word[pos + 2:]
+    if {a, b} == {C_TOKEN, CINV_TOKEN}:
+        return _nf_word(eps5, head + tail, leftmost)
+    result = _nf_word(eps5, head + (b, a) + tail, leftmost)
+    for corr_word, coeff in _swap_rules(eps5).get((a, b), {}).items():
+        sub = _nf_word(eps5, head + corr_word + tail, leftmost)
+        result = result + sub.scale(coeff)
     return result
 
 
@@ -221,7 +205,37 @@ def normal_form(expr: NCExpression, eps5: int, order: int | None = None,
 
 
 def commutator(a: NCExpression, b: NCExpression) -> NCExpression:
+    """a*b - b*a, the definition (``PlaneWaveCheck`` expands brackets instead)."""
     return a * b - b * a
+
+
+def _leibniz(expr: NCExpression, action) -> dict:
+    """Terms of the sum over words w of expr and their letters of
+    c_w w_<i action(w_i) w_>i, with ``action`` giving a letter's terms."""
+    acc: dict = {}
+    for word, coeff in expr.terms.items():
+        for i, token in enumerate(word):
+            for hit, c in action(token).items():
+                _accumulate(acc, word[:i] + hit + word[i + 1:], coeff * c)
+    return acc
+
+
+def _letter_bracket(eps5: int, x: str, y: str) -> dict:
+    """The terms of [x, y] for two tokens, read from the swap rules: negated
+    when only [y, x] is stored, empty when neither is."""
+    rules = _swap_rules(eps5)
+    if (x, y) in rules:
+        return rules[x, y]
+    return {w: -c for w, c in rules.get((y, x), {}).items()}
+
+
+def _bracket_expansion(a: NCExpression, b: NCExpression, eps5: int) -> NCExpression:
+    """[a, b] by the Leibniz rule in both slots: the sum over words u of a,
+    v of b and their letters of c_u c_v u_<i v_<j [u_i, v_j] v_>j u_>i.
+    Its normal form is that of a*b - b*a."""
+    ad_b = {x: _leibniz(b, lambda y: _letter_bracket(eps5, x, y))
+            for x in {x for u in a.terms for x in u}}
+    return NCExpression._made(_leibniz(a, ad_b.__getitem__))
 
 
 class Derivation:
@@ -242,19 +256,15 @@ class Derivation:
         self.index = index
         self.action: dict[str, NCExpression] = {t: NCExpression() for t in TOKENS}
         if index < 4:
-            p_idx = TOKENS.index(P_TOKENS[index])
-            for k in range(_flat_table(eps5).dim()):
-                self.action[TOKENS[k]] = _bracket(eps5, p_idx, k).scale(-I)
+            for t in TOKENS:
+                self.action[t] = NCExpression._made(
+                    _letter_bracket(eps5, P_TOKENS[index], t)).scale(-I)
         else:
             for mu in range(4):
                 self.action[f"x{mu}"] = NCExpression({(f"p{mu}", C_TOKEN): -eps5 * sym("l")})
 
     def __call__(self, expr: NCExpression, order: int | None = None) -> NCExpression:
-        acc: dict = {}
-        for word, coeff in expr.terms.items():
-            for i, token in enumerate(word):
-                for hit, c in self.action[token].terms.items():
-                    _accumulate(acc, word[:i] + hit + word[i + 1:], coeff * c)
+        acc = _leibniz(expr, lambda token: self.action[token].terms)
         return normal_form(NCExpression._made(acc), self.eps5, order=order)
 
 
@@ -316,7 +326,7 @@ class PlaneWaveCheck:
         self._exponent = PlaneWaveExponent(eps5, order).expression
 
     def _normal_commutator(self, a: NCExpression, b: NCExpression) -> NCExpression:
-        return normal_form(commutator(a, b), self.eps5, order=self.order)
+        return normal_form(_bracket_expansion(a, b, self.eps5), self.eps5, order=self.order)
 
     @cached_property
     def _momentum_commutators(self) -> list:
@@ -335,7 +345,7 @@ class PlaneWaveCheck:
         out = []
         for mu, comm in enumerate(self._momentum_commutators):
             for token in TOKENS:
-                c2 = self._normal_commutator(comm, NCExpression.gen(token))
+                c2 = self._normal_commutator(comm, NCExpression._made({(token,): P_ONE}))
                 if not c2.is_zero():
                     out.append((mu, token, c2))
         return out
@@ -401,8 +411,8 @@ def lemma_matrix_check(eps5: int, ell_value=Fraction(1, 10), k=(1, 0, 0, 0)) -> 
 
     # a polynomial of degree <= 12 is its coefficient list, lowest degree
     # first, with no trailing zeros
-    def comb(*terms):  # sum of scalar * polynomial
-        out = [sum((a * f[n] for a, f in terms if n < len(f)), ZERO)
+    def comb(*terms):  # sum of scalar * polynomial, one reduction per coefficient
+        out = [_sum_of_products((a, f[n]) for a, f in terms if n < len(f)) or ZERO
                for n in range(max((len(f) for _, f in terms), default=0))]
         while out and not out[-1]:
             out.pop()
@@ -416,35 +426,33 @@ def lemma_matrix_check(eps5: int, ell_value=Fraction(1, 10), k=(1, 0, 0, 0)) -> 
             raise ValueError("the model leaves degree 12")
         return [ZERO] + f if f else f
 
-    def exp_a(f):  # sum_n A^n f / n! to n = 12, stopping once A^n f = 0
-        total = term = f
-        for n in range(1, _LEMMA_DIM):
-            term = comb((ONE / n, d_dx(term)))
-            if not term:
-                break
-            total = comb((ONE, total), (ONE, term))
-        return total
+    def exp_a(f):  # sum_n A^n f / n!, to n = 12 at most, until A^n f = 0
+        terms = []
+        while f:
+            terms.append((ONE / math.factorial(len(terms)), f))
+            f = d_dx(f)
+        return comb(*terms)
 
     def residual(lhs, *rhs):  # lhs - sum of the rhs terms
         diff = comb((ONE, lhs), *((-a, f) for a, f in rhs))
         return max((abs(x.re) + abs(x.im) for x in diff), default=Fraction(0))
 
     v = [ExactScalar(Fraction(1, n)) for n in range(1, 5)]
-    ev = exp_a(v)
+    ev, e_xv = exp_a(v), exp_a(x_times(v))
     # [p_mu, e^A] v = k_mu e^A v with p_mu = -k_mu x
     residuals = {"momentum_commutator": max(
-        residual(comb((-k_mu, x_times(ev))), (-k_mu, exp_a(x_times(v))), (k_mu, ev))
-        for k_mu in k_low)}
+        residual(comb((-k_mu, x_times(ev))), (-k_mu, e_xv), (k_mu, ev)) for k_mu in k_low)}
     # d(e^A) v = sum_n (1/n!) sum_j A^j dA A^(n-1-j) v with dA = c x
-    de_v, power = [], v
+    terms, power = [], v
     for m in range(1, _LEMMA_DIM):  # power = A^(m-1) v
         term, weight = comb((c, x_times(power))), ONE / math.factorial(m)
         for n in range(m, _LEMMA_DIM):  # term = A^(n-m) dA A^(m-1) v
             if not term:
                 break
-            de_v = comb((ONE, de_v), (weight, term))
+            terms.append((weight, term))
             term, weight = d_dx(term), weight / (n + 1)
         power = d_dx(power)
+    de_v = comb(*terms)
     residuals["derivative_lemma"] = residual(de_v, (c, x_times(ev)), (c / 2, ev))
     # the same as the plane-wave relation d(e^A) = -i eps5 l (-k.p + k^2/2) e^A
     scale = ExactScalar(0, -eps5 * ell)

@@ -380,6 +380,16 @@ class QuadraticScalar:
     def __bool__(self) -> bool:
         return bool(self.a or self.b)
 
+    def __eq__(self, other) -> bool:
+        """Equal by value; an exact number is the element with b = 0."""
+        if not isinstance(other, (QuadraticScalar, ExactScalar, Integral, Fraction)):
+            return NotImplemented
+        return (self.a, self.b) == self._parts(other)
+
+    def __hash__(self):
+        # an element with b = 0 hashes like the exact number it equals
+        return hash((self.a, self.b, self.delta)) if self.b else hash(self.a)
+
 
 def exact_sqrt(q: Fraction):
     """sqrt(q) of a rational q >= 0: an ExactScalar when q is a rational

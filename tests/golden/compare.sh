@@ -2,6 +2,7 @@
 # Run the exact reports with `python -m ncdirac` and compare
 # each with its golden file byte for byte.  Run from the repository root.
 set -e
+export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 out=$(mktemp -d)
 for cmd in algebra rep clifford planewave; do
   python -m ncdirac verify $cmd --all-signs > "$out/$cmd.json"
@@ -26,9 +27,10 @@ for fmt in json csv; do
     --format $fmt > "$out/scan.$fmt" || test $? -eq 1
   cmp "$out/scan.$fmt" tests/golden/scan_vev_eps5_plus.$fmt
 done
-# the demos that print the contractions and isomorphism signs, run
-# verify_clifford and the Cayley boosts, and print the seesaw spectra
-for demo in 01_deformed_algebra 04_gamma_boosts 05_dispersion_modes 06_seesaw; do
+# the demos that print the contractions and isomorphism signs, the
+# plane-wave remainders and lemma residuals, run verify_clifford and the
+# Cayley boosts, and print the seesaw spectra
+for demo in 01_deformed_algebra 03_plane_wave 04_gamma_boosts 05_dispersion_modes 06_seesaw; do
   python demos/$demo.py > "$out/$demo.txt"
   cmp "$out/$demo.txt" tests/golden/demo_${demo%%_*}.txt
 done

@@ -1,10 +1,13 @@
 """Word rewriting engine and the plane-wave exponent identities."""
 
+import importlib.util
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncdirac import checks, enveloping
 from ncdirac.enveloping import (
     CINV_TOKEN,
     C_TOKEN,
@@ -13,6 +16,7 @@ from ncdirac.enveloping import (
     Derivation,
     NCExpression,
     PlaneWaveExponent,
+    _bracket_expansion,
     commutator,
     lemma_matrix_check,
     normal_form,
@@ -187,3 +191,72 @@ def test_numeric_exponential_model(eps5):
         lemma_matrix_check(eps5, 0.1)
     with pytest.raises(TypeError, match="convert floats explicitly"):
         lemma_matrix_check(eps5, Fraction(1, 10), (1.0, 0, 0, 0))
+
+
+def random_expression(rng: random.Random) -> NCExpression:
+    """Up to three words of length <= 3 over all 16 tokens, with
+    coefficients in Q(i)[l, k0..k3]."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        word = tuple(rng.choice(TOKENS) for _ in range(rng.randint(0, 3)))
+        scalar = ExactScalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
+        terms[word] = (poly(scalar) * sym("l", rng.randint(0, 2))
+                       * sym(f"k{rng.randrange(4)}", rng.randint(0, 2)))
+    return NCExpression(terms)
+
+
+@pytest.mark.parametrize("leftmost", [True, False])
+@pytest.mark.parametrize("order", [4, 6])
+@pytest.mark.parametrize("eps5", [1, -1])
+def test_bracket_expansion_matches_the_definition(eps5, order, leftmost):
+    rng = random.Random(f"bracket-expansion:{eps5}:{order}:{leftmost}")
+    for _ in range(20):
+        a, b = random_expression(rng), random_expression(rng)
+        got = normal_form(_bracket_expansion(a, b, eps5), eps5, order, leftmost)
+        assert got == normal_form(commutator(a, b), eps5, order, leftmost), (a, b)
+
+
+def _own_enveloping():
+    """A second copy of the module, with its own swap rules and memo, so a
+    tampered rule neither meets a memoised normal form nor leaves one."""
+    spec = importlib.util.spec_from_file_location("ncdirac._own_enveloping",
+                                                  enveloping.__file__)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("mu", [0, 2])
+@pytest.mark.parametrize("eps5", [1, -1])
+def test_flipped_swap_rule_fails_the_plane_wave_rows(monkeypatch, eps5, mu):
+    # [x_mu, p_mu] is the rule the momentum and mixed identities rest on;
+    # the Cinv rule and [x_mu, C] cancel out of every plane-wave row
+    own = _own_enveloping()
+    rules = own._swap_rules(eps5)
+    key = (f"x{mu}", f"p{mu}")
+    monkeypatch.setitem(rules, key, {w: -c for w, c in rules[key].items()})
+    monkeypatch.setattr(checks, "verify_plane_wave_relations", own.verify_plane_wave_relations)
+    rows = checks.cmd_verify_planewave(checks.RunConfig(eps5=eps5))
+    failed = {r.check for r in rows if not r.passed}
+    assert {"planewave_momentum", "planewave_mixed"} <= failed
+
+
+def test_normal_form_memo_has_an_owner():
+    enveloping._nf_word.cache_clear()
+    assert enveloping._nf_word.cache_info().currsize == 0
+    verify_plane_wave_relations(-1).momentum_remainders
+    assert enveloping._nf_word.cache_info().currsize > 0
+    enveloping._nf_word.cache_clear()
+    assert enveloping._nf_word.cache_info().currsize == 0
+
+
+def test_normal_form_hands_out_fresh_expressions():
+    expr = word(CINV_TOKEN, "x0")
+    first = normal_form(expr, 1, order=4)
+    expect = NCExpression(first.terms)
+    first.terms.clear()
+    assert normal_form(expr, 1, order=4) == expect != first
+    # a word already in normal form comes back as a new expression too
+    single = normal_form(word("x0"), 1)
+    single.terms[("x0",)] = poly(7)
+    assert normal_form(word("x0"), 1) == word("x0")

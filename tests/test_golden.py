@@ -49,6 +49,11 @@ checked on a cached dense copy of the gammas.
 written by the engine that substituted tables coefficient by coefficient
 through ``ParamPoly`` and took the seesaw certificate as a dense 8x8
 determinant.
+
+``demo_03.txt`` pins the ``Cinv`` rewrite, every plane-wave remainder, the
+vacuum scalar and the lemma residuals.  It was written by the engine that
+normal-ordered both ``a*b`` and ``b*a`` for each plane-wave commutator and
+summed the lemma model one addition at a time.
 """
 
 import json
@@ -92,7 +97,7 @@ def test_exact_report_matches_golden(monkeypatch, capsys, argv, golden, code):
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
-@pytest.mark.parametrize("demo", ["01_deformed_algebra", "04_gamma_boosts",
+@pytest.mark.parametrize("demo", ["01_deformed_algebra", "03_plane_wave", "04_gamma_boosts",
                                   "05_dispersion_modes", "06_seesaw"])
 def test_demo_output_matches_golden(capsys, demo):
     runpy.run_path(str(GOLDEN.parent.parent / "demos" / f"{demo}.py"), run_name="__main__")

@@ -14,6 +14,7 @@ from ncdirac.scalars import (
     DegreeBoundError,
     ExactScalar,
     ParamPoly,
+    QuadraticScalar,
     SYMBOLS,
     UnknownSymbolError,
     _sum_of_products,
@@ -396,3 +397,29 @@ class TestSumOfProducts:
         got = _sum_of_products([(i * half, ExactScalar(2)),
                                 (ExactScalar(Fraction(1, 3)), ExactScalar(Fraction(3, 2)))])
         assert got == ExactScalar(Fraction(1, 2), 1)
+
+
+def test_quadratic_scalar_equality_is_by_value():
+    two = Fraction(2)
+    root = QuadraticScalar(1, 1, two)
+    assert root == QuadraticScalar(1, 1, two) and not root != QuadraticScalar(1, 1, two)
+    assert root != QuadraticScalar(1, -1, two) and root != QuadraticScalar(2, 1, two)
+    # an exact number is the element with b = 0, on either side
+    half = QuadraticScalar(Fraction(1, 2), 0, two)
+    for exact in (Fraction(1, 2), ExactScalar(Fraction(1, 2))):
+        assert half == exact and exact == half
+    assert QuadraticScalar(3, 0, two) == 3 and 3 == QuadraticScalar(3, 0, two)
+    assert root != 1 and QuadraticScalar(0, ExactScalar(0, 1), two) != ExactScalar(0, 1)
+    assert root != "1+sqrt(2)"
+    # elements of different fields do not compare, as they do not add
+    with pytest.raises(ValueError, match="different quadratic fields"):
+        root == QuadraticScalar(1, 1, Fraction(3))
+
+
+def test_quadratic_scalar_hash_matches_equality():
+    two = Fraction(2)
+    assert hash(QuadraticScalar(1, 1, two)) == hash(QuadraticScalar(1, 1, two))
+    assert hash(QuadraticScalar(Fraction(1, 2), 0, two)) == hash(Fraction(1, 2))
+    assert hash(QuadraticScalar(3, 0, two)) == hash(3) == hash(ExactScalar(3))
+    assert len({QuadraticScalar(1, 1, two), QuadraticScalar(1, 1, two), 3,
+                QuadraticScalar(3, 0, two)}) == 2

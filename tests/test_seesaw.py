@@ -358,6 +358,30 @@ def test_seesaw_and_scan_fail_past_the_hierarchy(capsys):
         ("1", "ok"), ("43/4", "fail"), ("41/2", "fail"), ("121/4", "fail"), ("40", "fail")]
 
 
+def test_past_the_hierarchy_says_why(capsys):
+    from ncdirac.checks import PAST_HIERARCHY
+    from ncdirac.cli import main
+
+    assert "2 (mu/M)^2 >= 1" in PAST_HIERARCHY
+    assert main(["seesaw", "--vev", "10", "--eps5", "-1"]) == 1
+    rows = {r["check"]: r for r in json.loads(capsys.readouterr().out)["reports"]}
+    assert rows["seesaw_spectrum"]["details"]["reason"] == PAST_HIERARCHY
+    # inside the hierarchy a row carries no reason, failing or not
+    assert main(["seesaw", "--vev", "1", "--eps5", "1"]) == 1
+    rows = {r["check"]: r for r in json.loads(capsys.readouterr().out)["reports"]}
+    assert rows["seesaw_spectrum"]["status"] == "fail"
+    assert "reason" not in rows["seesaw_spectrum"]["details"]
+    # vev 1 is inside, 43/4 past it, and 3/2 at eps5 = +1 is overcritical
+    assert main(["scan", "--param", "vev", "--from", "1", "--to", "43/4", "--steps", "2",
+                 "--eps5", "-1", "--format", "csv"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].endswith(",ok,") and lines[2].endswith(f",fail,{PAST_HIERARCHY}")
+    assert main(["scan", "--param", "vev", "--from", "3/2", "--to", "3/2", "--steps", "1",
+                 "--eps5", "1"]) == 1
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert row["status"] == "error" and "overcritical" in row["error"]
+
+
 def test_hierarchy_gate_is_exact():
     # 2 (mu/M)^2 = 49/50: the bounds decide, at tolerance 0.98
     below = CouplingConfig(g="1", vev=Fraction(7, 5), ell=Fraction(1), eps5=-1)
