@@ -15,16 +15,14 @@ from ncdirac.enveloping import CINV_TOKEN, C_TOKEN, lemma_matrix_check
 print("== rewriting with the inverse letter ==")
 cinv_x = NCExpression.gen(CINV_TOKEN) * NCExpression.gen("x0")
 for eps5 in (-1, 1):
-    nf = normal_form(cinv_x, eps5, order=4)
+    nf = normal_form(cinv_x, eps5)
     print(f"  eps5={eps5:+d}:  Cinv x0  ->  {nf}")
-check = normal_form(
-    NCExpression.gen(C_TOKEN) * NCExpression.gen(CINV_TOKEN), -1, order=4
-)
+check = normal_form(NCExpression.gen(C_TOKEN) * NCExpression.gen(CINV_TOKEN), -1)
 print(f"  C Cinv -> {check}")
 
 for eps5 in (-1, 1):
     print(f"\n== plane-wave identities, eps5 = {eps5:+d} ==")
-    chk = verify_plane_wave_relations(eps5, order=4)
+    chk = verify_plane_wave_relations(eps5)
     names = ["[p_mu, A] - k_mu"] * 4
     for label, rem in zip(names, chk.momentum_remainders):
         print(f"  {label}: {'0 exactly' if rem.is_zero() else rem}")

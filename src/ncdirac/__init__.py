@@ -56,7 +56,6 @@ from .seesaw import (
     CouplingConfig,
     ModeSpectrum,
     RootFindingError,
-    coupled_matrix,
     exact_mode_spectrum,
     leading_order_reduction,
     light_mass_leading,
@@ -109,7 +108,6 @@ __all__ = [
     "residual",
     "CouplingConfig",
     "ModeSpectrum",
-    "coupled_matrix",
     "leading_order_reduction",
     "light_mass_leading",
     "verify_effective_equation",

@@ -61,12 +61,12 @@ class RunConfig:
     "sweep both values" (both eps4 values where eps4 matters).  The default
     background vev sits well inside the seesaw regime mu/M << 1."""
 
-    __slots__ = ("eps4", "eps5", "ell", "g", "vev", "order", "seed", "fmt", "out",
-                 "fixture", "timings")
+    __slots__ = ("eps4", "eps5", "ell", "g", "vev", "seed", "fmt", "out", "fixture",
+                 "timings")
 
     def __init__(self, eps4: int | None = None, eps5: int | None = None,
                  ell: Fraction = Fraction(1), g: ExactScalar = ExactScalar(Fraction(1)),
-                 vev: Fraction = Fraction(1, 100), order: int = 4, seed: int = 0,
+                 vev: Fraction = Fraction(1, 100), seed: int = 0,
                  fmt: str = "json", out: str | None = None, fixture: str | None = None,
                  timings: bool = False):
         if eps4 not in (None, 1, -1) or eps5 not in (None, 1, -1):
@@ -75,14 +75,12 @@ class RunConfig:
             raise ValueError("ell must be positive")
         if vev < 0:
             raise ValueError("vev must be nonnegative")
-        if order < 1:
-            raise ValueError("truncation order must be >= 1")
         if not 0 <= seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
         if fmt not in ("json", "csv"):
             raise ValueError("format must be json or csv")
         self.eps4, self.eps5, self.ell, self.g, self.vev = eps4, eps5, ell, g, vev
-        self.order, self.seed, self.fmt, self.out = order, seed, fmt, out
+        self.seed, self.fmt, self.out = seed, fmt, out
         self.fixture, self.timings = fixture, timings
 
     def sign_pairs(self):
@@ -332,24 +330,20 @@ def cmd_verify_clifford(cfg: RunConfig):
 # -- plane wave ---------------------------------------------------------------
 
 
-def _remainder_detail(rems, order):
+def _remainder_detail(rems):
+    """A row of exact identities passes only when every remainder is 0."""
     zero = all(r.is_zero() for r in rems)
-    degrees = [r.min_ell_degree() for r in rems if not r.is_zero()]
-    ok = zero or all(d is not None and d >= order + 1 for d in degrees)
-    return ok, {
-        "exactly_zero": zero,
-        "min_ell_degree": min(degrees) if degrees else None,
-    }
+    return zero, {"exactly_zero": zero}
 
 
 @_command
 def cmd_verify_planewave(cfg: RunConfig):
     half = ExactScalar(Fraction(1, 2))
     for e5 in cfg.eps5_values():
-        params = {"eps5": e5, "order": cfg.order}
+        params = {"eps5": e5}
         # the check computes each identity when its row reads it
-        chk = verify_plane_wave_relations(e5, cfg.order)
-        ok, det = _remainder_detail(chk.momentum_remainders, cfg.order)
+        chk = verify_plane_wave_relations(e5)
+        ok, det = _remainder_detail(chk.momentum_remainders)
         yield _row("planewave_momentum", params, ok=ok,
                    relation="[p_mu, A] = k_mu", details=det)
 
@@ -361,11 +355,11 @@ def cmd_verify_planewave(cfg: RunConfig):
             details={"violations": len(chk.centrality_remainders)},
         )
 
-        ok, det = _remainder_detail([chk.derivative_remainder], cfg.order)
+        ok, det = _remainder_detail([chk.derivative_remainder])
         yield _row("planewave_derivative", params, ok=ok,
                    relation="d4(A) = i*eps5*l*(k.p)", details=det)
 
-        ok, det = _remainder_detail([chk.mixed_remainder], cfg.order)
+        ok, det = _remainder_detail([chk.mixed_remainder])
         yield _row("planewave_mixed", params, ok=ok,
                    relation="[A, d4(A)] = -i*eps5*l*k^2", details=det)
 
@@ -395,6 +389,11 @@ def cmd_verify_planewave(cfg: RunConfig):
 # -- dispersion and modes -----------------------------------------------------
 
 
+def _heavy_k2(ell: Fraction, e5: int) -> Fraction:
+    """The paper's heavy branch k^2 = -eps5 4/l^2."""
+    return Fraction(-4 * e5) / ell ** 2
+
+
 @_command
 def cmd_modes(cfg: RunConfig):
     for e5 in cfg.eps5_values():
@@ -408,10 +407,9 @@ def cmd_modes(cfg: RunConfig):
         )
 
         roots = dispersion_roots(cfg.ell, e5)
-        expected = {Fraction(0), Fraction(-4 * e5) / Fraction(cfg.ell) ** 2}
         yield _row(
             "dispersion_roots", params,
-            ok=roots == expected,
+            ok=roots == {0, _heavy_k2(cfg.ell, e5)},
             relation="k^2 * (1 + eps5*(l^2/4)*k^2) = 0",
             details={"roots": sorted(str(r) for r in roots)},
         )
@@ -420,9 +418,8 @@ def cmd_modes(cfg: RunConfig):
         sweep_ok = True
         for ell in (Fraction(1, 2), Fraction(1), Fraction(2)):
             got = dispersion_roots(ell, e5)
-            want = {Fraction(0), Fraction(-4 * e5) / ell ** 2}
             sweep[str(ell)] = sorted(str(r) for r in got)
-            sweep_ok = sweep_ok and got == want
+            sweep_ok = sweep_ok and got == {0, _heavy_k2(ell, e5)}
         yield _row(
             "dispersion_sweep", {"eps5": e5},
             ok=sweep_ok,
@@ -463,11 +460,20 @@ def cmd_modes(cfg: RunConfig):
 
 
 PAST_HIERARCHY = "2 (mu/M)^2 >= 1: the coupling is outside the seesaw regime mu/M << 1"
+CRITICAL = ("delta = M^2 - 4 eps5 mu^2 = 0: at the critical coupling the light and "
+            "heavy roots coincide")
 
 
-def past_hierarchy(coupling: CouplingConfig) -> bool:
-    """2 (mu/M)^2 >= 1, decided exactly as 2 |g|^2 vev^2 >= M^2."""
-    return 2 * coupling.coupling_squared() * coupling.vev ** 2 >= (2 / coupling.ell) ** 2
+def regime_failure(coupling: CouplingConfig) -> str | None:
+    """Why the coupling fails whatever its spectrum, decided exactly, or
+    None: 2 (mu/M)^2 >= 1 as 2 |g|^2 vev^2 >= M^2, then delta = 0 as
+    M^2 = 4 eps5 |g|^2 vev^2."""
+    mu2, m2 = coupling.coupling_squared() * coupling.vev ** 2, (2 / coupling.ell) ** 2
+    if 2 * mu2 >= m2:
+        return PAST_HIERARCHY
+    if m2 == 4 * coupling.eps5 * mu2:
+        return CRITICAL
+    return None
 
 
 def seesaw_verdict(coupling: CouplingConfig, spectrum) -> tuple[bool, float, float]:
@@ -476,13 +482,14 @@ def seesaw_verdict(coupling: CouplingConfig, spectrum) -> tuple[bool, float, flo
     within 2 (mu/M)^2 of M = 2/l, and the light class unset or the one the
     leading order predicts.  Once 2 (mu/M)^2 reaches 1 those bounds admit
     every light mass up to twice its leading value, the heavy root among
-    them, so such a coupling fails (``past_hierarchy``)."""
+    them, and at delta = 0 the light root is the heavy one, so such a
+    coupling fails (``regime_failure``)."""
     big_m = 2.0 / float(coupling.ell)
     ratio = coupling.mu() / big_m
     tol = max(2.0 * ratio * ratio, 1e-12)
     heavy_drift = abs(math.sqrt(abs(spectrum.heavy_k2)) - big_m) / big_m
     ok = (
-        not past_hierarchy(coupling)
+        regime_failure(coupling) is None
         and spectrum.deviation <= tol
         and heavy_drift <= 2.0 * ratio * ratio + 1e-12
         and spectrum.light_class in (None, light_mass_leading(coupling)[1])
@@ -540,8 +547,9 @@ def cmd_seesaw(cfg: RunConfig):
                 "roots": list(spectrum.roots),
                 "mu_over_M": ratio,
             }
-            if past_hierarchy(coupling):
-                details["reason"] = PAST_HIERARCHY
+            reason = regime_failure(coupling)
+            if reason:
+                details["reason"] = reason
         yield _row(
             "seesaw_spectrum", params, ok=ok,
             relation="light root of det(coupled matrix) matches "
@@ -586,7 +594,7 @@ def cmd_seesaw(cfg: RunConfig):
         )
         try:
             sw0 = exact_mode_spectrum(free)
-            heavy_expected = Fraction(-4 * e5) / Fraction(cfg.ell) ** 2
+            heavy_expected = _heavy_k2(cfg.ell, e5)
             decouple_ok = (
                 sw0.heavy_k2_exact == heavy_expected
                 and sw0.light_k2_exact == Fraction(0)
@@ -640,7 +648,7 @@ def cmd_scan(cfg: RunConfig, param: str, start: Fraction, stop: Fraction,
             "value": str(value),
             "eps5": e5,
             # no dispersion branch at ell <= 0, which CouplingConfig refuses
-            "dispersion_heavy_k2": str(Fraction(-4 * e5) / ell ** 2) if ell > 0 else None,
+            "dispersion_heavy_k2": str(_heavy_k2(ell, e5)) if ell > 0 else None,
         }
         try:
             coupling = CouplingConfig(
@@ -653,7 +661,7 @@ def cmd_scan(cfg: RunConfig, param: str, start: Fraction, stop: Fraction,
                 leading_light_mass=spectrum.leading_light_mass,
                 deviation=spectrum.deviation,
                 status="ok" if seesaw_verdict(coupling, spectrum)[0] else "fail",
-                error=PAST_HIERARCHY if past_hierarchy(coupling) else None,
+                error=regime_failure(coupling),
             )
         except (RootFindingError, ValueError) as exc:
             row.update(
@@ -693,7 +701,6 @@ def config_dict(cfg: RunConfig) -> dict:
         "ell": str(cfg.ell),
         "g": str(cfg.g),
         "vev": str(cfg.vev),
-        "order": cfg.order,
         "seed": cfg.seed,
         "format": cfg.fmt,
     }

@@ -50,8 +50,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="coupling, exact complex rational like 3/5+4/5i")
     sp.add_argument("--vev", type=_rational, default=None,
                     help="scalar background value as an exact rational")
-    sp.add_argument("--order", type=int, default=None,
-                    help="truncation order in l for series checks")
     sp.add_argument("--seed", type=int, default=None,
                     help="echoed in the report's config only; no check reads it "
                          "(64-bit unsigned)")
@@ -108,7 +106,7 @@ def _load_config_file(path: str) -> dict:
 
 
 _CONFIG_KEYS = {
-    "eps4", "eps5", "ell", "g", "vev", "order", "seed", "format", "fixture",
+    "eps4", "eps5", "ell", "g", "vev", "seed", "format", "fixture",
 }
 
 
@@ -146,7 +144,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         ell=pick(args.ell, "ell", lambda v: Fraction(str(v))),
         g=pick(args.g, "g", lambda v: ExactScalar.parse(str(v))),
         vev=pick(args.vev, "vev", lambda v: Fraction(str(v))),
-        order=pick(args.order, "order", int),
         seed=pick(args.seed, "seed", int),
         fmt=pick(args.fmt, "format", str, "fmt"),
         out=args.out,

@@ -11,18 +11,15 @@ p-annihilated state) read off the trailing letters directly.
 
 The rewriting rules b a -> a b + [b, a] are not written here: they are read
 from the flat (rho = 0) table of ``lie_algebra.flat_deformed_algebra``,
-whose basis lines up position by position with the first 15 tokens.  The
-only local rule is the one for Cinv, a formal generator subject to
-C*Cinv = Cinv*C = 1; its commutators follow from [x_mu, C] = i eps5 l^2 p_mu,
-giving the exact rule
-
-    Cinv x_mu = x_mu Cinv + i eps5 l^2 p_mu Cinv Cinv.
+whose basis lines up position by position with the first 15 tokens.  Cinv
+is a formal generator subject to C*Cinv = Cinv*C = 1, so its rules follow
+from those of C as [Cinv, y] = -Cinv [C, y] Cinv.
 
 Every rewrite strictly decreases (#x letters, word length, #inversions)
 lexicographically, so reduction terminates; the relations are consistent
 (they close on the flat deformed table), so the normal form is unique.
-Because the inverse relations are exact, nothing is ever dropped: the
-declared truncation order only bounds the l-degree kept in coefficients.
+Every rule is exact, so a normal form drops nothing unless its caller asks
+for an l-truncation.
 
 ``lemma_matrix_check`` verifies the exponential lemma behind the plane-wave
 identities on a nilpotent model, exactly, on polynomial coefficient lists.
@@ -44,7 +41,6 @@ from .scalars import (
     P_I,
     P_ONE,
     ParamPoly,
-    TruncationOrderError,
     _accumulate,
     _sum_of_products,
     poly,
@@ -106,9 +102,6 @@ class NCExpression(LinearCombination):
                 _accumulate(acc, wa + wb, ca * cb)
         return NCExpression._made(acc)
 
-    def has_inverse(self) -> bool:
-        return any(CINV_TOKEN in w for w in self.terms)
-
     def conjugate(self) -> "NCExpression":
         """Formal adjoint: reverse words, conjugate coefficients.
 
@@ -117,11 +110,6 @@ class NCExpression(LinearCombination):
         """
         return NCExpression._made(
             {tuple(reversed(w)): c.conjugate() for w, c in self.terms.items()})
-
-    def min_ell_degree(self):
-        """Smallest l-degree over all coefficients; None if zero."""
-        degrees = [c.min_degree_in("l") for c in self.terms.values()]
-        return min(degrees) if degrees else None
 
     @staticmethod
     def _sort_key(word) -> tuple:
@@ -136,7 +124,8 @@ class NCExpression(LinearCombination):
 def _swap_rules(eps5: int) -> dict:
     """(a, b) -> the terms of [a, b] for every pair with rank(a) > rank(b)
     whose bracket is nonzero; a pair missing here commutes.  The flat
-    table's basis index k is the token TOKENS[k]."""
+    table's basis index k is the token TOKENS[k], and each rule of C gives
+    one of Cinv: [Cinv, y] = -Cinv [C, y] Cinv."""
     table = flat_deformed_algebra(eps5)
     rules = {}
     for i in range(table.dim()):
@@ -144,9 +133,9 @@ def _swap_rules(eps5: int) -> dict:
             rule = NCExpression({(TOKENS[k],): c for k, c in table.bracket(i, j).items()})
             if rule.terms:
                 rules[(TOKENS[i], TOKENS[j])] = rule.terms
-    ell2 = I * eps5 * sym("l", 2)
-    for p, x in zip(P_TOKENS, X_TOKENS):
-        rules[(CINV_TOKEN, x)] = {(p, CINV_TOKEN, CINV_TOKEN): ell2}
+    for (a, y), terms in list(rules.items()):
+        if a == C_TOKEN:
+            rules[(CINV_TOKEN, y)] = {(CINV_TOKEN, *w, CINV_TOKEN): -c for w, c in terms.items()}
     return rules
 
 
@@ -184,17 +173,10 @@ def _nf_word(eps5: int, word: tuple, leftmost: bool) -> NCExpression:
 
 def normal_form(expr: NCExpression, eps5: int, order: int | None = None,
                 leftmost: bool = True) -> NCExpression:
-    """Unique normal form of an expression under the flat deformed relations.
-
-    Expressions containing the formal inverse must declare a truncation
-    order; coefficients are truncated to that l-degree in the result.  (The
-    inverse relations are exact, so truncation only ever drops terms whose
-    l-degree genuinely exceeds the declared order.)
+    """Unique normal form of an expression under the flat deformed relations,
+    the formal inverse included.  Every rule is exact; with an ``order``
+    the result's coefficients are truncated to that l-degree.
     """
-    if expr.has_inverse() and order is None:
-        raise TruncationOrderError(
-            "expression contains the formal inverse; declare a truncation order"
-        )
     acc: dict = {}
     for word, coeff in expr.terms.items():
         for w, c in _nf_word(eps5, word, leftmost).terms.items():
@@ -276,11 +258,8 @@ class PlaneWaveExponent:
     contraction reads componentwise: A = -(i/2) sum_mu k^mu {x_mu, Cinv}.
     """
 
-    def __init__(self, eps5: int, order: int = 4):
-        if order < 1:
-            raise TruncationOrderError("plane-wave truncation order must be >= 1")
+    def __init__(self, eps5: int):
         self.eps5 = eps5
-        self.order = order
         # -(i/2) k^mu on each of the two anticommutator orderings
         self.expression = NCExpression({
             word: poly(-1) * I * k_up * ParamPoly.from_scalar(_HALF)
@@ -317,13 +296,14 @@ class PlaneWaveCheck:
 
     Each remainder is formed on first access, so ``momentum_remainders``
     costs the four ``[p_mu, A]`` normal forms and ``centrality_remainders``
-    adds only its sweep over the generators.
+    adds only its sweep over the generators.  The identities are exact; an
+    ``order`` truncates each normal form to that l-degree.
     """
 
-    def __init__(self, eps5: int, order: int = 4):
+    def __init__(self, eps5: int, order: int | None = None):
         self.eps5 = eps5
         self.order = order
-        self._exponent = PlaneWaveExponent(eps5, order).expression
+        self._exponent = PlaneWaveExponent(eps5).expression
 
     def _normal_commutator(self, a: NCExpression, b: NCExpression) -> NCExpression:
         return normal_form(_bracket_expansion(a, b, self.eps5), self.eps5, order=self.order)
@@ -383,7 +363,7 @@ class PlaneWaveCheck:
         return rems
 
 
-def verify_plane_wave_relations(eps5: int, order: int = 4) -> PlaneWaveCheck:
+def verify_plane_wave_relations(eps5: int, order: int | None = None) -> PlaneWaveCheck:
     return PlaneWaveCheck(eps5, order)
 
 

@@ -4,7 +4,8 @@ reference-frame spinor solutions.
 The operator is D(k) = g^mu k_mu - eps5 * g^4 * (l/2) k^2 in the Majorana
 representation, i.e. g.k - g5 (l/2) k^2 for eps5 = +1 and g.k + i g5 (l/2)
 k^2 for eps5 = -1.  Squaring gives the dispersion polynomial
-k^2 + eps5 (l^2/4)(k^2)^2, so the branches are k^2 = 0 and k^2 = -eps5 4/l^2.
+k^2 + eps5 (l^2/4)(k^2)^2, written once in ``dispersion_polynomial``; its
+roots, the branches, are k^2 = 0 and k^2 = -eps5 4/l^2.
 
 Momenta are stored upper-index; ``dirac_coefficients``, the one place D(k)
 is written, lowers them with ``lie_algebra.lower``.  Everything is exact:
@@ -64,23 +65,31 @@ def dirac_matrix_symbolic(eps5: int) -> ExactMatrix:
     return gamma_sum(eps5, dirac_coefficients(MOMENTUM_SYMBOLS, sym("l"), eps5))
 
 
+def dispersion_polynomial(ell, eps5: int) -> tuple:
+    """(a, b) of the dispersion polynomial a k^2 + b (k^2)^2 =
+    k^2 + eps5 (l^2/4)(k^2)^2, which D(k)^2 equals times Id; l is an exact
+    number or a ParamPoly."""
+    return 1, ell * ell * Fraction(eps5, 4)
+
+
 def squared_identity_residual(eps5: int) -> ExactMatrix:
-    """D(k)^2 - (k^2 + eps5 (l^2/4)(k^2)^2) * Id with symbolic k and l."""
+    """D(k)^2 - (dispersion polynomial) * Id with symbolic k and l."""
     D = dirac_matrix_symbolic(eps5)
     ksq = minkowski_square(MOMENTUM_SYMBOLS)
-    scalar = ksq + ksq * ksq * sym("l") ** 2 * Fraction(eps5, 4)
-    return D @ D - ExactMatrix.identity(4).scale(scalar)
+    a, b = dispersion_polynomial(sym("l"), eps5)
+    return D @ D - ExactMatrix.identity(4).scale(ksq * a + ksq * ksq * b)
 
 
 def dispersion_roots(ell, eps5: int) -> set:
-    """Exact root set of the dispersion polynomial in k^2:
-    {0, 4/l^2} for eps5 = -1, {0, -4/l^2} for eps5 = +1."""
+    """Exact root set in k^2 of the dispersion polynomial
+    k^2 (a + b k^2): {0, -a/b}."""
     if eps5 not in (1, -1):
         raise ValueError("eps5 must be +1 or -1")
     ellf = as_fraction(ell)
     if ellf <= 0:
         raise ValueError("ell must be positive")
-    return {Fraction(0), Fraction(-4 * eps5) / ellf ** 2}
+    a, b = dispersion_polynomial(ellf, eps5)
+    return {Fraction(0), -a / b}
 
 
 class SpinorSolution(NamedTuple):

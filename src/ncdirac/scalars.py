@@ -538,15 +538,6 @@ class ParamPoly:
     def conjugate(self) -> "ParamPoly":
         return _packed_poly({k: c.conjugate() for k, c in self._terms.items()})
 
-    def min_degree_in(self, name: str):
-        """Smallest power of the symbol across terms; None for zero poly."""
-        if name not in _SYMBOL_INDEX:
-            raise UnknownSymbolError(f"unknown symbol {name!r}")
-        shift = _SHIFTS[_SYMBOL_INDEX[name]]
-        if not self._terms:
-            return None
-        return min((k >> shift) & MAX_DEGREE for k in self._terms)
-
     def truncate_in(self, name: str, order: int) -> "ParamPoly":
         """Drop terms whose power of the symbol exceeds ``order``."""
         if order < 0:

@@ -86,30 +86,6 @@ def _momentum(k) -> list:
     return [c if isinstance(c, ParamPoly) else poly(as_fraction(c)) for c in k]
 
 
-def coupled_matrix(k, c: CouplingConfig) -> ExactMatrix:
-    """Exact 8x8 block matrix [[g.k, gv],[g*v, g.k + g^4 (2/l)]].
-
-    Momentum components may be exact rationals or ParamPoly symbols; the
-    symbolic form is what the spectrum code solves.
-    """
-    k_low = lower(_momentum(k))
-    gk = gamma_sum(c.eps5, k_low)
-    v = ExactScalar(c.vev)
-    gv = poly(c.g * v)
-    gvc = poly(c.g.conjugate() * v)
-    mh = poly(ExactScalar(Fraction(2) / c.ell))
-    lower_right = gamma_sum(c.eps5, [*k_low, mh])
-    eye = ExactMatrix.identity(4)
-    out = ExactMatrix.zeros(8)
-    for i in range(4):
-        for j in range(4):
-            out.rows[i][j] = gk.rows[i][j]
-            out.rows[i][j + 4] = eye.rows[i][j] * gv
-            out.rows[i + 4][j] = eye.rows[i][j] * gvc
-            out.rows[i + 4][j + 4] = lower_right.rows[i][j]
-    return out
-
-
 def leading_order_reduction(c: CouplingConfig):
     """(W, effective): u2 = W u1 with W = -(l/2) eps5 g* vev g^4, and the
     effective light operator as a function of the four-momentum."""
@@ -202,8 +178,8 @@ def _frame_perm(e5: int) -> tuple:
 
 
 def _frame_block(e5: int, x: str, big_m: Fraction, mu2: Fraction) -> ExactMatrix:
-    """AD - BC for the blocks [[A, B], [C, D]] of ``coupled_matrix`` at the
-    frame momentum x (a symbol name).  C = g* vev I commutes with D, so
+    """AD - BC for the blocks [[A, B], [C, D]] of the coupled 8x8 matrix at
+    the frame momentum x (a symbol name).  C = g* vev I commutes with D, so
     det(AD - BC) is the 8x8 determinant (Silvester, "Determinants of block
     matrices", Math. Gazette 84 (2000) 460).  With g.k = eta x g^a,
     eta = -eps5, and BC = mu^2 I it is (eta x^2 - mu^2) I + eta M x P."""
@@ -240,7 +216,7 @@ def _root_class(e5: int, x, big_m: Fraction, mu2: Fraction) -> str:
 
 
 def exact_mode_spectrum(c: CouplingConfig) -> ModeSpectrum:
-    """Light and heavy roots of det(coupled_matrix) along the frame axis,
+    """Light and heavy roots of the coupled 8x8 determinant along the frame axis,
     their reality classes, and the light mass's deviation from leading order.
 
     With M = 2/l and mu^2 = |g|^2 vev^2 the determinant is exactly q(x)^2,

@@ -4,6 +4,7 @@
 set -e
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
 for cmd in algebra rep clifford planewave; do
   python -m ncdirac verify $cmd --all-signs > "$out/$cmd.json"
   cmp "$out/$cmd.json" tests/golden/verify_${cmd}_all_signs.json

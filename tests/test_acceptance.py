@@ -91,15 +91,13 @@ def test_criterion_04_clifford_relations():
 def test_criterion_05_plane_wave_identities():
     ok = True
     for eps5 in (1, -1):
-        chk = verify_plane_wave_relations(eps5, order=4)
-        for rem in [*chk.momentum_remainders, chk.derivative_remainder,
-                    chk.mixed_remainder]:
-            deg = rem.min_ell_degree()
-            ok = ok and (rem.is_zero() or (deg is not None and deg >= 5))
+        chk = verify_plane_wave_relations(eps5)
+        ok = ok and all(rem.is_zero() for rem in chk.all_remainders())
+        ok = ok and chk.centrality_remainders == []
         model = lemma_matrix_check(eps5, ell_value=Fraction(1, 10), k=(1, 0, 0, 0))
         ok = ok and all(value == 0 for value in model.values())
-    verdict(ok, "criterion 5: order-4 plane-wave remainders vanish to "
-                "l-degree >= 5 and the nilpotent model agrees exactly")
+    verdict(ok, "criterion 5: the plane-wave remainders are exactly zero, "
+                "untruncated, and the nilpotent model agrees exactly")
 
 
 def test_criterion_06_dispersion_branches():

@@ -111,13 +111,16 @@ def test_timings_charge_each_row_its_own_work(capsys, monkeypatch):
     }
 
 
-def test_planewave_order_flag(capsys):
+def test_planewave_order_flag(tmp_path, capsys):
+    # the plane-wave identities are exact: there is no truncation to choose
     code, out = run(capsys, "verify", "planewave", "--order", "3", "--eps5", "-1")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["config"]["order"] == 3
-    momentum = [r for r in doc["reports"] if r["check"] == "planewave_momentum"]
-    assert momentum[0]["details"]["exactly_zero"] is True
+    assert code == 2 and out == ""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"order": 4}))
+    code = main(["verify", "planewave", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "unknown config keys: ['order']" in captured.err
 
 
 def test_modes_roots_example(capsys):
@@ -389,10 +392,10 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key,value", [
-    ("seed", 1.9), ("order", 4.7), ("eps5", True), ("eps4", 1.0), ("seed", "7"),
+    ("seed", 1.9), ("eps5", True), ("eps4", 1.0), ("seed", "7"),
 ])
 def test_integer_config_key_takes_only_json_integers(tmp_path, capsys, key, value):
-    # int() would run seed 1, order 4 and eps5 = +1 from the first three
+    # int() would run seed 1 and eps5 = +1 from the first two
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({key: value}))
     code = main(["modes", "--config", str(cfg)])

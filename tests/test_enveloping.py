@@ -24,7 +24,7 @@ from ncdirac.enveloping import (
     verify_plane_wave_relations,
 )
 from ncdirac.lie_algebra import DEFORMED_BASIS, build_deformed_algebra, contract
-from ncdirac.scalars import ExactScalar, TruncationOrderError, poly, sym
+from ncdirac.scalars import ExactScalar, poly, sym
 
 I = ExactScalar.i()
 
@@ -54,12 +54,15 @@ def test_inverse_commutes_past_coordinate(eps5):
     assert back == word("x0")
 
 
-def test_truncation_order_required_for_inverse():
-    expr = word(CINV_TOKEN, "x0")
-    with pytest.raises(TruncationOrderError):
-        normal_form(expr, -1)
-    # no inverse letter: no order needed
-    assert normal_form(word("x0", "p0"), -1) is not None
+def test_inverse_words_need_no_truncation_order():
+    # every rule is exact, so a Cinv word normal-orders with no order, and
+    # an order large enough drops nothing
+    expr = word(CINV_TOKEN, CINV_TOKEN, "x0", "x1")
+    got = normal_form(expr, -1)
+    assert any(CINV_TOKEN in w for w in got.terms)
+    assert got == normal_form(expr, -1, order=9)
+    assert normal_form(word(CINV_TOKEN, "x0"), -1) == word("x0", CINV_TOKEN) + word(
+        "p0", CINV_TOKEN, CINV_TOKEN).scale(poly(-I) * sym("l", 2))
 
 
 @pytest.mark.parametrize("eps5", [1, -1])
@@ -154,13 +157,13 @@ def test_derivative_action_values(eps5):
 
 @pytest.mark.parametrize("eps5", [1, -1])
 def test_exponent_is_antihermitian(eps5):
-    a = PlaneWaveExponent(eps5, order=4).expression
+    a = PlaneWaveExponent(eps5).expression
     assert (a.conjugate() + a).is_zero()
 
 
 @pytest.mark.parametrize("eps5", [1, -1])
 def test_plane_wave_identities_exact(eps5):
-    chk = verify_plane_wave_relations(eps5, order=4)
+    chk = verify_plane_wave_relations(eps5)
     assert all(r.is_zero() for r in chk.momentum_remainders)
     assert chk.centrality_remainders == []
     assert chk.derivative_remainder.is_zero()
@@ -239,6 +242,23 @@ def test_flipped_swap_rule_fails_the_plane_wave_rows(monkeypatch, eps5, mu):
     rows = checks.cmd_verify_planewave(checks.RunConfig(eps5=eps5))
     failed = {r.check for r in rows if not r.passed}
     assert {"planewave_momentum", "planewave_mixed"} <= failed
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+def test_a_remainder_of_high_ell_degree_fails_its_row(monkeypatch, eps5):
+    # the identities are exact: a row passes on a zero remainder only,
+    # however high the l-degree of what is left
+    class Tampered(enveloping.PlaneWaveCheck):
+        @property
+        def mixed_remainder(self):
+            return super().mixed_remainder + NCExpression.unit(sym("l", 9))
+
+    monkeypatch.setattr(checks, "verify_plane_wave_relations",
+                        lambda e5, *order: Tampered(e5))
+    rows = {r.check: r for r in checks.cmd_verify_planewave(checks.RunConfig(eps5=eps5))}
+    assert not rows["planewave_mixed"].passed
+    assert rows["planewave_mixed"].details == {"exactly_zero": False}
+    assert rows["planewave_momentum"].passed
 
 
 def test_normal_form_memo_has_an_owner():

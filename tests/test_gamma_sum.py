@@ -14,7 +14,8 @@ from ncdirac.lie_algebra import ETA4_DIAG
 from ncdirac.matrices import ExactMatrix
 from ncdirac.modes import ModeProblem, dirac_matrix, dirac_matrix_symbolic
 from ncdirac.scalars import ExactScalar, ParamPoly, poly, sym
-from ncdirac.seesaw import CouplingConfig, coupled_matrix, leading_order_reduction
+from ncdirac.seesaw import CouplingConfig, leading_order_reduction
+from seesaw_oracle import coupled_matrix
 
 
 def _add_scale_chain(eps5, coeffs):

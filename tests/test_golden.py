@@ -33,11 +33,18 @@ triples, before the integer sparse-join kernel replaced it; the residual
 it pins is a rational of 31 digits over 32.
 
 ``scan_vev_eps5_plus.json`` and its CSV rendering sweep the condensate
-over 1/2, 1, 3/2, 2 at eps5 = +1: one ok row, one whose light root is the
-heavy one (fail), and two overcritical error rows, so the run exits 1.
+over 1/2, 1, 3/2, 2 at eps5 = +1: one ok row, one at the critical coupling
+delta = 0, whose light root is the heavy one (fail, with the reason in its
+``error`` column), and two overcritical error rows, so the run exits 1.
 They pin the scan path and the seesaw spectrum and classes, and were
 written by the engine whose ``clifford`` kept dense gamma literals and
 whose ``cayley`` read them as signed permutations.
+
+Every JSON report was rewritten once when the plane-wave truncation order
+left the command line: that dropped the ``order`` key from each
+``config``, and from each ``planewave_*`` row its ``order`` parameter and
+its ``min_ell_degree`` detail, and named the critical-coupling reason in
+the scan.  Nothing else in them changed.
 
 ``demo_04.txt`` and ``demo_05.txt`` pin the output of demos 04 and 05, the
 only callers of ``verify_clifford`` and of the Cayley boosts outside the

@@ -10,7 +10,7 @@ import pytest
 from exact_arrays import as_array
 from hypothesis import given, settings, strategies as st
 
-from ncdirac import cayley, clifford
+from ncdirac import cayley, checks, clifford, modes
 from ncdirac.cayley import boost_defect, cayley_boost
 from ncdirac.clifford import VerificationError, build_majorana_rep, reality_class
 from ncdirac.matrices import ExactMatrix
@@ -49,6 +49,18 @@ def test_dispersion_roots_rational_scale():
     for m in (3, 5, 7):
         got = dispersion_roots(Fraction(2, m), -1)
         assert got == {Fraction(0), Fraction(m * m)}
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+def test_tampered_dispersion_coefficient_fails_the_rows(monkeypatch, eps5):
+    # the polynomial is written once: a wrong (k^2)^2 coefficient fails the
+    # D(k)^2 identity, and the roots solved from it miss -eps5 4/l^2
+    monkeypatch.setattr(modes, "dispersion_polynomial",
+                        lambda ell, e5: (1, ell * ell * Fraction(e5, 2)))
+    rows = {r.check: r for r in checks.cmd_modes(checks.RunConfig(eps5=eps5))}
+    for name in ("dispersion_identity", "dispersion_roots", "dispersion_sweep"):
+        assert not rows[name].passed, name
+    assert rows["dispersion_roots"].details["roots"] == sorted(["0", str(Fraction(-2 * eps5))])
 
 
 def _in_kernel(problem: ModeProblem, vec) -> bool:

@@ -242,8 +242,6 @@ class TestParamPoly:
         with pytest.raises(UnknownSymbolError):
             sym("zeta")
         with pytest.raises(UnknownSymbolError):
-            sym("l").min_degree_in("zeta")
-        with pytest.raises(UnknownSymbolError):
             sym("l").truncate_in("zeta", 1)
         with pytest.raises(UnknownSymbolError):
             sym("l").derivative("zeta")

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from exact_arrays import as_array
+from seesaw_oracle import coupled_matrix
 
 from ncdirac.checks import seesaw_verdict
 from ncdirac.clifford import build_majorana_rep
@@ -17,7 +18,6 @@ from ncdirac.scalars import ExactScalar, poly, sym
 from ncdirac.seesaw import (
     CouplingConfig,
     RootFindingError,
-    coupled_matrix,
     exact_mode_spectrum,
     leading_mass,
     leading_order_reduction,
@@ -366,8 +366,9 @@ def test_past_the_hierarchy_says_why(capsys):
     assert main(["seesaw", "--vev", "10", "--eps5", "-1"]) == 1
     rows = {r["check"]: r for r in json.loads(capsys.readouterr().out)["reports"]}
     assert rows["seesaw_spectrum"]["details"]["reason"] == PAST_HIERARCHY
-    # inside the hierarchy a row carries no reason, failing or not
-    assert main(["seesaw", "--vev", "1", "--eps5", "1"]) == 1
+    # inside the hierarchy and off the critical coupling a row carries no
+    # reason, failing or not
+    assert main(["seesaw", "--vev", "24/25", "--eps5", "1"]) == 1
     rows = {r["check"]: r for r in json.loads(capsys.readouterr().out)["reports"]}
     assert rows["seesaw_spectrum"]["status"] == "fail"
     assert "reason" not in rows["seesaw_spectrum"]["details"]
@@ -380,6 +381,25 @@ def test_past_the_hierarchy_says_why(capsys):
                  "--eps5", "1"]) == 1
     row = json.loads(capsys.readouterr().out)["rows"][0]
     assert row["status"] == "error" and "overcritical" in row["error"]
+
+
+def test_critical_coupling_says_why(capsys):
+    from ncdirac.checks import CRITICAL, regime_failure
+    from ncdirac.cli import main
+
+    # M = 1 and mu = 1/2: delta = M^2 - 4 mu^2 = 0, and the roots coincide
+    assert main(["seesaw", "--vev", "1/2", "--ell", "2", "--eps5", "1"]) == 1
+    rows = {r["check"]: r for r in json.loads(capsys.readouterr().out)["reports"]}
+    spectrum = rows["seesaw_spectrum"]
+    assert spectrum["status"] == "fail" and spectrum["details"]["reason"] == CRITICAL
+    assert main(["scan", "--param", "vev", "--from", "1/2", "--to", "1", "--steps", "2",
+                 "--ell", "2", "--eps5", "1", "--format", "csv"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].endswith(f",fail,{CRITICAL}")
+    # decided exactly: a coupling a hair off the critical one has no reason,
+    # and delta = 0 needs eps5 = +1
+    for vev, eps5 in ((Fraction(1, 2) - Fraction(1, 10 ** 30), 1), (Fraction(1, 2), -1)):
+        assert regime_failure(CouplingConfig(g="1", vev=vev, ell=Fraction(2), eps5=eps5)) is None
 
 
 def test_hierarchy_gate_is_exact():

@@ -2,18 +2,19 @@
 
 A top-level function or class, or a method whose name is not a dunder,
 must be referenced from ``src/`` outside its own definition, from
-``demos/`` or from ``perfbench/``; be exported in ``ncdirac.__all__``;
-or be a ``cmd_*`` command that ``checks.command`` looks up by name.
-References are matched by name: a ``Name`` or an attribute in ``src/``,
-and in ``demos/`` and ``perfbench/`` also an imported name or a word of a
-string constant (the benchmark's tracer names functions as strings).
+``demos/`` or from ``perfbench/``, or be a ``cmd_*`` command that
+``checks.command`` looks up by name.  An export in ``ncdirac.__all__`` is
+no use by itself: code only the tests call belongs in the tests.
+References are matched by name: a ``Name`` or an attribute in ``src/``
+(the strings of ``__all__`` are not), and in ``demos/`` and ``perfbench/``
+also an imported name or a word of a string constant (the benchmark's
+tracer names functions as strings).
 """
 
 import ast
 from collections import Counter
 from pathlib import Path
 
-import ncdirac
 from ncdirac import checks
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -54,7 +55,6 @@ def test_every_definition_has_a_use():
     for folder in ("demos", "perfbench"):
         for path in (ROOT / folder).glob("*.py"):
             outside += _names(ast.parse(path.read_text()), strings=True)
-    exported = set(ncdirac.__all__)
     commands = {checks.command(family).__name__ for family in checks.FAMILIES}
 
     unused = []
@@ -62,6 +62,6 @@ def test_every_definition_has_a_use():
         for qualname, node in _definitions(tree):
             name = qualname.rsplit(".", 1)[-1]
             used_elsewhere = in_src[name] - _names(node)[name] > 0
-            if not (used_elsewhere or outside[name] or name in exported or name in commands):
+            if not (used_elsewhere or outside[name] or name in commands):
                 unused.append(f"{module}: {qualname}")
     assert not unused, "definitions nothing uses: " + ", ".join(unused)
