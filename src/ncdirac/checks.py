@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import io
 import json
-import math
 import time
 from fractions import Fraction
 from itertools import chain
@@ -50,6 +49,8 @@ from .seesaw import (
     exact_mode_spectrum,
     leading_mass,
     light_mass_leading,
+    mu_over_m,
+    regime_failure,
     verify_effective_equation,
 )
 
@@ -459,23 +460,6 @@ def cmd_modes(cfg: RunConfig):
 # -- seesaw -------------------------------------------------------------------
 
 
-PAST_HIERARCHY = "2 (mu/M)^2 >= 1: the coupling is outside the seesaw regime mu/M << 1"
-CRITICAL = ("delta = M^2 - 4 eps5 mu^2 = 0: at the critical coupling the light and "
-            "heavy roots coincide")
-
-
-def regime_failure(coupling: CouplingConfig) -> str | None:
-    """Why the coupling fails whatever its spectrum, decided exactly, or
-    None: 2 (mu/M)^2 >= 1 as 2 |g|^2 vev^2 >= M^2, then delta = 0 as
-    M^2 = 4 eps5 |g|^2 vev^2."""
-    mu2, m2 = coupling.coupling_squared() * coupling.vev ** 2, (2 / coupling.ell) ** 2
-    if 2 * mu2 >= m2:
-        return PAST_HIERARCHY
-    if m2 == 4 * coupling.eps5 * mu2:
-        return CRITICAL
-    return None
-
-
 def seesaw_verdict(coupling: CouplingConfig, spectrum) -> tuple[bool, float, float]:
     """(ok, deviation tolerance, mu/M) for one exact spectrum: the light
     mass within max(2 (mu/M)^2, 1e-12) of its leading value, the heavy mass
@@ -483,11 +467,11 @@ def seesaw_verdict(coupling: CouplingConfig, spectrum) -> tuple[bool, float, flo
     leading order predicts.  Once 2 (mu/M)^2 reaches 1 those bounds admit
     every light mass up to twice its leading value, the heavy root among
     them, and at delta = 0 the light root is the heavy one, so such a
-    coupling fails (``regime_failure``)."""
+    coupling fails (``seesaw.regime_failure``)."""
     big_m = 2.0 / float(coupling.ell)
-    ratio = coupling.mu() / big_m
+    ratio = mu_over_m(coupling)
     tol = max(2.0 * ratio * ratio, 1e-12)
-    heavy_drift = abs(math.sqrt(abs(spectrum.heavy_k2)) - big_m) / big_m
+    heavy_drift = abs(spectrum.roots[-1] - big_m) / big_m
     ok = (
         regime_failure(coupling) is None
         and spectrum.deviation <= tol

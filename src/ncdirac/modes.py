@@ -16,14 +16,13 @@ generators, with k and l symbolic.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
 from .clifford import VerificationError, gamma_sum, reality_class
 from .lie_algebra import lower, minkowski_square
 from .matrices import ExactMatrix
-from .scalars import MOMENTUM_SYMBOLS, as_fraction, sym
+from .scalars import MOMENTUM_SYMBOLS, as_fraction, exact_sqrt, rounded, sym
 
 BRANCHES = ("massless", "heavy")
 
@@ -158,23 +157,9 @@ def residual(k, u, ell, eps5: int) -> float:
     uvec = ExactMatrix.from_complex_entries([[c] for c in u])
     if uvec.is_zero():
         raise ValueError("zero vector has no residual")
-    return _sqrt_rounded(_norm_squared(op @ uvec) / _norm_squared(uvec))
+    return rounded(exact_sqrt(_norm_squared(op @ uvec) / _norm_squared(uvec)))[0]
 
 
 def _norm_squared(column: ExactMatrix) -> Fraction:
     return sum((x * x.conjugate()).to_fraction() for [x] in column.scalar_entries())
 
-
-def _sqrt_rounded(x: Fraction) -> float:
-    """The float nearest sqrt(x) for a rational x >= 0.
-
-    r = isqrt(x 4^s) has at least 57 bits, and an inexact root sets its
-    last bit, far below the rounding position, so float(r) 2^-s rounds the
-    true root once."""
-    p, q = x.numerator, x.denominator
-    shift = max(0, (116 - p.bit_length() + q.bit_length()) // 2)
-    scaled = p << 2 * shift
-    r = math.isqrt(scaled // q)
-    if r * r * q != scaled:
-        r |= 1
-    return math.ldexp(r, -shift)

@@ -374,6 +374,9 @@ class QuadraticScalar:
         norm = a * a - b * b * self.delta
         return self * QuadraticScalar(a / norm, -b / norm, self.delta)
 
+    def __rtruediv__(self, other) -> "QuadraticScalar":
+        return QuadraticScalar(other, ZERO, self.delta) / self
+
     def conjugate(self) -> "QuadraticScalar":
         return QuadraticScalar(self.a.conjugate(), self.b.conjugate(), self.delta)
 
@@ -398,6 +401,27 @@ def exact_sqrt(q: Fraction):
     if n * n == q.numerator and d * d == q.denominator:
         return _make(n, 0, d)
     return QuadraticScalar(ZERO, ONE, q)
+
+
+def rounded(root, values=lambda r: (r,)) -> tuple:
+    """The floats nearest values(root), each rounded once, for root =
+    ``exact_sqrt(q)`` and values a map from a rational r >= 0 to a tuple of
+    rationals, each monotone in r and irrational when r is.
+
+    An irrational root is bracketed as isqrt(q 4^s) 2^-s <= sqrt(q) <
+    (isqrt(q 4^s) + 1) 2^-s, first to about 70 bits, and s grows until both
+    ends of every value round alike; they do once the bracket is narrow
+    enough, since no float or midpoint of two floats is irrational."""
+    if type(root) is not QuadraticScalar:
+        return tuple(map(float, values(root.to_fraction())))
+    p, q = root.delta.numerator, root.delta.denominator
+    shift = max(0, (140 - p.bit_length() + q.bit_length()) // 2)
+    while True:
+        r = isqrt((p << 2 * shift) // q)
+        ends = [tuple(map(float, values(Fraction(n, 1 << shift)))) for n in (r, r + 1)]
+        if ends[0] == ends[1]:
+            return ends[0]
+        shift += 32
 
 ScalarLike = Union[int, Fraction, ExactScalar]
 PolyLike = Union[int, Fraction, ExactScalar, "ParamPoly"]

@@ -20,17 +20,15 @@ permutations directly.
 The exact spectrum works in the rest frame k = (E,0,0,0) for eps5 = -1 and
 the z-frame k = (0,0,0,q) for eps5 = +1.  There the determinant of the 8x8
 matrix, taken as the 4x4 determinant of AD - BC, is exactly the square of a
-quartic that is a quadratic in k^2; the masses follow in closed form from
-its exact discriminant.  The frame roots are x = (+-M +- sqrt(delta))/2
-with delta = M^2 - 4 eps5 mu^2, and the reality classes come from the
-kernel of a 4x4 Schur complement at the exact light and heavy roots, in
+quartic that is a quadratic in k^2.  Its frame roots x = (+-M +- sqrt(delta))/2,
+delta = M^2 - 4 eps5 mu^2, all come from one exact sqrt(delta), in
 Q(i, sqrt(delta)) (QuadraticScalar), or in Q(i) when delta is a rational
-square.
+square; the reality classes come from the kernel of a 4x4 Schur complement
+at them, and each reported float is an exact value rounded once.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -38,7 +36,7 @@ from .clifford import _POLY_POWERS, _gamma_perms, _perm_product, gamma_sum, real
 from .lie_algebra import lower
 from .matrices import ExactMatrix
 from .scalars import (I, ONE, P_ZERO, ExactScalar, ParamPoly, _coerce_scalar, as_fraction,
-                      exact_sqrt, poly, sym)
+                      exact_sqrt, poly, rounded, sym)
 
 _HALF = ExactScalar(Fraction(1, 2))
 
@@ -75,9 +73,33 @@ class CouplingConfig:
         """|g|^2."""
         return (self.g * self.g.conjugate()).to_fraction()
 
-    def mu(self) -> float:
-        """|g| * vev."""
-        return math.sqrt(float(self.coupling_squared())) * float(self.vev)
+
+def _scales(c: CouplingConfig) -> tuple:
+    """(M, mu^2, delta) = (2/l, |g|^2 vev^2, M^2 - 4 eps5 mu^2)."""
+    big_m, mu2 = 2 / c.ell, c.coupling_squared() * c.vev ** 2
+    return big_m, mu2, big_m * big_m - 4 * c.eps5 * mu2
+
+
+def mu_over_m(c: CouplingConfig) -> float:
+    """mu/M, rounded once."""
+    big_m, mu2, _ = _scales(c)
+    return rounded(exact_sqrt(mu2 / (big_m * big_m)))[0]
+
+
+PAST_HIERARCHY = "2 (mu/M)^2 >= 1: the coupling is outside the seesaw regime mu/M << 1"
+CRITICAL = ("delta = M^2 - 4 eps5 mu^2 = 0: at the critical coupling the light and "
+            "heavy roots coincide")
+
+
+def regime_failure(c: CouplingConfig) -> str | None:
+    """Why the coupling fails whatever its spectrum, decided exactly, or
+    None: 2 (mu/M)^2 >= 1 as 2 mu^2 >= M^2, then delta = 0."""
+    big_m, mu2, delta = _scales(c)
+    if 2 * mu2 >= big_m * big_m:
+        return PAST_HIERARCHY
+    if delta == 0:
+        return CRITICAL
+    return None
 
 
 def _momentum(k) -> list:
@@ -88,11 +110,16 @@ def _momentum(k) -> list:
 
 def leading_order_reduction(c: CouplingConfig):
     """(W, effective): u2 = W u1 with W = -(l/2) eps5 g* vev g^4, and the
-    effective light operator as a function of the four-momentum."""
-    v = ExactScalar(c.vev)
-    w_coeff = poly(-c.eps5) * poly(c.g.conjugate() * v * ExactScalar(c.ell) * _HALF)
+    effective light operator g.k + g vev W as a function of the
+    four-momentum."""
+    return _reduction(c, c.vev, c.ell)
+
+
+def _reduction(c: CouplingConfig, vev, ell):
+    """``leading_order_reduction`` at a vev and l that are numbers or symbols."""
+    w_coeff = poly(-c.eps5) * poly(c.g.conjugate() * _HALF) * poly(vev) * poly(ell)
     W = gamma_sum(c.eps5, [0, 0, 0, 0, w_coeff])
-    mass_coeff = w_coeff * poly(c.g * v)
+    mass_coeff = w_coeff * poly(c.g) * poly(vev)
 
     def effective(k) -> ExactMatrix:
         return gamma_sum(c.eps5, [*lower(_momentum(k)), mass_coeff])
@@ -129,9 +156,8 @@ def verify_effective_equation(c: CouplingConfig) -> EffectiveCheck:
     """Exact algebraic identity in the vev and length symbols (v, l) with
     the configured exact coupling: the eliminated system's mass term equals
     +i |g|^2 v^2 (l/2) g5 for eps5 = -1 and -|g|^2 v^2 (l/2) g5 for +1."""
-    w_coeff = poly(-c.eps5) * poly(c.g.conjugate() * _HALF) * sym("v") * sym("l")
-    W = gamma_sum(c.eps5, [0, 0, 0, 0, w_coeff])
-    mass_term = W.scale(poly(c.g) * sym("v"))
+    _, symbolic = _reduction(c, sym("v"), sym("l"))
+    mass_term = symbolic((0, 0, 0, 0))  # g v W: the effective operator less g.k
     # the printed term is (+i or -1) |g|^2 v^2 (l/2) gamma5, and gamma5 is
     # g^4 of the eps5 = +1 signature
     size = poly((I if c.eps5 == -1 else -ONE) * ExactScalar(c.coupling_squared()))
@@ -197,14 +223,18 @@ def _root_class(e5: int, x, big_m: Fraction, mu2: Fraction) -> str:
 
     Eliminating u2 leaves the Schur complement T = g.k - c (g.k + M g^4)
     with c = mu^2 / (k^2 + eps5 M^2), since D22^2 = (k^2 + eps5 M^2) I;
-    k^2 + eps5 M^2 = eps5 (M^2 - x^2) vanishes only at mu = 0.  In the
+    k^2 + eps5 M^2 = eps5 (M^2 - x^2) vanishes only at mu = 0 (heavy root)
+    and at mu^2 = 2 M^2, eps5 = -1 (light root), which raises.  In the
     frame T = eta g^a (alpha I + beta P) with alpha = (1 - c) x and
     beta = -c M.  The certificate shows P has eigenvalues +1 and -1 twice
     each, so P^2 = I, T has rank 2 [alpha + beta != 0] + 2 [alpha - beta != 0],
     which must be 2, and ker T is an eigenspace of P: spanned by
     e_r +- i^p e_col over the row pairs P swaps (and the rows it fixes),
     it is closed under conjugation exactly when every phase i^p is real."""
-    c = (0 * x + mu2) / (e5 * (big_m * big_m - x * x))  # in x's field
+    pole = e5 * (big_m * big_m - x * x)
+    if not pole:
+        raise RootFindingError("the light root is a pole of the heavy block: mu^2 = 2 M^2")
+    c = mu2 / pole
     alpha, beta = (1 - c) * x, -c * big_m
     rank = 2 * bool(alpha + beta) + 2 * bool(alpha - beta)
     if rank != 2:
@@ -221,77 +251,53 @@ def exact_mode_spectrum(c: CouplingConfig) -> ModeSpectrum:
 
     With M = 2/l and mu^2 = |g|^2 vev^2 the determinant is exactly q(x)^2,
     q = x^4 - (M^2 - 2 eps5 mu^2) x^2 + mu^4, checked on every call on the
-    4x4 ``_frame_block``.  Floats enter only through the square root of q's
-    exact discriminant; the heavy root h gives d = M / sqrt(h) - 1 without
-    cancellation, and light mass = m_lead (1 + d), heavy mass = M / (1 + d),
-    deviation = |d| at any mu/M.
-    The k^2 values stay exact when the discriminant is a rational square.
+    4x4 ``_frame_block``; its discriminant in x^2 is M^2 delta.  The heavy
+    frame root is h = (M + sqrt(delta))/2, the light one mu^2/h =
+    m_lead (1 + d) with d = eps5 mu^2/h^2, and k^2 = -eps5 x^2.  Each is a
+    sum or quotient of nonnegative terms, so ``scalars.rounded`` rounds
+    them once from the one exact sqrt(delta), with no cancellation at any
+    mu/M.  The k^2 values stay exact when delta is a rational square.
     """
     e5 = c.eps5
-    big_m = Fraction(2) / c.ell
+    big_m, mu2, delta = _scales(c)
     m2 = big_m * big_m
-    mu2 = c.coupling_squared() * c.vev ** 2
-    s = m2 - 2 * e5 * mu2
-
     x = "k0" if e5 == -1 else "k3"  # the frame momentum
     x2 = sym(x, 2)
-    quartic = x2 * x2 - x2 * poly(s) + poly(mu2 * mu2)
+    quartic = x2 * x2 - x2 * poly(m2 - 2 * e5 * mu2) + poly(mu2 * mu2)
     if _frame_block(e5, x, big_m, mu2).det() != quartic * quartic:
-        raise RootFindingError(
-            "determinant is not the square of the seesaw quartic",
-            diagnostics={"quartic": str(quartic)},
-        )
+        raise RootFindingError("determinant is not the square of the seesaw quartic",
+                               diagnostics={"quartic": str(quartic)})
+    if delta < 0:
+        raise RootFindingError("no real determinant roots: the coupling is overcritical",
+                               diagnostics={"discriminant": m2 * delta, "mu2": mu2, "M2": m2})
 
-    disc = s * s - 4 * mu2 * mu2
-    if disc < 0:
-        raise RootFindingError(
-            "no real determinant roots: the coupling is overcritical",
-            diagnostics={"discriminant": disc, "mu2": mu2, "M2": m2},
-        )
-    rn, rd = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
-    exact_root = Fraction(rn, rd) if Fraction(rn * rn, rd * rd) == disc else None
-    root = exact_root if exact_root is not None else math.sqrt(disc)
-    heavy_x2 = (s + root) / 2
-    a = m2 + 2 * e5 * mu2
-    if a > 0:
-        # M^2 - h = (a - root) / 2, rationalised against cancellation
-        gap = (8 * e5 * m2 * mu2 + 4 * mu2 * mu2) / (2 * (a + root))
-    else:
-        gap = (a - root) / 2
-    sqrt_h = math.sqrt(heavy_x2)
-    d = float(gap / (sqrt_h * (big_m + sqrt_h)))
+    def frame(root):
+        # the heavy and light frame roots, -eps5 times their squares, and |d|
+        h = (big_m + root) / 2
+        light = mu2 / h
+        return h, light, -e5 * h * h, -e5 * light * light, light / h
 
-    m_lead = leading_mass(c)
-    light = float(m_lead) * (1 + d)
-    heavy = float(big_m) / (1 + d)
-    light_k2, heavy_k2 = -e5 * light * light, -e5 * heavy * heavy
-    light_exact = heavy_exact = None
-    if exact_root is not None:
-        heavy_exact = -e5 * heavy_x2
-        light_exact = -e5 * mu2 * mu2 / heavy_x2
-        light_k2, heavy_k2 = float(light_exact), float(heavy_exact)
-
+    root = exact_sqrt(delta)
+    heavy, light, heavy_k2, light_k2, deviation = rounded(root, frame)
+    heavy_x, light_x, heavy_k2_exact, light_k2_exact, _ = frame(root)
     if mu2 == 0:
         # 4-D light kernel at k = 0 and u1 = 0 at the heavy root: no mass
         # to classify
         light_class = heavy_class = None
         roots = (-heavy, 0.0, heavy)
     else:
-        # the positive frame roots (M - sqrt(delta))/2 up to sign and
-        # (M + sqrt(delta))/2, delta = M^2 - 4 eps5 mu^2, exact in
-        # Q(i, sqrt(delta))
-        root = exact_sqrt(m2 - 4 * e5 * mu2)
-        light_class = _root_class(e5, e5 * (big_m - root) / 2, big_m, mu2)
-        heavy_class = _root_class(e5, (big_m + root) / 2, big_m, mu2)
+        light_class = _root_class(e5, light_x, big_m, mu2)
+        heavy_class = _root_class(e5, heavy_x, big_m, mu2)
         roots = (-heavy, -light, light, heavy)
+    rational = type(root) is ExactScalar
     return ModeSpectrum(
         light_k2=light_k2,
         heavy_k2=heavy_k2,
-        leading_light_mass=m_lead,
-        deviation=abs(d),
+        leading_light_mass=leading_mass(c),
+        deviation=deviation,
         light_class=light_class,
         heavy_class=heavy_class,
         roots=roots,
-        light_k2_exact=light_exact,
-        heavy_k2_exact=heavy_exact,
+        light_k2_exact=light_k2_exact.to_fraction() if rational else None,
+        heavy_k2_exact=heavy_k2_exact.to_fraction() if rational else None,
     )

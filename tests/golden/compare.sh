@@ -29,9 +29,11 @@ for fmt in json csv; do
   cmp "$out/scan.$fmt" tests/golden/scan_vev_eps5_plus.$fmt
 done
 # the demos that print the contractions and isomorphism signs, the
-# plane-wave remainders and lemma residuals, run verify_clifford and the
-# Cayley boosts, and print the seesaw spectra
-for demo in 01_deformed_algebra 03_plane_wave 04_gamma_boosts 05_dispersion_modes 06_seesaw; do
+# differential operators and their closure, the plane-wave remainders and
+# lemma residuals, run verify_clifford and the Cayley boosts, and print the
+# seesaw spectra
+for demo in 01_deformed_algebra 02_differential_realization 03_plane_wave 04_gamma_boosts \
+    05_dispersion_modes 06_seesaw; do
   python demos/$demo.py > "$out/$demo.txt"
   cmp "$out/$demo.txt" tests/golden/demo_${demo%%_*}.txt
 done

@@ -244,6 +244,56 @@ def test_flipped_swap_rule_fails_the_plane_wave_rows(monkeypatch, eps5, mu):
     assert {"planewave_momentum", "planewave_mixed"} <= failed
 
 
+def _overlaps(module, eps5) -> tuple:
+    """(overlaps, unresolved) of the rewriting system in ``module``: the
+    words abc in which ab and bc are both reducible, and those of them whose
+    normal forms after reducing ab first and bc first differ.  By Bergman's
+    diamond lemma (Adv. Math. 29 (1978) 178) the normal form is unique, and
+    the normal words are a basis, exactly when every overlap resolves."""
+    cinv = {C_TOKEN, CINV_TOKEN}
+
+    def reducible(a, b):
+        return module._RANK[a] > module._RANK[b] or (a, b) == (C_TOKEN, CINV_TOKEN)
+
+    def reduce_at(word, i):
+        a, b = word[i], word[i + 1]
+        head, tail = word[:i], word[i + 2:]
+        if {a, b} == cinv:
+            return module.NCExpression({head + tail: 1})
+        rule = module._swap_rules(eps5).get((a, b), {})
+        return (module.NCExpression({head + (b, a) + tail: 1})
+                + module.NCExpression({head + w + tail: c for w, c in rule.items()}))
+
+    overlaps = [(a, b, c) for a in TOKENS for b in TOKENS for c in TOKENS
+                if reducible(a, b) and reducible(b, c)]
+    unresolved = [w for w in overlaps
+                  if module.normal_form(reduce_at(w, 0), eps5)
+                  != module.normal_form(reduce_at(w, 1), eps5)]
+    return len(overlaps), unresolved
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+def test_every_overlap_resolves(eps5):
+    assert _overlaps(enveloping, eps5) == (576, [])
+
+
+@pytest.mark.parametrize("key,count,witnesses", [
+    # the derived [Cinv, x1] = -Cinv [C, x1] Cinv
+    ((CINV_TOKEN, "x1"), 8, {(C_TOKEN, CINV_TOKEN, "x1"), (CINV_TOKEN, C_TOKEN, "x1")}),
+    # [C, x1], with the derived Cinv rule left as it was
+    ((C_TOKEN, "x1"), 11, {("x1", "x0", "p0"), (C_TOKEN, "x0", "M01")}),
+])
+@pytest.mark.parametrize("eps5", [1, -1])
+def test_a_negated_c_rule_leaves_overlaps_unresolved(eps5, key, count, witnesses):
+    # both rules cancel out of every plane-wave row; the overlaps see them
+    own = _own_enveloping()
+    rules = own._swap_rules(eps5)
+    rules[key] = {w: -c for w, c in rules[key].items()}
+    overlaps, unresolved = _overlaps(own, eps5)
+    assert (overlaps, len(unresolved)) == (576, count)
+    assert witnesses <= set(unresolved)
+
+
 @pytest.mark.parametrize("eps5", [1, -1])
 def test_a_remainder_of_high_ell_degree_fails_its_row(monkeypatch, eps5):
     # the identities are exact: a row passes on a zero remainder only,

@@ -12,8 +12,8 @@ and timers, before one runner drove every check family.
 plane-wave lemma, the boost covariance and the seesaw reality classes ran
 in exact arithmetic.  Each was written with the command below, run from
 the repository root.  The reports carry no timings, and every value is
-exact but the seesaw masses and deviations, which ``math`` computes from
-exact roots, with no BLAS involved.  Change a golden file only together
+exact but the seesaw masses and deviations, which are exact values rounded
+once to a float, with no BLAS involved.  Change a golden file only together
 with a report change that is meant.  CI runs the same commands with
 ``tests/golden/compare.sh``, which compares with ``cmp``, with and without
 numpy installed.
@@ -44,12 +44,21 @@ Every JSON report was rewritten once when the plane-wave truncation order
 left the command line: that dropped the ``order`` key from each
 ``config``, and from each ``planewave_*`` row its ``order`` parameter and
 its ``min_ell_degree`` detail, and named the critical-coupling reason in
-the scan.  Nothing else in them changed.
+the scan.  Nothing else in them changed.  The eps5 = +1 ``seesaw_spectrum``
+``heavy_k2`` of ``check_all_seed42.json`` and ``seesaw_default.json`` was
+rewritten once, from -3.99979999749987 to -3.99979999749988, when the
+spectrum came to be rounded once from one exact square root; the exact
+value is -3.99979999749987499218...
 
 ``demo_04.txt`` and ``demo_05.txt`` pin the output of demos 04 and 05, the
 only callers of ``verify_clifford`` and of the Cayley boosts outside the
 tests.  They were written by the engine whose Clifford relations were
 checked on a cached dense copy of the gammas.
+
+``demo_02.txt`` pins the differential operators and their closure
+counts, which read the same under ``PYTHONHASHSEED`` 0 and 1; it was
+written by the engine whose plane-wave rows passed on a zero remainder
+only, before the seesaw spectrum was rounded from one exact square root.
 
 ``demo_01.txt`` pins the contractions and the isomorphism signs, and
 ``demo_06.txt`` the seesaw deviations and reality classes.  They were
@@ -104,8 +113,9 @@ def test_exact_report_matches_golden(monkeypatch, capsys, argv, golden, code):
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
-@pytest.mark.parametrize("demo", ["01_deformed_algebra", "03_plane_wave", "04_gamma_boosts",
-                                  "05_dispersion_modes", "06_seesaw"])
+@pytest.mark.parametrize("demo", ["01_deformed_algebra", "02_differential_realization",
+                                  "03_plane_wave", "04_gamma_boosts", "05_dispersion_modes",
+                                  "06_seesaw"])
 def test_demo_output_matches_golden(capsys, demo):
     runpy.run_path(str(GOLDEN.parent.parent / "demos" / f"{demo}.py"), run_name="__main__")
     golden = GOLDEN / f"demo_{demo.split('_')[0]}.txt"

@@ -1,7 +1,6 @@
 """Dispersion branches, exact nullspaces, and exact boost covariance."""
 
 import random
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,7 +16,6 @@ from ncdirac.matrices import ExactMatrix
 from ncdirac.modes import (
     ModeProblem,
     dirac_matrix,
-    _sqrt_rounded,
     dispersion_roots,
     reference_solutions,
     residual,
@@ -160,16 +158,6 @@ def test_residual_is_rounded_once():
     want = np.linalg.norm(op @ np.array(u)) / np.linalg.norm(u)
     assert got == pytest.approx(want, rel=1e-15, abs=0)
     assert residual((1, 0, 0, 1), (1, 0, 0, 0), 1, 1) == np.sqrt(2.0)
-    # against a 60-digit decimal root, rounded to a float
-    rng = random.Random(4)
-    with localcontext() as ctx:
-        ctx.prec = 60
-        for _ in range(300):
-            x = Fraction(rng.randint(1, 10 ** rng.randint(1, 40)),
-                         rng.randint(1, 10 ** rng.randint(1, 40)))
-            want = float((Decimal(x.numerator) / Decimal(x.denominator)).sqrt())
-            assert _sqrt_rounded(x) == want, x
-    assert _sqrt_rounded(Fraction(0)) == 0.0 and _sqrt_rounded(Fraction(9, 4)) == 1.5
 
 
 def _axis_boost(rapidity):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 from re import escape as re_escape
 from fractions import Fraction
 
@@ -19,7 +20,9 @@ from ncdirac.scalars import (
     UnknownSymbolError,
     _sum_of_products,
     as_fraction,
+    exact_sqrt,
     poly,
+    rounded,
     sym,
 )
 
@@ -421,3 +424,50 @@ def test_quadratic_scalar_hash_matches_equality():
     assert hash(QuadraticScalar(3, 0, two)) == hash(3) == hash(ExactScalar(3))
     assert len({QuadraticScalar(1, 1, two), QuadraticScalar(1, 1, two), 3,
                 QuadraticScalar(3, 0, two)}) == 2
+
+
+def _decimal(x: Fraction) -> Decimal:
+    return Decimal(x.numerator) / Decimal(x.denominator)
+
+
+def test_rounded_square_roots_match_a_decimal_reference():
+    # against a 60-digit decimal root, rounded to a float
+    rng = random.Random(4)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for _ in range(300):
+            x = Fraction(rng.randint(1, 10 ** rng.randint(1, 40)),
+                         rng.randint(1, 10 ** rng.randint(1, 40)))
+            assert rounded(exact_sqrt(x)) == (float(_decimal(x).sqrt()),), x
+    assert rounded(exact_sqrt(Fraction(0))) == (0.0,)
+    assert rounded(exact_sqrt(Fraction(9, 4))) == (1.5,)
+
+
+def test_rounded_values_share_one_root():
+    # values of r = sqrt(x), increasing and decreasing, each rounded once
+    # from one bracket of r
+    def values(r):
+        return r + 1, 1 / (1 + r), -r * r * r, r / (1 + r)
+
+    rng = random.Random(5)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for _ in range(100):
+            x = Fraction(rng.randint(1, 10 ** 30), rng.randint(1, 10 ** 30))
+            root = exact_sqrt(x)
+            if not isinstance(root, QuadraticScalar):
+                continue
+            r = _decimal(x).sqrt()
+            want = tuple(float(v) for v in (r + 1, 1 / (1 + r), -r * r * r, r / (1 + r)))
+            assert rounded(root, values) == want, x
+
+
+def test_rounded_refines_a_root_next_to_a_midpoint():
+    # 1 + 2^-53 is the midpoint of the floats 1 and 1 + 2^-52; a root within
+    # 2^-200 of it lies inside the first bracket, which must then narrow
+    mid = 1 + Fraction(1, 2 ** 53)
+    above = exact_sqrt(mid * mid + Fraction(1, 2 ** 200))
+    below = exact_sqrt(mid * mid - Fraction(1, 2 ** 200))
+    assert isinstance(above, QuadraticScalar) and isinstance(below, QuadraticScalar)
+    assert rounded(above) == (1 + 2.0 ** -52,)
+    assert rounded(below) == (1.0,)

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -295,7 +296,51 @@ def test_overcritical_coupling_raises():
     )
     with pytest.raises(RootFindingError) as err:
         exact_mode_spectrum(config)
-    assert err.value.diagnostics
+    # the quartic's discriminant M^2 delta = 4 (4 - 9)
+    assert err.value.diagnostics["discriminant"] == -20
+
+
+def test_light_root_at_the_heavy_pole_is_an_error_row(capsys):
+    # |g|^2 = 2, vev = 2, l = 1, eps5 = -1: mu^2 = 8 = 2 M^2, and the light
+    # root x = M makes the heavy block singular, so u2 has no elimination
+    from ncdirac.cli import main
+
+    config = CouplingConfig(g="1+1i", vev=Fraction(2), ell=Fraction(1), eps5=-1)
+    with pytest.raises(RootFindingError, match="pole of the heavy block"):
+        exact_mode_spectrum(config)
+    assert main(["scan", "--param", "vev", "--from", "1", "--to", "2", "--steps", "2",
+                 "--g", "1+1i", "--eps5", "-1"]) == 1
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["status"] for r in rows] == ["fail", "error"]
+
+
+def _decimal(x: Fraction) -> Decimal:
+    return Decimal(x.numerator) / Decimal(x.denominator)
+
+
+@pytest.mark.parametrize("vev,ell,eps5", [
+    (Fraction(1, 10 ** 26), Fraction(1), 1),
+    (Fraction(1, 10 ** 26), Fraction(1), -1),
+    (Fraction(1, 10 ** 15), Fraction(1, 10 ** 10), 1),
+    (Fraction(1, 10 ** 15), Fraction(1, 10 ** 10), -1),
+    (Fraction(999, 1000), Fraction(1), 1),  # near the critical vev 1
+    (Fraction(7, 10), Fraction(1), -1),
+    (Fraction(10 ** 6), Fraction(1), -1),  # far past the hierarchy
+    (Fraction(1, 100), Fraction(1), 1),  # the coupling of check all
+    (Fraction(1, 100), Fraction(1), -1),
+])
+def test_spectrum_is_the_exact_value_rounded_once(vev, ell, eps5):
+    # g = 1: against h = (M + sqrt(delta))/2 at 80 digits, light k^2 =
+    # -eps5 mu^4/h^2, heavy k^2 = -eps5 h^2 and deviation mu^2/h^2, each
+    # rounded to a float once
+    spectrum = exact_mode_spectrum(CouplingConfig(g="1", vev=vev, ell=ell, eps5=eps5))
+    with localcontext() as ctx:
+        ctx.prec = 80
+        big_m, mu2 = 2 / _decimal(ell), _decimal(vev) ** 2
+        h = (big_m + (big_m * big_m - 4 * eps5 * mu2).sqrt()) / 2
+        want = (-eps5 * mu2 * mu2 / (h * h), -eps5 * h * h, mu2 / (h * h))
+    got = (spectrum.light_k2, spectrum.heavy_k2, spectrum.deviation)
+    assert got == tuple(map(float, want))
 
 
 def _sweep_config(eps5, g, ratio, ell=Fraction(1)):
@@ -359,7 +404,7 @@ def test_seesaw_and_scan_fail_past_the_hierarchy(capsys):
 
 
 def test_past_the_hierarchy_says_why(capsys):
-    from ncdirac.checks import PAST_HIERARCHY
+    from ncdirac.seesaw import PAST_HIERARCHY
     from ncdirac.cli import main
 
     assert "2 (mu/M)^2 >= 1" in PAST_HIERARCHY
@@ -384,7 +429,7 @@ def test_past_the_hierarchy_says_why(capsys):
 
 
 def test_critical_coupling_says_why(capsys):
-    from ncdirac.checks import CRITICAL, regime_failure
+    from ncdirac.seesaw import CRITICAL, regime_failure
     from ncdirac.cli import main
 
     # M = 1 and mu = 1/2: delta = M^2 - 4 mu^2 = 0, and the roots coincide
