@@ -30,7 +30,7 @@ from .weyl import WeylOperator, build_rep, verify_rep_closure
 from .enveloping import (
     Derivation,
     NCExpression,
-    PlaneWaveExponent,
+    plane_wave_exponent,
     commutator,
     lemma_matrix_check,
     normal_form,
@@ -90,7 +90,7 @@ __all__ = [
     "verify_rep_closure",
     "NCExpression",
     "Derivation",
-    "PlaneWaveExponent",
+    "plane_wave_exponent",
     "commutator",
     "normal_form",
     "verify_plane_wave_relations",

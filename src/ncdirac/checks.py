@@ -47,6 +47,7 @@ from .seesaw import (
     CouplingConfig,
     RootFindingError,
     exact_mode_spectrum,
+    heavy_mass,
     leading_mass,
     light_mass_leading,
     mu_over_m,
@@ -467,8 +468,9 @@ def seesaw_verdict(coupling: CouplingConfig, spectrum) -> tuple[bool, float, flo
     leading order predicts.  Once 2 (mu/M)^2 reaches 1 those bounds admit
     every light mass up to twice its leading value, the heavy root among
     them, and at delta = 0 the light root is the heavy one, so such a
-    coupling fails (``seesaw.regime_failure``)."""
-    big_m = 2.0 / float(coupling.ell)
+    coupling fails (``seesaw.regime_failure``).  A float past its range
+    raises RootFindingError."""
+    big_m = heavy_mass(coupling)
     ratio = mu_over_m(coupling)
     tol = max(2.0 * ratio * ratio, 1e-12)
     heavy_drift = abs(spectrum.roots[-1] - big_m) / big_m
@@ -514,11 +516,11 @@ def cmd_seesaw(cfg: RunConfig):
 
         try:
             spectrum = exact_mode_spectrum(coupling)
+            ok, tol, ratio = seesaw_verdict(coupling, spectrum)
         except RootFindingError as exc:
             ok, residual = False, None
             details = {"error": str(exc), "diagnostics": _fmt(exc.diagnostics)}
         else:
-            ok, tol, ratio = seesaw_verdict(coupling, spectrum)
             residual = spectrum.deviation
             details = {
                 "deviation_tolerance": tol,

@@ -9,12 +9,12 @@ element is gamma5 itself (eps5 = +1) or i*gamma5 (eps5 = -1).
 Everything here is exact.  Each gamma has one unit entry per row, so the
 gammas are stored once, as phased permutations: per row, the column of
 its nonzero entry and the power p of i there (``_gamma_perms``, multiplied
-by ``_perm_product``).  Everything else reads that store: the Clifford
-relations, decided by index arithmetic (a dense difference is built only
-for a failing relation, to size its residual), the exact matrices of
-``build_majorana_rep``, every sum_a c_a gamma^a (``gamma_sum``), the
-generator proof of ``ncdirac.lorentz``, the signed permutations of
-``ncdirac.cayley`` and the seesaw spectrum of ``ncdirac.seesaw``.
+by ``_perm_product``).  The store's format stays here: the Clifford
+relations are decided on it by index arithmetic (a dense difference is
+built only for a failing relation, to size its residual), and the one
+other reader is the generator proof of ``ncdirac.lorentz``.  Every other
+module reads the gammas as exact matrices built from it: those of
+``build_majorana_rep`` and every sum_a c_a gamma^a (``gamma_sum``).
 """
 
 from __future__ import annotations

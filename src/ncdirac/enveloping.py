@@ -250,21 +250,19 @@ class Derivation:
         return normal_form(NCExpression._made(acc), self.eps5, order=order)
 
 
-class PlaneWaveExponent:
+def plane_wave_exponent() -> NCExpression:
     """Exponent A = -(i/2) k_nu {x^nu, Cinv} of the noncommutative plane wave.
 
     Momentum components are the symbols k0..k3 (upper index); because both
     the index of x and of k flip sign together under lowering, the
     contraction reads componentwise: A = -(i/2) sum_mu k^mu {x_mu, Cinv}.
+    It does not depend on eps5.
     """
-
-    def __init__(self, eps5: int):
-        self.eps5 = eps5
-        # -(i/2) k^mu on each of the two anticommutator orderings
-        self.expression = NCExpression({
-            word: poly(-1) * I * k_up * ParamPoly.from_scalar(_HALF)
-            for mu, k_up in enumerate(MOMENTUM_SYMBOLS)
-            for word in ((f"x{mu}", CINV_TOKEN), (CINV_TOKEN, f"x{mu}"))})
+    # -(i/2) k^mu on each of the two anticommutator orderings
+    return NCExpression({
+        word: poly(-1) * I * k_up * ParamPoly.from_scalar(_HALF)
+        for mu, k_up in enumerate(MOMENTUM_SYMBOLS)
+        for word in ((f"x{mu}", CINV_TOKEN), (CINV_TOKEN, f"x{mu}"))})
 
 
 def momentum_dot(expr_scale=1) -> NCExpression:
@@ -303,7 +301,7 @@ class PlaneWaveCheck:
     def __init__(self, eps5: int, order: int | None = None):
         self.eps5 = eps5
         self.order = order
-        self._exponent = PlaneWaveExponent(eps5).expression
+        self._exponent = plane_wave_exponent()
 
     def _normal_commutator(self, a: NCExpression, b: NCExpression) -> NCExpression:
         return normal_form(_bracket_expansion(a, b, self.eps5), self.eps5, order=self.order)

@@ -13,9 +13,8 @@ g.k - eps5 |g|^2 <phi>^2 (l/2) g^4, i.e. a gamma5 mass term of size
 m = |g|^2 <phi>^2 l / 2.  With M = 2/l and mu = |g|<phi| this is the seesaw
 ratio mu^2 / M; the exact light root differs from it at relative order
 (mu/M)^2.  Every exact gamma term (g.k, g^4 (2/l), the eliminated W and the
-printed gamma5 mass term) is formed by ``clifford.gamma_sum`` from the
-gammas' one store; the exact spectrum reads the store's phased
-permutations directly.
+printed gamma5 mass term) is formed by ``clifford.gamma_sum``; the exact
+spectrum reads one product of two of them, P = g^axis g^4.
 
 The exact spectrum works in the rest frame k = (E,0,0,0) for eps5 = -1 and
 the z-frame k = (0,0,0,q) for eps5 = +1.  There the determinant of the 8x8
@@ -30,13 +29,14 @@ at them, and each reported float is an exact value rounded once.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
-from .clifford import _POLY_POWERS, _gamma_perms, _perm_product, gamma_sum, reality_class
+from .clifford import gamma_sum, reality_class
 from .lie_algebra import lower
 from .matrices import ExactMatrix
-from .scalars import (I, ONE, P_ZERO, ExactScalar, ParamPoly, _coerce_scalar, as_fraction,
-                      exact_sqrt, poly, rounded, sym)
+from .scalars import (I, ONE, ExactScalar, ParamPoly, _coerce_scalar, as_fraction, exact_sqrt,
+                      poly, rounded, sym)
 
 _HALF = ExactScalar(Fraction(1, 2))
 
@@ -80,10 +80,30 @@ def _scales(c: CouplingConfig) -> tuple:
     return big_m, mu2, big_m * big_m - 4 * c.eps5 * mu2
 
 
+def _rounded(root, values=lambda r: (r,), **diagnostics) -> tuple:
+    """``scalars.rounded``, with a value past the float range raised as a
+    RootFindingError carrying the diagnostics."""
+    try:
+        return rounded(root, values)
+    except OverflowError as exc:
+        raise RootFindingError("a reported value is past the float range",
+                               diagnostics=diagnostics) from exc
+
+
 def mu_over_m(c: CouplingConfig) -> float:
     """mu/M, rounded once."""
     big_m, mu2, _ = _scales(c)
-    return rounded(exact_sqrt(mu2 / (big_m * big_m)))[0]
+    return _rounded(exact_sqrt(mu2 / (big_m * big_m)), M=big_m, mu2=mu2)[0]
+
+
+def heavy_mass(c: CouplingConfig) -> float:
+    """M = 2/l, rounded once; RootFindingError when it is past the float
+    range or rounds to 0."""
+    big_m = _scales(c)[0]
+    value = _rounded(ExactScalar(big_m), M=big_m)[0]
+    if not value:
+        raise RootFindingError("M = 2/l rounds to 0", diagnostics={"M": big_m})
+    return value
 
 
 PAST_HIERARCHY = "2 (mu/M)^2 >= 1: the coupling is outside the seesaw regime mu/M << 1"
@@ -147,7 +167,6 @@ class EffectiveCheck(NamedTuple):
     equation: the printed gamma5 mass term must be reproduced exactly."""
 
     identity_ok: bool
-    mass_term: ExactMatrix
     residual: ExactMatrix
     rest_frame_class: str | None
 
@@ -174,7 +193,6 @@ def verify_effective_equation(c: CouplingConfig) -> EffectiveCheck:
             rest_class = reality_class(kernel)
     return EffectiveCheck(
         identity_ok=residual.is_zero(),
-        mass_term=mass_term,
         residual=residual,
         rest_frame_class=rest_class,
     )
@@ -197,10 +215,13 @@ class ModeSpectrum(NamedTuple):
     heavy_k2_exact: Fraction | None
 
 
-def _frame_perm(e5: int) -> tuple:
-    """P = g^a g^4, a phased permutation; a = 0 for eps5 = -1, 3 for +1."""
-    gammas = _gamma_perms(e5)
-    return _perm_product(gammas[0 if e5 == -1 else 3], gammas[4])
+@cache
+def _frame_product(e5: int) -> ExactMatrix:
+    """P = g^a g^4, a = 0 for eps5 = -1 and 3 for +1, as one product of
+    two ``gamma_sum`` matrices.  Only read: the cache hands out this one."""
+    axis = [0] * 4
+    axis[0 if e5 == -1 else 3] = 1
+    return gamma_sum(e5, axis) @ gamma_sum(e5, [0, 0, 0, 0, 1])
 
 
 def _frame_block(e5: int, x: str, big_m: Fraction, mu2: Fraction) -> ExactMatrix:
@@ -208,14 +229,11 @@ def _frame_block(e5: int, x: str, big_m: Fraction, mu2: Fraction) -> ExactMatrix
     the frame momentum x (a symbol name).  C = g* vev I commutes with D, so
     det(AD - BC) is the 8x8 determinant (Silvester, "Determinants of block
     matrices", Math. Gazette 84 (2000) 460).  With g.k = eta x g^a,
-    eta = -eps5, and BC = mu^2 I it is (eta x^2 - mu^2) I + eta M x P."""
+    eta = -eps5, and BC = mu^2 I it is (eta x^2 - mu^2) I + eta M x P,
+    for the dense P = g^a g^4 of ``_frame_product``."""
     diag = poly(-e5) * sym(x, 2) - poly(mu2)
     off = poly(-e5 * big_m) * sym(x)
-    rows = [[P_ZERO] * 4 for _ in range(4)]
-    for r, (col, p) in enumerate(_frame_perm(e5)):
-        rows[r][r] = diag
-        rows[r][col] = rows[r][col] + off * _POLY_POWERS[p]
-    return ExactMatrix(rows)
+    return ExactMatrix.identity(4).scale(diag) + _frame_product(e5).scale(off)
 
 
 def _root_class(e5: int, x, big_m: Fraction, mu2: Fraction) -> str:
@@ -228,9 +246,10 @@ def _root_class(e5: int, x, big_m: Fraction, mu2: Fraction) -> str:
     frame T = eta g^a (alpha I + beta P) with alpha = (1 - c) x and
     beta = -c M.  The certificate shows P has eigenvalues +1 and -1 twice
     each, so P^2 = I, T has rank 2 [alpha + beta != 0] + 2 [alpha - beta != 0],
-    which must be 2, and ker T is an eigenspace of P: spanned by
-    e_r +- i^p e_col over the row pairs P swaps (and the rows it fixes),
-    it is closed under conjugation exactly when every phase i^p is real."""
+    which must be 2, and ker T is an eigenspace of P.  P = g^a g^4 has one
+    unit entry per row, so that eigenspace is spanned by e_r +- P_r,col e_col
+    over the row pairs P swaps (and the rows it fixes): it is closed under
+    conjugation exactly when P is real."""
     pole = e5 * (big_m * big_m - x * x)
     if not pole:
         raise RootFindingError("the light root is a pole of the heavy block: mu^2 = 2 M^2")
@@ -242,7 +261,8 @@ def _root_class(e5: int, x, big_m: Fraction, mu2: Fraction) -> str:
             "Schur complement kernel is not two-dimensional",
             diagnostics={"rank": rank},
         )
-    return "Dirac" if any(p % 2 for _, p in _frame_perm(e5)) else "Majorana"
+    p = _frame_product(e5)
+    return "Majorana" if p == p.conjugate() else "Dirac"
 
 
 def exact_mode_spectrum(c: CouplingConfig) -> ModeSpectrum:
@@ -278,7 +298,7 @@ def exact_mode_spectrum(c: CouplingConfig) -> ModeSpectrum:
         return h, light, -e5 * h * h, -e5 * light * light, light / h
 
     root = exact_sqrt(delta)
-    heavy, light, heavy_k2, light_k2, deviation = rounded(root, frame)
+    heavy, light, heavy_k2, light_k2, deviation = _rounded(root, frame, M2=m2, mu2=mu2)
     heavy_x, light_x, heavy_k2_exact, light_k2_exact, _ = frame(root)
     if mu2 == 0:
         # 4-D light kernel at k = 0 and u1 = 0 at the heavy root: no mass

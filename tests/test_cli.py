@@ -193,6 +193,32 @@ def test_scan_row_fails_on_heavy_root_as_light(capsys, monkeypatch):
     assert json.loads(out)["rows"][0]["status"] == "fail"
 
 
+@pytest.mark.parametrize("argv", [
+    ("seesaw", "--ell", "1e-320", "--eps5", "-1"),  # M and the heavy root overflow
+    ("seesaw", "--ell", "1e400", "--eps5", "-1"),  # M rounds to 0, mu/M overflows
+    ("seesaw", "--vev", "1e200", "--eps5", "-1"),  # the heavy k^2 overflows
+    ("check", "all", "--ell", "1e-400"),
+])
+def test_a_float_past_its_range_fails_only_the_seesaw_rows(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 1
+    reports = json.loads(out)["reports"]
+    assert len(reports) == (110 if argv[0] == "check" else 5)
+    failed = [r for r in reports if r["status"] != "pass"]
+    assert failed and all(r["check"].startswith("seesaw_") for r in failed)
+    spectra = [r for r in reports if r["check"] == "seesaw_spectrum"]
+    assert spectra and all(r["status"] == "fail" and r["details"]["error"] for r in spectra)
+
+
+def test_a_float_past_its_range_gives_a_scan_error_row(capsys):
+    code, out = run(capsys, "scan", "--param", "vev", "--from", "0", "--to", "1e400",
+                    "--steps", "2", "--eps5", "-1")
+    assert code == 1
+    rows = json.loads(out)["rows"]
+    assert [row["status"] for row in rows] == ["ok", "error"]
+    assert rows[1]["error"] == "a reported value is past the float range"
+
+
 def test_scan_rows(capsys):
     code, out = run(
         capsys, "scan", "--param", "ell", "--from", "0.5", "--to", "2",

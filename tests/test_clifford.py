@@ -387,10 +387,10 @@ def test_nearly_antisymmetric_generator_is_rejected():
         cayley_boost(omega)
 
 
-def _negate_first(perm):
-    """A signed permutation with the entry of its first row negated."""
-    (c, s), *rest = perm
-    return ((c, -s), *rest)
+def _negate_first(matrix):
+    """An integer matrix with its first row negated."""
+    first, *rest = matrix
+    return [[-x for x in first], *rest]
 
 
 def _tables_with(change):

@@ -8,9 +8,13 @@ import numpy as np
 import pytest
 from exact_arrays import as_array
 
-from ncdirac import clifford, modes
+from table_edits import set_bracket
+
+from ncdirac import clifford, lorentz, modes
 from ncdirac.checks import RunConfig, cmd_modes
 from ncdirac.clifford import build_majorana_rep
+from ncdirac.lie_algebra import flat_deformed_algebra
+from ncdirac.scalars import ExactScalar, poly
 
 
 def _generator_rows(cfg=None):
@@ -118,3 +122,19 @@ def test_one_flipped_gamma_sign_fails_the_generator_row(monkeypatch, eps5, mu, r
     monkeypatch.setattr(clifford, "_gamma_perms", _turned(mu, 2, row_index))
     row = _generator_rows(RunConfig(eps5=eps5))[eps5]
     assert row.status == "fail" and row.details["failure"] is not None
+
+
+def test_flipped_table_coefficient_fails_the_generator_row(monkeypatch):
+    # the vector generators are read from the table: [M01, P1] = +i P0 in
+    # place of -i P0 asks for [S_01, g^1] = +g^0, and S_01 gives -g^0
+    def flipped(eps5):
+        table = flat_deformed_algebra(eps5)
+        index = table.index
+        set_bracket(table, index["M01"], index["P1"], {index["P0"]: poly(ExactScalar(0, 1))})
+        return table
+
+    monkeypatch.setattr(lorentz, "flat_deformed_algebra", flipped)
+    for row in _generator_rows().values():
+        assert row.status == "fail"
+        assert row.details == {"generators": 1, "gamma_identities": 2, "dirac_identities": 0,
+                               "failure": "[S_01, g^1] != g^r (L_01)^r_1"}

@@ -376,14 +376,14 @@ def test_tampered_g4_fails_the_boost_row(monkeypatch):
 
 
 def test_corrupted_boost_table_fails_the_boost_row(monkeypatch):
-    # G with one entry negated gives a wrong S^-1 already at the first
+    # G with its first row negated gives a wrong S^-1 already at the first
     # seeded draw, which cayley_boost refuses before any solution is moved
     true_tables = cayley._tables
 
     def corrupted():
         r, pairs, g = true_tables()
-        (c, s), *rest = g
-        return r, pairs, ((c, -s), *rest)
+        first, *rest = g
+        return r, pairs, [[-x for x in first], *rest]
 
     omegas = _seeded_omegas(42)
     monkeypatch.setattr(cayley, "_tables", corrupted)

@@ -65,3 +65,20 @@ def test_every_definition_has_a_use():
             if not (used_elsewhere or outside[name] or name in commands):
                 unused.append(f"{module}: {qualname}")
     assert not unused, "definitions nothing uses: " + ", ".join(unused)
+
+
+_STORE_NAMES = {"_gamma_perms", "_perm_product", "_POLY_POWERS", "_anticommute"}
+
+
+def test_only_clifford_and_lorentz_read_the_gamma_store():
+    # the phased-permutation store is clifford's format: every other module
+    # reads the gammas as the exact matrices clifford builds from it
+    readers = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = _names(tree)
+        names.update(alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) for alias in node.names)
+        if _STORE_NAMES & set(names):
+            readers[path.stem] = sorted(_STORE_NAMES & set(names))
+    assert set(readers) == {"clifford", "lorentz"}, readers
