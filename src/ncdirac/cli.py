@@ -186,24 +186,23 @@ def main(argv=None) -> int:
                 text = checks.render_scan_csv(rows)
             else:
                 text = checks.render_json(checks.scan_document(cfg, rows))
-            _emit(text, cfg.out)
-            return 0 if all(r["status"] == "ok" for r in rows) else 1
-
-        if args.cmd == "check":
-            reports = checks.cmd_check_all(cfg)
+            passed = all(r["status"] == "ok" for r in rows)
         else:
-            family = args.target if args.cmd == "verify" else args.cmd
-            reports = checks.command(family)(cfg)
+            if args.cmd == "check":
+                reports = checks.cmd_check_all(cfg)
+            else:
+                family = args.target if args.cmd == "verify" else args.cmd
+                reports = checks.command(family)(cfg)
+            if cfg.fmt == "csv":
+                text = checks.render_reports_csv(reports)
+            else:
+                text = checks.render_json(checks.reports_document(cfg, reports))
+            passed = all(r.passed for r in reports)
+        _emit(text, cfg.out)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"ncdirac: error: {exc}", file=sys.stderr)
         return 2
-
-    if cfg.fmt == "csv":
-        text = checks.render_reports_csv(reports)
-    else:
-        text = checks.render_json(checks.reports_document(cfg, reports))
-    _emit(text, cfg.out)
-    return 0 if all(r.passed for r in reports) else 1
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

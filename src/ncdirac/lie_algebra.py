@@ -480,41 +480,28 @@ def _map_invertible(lmap: LinearMap) -> bool:
     return False
 
 
-def _pair_sums(columns, src_rows, dst_rows, i: int, j: int, tags) -> dict:
-    """The ``_join`` sums of phi([a_i, a_j]) - [phi a_i, phi a_j] for the
-    basis pair i < j: each term c_ij^m phi(a_m) under the tag
-    tags[i] ^ tags[j] ^ tags[m], the bracket under tag 0.
-
-    ``columns`` are the map's columns as ``_combo_ints``; ``src_rows`` and
-    ``dst_rows`` are the ``rows`` of its tables.
-    """
-    sums = {}
-    flip = tags[i] ^ tags[j]
-    # phi([a_i, a_j]) = sum_m c_ij^m phi(a_m)
-    for m, mono, xa, xb, xd in src_rows[i].get(j, ()):
-        _join(sums, flip ^ tags[m], mono, xa, xb, xd, columns[m])
-    # -[phi a_i, phi a_j] = sum ca cb [f_b, f_a], ca * cb taken once
-    for ia, ma, a1, b1, d1 in columns[i]:
-        for ib, mb, a2, b2, d2 in columns[j]:
-            right = dst_rows[ib].get(ia)
-            if right is not None:
-                mono = ma + mb
-                if mono & _GUARDS:
-                    raise _degree_overflow(ma, mb)
-                _join(sums, 0, mono, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2, right)
-    return sums
-
-
 def _bracket_mismatches(lmap: LinearMap):
     """Yield ((name_i, name_j), residual combo) for each basis pair i < j
     with phi([a_i,a_j]_src) != [phi a_i, phi a_j]_dst, lazily; each pair's
     difference is summed by ``_join`` and reduced once.
     """
-    src = lmap.src
+    src, dst_rows = lmap.src, lmap.dst.rows
     columns = [_combo_ints(col) for col in lmap.columns]
-    untagged = [0] * src.dim()
     for i, j in itertools.combinations(range(src.dim()), 2):
-        residual = _residuals(_pair_sums(columns, src.rows, lmap.dst.rows, i, j, untagged)).get(0)
+        sums = {}
+        # phi([a_i, a_j]) = sum_m c_ij^m phi(a_m)
+        for m, mono, xa, xb, xd in src.rows[i].get(j, ()):
+            _join(sums, 0, mono, xa, xb, xd, columns[m])
+        # -[phi a_i, phi a_j] = sum ca cb [f_b, f_a], ca * cb taken once
+        for ia, ma, a1, b1, d1 in columns[i]:
+            for ib, mb, a2, b2, d2 in columns[j]:
+                right = dst_rows[ib].get(ia)
+                if right is not None:
+                    mono = ma + mb
+                    if mono & _GUARDS:
+                        raise _degree_overflow(ma, mb)
+                    _join(sums, 0, mono, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2, right)
+        residual = _residuals(sums).get(0)
         if residual:
             yield (src.basis[i], src.basis[j]), residual
 
@@ -566,90 +553,53 @@ class IsomorphismSolution(NamedTuple):
     passing_sign_choices: list  # [(s_alpha, s_beta, s_gamma), ...]
 
 
-# the sign choices (s_alpha, s_beta, s_gamma); bit 1, 2 or 4 of a tag reads
-# s_alpha, s_beta or s_gamma, as in ``_scaling_target``
+# the sign choices (s_alpha, s_beta, s_gamma); sign k goes with the
+# ``_scaling_target`` bit 1 << k
 _SIGN_CHOICES = tuple(itertools.product((1, -1), repeat=3))
 
 
-def _character(s) -> list:
-    """chi_t(s) for each tag t in 0..7: the product of the signs of s on
-    the bits of t."""
-    return [(s[0] if t & 1 else 1) * (s[1] if t & 2 else 1) * (s[2] if t & 4 else 1)
-            for t in range(8)]
-
-
-def _signed_sum_is_zero(terms, chi) -> bool:
-    """Whether sum chi[t] (a + b*i)/d over the (t, a, b, d) terms is zero."""
-    sa = sb = 0
-    sd = 1
-    for tag, a, b, d in terms:
-        if chi[tag] < 0:
-            a, b = -a, -b
-        if d == sd:
-            sa += a
-            sb += b
-        else:
-            sa = sa * d + a * sd
-            sb = sb * d + b * sd
-            sd *= d
-    return not (sa or sb)
-
-
-def _passing_signs(unsigned: LinearMap) -> list:
-    """The sign choices s whose map phi_s matches every bracket, from one
-    pass over the basis pairs.
-
-    phi_s sends a_m to chi_m(s) phi(a_m), where phi is ``unsigned`` and
-    chi_m is the character of the coefficient bit of a_m.  Multiplied by
-    chi_i(s) chi_j(s), the match of the pair i < j reads
-    sum_m chi_i chi_j chi_m (s) c_ij^m phi(a_m) = [phi a_i, phi a_j]: so
-    ``_pair_sums`` sums each term under its character once, and a choice
-    passes when the sums weighted by its character values cancel at every
-    output generator and monomial.
-    """
-    src = unsigned.src
-    columns = [_combo_ints(col) for col in unsigned.columns]
-    bits = [_scaling_target(name)[1] for name in src.basis]
-    alive = [(s, _character(s)) for s in _SIGN_CHOICES]
-    for i, j in itertools.combinations(range(src.dim()), 2):
-        outputs = {}
-        for (tag, q, mono), acc in _pair_sums(columns, src.rows, unsigned.dst.rows, i, j,
-                                              bits).items():
-            outputs.setdefault((q, mono), []).append((tag, *acc))
-        for terms in outputs.values():
-            alive = [(s, chi) for s, chi in alive if _signed_sum_is_zero(terms, chi)]
-        if not alive:
-            break
-    return [s for s, _ in alive]
-
-
 def solve_isomorphism_scalings(eps4: int, eps5: int) -> IsomorphismSolution:
-    """Exhaustive sign search for the rescaling identifying the two algebras.
+    """Exact sign search for the rescaling identifying the two algebras.
 
     The bracket [P_mu, P_nu] = -i eps4 rho M_munu forces alpha^2 = rho, which
     has no polynomial solution in rho itself; the deformed table is therefore
     reparametrized with rho = r^2 before matching.  The eight candidates
-    (s_alpha r, s_beta l, s_gamma r l) are the map (r, l, r l) with a sign
-    on each generator class, so one pass over the basis pairs decides all
-    eight (``_passing_signs``), and one exact rank serves them all, since
-    flipping the signs of columns leaves the rank alone.  All sign choices
-    with gamma = -alpha*beta pass; the canonical representative
-    (r, l, -r*l) is returned.  Its map is invertible and matches every
-    bracket; when no sign choice gives such a map, ArithmeticError is
-    raised.
+    phi_s = (s_alpha r, s_beta l, s_gamma r l) are the map (r, l, r l) with
+    a sign on each generator class.  Only the canonical candidates
+    s0 = (1, 1, -1), then (1, 1, 1), are checked: each pair's brackets and
+    the exact rank.  The other choices are read off the first that passes:
+    phi_s = phi_s0 o sigma_t with t = s * s0, where sigma_t sends e_m to
+    chi_m(t) e_m (chi_m(t) is 1 on M, t_alpha on P, t_beta on x and t_gamma
+    on C).  Since phi_s0 is an injective homomorphism, and column signs
+    leave the rank alone, phi_s passes exactly when sigma_t is an
+    automorphism of the source: chi_i chi_j = chi_q for every output q of
+    every stored [e_i, e_j].  All sign choices with gamma = -alpha*beta
+    pass; the first passing choice with (s_alpha, s_beta) = (1, 1), the
+    canonical (r, l, -r*l), is returned.  When neither canonical candidate
+    is an invertible homomorphism, ArithmeticError is raised.
     """
     r = sym("r")
     ell = sym("l")
     _check_signs(eps4, eps5)
     src = _deformed_table(eps4, eps5).substitute({"rho": r * r})
     dst = build_orthogonal_algebra(eps4, eps5)
-    unsigned = scaling_map(src, dst, r, ell, r * ell)
-    passing = _passing_signs(unsigned)
-    if passing and not _map_invertible(unsigned):
-        passing = []
-    canonical = next((s for s in passing if s[:2] == (1, 1)), None)
-    if canonical is None:
+    for s0 in ((1, 1, -1), (1, 1, 1)):
+        lmap = scaling_map(src, dst, r, ell, poly(s0[2]) * r * ell)
+        if next(_bracket_mismatches(lmap), None) is None and _map_invertible(lmap):
+            break
+    else:
         raise ArithmeticError("no scaling signs satisfy the bracket match")
+    # bits of chi_i chi_j chi_q: t passes when each has an even overlap with
+    # the bits that t flips
+    bits = [_scaling_target(name)[1] for name in src.basis]
+    tags = {bits[i] ^ bits[j] ^ bits[q]
+            for i, row in enumerate(src.rows) for j, terms in row.items() for q, *_ in terms}
+    passing = []
+    for s in _SIGN_CHOICES:
+        flips = sum(1 << k for k in range(3) if s[k] != s0[k])
+        if all((tag & flips).bit_count() % 2 == 0 for tag in tags):
+            passing.append(s)
+    canonical = next(s for s in passing if s[:2] == (1, 1))
     gamma = poly(canonical[2]) * r * ell
     return IsomorphismSolution(
         alpha=r, beta=ell, gamma=gamma, map=scaling_map(src, dst, r, ell, gamma),

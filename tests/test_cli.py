@@ -441,3 +441,22 @@ def test_unknown_config_key(tmp_path, capsys):
 def test_missing_config_file(capsys):
     code, _ = run(capsys, "modes", "--config", "/nonexistent/cfg.json")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "all"),
+    ("verify", "algebra", "--eps4", "1", "--eps5", "-1"),
+    ("modes",),
+    ("seesaw",),
+    ("scan", "--param", "vev", "--from", "1/2", "--to", "2", "--steps", "2", "--eps5", "1"),
+])
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv, target):
+    # a report that cannot be written is a usage error, not a failed check
+    out = tmp_path / "missing" / "x.json" if target == "missing_dir" else tmp_path
+    code = main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("ncdirac: error: ")
+    assert not (tmp_path / "missing").exists()

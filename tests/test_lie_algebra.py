@@ -143,8 +143,9 @@ def _double_one_coefficient(monkeypatch, which):
 
 @pytest.mark.parametrize("which", [0, -1])
 def test_scaled_coefficient_has_no_isomorphism(monkeypatch, which):
-    # the sign search stops each candidate at its first mismatch; one wrong
-    # coefficient, first or last in bracket order, must still defeat all
+    # the bracket check stops each canonical candidate at its first
+    # mismatch; one wrong coefficient, first or last in bracket order, must
+    # still defeat both
     _double_one_coefficient(monkeypatch, which)
     with pytest.raises(ArithmeticError):
         solve_isomorphism_scalings(1, -1)
@@ -182,26 +183,12 @@ def _negated(table, names):
     return out
 
 
-@pytest.mark.parametrize("flips,signs_product", [
-    ((), -1),
-    # C -> gamma M45 now needs the opposite gamma
-    (("M45",), 1),
-    # beta and gamma both flip: the product stays -1
-    (("M05", "M15", "M25", "M35", "M45"), -1),
-    # P0 alone changes sign: no choice of alpha fits all four momenta
-    (("M04",), None),
-])
-@pytest.mark.parametrize("eps4,eps5", SIGNS)
-def test_sign_search_matches_per_candidate_verdicts(monkeypatch, eps4, eps5, flips,
-                                                    signs_product):
-    # the one-pass search against eight explicit verifications of
-    # scaling_map(s_alpha r, s_beta l, s_gamma r l); a relabelled target
-    # table moves the passing set, so a wrong character fails here
+def _assert_solver_matches_verdicts(eps4, eps5, signs_product):
+    """The solver against eight explicit verifications of
+    scaling_map(s_alpha r, s_beta l, s_gamma r l), on the tables the module
+    builds when the test runs."""
     import ncdirac.lie_algebra as lie
 
-    build = lie.build_orthogonal_algebra
-    monkeypatch.setattr(lie, "build_orthogonal_algebra",
-                        lambda e4, e5: _negated(build(e4, e5), flips))
     src = lie._deformed_table(eps4, eps5).substitute({"rho": sym("r", 2)})
     dst = lie.build_orthogonal_algebra(eps4, eps5)
     r, ell = sym("r"), sym("l")
@@ -217,6 +204,62 @@ def test_sign_search_matches_per_candidate_verdicts(monkeypatch, eps4, eps5, fli
     assert sol.passing_sign_choices == want
     assert sol.gamma == poly(signs_product) * r * ell
     assert verify_linear_isomorphism(sol.map).ok
+
+
+@pytest.mark.parametrize("flips,signs_product", [
+    ((), -1),
+    # C -> gamma M45 now needs the opposite gamma
+    (("M45",), 1),
+    # beta and gamma both flip: the product stays -1
+    (("M05", "M15", "M25", "M35", "M45"), -1),
+    # P0 alone changes sign: no choice of alpha fits all four momenta
+    (("M04",), None),
+])
+@pytest.mark.parametrize("eps4,eps5", SIGNS)
+def test_sign_search_matches_per_candidate_verdicts(monkeypatch, eps4, eps5, flips,
+                                                    signs_product):
+    # a relabelled target table moves the passing set, and the solver
+    # checks only the canonical maps against it
+    import ncdirac.lie_algebra as lie
+
+    build = lie.build_orthogonal_algebra
+    monkeypatch.setattr(lie, "build_orthogonal_algebra",
+                        lambda e4, e5: _negated(build(e4, e5), flips))
+    _assert_solver_matches_verdicts(eps4, eps5, signs_product)
+
+
+_P = ("P0", "P1", "P2", "P3")
+
+
+@pytest.mark.parametrize("flips,signs_product", [
+    ((), -1),
+    # each of alpha, beta or gamma alone flips: the product turns +1
+    (_P, 1),
+    (("x0", "x1", "x2", "x3"), 1),
+    (("C",), 1),
+    # P0 alone changes sign: no choice of alpha fits all four momenta
+    (("P0",), None),
+    # alpha and gamma both flip: the product stays -1
+    (_P + ("C",), -1),
+])
+@pytest.mark.parametrize("eps4,eps5", SIGNS)
+def test_sign_rule_matches_per_candidate_verdicts_on_relabelled_sources(
+        monkeypatch, eps4, eps5, flips, signs_product):
+    # the passing choices are read off the source table's sign
+    # automorphisms, so a relabelled source moves them too; a wrong rule
+    # fails here
+    import ncdirac.lie_algebra as lie
+
+    cached = lie._deformed_table
+    flat_before = lie._flat_table.cache_info()
+    monkeypatch.setattr(lie, "_deformed_table",
+                        lambda e4, e5: _negated(cached(e4, e5), flips))
+    _assert_solver_matches_verdicts(eps4, eps5, signs_product)
+    monkeypatch.undo()
+    # the negated copies stay out of every cache
+    assert lie._flat_table.cache_info() == flat_before
+    fresh = cached.__wrapped__(eps4, eps5)
+    assert lie._deformed_table(eps4, eps5).rows == fresh.rows
 
 
 def test_flipped_gamma_breaks_isomorphism():
