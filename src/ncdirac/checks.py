@@ -620,6 +620,8 @@ def cmd_scan(cfg: RunConfig, param: str, start: Fraction, stop: Fraction,
         raise ValueError("steps must be >= 1")
     e5 = -1 if cfg.eps5 is None else cfg.eps5
     start, stop = Fraction(start), Fraction(stop)
+    if steps == 1 and start != stop:
+        raise ValueError("one step needs --from equal to --to")
     values = [
         start + (stop - start) * Fraction(i, max(steps - 1, 1))
         for i in range(steps)

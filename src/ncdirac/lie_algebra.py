@@ -31,10 +31,11 @@ from .scalars import (
     _bound_part,
     _degree_overflow,
     _int_terms,
+    _join,
     _json_int_terms,
     _make,
     _packed_poly,
-    _reduced,
+    _reduced_sums,
     poly,
     sym,
 )
@@ -356,48 +357,6 @@ def _combo_ints(combo: Combo) -> list:
             for q, coeff in combo.items() for mono, a, b, d in _int_terms(coeff)]
 
 
-def _join(sums: dict, tag, mono: int, xa: int, xb: int, xd: int, row):
-    """Add (xa + xb*i)/xd times each term of ``row`` to ``sums``.
-
-    The left factor has packed monomial ``mono``; ``row`` lists
-    (q, monomial, a, b, d) terms.  sums[(tag, q, monomial)] holds the
-    running sum as an unreduced [a, b, d] list of ints, updated in place:
-    equal denominators add, others cross-multiply, and ``_residuals``
-    reduces each sum once.
-    """
-    for q, mb, ya, yb, yd in row:
-        m = mono + mb
-        if m & _GUARDS:
-            raise _degree_overflow(mono, mb)
-        key = (tag, q, m)
-        pa = xa * ya - xb * yb
-        pb = xa * yb + xb * ya
-        pd = xd * yd
-        acc = sums.get(key)
-        if acc is None:
-            sums[key] = [pa, pb, pd]
-        else:
-            d = acc[2]
-            if d == pd:
-                acc[0] += pa
-                acc[1] += pb
-            else:
-                acc[0] = acc[0] * pd + pa * d
-                acc[1] = acc[1] * pd + pb * d
-                acc[2] = d * pd
-
-
-def _residuals(sums: dict) -> dict:
-    """tag -> residual combo of the nonzero sums of ``_join``, each brought
-    to canonical form once."""
-    out = {}
-    for (tag, q, mono), (a, b, d) in sums.items():
-        if a or b:
-            out.setdefault(tag, {}).setdefault(q, {})[mono] = _reduced(a, b, d)
-    return {tag: {q: _packed_poly(terms) for q, terms in combo.items()}
-            for tag, combo in out.items()}
-
-
 def jacobi_residual(alg: StructureConstants):
     """All violated Jacobi triples: [(names, residual combo), ...], in
     ``itertools.combinations`` order.
@@ -423,7 +382,7 @@ def jacobi_residual(alg: StructureConstants):
                         _join(sums, (c, a, b), mono, xa, xb, xd, right)
                     elif a < c < b:
                         _join(sums, (a, c, b), mono, -xa, -xb, xd, right)
-    residuals = _residuals(sums)
+    residuals = _reduced_sums(sums)
     basis = alg.basis
     return [((basis[i], basis[j], basis[k]), residuals[i, j, k])
             for i, j, k in sorted(residuals)]
@@ -501,7 +460,7 @@ def _bracket_mismatches(lmap: LinearMap):
                     if mono & _GUARDS:
                         raise _degree_overflow(ma, mb)
                     _join(sums, 0, mono, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2, right)
-        residual = _residuals(sums).get(0)
+        residual = _reduced_sums(sums).get(0)
         if residual:
             yield (src.basis[i], src.basis[j]), residual
 

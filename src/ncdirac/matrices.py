@@ -10,7 +10,8 @@ memoization, which is cheap at the 4x4 and 8x8 sizes used here.
 from __future__ import annotations
 
 from .scalars import (
-    ONE, ZERO, ExactScalar, P_ONE, P_ZERO, ParamPoly, _inexact, _poly_sum_of_products, poly,
+    ONE, ZERO, ExactScalar, P_ONE, P_ZERO, ParamPoly, _inexact, _int_terms, _join, _reduced_sums,
+    poly,
 )
 
 
@@ -27,9 +28,8 @@ class ExactMatrix:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def zeros(n: int, m: int | None = None) -> "ExactMatrix":
-        m = n if m is None else m
-        return ExactMatrix([[P_ZERO] * m for _ in range(n)])
+    def zeros(n: int) -> "ExactMatrix":
+        return ExactMatrix([[P_ZERO] * n for _ in range(n)])
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
@@ -72,23 +72,23 @@ class ExactMatrix:
         return ExactMatrix([[-a for a in row] for row in self.rows])
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Each entry is one exact sum over its nonzero-by-nonzero products,
-        reduced once per monomial (``_poly_sum_of_products``); an entry
-        with none is zero at once."""
+        """One ``_join`` over every nonzero-by-nonzero term product, each
+        row of ``other`` read once as (column, monomial, a, b, d) int
+        terms; each entry monomial is reduced once."""
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        cols = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            nonzero = [(k, a) for k, a in enumerate(row) if a]
-            out_row = []
-            for col in cols:
-                pairs = [(a, col[k]) for k, a in nonzero if col[k]]
-                out_row.append(_poly_sum_of_products(pairs) if pairs else P_ZERO)
-            out.append(out_row)
-        return ExactMatrix(out)
+        right = [[(c, *term) for c, x in enumerate(row) for term in _int_terms(x)]
+                 for row in other.rows]
+        sums = {}
+        for i, row in enumerate(self.rows):
+            for k, x in enumerate(row):
+                for mono, a, b, d in _int_terms(x):
+                    _join(sums, i, mono, a, b, d, right[k])
+        combos = _reduced_sums(sums)
+        return ExactMatrix([[combos.get(i, {}).get(c, P_ZERO) for c in range(other.ncols)]
+                            for i in range(self.nrows)])
 
     def scale(self, factor) -> "ExactMatrix":
         f = poly(factor)

@@ -748,52 +748,69 @@ def _json_int_terms(data: list) -> dict:
     return terms
 
 
+def _join(sums: dict, tag, mono: int, xa: int, xb: int, xd: int, row):
+    """Add (xa + xb*i)/xd times each term of ``row`` to ``sums``.
+
+    The left factor has packed monomial ``mono``; ``row`` lists
+    (q, monomial, a, b, d) terms.  sums[(tag, q, monomial)] holds the
+    running sum as an unreduced [a, b, d] list of ints, updated in place:
+    equal denominators add, others cross-multiply, and ``_reduced_sums``
+    reduces each sum once.
+    """
+    for q, mb, ya, yb, yd in row:
+        m = mono + mb
+        if m & _GUARDS:
+            raise _degree_overflow(mono, mb)
+        key = (tag, q, m)
+        pa = xa * ya - xb * yb
+        pb = xa * yb + xb * ya
+        pd = xd * yd
+        acc = sums.get(key)
+        if acc is None:
+            sums[key] = [pa, pb, pd]
+        else:
+            d = acc[2]
+            if d == pd:
+                acc[0] += pa
+                acc[1] += pb
+            else:
+                acc[0] = acc[0] * pd + pa * d
+                acc[1] = acc[1] * pd + pb * d
+                acc[2] = d * pd
+
+
+def _reduced_sums(sums: dict) -> dict:
+    """tag -> combo (q -> ParamPoly) of the nonzero sums of ``_join``, each
+    brought to canonical form once."""
+    out = {}
+    for (tag, q, mono), (a, b, d) in sums.items():
+        if a or b:
+            out.setdefault(tag, {}).setdefault(q, {})[mono] = _reduced(a, b, d)
+    return {tag: {q: _packed_poly(terms) for q, terms in combo.items()}
+            for tag, combo in out.items()}
+
+
 def _sum_of_products(pairs) -> ExactScalar | None:
     """Exact sum of x * y over (x, y) ExactScalar pairs, or None when the
-    sum is zero.  Products and partial sums stay unreduced (a, b, d) ints;
-    a nonzero sum is brought to canonical form by one gcd."""
-    a = b = 0
-    d = 1
+    sum is zero: one ``_join`` sum, reduced once."""
+    sums = {}
     for x, y in pairs:
-        xa, xb, ya, yb = x._a, x._b, y._a, y._b
-        pd = x._d * y._d
-        if pd == d:
-            a += xa * ya - xb * yb
-            b += xa * yb + xb * ya
-        else:
-            a = a * pd + (xa * ya - xb * yb) * d
-            b = b * pd + (xa * yb + xb * ya) * d
-            d *= pd
-    if not a and not b:
-        return None
-    return _reduced(a, b, d)
+        _join(sums, 0, 0, x._a, x._b, x._d, ((0, 0, y._a, y._b, y._d),))
+    a, b, d = sums.get((0, 0, 0), (0, 0, 1))
+    return _reduced(a, b, d) if a or b else None
 
 
 def _poly_sum_of_products(pairs) -> ParamPoly:
-    """Exact sum of p * q over (p, q) ParamPoly pairs, in one pass: the
-    coefficient pairs of every term product are grouped by packed monomial
-    and each group is reduced once by ``_sum_of_products``.  A zero operand
-    adds nothing, and no partial product or sum is formed as a ParamPoly."""
-    groups: dict = {}
-    get = groups.get
+    """Exact sum of p * q over (p, q) ParamPoly pairs: one ``_join`` sum per
+    monomial, reduced once.  A zero operand adds nothing, and no partial
+    product or sum is formed as a ParamPoly."""
+    sums = {}
     for p, q in pairs:
-        q_terms = q._terms.items()
-        for ka, ca in p._terms.items():
-            for kb, cb in q_terms:
-                key = ka + kb
-                if key & _GUARDS:
-                    raise _degree_overflow(ka, kb)
-                group = get(key)
-                if group is None:
-                    groups[key] = [(ca, cb)]
-                else:
-                    group.append((ca, cb))
-    terms = {}
-    for key, group in groups.items():
-        total = _sum_of_products(group)
-        if total is not None:
-            terms[key] = total
-    return _packed_poly(terms)
+        row = [(0, mono, c._a, c._b, c._d) for mono, c in q._terms.items()] if p._terms else ()
+        for mono, c in p._terms.items():
+            _join(sums, 0, mono, c._a, c._b, c._d, row)
+    return _packed_poly({mono: _reduced(a, b, d) for (_, _, mono), (a, b, d) in sums.items()
+                         if a or b})
 
 
 def _rational_parts(value) -> tuple:

@@ -28,6 +28,7 @@ at them, and each reported float is an exact value rounded once.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
@@ -81,13 +82,22 @@ def _scales(c: CouplingConfig) -> tuple:
 
 
 def _rounded(root, values=lambda r: (r,), **diagnostics) -> tuple:
-    """``scalars.rounded``, with a value past the float range raised as a
-    RootFindingError carrying the diagnostics."""
+    """``scalars.rounded``, raised as a RootFindingError carrying the
+    diagnostics when a value is past the float range, or when a value that
+    is not exactly zero rounds to 0 or to a subnormal float."""
     try:
-        return rounded(root, values)
+        out = rounded(root, values)
     except OverflowError as exc:
         raise RootFindingError("a reported value is past the float range",
                                diagnostics=diagnostics) from exc
+    # an irrational root gives irrational values: only a rational one can
+    # give an exact zero
+    nonzero = (map(bool, values(root.to_fraction())) if type(root) is ExactScalar
+               else [True] * len(out))
+    if any(abs(x) < sys.float_info.min and nz for x, nz in zip(out, nonzero)):
+        raise RootFindingError("a nonzero reported value is below the normal float range",
+                               diagnostics=diagnostics)
+    return out
 
 
 def mu_over_m(c: CouplingConfig) -> float:
@@ -97,13 +107,10 @@ def mu_over_m(c: CouplingConfig) -> float:
 
 
 def heavy_mass(c: CouplingConfig) -> float:
-    """M = 2/l, rounded once; RootFindingError when it is past the float
-    range or rounds to 0."""
+    """M = 2/l, rounded once; RootFindingError when it is past or below the
+    normal float range."""
     big_m = _scales(c)[0]
-    value = _rounded(ExactScalar(big_m), M=big_m)[0]
-    if not value:
-        raise RootFindingError("M = 2/l rounds to 0", diagnostics={"M": big_m})
-    return value
+    return _rounded(ExactScalar(big_m), M=big_m)[0]
 
 
 PAST_HIERARCHY = "2 (mu/M)^2 >= 1: the coupling is outside the seesaw regime mu/M << 1"

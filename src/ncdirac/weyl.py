@@ -21,7 +21,7 @@ from itertools import combinations, product
 from math import comb, factorial
 
 from .lie_algebra import DEFORMED_BASIS, flat_deformed_algebra, lower
-from .scalars import P_I, P_ONE, LinearCombination, ParamPoly, _accumulate, poly, sym
+from .scalars import P_I, P_ONE, LinearCombination, _accumulate, sym
 
 NVARS = 5
 _ZERO5 = (0,) * NVARS
@@ -139,11 +139,11 @@ def _compose_into(acc: dict, left: dict, right: dict, contractions_only: bool,
                 _accumulate(acc, (alpha, beta), base if weight == 1 else base * weight)
 
 
-def build_rep(eps5: int, ell: ParamPoly | None = None) -> dict:
-    """Generator name -> WeylOperator.  Symbolic in l unless a value is given."""
+def build_rep(eps5: int) -> dict:
+    """Generator name -> WeylOperator, symbolic in l."""
     if eps5 not in (1, -1):
         raise ValueError("eps5 must be +1 or -1")
-    ell = sym("l") if ell is None else poly(ell)
+    ell = sym("l")
     i = P_I
     xi_low = lower([WeylOperator.coordinate(mu) for mu in range(4)])
     rep = {}

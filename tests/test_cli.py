@@ -197,6 +197,8 @@ def test_scan_row_fails_on_heavy_root_as_light(capsys, monkeypatch):
     ("seesaw", "--ell", "1e-320", "--eps5", "-1"),  # M and the heavy root overflow
     ("seesaw", "--ell", "1e400", "--eps5", "-1"),  # M rounds to 0, mu/M overflows
     ("seesaw", "--vev", "1e200", "--eps5", "-1"),  # the heavy k^2 overflows
+    ("seesaw", "--vev", "1e-200", "--eps5", "1"),  # the light k^2 underflows
+    ("seesaw", "--g", "1e-400", "--eps5", "-1"),  # mu/M underflows
     ("check", "all", "--ell", "1e-400"),
 ])
 def test_a_float_past_its_range_fails_only_the_seesaw_rows(capsys, argv):
@@ -259,6 +261,13 @@ def test_scan_csv_and_error_rows(capsys):
     assert len(lines) == 4
     assert any(",error," in line for line in lines[1:])
     assert any(",ok," in line for line in lines[1:])
+
+
+def test_scan_one_step_needs_equal_ends(capsys):
+    # one step cannot reach a stop value other than its start;
+    # test_scan_deep_hierarchy takes one step with equal ends
+    assert main(["scan", "--param", "vev", "--from", "1", "--to", "2", "--steps", "1"]) == 2
+    assert "ncdirac: error: one step needs --from equal to --to" in capsys.readouterr().err
 
 
 def test_scan_rejects_bad_param(capsys):

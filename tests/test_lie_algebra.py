@@ -492,8 +492,8 @@ def test_from_json_builds_no_coefficient_objects(monkeypatch):
         raise AssertionError("from_json built an ExactScalar or a ParamPoly")
 
     for owner, name in ((ParamPoly, "__init__"), (ExactScalar, "__init__"),
-                        (scalars, "_make"), (scalars, "_packed_poly"),
-                        (lie, "_make"), (lie, "_packed_poly"), (lie, "_reduced")):
+                        (scalars, "_make"), (scalars, "_packed_poly"), (scalars, "_reduced"),
+                        (lie, "_make"), (lie, "_packed_poly")):
         monkeypatch.setattr(owner, name, forbidden)
     loaded = [StructureConstants.from_json(doc) for doc in docs]
     monkeypatch.undo()

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncdirac.scalars import (
     MAX_DEGREE,
+    P_ZERO,
     ZERO,
     DegreeBoundError,
     ExactScalar,
@@ -18,6 +19,7 @@ from ncdirac.scalars import (
     QuadraticScalar,
     SYMBOLS,
     UnknownSymbolError,
+    _poly_sum_of_products,
     _sum_of_products,
     as_fraction,
     exact_sqrt,
@@ -71,6 +73,18 @@ def small_polys():
     return st.lists(monomial, min_size=1, max_size=4).map(
         lambda ms: sum(ms, ParamPoly())
     )
+
+
+def gaussian_polys():
+    # sums of up to 3 monomials in l and k0 with big Gaussian rational
+    # coefficients, so the denominators of a sum's products differ
+    monomial = st.builds(
+        lambda c, a, b: poly(c) * sym("l", a) * sym("k0", b),
+        big_scalars,
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=2),
+    )
+    return st.lists(monomial, max_size=3).map(lambda ms: sum(ms, ParamPoly()))
 
 
 class TestExactScalar:
@@ -398,6 +412,23 @@ class TestSumOfProducts:
         got = _sum_of_products([(i * half, ExactScalar(2)),
                                 (ExactScalar(Fraction(1, 3)), ExactScalar(Fraction(3, 2)))])
         assert got == ExactScalar(Fraction(1, 2), 1)
+
+
+class TestPolySumOfProducts:
+    @given(st.lists(st.tuples(gaussian_polys(), gaussian_polys()), max_size=5))
+    def test_matches_fold(self, pairs):
+        total = ParamPoly()
+        for p, q in pairs:
+            total = total + p * q
+        assert _poly_sum_of_products(pairs) == total
+        # the same products negated, in another order: an exact zero
+        negated = pairs + [(-p, q) for p, q in reversed(pairs)]
+        assert _poly_sum_of_products(negated) == P_ZERO
+
+    def test_degree_bound(self):
+        top = sym("l", MAX_DEGREE)
+        with pytest.raises(DegreeBoundError):
+            _poly_sum_of_products([(sym("k0"), sym("l")), (top, sym("k0") + sym("l"))])
 
 
 def test_quadratic_scalar_equality_is_by_value():
