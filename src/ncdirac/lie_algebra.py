@@ -107,13 +107,17 @@ class StructureConstants:
                                  f"of bracket [{i},{j}] is outside 0..{n - 1}")
 
     def _store(self, i: int, j: int, terms: list, outputs=()):
-        """Set [e_i, e_j] to ``terms``, a list of canonical (q, monomial,
-        a, b, d) ints with distinct (q, monomial) that is sorted in place,
-        once i, j and the output indices they were given for pass
-        ``_check``."""
+        """Set [e_i, e_j] to ``terms`` by ``_write``, once i, j and the
+        output indices they were given for pass ``_check``."""
         self._check(i, j, outputs)
         if i == j:
             raise ValueError("bracket of a generator with itself is zero")
+        self._write(i, j, terms)
+
+    def _write(self, i: int, j: int, terms: list):
+        """Set [e_i, e_j] to ``terms``, a list of canonical (q, monomial,
+        a, b, d) ints with distinct (q, monomial) that is sorted in place,
+        and [e_j, e_i] to the same terms negated; no checks."""
         rows = self.rows
         if terms:
             terms.sort()
@@ -193,6 +197,7 @@ class StructureConstants:
             raise ValueError("a structure-constant table is an object with a "
                              "'basis' list and a 'brackets' object") from None
         alg = StructureConstants(basis)
+        valid = frozenset(range(len(basis)))
         seen = {}
         for key, entries in brackets:
             try:
@@ -202,13 +207,13 @@ class StructureConstants:
                 # int() also reads "+1", " 1", "1_0", "01" and non-ASCII digits
                 if key != f"{i},{j}":
                     raise ValueError(f"is not written as {i},{j}")
-                pair = (min(i, j), max(i, j))
+                pair = (i, j) if i < j else (j, i)
                 if pair in seen:
                     raise ValueError(f"repeats the pair of key {seen[pair]!r}")
                 seen[pair] = key
-                outputs, terms = [], []
                 if type(entries) is not list:
                     raise TypeError(_PAIRS)
+                outputs, terms = [], []
                 for entry in entries:
                     try:
                         k, pj = entry
@@ -219,9 +224,12 @@ class StructureConstants:
                     if k in outputs:
                         raise ValueError(f"lists output index {k} twice")
                     outputs.append(k)
-                    for mono, (a, b, d) in _json_int_terms(pj).items():
-                        terms.append((k, mono, a, b, d))
-                alg._store(i, j, terms, outputs)
+                    terms += _json_int_terms(pj, k)
+                # every index is an int here: one range test, and _store
+                # only to raise the error that names the culprit
+                if i == j or not valid.issuperset((i, j, *outputs)):
+                    alg._store(i, j, terms, outputs)
+                alg._write(i, j, terms)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"bracket key {key!r}: {exc}") from None
         return alg

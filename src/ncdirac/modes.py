@@ -113,8 +113,9 @@ def reference_solutions(ell, eps5: int, branch: str, energy_sign: int = 1,
 
     Heavy branch: rest frame k = (2/l, 0, 0, 0) for eps5 = -1 (timelike
     branch), z-frame k = (0, 0, 0, 2/l) for eps5 = +1 (spacelike branch).
-    Massless branch: k = (kappa, 0, 0, kappa).  The nullspace must come out
-    two-dimensional; anything else signals a convention error.
+    Massless branch: k = (kappa, 0, 0, kappa), or -(kappa, 0, 0, kappa)
+    for energy_sign = -1.  The nullspace must come out two-dimensional;
+    anything else signals a convention error.
     """
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}")
@@ -130,6 +131,7 @@ def reference_solutions(ell, eps5: int, branch: str, energy_sign: int = 1,
         kap = as_fraction(kappa)
         if kap <= 0:
             raise ValueError("kappa must be positive")
+        kap *= energy_sign
         k = (kap, 0, 0, kap)
     problem = ModeProblem(eps5=eps5, ell=ellf, k=k)
     basis = _kernel_exact(dirac_matrix(problem))

@@ -21,6 +21,7 @@ equations are cleared of denominators or the dedicated symbol ``m`` is used.
 from __future__ import annotations
 
 import operator
+import re
 from fractions import Fraction
 from math import gcd, isqrt
 from numbers import Integral
@@ -46,10 +47,13 @@ _NSYM = len(SYMBOLS)
 # monomials is then one integer addition, and a symbol's power overflows
 # exactly when the sum sets that symbol's guard bit; no carry can reach the
 # next field.
-_FIELD_BITS = 8  # _pack's fast path reads one byte per field
+_FIELD_BITS = 8  # _pack and _json_int_terms read one byte per field
 MAX_DEGREE = (1 << (_FIELD_BITS - 1)) - 1
 _SHIFTS = tuple(_FIELD_BITS * (_NSYM - 1 - i) for i in range(_NSYM))
 _GUARDS = sum((MAX_DEGREE + 1) << shift for shift in _SHIFTS)
+_INT_FIELDS = (int,) * _NSYM
+# the coefficient parts str(Fraction) writes: -?digits, -?digits/nonzero
+_PLAIN = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?")
 
 
 class UnknownSymbolError(ValueError):
@@ -218,17 +222,7 @@ class ExactScalar:
     def __pow__(self, n: int) -> "ExactScalar":
         if not isinstance(n, int):
             raise TypeError("ExactScalar powers must be integers")
-        if n < 0:
-            return ONE / self ** (-n)
-        out = ONE
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return ONE / _power(self, -n, ONE) if n < 0 else _power(self, n, ONE)
 
     # -- queries -------------------------------------------------------
 
@@ -285,6 +279,19 @@ class ExactScalar:
         return f"{re}{sign}{im}"
 
     __repr__ = __str__
+
+
+def _power(base, n: int, out):
+    """out * base**n for n >= 0 by repeated squaring.  No square is formed
+    past the top bit of n, so a power within the degree bound never raises
+    DegreeBoundError."""
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
 
 def _make(a: int, b: int, d: int) -> ExactScalar:
@@ -529,31 +536,17 @@ class ParamPoly:
     def __pow__(self, n: int) -> "ParamPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("ParamPoly powers must be nonnegative integers")
-        out = P_ONE
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, n, P_ONE)
 
     # -- queries ----------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_scalar(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
-
-    def constant_term(self) -> ExactScalar:
-        return self._terms.get(0, ZERO)
-
     def to_scalar(self) -> ExactScalar:
-        if not self.is_scalar():
+        if self._terms.keys() - {0}:
             raise ValueError(f"{self} is not a constant")
-        return self.constant_term()
+        return self._terms.get(0, ZERO)
 
     def terms(self) -> Iterable[tuple[tuple, ExactScalar]]:
         """Terms in canonical order: lexicographic on the exponent vector."""
@@ -624,7 +617,7 @@ class ParamPoly:
         """Inverse of ``to_json``.  Exponents are JSON integers (``int``,
         never ``bool`` or ``float``); coefficient parts are str or int.  A
         later term with the same exponents replaces an earlier one."""
-        return _packed_poly({key: _make(*abd) for key, abd in _json_int_terms(data).items()})
+        return _packed_poly({m: _make(a, b, d) for _, m, a, b, d in _json_int_terms(data)})
 
     # -- dunders -----------------------------------------------------------
 
@@ -724,28 +717,48 @@ def _int_terms(p: ParamPoly) -> list:
     return [(mono, c._a, c._b, c._d) for mono, c in p._terms.items()]
 
 
-def _json_int_terms(data: list) -> dict:
-    """Packed monomial -> canonical (a, b, d) of each nonzero term
+def _json_int_terms(data: list, q: int = 0) -> list:
+    """The canonical (q, packed monomial, a, b, d) ints of each nonzero term
     (a + b*i)/d of a ParamPoly in its ``to_json`` form, read as
-    ``ParamPoly.from_json`` reads it but with no ExactScalar built."""
-    terms = {}
+    ``ParamPoly.from_json`` reads it but with no ExactScalar built.  A list
+    of ten int exponents and the parts "0" and "-?digits(/digits)?" are
+    read here; ``_pack`` and ``_rational_parts`` read the rest and raise
+    the error of a malformed term."""
+    read = []
     for exps, re_s, im_s in data:
-        if {*map(type, exps)} != {int}:  # the loop names the culprit
+        key = _GUARDS  # marks an exponent list left to _pack
+        if type(exps) is list and tuple(map(type, exps)) == _INT_FIELDS:
+            try:
+                key = int.from_bytes(bytes(exps), "big")
+            except ValueError:  # a field below 0 or above 255
+                pass
+        elif {*map(type, exps)} != {int}:  # the loop names the culprit
             for e in exps:
                 if type(e) is not int:
                     raise TypeError(f"exponent {e!r} is not an integer")
-        rn, rd = _rational_parts(re_s)
-        jn, jd = _rational_parts(im_s)
-        key = _pack(exps)
-        if not (rn or jn):
-            terms.pop(key, None)
-        elif rd == jd == 1:
-            terms[key] = (rn, jn, 1)
+        # each part read inline: this loop is the hot path of a fixture read
+        if re_s == "0":
+            rn, rd = 0, 1
+        elif type(re_s) is str and _PLAIN.fullmatch(re_s):
+            num, _, den = re_s.partition("/")
+            rn, rd = int(num), int(den or 1)
         else:
-            a, b, d = rn * jd, jn * rd, rd * jd
-            g = gcd(a, b, d)
-            terms[key] = (a, b, d) if g == 1 else (a // g, b // g, d // g)
-    return terms
+            rn, rd = _rational_parts(re_s)
+        if im_s == "0":
+            jn, jd = 0, 1
+        elif type(im_s) is str and _PLAIN.fullmatch(im_s):
+            num, _, den = im_s.partition("/")
+            jn, jd = int(num), int(den or 1)
+        else:
+            jn, jd = _rational_parts(im_s)
+        if key & _GUARDS:
+            key = _pack(exps)
+        a, b, d = rn * jd, jn * rd, rd * jd
+        g = gcd(a, b, d)
+        read.append((q, key, a, b, d) if g == 1 else (q, key, a // g, b // g, d // g))
+    if len(read) > 1:  # a later term with the same exponents replaces an earlier one
+        read = {term[1]: term for term in read}.values()
+    return [term for term in read if term[2] or term[3]]
 
 
 def _join(sums: dict, tag, mono: int, xa: int, xb: int, xd: int, row):
@@ -814,23 +827,15 @@ def _poly_sum_of_products(pairs) -> ParamPoly:
 
 
 def _rational_parts(value) -> tuple:
-    """(numerator, denominator > 0) of a JSON coefficient part: an int, or a
-    str that ``Fraction`` accepts.  The forms ``str(Fraction)`` writes,
-    ``-?digits`` and ``-?digits/digits``, are read with ``int``; floats are
-    rejected, as by ``as_fraction``."""
+    """(numerator, denominator > 0) of a JSON coefficient part in a form
+    ``_json_int_terms`` leaves to it: an int, or a str that ``Fraction``
+    accepts.  Floats are rejected, as by ``as_fraction``."""
     if type(value) is int:
         return value, 1
-    if value == "0":  # the part ``to_json`` writes most often
-        return 0, 1
     if type(value) is not str:
         raise TypeError(
             f"expected a str or int coefficient, got {type(value).__name__}"
         )
-    num, slash, den = value.partition("/")
-    digits = num[1:] if num[:1] == "-" else num
-    if (value.isascii() and digits.isdigit()
-            and (not slash or (den.isdigit() and den.strip("0")))):
-        return int(num), int(den) if slash else 1
     try:
         q = Fraction(value)
     except ZeroDivisionError:

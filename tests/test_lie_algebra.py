@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from json_terms import ACCEPTED, BAD_EXPONENTS, BAD_PARTS
 from table_edits import set_bracket
 
 from ncdirac.cli import main
@@ -360,6 +361,9 @@ _ONE = [[14, poly(1).to_json()]]
     ("0,1", "x", "entries must be a list of [index, coefficient] pairs"),
     ("0,1", [[1]], "entries must be a list of [index, coefficient] pairs"),
     ("0,1", [[1, [], 3]], "entries must be a list of [index, coefficient] pairs"),
+    # a malformed coefficient, rejected as ParamPoly.from_json rejects it
+    *[("6,10", [[14, [[[0] * 10, value, "0"]]]], message) for value, _, message in BAD_PARTS],
+    *[("6,10", [[14, [[exps, "1", "0"]]]], message) for exps, _, message in BAD_EXPONENTS],
 ])
 def test_fixture_malformed_entry_names_the_key(key, entries, message):
     doc = _doc()
@@ -368,6 +372,18 @@ def test_fixture_malformed_entry_names_the_key(key, entries, message):
         StructureConstants.from_json(doc)
     assert str(exc.value).startswith(f"bracket key {key!r}: ")
     assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("terms,want", ACCEPTED.values(), ids=ACCEPTED)
+def test_fixture_coefficient_reads_as_param_poly(terms, want):
+    # the coefficients ParamPoly.from_json accepts, as one bracket: stored
+    # in lowest terms, in both orientations, and nothing for a zero
+    doc = _doc()
+    doc["brackets"]["6,10"] = [[14, terms]]
+    table = StructureConstants.from_json(doc)
+    coeff = ParamPoly(want)
+    assert table.bracket(6, 10) == ({14: coeff} if want else {})
+    assert table.bracket(10, 6) == ({14: -coeff} if want else {})
 
 
 @pytest.mark.parametrize("data", [
@@ -395,6 +411,20 @@ def test_bracket_read_outside_basis_is_rejected(i, j, bad):
     alg = build_deformed_algebra(1, 1)
     with pytest.raises(ValueError, match=rf"generator index {bad} of bracket \[{i},{j}\]"):
         alg.bracket(i, j)
+
+
+@pytest.mark.parametrize("bad", [1.0, None, "1"])
+def test_bracket_read_with_a_non_int_index_is_rejected(bad):
+    # 1.0 == 1 and hashes alike, so a membership test alone would let it in
+    alg = build_deformed_algebra(1, 1)
+    with pytest.raises(ValueError, match=rf"generator index {bad!s} of bracket \[{bad!s},2\]"):
+        alg.bracket(bad, 2)
+
+
+def test_bracket_read_with_a_bool_index_reads_it_as_an_int():
+    alg = build_deformed_algebra(1, 1)
+    assert alg.bracket(True, 2) == alg.bracket(1, 2) != {}
+    assert alg.bracket(2, False) == alg.bracket(2, 0) != {}
 
 
 @pytest.mark.parametrize("basis", ["abc", [1, 2, 3], ["a", None]])

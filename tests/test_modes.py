@@ -105,6 +105,17 @@ def test_negative_energy_branch():
     assert sol.k2 == Fraction(4)
 
 
+@pytest.mark.parametrize("eps5", [1, -1])
+def test_negative_energy_massless_branch(eps5):
+    # energy_sign was once ignored here: both signs gave k = (1, 0, 0, 1)
+    sol = reference_solutions(Fraction(1), eps5, "massless", energy_sign=-1)
+    assert sol.k == (-1, 0, 0, -1)
+    assert sol.k2 == 0
+    assert len(sol.basis) == 2
+    for vec in sol.basis:
+        assert residual(sol.k, vec, Fraction(1), eps5) == 0.0
+
+
 def test_float_length_is_rejected():
     # a float would otherwise be embedded as a dyadic rational and the
     # solution reported as exact at the wrong momentum
