@@ -37,9 +37,7 @@ from .enveloping import (
     verify_plane_wave_relations,
 )
 from .clifford import (
-    GammaRep,
     VerificationError,
-    build_majorana_rep,
     gamma_sum,
     reality_class,
     verify_clifford,
@@ -95,8 +93,6 @@ __all__ = [
     "normal_form",
     "verify_plane_wave_relations",
     "lemma_matrix_check",
-    "GammaRep",
-    "build_majorana_rep",
     "gamma_sum",
     "verify_clifford",
     "reality_class",

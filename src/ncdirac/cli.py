@@ -123,7 +123,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     def pick(flag, key, convert, field=None):
         """The flag, else the config file's value, else the default.  An
         integer key takes only a JSON integer: int() would round a float and
-        read a bool or a string."""
+        read a bool or a string.  A zero denominator is a usage error that
+        names its key, as it is for the flag."""
         if flag is not None:
             return flag
         value = file_cfg.get(key)
@@ -131,7 +132,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             if convert is int and type(value) is not int:
                 raise ValueError(f"config key {key!r} must be a JSON integer, "
                                  f"got {value!r}")
-            return convert(value)
+            try:
+                return convert(value)
+            except ZeroDivisionError:
+                raise ValueError(f"config key {key!r} has a zero denominator: "
+                                 f"{value!r}") from None
         return getattr(defaults, field or key)
 
     eps4 = pick(args.eps4, "eps4", int)

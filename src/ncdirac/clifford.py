@@ -13,8 +13,8 @@ by ``_perm_product``).  The store's format stays here: the Clifford
 relations are decided on it by index arithmetic (a dense difference is
 built only for a failing relation, to size its residual), and the one
 other reader is the generator proof of ``ncdirac.lorentz``.  Every other
-module reads the gammas as exact matrices built from it: those of
-``build_majorana_rep`` and every sum_a c_a gamma^a (``gamma_sum``).
+module reads the gammas through the one dense builder, ``gamma_sum``, as
+the exact matrix of sum_a c_a gamma^a.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from .scalars import I, ONE, P_ZERO, _poly_sum_of_products, poly
 
 
 class VerificationError(RuntimeError):
-    """An exact Cayley boost is singular or fails one of its identities, or
-    a reference nullspace has the wrong dimension."""
+    """An exact identity fails where it must hold: a reference nullspace of
+    the wrong dimension, or, in the tests' Cayley boost oracle, a singular
+    boost or a failed boost identity."""
 
 
 # g0..g3, per row (column, p) with the entry i^p there: the Kronecker
@@ -70,19 +71,6 @@ def _exact(perm) -> ExactMatrix:
     for r, (c, p) in enumerate(perm):
         rows[r][c] = _POLY_POWERS[p]
     return ExactMatrix(rows)
-
-
-class GammaRep(NamedTuple):
-    """Five gamma matrices gamma[0..4] of the eps5 signature."""
-
-    gamma: tuple
-    eps5: int
-
-
-def build_majorana_rep(eps5: int) -> GammaRep:
-    """The Majorana rep of the eps5 signature as exact matrices, built
-    fresh from the store on every call."""
-    return GammaRep(tuple(map(_exact, _gamma_perms(eps5))), eps5)
 
 
 def gamma_sum(eps5: int, coeffs) -> ExactMatrix:

@@ -184,7 +184,7 @@ class StructureConstants:
     @staticmethod
     def from_json(data: dict) -> "StructureConstants":
         """Parse the fixture format straight into the store.  A basis that
-        is not a list of strings, a bracket that is not a list of
+        is not a list of strings or is empty, a bracket that is not a list of
         [index, coefficient] pairs, a malformed entry, a key not written as
         ``to_json`` writes it ("i,j" in ASCII digits), an output index or
         exponent that is not a JSON integer, an index outside the basis or a
@@ -196,6 +196,8 @@ class StructureConstants:
         except (AttributeError, KeyError, TypeError):
             raise ValueError("a structure-constant table is an object with a "
                              "'basis' list and a 'brackets' object") from None
+        if not basis:
+            raise ValueError("the table's basis is empty: it names no generator")
         alg = StructureConstants(basis)
         valid = frozenset(range(len(basis)))
         seen = {}

@@ -1,4 +1,5 @@
-"""Exact Lorentz covariance by Cayley boosts.
+"""Exact Lorentz covariance by Cayley boosts: the tests' finite-group
+oracle for the generator proof of ``ncdirac.lorentz``.
 
 A real antisymmetric generator omega of exact rationals gives the spinor
 boost S = (I + A/2)(I - A/2)^-1 with A = (1/4) omega_ab g^a g^b, and the
@@ -6,11 +7,11 @@ vector boost Lambda with S^-1 g^mu S = Lambda^mu_nu g^nu, read from S by
 trace.  In the Majorana representation A is real, so S, S^-1 and Lambda
 are integer matrices over one denominator each, and a large boost is only
 larger integers.  ``cayley_boost`` builds S, S^-1 and Lambda on dense
-integer matrices, read from the exact gammas of
-``clifford.build_majorana_rep`` and multiplied by one product
-(``_product``), and checks their pairing; ``boost_defect`` checks with
-``modes.dirac_matrix`` that a boost carries an exact solution of the
-extended Dirac equation to one at Lambda k.  Nothing here uses floats.
+integer matrices, read from the exact gammas of ``exact_gammas`` and
+multiplied by one product (``_product``), and checks their pairing;
+``boost_defect`` checks with ``modes.dirac_matrix`` that a boost carries an
+exact solution of the extended Dirac equation to one at Lambda k.  Nothing
+here uses floats.
 """
 
 from __future__ import annotations
@@ -21,11 +22,13 @@ from itertools import chain
 from operator import mul
 from typing import NamedTuple
 
-from .clifford import VerificationError, build_majorana_rep
-from .lie_algebra import ETA4_DIAG, minkowski_square
-from .matrices import ExactMatrix
-from .modes import ModeProblem, SpinorSolution, dirac_matrix
-from .scalars import ExactScalar, as_fraction
+from exact_gammas import exact_gammas
+
+from ncdirac.clifford import VerificationError
+from ncdirac.lie_algebra import ETA4_DIAG, minkowski_square
+from ncdirac.matrices import ExactMatrix
+from ncdirac.modes import ModeProblem, SpinorSolution, dirac_matrix
+from ncdirac.scalars import ExactScalar, as_fraction
 
 # the integer matrices below are lists of rows
 
@@ -63,7 +66,7 @@ def _tables() -> tuple:
     are orthogonal under <X, Y> = sum of X * Y entrywise, with
     <R_a, R_b> = 4 delta_ab, and R_mu^T = -eta_mu R_mu, so
     <X, R_mu> = -eta_mu tr(X R_mu)."""
-    r = [_real(g) for g in build_majorana_rep(1).gamma[:4]]
+    r = [_real(g) for g in exact_gammas(1)[:4]]
     pairs = {(a, b): _product(r[a], r[b]) for a in range(4) for b in range(a + 1, 4)}
     return r, pairs, _product(*r)
 
@@ -97,7 +100,7 @@ def cayley_boost(omega) -> CayleyBoost:
     den = 0 exactly when I - A/2 is singular.  Lambda^mu_nu = tr(S^-1 g^mu S g^nu) / (4 eta_nunu).
     Checked on the integer matrices: S^-1 S = I, S^-1 g^mu S =
     Lambda^mu_nu g^nu, Lambda^T eta Lambda = eta and [S, g^4] = 0, the
-    last against the gamma5 = i G of ``build_majorana_rep`` read on every
+    last against the gamma5 = i G of ``exact_gammas`` read on every
     call, which gives it for both signatures (g^4 = i G or -G).  A
     singular I - A/2 or a failed identity raises VerificationError."""
     omega = [[as_fraction(x) for x in row] for row in omega]
@@ -139,7 +142,7 @@ def cayley_boost(omega) -> CayleyBoost:
     eta_t = [[e * v for v in row] for e, row in zip(ETA4_DIAG, t)]
     if _product(list(zip(*t)), eta_t) != _diag([16 * d2 * d2 * e for e in ETA4_DIAG]):
         raise VerificationError("Lambda^T eta Lambda != eta")
-    g5 = _real(build_majorana_rep(1).gamma[4])  # -i gamma5 = G
+    g5 = _real(exact_gammas(1)[4])  # -i gamma5 = G
     if _product(numer, g5) != _product(g5, numer):
         raise VerificationError("[S, g^4] != 0")
     return CayleyBoost(numer=numer, inverse=inverse, denom=den, lam_numer=t)

@@ -28,13 +28,13 @@ for fmt in json csv; do
     --format $fmt > "$out/scan.$fmt" || test $? -eq 1
   cmp "$out/scan.$fmt" tests/golden/scan_vev_eps5_plus.$fmt
 done
-# the demos that print the contractions and isomorphism signs, the
-# differential operators and their closure, the plane-wave remainders and
-# lemma residuals, run verify_clifford and the Cayley boosts, and print the
-# seesaw spectra
-for demo in 01_deformed_algebra 02_differential_realization 03_plane_wave 04_gamma_boosts \
-    05_dispersion_modes 06_seesaw; do
-  python demos/$demo.py > "$out/$demo.txt"
-  cmp "$out/$demo.txt" tests/golden/demo_${demo%%_*}.txt
+# every demo prints a report pinned by tests/golden/demo_NN.txt, NN its
+# number; a demo without a golden file fails
+for demo in demos/*.py; do
+  name=$(basename "$demo" .py)
+  golden=tests/golden/demo_${name%%_*}.txt
+  test -f "$golden" || { echo "no golden file for $demo" >&2; exit 1; }
+  python "$demo" > "$out/$name.txt"
+  cmp "$out/$name.txt" "$golden"
 done
 echo "golden reports match"

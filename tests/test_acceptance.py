@@ -8,7 +8,8 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from ncdirac.cayley import boost_defect, cayley_boost
+from cayley_oracle import boost_defect, cayley_boost
+
 from ncdirac.cli import main
 from ncdirac.clifford import (
     gamma5_product_check,

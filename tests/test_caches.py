@@ -1,5 +1,5 @@
 """The exact tables are built once per sign choice and handed out as copies,
-and the gamma matrices are built fresh from their store on every call.
+and every gamma matrix ``gamma_sum`` builds is built fresh from the store.
 
 Editing what a builder returned must never reach a later call: each test
 mutates a returned value in place and compares the next call with a build
@@ -9,12 +9,13 @@ that bypasses the caches.
 import itertools
 
 import pytest
+from exact_gammas import exact_gammas
 from test_clifford import DENSE_GAMMAS
 from table_edits import set_bracket
 
 from ncdirac import lie_algebra
 from ncdirac.cli import main
-from ncdirac.clifford import build_majorana_rep
+from ncdirac.clifford import gamma_sum
 from ncdirac.lie_algebra import (
     build_deformed_algebra,
     build_orthogonal_algebra,
@@ -78,26 +79,26 @@ def test_flat_table_is_the_contraction_for_either_eps4(eps5):
 
 @pytest.mark.parametrize("eps5", [1, -1])
 def test_gamma_rep_edits_do_not_reach_the_cache(eps5):
-    rep = build_majorana_rep(eps5)
-    rep.gamma[0].rows[0][3] = poly(7)
-    rep.gamma[4].rows[2] = [poly(0)] * 4
+    gammas = exact_gammas(eps5)
+    gammas[0].rows[0][3] = poly(7)
+    gammas[4].rows[2] = [poly(0)] * 4
     want, _ = _fresh_gammas(eps5)
-    assert list(build_majorana_rep(eps5).gamma) == want
-    assert list(build_majorana_rep(eps5).gamma) == want
+    assert list(exact_gammas(eps5)) == want
+    assert list(exact_gammas(eps5)) == want
 
 
 def test_gamma5_and_gamma_edits_do_not_reach_the_cache():
     want, g5 = _fresh_gammas(1)
-    edited = build_majorana_rep(1).gamma[4]
+    edited = exact_gammas(1)[4]
     edited.rows[0][0] = poly(9)
-    assert build_majorana_rep(1).gamma[4] == g5
-    g0 = build_majorana_rep(1).gamma[0]
+    assert exact_gammas(1)[4] == g5
+    g0 = exact_gammas(1)[0]
     g0.rows[1] = g0.rows[0]
-    assert build_majorana_rep(1).gamma[0] == want[0]
+    assert exact_gammas(1)[0] == want[0]
 
 
 def test_builders_keep_their_input_checks():
-    for build, args in ((build_majorana_rep, (0,)), (flat_deformed_algebra, (2,)),
+    for build, args in ((gamma_sum, (0, [1])), (flat_deformed_algebra, (2,)),
                         (build_deformed_algebra, (1, 0)),
                         (build_orthogonal_algebra, (-2, 1))):
         with pytest.raises(ValueError):

@@ -363,8 +363,9 @@ def test_malformed_fixture_is_usage_error(tmp_path, capsys, edit, message):
     assert message in captured.err
 
 
-@pytest.mark.parametrize("basis", ["abc", [1, 2, 3]])
+@pytest.mark.parametrize("basis", ["abc", [1, 2, 3], []])
 def test_fixture_basis_that_is_not_a_list_of_names_is_usage_error(tmp_path, capsys, basis):
+    # an empty basis once passed jacobi_fixture over 0 triples and exited 0
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"basis": basis, "brackets": {}}))
     code = main(["verify", "algebra", "--eps4", "1", "--eps5", "-1",
@@ -372,7 +373,9 @@ def test_fixture_basis_that_is_not_a_list_of_names_is_usage_error(tmp_path, caps
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "a structure-constant table is an object with a 'basis' list" in captured.err
+    message = ("the table's basis is empty" if basis == []
+               else "a structure-constant table is an object with a 'basis' list")
+    assert message in captured.err
 
 
 def test_fixture_key_that_is_not_a_string_is_usage_error(tmp_path, capsys, monkeypatch):
@@ -438,6 +441,20 @@ def test_integer_config_key_takes_only_json_integers(tmp_path, capsys, key, valu
     assert code == 2
     assert captured.out == ""
     assert f"config key {key!r} must be a JSON integer" in captured.err
+
+
+@pytest.mark.parametrize("key,value", [("ell", "1/0"), ("vev", "1/0"), ("g", "1/0i")])
+def test_config_zero_denominator_is_usage_error(tmp_path, capsys, key, value):
+    # the same values as flags exit 2; from a config file they once raised
+    # ZeroDivisionError, which exited 1 as if a check had failed
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    code = main(["modes", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"ncdirac: error: config key {key!r} has a zero denominator: "
+                            f"{value!r}\n")
 
 
 def test_unknown_config_key(tmp_path, capsys):

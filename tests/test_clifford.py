@@ -1,4 +1,4 @@
-"""Gamma matrices, exact Cayley boosts, and the conjugation-closure classifier."""
+"""Gamma matrices, the Cayley boost oracle, and the conjugation-closure classifier."""
 
 import json
 import os
@@ -10,16 +10,17 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
+import cayley_oracle
 import numpy as np
 import pytest
+from cayley_oracle import cayley_boost
 from exact_arrays import as_array
+from exact_gammas import exact_gammas
 
 import ncdirac
-from ncdirac import cayley, checks, clifford
-from ncdirac.cayley import cayley_boost
+from ncdirac import checks, clifford
 from ncdirac.clifford import (
     VerificationError,
-    build_majorana_rep,
     conjugation_closed,
     gamma5_product_check,
     majorana_imaginary_check,
@@ -63,18 +64,18 @@ def test_gamma_store_equals_the_dense_block_forms(eps5):
     for mu, (perm, d) in enumerate(zip(stored, want)):
         assert np.array_equal(
             [[J ** p if k == c else 0 for k in range(4)] for c, p in perm], d)
-        assert np.array_equal(as_array(build_majorana_rep(eps5).gamma[mu]), d)
+        assert np.array_equal(as_array(exact_gammas(eps5)[mu]), d)
 
 
 def test_gamma5_frozen_value():
     expect = np.array(
         [[0, J, 0, 0], [-J, 0, 0, 0], [0, 0, 0, -J], [0, 0, J, 0]]
     )
-    assert np.array_equal(as_array(build_majorana_rep(1).gamma[4]), expect)
+    assert np.array_equal(as_array(exact_gammas(1)[4]), expect)
 
 
 def test_gamma_entries_imaginary_and_traceless():
-    for g in build_majorana_rep(1).gamma[:4]:
+    for g in exact_gammas(1)[:4]:
         arr = as_array(g)
         assert np.all(arr.real == 0)
         assert arr.trace() == 0
@@ -94,12 +95,11 @@ def test_clifford_relations(eps5):
 
 @pytest.mark.parametrize("eps5", [1, -1])
 def test_gamma4_square_and_metric(eps5):
-    rep = build_majorana_rep(eps5)
-    g4 = rep.gamma[4]
+    g4 = exact_gammas(eps5)[4]
     square = as_array(g4 @ g4)
     assert np.array_equal(square, eps5 * np.eye(4))
     # extra direction: gamma5 itself or its rotation by i
-    g5 = as_array(build_majorana_rep(1).gamma[4])
+    g5 = as_array(exact_gammas(1)[4])
     got = as_array(g4)
     assert np.allclose(got, g5 if eps5 == 1 else J * g5)
 
@@ -285,7 +285,7 @@ def _axis_closed_form(y):
     (g0 g3)^2 = I, so S = ((1 + t^2) I + 2t g0 g3) / (1 - t^2) and Lambda
     mixes 0 and 3 with ((1 + t^2)^2 + 4t^2, 4t (1 + t^2)) / (1 - t^2)^2."""
     t = Fraction(y) / 4
-    g = build_majorana_rep(1).gamma
+    g = exact_gammas(1)
     g03 = g[0] @ g[3]
     spinor = (ExactMatrix.identity(4).scale(poly(ExactScalar(1 + t * t)))
               + g03.scale(poly(ExactScalar(2 * t)))).scale(poly(ExactScalar(1 / (1 - t * t))))
@@ -302,7 +302,7 @@ def test_boost_pairing_rapidity_one():
     # (353 g0 + 272 g3) / 225, with 353^2 - 272^2 = 225^2
     boost = cayley_boost(_axis_boost(1))
     S, S_inv = _spinor(boost), _spinor(boost, "inverse")
-    g = build_majorana_rep(1).gamma
+    g = exact_gammas(1)
     expect = (g[0].scale(poly(ExactScalar(Fraction(353, 225))))
               + g[3].scale(poly(ExactScalar(Fraction(272, 225)))))
     assert S_inv @ g[0] @ S == expect
@@ -319,7 +319,7 @@ def test_vector_boost_preserves_metric():
 
 
 def test_pairing_residual_random():
-    gammas = build_majorana_rep(1).gamma
+    gammas = exact_gammas(1)
     for omega in _seeded_generators(11, 25):
         boost = cayley_boost(omega)
         S, S_inv, lam = _spinor(boost), _spinor(boost, "inverse"), _vector(boost)
@@ -395,8 +395,8 @@ def _negate_first(matrix):
 
 def _tables_with(change):
     def tamper(monkeypatch):
-        true_tables = cayley._tables
-        monkeypatch.setattr(cayley, "_tables", lambda: change(*true_tables()))
+        true_tables = cayley_oracle._tables
+        monkeypatch.setattr(cayley_oracle, "_tables", lambda: change(*true_tables()))
     return tamper
 
 
@@ -411,7 +411,7 @@ _CORRUPTIONS = {
                "S^-1 S != I"),
     "r_entries": (_tables_with(lambda r, pairs, g: ([_negate_first(r[0]), *r[1:]], pairs, g)),
                   "S^-1 g^mu S != Lambda^mu_nu g^nu"),
-    "eta": (lambda monkeypatch: monkeypatch.setattr(cayley, "ETA4_DIAG", (1, 1, 1, 1)),
+    "eta": (lambda monkeypatch: monkeypatch.setattr(cayley_oracle, "ETA4_DIAG", (1, 1, 1, 1)),
             "Lambda^T eta Lambda != eta"),
     "g_rows": (lambda monkeypatch: _tamper_store(monkeypatch, _flip_phase(4, 0, 2)[0]),
                "[S, g^4] != 0"),
@@ -469,22 +469,20 @@ def test_import_leaves_scipy_unloaded():
         "import sys, ncdirac\n"
         f"{loaded}\n{_QUIET_MAIN}\n"
         f"print([main(argv) for argv in {commands!r}])\n{loaded}\n"
-        "import ncdirac.cayley\n"
         "assert ncdirac.reality_class([(1, 1, 0, 0), (0, 0, 1, -1)]) == 'Majorana'\n"
         f"{loaded}\n"
     )
     assert out == ["[]", "[1, 0, 0, 0, 2, 0, 0, 0, 0, 1]", "[]", "[]"]
 
 
-def test_cli_import_leaves_cayley_unloaded():
-    # check all proves Lorentz covariance from the generators: the Cayley
-    # boosts serve the demos and the tests, and the CLI never compiles them
-    loaded = "print('ncdirac.cayley' in sys.modules)"
-    out = _run_python(
-        f"import sys, ncdirac.cli\n{loaded}\n{_QUIET_MAIN}\n"
-        f"print(main(['check', 'all', '--seed', '42']))\n{loaded}\n"
-    )
-    assert out == ["False", "0", "False"]
+def test_cli_import_loads_every_package_module():
+    # every module of the package is on the CLI's path: a module that no
+    # command loads is code only the tests call, and belongs in the tests
+    loaded = "print(sorted(m for m in sys.modules if m.startswith('ncdirac.')))"
+    package = Path(ncdirac.__file__).resolve().parent
+    modules = sorted(f"ncdirac.{path.stem}" for path in package.glob("*.py")
+                     if path.stem not in ("__init__", "__main__"))
+    assert _run_python(f"import sys, ncdirac.cli\n{loaded}\n") == [repr(modules)]
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

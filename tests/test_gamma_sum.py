@@ -7,9 +7,10 @@ its coefficient; ``_add_scale_chain`` keeps that chain as the reference.
 from fractions import Fraction
 
 import pytest
+from exact_gammas import exact_gammas
 from hypothesis import given, settings, strategies as st
 
-from ncdirac.clifford import build_majorana_rep, gamma_sum
+from ncdirac.clifford import gamma_sum
 from ncdirac.lie_algebra import ETA4_DIAG
 from ncdirac.matrices import ExactMatrix
 from ncdirac.modes import ModeProblem, dirac_matrix, dirac_matrix_symbolic
@@ -19,9 +20,8 @@ from seesaw_oracle import coupled_matrix
 
 
 def _add_scale_chain(eps5, coeffs):
-    rep = build_majorana_rep(eps5)
     out = ExactMatrix.zeros(4)
-    for g, c in zip(rep.gamma, coeffs):
+    for g, c in zip(exact_gammas(eps5), coeffs):
         out = out + g.scale(poly(c))
     return out
 
@@ -64,7 +64,7 @@ def test_coupled_and_effective_blocks_equal_the_chain(eps5, k):
                        ell=Fraction(2, 3), eps5=eps5)
     k_low = _k_lower(k)
     gk = _add_scale_chain(eps5, k_low)
-    heavy = gk + build_majorana_rep(eps5).gamma[4].scale(poly(3))
+    heavy = gk + exact_gammas(eps5)[4].scale(poly(3))
     full = coupled_matrix(k, c)
     assert [row[:4] for row in full.rows[:4]] == gk.rows
     assert [row[4:] for row in full.rows[4:]] == heavy.rows

@@ -427,11 +427,13 @@ def test_bracket_read_with_a_bool_index_reads_it_as_an_int():
     assert alg.bracket(2, False) == alg.bracket(2, 0) != {}
 
 
-@pytest.mark.parametrize("basis", ["abc", [1, 2, 3], ["a", None]])
+@pytest.mark.parametrize("basis", ["abc", [1, 2, 3], ["a", None], []])
 def test_fixture_basis_must_be_a_list_of_names(basis):
-    # a string once loaded as one generator per character, and integers
-    # as integer names
-    with pytest.raises(ValueError, match="a 'basis' list and a 'brackets' object"):
+    # a string once loaded as one generator per character, integers as
+    # integer names, and an empty basis as a table that passed every check
+    message = ("the table's basis is empty" if basis == []
+               else "a 'basis' list and a 'brackets' object")
+    with pytest.raises(ValueError, match=message):
         StructureConstants.from_json({"basis": basis, "brackets": {}})
 
 

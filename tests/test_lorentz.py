@@ -7,12 +7,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 from exact_arrays import as_array
+from exact_gammas import exact_gammas
 
 from table_edits import set_bracket
 
 from ncdirac import clifford, lorentz, modes
 from ncdirac.checks import RunConfig, cmd_modes
-from ncdirac.clifford import build_majorana_rep
 from ncdirac.lie_algebra import flat_deformed_algebra
 from ncdirac.scalars import ExactScalar, poly
 
@@ -36,7 +36,7 @@ def test_lorentz_generators_match_a_float_oracle(eps5):
     # S = (1/4)[g^mu, g^nu] from complex gammas: [S, g^s] = g^r L^r_s and
     # [S, g^4] = 0, and [S, D(k)] matches the difference quotient of D
     # along the lowered k rotated by L, at a seeded numeric k and l
-    gam = [as_array(g).astype(complex) for g in build_majorana_rep(eps5).gamma]
+    gam = [as_array(g).astype(complex) for g in exact_gammas(eps5)]
     eta = np.diag([1.0, -1.0, -1.0, -1.0])
     rng = np.random.default_rng(3)
     k, ell = rng.normal(size=4), 0.7

@@ -1,17 +1,20 @@
-"""Dispersion branches, exact nullspaces, and exact boost covariance."""
+"""Dispersion branches, exact nullspaces, and exact boost covariance by the
+Cayley boost oracle."""
 
 import random
 from fractions import Fraction
 from itertools import combinations
 
+import cayley_oracle
 import numpy as np
 import pytest
+from cayley_oracle import boost_defect, cayley_boost
 from exact_arrays import as_array
+from exact_gammas import exact_gammas
 from hypothesis import given, settings, strategies as st
 
-from ncdirac import cayley, checks, clifford, modes
-from ncdirac.cayley import boost_defect, cayley_boost
-from ncdirac.clifford import VerificationError, build_majorana_rep, reality_class
+from ncdirac import checks, clifford, modes
+from ncdirac.clifford import VerificationError, reality_class
 from ncdirac.matrices import ExactMatrix
 from ncdirac.modes import (
     ModeProblem,
@@ -211,7 +214,7 @@ def test_float_matrix_matches_exact(eps5):
     # float oracle: the operator summed in complex128 from the exact gammas
     k = (Fraction(3, 2), Fraction(1, 3), 0, Fraction(-1, 2))
     exact = dirac_matrix(ModeProblem(eps5=eps5, ell=Fraction(1, 4), k=k))
-    gs = [as_array(g) for g in build_majorana_rep(eps5).gamma]
+    gs = [as_array(g) for g in exact_gammas(eps5)]
     kf = [float(c) for c in k]
     k2 = kf[0] ** 2 - kf[1] ** 2 - kf[2] ** 2 - kf[3] ** 2
     floaty = sum(g * (c * eta) for g, c, eta in zip(gs, kf, (1, -1, -1, -1)))
@@ -285,7 +288,7 @@ def test_cayley_boost_pairs_s_with_lambda(upper):
     # the integer builder: (I - A/2) S = I + A/2, S S^-1 = I,
     # S^-1 g^mu S = Lambda^mu_nu g^nu, Lambda^T eta Lambda = eta
     omega = _omega(upper)
-    gammas = build_majorana_rep(1).gamma
+    gammas = exact_gammas(1)
     a = ExactMatrix.zeros(4)
     for i, j in combinations(range(4), 2):
         a = a + (gammas[i] @ gammas[j]).scale(poly(ExactScalar(omega[i][j] / 2)))
@@ -389,7 +392,7 @@ def test_tampered_g4_fails_the_boost_row(monkeypatch):
 def test_corrupted_boost_table_fails_the_boost_row(monkeypatch):
     # G with its first row negated gives a wrong S^-1 already at the first
     # seeded draw, which cayley_boost refuses before any solution is moved
-    true_tables = cayley._tables
+    true_tables = cayley_oracle._tables
 
     def corrupted():
         r, pairs, g = true_tables()
@@ -397,6 +400,6 @@ def test_corrupted_boost_table_fails_the_boost_row(monkeypatch):
         return r, pairs, [[-x for x in first], *rest]
 
     omegas = _seeded_omegas(42)
-    monkeypatch.setattr(cayley, "_tables", corrupted)
+    monkeypatch.setattr(cayley_oracle, "_tables", corrupted)
     with pytest.raises(VerificationError, match=r"^S\^-1 S != I$"):
         cayley_boost(omegas[0])

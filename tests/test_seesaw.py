@@ -9,10 +9,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from exact_arrays import as_array
+from exact_gammas import exact_gammas
 from seesaw_oracle import coupled_matrix
 
 from ncdirac.checks import seesaw_verdict
-from ncdirac.clifford import build_majorana_rep
 from ncdirac.matrices import ExactMatrix
 from ncdirac.modes import ModeProblem
 from ncdirac.scalars import ExactScalar, poly, sym
@@ -40,7 +40,7 @@ def numeric_light_root(eps5: int, ell: float, mu: float) -> float:
     so the roots are the eigenvalues of -B^-1 A.  Independent of the exact
     spectrum code path."""
     big_m = 2.0 / ell
-    gammas = [as_array(g) for g in build_majorana_rep(eps5).gamma]
+    gammas = [as_array(g) for g in exact_gammas(eps5)]
     g4 = gammas[4]
     g = gammas[0] if eps5 == -1 else -gammas[3]
     zero = np.zeros((4, 4))
@@ -225,7 +225,7 @@ def test_heavy_block_elimination(eps5):
     )
     w, _effective = leading_order_reduction(config)
     # rest-frame defining equation: gbar*v + (M g4) W = 0 with M = 2/l
-    g4 = build_majorana_rep(eps5).gamma[4]
+    g4 = exact_gammas(eps5)[4]
     gbar_v = config.g.conjugate() * ExactScalar(config.vev)
     big_m = ExactScalar(Fraction(2) / config.ell)
     lhs = ExactMatrix.identity(4).scale(poly(gbar_v)) + g4.scale(poly(big_m)) @ w
@@ -268,7 +268,7 @@ def test_float_coupled_matrix_matches_exact(eps5):
     k = (Fraction(3, 2), Fraction(1, 3), 0, Fraction(-1, 2))
     exact = coupled_matrix(k, config)
     assert isinstance(exact, ExactMatrix)
-    gs = [as_array(g) for g in build_majorana_rep(eps5).gamma]
+    gs = [as_array(g) for g in exact_gammas(eps5)]
     gk = sum(g * (float(c) * eta) for g, c, eta in zip(gs, k, (1, -1, -1, -1)))
     gv = (0.6 + 0.8j) / 7 * np.eye(4)
     floaty = np.block([[gk, gv], [gv.conj(), gk + 3.0 * gs[4]]])
