@@ -14,10 +14,12 @@ import io
 import json
 import time
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 
 from .scalars import MOMENTUM_SYMBOLS, ExactScalar, ParamPoly, poly, sym
 from .lie_algebra import (
+    P_LABELS,
+    X_LABELS,
     StructureConstants,
     build_deformed_algebra,
     build_orthogonal_algebra,
@@ -179,8 +181,13 @@ def _command(family):
 
 # -- algebra ---------------------------------------------------------------
 
-_P_RANGE = range(6, 10)
-_X_RANGE = range(10, 14)
+
+def _commute(table: StructureConstants, labels) -> bool:
+    """Whether the generators named ``labels`` commute pairwise in ``table``."""
+    index = [table.index[name] for name in labels]
+    return all(not table.bracket(i, j) for i, j in combinations(index, 2))
+
+
 _ISO_RELATION = ("phi([a,b]) = [phi(a), phi(b)] with P -> alpha*M_mu4, "
                  "x -> beta*M_mu5, C -> gamma*M45")
 
@@ -245,13 +252,13 @@ def cmd_verify_algebra(cfg: RunConfig):
         if e5 not in rho_limit:
             flat_rho = flat_deformed_algebra(e5)
             rho_limit[e5] = (
-                all(not flat_rho.bracket(i, j) for i in _P_RANGE for j in _P_RANGE if i < j),
+                _commute(flat_rho, P_LABELS),
                 jacobi_residual(flat_rho),
             )
         if e4 not in ell_limit:
             flat_ell = contract(alg, ell_to_zero=True)
             ell_limit[e4] = (
-                all(not flat_ell.bracket(i, j) for i in _X_RANGE for j in _X_RANGE if i < j),
+                _commute(flat_ell, X_LABELS),
                 jacobi_residual(flat_ell),
             )
         pp_vanish, rho_viol = rho_limit[e5]

@@ -170,8 +170,8 @@ def majorana_imaginary_check(eps5: int) -> RelationCheck:
 
 
 def conjugation_closed(rows) -> bool:
-    """Whether the span of ``rows``, rows of field scalars with
-    ``conjugate``, is closed under entrywise conjugation.
+    """Whether the span of ``rows``, rows of ExactScalar, is closed under
+    entrywise conjugation.
 
     The reduced row echelon form (RREF) of a span is unique, and its
     entrywise conjugate is the RREF of the conjugate span; so the span is

@@ -102,15 +102,6 @@ class NCExpression(LinearCombination):
                 _accumulate(acc, wa + wb, ca * cb)
         return NCExpression._made(acc)
 
-    def conjugate(self) -> "NCExpression":
-        """Formal adjoint: reverse words, conjugate coefficients.
-
-        All generators are self-conjugate, so a word conjugates to its
-        reversal and i goes to -i in the coefficients.
-        """
-        return NCExpression._made(
-            {tuple(reversed(w)): c.conjugate() for w, c in self.terms.items()})
-
     @staticmethod
     def _sort_key(word) -> tuple:
         return len(word), word

@@ -16,15 +16,12 @@ uses the symbol r with rho = r^2 substituted into the deformed table first.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cache
 from math import gcd
 from typing import NamedTuple
 
-from .matrices import echelon
 from .scalars import (
     P_ONE,
-    ZERO,
     ParamPoly,
     _GUARDS,
     _bindings,
@@ -404,7 +401,8 @@ def jacobi_triple_count(alg: StructureConstants) -> int:
 
 
 class LinearMap(NamedTuple):
-    """phi(src e_i) = sum_j matrix[j][i] dst f_j, coefficients ParamPoly."""
+    """A scaling map: phi(src e_i) = c_i dst f_j, one target j per
+    generator, held as columns[i] = {j: c_i} with c_i a ParamPoly."""
 
     src: StructureConstants
     dst: StructureConstants
@@ -417,36 +415,14 @@ class IsoCheck(NamedTuple):
     mismatches: list  # [((name_i, name_j), residual combo)]
 
 
-_SAMPLE_POINTS = (
-    {"l": 2, "rho": 9, "r": 3, "m": 1, "k0": 1, "k1": 2, "k2": 3, "k3": 5, "mu": 1, "v": 1},
-    {
-        "l": Fraction(3, 2),
-        "rho": Fraction(25, 4),
-        "r": Fraction(5, 2),
-        "m": Fraction(4, 3),
-        "k0": 2,
-        "k1": 3,
-        "k2": 5,
-        "k3": 7,
-        "mu": Fraction(1, 2),
-        "v": Fraction(2, 3),
-    },
-)
-
-
 def _map_invertible(lmap: LinearMap) -> bool:
-    """Exact rank at fixed nonzero rational sample points of the symbols."""
-    n_dst, n_src = lmap.dst.dim(), lmap.src.dim()
-    if n_dst != n_src:
-        return False
-    for sample in _SAMPLE_POINTS:
-        rows = [[ZERO] * n_src for _ in range(n_dst)]
-        for i, col in enumerate(lmap.columns):
-            for j, coeff in col.items():
-                rows[j][i] = coeff.evaluate(sample)
-        if len(echelon(rows)) == n_src:
-            return True
-    return False
+    """Whether a scaling map is invertible, decided exactly: it is when
+    every coefficient is nonzero and the targets are the whole target basis,
+    each once.  A column with more than one entry raises ValueError."""
+    if any(len(col) > 1 for col in lmap.columns):
+        raise ValueError("a scaling map has one target per generator")
+    targets = {j for col in lmap.columns for j, coeff in col.items() if coeff}
+    return len(targets) == len(lmap.columns) == lmap.src.dim() == lmap.dst.dim()
 
 
 def _bracket_mismatches(lmap: LinearMap):
@@ -536,19 +512,18 @@ def solve_isomorphism_scalings(eps4: int, eps5: int) -> IsomorphismSolution:
     phi_s = (s_alpha r, s_beta l, s_gamma r l) are the map (r, l, r l) with
     a sign on each generator class.  Only the canonical candidates
     s0 = (1, 1, -1), then (1, 1, 1), are checked: each pair's brackets and
-    the exact rank.  The other choices are read off the first that passes:
+    ``_map_invertible``.  The other choices are read off the first that passes:
     phi_s = phi_s0 o sigma_t with t = s * s0, where sigma_t sends e_m to
     chi_m(t) e_m (chi_m(t) is 1 on M, t_alpha on P, t_beta on x and t_gamma
     on C).  Since phi_s0 is an injective homomorphism, and column signs
-    leave the rank alone, phi_s passes exactly when sigma_t is an
+    leave every coefficient nonzero, phi_s passes exactly when sigma_t is an
     automorphism of the source: chi_i chi_j = chi_q for every output q of
     every stored [e_i, e_j].  All sign choices with gamma = -alpha*beta
     pass; the first passing choice with (s_alpha, s_beta) = (1, 1), the
     canonical (r, l, -r*l), is returned.  When neither canonical candidate
     is an invertible homomorphism, ArithmeticError is raised.
     """
-    r = sym("r")
-    ell = sym("l")
+    r, ell = sym("r"), sym("l")
     _check_signs(eps4, eps5)
     src = _deformed_table(eps4, eps5).substitute({"rho": r * r})
     dst = build_orthogonal_algebra(eps4, eps5)

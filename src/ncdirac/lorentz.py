@@ -79,8 +79,8 @@ def lorentz_covariance(eps5: int) -> dict:
                 rhs = f"g^r (L_{mu}{nu})^r_{sigma}" if sigma < 4 else "0"
                 return {**counts, "failure": f"[S_{mu}{nu}, g^{sigma}] != {rhs}"}
         counts["dirac_identities"] += 1
-        moved = lower([sum((x * c for x, c in zip(row, low_k) if x), P_ZERO) for row in vector])
-        rotated = [sum((x * c for x, c in zip(row, coeffs) if x), P_ZERO) for row in vector]
+        moved = lower([_poly_sum_of_products(zip(row, low_k)) for row in vector])
+        rotated = [_poly_sum_of_products(zip(row, coeffs)) for row in vector]
         for a, (grad, want) in enumerate(zip(gradients, rotated + [P_ZERO])):
             if _poly_sum_of_products(zip(grad, moved)) != want:
                 return {**counts, "failure": f"[S_{mu}{nu}, D(k)] != (L_{mu}{nu} k).grad D(k)"

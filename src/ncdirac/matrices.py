@@ -2,7 +2,7 @@
 
 Entries are ParamPoly (constants embed), so the same class carries both the
 purely numeric gamma matrices and symbolic operators like the momentum-space
-Dirac matrix.  Kernel and rank require constant entries (a field); the
+Dirac matrix.  The kernel requires constant entries (a field); the
 determinant works over polynomial entries via expansion with subset
 memoization, which is cheap at the 4x4 and 8x8 sizes used here.
 """
@@ -46,9 +46,6 @@ class ExactMatrix:
         exact."""
         return ExactMatrix([[_gaussian_integer(x) if isinstance(x, complex) else x
                              for x in row] for row in entries])
-
-    def copy(self) -> "ExactMatrix":
-        return ExactMatrix([list(row) for row in self.rows])
 
     # -- ring operations --------------------------------------------------
 
@@ -114,17 +111,11 @@ class ExactMatrix:
     def __hash__(self):
         return hash(tuple(tuple(row) for row in self.rows))
 
-    def substitute(self, bindings) -> "ExactMatrix":
-        return ExactMatrix([[a.substitute(bindings) for a in row] for row in self.rows])
-
     def scalar_entries(self):
         """Entries as ExactScalar; fails if any entry still carries symbols."""
         return [[a.to_scalar() for a in row] for row in self.rows]
 
     # -- exact linear algebra (constant entries) -----------------------------
-
-    def rank(self) -> int:
-        return len(echelon(self.scalar_entries()))
 
     def kernel(self) -> list[list[ExactScalar]]:
         """Exact right-kernel basis (one vector per free column)."""
@@ -191,8 +182,8 @@ def echelon(rows: list) -> list[int]:
     echelon form in place and return the pivot columns.
 
     The scalars need ``bool`` (nonzero), ``-``, ``*`` and ``/``, as
-    ExactScalar and QuadraticScalar give; rows of constant ExactMatrix
-    entries are the common case.
+    ExactScalar gives: the entries of a constant ExactMatrix, for its
+    kernel, and the bases ``clifford.reality_class`` classifies.
     """
     nrows, pivots, r = len(rows), [], 0
     for c in range(len(rows[0]) if rows else 0):
@@ -203,7 +194,7 @@ def echelon(rows: list) -> list[int]:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = rows[r][c]
-        # the maps ranked here are mostly zeros: leave those untouched
+        # the rows reduced here are mostly zeros: leave those untouched
         rows[r] = [x / inv if x else x for x in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c]:

@@ -122,10 +122,6 @@ class ExactScalar:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def i() -> "ExactScalar":
-        return _make(0, 1, 1)
-
-    @staticmethod
     def parse(text: str) -> "ExactScalar":
         """Parse "p/q", "0.25", "1e-3", "p/q+r/si" or "a-bi" ("i" or "j" suffix)."""
         s = text.strip().replace(" ", "").replace("j", "i")
@@ -335,10 +331,9 @@ class QuadraticScalar:
     delta that is not a square (``exact_sqrt`` makes the first one).
 
     sqrt(delta) is then real and outside Q(i), so the element is zero
-    exactly when a = b = 0, the inverse goes through the conjugate
-    a - b*sqrt(delta) with the nonzero norm a^2 - b^2 delta, and complex
-    conjugation acts on the parts only.  Exact numbers combine as b = 0;
-    both operands of a binary operation share delta."""
+    exactly when a = b = 0, and the inverse goes through the conjugate
+    a - b*sqrt(delta) with the nonzero norm a^2 - b^2 delta.  Exact numbers
+    combine as b = 0; both operands of a binary operation share delta."""
 
     __slots__ = ("a", "b", "delta")
 
@@ -383,9 +378,6 @@ class QuadraticScalar:
 
     def __rtruediv__(self, other) -> "QuadraticScalar":
         return QuadraticScalar(other, ZERO, self.delta) / self
-
-    def conjugate(self) -> "QuadraticScalar":
-        return QuadraticScalar(self.a.conjugate(), self.b.conjugate(), self.delta)
 
     def __bool__(self) -> bool:
         return bool(self.a or self.b)
@@ -588,21 +580,6 @@ class ParamPoly:
             if rest:
                 term = term * _packed_poly({rest: ONE})
             total = total + term
-        return total
-
-    def evaluate(self, assignment: Mapping[str, ScalarLike]) -> ExactScalar:
-        """Evaluate with every appearing symbol bound to an exact scalar."""
-        total = ZERO
-        for key, coeff in self._terms.items():
-            value = coeff
-            for i, e in enumerate(_unpack(key)):
-                if e == 0:
-                    continue
-                name = SYMBOLS[i]
-                if name not in assignment:
-                    raise SubstitutionError(f"no value for symbol {name!r}")
-                value = value * _coerce_scalar(assignment[name]) ** e
-            total = total + value
         return total
 
     # -- serialization ------------------------------------------------------
@@ -958,9 +935,6 @@ class LinearCombination:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def substitute(self, bindings):
-        return type(self)({k: c.substitute(bindings) for k, c in self.terms.items()})
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -23,7 +23,7 @@ from ncdirac.lie_algebra import (
     flat_deformed_algebra,
 )
 from ncdirac.matrices import ExactMatrix
-from ncdirac.scalars import ExactScalar, poly
+from ncdirac.scalars import I, poly
 
 SIGNS = list(itertools.product((1, -1), repeat=2))
 
@@ -43,7 +43,7 @@ def _fresh_orthogonal(eps4, eps5):
 def _fresh_gammas(eps5):
     """g0..g3 from their dense block forms and g4 from the product, uncached."""
     g = [ExactMatrix.from_complex_entries(dense) for dense in DENSE_GAMMAS]
-    i = poly(ExactScalar.i())
+    i = poly(I)
     g5 = (g[0] @ g[1] @ g[2] @ g[3]).scale(i)
     return g + [g5 if eps5 == 1 else g5.scale(i)], g5
 

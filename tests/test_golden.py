@@ -10,13 +10,14 @@ were written by the engine whose commands each kept their own report list
 and timers, before one runner drove every check family.
 ``check_all_seed42.json`` and the planewave file were written once the
 plane-wave lemma, the boost covariance and the seesaw reality classes ran
-in exact arithmetic.  Each was written with the command below, run from
-the repository root.  The reports carry no timings, and every value is
-exact but the seesaw masses and deviations, which are exact values rounded
-once to a float, with no BLAS involved.  Change a golden file only together
-with a report change that is meant.  CI runs the same commands with
-``tests/golden/compare.sh``, which compares with ``cmp``, with and without
-numpy installed.
+in exact arithmetic.  Each was written with its command in
+``tests/golden/commands.txt``, the one list of the commands and their exit
+codes, run from the repository root.  The reports carry no timings, and
+every value is exact but the seesaw masses and deviations, which are exact
+values rounded once to a float, with no BLAS involved.  Change a golden
+file only together with a report change that is meant.  CI runs the same
+list with ``tests/golden/compare.sh``, which compares with ``cmp``, with and
+without numpy installed.
 
 ``tampered_deformed_fixture.json`` is the deformed table for
 (eps4, eps5) = (1, -1) with generator a rescaled by (-1)^a (a+2)/(2a+1),
@@ -79,34 +80,17 @@ import os
 import runpy
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
+from golden_commands import COMMANDS, GOLDEN
 
 from ncdirac.cli import main
 
-GOLDEN = Path(__file__).parent / "golden"
-FIXTURE = "tests/golden/tampered_deformed_fixture.json"
-RESCALED = "tests/golden/rescaled_tampered_fixture.json"
 SCAN_VEV = ["scan", "--param", "vev", "--from", "1/2", "--to", "2", "--steps", "4",
             "--eps5", "1"]
 
 
-@pytest.mark.parametrize("argv,golden,code", [
-    (["verify", "algebra", "--all-signs"], "verify_algebra_all_signs.json", 0),
-    (["verify", "algebra", "--eps4", "1", "--eps5", "-1", "--fixture", FIXTURE],
-     "verify_algebra_tampered_fixture.json", 1),
-    (["verify", "rep", "--all-signs"], "verify_rep_all_signs.json", 0),
-    (["verify", "clifford", "--all-signs"], "verify_clifford_all_signs.json", 0),
-    (["verify", "planewave", "--all-signs"], "verify_planewave_all_signs.json", 0),
-    (["verify", "rep", "--all-signs", "--format", "csv"], "verify_rep_all_signs.csv", 0),
-    (["seesaw"], "seesaw_default.json", 0),
-    (["check", "all", "--seed", "42"], "check_all_seed42.json", 0),
-    (["verify", "algebra", "--eps4", "1", "--eps5", "1", "--fixture", RESCALED],
-     "verify_algebra_rescaled_fixture.json", 1),
-    (SCAN_VEV, "scan_vev_eps5_plus.json", 1),
-    (SCAN_VEV + ["--format", "csv"], "scan_vev_eps5_plus.csv", 1),
-])
+@pytest.mark.parametrize("argv,golden,code", COMMANDS)
 def test_exact_report_matches_golden(monkeypatch, capsys, argv, golden, code):
     # the fixture path is part of the report, so run where CI runs
     monkeypatch.chdir(GOLDEN.parent.parent)

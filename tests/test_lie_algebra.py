@@ -13,6 +13,7 @@ from table_edits import set_bracket
 
 from ncdirac.cli import main
 from ncdirac.lie_algebra import (
+    LinearMap,
     build_deformed_algebra,
     build_orthogonal_algebra,
     contract,
@@ -25,7 +26,7 @@ from ncdirac.lie_algebra import (
     verify_linear_isomorphism,
     StructureConstants,
 )
-from ncdirac.scalars import (MAX_DEGREE, DegreeBoundError, ExactScalar, ParamPoly,
+from ncdirac.scalars import (I, MAX_DEGREE, P_ONE, DegreeBoundError, ExactScalar, ParamPoly,
                              QuadraticScalar, SubstitutionError, UnknownSymbolError, poly,
                              sym)
 
@@ -72,27 +73,25 @@ def test_jacobi_orthogonal(eps4, eps5):
 @pytest.mark.parametrize("eps4,eps5", SIGNS)
 def test_deformed_bracket_values(eps4, eps5):
     alg = build_deformed_algebra(eps4, eps5)
-    i = ExactScalar.i()
     # metric is (+,-,-,-): timelike and spacelike pairings differ by a sign
-    assert _coeff(alg, "P0", "x0", "C") == poly(i)
-    assert _coeff(alg, "P1", "x1", "C") == poly(-i)
+    assert _coeff(alg, "P0", "x0", "C") == poly(I)
+    assert _coeff(alg, "P1", "x1", "C") == poly(-I)
     assert not alg.bracket(alg.basis.index("P0"), alg.basis.index("x1"))
-    assert _coeff(alg, "P0", "P1", "M01") == poly(-i * eps4) * sym("rho")
-    assert _coeff(alg, "x0", "x1", "M01") == poly(-i * eps5) * sym("l", 2)
-    assert _coeff(alg, "M01", "P0", "P1") == poly(-i)
-    assert _coeff(alg, "M12", "x2", "x1") == poly(-i)
-    assert _coeff(alg, "P0", "C", "x0") == poly(-i * eps4) * sym("rho")
-    assert _coeff(alg, "x0", "C", "P0") == poly(i * eps5) * sym("l", 2)
+    assert _coeff(alg, "P0", "P1", "M01") == poly(-I * eps4) * sym("rho")
+    assert _coeff(alg, "x0", "x1", "M01") == poly(-I * eps5) * sym("l", 2)
+    assert _coeff(alg, "M01", "P0", "P1") == poly(-I)
+    assert _coeff(alg, "M12", "x2", "x1") == poly(-I)
+    assert _coeff(alg, "P0", "C", "x0") == poly(-I * eps4) * sym("rho")
+    assert _coeff(alg, "x0", "C", "P0") == poly(I * eps5) * sym("l", 2)
     assert not alg.bracket(alg.basis.index("M01"), alg.basis.index("C"))
 
 
 @pytest.mark.parametrize("eps4,eps5", SIGNS)
 def test_orthogonal_extra_rows(eps4, eps5):
     alg = build_orthogonal_algebra(eps4, eps5)
-    i = ExactScalar.i()
-    assert _coeff(alg, "M04", "M14", "M01") == poly(-i * eps4)
-    assert _coeff(alg, "M05", "M15", "M01") == poly(-i * eps5)
-    assert _coeff(alg, "M45", "M04", "M05") == poly(-i * eps4)
+    assert _coeff(alg, "M04", "M14", "M01") == poly(-I * eps4)
+    assert _coeff(alg, "M05", "M15", "M01") == poly(-I * eps5)
+    assert _coeff(alg, "M45", "M04", "M05") == poly(-I * eps4)
 
 
 def test_tampered_table_fails_jacobi():
@@ -271,14 +270,49 @@ def test_flipped_gamma_breaks_isomorphism():
     assert check.mismatches
 
 
-def test_map_rank_is_read_at_the_sample_points():
+def _solved_map_with_beta(beta):
     sol = solve_isomorphism_scalings(1, -1)
-    dropped = scaling_map(sol.src, sol.dst, sol.alpha, poly(0), sol.gamma)
-    check = verify_linear_isomorphism(dropped)
-    assert not check.invertible and not check.ok
-    # l - 2 vanishes at the first sample point (l = 2) but not at the second
-    vanishing = scaling_map(sol.src, sol.dst, sol.alpha, sym("l") - 2, sol.gamma)
-    assert verify_linear_isomorphism(vanishing).invertible
+    return scaling_map(sol.src, sol.dst, sol.alpha, beta, sol.gamma)
+
+
+def _f_scaled_orthogonal_map():
+    """Every bracket of the orthogonal table times f = (l - 2)(2l - 3),
+    mapped to the table by e_i -> f e_i: both sides of each bracket are
+    f^2 c_ij^k e_k, and f vanishes at l = 2 and l = 3/2."""
+    f = (sym("l") - 2) * (sym("l") * 2 - 3)
+    ortho = build_orthogonal_algebra(1, -1)
+    scaled = StructureConstants(ortho.basis)
+    for i, j in ortho.pairs():
+        set_bracket(scaled, i, j, {k: c * f for k, c in ortho.bracket(i, j).items()})
+    return LinearMap(scaled, ortho, [{i: f} for i in range(ortho.dim())])
+
+
+def _orthogonal_map_with_column(i, column):
+    """The identity of the orthogonal table with column i replaced."""
+    ortho = build_orthogonal_algebra(1, -1)
+    columns = [{k: P_ONE} for k in range(ortho.dim())]
+    columns[i] = column
+    return LinearMap(ortho, ortho, columns)
+
+
+@pytest.mark.parametrize("make_map,ok,invertible", [
+    pytest.param(lambda: _solved_map_with_beta(poly(0)), False, False, id="beta-zero"),
+    # a coefficient with a rational root is still a nonzero polynomial
+    pytest.param(lambda: _solved_map_with_beta(sym("l") - 2), False, True, id="beta-l-minus-2"),
+    pytest.param(_f_scaled_orthogonal_map, True, True, id="f-scaled-table"),
+    # M01 and M02 both go to M01, so M02 is not reached
+    pytest.param(lambda: _orthogonal_map_with_column(1, {0: P_ONE}), False, False,
+                 id="two-generators-one-target"),
+])
+def test_scaling_map_invertibility_is_exact(make_map, ok, invertible):
+    check = verify_linear_isomorphism(make_map())
+    assert (check.ok, check.invertible) == (ok, invertible)
+
+
+def test_scaling_map_column_with_two_entries_raises():
+    lmap = _orthogonal_map_with_column(0, {0: P_ONE, 1: P_ONE})
+    with pytest.raises(ValueError, match="one target per generator"):
+        verify_linear_isomorphism(lmap)
 
 
 @pytest.mark.parametrize("eps4,eps5", SIGNS)
@@ -301,7 +335,7 @@ def test_contractions(eps4, eps5):
 
     # both limits: Heisenberg-type algebra, [P, x] = i eta C survives
     flat = contract(contract(alg, rho_to_zero=True), ell_to_zero=True)
-    assert _coeff(flat, "P0", "x0", "C") == poly(ExactScalar.i())
+    assert _coeff(flat, "P0", "x0", "C") == poly(I)
     assert jacobi_residual(flat) == []
 
 
@@ -639,7 +673,7 @@ def _float_violations(table, point, rel_tol=1e-9):
     f = np.zeros((n, n, n), dtype=complex)
     for i, j in table.pairs():
         for k, c in table.bracket(i, j).items():
-            f[i, j, k] = complex(c.evaluate(point))
+            f[i, j, k] = complex(c.substitute(point).to_scalar())
             f[j, i, k] = -f[i, j, k]
     terms = (
         np.einsum("ijm,mkq->ijkq", f, f),

@@ -70,14 +70,6 @@ def test_shared_laws(cls, data):
 
 
 @_CLASSES
-def test_substitute_drops_terms_that_vanish(cls):
-    key = ("x0",) if cls is NCExpression else (_E0, _Z5)
-    value = cls({key: sym("l") - 1})
-    assert value.substitute({"l": 1}).terms == {}
-    assert value.substitute({"l": 2}) == cls({key: 1})
-
-
-@_CLASSES
 @pytest.mark.parametrize("operand", [None, 0, 1, poly(1), "x0"])
 def test_foreign_operands(cls, operand):
     value = cls.unit()

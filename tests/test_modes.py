@@ -24,10 +24,8 @@ from ncdirac.modes import (
     residual,
     squared_identity_residual,
 )
-from ncdirac.scalars import ExactScalar, poly
+from ncdirac.scalars import I, ExactScalar, poly
 from ncdirac.seesaw import CouplingConfig
-
-I = ExactScalar.i()
 
 
 @pytest.mark.parametrize("eps5", [1, -1])

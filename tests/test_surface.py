@@ -9,11 +9,22 @@ References are matched by name: a ``Name`` or an attribute in ``src/``
 (the strings of ``__all__`` are not), and in ``demos/`` and ``perfbench/``
 also an imported name or a word of a string constant (the benchmark's
 tracer names functions as strings).
+
+Matching by name lets a method live on a namesake in another class, so
+methods also meet a run-time rule: each must run in some golden command
+(``tests/golden/commands.txt``) or demo, or be named in ``demos/`` or
+``perfbench/``, or be listed in ``_NOT_RUN`` with its reason.
 """
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+from golden_commands import COMMANDS
 
 from ncdirac import checks
 
@@ -48,13 +59,19 @@ def _definitions(tree):
                     yield f"{node.name}.{item.name}", item
 
 
-def test_every_definition_has_a_use():
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    in_src = sum((_names(tree) for tree in trees.values()), Counter())
+def _outside_names() -> Counter:
+    """The names in ``demos/`` and ``perfbench/``, strings included."""
     outside = Counter()
     for folder in ("demos", "perfbench"):
         for path in (ROOT / folder).glob("*.py"):
             outside += _names(ast.parse(path.read_text()), strings=True)
+    return outside
+
+
+def test_every_definition_has_a_use():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    in_src = sum((_names(tree) for tree in trees.values()), Counter())
+    outside = _outside_names()
     commands = {checks.command(family).__name__ for family in checks.FAMILIES}
 
     unused = []
@@ -82,3 +99,67 @@ def test_only_clifford_and_lorentz_read_the_gamma_store():
         if _STORE_NAMES & set(names):
             readers[path.stem] = sorted(_STORE_NAMES & set(names))
     assert set(readers) == {"clifford", "lorentz"}, readers
+
+
+# run in a fresh interpreter: every golden command and every demo, with a
+# profile hook recording each code object that runs; prints one
+# "file:line" per code object
+_TRACE = """
+import contextlib, io, runpy, sys
+from pathlib import Path
+ran = set()
+sys.setprofile(lambda frame, event, arg: ran.add(frame.f_code) if event == "call" else None)
+from ncdirac.cli import main
+commands, demos = sys.argv[1:], sorted(Path("demos").glob("*.py"))
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv.split())
+for demo in demos:
+    sys.argv = [str(demo)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        runpy.run_path(str(demo), run_name="__main__")
+sys.setprofile(None)
+print("\\n".join({f"{code.co_filename}:{code.co_firstlineno}" for code in ran}))
+"""
+
+# methods no command or demo runs, each with its reason
+_NOT_RUN = {
+    "scalars.py: ParamPoly.substitute":
+        "the tests' coefficient-by-coefficient reference for StructureConstants.substitute",
+    "scalars.py: ParamPoly.truncate_in":
+        "the benchmark's rewrite workload reaches it through the order argument of "
+        "normal_form, which no command passes; ROADMAP item 1 deletes both together",
+}
+
+
+def _code(obj):
+    """The code object of a method as a class holds it: through
+    staticmethod, classmethod, property and cached_property."""
+    for attr in ("__func__", "fget", "func"):
+        obj = getattr(obj, attr, obj)
+    return obj.__code__
+
+
+def test_every_method_runs_in_a_command_or_demo():
+    # matched by the code object that ran, not by name, so a method is not
+    # kept alive by a namesake in another class
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _TRACE, *(" ".join(argv) for argv, _, _ in COMMANDS)],
+        cwd=ROOT, env=env, capture_output=True, text=True, check=True)
+    ran = {(str(Path(file).resolve()), int(line))
+           for file, line in (entry.rsplit(":", 1) for entry in done.stdout.split("\n") if entry)}
+    outside = _outside_names()
+    idle = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualname, _ in _definitions(ast.parse(path.read_text())):
+            if "." not in qualname or f"{path.name}: {qualname}" in _NOT_RUN:
+                continue
+            cls, name = qualname.split(".")
+            module = importlib.import_module(f"ncdirac.{path.stem}")
+            code = _code(vars(getattr(module, cls))[name])
+            if (str(Path(code.co_filename).resolve()), code.co_firstlineno) not in ran \
+                    and not outside[name]:
+                idle.append(f"{path.name}: {qualname}")
+    assert not idle, "methods no command or demo runs: " + ", ".join(idle)
