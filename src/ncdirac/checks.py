@@ -83,6 +83,9 @@ class RunConfig:
             raise ValueError("seed must fit in 64 bits")
         if fmt not in ("json", "csv"):
             raise ValueError("format must be json or csv")
+        for name, path in (("out", out), ("fixture", fixture)):
+            if path == "":
+                raise ValueError(f"{name} must name a file, not be empty")
         self.eps4, self.eps5, self.ell, self.g, self.vev = eps4, eps5, ell, g, vev
         self.seed, self.fmt, self.out = seed, fmt, out
         self.fixture, self.timings = fixture, timings
@@ -100,17 +103,19 @@ class RunConfig:
 
 
 class CheckReport:
-    """One check's verdict; the runner sets ``duration_ms`` under --timings."""
+    """One check's verdict, pass or fail by ``ok``, on a copy of ``params``;
+    the runner sets ``duration_ms`` under --timings."""
 
     __slots__ = ("check", "params", "status", "residual", "relation", "details",
                  "duration_ms")
 
-    def __init__(self, check: str, params: dict, status: str, residual, relation: str,
-                 details: dict | None = None, duration_ms: float | None = None):
-        self.check, self.params, self.status = check, params, status
+    def __init__(self, check: str, params: dict, ok: bool, relation: str,
+                 residual=None, details: dict | None = None):
+        self.check, self.params = check, dict(params)
+        self.status = "pass" if ok else "fail"
         self.residual, self.relation = residual, relation
         self.details = {} if details is None else details
-        self.duration_ms = duration_ms
+        self.duration_ms = None
 
     @property
     def passed(self) -> bool:
@@ -132,17 +137,6 @@ def _fmt(value):
     if isinstance(value, (list, tuple)):
         return [_fmt(v) for v in value]
     return str(value)
-
-
-def _row(check, params, ok, relation, residual=None, details=None) -> CheckReport:
-    return CheckReport(
-        check=check,
-        params=dict(params),
-        status="pass" if ok else "fail",
-        residual=residual,
-        relation=relation,
-        details=details or {},
-    )
 
 
 def _run(cfg: RunConfig, *families) -> list[CheckReport]:
@@ -192,6 +186,26 @@ _ISO_RELATION = ("phi([a,b]) = [phi(a), phi(b)] with P -> alpha*M_mu4, "
                  "x -> beta*M_mu5, C -> gamma*M45")
 
 
+def _jacobi_row(check: str, params: dict, table: StructureConstants,
+                details=lambda violations: {}) -> CheckReport:
+    """The Jacobi row of ``table``: it passes when no triple is violated,
+    and ``details(violations)`` adds to the counts what the row reports of
+    the violations, ``jacobi_residual``'s list."""
+    violations = jacobi_residual(table)
+    return CheckReport(
+        check, params,
+        ok=not violations,
+        relation="[[a,b],c] + [[b,c],a] + [[c,a],b] = 0",
+        residual=len(violations),
+        details={"triples": jacobi_triple_count(table), "violations": len(violations),
+                 **details(violations)},
+    )
+
+
+def _first_violation(violations) -> dict:
+    return {"first_violation": list(violations[0][0]) if violations else None}
+
+
 @_command
 def cmd_verify_algebra(cfg: RunConfig):
     # the rho -> 0 table does not depend on eps4, nor the l -> 0 table on
@@ -202,39 +216,19 @@ def cmd_verify_algebra(cfg: RunConfig):
         params = {"eps4": e4, "eps5": e5}
 
         alg = build_deformed_algebra(e4, e5)
-        violations = jacobi_residual(alg)
-        yield _row(
-            "jacobi_deformed", params,
-            ok=not violations,
-            relation="[[a,b],c] + [[b,c],a] + [[c,a],b] = 0",
-            residual=len(violations),
-            details={
-                "triples": jacobi_triple_count(alg),
-                "violations": len(violations),
-                "first_violation": list(violations[0][0]) if violations else None,
-            },
-        )
-
-        ortho = build_orthogonal_algebra(e4, e5)
-        oviol = jacobi_residual(ortho)
-        yield _row(
-            "jacobi_orthogonal", params,
-            ok=not oviol,
-            relation="[[a,b],c] + [[b,c],a] + [[c,a],b] = 0",
-            residual=len(oviol),
-            details={"triples": jacobi_triple_count(ortho), "violations": len(oviol)},
-        )
+        yield _jacobi_row("jacobi_deformed", params, alg, _first_violation)
+        yield _jacobi_row("jacobi_orthogonal", params, build_orthogonal_algebra(e4, e5))
 
         try:
             sol = solve_isomorphism_scalings(e4, e5)
         except ArithmeticError as exc:
             # no sign choice passes: a fail row, and the run goes on
-            yield _row("isomorphism", params, ok=False, relation=_ISO_RELATION,
-                       details={"passing_sign_choices": [], "error": str(exc)})
+            yield CheckReport("isomorphism", params, ok=False, relation=_ISO_RELATION,
+                              details={"passing_sign_choices": [], "error": str(exc)})
         else:
             # a returned solution is an invertible map that matches every
             # bracket; the row fails only when a sign choice is missing
-            yield _row(
+            yield CheckReport(
                 "isomorphism", params,
                 ok=len(sol.passing_sign_choices) == 4,
                 relation=_ISO_RELATION,
@@ -263,7 +257,7 @@ def cmd_verify_algebra(cfg: RunConfig):
             )
         pp_vanish, rho_viol = rho_limit[e5]
         xx_vanish, ell_viol = ell_limit[e4]
-        yield _row(
+        yield CheckReport(
             "contraction", params,
             ok=pp_vanish and xx_vanish and not rho_viol and not ell_viol,
             relation="rho -> 0 flattens [p,p]; l -> 0 flattens [x,x]; "
@@ -280,17 +274,11 @@ def cmd_verify_algebra(cfg: RunConfig):
     if cfg.fixture:
         with open(cfg.fixture, "r", encoding="utf-8") as fh:
             table = StructureConstants.from_json(json.load(fh))
-        violations = jacobi_residual(table)
-        yield _row(
-            "jacobi_fixture", {"basis_dim": table.dim()},
-            ok=not violations,
-            relation="[[a,b],c] + [[b,c],a] + [[c,a],b] = 0",
-            residual=len(violations),
-            details={
+        yield _jacobi_row(
+            "jacobi_fixture", {"basis_dim": table.dim()}, table,
+            lambda violations: {
                 "path": cfg.fixture,
-                "triples": jacobi_triple_count(table),
-                "violations": len(violations),
-                "first_violation": list(violations[0][0]) if violations else None,
+                **_first_violation(violations),
                 "first_residual": (
                     {table.basis[i]: str(c) for i, c in violations[0][1].items()}
                     if violations
@@ -308,7 +296,7 @@ def cmd_verify_rep(cfg: RunConfig):
     for e5 in cfg.eps5_values():
         for fam, rows in closure_families(e5):
             bad = [pair for pair, r in rows if not r.is_zero()]
-            yield _row(
+            yield CheckReport(
                 f"rep_closure_{fam}", {"eps5": e5, "family": fam},
                 ok=not bad,
                 relation="[rep(a), rep(b)] = rep([a, b])",
@@ -330,7 +318,7 @@ def cmd_verify_clifford(cfg: RunConfig):
             (check(e5) for check in (gamma5_product_check, majorana_imaginary_check)),
         )
         for rc in results:
-            yield _row(
+            yield CheckReport(
                 f"clifford_{rc.name}", {"eps5": e5},
                 ok=rc.ok, relation=rc.relation, residual=rc.residual,
             )
@@ -339,10 +327,11 @@ def cmd_verify_clifford(cfg: RunConfig):
 # -- plane wave ---------------------------------------------------------------
 
 
-def _remainder_detail(rems):
-    """A row of exact identities passes only when every remainder is 0."""
+def _remainder_row(check: str, params: dict, relation: str, rems) -> CheckReport:
+    """A row of exact identities: it passes only when every remainder is 0."""
     zero = all(r.is_zero() for r in rems)
-    return zero, {"exactly_zero": zero}
+    return CheckReport(check, params, ok=zero, relation=relation,
+                       details={"exactly_zero": zero})
 
 
 @_command
@@ -352,11 +341,10 @@ def cmd_verify_planewave(cfg: RunConfig):
         params = {"eps5": e5}
         # the check computes each identity when its row reads it
         chk = verify_plane_wave_relations(e5)
-        ok, det = _remainder_detail(chk.momentum_remainders)
-        yield _row("planewave_momentum", params, ok=ok,
-                   relation="[p_mu, A] = k_mu", details=det)
+        yield _remainder_row("planewave_momentum", params, "[p_mu, A] = k_mu",
+                             chk.momentum_remainders)
 
-        yield _row(
+        yield CheckReport(
             "planewave_centrality", params,
             ok=not chk.centrality_remainders,
             relation="[[p_mu, A], X] = 0 for every generator X",
@@ -364,20 +352,18 @@ def cmd_verify_planewave(cfg: RunConfig):
             details={"violations": len(chk.centrality_remainders)},
         )
 
-        ok, det = _remainder_detail([chk.derivative_remainder])
-        yield _row("planewave_derivative", params, ok=ok,
-                   relation="d4(A) = i*eps5*l*(k.p)", details=det)
+        yield _remainder_row("planewave_derivative", params, "d4(A) = i*eps5*l*(k.p)",
+                             [chk.derivative_remainder])
 
-        ok, det = _remainder_detail([chk.mixed_remainder])
-        yield _row("planewave_mixed", params, ok=ok,
-                   relation="[A, d4(A)] = -i*eps5*l*k^2", details=det)
+        yield _remainder_row("planewave_mixed", params, "[A, d4(A)] = -i*eps5*l*k^2",
+                             [chk.mixed_remainder])
 
         expect = (
             ParamPoly.from_scalar(ExactScalar(Fraction(0), Fraction(1)))
             * poly(e5) * sym("l") * minkowski_square(MOMENTUM_SYMBOLS) * poly(half)
         )
         ok = chk.vacuum_scalar == expect
-        yield _row(
+        yield CheckReport(
             "planewave_vacuum", params, ok=ok,
             relation="(d4(A) + (1/2)[A, d4(A)]) on the vacuum = i*eps5*l*k^2/2",
             details={"value": str(chk.vacuum_scalar)},
@@ -385,7 +371,7 @@ def cmd_verify_planewave(cfg: RunConfig):
 
         res = lemma_matrix_check(e5)
         worst = max(res.values())
-        yield _row(
+        yield CheckReport(
             "planewave_lemma", params,
             ok=worst == 0,
             relation="[p, e^A] = [p, A] e^A and d(e^A) = (dA + (1/2)[A, dA]) e^A "
@@ -409,14 +395,14 @@ def cmd_modes(cfg: RunConfig):
         params = {"ell": str(cfg.ell), "eps5": e5}
 
         identity = squared_identity_residual(e5)
-        yield _row(
+        yield CheckReport(
             "dispersion_identity", {"eps5": e5},
             ok=identity.is_zero(),
             relation="D(k)^2 = (k^2 + eps5*(l^2/4)*(k^2)^2) * Id",
         )
 
         roots = dispersion_roots(cfg.ell, e5)
-        yield _row(
+        yield CheckReport(
             "dispersion_roots", params,
             ok=roots == {0, _heavy_k2(cfg.ell, e5)},
             relation="k^2 * (1 + eps5*(l^2/4)*k^2) = 0",
@@ -429,7 +415,7 @@ def cmd_modes(cfg: RunConfig):
             got = dispersion_roots(ell, e5)
             sweep[str(ell)] = sorted(str(r) for r in got)
             sweep_ok = sweep_ok and got == {0, _heavy_k2(ell, e5)}
-        yield _row(
+        yield CheckReport(
             "dispersion_sweep", {"eps5": e5},
             ok=sweep_ok,
             relation="heavy root equals -eps5*4/l^2 exactly at l in {1/2, 1, 2}",
@@ -448,14 +434,14 @@ def cmd_modes(cfg: RunConfig):
                     details.update(k2=str(sol.k2), expected_class=want)
             except VerificationError as exc:
                 ok, worst, details = False, None, {"error": str(exc)}
-            yield _row(
+            yield CheckReport(
                 f"modes_reference_{branch}", params, ok=ok,
                 relation=f"D(k) u = 0 with dim ker = 2 on the {branch} branch",
                 residual=worst, details=details,
             )
 
         covariance = lorentz_covariance(e5)
-        yield _row(
+        yield CheckReport(
             "modes_lorentz_generators", {"eps5": e5},
             ok=covariance["failure"] is None,
             relation="S_munu = (1/4)[g^mu, g^nu]: [S_munu, g^s] = g^r (L_munu)^r_s,"
@@ -500,7 +486,7 @@ def cmd_seesaw(cfg: RunConfig):
 
         k2, cls = light_mass_leading(coupling)
         mass = leading_mass(coupling)
-        yield _row(
+        yield CheckReport(
             "seesaw_leading", params,
             ok=True,
             relation="m = |g|^2 vev^2 l / 2; k^2 = -eps5 * m^2",
@@ -509,7 +495,7 @@ def cmd_seesaw(cfg: RunConfig):
 
         eff = verify_effective_equation(coupling)
         class_ok = eff.rest_frame_class in (None, cls)
-        yield _row(
+        yield CheckReport(
             "seesaw_effective", params,
             ok=eff.identity_ok and class_ok,
             relation="g.k - eps5*|g|^2*vev^2*(l/2)*g4 reproduces the printed "
@@ -543,7 +529,7 @@ def cmd_seesaw(cfg: RunConfig):
             reason = regime_failure(coupling)
             if reason:
                 details["reason"] = reason
-        yield _row(
+        yield CheckReport(
             "seesaw_spectrum", params, ok=ok,
             relation="light root of det(coupled matrix) matches "
                      "|g|^2 vev^2 l/2 to second order in mu/M",
@@ -573,7 +559,7 @@ def cmd_seesaw(cfg: RunConfig):
                 "bound": bound,
                 "scaling_constant": scaling,
             }
-        yield _row(
+        yield CheckReport(
             "seesaw_convergence",
             {"ell": str(cfg.ell), "eps5": e5},
             ok=sweep_ok,
@@ -599,7 +585,7 @@ def cmd_seesaw(cfg: RunConfig):
             }
         except RootFindingError as exc:
             decouple_ok, details = False, {"error": str(exc)}
-        yield _row(
+        yield CheckReport(
             "seesaw_decoupling",
             {"ell": str(cfg.ell), "eps5": e5},
             ok=decouple_ok,
@@ -733,23 +719,24 @@ def render_json(document: dict) -> str:
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
-def render_reports_csv(reports: list[CheckReport]) -> str:
+def _render_csv(header, rows) -> str:
+    """The CSV text of a header row and then ``rows``."""
     import csv  # only --format csv needs it
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["check", "params", "status", "residual", "relation", "duration_ms"]
-    )
-    for r in reports:
-        params = ";".join(
-            f"{k}={_fmt(v)}" for k, v in sorted(r.params.items())
-        )
-        writer.writerow(
-            [r.check, params, r.status, _fmt(r.residual), r.relation,
-             _fmt(r.duration_ms)]
-        )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def render_reports_csv(reports: list[CheckReport]) -> str:
+    return _render_csv(
+        ("check", "params", "status", "residual", "relation", "duration_ms"),
+        ([r.check, ";".join(f"{k}={_fmt(v)}" for k, v in sorted(r.params.items())),
+          r.status, _fmt(r.residual), r.relation, _fmt(r.duration_ms)]
+         for r in reports),
+    )
 
 
 def scan_document(cfg: RunConfig, rows: list[dict]) -> dict:
@@ -760,11 +747,5 @@ def scan_document(cfg: RunConfig, rows: list[dict]) -> dict:
 
 
 def render_scan_csv(rows: list[dict]) -> str:
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SCAN_COLUMNS)
-    for row in rows:
-        writer.writerow([_fmt(row.get(col)) for col in SCAN_COLUMNS])
-    return buf.getvalue()
+    return _render_csv(SCAN_COLUMNS,
+                       ([_fmt(row.get(col)) for col in SCAN_COLUMNS] for row in rows))

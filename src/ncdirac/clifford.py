@@ -10,11 +10,11 @@ Everything here is exact.  Each gamma has one unit entry per row, so the
 gammas are stored once, as phased permutations: per row, the column of
 its nonzero entry and the power p of i there (``_gamma_perms``, multiplied
 by ``_perm_product``).  The store's format stays here: the Clifford
-relations are decided on it by index arithmetic (a dense difference is
-built only for a failing relation, to size its residual), and the one
-other reader is the generator proof of ``ncdirac.lorentz``.  Every other
-module reads the gammas through the one dense builder, ``gamma_sum``, as
-the exact matrix of sum_a c_a gamma^a.
+relations are decided on it by index arithmetic, a failing relation's
+residual is read off it the same way, and the one other reader is the
+generator proof of ``ncdirac.lorentz``.  Every other module reads the
+gammas through the one dense builder, ``gamma_sum``, as the exact matrix
+of sum_a c_a gamma^a.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .lie_algebra import ETA4_DIAG
 from .matrices import ExactMatrix, echelon
-from .scalars import I, ONE, P_ZERO, _poly_sum_of_products, poly
+from .scalars import I, ONE, _poly_sum_of_products, poly
 
 
 class VerificationError(RuntimeError):
@@ -66,13 +66,6 @@ def _gamma_perms(eps5: int) -> tuple:
     return (*_GAMMA_PERMS, g5 if eps5 == 1 else _perm_product(g5, turn=1))
 
 
-def _exact(perm) -> ExactMatrix:
-    rows = [[P_ZERO] * 4 for _ in range(4)]
-    for r, (c, p) in enumerate(perm):
-        rows[r][c] = _POLY_POWERS[p]
-    return ExactMatrix(rows)
-
-
 def gamma_sum(eps5: int, coeffs) -> ExactMatrix:
     """sum_a coeffs[a] gamma^a over the Majorana rep of the eps5 signature.
 
@@ -108,20 +101,21 @@ def _squares_to(x, eta: int) -> bool:
     return _perm_product(x, x) == tuple((r, 1 - eta) for r in range(4))
 
 
-def _gap(terms, target: int = 0) -> ExactMatrix:
-    """The sum of the phased permutations ``terms`` minus target I, dense."""
-    out = ExactMatrix.identity(4).scale(poly(-target))
+def _gap_size(terms, target: int = 0) -> float:
+    """The largest entry modulus of the sum of the phased permutations
+    ``terms`` minus target I, added up entry by entry."""
+    gap = {(r, r): complex(-target) for r in range(4)}
     for perm in terms:
-        out = out + _exact(perm)
-    return out
+        for r, (c, p) in enumerate(perm):
+            gap[r, c] = gap.get((r, c), 0) + 1j ** p
+    return max(map(abs, gap.values()))
 
 
 def _check(name: str, relation: str, ok: bool, gaps) -> RelationCheck:
-    """One relation's row.  ``gaps()`` gives the dense differences of its
-    two sides and is called only when the relation fails: the residual is
-    their largest entry modulus, as a float."""
-    residual = 0.0 if ok else max(abs(complex(x)) for gap in gaps()
-                                  for row in gap.scalar_entries() for x in row)
+    """One relation's row.  ``gaps()`` gives the differences of its two
+    sides, each as the arguments of ``_gap_size``, and is called only when
+    the relation fails: the residual is their largest entry modulus."""
+    residual = 0.0 if ok else max(_gap_size(*gap) for gap in gaps())
     return RelationCheck(name, relation, ok, residual)
 
 
@@ -137,11 +131,11 @@ def clifford_relations(eps5: int):
             f"anticommutator_g{a}_g{b}",
             f"{{g{a},g{b}}} = {f'2*eta{a}{a}' if a == b else '0'}",
             _squares_to(x, eta) if a == b else _anticommute(x, y),
-            lambda: [_gap((_perm_product(x, y), _perm_product(y, x)), 2 * eta)],
+            lambda: [((_perm_product(x, y), _perm_product(y, x)), 2 * eta)],
         )
     for a, x in enumerate(gammas):
         yield _check(f"square_g{a}", f"(g{a})^2 = eta{a}{a}", _squares_to(x, metric[a]),
-                     lambda: [_gap((_perm_product(x, x),), metric[a])])
+                     lambda: [((_perm_product(x, x),), metric[a])])
 
 
 def verify_clifford(eps5: int) -> list[RelationCheck]:
@@ -157,7 +151,7 @@ def gamma5_product_check(eps5: int) -> RelationCheck:
     i_g5 = _perm_product(gammas[4], turn=1 if eps5 == 1 else 0)
     # the gap prod - (-i gamma5) is prod + i gamma5
     return _check("gamma5_product", "g5 = i*g0*g1*g2*g3", prod == _perm_product(i_g5, turn=2),
-                  lambda: [_gap((prod, i_g5))])
+                  lambda: [((prod, i_g5),)])
 
 
 def majorana_imaginary_check(eps5: int) -> RelationCheck:
@@ -166,7 +160,7 @@ def majorana_imaginary_check(eps5: int) -> RelationCheck:
     gammas = _gamma_perms(eps5)[:4]
     return _check("majorana_imaginary", "conj(g_mu) = -g_mu for mu in 0..3",
                   all(p % 2 for g in gammas for _, p in g),
-                  lambda: [_exact(g).conjugate() + _exact(g) for g in gammas])
+                  lambda: [((g, tuple((c, -p % 4) for c, p in g)),) for g in gammas])
 
 
 def conjugation_closed(rows) -> bool:

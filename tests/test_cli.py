@@ -486,3 +486,22 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, argv, target):
     assert captured.out == ""
     assert captured.err.startswith("ncdirac: error: ")
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("argv,config,name", [
+    (("verify", "algebra", "--eps4", "1", "--eps5", "1", "--fixture", ""), None, "fixture"),
+    (("verify", "algebra", "--eps4", "1", "--eps5", "1"), {"fixture": ""}, "fixture"),
+    (("verify", "clifford", "--out", ""), None, "out"),
+], ids=["fixture_flag", "fixture_key", "out_flag"])
+def test_empty_path_is_usage_error(tmp_path, capsys, argv, config, name):
+    # an empty fixture once dropped the jacobi_fixture row, and an empty
+    # --out wrote the report to stdout, both without a word
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv = (*argv, "--config", str(path))
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"ncdirac: error: {name} must name a file, not be empty\n"

@@ -10,7 +10,12 @@ were written by the engine whose commands each kept their own report list
 and timers, before one runner drove every check family.
 ``check_all_seed42.json`` and the planewave file were written once the
 plane-wave lemma, the boost covariance and the seesaw reality classes ran
-in exact arithmetic.  Each was written with its command in
+in exact arithmetic.  ``check_all.csv``, the CSV rendering of every
+family's rows, was written by the engine that built each row through one
+``CheckReport`` constructor and sized a failing Clifford relation on the
+gammas' phased permutations; it pins the CSV of the algebra, clifford,
+plane-wave, modes and seesaw rows, and reads the same under
+``PYTHONHASHSEED`` 0, 1 and 7.  Each was written with its command in
 ``tests/golden/commands.txt``, the one list of the commands and their exit
 codes, run from the repository root.  The reports carry no timings, and
 every value is exact but the seesaw masses and deviations, which are exact
@@ -97,6 +102,15 @@ def test_exact_report_matches_golden(monkeypatch, capsys, argv, golden, code):
     assert main(argv) == code
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
+def test_timings_change_nothing_but_the_durations(capsys):
+    assert main(["check", "all", "--seed", "42", "--timings"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert all(r["duration_ms"] is not None for r in doc["reports"])
+    for r in doc["reports"]:
+        r["duration_ms"] = None
+    assert doc == json.loads((GOLDEN / "check_all_seed42.json").read_text())
 
 
 DEMOS = GOLDEN.parent.parent / "demos"
