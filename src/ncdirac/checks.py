@@ -49,11 +49,9 @@ from .seesaw import (
     CouplingConfig,
     RootFindingError,
     exact_mode_spectrum,
-    heavy_mass,
     leading_mass,
     light_mass_leading,
-    mu_over_m,
-    regime_failure,
+    seesaw_verdict,
     verify_effective_equation,
 )
 
@@ -139,29 +137,24 @@ def _fmt(value):
     return str(value)
 
 
-def _run(cfg: RunConfig, *families) -> list[CheckReport]:
-    """Every report of ``families``, callables of cfg that give reports,
-    sorted once by check name and params.
+def _order(report: CheckReport) -> tuple:
+    """The sort key of every report list: check name, then params."""
+    return report.check, json.dumps(_fmt(report.params), sort_keys=True)
 
-    A family is a generator that yields one finished report per check, so
-    with ``cfg.timings`` each report's ``duration_ms`` is the time of the
-    step that produced it: that check's own work.  Reports that arrive
-    timed (check all runs the public commands) keep their time."""
-    clock = time.perf_counter if cfg.timings else None
+
+def _run(cfg: RunConfig, family) -> list[CheckReport]:
+    """The reports of ``family``, a generator of cfg that yields one
+    finished report per check, sorted by ``_order``.  With ``cfg.timings``
+    each report's ``duration_ms`` is the time of the step that produced
+    it: that check's own work."""
     reports = []
-    for family in families:
-        rows = iter(family(cfg))
-        while True:
-            start = clock() if clock else None
-            report = next(rows, None)
-            if report is None:
-                break
-            if clock and report.duration_ms is None:
-                report.duration_ms = (clock() - start) * 1000.0
-            reports.append(report)
-    return sorted(
-        reports, key=lambda r: (r.check, json.dumps(_fmt(r.params), sort_keys=True))
-    )
+    start = time.perf_counter()
+    for report in family(cfg):
+        if cfg.timings:
+            now = time.perf_counter()
+            report.duration_ms, start = (now - start) * 1000.0, now
+        reports.append(report)
+    return sorted(reports, key=_order)
 
 
 def _command(family):
@@ -454,28 +447,6 @@ def cmd_modes(cfg: RunConfig):
 # -- seesaw -------------------------------------------------------------------
 
 
-def seesaw_verdict(coupling: CouplingConfig, spectrum) -> tuple[bool, float, float]:
-    """(ok, deviation tolerance, mu/M) for one exact spectrum: the light
-    mass within max(2 (mu/M)^2, 1e-12) of its leading value, the heavy mass
-    within 2 (mu/M)^2 of M = 2/l, and the light class unset or the one the
-    leading order predicts.  Once 2 (mu/M)^2 reaches 1 those bounds admit
-    every light mass up to twice its leading value, the heavy root among
-    them, and at delta = 0 the light root is the heavy one, so such a
-    coupling fails (``seesaw.regime_failure``).  A float past its range
-    raises RootFindingError."""
-    big_m = heavy_mass(coupling)
-    ratio = mu_over_m(coupling)
-    tol = max(2.0 * ratio * ratio, 1e-12)
-    heavy_drift = abs(spectrum.roots[-1] - big_m) / big_m
-    ok = (
-        regime_failure(coupling) is None
-        and spectrum.deviation <= tol
-        and heavy_drift <= 2.0 * ratio * ratio + 1e-12
-        and spectrum.light_class in (None, light_mass_leading(coupling)[1])
-    )
-    return ok, tol, ratio
-
-
 @_command
 def cmd_seesaw(cfg: RunConfig):
     for e5 in cfg.eps5_values():
@@ -509,7 +480,7 @@ def cmd_seesaw(cfg: RunConfig):
 
         try:
             spectrum = exact_mode_spectrum(coupling)
-            ok, tol, ratio = seesaw_verdict(coupling, spectrum)
+            ok, tol, ratio, reason = seesaw_verdict(coupling, spectrum)
         except RootFindingError as exc:
             ok, residual = False, None
             details = {"error": str(exc), "diagnostics": _fmt(exc.diagnostics)}
@@ -526,7 +497,6 @@ def cmd_seesaw(cfg: RunConfig):
                 "roots": list(spectrum.roots),
                 "mu_over_M": ratio,
             }
-            reason = regime_failure(coupling)
             if reason:
                 details["reason"] = reason
         yield CheckReport(
@@ -636,13 +606,14 @@ def cmd_scan(cfg: RunConfig, param: str, start: Fraction, stop: Fraction,
                 g=fields["g"], vev=fields["vev"], ell=fields["ell"], eps5=e5
             )
             spectrum = exact_mode_spectrum(coupling)
+            ok, _, _, reason = seesaw_verdict(coupling, spectrum)
             row.update(
                 light_k2=spectrum.light_k2,
                 heavy_k2=spectrum.heavy_k2,
                 leading_light_mass=spectrum.leading_light_mass,
                 deviation=spectrum.deviation,
-                status="ok" if seesaw_verdict(coupling, spectrum)[0] else "fail",
-                error=regime_failure(coupling),
+                status="ok" if ok else "fail",
+                error=reason,
             )
         except (RootFindingError, ValueError) as exc:
             row.update(
@@ -669,7 +640,8 @@ def command(family: str):
 
 
 def cmd_check_all(cfg: RunConfig) -> list[CheckReport]:
-    return _run(cfg, *map(command, FAMILIES))
+    return sorted(chain.from_iterable(command(family)(cfg) for family in FAMILIES),
+                  key=_order)
 
 
 # -- serialization ------------------------------------------------------------

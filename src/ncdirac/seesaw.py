@@ -100,19 +100,6 @@ def _rounded(root, values=lambda r: (r,), **diagnostics) -> tuple:
     return out
 
 
-def mu_over_m(c: CouplingConfig) -> float:
-    """mu/M, rounded once."""
-    big_m, mu2, _ = _scales(c)
-    return _rounded(exact_sqrt(mu2 / (big_m * big_m)), M=big_m, mu2=mu2)[0]
-
-
-def heavy_mass(c: CouplingConfig) -> float:
-    """M = 2/l, rounded once; RootFindingError when it is past or below the
-    normal float range."""
-    big_m = _scales(c)[0]
-    return _rounded(ExactScalar(big_m), M=big_m)[0]
-
-
 PAST_HIERARCHY = "2 (mu/M)^2 >= 1: the coupling is outside the seesaw regime mu/M << 1"
 CRITICAL = ("delta = M^2 - 4 eps5 mu^2 = 0: at the critical coupling the light and "
             "heavy roots coincide")
@@ -127,6 +114,31 @@ def regime_failure(c: CouplingConfig) -> str | None:
     if delta == 0:
         return CRITICAL
     return None
+
+
+def seesaw_verdict(c: CouplingConfig, spectrum) -> tuple:
+    """(ok, deviation tolerance, mu/M, reason) for one exact spectrum: the
+    light mass within max(2 (mu/M)^2, 1e-12) of its leading value, the
+    heavy mass within 2 (mu/M)^2 of M = 2/l, and the light class unset or
+    the one the leading order predicts.  Once 2 (mu/M)^2 reaches 1 those
+    bounds admit every light mass up to twice its leading value, the heavy
+    root among them, and at delta = 0 the light root is the heavy one, so
+    such a coupling fails with the ``regime_failure`` reason, else None.
+    M and mu/M are rounded once each; a float past or below the normal
+    range raises RootFindingError."""
+    big_m, mu2, _ = _scales(c)
+    heavy = _rounded(ExactScalar(big_m), M=big_m)[0]
+    ratio = _rounded(exact_sqrt(mu2 / (big_m * big_m)), M=big_m, mu2=mu2)[0]
+    tol = max(2.0 * ratio * ratio, 1e-12)
+    heavy_drift = abs(spectrum.roots[-1] - heavy) / heavy
+    reason = regime_failure(c)
+    ok = (
+        reason is None
+        and spectrum.deviation <= tol
+        and heavy_drift <= 2.0 * ratio * ratio + 1e-12
+        and spectrum.light_class in (None, light_mass_leading(c)[1])
+    )
+    return ok, tol, ratio, reason
 
 
 def _momentum(k) -> list:

@@ -12,7 +12,6 @@ from exact_arrays import as_array
 from exact_gammas import exact_gammas
 from seesaw_oracle import coupled_matrix
 
-from ncdirac.checks import seesaw_verdict
 from ncdirac.matrices import ExactMatrix
 from ncdirac.modes import ModeProblem
 from ncdirac.scalars import ExactScalar, poly, sym
@@ -23,6 +22,7 @@ from ncdirac.seesaw import (
     leading_mass,
     leading_order_reduction,
     light_mass_leading,
+    seesaw_verdict,
     verify_effective_equation,
 )
 
@@ -403,6 +403,12 @@ def test_seesaw_and_scan_fail_past_the_hierarchy(capsys):
         ("1", "ok"), ("43/4", "fail"), ("41/2", "fail"), ("121/4", "fail"), ("40", "fail")]
 
 
+def _verdict_reason(vev: Fraction, ell: Fraction, eps5: int):
+    """The reason ``seesaw_verdict`` gives at unit coupling g = 1."""
+    coupling = CouplingConfig(g="1", vev=vev, ell=ell, eps5=eps5)
+    return seesaw_verdict(coupling, exact_mode_spectrum(coupling))[3]
+
+
 def test_past_the_hierarchy_says_why(capsys):
     from ncdirac.seesaw import PAST_HIERARCHY
     from ncdirac.cli import main
@@ -411,17 +417,21 @@ def test_past_the_hierarchy_says_why(capsys):
     assert main(["seesaw", "--vev", "10", "--eps5", "-1"]) == 1
     rows = {r["check"]: r for r in json.loads(capsys.readouterr().out)["reports"]}
     assert rows["seesaw_spectrum"]["details"]["reason"] == PAST_HIERARCHY
+    assert _verdict_reason(Fraction(10), Fraction(1), -1) == PAST_HIERARCHY
     # inside the hierarchy and off the critical coupling a row carries no
     # reason, failing or not
     assert main(["seesaw", "--vev", "24/25", "--eps5", "1"]) == 1
     rows = {r["check"]: r for r in json.loads(capsys.readouterr().out)["reports"]}
     assert rows["seesaw_spectrum"]["status"] == "fail"
     assert "reason" not in rows["seesaw_spectrum"]["details"]
+    assert _verdict_reason(Fraction(24, 25), Fraction(1), 1) is None
     # vev 1 is inside, 43/4 past it, and 3/2 at eps5 = +1 is overcritical
     assert main(["scan", "--param", "vev", "--from", "1", "--to", "43/4", "--steps", "2",
                  "--eps5", "-1", "--format", "csv"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].endswith(",ok,") and lines[2].endswith(f",fail,{PAST_HIERARCHY}")
+    assert _verdict_reason(Fraction(1), Fraction(1), -1) is None
+    assert _verdict_reason(Fraction(43, 4), Fraction(1), -1) == PAST_HIERARCHY
     assert main(["scan", "--param", "vev", "--from", "3/2", "--to", "3/2", "--steps", "1",
                  "--eps5", "1"]) == 1
     row = json.loads(capsys.readouterr().out)["rows"][0]
@@ -437,6 +447,7 @@ def test_critical_coupling_says_why(capsys):
     rows = {r["check"]: r for r in json.loads(capsys.readouterr().out)["reports"]}
     spectrum = rows["seesaw_spectrum"]
     assert spectrum["status"] == "fail" and spectrum["details"]["reason"] == CRITICAL
+    assert _verdict_reason(Fraction(1, 2), Fraction(2), 1) == CRITICAL
     assert main(["scan", "--param", "vev", "--from", "1/2", "--to", "1", "--steps", "2",
                  "--ell", "2", "--eps5", "1", "--format", "csv"]) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -445,21 +456,24 @@ def test_critical_coupling_says_why(capsys):
     # and delta = 0 needs eps5 = +1
     for vev, eps5 in ((Fraction(1, 2) - Fraction(1, 10 ** 30), 1), (Fraction(1, 2), -1)):
         assert regime_failure(CouplingConfig(g="1", vev=vev, ell=Fraction(2), eps5=eps5)) is None
+        assert _verdict_reason(vev, Fraction(2), eps5) is None
 
 
 def test_hierarchy_gate_is_exact():
+    from ncdirac.seesaw import PAST_HIERARCHY
+
     # 2 (mu/M)^2 = 49/50: the bounds decide, at tolerance 0.98
     below = CouplingConfig(g="1", vev=Fraction(7, 5), ell=Fraction(1), eps5=-1)
     spectrum = exact_mode_spectrum(below)
-    ok, tol, _ = seesaw_verdict(below, spectrum)
+    ok, tol, _, _ = seesaw_verdict(below, spectrum)
     assert ok and tol == pytest.approx(0.98)
     assert not seesaw_verdict(below, spectrum._replace(deviation=0.99))[0]
     # |g|^2 = 2 at vev = 1: 2 (mu/M)^2 is 1 exactly, 1 + 2^-52 in floats, and
     # the row fails though its bounds pass
     at = CouplingConfig(g="1+1i", vev=Fraction(1), ell=Fraction(1), eps5=-1)
     spectrum = exact_mode_spectrum(at)
-    ok, tol, _ = seesaw_verdict(at, spectrum)
-    assert not ok and spectrum.deviation < 1 < tol
+    ok, tol, _, reason = seesaw_verdict(at, spectrum)
+    assert not ok and spectrum.deviation < 1 < tol and reason == PAST_HIERARCHY
 
 
 def test_swapped_roots_fail_at_mu_over_m_five():
@@ -468,7 +482,7 @@ def test_swapped_roots_fail_at_mu_over_m_five():
     m = float(right.leading_light_mass)
     swapped = right._replace(light_k2=right.heavy_k2, heavy_k2=right.light_k2,
                              deviation=abs(math.sqrt(abs(right.heavy_k2)) - m) / m)
-    ok, tol, ratio = seesaw_verdict(coupling, swapped)
+    ok, tol, ratio, _ = seesaw_verdict(coupling, swapped)
     assert (ok, tol, ratio) == (False, 50.0, 5.0)
     # the bounds alone admit it: deviation 0.78 and heavy drift 3.5
     heavy_drift = abs(math.sqrt(abs(swapped.heavy_k2)) - 2) / 2

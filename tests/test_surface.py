@@ -6,9 +6,11 @@ must be referenced from ``src/`` outside its own definition, from
 ``checks.command`` looks up by name.  An export in ``ncdirac.__all__`` is
 no use by itself: code only the tests call belongs in the tests.
 References are matched by name: a ``Name`` or an attribute in ``src/``
-(the strings of ``__all__`` are not), and in ``demos/`` and ``perfbench/``
-also an imported name or a word of a string constant (the benchmark's
-tracer names functions as strings).
+(the strings of ``__all__`` are not).  In ``demos/`` and ``perfbench/``
+only a use of the package counts: a name imported from it, an attribute
+read that is not on another module the file imports, and the last part
+of a dotted string (the benchmark's tracer names functions as
+``"module.function"``); a local variable or a word of prose does not.
 
 Matching by name lets a method live on a namesake in another class, so
 methods also meet a run-time rule: each must run in some golden command
@@ -19,6 +21,7 @@ methods also meet a run-time rule: each must run in some golden command
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -32,17 +35,39 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ncdirac"
 
 
-def _names(tree, *, strings=False) -> Counter:
+def _names(tree) -> Counter:
     out = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out[node.id] += 1
         elif isinstance(node, ast.Attribute):
             out[node.attr] += 1
-        elif strings and isinstance(node, ast.alias):
-            out[node.name.rsplit(".", 1)[-1]] += 1
-        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.update(node.value.replace(".", " ").split())
+    return out
+
+
+_DOTTED = re.compile(r"\w+(\.\w+)+")
+
+
+def _package_uses(tree) -> Counter:
+    """The names one file outside the package uses of it: each name it
+    imports from ``ncdirac``, each attribute it reads that is not on
+    another module it imports, and the last part of each dotted string."""
+    foreign = {alias.asname or alias.name.split(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names if alias.name.split(".")[0] != "ncdirac"}
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ncdirac":
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            owner = node.value
+            while isinstance(owner, ast.Attribute):
+                owner = owner.value
+            if not (isinstance(owner, ast.Name) and owner.id in foreign):
+                out[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and _DOTTED.fullmatch(node.value):
+            out[node.value.rsplit(".", 1)[-1]] += 1
     return out
 
 
@@ -60,12 +85,28 @@ def _definitions(tree):
 
 
 def _outside_names() -> Counter:
-    """The names in ``demos/`` and ``perfbench/``, strings included."""
+    """The names ``demos/`` and ``perfbench/`` use of the package."""
     outside = Counter()
     for folder in ("demos", "perfbench"):
         for path in (ROOT / folder).glob("*.py"):
-            outside += _names(ast.parse(path.read_text()), strings=True)
+            outside += _package_uses(ast.parse(path.read_text()))
     return outside
+
+
+def test_a_local_prose_or_another_module_is_no_use():
+    uses = _package_uses(ast.parse('''
+import shutil
+from ncdirac import checks
+from ncdirac.seesaw import leading_mass
+
+def run(path):
+    """Rounds with rounded_values, and copies the conjugate."""
+    for conjugate in range(2):
+        shutil.copy(path, path + ".bak")
+    return checks.command("seesaw"), leading_mass, "checks.cmd_seesaw"
+'''))
+    assert {"checks", "leading_mass", "command", "cmd_seesaw"} <= set(uses)
+    assert not {"copy", "conjugate", "rounded_values", "run", "path", "bak"} & set(uses)
 
 
 def test_every_definition_has_a_use():
