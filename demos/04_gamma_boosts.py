@@ -5,7 +5,7 @@ Run:  python3 demos/04_gamma_boosts.py
 """
 
 from ncdirac import flat_deformed_algebra, gamma_sum, verify_clifford
-from ncdirac.lorentz import lorentz_covariance, lorentz_generator
+from ncdirac.modes import lorentz_covariance, lorentz_generator
 
 for eps5 in (-1, 1):
     checks = verify_clifford(eps5)

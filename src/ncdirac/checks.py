@@ -38,9 +38,9 @@ from .clifford import (
     gamma5_product_check,
     majorana_imaginary_check,
 )
-from .lorentz import lorentz_covariance
 from .modes import (
     dispersion_roots,
+    lorentz_covariance,
     reference_solutions,
     residual as mode_residual,
     squared_identity_residual,

@@ -109,6 +109,10 @@ _CONFIG_KEYS = {
     "eps4", "eps5", "ell", "g", "vev", "seed", "format", "fixture",
 }
 
+# the commands whose rows read a fixture (the jacobi_fixture row); every
+# other command refuses one rather than echo a file it never opens
+_FIXTURE_READERS = ("verify algebra", "check all")
+
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     file_cfg = {}
@@ -139,6 +143,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                                  f"{value!r}") from None
         return getattr(defaults, field or key)
 
+    fixture = pick(args.fixture, "fixture", str)
+    name = " ".join(filter(None, (args.cmd, getattr(args, "target", None))))
+    if fixture is not None and name not in _FIXTURE_READERS:
+        raise ValueError(f"{name} reads no fixture; only "
+                         f"{' and '.join(_FIXTURE_READERS)} validate one")
     eps4 = pick(args.eps4, "eps4", int)
     eps5 = pick(args.eps5, "eps5", int)
     if getattr(args, "all_signs", False):
@@ -152,7 +161,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         seed=pick(args.seed, "seed", int),
         fmt=pick(args.fmt, "format", str, "fmt"),
         out=args.out,
-        fixture=pick(args.fixture, "fixture", str),
+        fixture=fixture,
         timings=getattr(args, "timings", False),
     )
 

@@ -11,10 +11,11 @@ gammas are stored once, as phased permutations: per row, the column of
 its nonzero entry and the power p of i there (``_gamma_perms``, multiplied
 by ``_perm_product``).  The store's format stays here: the Clifford
 relations are decided on it by index arithmetic, a failing relation's
-residual is read off it the same way, and the one other reader is the
-generator proof of ``ncdirac.lorentz``.  Every other module reads the
-gammas through the one dense builder, ``gamma_sum``, as the exact matrix
-of sum_a c_a gamma^a.
+residual is read off it the same way, and so is the gamma half of the
+Lorentz generator proof (``spinor_generator_identities``, which
+``modes.lorentz_covariance`` calls).  Every other module reads the gammas
+through the one dense builder, ``gamma_sum``, as the exact matrix of
+sum_a c_a gamma^a.
 """
 
 from __future__ import annotations
@@ -141,6 +142,36 @@ def clifford_relations(eps5: int):
 def verify_clifford(eps5: int) -> list[RelationCheck]:
     """The 15 unordered anticommutator pairs plus the 5 squares, exactly."""
     return list(clifford_relations(eps5))
+
+
+def spinor_generator_identities(eps5: int, mu: int, nu: int, vector) -> tuple:
+    """S_munu = (1/2) g^mu g^nu, that is g^mu g^nu = -g^nu g^mu, then
+    [S_munu, g^s] = g^r (L_munu)^r_s for s < 4 and [S_munu, g^4] = 0, by
+    index arithmetic; ``vector`` is L_munu as rows rho of columns sigma of
+    ParamPoly.  How many of the five commutators were checked, stopping at
+    the first failure, and that failure or None."""
+    gammas = _gamma_perms(eps5)
+    if not _anticommute(gammas[mu], gammas[nu]):
+        return 0, f"g^{mu} g^{nu} != -g^{nu} g^{mu}"
+    twice = _perm_product(gammas[mu], gammas[nu])  # 2 S_munu
+    for sigma, g in enumerate(gammas):
+        # [S_munu, g^s] = (a - b)/2 is 0 exactly when a = b; else it is
+        # the phased permutation a = -b, which equals the sum
+        # g^r (L_munu)^r_s when that has one term t g^r, t = i^p, and
+        # a = t g^r, and for a real L only then
+        a, b = _perm_product(twice, g), _perm_product(g, twice)
+        column = [(rho, row[sigma]) for rho, row in enumerate(vector)
+                  if sigma < 4 and row[sigma]]
+        if not column:
+            ok = a == b
+        else:
+            (rho, t), *more = column
+            ok = (not more and t in _POLY_POWERS and a == _perm_product(b, turn=2)
+                  == _perm_product(gammas[rho], turn=_POLY_POWERS.index(t)))
+        if not ok:
+            rhs = f"g^r (L_{mu}{nu})^r_{sigma}" if sigma < 4 else "0"
+            return sigma + 1, f"[S_{mu}{nu}, g^{sigma}] != {rhs}"
+    return len(gammas), None
 
 
 def gamma5_product_check(eps5: int) -> RelationCheck:

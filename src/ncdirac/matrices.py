@@ -65,9 +65,6 @@ class ExactMatrix:
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
         )
 
-    def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix([[-a for a in row] for row in self.rows])
-
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         """One ``_join`` over every nonzero-by-nonzero term product, each
         row of ``other`` read once as (column, monomial, a, b, d) int
@@ -107,9 +104,6 @@ class ExactMatrix:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(tuple(tuple(row) for row in self.rows))
 
     def scalar_entries(self):
         """Entries as ExactScalar; fails if any entry still carries symbols."""

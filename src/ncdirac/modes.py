@@ -1,5 +1,5 @@
-"""Momentum-space extended Dirac operator, its two dispersion branches, and
-reference-frame spinor solutions.
+"""Momentum-space extended Dirac operator, its Lorentz covariance, its two
+dispersion branches, and reference-frame spinor solutions.
 
 The operator is D(k) = g^mu k_mu - eps5 * g^4 * (l/2) k^2 in the Majorana
 representation, i.e. g.k - g5 (l/2) k^2 for eps5 = +1 and g.k + i g5 (l/2)
@@ -10,19 +10,26 @@ roots, the branches, are k^2 = 0 and k^2 = -eps5 4/l^2.
 Momenta are stored upper-index; ``dirac_coefficients``, the one place D(k)
 is written, lowers them with ``lie_algebra.lower``.  Everything is exact:
 momenta and l are rationals, and a float raises TypeError.
-``ncdirac.lorentz`` proves that D(k) is Lorentz covariant from the six
-generators, with k and l symbolic.
+
+``lorentz_covariance`` proves D(k) Lorentz covariant from the six
+generators S_munu = (1/4)[g^mu, g^nu], mu < nu < 4, with k and l symbolic:
+their gamma identities against the vector generators L_munu read from the
+flat table (``clifford.spinor_generator_identities``), then [S_munu, D(k)]
+= (L_munu k).grad D(k).  That gives D(Lambda k) S = S D(k) for every k
+and l on the whole identity component of SO(1,3).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple
 
-from .clifford import VerificationError, gamma_sum, reality_class
-from .lie_algebra import lower, minkowski_square
+from .clifford import VerificationError, gamma_sum, reality_class, spinor_generator_identities
+from .lie_algebra import flat_deformed_algebra, lower, minkowski_square
 from .matrices import ExactMatrix
-from .scalars import MOMENTUM_SYMBOLS, as_fraction, exact_sqrt, rounded, sym
+from .scalars import (I, MOMENTUM_SYMBOLS, P_ZERO, _poly_sum_of_products, as_fraction,
+                      exact_sqrt, poly, rounded, sym)
 
 BRANCHES = ("massless", "heavy")
 
@@ -52,6 +59,46 @@ def dirac_coefficients(k, ell, eps5: int) -> list:
     """The gamma^0..gamma^4 coefficients of D(k) = g^mu k_mu - eps5 g^4
     (l/2) k^2: lower(k) and -eps5 (l/2) k^2, for exact numbers or ParamPoly."""
     return [*lower(k), Fraction(-eps5, 2) * ell * minkowski_square(k)]
+
+
+_MINUS_I = poly(-I)
+
+
+def lorentz_generator(table, mu: int, nu: int) -> tuple:
+    """(L_munu)^rho_sigma as rows rho of columns sigma of ParamPoly: the
+    P_rho coefficient of [M_munu, P_sigma] in ``table``, divided by i."""
+    index = table.index
+    columns = [table.bracket(index[f"M{mu}{nu}"], index[f"P{sigma}"]) for sigma in range(4)]
+    return tuple(tuple(column.get(index[f"P{rho}"], P_ZERO) * _MINUS_I for column in columns)
+                 for rho in range(4))
+
+
+def lorentz_covariance(eps5: int) -> dict:
+    """How many generators, gamma identities and D identities were checked,
+    in generator order and stopping at the first failure, and that failure
+    or None.  The D identity is [S_munu, D(k)] = (X k).grad D(k), where X k
+    is the upper-index vector with lower(X k) = L_munu lower(k); its g^4
+    component is k.(L_munu k) = 0 on D's coefficients."""
+    counts = dict.fromkeys(("generators", "gamma_identities", "dirac_identities"), 0)
+    table = flat_deformed_algebra(eps5)
+    coeffs = [poly(c) for c in dirac_coefficients(MOMENTUM_SYMBOLS, sym("l"), eps5)]
+    gradients = [[c.derivative(f"k{i}") for i in range(4)] for c in coeffs]
+    low_k = lower(MOMENTUM_SYMBOLS)
+    for mu, nu in combinations(range(4), 2):
+        counts["generators"] += 1
+        vector = lorentz_generator(table, mu, nu)
+        checked, failure = spinor_generator_identities(eps5, mu, nu, vector)
+        counts["gamma_identities"] += checked
+        if failure:
+            return {**counts, "failure": failure}
+        counts["dirac_identities"] += 1
+        moved = lower([_poly_sum_of_products(zip(row, low_k)) for row in vector])
+        rotated = [_poly_sum_of_products(zip(row, coeffs)) for row in vector]
+        for a, (grad, want) in enumerate(zip(gradients, rotated + [P_ZERO])):
+            if _poly_sum_of_products(zip(grad, moved)) != want:
+                return {**counts, "failure": f"[S_{mu}{nu}, D(k)] != (L_{mu}{nu} k).grad D(k)"
+                                             f" on g^{a}"}
+    return {**counts, "failure": None}
 
 
 def dirac_matrix(p: ModeProblem) -> ExactMatrix:

@@ -1,5 +1,5 @@
 """Exact Lorentz covariance by Cayley boosts: the tests' finite-group
-oracle for the generator proof of ``ncdirac.lorentz``.
+oracle for the generator proof of ``modes.lorentz_covariance``.
 
 A real antisymmetric generator omega of exact rationals gives the spinor
 boost S = (I + A/2)(I - A/2)^-1 with A = (1/4) omega_ab g^a g^b, and the

@@ -414,6 +414,50 @@ def test_intact_fixture_passes(tmp_path, capsys):
     assert code == 0
 
 
+_NO_FIXTURE_COMMANDS = [
+    ("modes", "--eps5", "1"),
+    ("seesaw",),
+    ("scan", "--param", "vev", "--from", "1/100", "--to", "1/10", "--steps", "2"),
+    ("verify", "clifford"),
+    ("verify", "rep"),
+    ("verify", "planewave"),
+]
+
+
+@pytest.mark.parametrize("by_key", [False, True], ids=["flag", "config_key"])
+@pytest.mark.parametrize("argv", _NO_FIXTURE_COMMANDS,
+                         ids=lambda argv: "_".join(a for a in argv[:2] if a[0] != "-"))
+def test_fixture_on_a_command_that_never_reads_it_is_usage_error(tmp_path, capsys, argv,
+                                                                 by_key):
+    # these commands once passed every row and echoed the fixture in their
+    # config without opening it, even a missing file
+    fixture = str(tmp_path / "none.json")
+    if by_key:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"fixture": fixture}))
+        argv = (*argv, "--config", str(config))
+    else:
+        argv = (*argv, "--fixture", fixture)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    name = " ".join(argv[:2] if argv[0] == "verify" else argv[:1])
+    assert captured.err == (f"ncdirac: error: {name} reads no fixture; "
+                            "only verify algebra and check all validate one\n")
+
+
+def test_check_all_reads_a_fixture_from_the_config_key(tmp_path, capsys):
+    fixture = tmp_path / "good.json"
+    fixture.write_text(json.dumps(build_deformed_algebra(1, -1).to_json()))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"fixture": str(fixture)}))
+    code, out = run(capsys, "check", "all", "--config", str(config))
+    doc = json.loads(out)
+    assert code == 0 and doc["config"]["fixture"] == str(fixture)
+    assert [r["status"] for r in doc["reports"] if r["check"] == "jacobi_fixture"] == ["pass"]
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"eps5": -1, "ell": "2", "seed": 9}))

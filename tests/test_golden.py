@@ -57,7 +57,7 @@ spectrum came to be rounded once from one exact square root; the exact
 value is -3.99979999749987499218...
 
 ``demo_04.txt`` pins the Clifford relations of ``verify_clifford``, the
-counts of the generator proof ``lorentz_covariance`` and the generator
+counts of the generator proof ``modes.lorentz_covariance`` and the generator
 ``L_03`` read off the flat table; ``demo_05.txt`` the dispersion branches,
 the reference nullspaces and their exact residuals.  They were rewritten
 once when the Cayley boosts left the package for the tests' oracle, and

@@ -11,7 +11,7 @@ from exact_gammas import exact_gammas
 
 from table_edits import set_bracket
 
-from ncdirac import clifford, lorentz, modes
+from ncdirac import clifford, modes
 from ncdirac.checks import RunConfig, cmd_modes
 from ncdirac.lie_algebra import flat_deformed_algebra
 from ncdirac.scalars import ExactScalar, poly
@@ -133,7 +133,7 @@ def test_flipped_table_coefficient_fails_the_generator_row(monkeypatch):
         set_bracket(table, index["M01"], index["P1"], {index["P0"]: poly(ExactScalar(0, 1))})
         return table
 
-    monkeypatch.setattr(lorentz, "flat_deformed_algebra", flipped)
+    monkeypatch.setattr(modes, "flat_deformed_algebra", flipped)
     for row in _generator_rows().values():
         assert row.status == "fail"
         assert row.details == {"generators": 1, "gamma_identities": 2, "dirac_identities": 0,

@@ -128,7 +128,7 @@ def test_every_definition_has_a_use():
 _STORE_NAMES = {"_gamma_perms", "_perm_product", "_POLY_POWERS", "_anticommute"}
 
 
-def test_only_clifford_and_lorentz_read_the_gamma_store():
+def test_only_clifford_reads_the_gamma_store():
     # the phased-permutation store is clifford's format: every other module
     # reads the gammas as the exact matrices clifford builds from it
     readers = {}
@@ -139,7 +139,53 @@ def test_only_clifford_and_lorentz_read_the_gamma_store():
                      if isinstance(node, ast.ImportFrom) for alias in node.names)
         if _STORE_NAMES & set(names):
             readers[path.stem] = sorted(_STORE_NAMES & set(names))
-    assert set(readers) == {"clifford", "lorentz"}, readers
+    assert set(readers) == {"clifford"}, readers
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _foreign_private_names(module: str, tree) -> list:
+    """The underscore names ``module`` takes from another package module
+    than ``scalars``: imported from it, or read off it as an attribute."""
+    shared = {module, "scalars"}
+    modules, out = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "ncdirac"
+                                                 or (node.module or "").startswith("ncdirac.")):
+            source = (node.module or "").removeprefix("ncdirac").lstrip(".")
+            for alias in node.names:
+                if not source:  # from . import clifford: a module
+                    if alias.name not in shared:
+                        modules[alias.asname or alias.name] = alias.name
+                elif source not in shared and _private(alias.name):
+                    out.append(f"{source}.{alias.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules and _private(node.attr):
+            out.append(f"{modules[node.value.id]}.{node.attr}")
+    return out
+
+
+def test_private_names_cross_modules_only_out_of_scalars():
+    # scalars is the shared exact kernel; every other module keeps its
+    # underscore names to itself
+    crossings = {path.stem: _foreign_private_names(path.stem, ast.parse(path.read_text()))
+                 for path in sorted(PACKAGE.glob("*.py"))}
+    assert not any(crossings.values()), {m: c for m, c in crossings.items() if c}
+
+
+def test_the_private_name_rule_sees_imports_and_attribute_reads():
+    tree = ast.parse("""
+from . import clifford, scalars as s
+from .clifford import _perm_product, gamma_sum
+from .scalars import _join
+from ncdirac.matrices import _rows
+clifford._gamma_perms(1), s._join, clifford.__name__, _self_only
+""")
+    assert sorted(_foreign_private_names("modes", tree)) == [
+        "clifford._gamma_perms", "clifford._perm_product", "matrices._rows"]
 
 
 # run in a fresh interpreter: every golden command and every demo, with a
