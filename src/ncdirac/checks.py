@@ -100,6 +100,23 @@ class RunConfig:
         return (1, -1) if self.eps5 is None else (self.eps5,)
 
 
+# The settings each command's rows read, the one list of them: the command
+# line offers a command only these (with --format, --out and --config, and
+# --timings everywhere but scan), refuses any other as a flag or a --config
+# key, and the report's config echoes exactly these and the format.  No
+# check reads the seed; check all echoes it.
+READS = {
+    "verify algebra": ("eps4", "eps5", "fixture"),
+    "verify rep": ("eps5",),
+    "verify clifford": ("eps5",),
+    "verify planewave": ("eps5",),
+    "modes": ("eps5", "ell"),
+    "seesaw": ("eps5", "ell", "g", "vev"),
+    "scan": ("eps5", "ell", "g", "vev"),
+    "check all": ("eps4", "eps5", "ell", "g", "vev", "fixture", "seed"),
+}
+
+
 class CheckReport:
     """One check's verdict, pass or fail by ``ok``, on a copy of ``params``;
     the runner sets ``duration_ms`` under --timings."""
@@ -581,7 +598,9 @@ def cmd_scan(cfg: RunConfig, param: str, start: Fraction, stop: Fraction,
         raise ValueError(f"scan parameter must be one of {SCAN_PARAMS}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    e5 = -1 if cfg.eps5 is None else cfg.eps5
+    if cfg.eps5 is None:
+        raise ValueError("a scan runs at one eps5, not a sweep of both")
+    e5 = cfg.eps5
     start, stop = Fraction(start), Fraction(stop)
     if steps == 1 and start != stop:
         raise ValueError("one step needs --from equal to --to")
@@ -647,18 +666,14 @@ def cmd_check_all(cfg: RunConfig) -> list[CheckReport]:
 # -- serialization ------------------------------------------------------------
 
 
-def config_dict(cfg: RunConfig) -> dict:
-    out = {
-        "eps4": cfg.eps4,
-        "eps5": cfg.eps5,
-        "ell": str(cfg.ell),
-        "g": str(cfg.g),
-        "vev": str(cfg.vev),
-        "seed": cfg.seed,
-        "format": cfg.fmt,
-    }
-    if cfg.fixture:
-        out["fixture"] = cfg.fixture
+def config_dict(cfg: RunConfig, command: str) -> dict:
+    """The format and the settings of ``READS[command]``, as ``command`` read
+    them; a fixture only when one was given."""
+    out = {"format": cfg.fmt}
+    for name in READS[command]:
+        value = getattr(cfg, name)
+        if value is not None or name != "fixture":
+            out[name] = _fmt(value)
     return out
 
 
@@ -674,10 +689,10 @@ def report_dict(report: CheckReport) -> dict:
     }
 
 
-def reports_document(cfg: RunConfig, reports: list[CheckReport]) -> dict:
+def reports_document(cfg: RunConfig, command: str, reports: list[CheckReport]) -> dict:
     passed = sum(1 for r in reports if r.passed)
     return {
-        "config": config_dict(cfg),
+        "config": config_dict(cfg, command),
         "reports": [report_dict(r) for r in reports],
         "summary": {
             "total": len(reports),
@@ -713,7 +728,7 @@ def render_reports_csv(reports: list[CheckReport]) -> str:
 
 def scan_document(cfg: RunConfig, rows: list[dict]) -> dict:
     return {
-        "config": config_dict(cfg),
+        "config": config_dict(cfg, "scan"),
         "rows": [{k: _fmt(v) for k, v in row.items()} for row in rows],
     }
 

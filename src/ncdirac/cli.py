@@ -39,28 +39,37 @@ def _coupling(text: str) -> ExactScalar:
         raise argparse.ArgumentTypeError(f"not an exact scalar: {text!r}") from exc
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--eps4", type=_sign, default=None,
-                    help="time-like sector sign (+1 or -1); default: sweep both")
-    sp.add_argument("--eps5", type=_sign, default=None,
-                    help="extra-direction sign (+1 or -1); default: sweep both")
-    sp.add_argument("--ell", type=_rational, default=None,
-                    help="length scale l as an exact rational, e.g. 1/100")
-    sp.add_argument("--g", type=_coupling, default=None,
-                    help="coupling, exact complex rational like 3/5+4/5i")
-    sp.add_argument("--vev", type=_rational, default=None,
-                    help="scalar background value as an exact rational")
-    sp.add_argument("--seed", type=int, default=None,
-                    help="echoed in the report's config only; no check reads it "
-                         "(64-bit unsigned)")
+# the flag type, --config reader and help of each setting of checks.READS
+_SETTINGS = {
+    "eps4": (_sign, int, "time-like sector sign (+1 or -1); default: sweep both"),
+    "eps5": (_sign, int, "extra-direction sign (+1 or -1); default: sweep both, "
+                         "but -1 for scan"),
+    "ell": (_rational, lambda v: Fraction(str(v)),
+            "length scale l as an exact rational, e.g. 1/100"),
+    "g": (_coupling, lambda v: ExactScalar.parse(str(v)),
+          "coupling, exact complex rational like 3/5+4/5i"),
+    "vev": (_rational, lambda v: Fraction(str(v)),
+            "scalar background value as an exact rational"),
+    "fixture": (str, str, "JSON structure-constant table to validate"),
+    "seed": (int, int, "echoed in the report's config only; no check reads it "
+                       "(64-bit unsigned)"),
+}
+
+
+def _add_settings(sp: argparse.ArgumentParser, commands, timings: bool = True) -> None:
+    """The flags of the settings that ``commands`` read, and the flags every
+    command takes."""
+    for name, (flag_type, _, help_text) in _SETTINGS.items():
+        if any(name in checks.READS[command] for command in commands):
+            sp.add_argument(f"--{name}", type=flag_type, default=None, help=help_text)
     sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
     sp.add_argument("--out", default=None, help="write the report here")
-    sp.add_argument("--fixture", default=None,
-                    help="JSON structure-constant table to validate")
     sp.add_argument("--config", default=None,
-                    help="JSON file with default values for these flags")
-    sp.add_argument("--timings", action="store_true",
-                    help="include wall-clock durations in reports")
+                    help="JSON file with defaults for this command's settings "
+                         "and format")
+    if timings:
+        sp.add_argument("--timings", action="store_true",
+                        help="include wall-clock durations in reports")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,28 +80,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd")
 
+    # one subparser for four targets: resolve_config refuses a flag that
+    # the target does not read
     p_verify = sub.add_parser("verify", help="run one family of identity checks")
     p_verify.add_argument("target", choices=checks.VERIFY_FAMILIES)
     p_verify.add_argument("--all-signs", action="store_true",
                           help="force the sweep over every sign choice")
-    _add_common(p_verify)
+    _add_settings(p_verify, [f"verify {target}" for target in checks.VERIFY_FAMILIES])
 
     p_modes = sub.add_parser("modes", help="dispersion roots and spinor modes")
-    _add_common(p_modes)
+    _add_settings(p_modes, ["modes"])
 
     p_seesaw = sub.add_parser("seesaw", help="coupled light/heavy mass checks")
-    _add_common(p_seesaw)
+    _add_settings(p_seesaw, ["seesaw"])
 
     p_scan = sub.add_parser("scan", help="sweep one parameter over a range")
     p_scan.add_argument("--param", required=True, choices=checks.SCAN_PARAMS)
     p_scan.add_argument("--from", dest="start", required=True, type=_rational)
     p_scan.add_argument("--to", dest="stop", required=True, type=_rational)
     p_scan.add_argument("--steps", required=True, type=int)
-    _add_common(p_scan)
+    # scan rows carry no durations
+    _add_settings(p_scan, ["scan"], timings=False)
 
     p_check = sub.add_parser("check", help="run every check family")
     p_check.add_argument("target", choices=("all",))
-    _add_common(p_check)
+    _add_settings(p_check, ["check all"])
 
     return parser
 
@@ -105,30 +117,27 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-_CONFIG_KEYS = {
-    "eps4", "eps5", "ell", "g", "vev", "seed", "format", "fixture",
-}
-
-# the commands whose rows read a fixture (the jacobi_fixture row); every
-# other command refuses one rather than echo a file it never opens
-_FIXTURE_READERS = ("verify algebra", "check all")
-
-
-def resolve_config(args: argparse.Namespace) -> RunConfig:
+def resolve_config(args: argparse.Namespace, command: str) -> RunConfig:
+    """The RunConfig of ``command`` from its flags and --config file; a
+    setting the command does not read is a usage error."""
+    reads = checks.READS[command]
     file_cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         file_cfg = _load_config_file(args.config)
-        unknown = set(file_cfg) - _CONFIG_KEYS
+        unknown = set(file_cfg) - {"format", *_SETTINGS}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for name in _SETTINGS:
+        if name not in reads and (getattr(args, name, None) is not None
+                                  or name in file_cfg):
+            readers = [other for other, its in checks.READS.items() if name in its]
+            raise ValueError(f"{command} reads no {name} (read by: {', '.join(readers)})")
 
-    defaults = RunConfig()
-
-    def pick(flag, key, convert, field=None):
-        """The flag, else the config file's value, else the default.  An
-        integer key takes only a JSON integer: int() would round a float and
-        read a bool or a string.  A zero denominator is a usage error that
-        names its key, as it is for the flag."""
+    def pick(flag, key, convert):
+        """The flag, else the config file's value, else None.  An integer
+        key takes only a JSON integer: int() would round a float and read a
+        bool or a string.  A zero denominator is a usage error that names
+        its key, as it is for the flag."""
         if flag is not None:
             return flag
         value = file_cfg.get(key)
@@ -141,28 +150,22 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             except ZeroDivisionError:
                 raise ValueError(f"config key {key!r} has a zero denominator: "
                                  f"{value!r}") from None
-        return getattr(defaults, field or key)
+        return None
 
-    fixture = pick(args.fixture, "fixture", str)
-    name = " ".join(filter(None, (args.cmd, getattr(args, "target", None))))
-    if fixture is not None and name not in _FIXTURE_READERS:
-        raise ValueError(f"{name} reads no fixture; only "
-                         f"{' and '.join(_FIXTURE_READERS)} validate one")
-    eps4 = pick(args.eps4, "eps4", int)
-    eps5 = pick(args.eps5, "eps5", int)
+    values = {name: pick(getattr(args, name), name, _SETTINGS[name][1]) for name in reads}
+    values["fmt"] = pick(args.fmt, "format", str)
     if getattr(args, "all_signs", False):
-        eps4 = eps5 = None
+        # --all-signs overrides signs from --config, not flags given with it
+        given = [name for name in ("eps4", "eps5") if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"--all-signs sweeps every sign; drop --{' and --'.join(given)}")
+        values["eps4"] = values["eps5"] = None
+    elif command == "scan" and values["eps5"] is None:
+        values["eps5"] = -1  # a scan runs at one sign
     return RunConfig(
-        eps4=eps4,
-        eps5=eps5,
-        ell=pick(args.ell, "ell", lambda v: Fraction(str(v))),
-        g=pick(args.g, "g", lambda v: ExactScalar.parse(str(v))),
-        vev=pick(args.vev, "vev", lambda v: Fraction(str(v))),
-        seed=pick(args.seed, "seed", int),
-        fmt=pick(args.fmt, "format", str, "fmt"),
         out=args.out,
-        fixture=fixture,
         timings=getattr(args, "timings", False),
+        **{name: value for name, value in values.items() if value is not None},
     )
 
 
@@ -187,8 +190,9 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
 
+    command = " ".join(filter(None, (args.cmd, getattr(args, "target", None))))
     try:
-        cfg = resolve_config(args)
+        cfg = resolve_config(args, command)
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"ncdirac: error: {exc}", file=sys.stderr)
         return 2
@@ -210,7 +214,7 @@ def main(argv=None) -> int:
             if cfg.fmt == "csv":
                 text = checks.render_reports_csv(reports)
             else:
-                text = checks.render_json(checks.reports_document(cfg, reports))
+                text = checks.render_json(checks.reports_document(cfg, command, reports))
             passed = all(r.passed for r in reports)
         _emit(text, cfg.out)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import chain
 from types import SimpleNamespace
 
 import pytest
@@ -414,37 +415,128 @@ def test_intact_fixture_passes(tmp_path, capsys):
     assert code == 0
 
 
-_NO_FIXTURE_COMMANDS = [
-    ("modes", "--eps5", "1"),
-    ("seesaw",),
-    ("scan", "--param", "vev", "--from", "1/100", "--to", "1/10", "--steps", "2"),
-    ("verify", "clifford"),
-    ("verify", "rep"),
-    ("verify", "planewave"),
-]
+# the argv of each command of checks.READS, and a value of each setting as a
+# flag and as a config key, with the value its config echoes
+_ARGV = {
+    "verify algebra": ("verify", "algebra"),
+    "verify rep": ("verify", "rep"),
+    "verify clifford": ("verify", "clifford"),
+    "verify planewave": ("verify", "planewave"),
+    "modes": ("modes",),
+    "seesaw": ("seesaw",),
+    "scan": ("scan", "--param", "vev", "--from", "1/100", "--to", "1/10", "--steps", "2"),
+    "check all": ("check", "all"),
+}
+_VALUES = {  # setting: (flag value, config key value, echoed value)
+    "eps4": ("-1", -1, -1),
+    "eps5": ("+1", 1, 1),
+    "ell": ("2", "2", "2"),
+    "g": ("3/5+4/5i", "0.6+0.8i", "3/5+4/5i"),
+    "vev": ("1/50", 0.02, "1/50"),
+    "seed": ("7", 7, 7),
+    "fixture": (None, None, None),  # the path of an intact table
+}
+
+
+def _setting_value(setting, tmp_path):
+    """(flag value, config key value, echoed value) of ``setting``."""
+    if setting != "fixture":
+        return _VALUES[setting]
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps(build_deformed_algebra(1, -1).to_json()))
+    return str(path), str(path), str(path)
+
+
+def test_the_settings_table_covers_every_command_and_setting():
+    assert set(_ARGV) == set(checks.READS)
+    assert set(_VALUES) == set(chain.from_iterable(checks.READS.values()))
 
 
 @pytest.mark.parametrize("by_key", [False, True], ids=["flag", "config_key"])
-@pytest.mark.parametrize("argv", _NO_FIXTURE_COMMANDS,
-                         ids=lambda argv: "_".join(a for a in argv[:2] if a[0] != "-"))
-def test_fixture_on_a_command_that_never_reads_it_is_usage_error(tmp_path, capsys, argv,
-                                                                 by_key):
-    # these commands once passed every row and echoed the fixture in their
-    # config without opening it, even a missing file
-    fixture = str(tmp_path / "none.json")
+@pytest.mark.parametrize("command", list(_ARGV))
+def test_a_command_echoes_exactly_the_settings_it_reads(tmp_path, capsys, command,
+                                                        by_key):
+    argv, keys, echoed = list(_ARGV[command]), {}, {"format": "json"}
+    for setting in checks.READS[command]:
+        flag, key, echo = _setting_value(setting, tmp_path)
+        if by_key:
+            keys[setting] = key
+        else:
+            argv += [f"--{setting}", flag]
+        echoed[setting] = echo
     if by_key:
         config = tmp_path / "run.json"
-        config.write_text(json.dumps({"fixture": fixture}))
-        argv = (*argv, "--config", str(config))
+        config.write_text(json.dumps(keys))
+        argv += ["--config", str(config)]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["config"] == echoed
+
+
+_UNREAD = [(command, setting) for command in _ARGV for setting in _VALUES
+           if setting not in checks.READS[command]]
+
+
+@pytest.mark.parametrize("by_key", [False, True], ids=["flag", "config_key"])
+@pytest.mark.parametrize("command,setting", _UNREAD,
+                         ids=[f"{c.replace(' ', '_')}-{s}" for c, s in _UNREAD])
+def test_a_setting_the_command_does_not_read_is_usage_error(tmp_path, capsys, command,
+                                                            setting, by_key):
+    # these commands once accepted every setting and echoed it in their
+    # config without reading it: an eps4 or an ell that changed no row, or
+    # a fixture never opened, even a missing file
+    flag, key, _ = _setting_value(setting, tmp_path)
+    if by_key:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({setting: key}))
+        argv = (*_ARGV[command], "--config", str(config))
     else:
-        argv = (*argv, "--fixture", fixture)
+        argv = (*_ARGV[command], f"--{setting}", flag)
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    name = " ".join(argv[:2] if argv[0] == "verify" else argv[:1])
-    assert captured.err == (f"ncdirac: error: {name} reads no fixture; "
-                            "only verify algebra and check all validate one\n")
+    line = captured.err.splitlines()[-1]
+    assert line.startswith("ncdirac: error: ")
+    assert f"--{setting} " in line or f" reads no {setting} " in line, line
+
+
+def test_scan_takes_no_timings(capsys):
+    # scan rows carry no durations: the flag was once accepted and ignored
+    code = main([*_ARGV["scan"], "--timings"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "unrecognized arguments: --timings" in captured.err
+
+
+def test_scan_echoes_the_sign_it_runs_at(capsys):
+    # the config once read "eps5": null next to rows run at -1
+    code, out = run(capsys, *_ARGV["scan"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["eps5"] == -1
+    assert [row["eps5"] for row in doc["rows"]] == [-1, -1]
+
+
+@pytest.mark.parametrize("flags", [("--eps4", "1"), ("--eps5", "-1"),
+                                   ("--eps4", "1", "--eps5", "-1")])
+def test_all_signs_with_a_sign_flag_is_usage_error(capsys, flags):
+    # the sweep once overrode the flags given with it, and echoed null signs
+    code = main(["verify", "algebra", "--all-signs", *flags])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    given = " and ".join(flags[::2])
+    assert captured.err == (f"ncdirac: error: --all-signs sweeps every sign; "
+                            f"drop {given}\n")
+
+
+def test_all_signs_overrides_the_signs_of_a_config_file(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"eps4": 1, "eps5": -1}))
+    code, out = run(capsys, "verify", "algebra", "--all-signs", "--config", str(config))
+    doc = json.loads(out)
+    assert code == 0 and doc["summary"]["total"] == 16
+    assert doc["config"] == {"eps4": None, "eps5": None, "format": "json"}
 
 
 def test_check_all_reads_a_fixture_from_the_config_key(tmp_path, capsys):
@@ -461,13 +553,13 @@ def test_check_all_reads_a_fixture_from_the_config_key(tmp_path, capsys):
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"eps5": -1, "ell": "2", "seed": 9}))
-    code, out = run(capsys, "modes", "--config", str(cfg))
+    code, out = run(capsys, "check", "all", "--config", str(cfg))
     assert code == 0
     doc = json.loads(out)
     assert doc["config"]["ell"] == "2"
     assert doc["config"]["seed"] == 9
 
-    code, out = run(capsys, "modes", "--config", str(cfg), "--ell", "1")
+    code, out = run(capsys, "check", "all", "--config", str(cfg), "--ell", "1")
     assert code == 0
     doc = json.loads(out)
     assert doc["config"]["ell"] == "1"  # flag wins
@@ -480,7 +572,7 @@ def test_integer_config_key_takes_only_json_integers(tmp_path, capsys, key, valu
     # int() would run seed 1 and eps5 = +1 from the first two
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({key: value}))
-    code = main(["modes", "--config", str(cfg)])
+    code = main(["check", "all", "--config", str(cfg)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -493,7 +585,7 @@ def test_config_zero_denominator_is_usage_error(tmp_path, capsys, key, value):
     # ZeroDivisionError, which exited 1 as if a check had failed
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({key: value}))
-    code = main(["modes", "--config", str(cfg)])
+    code = main(["seesaw", "--config", str(cfg)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

@@ -50,7 +50,10 @@ Every JSON report was rewritten once when the plane-wave truncation order
 left the command line: that dropped the ``order`` key from each
 ``config``, and from each ``planewave_*`` row its ``order`` parameter and
 its ``min_ell_degree`` detail, and named the critical-coupling reason in
-the scan.  Nothing else in them changed.  The eps5 = +1 ``seesaw_spectrum``
+the scan.  Nothing else in them changed.  Every JSON report but
+``check_all_seed42.json`` was rewritten once more when each command came to
+echo in its ``config`` only the format and the settings its rows read
+(``checks.READS``); nothing but the ``config`` changed.  The eps5 = +1 ``seesaw_spectrum``
 ``heavy_k2`` of ``check_all_seed42.json`` and ``seesaw_default.json`` was
 rewritten once, from -3.99979999749987 to -3.99979999749988, when the
 spectrum came to be rounded once from one exact square root; the exact
