@@ -37,7 +37,6 @@ from .scalars import (
     ZERO,
     ExactScalar,
     LinearCombination,
-    as_fraction,
     P_I,
     P_ONE,
     ParamPoly,
@@ -50,6 +49,9 @@ from .lie_algebra import flat_deformed_algebra, lower, minkowski_square
 
 _HALF = ExactScalar(Fraction(1, 2))
 _LEMMA_DIM = 13  # polynomial degrees 0..12 of the lemma's model
+# the point (l, k) of the lemma's model
+_LEMMA_ELL = Fraction(1, 10)
+_LEMMA_K = (ONE, ZERO, ZERO, ZERO)
 
 M_TOKENS = ("M01", "M02", "M03", "M12", "M13", "M23")
 P_TOKENS = ("p0", "p1", "p2", "p3")
@@ -333,10 +335,14 @@ class PlaneWaveCheck:
         return self._normal_commutator(self._exponent, self._derivative)
 
     @cached_property
+    def _central_scalar(self) -> ParamPoly:
+        """i eps5 l k^2, the central value -[A, d_4(A)]"""
+        return I * self.eps5 * sym("l") * minkowski_square(MOMENTUM_SYMBOLS)
+
+    @cached_property
     def mixed_remainder(self) -> NCExpression:
         """(iii) [A, d_4(A)] + i eps5 l k^2"""
-        return self._mixed_commutator + NCExpression.unit(
-            I * self.eps5 * sym("l") * minkowski_square(MOMENTUM_SYMBOLS))
+        return self._mixed_commutator + NCExpression.unit(self._central_scalar)
 
     @cached_property
     def vacuum_scalar(self) -> ParamPoly:
@@ -344,6 +350,11 @@ class PlaneWaveCheck:
         vacuum through the exponential: i eps5 l k^2 / 2"""
         half = ParamPoly.from_scalar(_HALF)
         return project_vacuum(self._derivative + self._mixed_commutator.scale(half))
+
+    @cached_property
+    def vacuum_remainder(self) -> ParamPoly:
+        """(iv) the vacuum scalar - i eps5 l k^2 / 2"""
+        return self.vacuum_scalar - self._central_scalar * poly(_HALF)
 
     def all_remainders(self):
         rems = list(self.momentum_remainders)
@@ -356,7 +367,7 @@ def verify_plane_wave_relations(eps5: int, order: int | None = None) -> PlaneWav
     return PlaneWaveCheck(eps5, order)
 
 
-def lemma_matrix_check(eps5: int, ell_value=Fraction(1, 10), k=(1, 0, 0, 0)) -> dict:
+def lemma_matrix_check(eps5: int) -> dict:
     """Exact check of the central-commutator exponential lemma on a model.
 
     The lemma: if [p, A] and [A, dA] are central then [p, e^A] = [p, A] e^A
@@ -367,13 +378,14 @@ def lemma_matrix_check(eps5: int, ell_value=Fraction(1, 10), k=(1, 0, 0, 0)) -> 
     series to order 12 is e^A itself (its terms stop once A^n f = 0), and
     on v = 1 + x/2 + x^2/3 + x^3/4 no operator reaches the degree bound:
     each residual, the largest |re| + |im| over the coefficients of
-    lhs - rhs, is exactly 0.  ``l`` and ``k`` are exact rationals; a float
-    raises TypeError.
+    lhs - rhs, is exactly 0.  The momentum identity is linear in each k_mu
+    and the other two in c (on the model -k.p = k^2 x), so the one point
+    l = ``_LEMMA_ELL``, k = ``_LEMMA_K``, where k_0 = 1 and c != 0, decides
+    every point.
     """
     if eps5 not in (1, -1):
         raise ValueError("eps5 must be +1 or -1")
-    ell = as_fraction(ell_value)
-    k = [ExactScalar(as_fraction(c)) for c in k]
+    ell, k = _LEMMA_ELL, _LEMMA_K
     k_low = lower(k)
     ksq = minkowski_square(k)
     c = ExactScalar(0, -eps5 * ell) * ksq

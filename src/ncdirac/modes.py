@@ -7,6 +7,12 @@ k^2 for eps5 = -1.  Squaring gives the dispersion polynomial
 k^2 + eps5 (l^2/4)(k^2)^2, written once in ``dispersion_polynomial``; its
 roots, the branches, are k^2 = 0 and k^2 = -eps5 4/l^2.
 
+The heavy branch is written here once: its mass scale M = 2/l
+(``heavy_mass``), its k^2 = -eps5 M^2 (``heavy_k2``), the frame a massive
+mode rests in (``frame``), that mode's reality class (``massive_class``)
+and the one guarded kernel of a mode, two-dimensional or an error
+(``spinor_kernel``).  ``seesaw`` reads them for its light and heavy modes.
+
 Momenta are stored upper-index; ``dirac_coefficients``, the one place D(k)
 is written, lowers them with ``lie_algebra.lower``.  Everything is exact:
 momenta and l are rationals, and a float raises TypeError.
@@ -150,19 +156,47 @@ class SpinorSolution(NamedTuple):
     ell: object
 
 
-def _kernel_exact(matrix: ExactMatrix):
-    return [tuple(entry for entry in vec) for vec in matrix.kernel()]
+def heavy_mass(ell) -> Fraction:
+    """M = 2/l, the mass scale of the heavy branch."""
+    return 2 / as_fraction(ell)
+
+
+def heavy_k2(ell, eps5: int) -> Fraction:
+    """The heavy branch k^2 = -eps5 M^2."""
+    return -eps5 * heavy_mass(ell) ** 2
+
+
+def frame(eps5: int, x) -> tuple:
+    """The four-vector with x on the axis of the massive frame: a massive
+    mode with k^2 = -eps5 x^2 rests on the time axis for eps5 = -1
+    (timelike) and on the z-axis for eps5 = +1 (spacelike)."""
+    return (x, 0, 0, 0) if eps5 == -1 else (0, 0, 0, x)
+
+
+def massive_class(eps5: int) -> str:
+    """The reality class of a massive mode at rest in its ``frame``."""
+    return "Dirac" if eps5 == -1 else "Majorana"
+
+
+def spinor_kernel(operator: ExactMatrix, k, eps5: int) -> tuple:
+    """(basis, reality class) of the kernel of ``operator``, the Dirac-type
+    operator at momentum k.  A mode's kernel must be two-dimensional:
+    anything else signals a convention error and raises VerificationError."""
+    basis = tuple(tuple(vec) for vec in operator.kernel())
+    if len(basis) != 2:
+        raise VerificationError(f"nullspace dimension {len(basis)} != 2 at k={k} (eps5={eps5})")
+    return basis, reality_class(basis)
 
 
 def reference_solutions(ell, eps5: int, branch: str, energy_sign: int = 1,
                         kappa=1) -> SpinorSolution:
     """Reference-frame solutions with exact nullspaces.
 
-    Heavy branch: rest frame k = (2/l, 0, 0, 0) for eps5 = -1 (timelike
-    branch), z-frame k = (0, 0, 0, 2/l) for eps5 = +1 (spacelike branch).
-    Massless branch: k = (kappa, 0, 0, kappa), or -(kappa, 0, 0, kappa)
-    for energy_sign = -1.  The nullspace must come out two-dimensional;
-    anything else signals a convention error.
+    Heavy branch: k = frame(eps5, +-M), M = 2/l, the rest frame for
+    eps5 = -1 (timelike branch) and the z-frame for eps5 = +1 (spacelike
+    branch).  Massless branch: k = (kappa, 0, 0, kappa), or
+    -(kappa, 0, 0, kappa) for energy_sign = -1.  The nullspace must come
+    out two-dimensional (``spinor_kernel``).
     """
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}")
@@ -172,8 +206,7 @@ def reference_solutions(ell, eps5: int, branch: str, energy_sign: int = 1,
     if ellf <= 0:
         raise ValueError("ell must be positive")
     if branch == "heavy":
-        edge = Fraction(2 * energy_sign) / ellf
-        k = (edge, 0, 0, 0) if eps5 == -1 else (0, 0, 0, edge)
+        k = frame(eps5, energy_sign * heavy_mass(ellf))
     else:
         kap = as_fraction(kappa)
         if kap <= 0:
@@ -181,15 +214,10 @@ def reference_solutions(ell, eps5: int, branch: str, energy_sign: int = 1,
         kap *= energy_sign
         k = (kap, 0, 0, kap)
     problem = ModeProblem(eps5=eps5, ell=ellf, k=k)
-    basis = _kernel_exact(dirac_matrix(problem))
-    if len(basis) != 2:
-        raise VerificationError(
-            f"nullspace dimension {len(basis)} != 2 at k={k} (eps5={eps5})"
-        )
-    cls = reality_class(basis)
+    basis, cls = spinor_kernel(dirac_matrix(problem), k, eps5)
     return SpinorSolution(
         k=k,
-        basis=tuple(basis),
+        basis=basis,
         branch=branch,
         k2=problem.k_squared(),
         spinor_class=cls,

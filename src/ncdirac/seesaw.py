@@ -16,11 +16,14 @@ ratio mu^2 / M; the exact light root differs from it at relative order
 printed gamma5 mass term) is formed by ``clifford.gamma_sum``; the exact
 spectrum reads one product of two of them, P = g^axis g^4.
 
-The exact spectrum works in the rest frame k = (E,0,0,0) for eps5 = -1 and
-the z-frame k = (0,0,0,q) for eps5 = +1.  There the determinant of the 8x8
-matrix, taken as the 4x4 determinant of AD - BC, is exactly the square of a
-quartic that is a quadratic in k^2.  Its frame roots x = (+-M +- sqrt(delta))/2,
-delta = M^2 - 4 eps5 mu^2, all come from one exact sqrt(delta), in
+The heavy branch, its mass scale M = 2/l, its frame and its reality class
+are read from ``modes`` (``heavy_mass``, ``frame``, ``massive_class``).
+The exact spectrum works in that frame, k = frame(eps5, x): the rest frame
+k = (x,0,0,0) for eps5 = -1 and the z-frame k = (0,0,0,x) for eps5 = +1.
+There the determinant of the 8x8 matrix, taken as the 4x4 determinant of
+AD - BC, is exactly the square of a quartic that is a quadratic in k^2.
+Its frame roots x = (+-M +- sqrt(delta))/2, delta = M^2 - 4 eps5 mu^2,
+all come from one exact sqrt(delta), in
 Q(i, sqrt(delta)) (QuadraticScalar), or in Q(i) when delta is a rational
 square; the reality classes come from the kernel of a 4x4 Schur complement
 at them, and each reported float is an exact value rounded once.
@@ -33,9 +36,10 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from .clifford import gamma_sum, reality_class
+from .clifford import gamma_sum
 from .lie_algebra import lower
 from .matrices import ExactMatrix
+from .modes import frame, heavy_mass, massive_class, spinor_kernel
 from .scalars import (I, ONE, ExactScalar, ParamPoly, _coerce_scalar, as_fraction, exact_sqrt,
                       poly, rounded, sym)
 
@@ -76,8 +80,8 @@ class CouplingConfig:
 
 
 def _scales(c: CouplingConfig) -> tuple:
-    """(M, mu^2, delta) = (2/l, |g|^2 vev^2, M^2 - 4 eps5 mu^2)."""
-    big_m, mu2 = 2 / c.ell, c.coupling_squared() * c.vev ** 2
+    """(M, mu^2, delta) = (``modes.heavy_mass``, |g|^2 vev^2, M^2 - 4 eps5 mu^2)."""
+    big_m, mu2 = heavy_mass(c.ell), c.coupling_squared() * c.vev ** 2
     return big_m, mu2, big_m * big_m - 4 * c.eps5 * mu2
 
 
@@ -172,13 +176,11 @@ def leading_mass(c: CouplingConfig):
 
 
 def light_mass_leading(c: CouplingConfig):
-    """(k^2, class) of the light mode at leading order:
-    m = |g|^2 vev^2 l / 2; k^2 = +m^2 Dirac for eps5 = -1,
-    k^2 = -m^2 Majorana for eps5 = +1."""
+    """(k^2, class) of the light mode at leading order, a massive mode of
+    mass m = |g|^2 vev^2 l / 2: k^2 = -eps5 m^2 and ``modes.massive_class``
+    (Dirac for eps5 = -1, Majorana for eps5 = +1)."""
     m = leading_mass(c)
-    k2 = m * m if c.eps5 == -1 else -m * m
-    cls = "Dirac" if c.eps5 == -1 else "Majorana"
-    return k2, cls
+    return -c.eps5 * m * m, massive_class(c.eps5)
 
 
 class EffectiveCheck(NamedTuple):
@@ -193,7 +195,10 @@ class EffectiveCheck(NamedTuple):
 def verify_effective_equation(c: CouplingConfig) -> EffectiveCheck:
     """Exact algebraic identity in the vev and length symbols (v, l) with
     the configured exact coupling: the eliminated system's mass term equals
-    +i |g|^2 v^2 (l/2) g5 for eps5 = -1 and -|g|^2 v^2 (l/2) g5 for +1."""
+    +i |g|^2 v^2 (l/2) g5 for eps5 = -1 and -|g|^2 v^2 (l/2) g5 for +1.
+    With a nonzero leading mass m, the effective operator's kernel at rest,
+    k = frame(eps5, m), is classified by ``modes.spinor_kernel``, which
+    raises VerificationError unless it is two-dimensional."""
     _, symbolic = _reduction(c, sym("v"), sym("l"))
     mass_term = symbolic((0, 0, 0, 0))  # g v W: the effective operator less g.k
     # the printed term is (+i or -1) |g|^2 v^2 (l/2) gamma5, and gamma5 is
@@ -203,13 +208,11 @@ def verify_effective_equation(c: CouplingConfig) -> EffectiveCheck:
     residual = mass_term - printed
 
     rest_class = None
-    if c.coupling_squared() != 0:
-        m_lead = leading_mass(c)
-        k = (m_lead, 0, 0, 0) if c.eps5 == -1 else (0, 0, 0, m_lead)
+    m_lead = leading_mass(c)
+    if m_lead:
+        k = frame(c.eps5, m_lead)
         _, effective = leading_order_reduction(c)
-        kernel = effective(k).kernel()
-        if len(kernel) == 2:
-            rest_class = reality_class(kernel)
+        _, rest_class = spinor_kernel(effective(k), k, c.eps5)
     return EffectiveCheck(
         identity_ok=residual.is_zero(),
         residual=residual,
@@ -236,22 +239,25 @@ class ModeSpectrum(NamedTuple):
 
 @cache
 def _frame_product(e5: int) -> ExactMatrix:
-    """P = g^a g^4, a = 0 for eps5 = -1 and 3 for +1, as one product of
-    two ``gamma_sum`` matrices.  Only read: the cache hands out this one."""
-    axis = [0] * 4
-    axis[0 if e5 == -1 else 3] = 1
-    return gamma_sum(e5, axis) @ gamma_sum(e5, [0, 0, 0, 0, 1])
+    """P = g^a g^4, a the axis of ``modes.frame`` (0 for eps5 = -1, 3 for
+    +1), as one product of two ``gamma_sum`` matrices.  Only read: the
+    cache hands out this one."""
+    return gamma_sum(e5, frame(e5, 1)) @ gamma_sum(e5, [0, 0, 0, 0, 1])
 
 
-def _frame_block(e5: int, x: str, big_m: Fraction, mu2: Fraction) -> ExactMatrix:
+# the symbol of x, the axis component of the frame momentum frame(eps5, x)
+_X = "m"
+
+
+def _frame_block(e5: int, big_m: Fraction, mu2: Fraction) -> ExactMatrix:
     """AD - BC for the blocks [[A, B], [C, D]] of the coupled 8x8 matrix at
-    the frame momentum x (a symbol name).  C = g* vev I commutes with D, so
-    det(AD - BC) is the 8x8 determinant (Silvester, "Determinants of block
-    matrices", Math. Gazette 84 (2000) 460).  With g.k = eta x g^a,
+    the frame momentum frame(eps5, x), x the symbol ``_X``.  C = g* vev I
+    commutes with D, so det(AD - BC) is the 8x8 determinant (Silvester,
+    "Determinants of block matrices", Math. Gazette 84 (2000) 460).  With g.k = eta x g^a,
     eta = -eps5, and BC = mu^2 I it is (eta x^2 - mu^2) I + eta M x P,
     for the dense P = g^a g^4 of ``_frame_product``."""
-    diag = poly(-e5) * sym(x, 2) - poly(mu2)
-    off = poly(-e5 * big_m) * sym(x)
+    diag = poly(-e5) * sym(_X, 2) - poly(mu2)
+    off = poly(-e5 * big_m) * sym(_X)
     return ExactMatrix.identity(4).scale(diag) + _frame_product(e5).scale(off)
 
 
@@ -300,25 +306,24 @@ def exact_mode_spectrum(c: CouplingConfig) -> ModeSpectrum:
     e5 = c.eps5
     big_m, mu2, delta = _scales(c)
     m2 = big_m * big_m
-    x = "k0" if e5 == -1 else "k3"  # the frame momentum
-    x2 = sym(x, 2)
+    x2 = sym(_X, 2)
     quartic = x2 * x2 - x2 * poly(m2 - 2 * e5 * mu2) + poly(mu2 * mu2)
-    if _frame_block(e5, x, big_m, mu2).det() != quartic * quartic:
+    if _frame_block(e5, big_m, mu2).det() != quartic * quartic:
         raise RootFindingError("determinant is not the square of the seesaw quartic",
                                diagnostics={"quartic": str(quartic)})
     if delta < 0:
         raise RootFindingError("no real determinant roots: the coupling is overcritical",
                                diagnostics={"discriminant": m2 * delta, "mu2": mu2, "M2": m2})
 
-    def frame(root):
+    def frame_roots(root):
         # the heavy and light frame roots, -eps5 times their squares, and |d|
         h = (big_m + root) / 2
         light = mu2 / h
         return h, light, -e5 * h * h, -e5 * light * light, light / h
 
     root = exact_sqrt(delta)
-    heavy, light, heavy_k2, light_k2, deviation = _rounded(root, frame, M2=m2, mu2=mu2)
-    heavy_x, light_x, heavy_k2_exact, light_k2_exact, _ = frame(root)
+    heavy, light, heavy_k2, light_k2, deviation = _rounded(root, frame_roots, M2=m2, mu2=mu2)
+    heavy_x, light_x, heavy_k2_exact, light_k2_exact, _ = frame_roots(root)
     if mu2 == 0:
         # 4-D light kernel at k = 0 and u1 = 0 at the heavy root: no mass
         # to classify

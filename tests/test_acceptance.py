@@ -94,7 +94,7 @@ def test_criterion_05_plane_wave_identities():
         chk = verify_plane_wave_relations(eps5)
         ok = ok and all(rem.is_zero() for rem in chk.all_remainders())
         ok = ok and chk.centrality_remainders == []
-        model = lemma_matrix_check(eps5, ell_value=Fraction(1, 10), k=(1, 0, 0, 0))
+        model = lemma_matrix_check(eps5)
         ok = ok and all(value == 0 for value in model.values())
     verdict(ok, "criterion 5: the plane-wave remainders are exactly zero, "
                 "untruncated, and the nilpotent model agrees exactly")

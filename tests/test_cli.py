@@ -5,14 +5,17 @@ import copy
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import chain
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from ncdirac import checks, enveloping, weyl
+from ncdirac import checks, enveloping, modes, seesaw, weyl
 from ncdirac.cli import main
 from ncdirac.lie_algebra import build_deformed_algebra
 
@@ -161,6 +164,55 @@ def test_seesaw_hierarchy_and_zero_coupling(capsys, vev):
     spectrum = [r for r in json.loads(out)["reports"] if r["check"] == "seesaw_spectrum"]
     expected = "Dirac" if vev != "0" else None
     assert spectrum[0]["details"]["light_class"] == expected
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+def test_rest_frame_kernel_of_wrong_dimension_fails_the_effective_row(
+        capsys, monkeypatch, eps5):
+    # an effective operator read at twice its rest-frame momentum has no
+    # kernel there: the row fails with the dimension, not a silent pass
+    reduce = seesaw.leading_order_reduction
+
+    def off_shell(c):
+        w, effective = reduce(c)
+        return w, lambda k: effective(tuple(2 * x for x in k))
+
+    monkeypatch.setattr(seesaw, "leading_order_reduction", off_shell)
+    code, out = run(capsys, "seesaw", "--eps5", str(eps5))
+    assert code == 1
+    rows = {r["check"]: r for r in json.loads(out)["reports"]}
+    effective = rows.pop("seesaw_effective")
+    assert effective["status"] == "fail"
+    assert effective["details"] == {
+        "error": f"nullspace dimension 0 != 2 at k={seesaw.frame(eps5, Fraction(1, 20000))}"
+                 f" (eps5={eps5})"}
+    assert all(r["status"] == "pass" for r in rows.values())
+
+
+_FRAME = "(x, 0, 0, 0) if eps5 == -1 else (0, 0, 0, x)"
+
+
+def test_a_swapped_frame_fails_every_massive_row(tmp_path):
+    # the massive frame is written once, in modes.frame: swap its two axes
+    # in a copy of the package, and every row that reads a massive mode at
+    # rest fails for both eps5, while check all still prints every row
+    package = Path(modes.__file__).parent
+    mutant = tmp_path / "ncdirac"
+    shutil.copytree(package, mutant, ignore=shutil.ignore_patterns("__pycache__"))
+    source = (mutant / "modes.py").read_text()
+    assert source.count(_FRAME) == 1
+    (mutant / "modes.py").write_text(
+        source.replace(_FRAME, "(0, 0, 0, x) if eps5 == -1 else (x, 0, 0, 0)"))
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    done = subprocess.run([sys.executable, "-m", "ncdirac", "check", "all", "--seed", "42"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 1, done.stderr
+    doc = json.loads(done.stdout)
+    assert doc["summary"]["total"] == 110
+    failed = {(r["check"], r["params"]["eps5"]) for r in doc["reports"] if r["status"] == "fail"}
+    assert failed == {(check, e5) for e5 in (1, -1) for check in (
+        "modes_reference_heavy", "seesaw_spectrum", "seesaw_effective",
+        "seesaw_convergence", "seesaw_decoupling")}
 
 
 def test_scan_deep_hierarchy(capsys):

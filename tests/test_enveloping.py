@@ -176,6 +176,7 @@ def test_plane_wave_identities_exact(eps5):
     k_squared = sym("k0", 2) - sym("k1", 2) - sym("k2", 2) - sym("k3", 2)
     expect = poly(ExactScalar(0, Fraction(1, 2)) * eps5) * sym("l") * k_squared
     assert chk.vacuum_scalar == expect
+    assert chk.vacuum_remainder.is_zero()
 
 
 def test_vacuum_projection_rules():
@@ -187,18 +188,12 @@ def test_vacuum_projection_rules():
 
 @pytest.mark.parametrize("eps5", [1, -1])
 def test_numeric_exponential_model(eps5):
-    # the nilpotent model is exact: every residual is the rational 0, also
-    # away from the default l and k
-    for args in ((), (Fraction(7, 3), (Fraction(2, 5), -1, 3, Fraction(1, 2)))):
-        res = lemma_matrix_check(eps5, *args)
-        assert set(res) == {
-            "momentum_commutator", "derivative_lemma", "plane_wave_derivative",
-        }
-        assert all(type(v) is Fraction and v == 0 for v in res.values()), res
-    with pytest.raises(TypeError, match="convert floats explicitly"):
-        lemma_matrix_check(eps5, 0.1)
-    with pytest.raises(TypeError, match="convert floats explicitly"):
-        lemma_matrix_check(eps5, Fraction(1, 10), (1.0, 0, 0, 0))
+    # the nilpotent model is exact: every residual is the rational 0
+    res = lemma_matrix_check(eps5)
+    assert set(res) == {
+        "momentum_commutator", "derivative_lemma", "plane_wave_derivative",
+    }
+    assert all(type(v) is Fraction and v == 0 for v in res.values()), res
 
 
 def random_expression(rng: random.Random) -> NCExpression:
@@ -308,11 +303,17 @@ def test_a_remainder_of_high_ell_degree_fails_its_row(monkeypatch, eps5):
         def mixed_remainder(self):
             return super().mixed_remainder + NCExpression.unit(sym("l", 9))
 
+        @property
+        def vacuum_scalar(self):
+            return super().vacuum_scalar + sym("l", 9)
+
     monkeypatch.setattr(checks, "verify_plane_wave_relations",
                         lambda e5, *order: Tampered(e5))
     rows = {r.check: r for r in checks.cmd_verify_planewave(checks.RunConfig(eps5=eps5))}
     assert not rows["planewave_mixed"].passed
     assert rows["planewave_mixed"].details == {"exactly_zero": False}
+    assert not rows["planewave_vacuum"].passed
+    assert rows["planewave_vacuum"].details["value"].endswith("l^9")
     assert rows["planewave_momentum"].passed
 
 

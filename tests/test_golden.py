@@ -71,6 +71,12 @@ counts, which read the same under ``PYTHONHASHSEED`` 0 and 1; it was
 written by the engine whose plane-wave rows passed on a zero remainder
 only, before the seesaw spectrum was rounded from one exact square root.
 
+``modes_eps5_minus_ell_2.json`` and ``seesaw_complex_g_eps5_minus.json``
+pin two examples of the README: ``modes`` alone at ``l = 2`` and ``seesaw``
+with a complex ``--g``, which no other golden command passes.  They were
+written by the engine whose ``checks`` typed the heavy branch ``-4 eps5 /
+l^2`` itself, before ``modes`` held the heavy mass, frame and class.
+
 ``demo_01.txt`` pins the contractions and the isomorphism signs, and
 ``demo_06.txt`` the seesaw deviations and reality classes.  They were
 written by the engine that substituted tables coefficient by coefficient

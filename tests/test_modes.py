@@ -99,6 +99,15 @@ def test_massless_solutions(eps5):
         assert _in_kernel(problem, vec)
 
 
+@pytest.mark.parametrize("eps5", [1, -1])
+def test_a_mode_kernel_of_other_dimension_raises(eps5):
+    # D(0) = 0: the whole spinor space is the kernel, no mode to classify
+    k = modes.frame(eps5, 0)
+    with pytest.raises(VerificationError,
+                       match=rf"^nullspace dimension 4 != 2 at k=\(0, 0, 0, 0\) \(eps5={eps5}\)$"):
+        modes.spinor_kernel(dirac_matrix(ModeProblem(eps5=eps5, ell=Fraction(1), k=k)), k, eps5)
+
+
 def test_negative_energy_branch():
     sol = reference_solutions(Fraction(1), -1, "heavy", energy_sign=-1)
     assert len(sol.basis) == 2

@@ -161,16 +161,15 @@ def test_block_determinant_is_the_dense_one(eps5):
     couplings = ["0", "1", "3+4i"] + [
         f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}{rng.randint(-9, 9):+d}/{rng.randint(1, 9)}i"
         for _ in range(3)]
-    x = "k0" if eps5 == -1 else "k3"
+    x = sym(seesaw._X)  # the block's coordinate on the frame axis
+    k = (x, 0, 0, 0) if eps5 == -1 else (0, 0, 0, x)
     for g in couplings:
         config = CouplingConfig(g=g, vev=Fraction(rng.randint(0, 9), rng.randint(1, 9)),
                                 ell=Fraction(rng.randint(1, 9), rng.randint(1, 9)), eps5=eps5)
         big_m, mu2 = 2 / config.ell, config.coupling_squared() * config.vev ** 2
-        k = [0, 0, 0, 0]
-        k[int(x[1])] = sym(x)
-        dense = coupled_matrix(tuple(k), config).det()
-        block = seesaw._frame_block(eps5, x, big_m, mu2).det()
-        x2 = sym(x, 2)
+        dense = coupled_matrix(k, config).det()
+        block = seesaw._frame_block(eps5, big_m, mu2).det()
+        x2 = x * x
         quartic = x2 * x2 - x2 * poly(big_m ** 2 - 2 * eps5 * mu2) + poly(mu2 * mu2)
         assert dense == block == quartic * quartic, g
 

@@ -125,6 +125,17 @@ def test_every_definition_has_a_use():
     assert not unused, "definitions nothing uses: " + ", ".join(unused)
 
 
+def test_checks_types_no_closed_form():
+    # each value a row compares with is written in the module that computes
+    # it: checks builds no polynomial, and the heavy branch lives in modes
+    tree = ast.parse((PACKAGE / "checks.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert not imported & {"sym", "poly", "MOMENTUM_SYMBOLS", "minkowski_square"}
+    assert "_heavy_k2" not in {node.name for node in tree.body
+                               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
 _STORE_NAMES = {"_gamma_perms", "_perm_product", "_POLY_POWERS", "_anticommute"}
 
 
