@@ -38,6 +38,7 @@ from .clifford import (
     majorana_imaginary_check,
 )
 from .modes import (
+    MASSLESS_CLASS,
     dispersion_roots,
     heavy_k2,
     heavy_mass,
@@ -424,7 +425,7 @@ def cmd_modes(cfg: RunConfig):
         )
 
         for branch, want in (("heavy", massive_class(e5)),
-                             ("massless", "Majorana")):
+                             ("massless", MASSLESS_CLASS)):
             try:
                 sol = reference_solutions(cfg.ell, e5, branch)
                 worst = max(mode_residual(sol.k, u, sol.ell, e5) for u in sol.basis)

@@ -22,7 +22,8 @@ Every rule is exact, so a normal form drops nothing unless its caller asks
 for an l-truncation.
 
 ``lemma_matrix_check`` verifies the exponential lemma behind the plane-wave
-identities on a nilpotent model, exactly, on polynomial coefficient lists.
+identities exactly on a nilpotent model, polynomials in one coordinate with
+l and k symbolic.
 """
 
 from __future__ import annotations
@@ -33,25 +34,19 @@ from functools import cache, cached_property
 
 from .scalars import (
     MOMENTUM_SYMBOLS,
-    ONE,
-    ZERO,
     ExactScalar,
     LinearCombination,
     P_I,
     P_ONE,
+    P_ZERO,
     ParamPoly,
     _accumulate,
-    _sum_of_products,
     poly,
     sym,
 )
 from .lie_algebra import flat_deformed_algebra, lower, minkowski_square
 
 _HALF = ExactScalar(Fraction(1, 2))
-_LEMMA_DIM = 13  # polynomial degrees 0..12 of the lemma's model
-# the point (l, k) of the lemma's model
-_LEMMA_ELL = Fraction(1, 10)
-_LEMMA_K = (ONE, ZERO, ZERO, ZERO)
 
 M_TOKENS = ("M01", "M02", "M03", "M12", "M13", "M23")
 P_TOKENS = ("p0", "p1", "p2", "p3")
@@ -243,6 +238,12 @@ class Derivation:
         return normal_form(NCExpression._made(acc), self.eps5, order=order)
 
 
+def plane_wave_scale(eps5: int) -> ParamPoly:
+    """i eps5 l, the scale of the plane-wave identities d_4(A) = i eps5 l k.p
+    and [A, d_4(A)] = -i eps5 l k^2."""
+    return I * eps5 * sym("l")
+
+
 def plane_wave_exponent() -> NCExpression:
     """Exponent A = -(i/2) k_nu {x^nu, Cinv} of the noncommutative plane wave.
 
@@ -328,7 +329,7 @@ class PlaneWaveCheck:
     @cached_property
     def derivative_remainder(self) -> NCExpression:
         """(ii) d_4(A) - i eps5 l k.p"""
-        return self._derivative - momentum_dot(I * self.eps5 * sym("l"))
+        return self._derivative - momentum_dot(plane_wave_scale(self.eps5))
 
     @cached_property
     def _mixed_commutator(self) -> NCExpression:
@@ -337,7 +338,7 @@ class PlaneWaveCheck:
     @cached_property
     def _central_scalar(self) -> ParamPoly:
         """i eps5 l k^2, the central value -[A, d_4(A)]"""
-        return I * self.eps5 * sym("l") * minkowski_square(MOMENTUM_SYMBOLS)
+        return plane_wave_scale(self.eps5) * minkowski_square(MOMENTUM_SYMBOLS)
 
     @cached_property
     def mixed_remainder(self) -> NCExpression:
@@ -371,73 +372,52 @@ def lemma_matrix_check(eps5: int) -> dict:
     """Exact check of the central-commutator exponential lemma on a model.
 
     The lemma: if [p, A] and [A, dA] are central then [p, e^A] = [p, A] e^A
-    and d(e^A) = (dA + (1/2)[A, dA]) e^A.  The model meets the hypotheses
-    on polynomials of degree <= 12, held as coefficient lists: A = d/dx,
-    p_mu = -k_mu x (so [p_mu, A] = k_mu) and dA = c x with
-    c = -i eps5 l k^2 (so [A, dA] = c).  A is nilpotent there, so the full
-    series to order 12 is e^A itself (its terms stop once A^n f = 0), and
-    on v = 1 + x/2 + x^2/3 + x^3/4 no operator reaches the degree bound:
-    each residual, the largest |re| + |im| over the coefficients of
-    lhs - rhs, is exactly 0.  The momentum identity is linear in each k_mu
-    and the other two in c (on the model -k.p = k^2 x), so the one point
-    l = ``_LEMMA_ELL``, k = ``_LEMMA_K``, where k_0 = 1 and c != 0, decides
-    every point.
+    and d(e^A) = (dA + (1/2)[A, dA]) e^A.  The model acts on polynomials in
+    one coordinate x, the symbol ``m``, with l and k0..k3 symbolic:
+    A = d/dx, p_mu = -k_mu x (so [p_mu, A] = k_mu) and dA = c x with
+    c = -i eps5 l k^2 (so [A, dA] = c).  A lowers the degree, so e^A f is
+    the finite sum of A^n f / n!.  On v = 1 + x/2 + x^2/3 + x^3/4 each
+    residual, the largest |re| + |im| over the coefficients of lhs - rhs,
+    is exactly 0.  ``derivative_lemma`` takes [A, dA] from the model;
+    ``plane_wave_derivative`` takes dA = i eps5 l k.p and
+    [A, dA] = -i eps5 l k^2 from the plane-wave identities.
     """
     if eps5 not in (1, -1):
         raise ValueError("eps5 must be +1 or -1")
-    ell, k = _LEMMA_ELL, _LEMMA_K
-    k_low = lower(k)
-    ksq = minkowski_square(k)
-    c = ExactScalar(0, -eps5 * ell) * ksq
+    x = sym("m")
+    scale = plane_wave_scale(eps5)
+    k_low = lower(MOMENTUM_SYMBOLS)
+    ksq = minkowski_square(MOMENTUM_SYMBOLS)
+    c = -scale * ksq
 
-    # a polynomial of degree <= 12 is its coefficient list, lowest degree
-    # first, with no trailing zeros
-    def comb(*terms):  # sum of scalar * polynomial, one reduction per coefficient
-        out = [_sum_of_products((a, f[n]) for a, f in terms if n < len(f)) or ZERO
-               for n in range(max((len(f) for _, f in terms), default=0))]
-        while out and not out[-1]:
-            out.pop()
-        return out
+    def a(f):
+        return f.derivative("m")
 
-    def d_dx(f):  # A
-        return [n * f[n] for n in range(1, len(f))]
+    def d_a(f):
+        return c * x * f
 
-    def x_times(f):
-        if len(f) == _LEMMA_DIM:
-            raise ValueError("the model leaves degree 12")
-        return [ZERO] + f if f else f
-
-    def exp_a(f):  # sum_n A^n f / n!, to n = 12 at most, until A^n f = 0
-        terms = []
+    def series(f, n=0):  # sum over j of A^j f / (n + j)!
+        total = P_ZERO
         while f:
-            terms.append((ONE / math.factorial(len(terms)), f))
-            f = d_dx(f)
-        return comb(*terms)
+            total, f, n = total + f * Fraction(1, math.factorial(n)), a(f), n + 1
+        return total
 
-    def residual(lhs, *rhs):  # lhs - sum of the rhs terms
-        diff = comb((ONE, lhs), *((-a, f) for a, f in rhs))
-        return max((abs(x.re) + abs(x.im) for x in diff), default=Fraction(0))
+    def residual(diff):
+        return max((abs(z.re) + abs(z.im) for _, z in diff.terms()), default=Fraction(0))
 
-    v = [ExactScalar(Fraction(1, n)) for n in range(1, 5)]
-    ev, e_xv = exp_a(v), exp_a(x_times(v))
+    v = sum((x ** n * Fraction(1, n + 1) for n in range(4)), P_ZERO)
+    ev = series(v)
     # [p_mu, e^A] v = k_mu e^A v with p_mu = -k_mu x
     residuals = {"momentum_commutator": max(
-        residual(comb((-k_mu, x_times(ev))), (-k_mu, e_xv), (k_mu, ev)) for k_mu in k_low)}
-    # d(e^A) v = sum_n (1/n!) sum_j A^j dA A^(n-1-j) v with dA = c x
-    terms, power = [], v
-    for m in range(1, _LEMMA_DIM):  # power = A^(m-1) v
-        term, weight = comb((c, x_times(power))), ONE / math.factorial(m)
-        for n in range(m, _LEMMA_DIM):  # term = A^(n-m) dA A^(m-1) v
-            if not term:
-                break
-            terms.append((weight, term))
-            term, weight = d_dx(term), weight / (n + 1)
-        power = d_dx(power)
-    de_v = comb(*terms)
-    residuals["derivative_lemma"] = residual(de_v, (c, x_times(ev)), (c / 2, ev))
-    # the same as the plane-wave relation d(e^A) = -i eps5 l (-k.p + k^2/2) e^A
-    scale = ExactScalar(0, -eps5 * ell)
+        residual(-k_mu * (x * ev - series(x * v)) - k_mu * ev) for k_mu in k_low)}
+    # d(e^A) v = sum over n of (1/n!) sum over i + j = n - 1 of A^j dA A^i v
+    de_v, power, i = P_ZERO, v, 0
+    while power:
+        de_v, power, i = de_v + series(d_a(power), i + 1), a(power), i + 1
+    residuals["derivative_lemma"] = residual(
+        de_v - d_a(ev) - (a(d_a(ev)) - d_a(a(ev))) * _HALF)
+    k_dot_p_ev = sum((-k_up * k_mu * x * ev for k_up, k_mu in zip(MOMENTUM_SYMBOLS, k_low)),
+                     P_ZERO)
     residuals["plane_wave_derivative"] = residual(
-        de_v, *((-scale * k_mu, comb((-low, x_times(ev)))) for k_mu, low in zip(k, k_low)),
-        (scale * ksq / 2, ev))
+        de_v - scale * k_dot_p_ev + scale * ksq * ev * _HALF)
     return residuals

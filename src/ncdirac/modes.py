@@ -178,13 +178,17 @@ def massive_class(eps5: int) -> str:
     return "Dirac" if eps5 == -1 else "Majorana"
 
 
+MASSLESS_CLASS = "Majorana"  # of a massless mode, for either eps5
+
+
 def spinor_kernel(operator: ExactMatrix, k, eps5: int) -> tuple:
     """(basis, reality class) of the kernel of ``operator``, the Dirac-type
     operator at momentum k.  A mode's kernel must be two-dimensional:
     anything else signals a convention error and raises VerificationError."""
     basis = tuple(tuple(vec) for vec in operator.kernel())
     if len(basis) != 2:
-        raise VerificationError(f"nullspace dimension {len(basis)} != 2 at k={k} (eps5={eps5})")
+        raise VerificationError(f"nullspace dimension {len(basis)} != 2 at "
+                                f"k=({', '.join(map(str, k))}) (eps5={eps5})")
     return basis, reality_class(basis)
 
 

@@ -14,8 +14,8 @@ Two layers, both on plain Python ints:
 ``LinearCombination``, a sum of keys with ParamPoly coefficients, is shared
 by ``enveloping`` words and ``weyl`` operators.
 
-Negative powers of ``l`` are never stored.  Where a rest mass 2/l is needed,
-equations are cleared of denominators or the dedicated symbol ``m`` is used.
+Negative powers of ``l`` are never stored: where a rest mass 2/l is
+needed, equations are cleared of denominators.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import operator
 import re
 from fractions import Fraction
 from math import gcd, isqrt
-from numbers import Integral
+from numbers import Integral, Number
 from typing import Iterable, Mapping, Union
 
 # Fixed parameter alphabet.  Order matters: monomial exponent vectors are
@@ -32,9 +32,11 @@ from typing import Iterable, Mapping, Union
 #   l    length deformation parameter
 #   rho  curvature parameter 1/R^2
 #   r    1/R, with rho = r^2 (needed by the isomorphism scaling map)
-#   m    rest-mass symbol with the side relation m*l = 2 where used
+#   m    the one free coordinate: the seesaw frame axis and the x of the
+#        plane-wave lemma's model
 #   k0..k3  plane-wave momentum components (upper index)
-#   mu   coupling scale |g|*vev
+#   mu   unused: it holds a slot, since fixture files and
+#        perfbench/workloads.py write exponent tuples of all ten
 #   v    scalar field expectation value
 SYMBOLS = ("l", "rho", "r", "m", "k0", "k1", "k2", "k3", "mu", "v")
 _SYMBOL_INDEX = {name: i for i, name in enumerate(SYMBOLS)}
@@ -158,7 +160,9 @@ class ExactScalar:
 
     def __add__(self, other) -> "ExactScalar":
         if type(other) is not ExactScalar:
-            other = _coerce_scalar(other)
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         d = self._d
         od = other._d
         if d == od:
@@ -175,7 +179,7 @@ class ExactScalar:
     __radd__ = __add__
 
     def __sub__(self, other) -> "ExactScalar":
-        return self + -_coerce_scalar(other)
+        return self + -other
 
     def __rsub__(self, other) -> "ExactScalar":
         return _coerce_scalar(other) - self
@@ -185,7 +189,9 @@ class ExactScalar:
 
     def __mul__(self, other) -> "ExactScalar":
         if type(other) is not ExactScalar:
-            other = _coerce_scalar(other)
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         a, b, d = self._a, self._b, self._d
         oa, ob, od = other._a, other._b, other._d
         if not b and not ob:
@@ -201,7 +207,9 @@ class ExactScalar:
 
     def __truediv__(self, other) -> "ExactScalar":
         if type(other) is not ExactScalar:
-            other = _coerce_scalar(other)
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         oa, ob, od = other._a, other._b, other._d
         norm = oa * oa + ob * ob
         if not norm:
@@ -319,6 +327,15 @@ def _coerce_scalar(value) -> ExactScalar:
     if isinstance(value, (float, complex)):
         raise _inexact(value, "number")
     raise TypeError(f"cannot coerce {type(value).__name__} to ExactScalar")
+
+
+def _operand(value):
+    """``_coerce_scalar(value)`` for an ExactScalar or a number, so a float
+    still raises; NotImplemented for any other type, so that its reflected
+    operator runs: ``I * sym("l")`` is a ParamPoly product."""
+    if type(value) is ExactScalar or isinstance(value, Number):
+        return _coerce_scalar(value)
+    return NotImplemented
 
 
 ZERO = _make(0, 0, 1)
@@ -778,16 +795,6 @@ def _reduced_sums(sums: dict) -> dict:
             out.setdefault(tag, {}).setdefault(q, {})[mono] = _reduced(a, b, d)
     return {tag: {q: _packed_poly(terms) for q, terms in combo.items()}
             for tag, combo in out.items()}
-
-
-def _sum_of_products(pairs) -> ExactScalar | None:
-    """Exact sum of x * y over (x, y) ExactScalar pairs, or None when the
-    sum is zero: one ``_join`` sum, reduced once."""
-    sums = {}
-    for x, y in pairs:
-        _join(sums, 0, 0, x._a, x._b, x._d, ((0, 0, y._a, y._b, y._d),))
-    a, b, d = sums.get((0, 0, 0), (0, 0, 1))
-    return _reduced(a, b, d) if a or b else None
 
 
 def _poly_sum_of_products(pairs) -> ParamPoly:

@@ -1,6 +1,7 @@
 """Word rewriting engine and the plane-wave exponent identities."""
 
 import importlib.util
+import json
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncdirac import checks, enveloping
+from ncdirac.cli import main
 from ncdirac.enveloping import (
     CINV_TOKEN,
     C_TOKEN,
@@ -194,6 +196,20 @@ def test_numeric_exponential_model(eps5):
         "momentum_commutator", "derivative_lemma", "plane_wave_derivative",
     }
     assert all(type(v) is Fraction and v == 0 for v in res.values()), res
+
+
+def test_a_negated_plane_wave_scale_fails_its_three_rows(monkeypatch, capsys):
+    # i eps5 l is formed once, in plane_wave_scale: negated there, the rows
+    # that compare with it fail for both eps5, while the lemma row passes,
+    # since the lemma holds for any central [A, dA]
+    scale = enveloping.plane_wave_scale
+    monkeypatch.setattr(enveloping, "plane_wave_scale", lambda eps5: -scale(eps5))
+    assert main(["check", "all", "--seed", "42"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["summary"]["total"] == 110
+    failed = {(r["check"], r["params"]["eps5"]) for r in doc["reports"] if r["status"] == "fail"}
+    assert failed == {(check, e5) for e5 in (1, -1) for check in (
+        "planewave_derivative", "planewave_mixed", "planewave_vacuum")}
 
 
 def random_expression(rng: random.Random) -> NCExpression:

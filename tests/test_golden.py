@@ -77,6 +77,13 @@ with a complex ``--g``, which no other golden command passes.  They were
 written by the engine whose ``checks`` typed the heavy branch ``-4 eps5 /
 l^2`` itself, before ``modes`` held the heavy mass, frame and class.
 
+``seesaw_from_config.json`` is the report of ``seesaw --config
+tests/golden/seesaw_config.json``, the one golden command that reads its
+settings from a ``--config`` file: eps5 = +1, ``ell`` 1/2, the complex
+coupling ``g`` 3/5 - 4/5 i and ``vev`` 1/50, each a string or int as a
+config file writes it.  It was written by the engine whose plane-wave lemma
+ran at one fixed point on coefficient lists.
+
 ``demo_01.txt`` pins the contractions and the isomorphism signs, and
 ``demo_06.txt`` the seesaw deviations and reality classes.  They were
 written by the engine that substituted tables coefficient by coefficient
@@ -86,7 +93,10 @@ determinant.
 ``demo_03.txt`` pins the ``Cinv`` rewrite, every plane-wave remainder, the
 vacuum scalar and the lemma residuals.  It was written by the engine that
 normal-ordered both ``a*b`` and ``b*a`` for each plane-wave commutator and
-summed the lemma model one addition at a time.
+summed the lemma model one addition at a time.  Its two lemma lines were
+relabelled once, from "degree-12 nilpotent model" to "nilpotent model, l
+and k symbolic", when the model left its degree-12 coefficient lists for
+``ParamPoly``; the residuals did not change.
 """
 
 import json

@@ -13,6 +13,7 @@ from json_terms import ACCEPTED, BAD_EXPONENTS, BAD_PARTS
 from ncdirac.scalars import (
     I,
     MAX_DEGREE,
+    ONE,
     P_ZERO,
     ZERO,
     DegreeBoundError,
@@ -22,7 +23,6 @@ from ncdirac.scalars import (
     SYMBOLS,
     UnknownSymbolError,
     _poly_sum_of_products,
-    _sum_of_products,
     as_fraction,
     exact_sqrt,
     poly,
@@ -234,6 +234,22 @@ def test_exact_rational_coercion():
         as_fraction(I)
 
 
+def test_a_scalar_defers_to_a_polynomial_operand():
+    # an ExactScalar on the left hands a ParamPoly to its reflected operator;
+    # a float or complex number still raises
+    half, l = ExactScalar(Fraction(1, 2)), sym("l")
+    assert I * l == l * I == poly(I) * l
+    assert I + l == l + I
+    assert ONE - l == poly(1) - l
+    assert half * l == Fraction(1, 2) * l
+    assert ONE * exact_sqrt(Fraction(2)) == exact_sqrt(Fraction(2))
+    for number in (0.5, 1j):
+        for op in (lambda x: ONE + x, lambda x: ONE - x, lambda x: ONE * x,
+                   lambda x: ONE / x):
+            with pytest.raises(TypeError, match="convert floats explicitly"):
+                op(number)
+
+
 class TestParamPoly:
     @given(small_polys(), small_polys(), small_polys())
     @settings(max_examples=40, deadline=None)
@@ -375,34 +391,6 @@ class TestParamPoly:
     @pytest.mark.parametrize("terms,want", ACCEPTED.values(), ids=ACCEPTED)
     def test_json_accepted_forms(self, terms, want):
         assert ParamPoly.from_json(terms) == ParamPoly(want)
-
-
-class TestSumOfProducts:
-    @given(st.lists(st.tuples(big_scalars, big_scalars), max_size=6), st.booleans())
-    def test_matches_fold(self, pairs, cancel):
-        if cancel:
-            # the same products negated, in another order: an exact zero
-            pairs = pairs + [(-x, y) for x, y in reversed(pairs)]
-        total = ZERO
-        for x, y in pairs:
-            total = total + x * y
-        got = _sum_of_products(pairs)
-        if total.is_zero():
-            assert got is None
-        else:
-            assert got == total
-        if cancel:
-            assert got is None
-
-    def test_empty_and_canonical(self):
-        assert _sum_of_products([]) is None
-        half = ExactScalar(Fraction(1, 2))
-        # 1/2 * 1/2 + 1/4 * 3 + i * i = 0; i/2 * 2 + 1/3 * 3/2 = 1/2 + i
-        assert _sum_of_products([(half, half), (half * half, poly(3).to_scalar()),
-                                 (I, I)]) is None
-        got = _sum_of_products([(I * half, ExactScalar(2)),
-                                (ExactScalar(Fraction(1, 3)), ExactScalar(Fraction(3, 2)))])
-        assert got == ExactScalar(Fraction(1, 2), 1)
 
 
 class TestPolySumOfProducts:

@@ -15,7 +15,9 @@ of a dotted string (the benchmark's tracer names functions as
 Matching by name lets a method live on a namesake in another class, so
 methods also meet a run-time rule: each must run in some golden command
 (``tests/golden/commands.txt``) or demo, or be named in ``demos/`` or
-``perfbench/``, or be listed in ``_NOT_RUN`` with its reason.
+``perfbench/``, or be listed in ``_NOT_RUN`` with its reason.  A name a
+module imports at its top level must be read in that module, or be listed
+in its ``__all__``.
 """
 
 import ast
@@ -134,6 +136,48 @@ def test_checks_types_no_closed_form():
     assert not imported & {"sym", "poly", "MOMENTUM_SYMBOLS", "minkowski_square"}
     assert "_heavy_k2" not in {node.name for node in tree.body
                                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    # and every reality class a row expects comes from modes
+    assert not {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                and node.value in ("Dirac", "Majorana")}
+
+
+def _unused_imports(tree) -> list:
+    """The names a module's top-level imports bind that it never reads, a
+    name listed in its ``__all__`` counting as read."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] \
+                == ["__all__"]:
+            read.update(elt.value for elt in node.value.elts)
+    return [alias.asname or alias.name.split(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (alias.asname or alias.name.split(".")[0]) not in read]
+
+
+def test_the_unused_import_rule_sees_reads_and_exports():
+    tree = ast.parse("""
+from __future__ import annotations
+import os.path
+import math as m
+from .scalars import ONE, ZERO, poly as p, sym
+__all__ = ["sym"]
+ZERO = 0
+def f(x):
+    \"\"\"Uses math and ONE.\"\"\"
+    return os.path.join(x), p(x)
+""")
+    assert _unused_imports(tree) == ["m", "ONE", "ZERO"]
+
+
+def test_every_module_level_import_is_used():
+    # CI runs no linter: a deleted last use must take its import with it
+    unused = {path.name: _unused_imports(ast.parse(path.read_text()))
+              for path in sorted(PACKAGE.glob("*.py"))}
+    assert not any(unused.values()), {m: names for m, names in unused.items() if names}
 
 
 _STORE_NAMES = {"_gamma_perms", "_perm_product", "_POLY_POWERS", "_anticommute"}
