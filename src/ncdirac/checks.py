@@ -195,10 +195,6 @@ def _commute(table: StructureConstants, labels) -> bool:
     return all(not table.bracket(i, j) for i, j in combinations(index, 2))
 
 
-_ISO_RELATION = ("phi([a,b]) = [phi(a), phi(b)] with P -> alpha*M_mu4, "
-                 "x -> beta*M_mu5, C -> gamma*M45")
-
-
 def _jacobi_row(check: str, params: dict, table: StructureConstants,
                 details=lambda violations: {}) -> CheckReport:
     """The Jacobi row of ``table``: it passes when no triple is violated,
@@ -236,25 +232,24 @@ def cmd_verify_algebra(cfg: RunConfig):
             sol = solve_isomorphism_scalings(e4, e5)
         except ArithmeticError as exc:
             # no sign choice passes: a fail row, and the run goes on
-            yield CheckReport("isomorphism", params, ok=False, relation=_ISO_RELATION,
-                              details={"passing_sign_choices": [], "error": str(exc)})
+            ok, residual = False, None
+            details = {"passing_sign_choices": [], "error": str(exc)}
         else:
             # a returned solution is an invertible map that matches every
             # bracket; the row fails only when a sign choice is missing
-            yield CheckReport(
-                "isomorphism", params,
-                ok=len(sol.passing_sign_choices) == 4,
-                relation=_ISO_RELATION,
-                residual=0,
-                details={
-                    "alpha": str(sol.alpha),
-                    "beta": str(sol.beta),
-                    "gamma": str(sol.gamma),
-                    "invertible": True,
-                    "passing_sign_choices": [list(s) for s in sol.passing_sign_choices],
-                    "mismatched_brackets": 0,
-                },
-            )
+            ok, residual = len(sol.passing_sign_choices) == 4, 0
+            details = {
+                "alpha": str(sol.alpha), "beta": str(sol.beta), "gamma": str(sol.gamma),
+                "invertible": True,
+                "passing_sign_choices": [list(s) for s in sol.passing_sign_choices],
+                "mismatched_brackets": 0,
+            }
+        yield CheckReport(
+            "isomorphism", params, ok=ok,
+            relation="phi([a,b]) = [phi(a), phi(b)] with P -> alpha*M_mu4, "
+                     "x -> beta*M_mu5, C -> gamma*M45",
+            residual=residual, details=details,
+        )
 
         if e5 not in rho_limit:
             flat_rho = flat_deformed_algebra(e5)
@@ -391,6 +386,13 @@ def cmd_verify_planewave(cfg: RunConfig):
 # -- dispersion and modes -----------------------------------------------------
 
 
+def _dispersion(ell: Fraction, e5: int) -> tuple[bool, list]:
+    """Whether the dispersion roots at ``ell`` are exactly 0 and the heavy
+    k^2, and the roots as sorted strings."""
+    roots = dispersion_roots(ell, e5)
+    return roots == {0, heavy_k2(ell, e5)}, sorted(str(r) for r in roots)
+
+
 @_command
 def cmd_modes(cfg: RunConfig):
     for e5 in cfg.eps5_values():
@@ -403,25 +405,20 @@ def cmd_modes(cfg: RunConfig):
             relation="D(k)^2 = (k^2 + eps5*(l^2/4)*(k^2)^2) * Id",
         )
 
-        roots = dispersion_roots(cfg.ell, e5)
+        ok, roots = _dispersion(cfg.ell, e5)
         yield CheckReport(
-            "dispersion_roots", params,
-            ok=roots == {0, heavy_k2(cfg.ell, e5)},
+            "dispersion_roots", params, ok=ok,
             relation="k^2 * (1 + eps5*(l^2/4)*k^2) = 0",
-            details={"roots": sorted(str(r) for r in roots)},
+            details={"roots": roots},
         )
 
-        sweep = {}
-        sweep_ok = True
-        for ell in (Fraction(1, 2), Fraction(1), Fraction(2)):
-            got = dispersion_roots(ell, e5)
-            sweep[str(ell)] = sorted(str(r) for r in got)
-            sweep_ok = sweep_ok and got == {0, heavy_k2(ell, e5)}
+        sweep = {str(ell): _dispersion(ell, e5)
+                 for ell in (Fraction(1, 2), Fraction(1), Fraction(2))}
         yield CheckReport(
             "dispersion_sweep", {"eps5": e5},
-            ok=sweep_ok,
+            ok=all(ok for ok, _ in sweep.values()),
             relation="heavy root equals -eps5*4/l^2 exactly at l in {1/2, 1, 2}",
-            details=sweep,
+            details={ell: roots for ell, (_, roots) in sweep.items()},
         )
 
         for branch, want in (("heavy", massive_class(e5)),
@@ -454,6 +451,30 @@ def cmd_modes(cfg: RunConfig):
 
 
 # -- seesaw -------------------------------------------------------------------
+
+
+def _judged(coupling: CouplingConfig) -> tuple:
+    """(ok, deviation, details) of the ``seesaw_spectrum`` row of
+    ``coupling``, or on RootFindingError (False, None, its error and
+    diagnostics).  The one place a configured coupling's spectrum is
+    computed and judged: every scan row reads it too."""
+    try:
+        spectrum = exact_mode_spectrum(coupling)
+        ok, tol, ratio, reason = seesaw_verdict(coupling, spectrum)
+    except RootFindingError as exc:
+        return False, None, {"error": str(exc), "diagnostics": _fmt(exc.diagnostics)}
+    details = {
+        "deviation_tolerance": tol,
+        "leading_light_mass": spectrum.leading_light_mass,
+        "light_k2": spectrum.light_k2, "heavy_k2": spectrum.heavy_k2,
+        "heavy_k2_exact": spectrum.heavy_k2_exact,
+        "light_class": spectrum.light_class, "heavy_class": spectrum.heavy_class,
+        "roots": list(spectrum.roots),
+        "mu_over_M": ratio,
+    }
+    if reason:
+        details["reason"] = reason
+    return ok, spectrum.deviation, details
 
 
 @_command
@@ -492,27 +513,7 @@ def cmd_seesaw(cfg: RunConfig):
             details=details,
         )
 
-        try:
-            spectrum = exact_mode_spectrum(coupling)
-            ok, tol, ratio, reason = seesaw_verdict(coupling, spectrum)
-        except RootFindingError as exc:
-            ok, residual = False, None
-            details = {"error": str(exc), "diagnostics": _fmt(exc.diagnostics)}
-        else:
-            residual = spectrum.deviation
-            details = {
-                "deviation_tolerance": tol,
-                "leading_light_mass": spectrum.leading_light_mass,
-                "light_k2": spectrum.light_k2,
-                "heavy_k2": spectrum.heavy_k2,
-                "heavy_k2_exact": spectrum.heavy_k2_exact,
-                "light_class": spectrum.light_class,
-                "heavy_class": spectrum.heavy_class,
-                "roots": list(spectrum.roots),
-                "mu_over_M": ratio,
-            }
-            if reason:
-                details["reason"] = reason
+        ok, residual, details = _judged(coupling)
         yield CheckReport(
             "seesaw_spectrum", params, ok=ok,
             relation="light root of det(coupled matrix) matches "
@@ -621,21 +622,16 @@ def cmd_scan(cfg: RunConfig, param: str, start: Fraction, stop: Fraction,
             coupling = CouplingConfig(
                 g=fields["g"], vev=fields["vev"], ell=fields["ell"], eps5=e5
             )
-            spectrum = exact_mode_spectrum(coupling)
-            ok, _, _, reason = seesaw_verdict(coupling, spectrum)
-            row.update(
-                light_k2=spectrum.light_k2,
-                heavy_k2=spectrum.heavy_k2,
-                leading_light_mass=spectrum.leading_light_mass,
-                deviation=spectrum.deviation,
-                status="ok" if ok else "fail",
-                error=reason,
-            )
-        except (RootFindingError, ValueError) as exc:
-            row.update(
-                light_k2=None, heavy_k2=None, leading_light_mass=None,
-                deviation=None, status="error", error=str(exc),
-            )
+        except ValueError as exc:  # a refused coupling, such as ell <= 0
+            ok, deviation, details = False, None, {"error": str(exc)}
+        else:
+            ok, deviation, details = _judged(coupling)
+        row.update(
+            {key: details.get(key) for key in ("light_k2", "heavy_k2", "leading_light_mass")},
+            deviation=deviation,
+            status="error" if "error" in details else "ok" if ok else "fail",
+            error=details.get("error", details.get("reason")),
+        )
         rows.append(row)
     return rows
 
@@ -675,15 +671,7 @@ def config_dict(cfg: RunConfig, command: str) -> dict:
 
 
 def report_dict(report: CheckReport) -> dict:
-    return {
-        "check": report.check,
-        "params": _fmt(report.params),
-        "status": report.status,
-        "residual": _fmt(report.residual),
-        "relation": report.relation,
-        "details": _fmt(report.details),
-        "duration_ms": _fmt(report.duration_ms),
-    }
+    return {name: _fmt(getattr(report, name)) for name in CheckReport.__slots__}
 
 
 def reports_document(cfg: RunConfig, command: str, reports: list[CheckReport]) -> dict:

@@ -71,10 +71,14 @@ def gamma_sum(eps5: int, coeffs) -> ExactMatrix:
     """sum_a coeffs[a] gamma^a over the Majorana rep of the eps5 signature.
 
     ``coeffs`` lists up to five ParamPoly (or exact numbers) for gamma^0,
-    gamma^1, ...; a zero coefficient adds nothing.  Each gamma has one
-    nonzero entry per row, so every output entry is one exact sum of
-    products per monomial (``_poly_sum_of_products``), reduced once.
+    gamma^1, ...; a zero or missing coefficient adds nothing, and a sixth
+    raises ValueError.  Each gamma has one nonzero entry per row, so every
+    output entry is one exact sum of products per monomial
+    (``_poly_sum_of_products``), reduced once.
     """
+    coeffs = tuple(coeffs)
+    if len(coeffs) > 5:
+        raise ValueError(f"gamma_sum takes at most five coefficients, not {len(coeffs)}")
     pairs = {}
     for perm, coeff in zip(_gamma_perms(eps5), coeffs):
         coeff = poly(coeff)

@@ -301,6 +301,40 @@ def test_scan_nonpositive_ell_gives_error_rows(capsys, start, stop, bad):
         "1", "ok", "4")
 
 
+@pytest.mark.parametrize("param,value,status", [
+    ("vev", "1/100", "ok"),
+    ("vev", "1", "fail"),  # the critical coupling
+    ("vev", "3/2", "error"),  # overcritical: no real determinant root
+    ("ell", "0", "error"),  # refused by CouplingConfig
+])
+def test_a_scan_row_reads_the_seesaw_spectrum_row(capsys, param, value, status):
+    # a coupling is judged alike in a scan and in the seesaw command: the
+    # same values, status, and reason or error
+    flags = ["--eps5", "1", *(word for name in ("g", "ell") if name != param
+                              for word in (f"--{name}", "1"))]
+    _, out = run(capsys, "scan", "--param", param, "--from", value, "--to", value,
+                 "--steps", "1", *flags)
+    [row] = json.loads(out)["rows"]
+    assert row["status"] == status
+    seesaw_argv = ["seesaw", f"--{param}", value, *flags]
+    if param == "ell":
+        assert row["error"] == "ell must be positive"
+        assert main(seesaw_argv) == 2
+        assert "ncdirac: error: ell must be positive" in capsys.readouterr().err
+        return
+    _, out = run(capsys, *seesaw_argv)
+    [spectrum] = [r for r in json.loads(out)["reports"] if r["check"] == "seesaw_spectrum"]
+    details = spectrum["details"]
+    assert spectrum["status"] == ("pass" if status == "ok" else "fail")
+    assert ("error" in details) == (status == "error")
+    assert row["deviation"] == spectrum["residual"]
+    for key in ("light_k2", "heavy_k2", "leading_light_mass"):
+        assert row[key] == details.get(key)
+    assert row["error"] == details.get("error", details.get("reason"))
+    if status == "fail":
+        assert row["error"] == seesaw.CRITICAL
+
+
 def test_scan_csv_and_error_rows(capsys):
     # vev sweep crosses the critical coupling for eps5 = +1
     code, out = run(

@@ -82,3 +82,12 @@ def test_gamma_sum_equals_the_chain_on_polynomial_coefficients(eps5, parts):
     coeffs = [poly(ExactScalar(re, im)) * sym("l", a) * sym("k1", b)
               for re, im, a, b in parts]
     assert gamma_sum(eps5, coeffs) == _add_scale_chain(eps5, coeffs)
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+def test_a_sixth_coefficient_is_refused_not_dropped(eps5):
+    # there are five gammas: a coefficient past the fifth has none to
+    # multiply, and a missing one is zero
+    with pytest.raises(ValueError, match="at most five coefficients"):
+        gamma_sum(eps5, [1, 0, 0, 0, 0, 7])
+    assert gamma_sum(eps5, [1]) == gamma_sum(eps5, [1, 0, 0, 0, 0])

@@ -141,6 +141,23 @@ def test_checks_types_no_closed_form():
                 and node.value in ("Dirac", "Majorana")}
 
 
+def _callers(tree, name: str) -> set:
+    """The top-level functions of ``tree`` that call ``name``."""
+    return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+            for call in ast.walk(node) if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name) and call.func.id == name}
+
+
+def test_one_function_judges_a_seesaw_coupling():
+    # the seesaw_spectrum row and every scan row read one judgement of a
+    # coupling: the scan computes no spectrum or verdict of its own
+    tree = ast.parse((PACKAGE / "checks.py").read_text())
+    assert len(_callers(tree, "seesaw_verdict")) == 1
+    [scan] = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "cmd_scan"]
+    assert not {"exact_mode_spectrum", "seesaw_verdict", "RootFindingError"} & set(_names(scan))
+
+
 def _unused_imports(tree) -> list:
     """The names a module's top-level imports bind that it never reads, a
     name listed in its ``__all__`` counting as read."""
