@@ -377,7 +377,7 @@ def cmd_verify_planewave(cfg: RunConfig):
             "planewave_lemma", params,
             ok=worst == 0,
             relation="[p, e^A] = [p, A] e^A and d(e^A) = (dA + (1/2)[A, dA]) e^A "
-                     "on a nilpotent matrix model",
+                     "on a nilpotent model",
             residual=worst,
             details=res,
         )
@@ -619,9 +619,7 @@ def cmd_scan(cfg: RunConfig, param: str, start: Fraction, stop: Fraction,
             "dispersion_heavy_k2": str(heavy_k2(ell, e5)) if ell > 0 else None,
         }
         try:
-            coupling = CouplingConfig(
-                g=fields["g"], vev=fields["vev"], ell=fields["ell"], eps5=e5
-            )
+            coupling = CouplingConfig(**fields, eps5=e5)
         except ValueError as exc:  # a refused coupling, such as ell <= 0
             ok, deviation, details = False, None, {"error": str(exc)}
         else:

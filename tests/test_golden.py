@@ -57,7 +57,11 @@ echo in its ``config`` only the format and the settings its rows read
 ``heavy_k2`` of ``check_all_seed42.json`` and ``seesaw_default.json`` was
 rewritten once, from -3.99979999749987 to -3.99979999749988, when the
 spectrum came to be rounded once from one exact square root; the exact
-value is -3.99979999749987499218...
+value is -3.99979999749987499218...  ``check_all_seed42.json``,
+``check_all.csv`` and ``verify_planewave_all_signs.json`` were rewritten
+once when the ``planewave_lemma`` relation came to read "on a nilpotent
+model", not "on a nilpotent matrix model": the model acts on polynomials
+in the symbol ``m`` and forms no matrix.  Nothing else in them changed.
 
 ``demo_04.txt`` pins the Clifford relations of ``verify_clifford``, the
 counts of the generator proof ``modes.lorentz_covariance`` and the generator
