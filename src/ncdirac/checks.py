@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .scalars import ExactScalar, ParamPoly
+from .scalars import ExactScalar
 from .lie_algebra import (
     P_LABELS,
     X_LABELS,
@@ -46,6 +46,7 @@ from .modes import (
     massive_class,
     reference_solutions,
     residual as mode_residual,
+    scaling_residual,
     squared_identity_residual,
 )
 from .seesaw import (
@@ -106,14 +107,15 @@ class RunConfig:
 # The settings each command's rows read, the one list of them: the command
 # line offers a command only these (with --format, --out and --config, and
 # --timings everywhere but scan), refuses any other as a flag or a --config
-# key, and the report's config echoes exactly these and the format.  No
-# check reads the seed; check all echoes it.
+# key, and the report's config echoes exactly these and the format (a scan
+# echoes its range for the setting it sweeps).  No check reads the seed;
+# check all echoes it.
 READS = {
     "verify algebra": ("eps4", "eps5", "fixture"),
     "verify rep": ("eps5",),
     "verify clifford": ("eps5",),
     "verify planewave": ("eps5",),
-    "modes": ("eps5", "ell"),
+    "modes": ("eps5",),
     "seesaw": ("eps5", "ell", "g", "vev"),
     "scan": ("eps5", "ell", "g", "vev"),
     "check all": ("eps4", "eps5", "ell", "g", "vev", "fixture", "seed"),
@@ -141,15 +143,11 @@ class CheckReport:
 
 
 def _fmt(value):
-    """Deterministic JSON-friendly rendering of numbers and containers."""
+    """Deterministic JSON rendering of numbers and containers; an exact number as its str."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
         return format(value, ".15g")
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (ExactScalar, ParamPoly)):
-        return str(value)
     if isinstance(value, dict):
         return {str(k): _fmt(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -386,45 +384,41 @@ def cmd_verify_planewave(cfg: RunConfig):
 # -- dispersion and modes -----------------------------------------------------
 
 
-def _dispersion(ell: Fraction, e5: int) -> tuple[bool, list]:
-    """Whether the dispersion roots at ``ell`` are exactly 0 and the heavy
-    k^2, and the roots as sorted strings."""
-    roots = dispersion_roots(ell, e5)
-    return roots == {0, heavy_k2(ell, e5)}, sorted(str(r) for r in roots)
+# every modes row runs at l = 2, M = 1: modes_scaling carries it to
+# every l > 0, and the massless reference, at k^2 = 0, reads no l
+_MODES_ELL = Fraction(2)
+_CARRIED = "at l = 2; modes_scaling carries it to every l > 0"
 
 
 @_command
 def cmd_modes(cfg: RunConfig):
     for e5 in cfg.eps5_values():
-        params = {"ell": str(cfg.ell), "eps5": e5}
+        params = {"eps5": e5}
 
-        identity = squared_identity_residual(e5)
         yield CheckReport(
-            "dispersion_identity", {"eps5": e5},
-            ok=identity.is_zero(),
+            "dispersion_identity", params,
+            ok=squared_identity_residual(e5).is_zero(),
             relation="D(k)^2 = (k^2 + eps5*(l^2/4)*(k^2)^2) * Id",
         )
 
-        ok, roots = _dispersion(cfg.ell, e5)
         yield CheckReport(
-            "dispersion_roots", params, ok=ok,
-            relation="k^2 * (1 + eps5*(l^2/4)*k^2) = 0",
-            details={"roots": roots},
+            "modes_scaling", params,
+            ok=scaling_residual(e5).is_zero(),
+            relation="s*D(k; s*l) = D(s*k; l) with k, l and s symbolic",
         )
 
-        sweep = {str(ell): _dispersion(ell, e5)
-                 for ell in (Fraction(1, 2), Fraction(1), Fraction(2))}
+        roots = dispersion_roots(_MODES_ELL, e5)
         yield CheckReport(
-            "dispersion_sweep", {"eps5": e5},
-            ok=all(ok for ok, _ in sweep.values()),
-            relation="heavy root equals -eps5*4/l^2 exactly at l in {1/2, 1, 2}",
-            details={ell: roots for ell, (_, roots) in sweep.items()},
+            "dispersion_roots", params,
+            ok=roots == {0, heavy_k2(_MODES_ELL, e5)},
+            relation=f"k^2 * (1 + eps5*(l^2/4)*k^2) = 0 {_CARRIED}",
+            details={"roots": sorted(str(r) for r in roots)},
         )
 
         for branch, want in (("heavy", massive_class(e5)),
                              ("massless", MASSLESS_CLASS)):
             try:
-                sol = reference_solutions(cfg.ell, e5, branch)
+                sol = reference_solutions(_MODES_ELL, e5, branch)
                 worst = max(mode_residual(sol.k, u, sol.ell, e5) for u in sol.basis)
                 ok = sol.spinor_class == want and worst == 0.0
                 details = {"k": [str(c) for c in sol.k],
@@ -435,13 +429,13 @@ def cmd_modes(cfg: RunConfig):
                 ok, worst, details = False, None, {"error": str(exc)}
             yield CheckReport(
                 f"modes_reference_{branch}", params, ok=ok,
-                relation=f"D(k) u = 0 with dim ker = 2 on the {branch} branch",
+                relation=f"D(k) u = 0 with dim ker = 2 on the {branch} branch {_CARRIED}",
                 residual=worst, details=details,
             )
 
         covariance = lorentz_covariance(e5)
         yield CheckReport(
-            "modes_lorentz_generators", {"eps5": e5},
+            "modes_lorentz_generators", params,
             ok=covariance["failure"] is None,
             relation="S_munu = (1/4)[g^mu, g^nu]: [S_munu, g^s] = g^r (L_munu)^r_s,"
                      " [S_munu, g^4] = 0 and [S_munu, D(k)] = (L_munu k).grad D(k),"
@@ -487,13 +481,6 @@ def cmd_seesaw(cfg: RunConfig):
 
         k2, cls = light_mass_leading(coupling)
         mass = leading_mass(coupling)
-        yield CheckReport(
-            "seesaw_leading", params,
-            ok=True,
-            relation="m = |g|^2 vev^2 l / 2; k^2 = -eps5 * m^2",
-            details={"mass": mass, "k2": k2, "class": cls},
-        )
-
         try:
             eff = verify_effective_equation(coupling)
         except VerificationError as exc:
@@ -502,6 +489,7 @@ def cmd_seesaw(cfg: RunConfig):
             # a massless light mode has no rest frame to classify
             ok = eff.identity_ok and eff.rest_frame_class == (cls if mass else None)
             details = {
+                "mass": mass, "k2": k2,
                 "identity_exact": eff.identity_ok,
                 "rest_frame_class": eff.rest_frame_class,
                 "expected_class": cls,
@@ -709,9 +697,15 @@ def render_reports_csv(reports: list[CheckReport]) -> str:
     )
 
 
-def scan_document(cfg: RunConfig, rows: list[dict]) -> dict:
+def scan_document(cfg: RunConfig, rows: list[dict], param: str, start: Fraction,
+                  stop: Fraction, steps: int) -> dict:
+    """The scan's rows, and a config that echoes the swept range in place
+    of the base value of the swept setting, which no row reads."""
+    config = config_dict(cfg, "scan")
+    del config[param]
+    config.update({"param": param, "from": _fmt(start), "to": _fmt(stop), "steps": steps})
     return {
-        "config": config_dict(cfg, "scan"),
+        "config": config,
         "rows": [{k: _fmt(v) for k, v in row.items()} for row in rows],
     }
 

@@ -199,11 +199,12 @@ def main(argv=None) -> int:
 
     try:
         if args.cmd == "scan":
-            rows = checks.cmd_scan(cfg, args.param, args.start, args.stop, args.steps)
+            sweep = (args.param, args.start, args.stop, args.steps)
+            rows = checks.cmd_scan(cfg, *sweep)
             if cfg.fmt == "csv":
                 text = checks.render_scan_csv(rows)
             else:
-                text = checks.render_json(checks.scan_document(cfg, rows))
+                text = checks.render_json(checks.scan_document(cfg, rows, *sweep))
             passed = all(r["status"] == "ok" for r in rows)
         else:
             if args.cmd == "check":

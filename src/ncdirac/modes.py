@@ -5,7 +5,9 @@ The operator is D(k) = g^mu k_mu - eps5 * g^4 * (l/2) k^2 in the Majorana
 representation, i.e. g.k - g5 (l/2) k^2 for eps5 = +1 and g.k + i g5 (l/2)
 k^2 for eps5 = -1.  Squaring gives the dispersion polynomial
 k^2 + eps5 (l^2/4)(k^2)^2, written once in ``dispersion_polynomial``; its
-roots, the branches, are k^2 = 0 and k^2 = -eps5 4/l^2.
+roots, the branches, are k^2 = 0 and k^2 = -eps5 4/l^2.  D is homogeneous,
+s D(k; s l) = D(s k; l) (``scaling_residual``), so what holds at one l
+holds, rescaled, at every l > 0.
 
 The heavy branch is written here once: its mass scale M = 2/l
 (``heavy_mass``), its k^2 = -eps5 M^2 (``heavy_k2``), the frame a massive
@@ -112,9 +114,10 @@ def dirac_matrix(p: ModeProblem) -> ExactMatrix:
     return gamma_sum(p.eps5, dirac_coefficients(p.k, p.ell, p.eps5))
 
 
-def dirac_matrix_symbolic(eps5: int) -> ExactMatrix:
-    """The operator with symbols k0..k3 and l, for identity checks."""
-    return gamma_sum(eps5, dirac_coefficients(MOMENTUM_SYMBOLS, sym("l"), eps5))
+def dirac_matrix_symbolic(eps5: int, k=MOMENTUM_SYMBOLS, ell=sym("l")) -> ExactMatrix:
+    """The operator at polynomial k and l, by default the symbols k0..k3 and
+    l, for identity checks."""
+    return gamma_sum(eps5, dirac_coefficients(k, ell, eps5))
 
 
 def dispersion_polynomial(ell, eps5: int) -> tuple:
@@ -130,6 +133,14 @@ def squared_identity_residual(eps5: int) -> ExactMatrix:
     ksq = minkowski_square(MOMENTUM_SYMBOLS)
     a, b = dispersion_polynomial(sym("l"), eps5)
     return D @ D - ExactMatrix.identity(4).scale(ksq * a + ksq * ksq * b)
+
+
+def scaling_residual(eps5: int) -> ExactMatrix:
+    """s D(k; s l) - D(s k; l) with symbolic k, l and scale s, the symbol r:
+    zero says a kernel or root at one l > 0 is, rescaled, that at every l."""
+    s = sym("r")
+    return (dirac_matrix_symbolic(eps5, ell=s * sym("l")).scale(s)
+            - dirac_matrix_symbolic(eps5, k=[s * c for c in MOMENTUM_SYMBOLS]))
 
 
 def dispersion_roots(ell, eps5: int) -> set:
@@ -219,15 +230,8 @@ def reference_solutions(ell, eps5: int, branch: str, energy_sign: int = 1,
         k = (kap, 0, 0, kap)
     problem = ModeProblem(eps5=eps5, ell=ellf, k=k)
     basis, cls = spinor_kernel(dirac_matrix(problem), k, eps5)
-    return SpinorSolution(
-        k=k,
-        basis=basis,
-        branch=branch,
-        k2=problem.k_squared(),
-        spinor_class=cls,
-        eps5=eps5,
-        ell=ellf,
-    )
+    return SpinorSolution(k=k, basis=basis, branch=branch, k2=problem.k_squared(),
+                          spinor_class=cls, eps5=eps5, ell=ellf)
 
 
 def residual(k, u, ell, eps5: int) -> float:

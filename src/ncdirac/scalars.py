@@ -31,7 +31,8 @@ from typing import Iterable, Mapping, Union
 # tuples aligned with this list, and term ordering is lexicographic on them.
 #   l    length deformation parameter
 #   rho  curvature parameter 1/R^2
-#   r    1/R, with rho = r^2 (needed by the isomorphism scaling map)
+#   r    1/R, with rho = r^2 (needed by the isomorphism scaling map); also
+#        the scale s of modes.scaling_residual, where no other symbol is r
 #   m    the one free coordinate: the seesaw frame axis and the x of the
 #        plane-wave lemma's model
 #   k0..k3  plane-wave momentum components (upper index)

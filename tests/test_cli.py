@@ -54,8 +54,21 @@ def test_invalid_coupling_is_usage_error(capsys):
 
 
 def test_negative_ell_is_usage_error(capsys):
-    code, _ = run(capsys, "modes", "--ell", "-1/2")
+    code = main(["seesaw", "--ell=-1/2"])
     assert code == 2
+    assert "ell must be positive" in capsys.readouterr().err
+
+
+def test_modes_reads_no_ell(tmp_path, capsys):
+    # modes_scaling carries every modes row from l = 2 to every l > 0, so
+    # modes takes no --ell, and a --config ell names the commands that do
+    assert main(["modes", "--ell", "2"]) == 2
+    assert "unrecognized arguments: --ell 2" in capsys.readouterr().err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"ell": "2"}))
+    assert main(["modes", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "ncdirac: error: modes reads no ell (read by: seesaw, scan, check all)\n")
 
 
 def test_missing_subcommand(capsys):
@@ -127,7 +140,7 @@ def test_planewave_order_flag(tmp_path, capsys):
 
 
 def test_modes_roots_example(capsys):
-    code, out = run(capsys, "modes", "--eps5", "-1", "--ell", "2")
+    code, out = run(capsys, "modes", "--eps5", "-1")
     assert code == 0
     doc = json.loads(out)
     roots = [r for r in doc["reports"] if r["check"] == "dispersion_roots"]
@@ -141,7 +154,7 @@ def test_seesaw_example(capsys):
     assert code == 0
     doc = json.loads(out)
     for r in doc["reports"]:
-        if r["check"] == "seesaw_leading":
+        if r["check"] == "seesaw_effective":
             assert r["details"]["mass"] == "1/20000"  # 5e-5
         if r["check"] == "seesaw_spectrum":
             assert float(r["residual"]) < 1e-3
@@ -207,7 +220,7 @@ def test_a_swapped_frame_fails_every_massive_row(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True)
     assert done.returncode == 1, done.stderr
     doc = json.loads(done.stdout)
-    assert doc["summary"]["total"] == 110
+    assert doc["summary"]["total"] == 108
     failed = {(r["check"], r["params"]["eps5"]) for r in doc["reports"] if r["status"] == "fail"}
     assert failed == {(check, e5) for e5 in (1, -1) for check in (
         "modes_reference_heavy", "seesaw_spectrum", "seesaw_effective",
@@ -257,7 +270,7 @@ def test_a_float_past_its_range_fails_only_the_seesaw_rows(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 1
     reports = json.loads(out)["reports"]
-    assert len(reports) == (110 if argv[0] == "check" else 5)
+    assert len(reports) == (108 if argv[0] == "check" else 4)
     failed = [r for r in reports if r["status"] != "pass"]
     assert failed and all(r["check"].startswith("seesaw_") for r in failed)
     spectra = [r for r in reports if r["check"] == "seesaw_spectrum"]
@@ -549,6 +562,10 @@ def test_a_command_echoes_exactly_the_settings_it_reads(tmp_path, capsys, comman
         else:
             argv += [f"--{setting}", flag]
         echoed[setting] = echo
+    if command == "scan":
+        # a scan echoes its range in place of the base value it sweeps
+        del echoed["vev"]
+        echoed.update({"param": "vev", "from": "1/100", "to": "1/10", "steps": 2})
     if by_key:
         config = tmp_path / "run.json"
         config.write_text(json.dumps(keys))
@@ -592,6 +609,17 @@ def test_scan_takes_no_timings(capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "unrecognized arguments: --timings" in captured.err
+
+
+def test_scan_echoes_its_range_not_the_base_value_it_sweeps(capsys):
+    # the config once echoed "vev": "1/100" next to a row run at vev 3/2
+    code, out = run(capsys, "scan", "--param", "vev", "--from", "3/2", "--to", "3/2",
+                    "--steps", "1", "--eps5", "1")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["config"] == {"eps5": 1, "ell": "1", "format": "json", "g": "1",
+                             "param": "vev", "from": "3/2", "to": "3/2", "steps": 1}
+    assert [row["value"] for row in doc["rows"]] == ["3/2"]
 
 
 def test_scan_echoes_the_sign_it_runs_at(capsys):

@@ -75,11 +75,29 @@ counts, which read the same under ``PYTHONHASHSEED`` 0 and 1; it was
 written by the engine whose plane-wave rows passed on a zero remainder
 only, before the seesaw spectrum was rounded from one exact square root.
 
-``modes_eps5_minus_ell_2.json`` and ``seesaw_complex_g_eps5_minus.json``
-pin two examples of the README: ``modes`` alone at ``l = 2`` and ``seesaw``
-with a complex ``--g``, which no other golden command passes.  They were
-written by the engine whose ``checks`` typed the heavy branch ``-4 eps5 /
-l^2`` itself, before ``modes`` held the heavy mass, frame and class.
+``modes_eps5_minus.json`` and ``seesaw_complex_g_eps5_minus.json`` pin
+two examples of the README: ``modes`` alone and ``seesaw`` with a complex
+``--g``, which no other golden command passes.  The seesaw file was written
+by the engine whose ``checks`` typed the heavy branch ``-4 eps5 / l^2``
+itself, before ``modes`` held the heavy mass, frame and class.
+
+Every modes and seesaw report was rewritten once when ``modes_scaling``
+came to prove ``s D(k; s l) = D(s k; l)``: ``dispersion_sweep`` gave way
+to ``modes_scaling``, ``dispersion_roots`` and ``modes_reference_*`` lost
+their ``ell`` parameter and run at ``l = 2``, with relations that say so,
+and ``modes`` lost ``--ell``, so ``modes_eps5_minus.json`` replaced the
+report of ``modes --eps5 -1 --ell 2``, whose rows it equals but for the
+parameter and the relations.  ``seesaw_leading``, which could not fail,
+went too, and its ``mass`` and ``k2`` joined the ``seesaw_effective``
+details: ``check_all_seed42.json``, ``check_all.csv`` and the three
+``seesaw`` files changed in those rows and the counts.  In the same change
+``scan_vev_eps5_plus.json`` came to echo its swept range (``param``,
+``from``, ``to``, ``steps``) in its ``config`` in place of the base
+``vev``; its rows and its CSV did not change.
+
+Every file in this folder is a golden of ``commands.txt``, a demo's
+golden, or an input a listed command reads; the list, ``commands.txt``,
+and its runner ``compare.sh`` are the two others.
 
 ``seesaw_from_config.json`` is the report of ``seesaw --config
 tests/golden/seesaw_config.json``, the one golden command that reads its
@@ -137,6 +155,17 @@ def test_timings_change_nothing_but_the_durations(capsys):
 
 
 DEMOS = GOLDEN.parent.parent / "demos"
+DEMO_GOLDENS = {f"demo_{path.stem.split('_')[0]}.txt" for path in DEMOS.glob("*.py")}
+
+
+def test_every_golden_file_is_read():
+    # a golden replaced in commands.txt must not linger beside its successor
+    listed = {golden for _, golden, _ in COMMANDS}
+    inputs = {arg.rpartition("/")[2] for argv, _, _ in COMMANDS for arg in argv
+              if arg.startswith("tests/golden/")}
+    tooling = {"commands.txt", "compare.sh"}
+    stray = {path.name for path in GOLDEN.iterdir()} - listed - inputs - DEMO_GOLDENS - tooling
+    assert not stray, sorted(stray)
 
 
 @pytest.mark.parametrize("demo", sorted(path.stem for path in DEMOS.glob("*.py")))

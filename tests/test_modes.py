@@ -1,9 +1,15 @@
 """Dispersion branches, exact nullspaces, and exact boost covariance by the
 Cayley boost oracle."""
 
+import json
+import os
 import random
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import cayley_oracle
 import numpy as np
@@ -22,6 +28,7 @@ from ncdirac.modes import (
     dispersion_roots,
     reference_solutions,
     residual,
+    scaling_residual,
     squared_identity_residual,
 )
 from ncdirac.scalars import I, ExactScalar, poly
@@ -31,6 +38,54 @@ from ncdirac.seesaw import CouplingConfig
 @pytest.mark.parametrize("eps5", [1, -1])
 def test_squared_identity_symbolic(eps5):
     assert squared_identity_residual(eps5).is_zero()
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+@pytest.mark.parametrize("s,ell,k", [
+    (Fraction(3), Fraction(1, 2), (1, 2, 0, -1)),
+    (Fraction(2, 7), Fraction(5), (Fraction(1, 3), 0, 4, 1)),
+])
+def test_scaling_identity_means_what_it_says(eps5, s, ell, k):
+    # the symbol r of scaling_residual is the scale: at sample points,
+    # s D(k; s l) = D(s k; l) holds on dirac_matrix itself
+    assert scaling_residual(eps5).is_zero()
+    lhs = dirac_matrix(ModeProblem(eps5=eps5, ell=s * ell, k=k)).scale(s)
+    rhs = dirac_matrix(ModeProblem(eps5=eps5, ell=ell, k=tuple(s * c for c in k)))
+    assert lhs == rhs
+
+
+_D_SCALE = "Fraction(-eps5, 2) * ell * minkowski_square(k)"
+
+
+def test_a_length_squared_in_d_fails_modes_scaling(tmp_path):
+    # D(k) is written once, in dirac_coefficients: with l squared there, in
+    # a copy of the package, D is not homogeneous and modes_scaling fails
+    # for both eps5, beside the rows that read D at l = 2
+    mutant = tmp_path / "ncdirac"
+    shutil.copytree(Path(modes.__file__).parent, mutant,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = (mutant / "modes.py").read_text()
+    assert source.count(_D_SCALE) == 1
+    (mutant / "modes.py").write_text(
+        source.replace(_D_SCALE, _D_SCALE.replace("ell", "ell ** 2")))
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    done = subprocess.run([sys.executable, "-m", "ncdirac", "modes"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 1, done.stderr
+    failed = {(r["check"], r["params"]["eps5"])
+              for r in json.loads(done.stdout)["reports"] if r["status"] == "fail"}
+    assert failed == {(check, e5) for e5 in (1, -1) for check in (
+        "dispersion_identity", "modes_scaling", "modes_reference_heavy")}
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+def test_the_heavy_reference_is_the_same_at_every_length(eps5):
+    # D(frame(eps5, M); 2/M) = M D(frame(eps5, 1); 2): the modes rows run at
+    # l = 2 only, and the kernel and class there are those at every l
+    at_two = reference_solutions(Fraction(2), eps5, "heavy")
+    for ell in (Fraction(1, 3), Fraction(1), Fraction(7, 2)):
+        sol = reference_solutions(ell, eps5, "heavy")
+        assert (sol.basis, sol.spinor_class) == (at_two.basis, at_two.spinor_class)
 
 
 @pytest.mark.parametrize(
@@ -57,9 +112,10 @@ def test_tampered_dispersion_coefficient_fails_the_rows(monkeypatch, eps5):
     monkeypatch.setattr(modes, "dispersion_polynomial",
                         lambda ell, e5: (1, ell * ell * Fraction(e5, 2)))
     rows = {r.check: r for r in checks.cmd_modes(checks.RunConfig(eps5=eps5))}
-    for name in ("dispersion_identity", "dispersion_roots", "dispersion_sweep"):
+    for name in ("dispersion_identity", "dispersion_roots"):
         assert not rows[name].passed, name
-    assert rows["dispersion_roots"].details["roots"] == sorted(["0", str(Fraction(-2 * eps5))])
+    # the roots row runs at l = 2, where the root is -1/(2 eps5), not -eps5
+    assert rows["dispersion_roots"].details["roots"] == sorted(["0", str(Fraction(-eps5, 2))])
 
 
 def _in_kernel(problem: ModeProblem, vec) -> bool:

@@ -158,6 +158,32 @@ def test_one_function_judges_a_seesaw_coupling():
     assert not {"exact_mode_spectrum", "seesaw_verdict", "RootFindingError"} & set(_names(scan))
 
 
+def _constant_verdicts(tree) -> list:
+    """The lines of ``tree`` that build a CheckReport with a literal ``ok``,
+    as the third argument or by keyword."""
+    return [call.lineno for call in ast.walk(tree) if isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) == "CheckReport"
+            and any(isinstance(ok, ast.Constant) for ok in (
+                *call.args[2:3], *(kw.value for kw in call.keywords if kw.arg == "ok")))]
+
+
+def test_the_constant_verdict_rule_sees_both_forms():
+    tree = ast.parse("""
+CheckReport("a", {}, True, "r")
+CheckReport("b", {}, ok=False, relation="r")
+CheckReport("c", {}, ok=x == 0, relation="r")
+CheckReport("d", {}, ok, "r")
+""")
+    assert _constant_verdicts(tree) == [2, 3]
+
+
+def test_no_row_passes_by_construction():
+    # a row built with ok=True counts toward the passes and cannot fail
+    found = {path.name: _constant_verdicts(ast.parse(path.read_text()))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert not any(found.values()), {m: lines for m, lines in found.items() if lines}
+
+
 def _unused_imports(tree) -> list:
     """The names a module's top-level imports bind that it never reads, a
     name listed in its ``__all__`` counting as read."""
