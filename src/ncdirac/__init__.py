@@ -43,7 +43,6 @@ from .clifford import (
     verify_clifford,
 )
 from .modes import (
-    ModeProblem,
     SpinorSolution,
     dirac_matrix,
     dispersion_roots,
@@ -96,7 +95,6 @@ __all__ = [
     "gamma_sum",
     "verify_clifford",
     "reality_class",
-    "ModeProblem",
     "SpinorSolution",
     "dirac_matrix",
     "dispersion_roots",

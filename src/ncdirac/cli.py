@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -37,6 +38,17 @@ def _coupling(text: str) -> ExactScalar:
         return ExactScalar.parse(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not an exact scalar: {text!r}") from exc
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse takes a token that starts with "-" for an option unless it
+    looks like a negative number, on some Pythons only -1 or -1.5, so a
+    value flag refused -1/2 and -1/2+1i.  Here -digit and -.digit start a
+    number."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
 # the flag type, --config reader and help of each setting of checks.READS
@@ -73,7 +85,7 @@ def _add_settings(sp: argparse.ArgumentParser, commands, timings: bool = True) -
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ncdirac",
         description="verification suite for the deformed relativistic algebra "
                     "and its Dirac sector",
@@ -84,8 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     # the target does not read
     p_verify = sub.add_parser("verify", help="run one family of identity checks")
     p_verify.add_argument("target", choices=checks.VERIFY_FAMILIES)
-    p_verify.add_argument("--all-signs", action="store_true",
-                          help="force the sweep over every sign choice")
     _add_settings(p_verify, [f"verify {target}" for target in checks.VERIFY_FAMILIES])
 
     p_modes = sub.add_parser("modes", help="dispersion roots and spinor modes")
@@ -154,13 +164,7 @@ def resolve_config(args: argparse.Namespace, command: str) -> RunConfig:
 
     values = {name: pick(getattr(args, name), name, _SETTINGS[name][1]) for name in reads}
     values["fmt"] = pick(args.fmt, "format", str)
-    if getattr(args, "all_signs", False):
-        # --all-signs overrides signs from --config, not flags given with it
-        given = [name for name in ("eps4", "eps5") if getattr(args, name) is not None]
-        if given:
-            raise ValueError(f"--all-signs sweeps every sign; drop --{' and --'.join(given)}")
-        values["eps4"] = values["eps5"] = None
-    elif command == "scan" and values["eps5"] is None:
+    if command == "scan" and values["eps5"] is None:
         values["eps5"] = -1  # a scan runs at one sign
     return RunConfig(
         out=args.out,

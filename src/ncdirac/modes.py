@@ -42,27 +42,6 @@ from .scalars import (I, MOMENTUM_SYMBOLS, P_ZERO, _poly_sum_of_products, as_fra
 BRANCHES = ("massless", "heavy")
 
 
-class ModeProblem:
-    """eps5 sign, deformation length l > 0, and a real four-vector k
-    (upper-index components k0..k3), held as Fractions."""
-
-    __slots__ = ("eps5", "ell", "k")
-
-    def __init__(self, eps5: int, ell: Fraction, k: tuple):
-        if eps5 not in (1, -1):
-            raise ValueError("eps5 must be +1 or -1")
-        self.eps5 = eps5
-        self.ell = as_fraction(ell)
-        if not self.ell > 0:
-            raise ValueError("ell must be positive")
-        if len(k) != 4:
-            raise ValueError("k must have four components")
-        self.k = tuple(as_fraction(c) for c in k)
-
-    def k_squared(self) -> Fraction:
-        return minkowski_square(self.k)
-
-
 def dirac_coefficients(k, ell, eps5: int) -> list:
     """The gamma^0..gamma^4 coefficients of D(k) = g^mu k_mu - eps5 g^4
     (l/2) k^2: lower(k) and -eps5 (l/2) k^2, for exact numbers or ParamPoly."""
@@ -109,14 +88,9 @@ def lorentz_covariance(eps5: int) -> dict:
     return {**counts, "failure": None}
 
 
-def dirac_matrix(p: ModeProblem) -> ExactMatrix:
-    """D(k) at the problem's momentum."""
-    return gamma_sum(p.eps5, dirac_coefficients(p.k, p.ell, p.eps5))
-
-
-def dirac_matrix_symbolic(eps5: int, k=MOMENTUM_SYMBOLS, ell=sym("l")) -> ExactMatrix:
-    """The operator at polynomial k and l, by default the symbols k0..k3 and
-    l, for identity checks."""
+def dirac_matrix(eps5: int, k=MOMENTUM_SYMBOLS, ell=sym("l")) -> ExactMatrix:
+    """D(k) at exact numbers or ParamPoly k and l, by default the symbols
+    k0..k3 and l.  A float raises TypeError and a bad eps5 ValueError."""
     return gamma_sum(eps5, dirac_coefficients(k, ell, eps5))
 
 
@@ -129,7 +103,7 @@ def dispersion_polynomial(ell, eps5: int) -> tuple:
 
 def squared_identity_residual(eps5: int) -> ExactMatrix:
     """D(k)^2 - (dispersion polynomial) * Id with symbolic k and l."""
-    D = dirac_matrix_symbolic(eps5)
+    D = dirac_matrix(eps5)
     ksq = minkowski_square(MOMENTUM_SYMBOLS)
     a, b = dispersion_polynomial(sym("l"), eps5)
     return D @ D - ExactMatrix.identity(4).scale(ksq * a + ksq * ksq * b)
@@ -139,8 +113,8 @@ def scaling_residual(eps5: int) -> ExactMatrix:
     """s D(k; s l) - D(s k; l) with symbolic k, l and scale s, the symbol r:
     zero says a kernel or root at one l > 0 is, rescaled, that at every l."""
     s = sym("r")
-    return (dirac_matrix_symbolic(eps5, ell=s * sym("l")).scale(s)
-            - dirac_matrix_symbolic(eps5, k=[s * c for c in MOMENTUM_SYMBOLS]))
+    return (dirac_matrix(eps5, ell=s * sym("l")).scale(s)
+            - dirac_matrix(eps5, k=[s * c for c in MOMENTUM_SYMBOLS]))
 
 
 def dispersion_roots(ell, eps5: int) -> set:
@@ -160,7 +134,6 @@ class SpinorSolution(NamedTuple):
 
     k: tuple
     basis: tuple
-    branch: str
     k2: object
     spinor_class: str
     eps5: int
@@ -203,15 +176,13 @@ def spinor_kernel(operator: ExactMatrix, k, eps5: int) -> tuple:
     return basis, reality_class(basis)
 
 
-def reference_solutions(ell, eps5: int, branch: str, energy_sign: int = 1,
-                        kappa=1) -> SpinorSolution:
+def reference_solutions(ell, eps5: int, branch: str, energy_sign: int = 1) -> SpinorSolution:
     """Reference-frame solutions with exact nullspaces.
 
     Heavy branch: k = frame(eps5, +-M), M = 2/l, the rest frame for
     eps5 = -1 (timelike branch) and the z-frame for eps5 = +1 (spacelike
-    branch).  Massless branch: k = (kappa, 0, 0, kappa), or
-    -(kappa, 0, 0, kappa) for energy_sign = -1.  The nullspace must come
-    out two-dimensional (``spinor_kernel``).
+    branch).  Massless branch: k = energy_sign (1, 0, 0, 1).  The nullspace
+    must come out two-dimensional (``spinor_kernel``).
     """
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}")
@@ -223,22 +194,21 @@ def reference_solutions(ell, eps5: int, branch: str, energy_sign: int = 1,
     if branch == "heavy":
         k = frame(eps5, energy_sign * heavy_mass(ellf))
     else:
-        kap = as_fraction(kappa)
-        if kap <= 0:
-            raise ValueError("kappa must be positive")
-        kap *= energy_sign
-        k = (kap, 0, 0, kap)
-    problem = ModeProblem(eps5=eps5, ell=ellf, k=k)
-    basis, cls = spinor_kernel(dirac_matrix(problem), k, eps5)
-    return SpinorSolution(k=k, basis=basis, branch=branch, k2=problem.k_squared(),
+        k = (energy_sign, 0, 0, energy_sign)
+    basis, cls = spinor_kernel(dirac_matrix(eps5, k, ellf), k, eps5)
+    return SpinorSolution(k=k, basis=basis, k2=minkowski_square(k),
                           spinor_class=cls, eps5=eps5, ell=ellf)
 
 
 def residual(k, u, ell, eps5: int) -> float:
     """||D(k) u|| / ||u||, formed exactly and rounded once to a float: 0.0
-    exactly when D(k) u = 0.  The entries of u are exact numbers or Python
-    complex numbers with integer parts."""
-    op = dirac_matrix(ModeProblem(eps5=eps5, ell=ell, k=tuple(k)))
+    exactly when D(k) u = 0.  k and l > 0 are exact rationals (strings like
+    "1/10" too); the entries of u are exact numbers or Python complex
+    numbers with integer parts."""
+    ellf = as_fraction(ell)
+    if ellf <= 0:
+        raise ValueError("ell must be positive")
+    op = dirac_matrix(eps5, tuple(as_fraction(c) for c in k), ellf)
     uvec = ExactMatrix.from_complex_entries([[c] for c in u])
     if uvec.is_zero():
         raise ValueError("zero vector has no residual")

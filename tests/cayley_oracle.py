@@ -27,7 +27,7 @@ from exact_gammas import exact_gammas
 from ncdirac.clifford import VerificationError
 from ncdirac.lie_algebra import ETA4_DIAG, minkowski_square
 from ncdirac.matrices import ExactMatrix
-from ncdirac.modes import ModeProblem, SpinorSolution, dirac_matrix
+from ncdirac.modes import SpinorSolution, dirac_matrix
 from ncdirac.scalars import ExactScalar, as_fraction
 
 # the integer matrices below are lists of rows
@@ -161,7 +161,7 @@ def boost_defect(s: SpinorSolution, boosts) -> tuple[int, str] | None:
         moved = tuple(sum(map(mul, row, k)) / (4 * b.denom ** 2) for row in b.lam_numer)
         if minkowski_square(moved) != k2:
             return index, "k^2 changed under boost"
-        op = dirac_matrix(ModeProblem(s.eps5, s.ell, moved)).scalar_entries()
+        op = dirac_matrix(s.eps5, moved, s.ell).scalar_entries()
         if any(chain(*_product(op, _product(b.numer, columns)))):
             return index, "D(Lambda k) S u != 0"
     return None

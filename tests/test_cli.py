@@ -37,10 +37,12 @@ def test_verify_algebra_single_pair(capsys):
 
 
 def test_all_signs_sweep(capsys):
-    code, out = run(capsys, "verify", "algebra", "--all-signs")
+    # no sign flag sweeps every sign, so verify takes no --all-signs
+    code, out = run(capsys, "verify", "algebra")
     assert code == 0
     doc = json.loads(out)
     assert doc["summary"]["total"] == 16  # 4 checks x 4 sign pairs
+    assert main(["verify", "algebra", "--all-signs"]) == 2
 
 
 def test_invalid_sign_is_usage_error(capsys):
@@ -53,10 +55,25 @@ def test_invalid_coupling_is_usage_error(capsys):
     assert code == 2
 
 
-def test_negative_ell_is_usage_error(capsys):
-    code = main(["seesaw", "--ell=-1/2"])
+@pytest.mark.parametrize("flag", [["--ell=-1/2"], ["--ell", "-1/2"]], ids=["joined", "split"])
+def test_negative_ell_is_usage_error(capsys, flag):
+    code = main(["seesaw", *flag])
     assert code == 2
     assert "ell must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("joined", [
+    ["seesaw", "--g=-1/2", "--eps5", "1"],
+    ["seesaw", "--g=-1/2+1i", "--eps5", "1"],
+    ["scan", "--param", "g", "--from=-1/2", "--to", "1/2", "--steps", "3", "--eps5", "-1"],
+])
+def test_a_negative_value_after_its_flag_is_read(capsys, joined):
+    # argparse once read the -1/2 of --g -1/2 as an option and refused the
+    # flag, "expected one argument"; only --g=-1/2 worked
+    split = [part for arg in joined for part in arg.split("=")]
+    code, out = run(capsys, *split)
+    assert code == 0
+    assert run(capsys, *joined) == (0, out)
 
 
 def test_modes_reads_no_ell(tmp_path, capsys):
@@ -502,6 +519,28 @@ def test_module_entry_point_matches_main(capsys):
     assert (proc.returncode, proc.stdout) == (code, out)
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme_command_lines() -> list:
+    """The ``ncdirac ...`` lines of README's "Command line" block, each
+    without its comment."""
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n")[1].split("\n## ")[0]
+    return [line.split("#")[0].split() for line in section.splitlines()
+            if line.startswith("ncdirac ")]
+
+
+@pytest.mark.parametrize("argv", _readme_command_lines(), ids=" ".join)
+def test_readme_command_line_runs(tmp_path, argv):
+    # an exit 2 is a README drifted from the parser; an exit 1 a failing
+    # row, or a warning raised as an error
+    env = dict(os.environ, PYTHONWARNINGS="error", PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", *argv], cwd=tmp_path, env=env,
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_intact_fixture_passes(tmp_path, capsys):
     alg = build_deformed_algebra(1, -1)
     path = tmp_path / "good.json"
@@ -629,27 +668,6 @@ def test_scan_echoes_the_sign_it_runs_at(capsys):
     doc = json.loads(out)
     assert doc["config"]["eps5"] == -1
     assert [row["eps5"] for row in doc["rows"]] == [-1, -1]
-
-
-@pytest.mark.parametrize("flags", [("--eps4", "1"), ("--eps5", "-1"),
-                                   ("--eps4", "1", "--eps5", "-1")])
-def test_all_signs_with_a_sign_flag_is_usage_error(capsys, flags):
-    # the sweep once overrode the flags given with it, and echoed null signs
-    code = main(["verify", "algebra", "--all-signs", *flags])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    given = " and ".join(flags[::2])
-    assert captured.err == (f"ncdirac: error: --all-signs sweeps every sign; "
-                            f"drop {given}\n")
-
-
-def test_all_signs_overrides_the_signs_of_a_config_file(tmp_path, capsys):
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps({"eps4": 1, "eps5": -1}))
-    code, out = run(capsys, "verify", "algebra", "--all-signs", "--config", str(config))
-    doc = json.loads(out)
-    assert code == 0 and doc["summary"]["total"] == 16
-    assert doc["config"] == {"eps4": None, "eps5": None, "format": "json"}
 
 
 def test_check_all_reads_a_fixture_from_the_config_key(tmp_path, capsys):

@@ -11,9 +11,9 @@ from exact_gammas import exact_gammas
 from hypothesis import given, settings, strategies as st
 
 from ncdirac.clifford import gamma_sum
-from ncdirac.lie_algebra import ETA4_DIAG
+from ncdirac.lie_algebra import ETA4_DIAG, minkowski_square
 from ncdirac.matrices import ExactMatrix
-from ncdirac.modes import ModeProblem, dirac_matrix, dirac_matrix_symbolic
+from ncdirac.modes import dirac_matrix
 from ncdirac.scalars import ExactScalar, ParamPoly, poly, sym
 from ncdirac.seesaw import CouplingConfig, leading_order_reduction
 from seesaw_oracle import coupled_matrix
@@ -38,11 +38,10 @@ _RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 @given(st.sampled_from([1, -1]), st.tuples(*[_RATIONALS] * 4),
        st.fractions(min_value=Fraction(1, 7), max_value=5, max_denominator=7))
 def test_rational_dirac_matrix_equals_the_chain(eps5, k, ell):
-    p = ModeProblem(eps5=eps5, ell=ell, k=k)
     coeffs = [k[mu] * ETA4_DIAG[mu] for mu in range(4)]
-    coeffs.append(Fraction(-eps5) * ell / 2 * p.k_squared())
+    coeffs.append(Fraction(-eps5) * ell / 2 * minkowski_square(k))
     want = _add_scale_chain(eps5, [ExactScalar(c) for c in coeffs])
-    assert dirac_matrix(p) == want
+    assert dirac_matrix(eps5, k, ell) == want
 
 
 @pytest.mark.parametrize("eps5", [1, -1])
@@ -50,7 +49,7 @@ def test_symbolic_dirac_matrix_equals_the_chain(eps5):
     ksq = sym("k0") ** 2 - sym("k1") ** 2 - sym("k2") ** 2 - sym("k3") ** 2
     coeffs = _k_lower([sym(f"k{mu}") for mu in range(4)])
     coeffs.append(ksq * sym("l") * poly(ExactScalar(Fraction(-eps5, 2))))
-    assert dirac_matrix_symbolic(eps5) == _add_scale_chain(eps5, coeffs)
+    assert dirac_matrix(eps5) == _add_scale_chain(eps5, coeffs)
 
 
 @pytest.mark.parametrize("eps5", [1, -1])

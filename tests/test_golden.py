@@ -178,7 +178,7 @@ def test_demo_output_matches_golden(capsys, demo):
 # (argv, exit code, golden file or None for the same command with numpy)
 NUMPY_FREE = [
     (["check", "all", "--seed", "42"], 0, "check_all_seed42.json"),
-    (["verify", "planewave", "--all-signs"], 0, "verify_planewave_all_signs.json"),
+    (["verify", "planewave"], 0, "verify_planewave_all_signs.json"),
     (["modes"], 0, None),
     (["seesaw"], 0, "seesaw_default.json"),
     (SCAN_VEV, 1, "scan_vev_eps5_plus.json"),

@@ -23,7 +23,6 @@ from ncdirac import checks, clifford, modes
 from ncdirac.clifford import VerificationError, reality_class
 from ncdirac.matrices import ExactMatrix
 from ncdirac.modes import (
-    ModeProblem,
     dirac_matrix,
     dispersion_roots,
     reference_solutions,
@@ -49,8 +48,8 @@ def test_scaling_identity_means_what_it_says(eps5, s, ell, k):
     # the symbol r of scaling_residual is the scale: at sample points,
     # s D(k; s l) = D(s k; l) holds on dirac_matrix itself
     assert scaling_residual(eps5).is_zero()
-    lhs = dirac_matrix(ModeProblem(eps5=eps5, ell=s * ell, k=k)).scale(s)
-    rhs = dirac_matrix(ModeProblem(eps5=eps5, ell=ell, k=tuple(s * c for c in k)))
+    lhs = dirac_matrix(eps5, k, s * ell).scale(s)
+    rhs = dirac_matrix(eps5, tuple(s * c for c in k), ell)
     assert lhs == rhs
 
 
@@ -118,8 +117,8 @@ def test_tampered_dispersion_coefficient_fails_the_rows(monkeypatch, eps5):
     assert rows["dispersion_roots"].details["roots"] == sorted(["0", str(Fraction(-eps5, 2))])
 
 
-def _in_kernel(problem: ModeProblem, vec) -> bool:
-    return (dirac_matrix(problem) @ ExactMatrix([[c] for c in vec])).is_zero()
+def _in_kernel(eps5: int, k, vec) -> bool:
+    return (dirac_matrix(eps5, k, Fraction(1)) @ ExactMatrix([[c] for c in vec])).is_zero()
 
 
 FROZEN_SPANS = {
@@ -137,11 +136,10 @@ def test_heavy_solutions(eps5):
     assert len(sol.basis) == 2
     assert sol.k2 == Fraction(-4 * eps5)
     assert sol.spinor_class == ("Dirac" if eps5 == -1 else "Majorana")
-    problem = ModeProblem(eps5=eps5, ell=Fraction(1), k=sol.k)
     for vec in sol.basis:
         assert residual(sol.k, vec, Fraction(1), eps5) == 0.0
     for vec in FROZEN_SPANS[(eps5, "heavy")]:
-        assert _in_kernel(problem, vec)
+        assert _in_kernel(eps5, sol.k, vec)
 
 
 @pytest.mark.parametrize("eps5", [1, -1])
@@ -150,9 +148,8 @@ def test_massless_solutions(eps5):
     assert len(sol.basis) == 2
     assert sol.k2 == 0
     assert sol.spinor_class == "Majorana"
-    problem = ModeProblem(eps5=eps5, ell=Fraction(1), k=sol.k)
     for vec in FROZEN_SPANS[(eps5, "massless")]:
-        assert _in_kernel(problem, vec)
+        assert _in_kernel(eps5, sol.k, vec)
 
 
 @pytest.mark.parametrize("eps5", [1, -1])
@@ -161,7 +158,7 @@ def test_a_mode_kernel_of_other_dimension_raises(eps5):
     k = modes.frame(eps5, 0)
     with pytest.raises(VerificationError,
                        match=rf"^nullspace dimension 4 != 2 at k=\(0, 0, 0, 0\) \(eps5={eps5}\)$"):
-        modes.spinor_kernel(dirac_matrix(ModeProblem(eps5=eps5, ell=Fraction(1), k=k)), k, eps5)
+        modes.spinor_kernel(dirac_matrix(eps5, k, Fraction(1)), k, eps5)
 
 
 def test_negative_energy_branch():
@@ -197,13 +194,12 @@ def test_residual_rejects_zero_vector():
 
 
 _NOT_EXACT = {
-    "ModeProblem-ell": lambda: ModeProblem(eps5=1, ell=0.5, k=(1, 0, 0, 1)),
-    "ModeProblem-k": lambda: ModeProblem(eps5=1, ell=1, k=(1.0, 0, 0, 1)),
+    "dirac_matrix-ell": lambda: dirac_matrix(1, (1, 0, 0, 1), 0.5),
+    "dirac_matrix-k": lambda: dirac_matrix(1, (1.0, 0, 0, 1), 1),
     "CouplingConfig-g": lambda: CouplingConfig(g=0.5, vev=1, ell=1, eps5=1),
     "CouplingConfig-complex-g": lambda: CouplingConfig(g=1j, vev=1, ell=1, eps5=1),
     "CouplingConfig-vev": lambda: CouplingConfig(g=1, vev=0.01, ell=1, eps5=1),
     "reference_solutions": lambda: reference_solutions(0.5, 1, "massless"),
-    "reference_solutions-kappa": lambda: reference_solutions(1, 1, "massless", kappa=0.5),
     "residual-u": lambda: residual((1, 0, 0, 1), (1 + 1e-13j, 0, 0, 1), 1, 1),
     "residual-k": lambda: residual((1.0, 0, 0, 1), (1, 0, 0, 1), 1, 1),
     "dispersion_roots": lambda: dispersion_roots(0.5, 1),
@@ -231,7 +227,7 @@ def test_residual_is_rounded_once():
     # square root, which the float norms meet to a few ulps
     k, u = (Fraction(3, 2), Fraction(1, 3), 0, Fraction(-1, 2)), (1, 2j, -3, 1 + 1j)
     got = residual(k, u, Fraction(1, 4), -1)
-    op = as_array(dirac_matrix(ModeProblem(eps5=-1, ell=Fraction(1, 4), k=k)))
+    op = as_array(dirac_matrix(-1, k, Fraction(1, 4)))
     want = np.linalg.norm(op @ np.array(u)) / np.linalg.norm(u)
     assert got == pytest.approx(want, rel=1e-15, abs=0)
     assert residual((1, 0, 0, 1), (1, 0, 0, 0), 1, 1) == np.sqrt(2.0)
@@ -276,7 +272,7 @@ def test_boost_covariance_seeded(eps5, branch):
 def test_float_matrix_matches_exact(eps5):
     # float oracle: the operator summed in complex128 from the exact gammas
     k = (Fraction(3, 2), Fraction(1, 3), 0, Fraction(-1, 2))
-    exact = dirac_matrix(ModeProblem(eps5=eps5, ell=Fraction(1, 4), k=k))
+    exact = dirac_matrix(eps5, k, Fraction(1, 4))
     gs = [as_array(g) for g in exact_gammas(eps5)]
     kf = [float(c) for c in k]
     k2 = kf[0] ** 2 - kf[1] ** 2 - kf[2] ** 2 - kf[3] ** 2
@@ -320,7 +316,7 @@ def test_off_shell_spinor_fails_at_large_boosts(eps5, rapidity):
     # the massless kernel at k = (1, 0, 0, -1) is not a solution at
     # (1, 0, 0, 1), and no boost makes it one
     sol = reference_solutions(Fraction(1), eps5, "massless")
-    wrong = dirac_matrix(ModeProblem(eps5=eps5, ell=Fraction(1), k=(1, 0, 0, -1)))
+    wrong = dirac_matrix(eps5, (1, 0, 0, -1), Fraction(1))
     bad = sol._replace(basis=tuple(tuple(v) for v in wrong.kernel()))
     boost = cayley_boost(_axis_boost(rapidity))
     assert boost_defect(bad, [boost]) == (0, "D(Lambda k) S u != 0")

@@ -158,6 +158,21 @@ def test_one_function_judges_a_seesaw_coupling():
     assert not {"exact_mode_spectrum", "seesaw_verdict", "RootFindingError"} & set(_names(scan))
 
 
+def _call_name(node) -> str | None:
+    return getattr(getattr(node, "func", None), "id", None)
+
+
+def test_one_function_builds_the_dirac_operator():
+    # D(k) = gamma_sum(eps5, dirac_coefficients(k, l, eps5)) is built once,
+    # at exact numbers and at polynomials alike
+    builders = {f"{path.stem}.{node.name}" for path in sorted(PACKAGE.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.FunctionDef)
+                for call in ast.walk(node) if _call_name(call) == "gamma_sum"
+                and any(_call_name(arg) == "dirac_coefficients" for arg in call.args)}
+    assert builders == {"modes.dirac_matrix"}
+
+
 def _constant_verdicts(tree) -> list:
     """The lines of ``tree`` that build a CheckReport with a literal ``ok``,
     as the third argument or by keyword."""
