@@ -2,7 +2,13 @@
 stability checks, a differential-operator realization, normal ordering in
 the enveloping algebra with a formal inverse, Majorana-representation
 gamma matrices, extended Dirac dispersion branches with Dirac/Majorana
-classification, and the coupled-branch seesaw spectrum."""
+classification, and the coupled-branch seesaw spectrum.
+
+``import ncdirac`` loads the exact core, ``scalars`` and ``lie_algebra``.
+Each name of the six layers above it loads its module on first read
+(PEP 562), and the module's own name (``ncdirac.modes``) does too."""
+
+import importlib
 
 from .scalars import (
     DegreeBoundError,
@@ -14,7 +20,6 @@ from .scalars import (
     poly,
     sym,
 )
-from .matrices import ExactMatrix
 from .lie_algebra import (
     DEFORMED_BASIS,
     StructureConstants,
@@ -26,85 +31,45 @@ from .lie_algebra import (
     solve_isomorphism_scalings,
     verify_linear_isomorphism,
 )
-from .weyl import WeylOperator, build_rep, verify_rep_closure
-from .enveloping import (
-    Derivation,
-    NCExpression,
-    plane_wave_exponent,
-    commutator,
-    lemma_matrix_check,
-    normal_form,
-    verify_plane_wave_relations,
-)
-from .clifford import (
-    VerificationError,
-    gamma_sum,
-    reality_class,
-    verify_clifford,
-)
-from .modes import (
-    SpinorSolution,
-    dirac_matrix,
-    dispersion_roots,
-    reference_solutions,
-    residual,
-)
-from .seesaw import (
-    CouplingConfig,
-    ModeSpectrum,
-    RootFindingError,
-    exact_mode_spectrum,
-    leading_order_reduction,
-    light_mass_leading,
-    verify_effective_equation,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ExactScalar",
-    "ParamPoly",
-    "ExactMatrix",
-    "SubstitutionError",
-    "TruncationOrderError",
-    "DegreeBoundError",
-    "UnknownSymbolError",
-    "VerificationError",
-    "RootFindingError",
-    "poly",
-    "sym",
-    "DEFORMED_BASIS",
-    "StructureConstants",
-    "build_deformed_algebra",
-    "build_orthogonal_algebra",
-    "contract",
-    "flat_deformed_algebra",
-    "jacobi_residual",
-    "solve_isomorphism_scalings",
-    "verify_linear_isomorphism",
-    "WeylOperator",
-    "build_rep",
-    "verify_rep_closure",
-    "NCExpression",
-    "Derivation",
-    "plane_wave_exponent",
-    "commutator",
-    "normal_form",
-    "verify_plane_wave_relations",
-    "lemma_matrix_check",
-    "gamma_sum",
-    "verify_clifford",
-    "reality_class",
-    "SpinorSolution",
-    "dirac_matrix",
-    "dispersion_roots",
-    "reference_solutions",
-    "residual",
-    "CouplingConfig",
-    "ModeSpectrum",
-    "leading_order_reduction",
-    "light_mass_leading",
-    "verify_effective_equation",
-    "exact_mode_spectrum",
-    "__version__",
-]
+# each public name of the six upper layers -> the module that defines it
+_LAZY = {
+    "ExactMatrix": "matrices",
+    **dict.fromkeys(("WeylOperator", "build_rep", "verify_rep_closure"), "weyl"),
+    **dict.fromkeys(("Derivation", "NCExpression", "plane_wave_exponent", "commutator",
+                     "lemma_matrix_check", "normal_form", "verify_plane_wave_relations"),
+                    "enveloping"),
+    **dict.fromkeys(("VerificationError", "gamma_sum", "reality_class", "verify_clifford"),
+                    "clifford"),
+    **dict.fromkeys(("SpinorSolution", "dirac_matrix", "dispersion_roots",
+                     "reference_solutions", "residual"), "modes"),
+    **dict.fromkeys(("CouplingConfig", "ModeSpectrum", "RootFindingError",
+                     "exact_mode_spectrum", "leading_order_reduction", "light_mass_leading",
+                     "verify_effective_equation"), "seesaw"),
+}
+_LAYERS = frozenset(_LAZY.values())
+
+# the names the two imports above bound, not the modules they bound, then
+# the table's
+__all__ = [name for name, value in globals().items()
+           if not (name.startswith("_") or isinstance(value, type(importlib)))]
+__all__ += [*_LAZY, "__version__"]
+
+
+def __getattr__(name):
+    """Import the layer ``name``, or the layer that defines ``name`` and
+    cache the name here (the import binds a layer here itself)."""
+    if name in _LAYERS:
+        return importlib.import_module(f".{name}", __name__)
+    try:
+        layer = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(importlib.import_module(f".{layer}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_LAYERS})

@@ -43,12 +43,12 @@ def _coupling(text: str) -> ExactScalar:
 class _Parser(argparse.ArgumentParser):
     """argparse takes a token that starts with "-" for an option unless it
     looks like a negative number, on some Pythons only -1 or -1.5, so a
-    value flag refused -1/2 and -1/2+1i.  Here -digit and -.digit start a
-    number."""
+    value flag refused -1/2, -1/2+1i and -i.  Here -digit and -.digit start
+    a number, and -i is one."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(r"-(\.?\d|i$)")
 
 
 # the flag type, --config reader and help of each setting of checks.READS

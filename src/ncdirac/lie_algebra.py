@@ -88,6 +88,8 @@ class StructureConstants:
 
     def __init__(self, basis):
         self.basis = tuple(basis)
+        if not self.basis:
+            raise ValueError("the table's basis is empty: it names no generator")
         self.rows = [{} for _ in self.basis]
         self.index = {name: i for i, name in enumerate(self.basis)}
         if len(self.index) != len(self.basis):
@@ -193,8 +195,6 @@ class StructureConstants:
         except (AttributeError, KeyError, TypeError):
             raise ValueError("a structure-constant table is an object with a "
                              "'basis' list and a 'brackets' object") from None
-        if not basis:
-            raise ValueError("the table's basis is empty: it names no generator")
         alg = StructureConstants(basis)
         valid = frozenset(range(len(basis)))
         seen = {}

@@ -65,11 +65,13 @@ def test_negative_ell_is_usage_error(capsys, flag):
 @pytest.mark.parametrize("joined", [
     ["seesaw", "--g=-1/2", "--eps5", "1"],
     ["seesaw", "--g=-1/2+1i", "--eps5", "1"],
+    ["seesaw", "--g=-i", "--eps5", "1"],
     ["scan", "--param", "g", "--from=-1/2", "--to", "1/2", "--steps", "3", "--eps5", "-1"],
 ])
 def test_a_negative_value_after_its_flag_is_read(capsys, joined):
-    # argparse once read the -1/2 of --g -1/2 as an option and refused the
-    # flag, "expected one argument"; only --g=-1/2 worked
+    # argparse once read the -1/2 of --g -1/2 (and the -i of --g -i) as an
+    # option and refused the flag, "expected one argument"; only --g=-1/2
+    # worked
     split = [part for arg in joined for part in arg.split("=")]
     code, out = run(capsys, *split)
     assert code == 0

@@ -1,5 +1,6 @@
 """Gamma matrices, the Cayley boost oracle, and the conjugation-closure classifier."""
 
+import ast
 import json
 import os
 import random
@@ -478,6 +479,63 @@ def test_cli_import_loads_every_package_module():
     modules = sorted(f"ncdirac.{path.stem}" for path in package.glob("*.py")
                      if path.stem not in ("__init__", "__main__"))
     assert _run_python(f"import sys, ncdirac.cli\n{loaded}\n") == [repr(modules)]
+
+
+_LAZY_LAYERS = """
+import sys
+def loaded():
+    print(sorted(m.removeprefix("ncdirac.") for m in sys.modules if m.startswith("ncdirac.")))
+import ncdirac
+loaded()
+print(sorted(set(ncdirac.__all__) - set(dir(ncdirac))), hasattr(ncdirac, "nope"))
+from ncdirac import jacobi_residual
+loaded()
+ncdirac.gamma_sum
+loaded()
+ncdirac.modes
+loaded()
+names = {}
+exec("from ncdirac import *", names)
+print(sorted(set(names) - {"__builtins__"}) == sorted(ncdirac.__all__))
+loaded()
+print([name for name, home in HOME.items()
+       if getattr(ncdirac, name) is not getattr(sys.modules[f"ncdirac.{home}"], name)])
+"""
+
+
+def _defining_modules(names) -> dict:
+    """The package module whose top level defines each of ``names``."""
+    package = Path(ncdirac.__file__).resolve().parent
+    home = {}
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            for target in node.targets if isinstance(node, ast.Assign) else [node]:
+                name = getattr(target, "id", getattr(target, "name", None))
+                if name in names:
+                    home[name] = path.stem
+    return home
+
+
+def test_import_loads_the_exact_core_and_each_layer_on_first_use():
+    # import ncdirac runs scalars and lie_algebra only; a name of an upper
+    # layer loads that layer and what it imports when first read, and
+    # resolves to the very object its module defines
+    home = _defining_modules(set(ncdirac.__all__) - {"__version__"})
+    assert set(home) == set(ncdirac.__all__) - {"__version__"}
+    core = ["lie_algebra", "scalars"]
+    assert _run_python(f"HOME = {home!r}\n{_LAZY_LAYERS}") == [
+        repr(core),
+        "[] False",
+        repr(core),
+        repr(["clifford", "lie_algebra", "matrices", "scalars"]),
+        repr(["clifford", "lie_algebra", "matrices", "modes", "scalars"]),
+        "True",
+        repr(["clifford", "enveloping", "lie_algebra", "matrices", "modes", "scalars",
+              "seesaw", "weyl"]),
+        "[]",
+    ]
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

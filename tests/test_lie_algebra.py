@@ -440,6 +440,14 @@ def test_duplicate_basis_names_are_rejected():
         StructureConstants(("a", "b", "a"))
 
 
+@pytest.mark.parametrize("basis", [[], (), iter([])])
+def test_an_empty_basis_is_refused_where_every_table_is_made(basis):
+    # an empty table was once made, and its bracket(0, 1) then raised
+    # "outside 0..-1"
+    with pytest.raises(ValueError, match="the table's basis is empty: it names no generator"):
+        StructureConstants(basis)
+
+
 @pytest.mark.parametrize("i,j,bad", [(99, 3, 99), (-1, 3, -1), (3, 15, 15), (15, 15, 15)])
 def test_bracket_read_outside_basis_is_rejected(i, j, bad):
     alg = build_deformed_algebra(1, 1)

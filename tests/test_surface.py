@@ -73,11 +73,15 @@ def _package_uses(tree) -> Counter:
     return out
 
 
+# module-level functions the interpreter calls (PEP 562), like dunder methods
+_MODULE_HOOKS = {"__getattr__", "__dir__"}
+
+
 def _definitions(tree):
-    """(qualified name, node) of each top-level def and class, and of each
-    non-dunder method."""
+    """(qualified name, node) of each top-level def and class but the
+    module hooks, and of each non-dunder method."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in _MODULE_HOOKS:
             yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
@@ -111,12 +115,10 @@ def run(path):
     assert not {"copy", "conjugate", "rounded_values", "run", "path", "bak"} & set(uses)
 
 
-def test_every_definition_has_a_use():
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+def _unused_definitions(trees: dict, outside: Counter, commands) -> list:
+    """The definitions of ``trees`` (file name -> tree) that nothing uses:
+    no other name in the trees, no use in ``outside`` and no command."""
     in_src = sum((_names(tree) for tree in trees.values()), Counter())
-    outside = _outside_names()
-    commands = {checks.command(family).__name__ for family in checks.FAMILIES}
-
     unused = []
     for module, tree in trees.items():
         for qualname, node in _definitions(tree):
@@ -124,6 +126,31 @@ def test_every_definition_has_a_use():
             used_elsewhere = in_src[name] - _names(node)[name] > 0
             if not (used_elsewhere or outside[name] or name in commands):
                 unused.append(f"{module}: {qualname}")
+    return unused
+
+
+def test_the_use_rule_exempts_only_hooks_the_interpreter_calls():
+    tree = ast.parse("""
+def __getattr__(name):
+    return name
+def __dir__():
+    return []
+def helper():
+    return 1
+class Box:
+    def __len__(self):
+        return 0
+    def size(self):
+        return 0
+""")
+    assert _unused_definitions({"m.py": tree}, Counter(), ()) == [
+        "m.py: helper", "m.py: Box", "m.py: Box.size"]
+
+
+def test_every_definition_has_a_use():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    commands = {checks.command(family).__name__ for family in checks.FAMILIES}
+    unused = _unused_definitions(trees, _outside_names(), commands)
     assert not unused, "definitions nothing uses: " + ", ".join(unused)
 
 
@@ -199,15 +226,12 @@ def test_no_row_passes_by_construction():
     assert not any(found.values()), {m: lines for m, lines in found.items() if lines}
 
 
-def _unused_imports(tree) -> list:
+def _unused_imports(tree, exports=()) -> list:
     """The names a module's top-level imports bind that it never reads, a
-    name listed in its ``__all__`` counting as read."""
+    name in ``exports`` (the module's ``__all__``) counting as read."""
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] \
-                == ["__all__"]:
-            read.update(elt.value for elt in node.value.elts)
+    read.update(exports)
     return [alias.asname or alias.name.split(".")[0]
             for node in tree.body
             if isinstance(node, (ast.Import, ast.ImportFrom))
@@ -222,18 +246,26 @@ from __future__ import annotations
 import os.path
 import math as m
 from .scalars import ONE, ZERO, poly as p, sym
-__all__ = ["sym"]
 ZERO = 0
 def f(x):
     \"\"\"Uses math and ONE.\"\"\"
     return os.path.join(x), p(x)
 """)
-    assert _unused_imports(tree) == ["m", "ONE", "ZERO"]
+    assert _unused_imports(tree, exports=["sym"]) == ["m", "ONE", "ZERO"]
 
 
 def test_every_module_level_import_is_used():
-    # CI runs no linter: a deleted last use must take its import with it
-    unused = {path.name: _unused_imports(ast.parse(path.read_text()))
+    # CI runs no linter: a deleted last use must take its import with it.
+    # The exports are read off the imported module, as the package builds
+    # its __all__ from what its imports bound; __main__ exports nothing,
+    # and importing it would run the CLI
+    def exports(stem):
+        if stem == "__main__":
+            return ()
+        module = importlib.import_module(f"ncdirac.{stem}".removesuffix(".__init__"))
+        return getattr(module, "__all__", ())
+
+    unused = {path.name: _unused_imports(ast.parse(path.read_text()), exports(path.stem))
               for path in sorted(PACKAGE.glob("*.py"))}
     assert not any(unused.values()), {m: names for m, names in unused.items() if names}
 
