@@ -120,10 +120,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str) -> dict:
+    """The JSON object in ``path``; text that is not JSON, or JSON that is
+    not an object, is a ValueError that names the flag and the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError is one
+            raise ValueError(f"--config {path}: {exc}") from None
     if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
+        raise ValueError(f"--config {path}: config file must hold a JSON object")
     return data
 
 
@@ -197,7 +202,7 @@ def main(argv=None) -> int:
     command = " ".join(filter(None, (args.cmd, getattr(args, "target", None))))
     try:
         cfg = resolve_config(args, command)
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"ncdirac: error: {exc}", file=sys.stderr)
         return 2
 
@@ -222,7 +227,7 @@ def main(argv=None) -> int:
                 text = checks.render_json(checks.reports_document(cfg, command, reports))
             passed = all(r.passed for r in reports)
         _emit(text, cfg.out)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"ncdirac: error: {exc}", file=sys.stderr)
         return 2
     return 0 if passed else 1

@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 import cayley_oracle
@@ -85,10 +85,8 @@ def test_gamma_entries_imaginary_and_traceless():
 @pytest.mark.parametrize("eps5", [1, -1])
 def test_clifford_relations(eps5):
     checks = verify_clifford(eps5)
-    assert len(checks) == 20
-    names = [c.name for c in checks]
-    assert sum(n.startswith("anticommutator") for n in names) == 15
-    assert sum(n.startswith("square") for n in names) == 5
+    assert [c.name for c in checks] == [
+        f"anticommutator_g{a}_g{b}" for a, b in combinations_with_replacement(range(5), 2)]
     for c in checks:
         assert c.ok, c.name
         assert c.residual == 0
@@ -112,7 +110,7 @@ def test_product_and_imaginarity(eps5):
 
 
 def _dense_rows(eps5, gammas):
-    """{row name: (ok, residual)} of the 22 Clifford rows, in numpy: each
+    """{row name: (ok, residual)} of the 17 Clifford rows, in numpy: each
     residual is the largest entry modulus of the difference of the
     relation's two sides."""
     eta = ETA + (eps5,)
@@ -127,7 +125,6 @@ def _dense_rows(eps5, gammas):
         rows[f"anticommutator_g{a}_g{b}"] = row(gammas[a] @ gammas[b] + gammas[b] @ gammas[a])
     for a in range(5):
         rows[f"anticommutator_g{a}_g{a}"] = row(2 * gammas[a] @ gammas[a] - 2 * eta[a] * eye)
-        rows[f"square_g{a}"] = row(gammas[a] @ gammas[a] - eta[a] * eye)
     g5 = gammas[4] if eps5 == 1 else -J * gammas[4]
     rows["gamma5_product"] = row(gammas[0] @ gammas[1] @ gammas[2] @ gammas[3] + J * g5)
     rows["majorana_imaginary"] = row(*(g.conj() + g for g in gammas[:4]))
@@ -214,7 +211,7 @@ def _phase_similarity(perms):
 
 @pytest.mark.parametrize("eps5", [1, -1])
 @pytest.mark.parametrize("store, failing", [
-    (_turn_g4, {"anticommutator_g4_g4", "square_g4", "gamma5_product"}),
+    (_turn_g4, {"anticommutator_g4_g4", "gamma5_product"}),
     (_g1_for_g2, {"anticommutator_g1_g2", "gamma5_product"}),
     (_phase_similarity, {"majorana_imaginary"}),
 ])
@@ -243,7 +240,7 @@ def test_each_clifford_relation_is_its_own_step(monkeypatch):
     assert calls == [(0, 0)]
     assert next(rows).check == "clifford_anticommutator_g0_g1"
     assert calls == [(0, 0), (0, 1), (1, 0)]
-    assert len(list(rows)) == 20
+    assert len(list(rows)) == 15
 
 
 def _axis_boost(y):
@@ -593,8 +590,8 @@ def test_failing_relation_reports_without_numpy():
     code, rows = json.loads(report)
     assert code == 1
     # the tampered g^4 is D g4 with D = diag(-1, 1, 1, 1), and g4 E00 g4 =
-    # E11: (D g4)^2 = diag(-1, -1, 1, 1) misses I by 2 twice, so the square
-    # is 2 off and {g4, g4} 4; {g^mu, D g4} = -2 (g^mu E00 g4 + E00 g4 g^mu)
+    # E11: (D g4)^2 = diag(-1, -1, 1, 1) misses I by 2 twice, so {g4, g4}
+    # is 4 off; {g^mu, D g4} = -2 (g^mu E00 g4 + E00 g4 g^mu)
     # is 2 off but for the diagonal g3, where the two terms cancel; and
     # g0 g1 g2 g3 - (-i gamma5) = -i g4 + i D g4 = -2i E00 g4
     assert {check: row for check, row in rows.items() if row[0] == "fail"} == {
@@ -602,7 +599,6 @@ def test_failing_relation_reports_without_numpy():
         "clifford_anticommutator_g1_g4": ["fail", "2"],
         "clifford_anticommutator_g2_g4": ["fail", "2"],
         "clifford_anticommutator_g4_g4": ["fail", "4"],
-        "clifford_square_g4": ["fail", "2"],
         "clifford_gamma5_product": ["fail", "2"],
     }
     assert rows["clifford_anticommutator_g3_g4"] == ["pass", "0"]

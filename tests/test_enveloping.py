@@ -206,7 +206,7 @@ def test_a_negated_plane_wave_scale_fails_its_three_rows(monkeypatch, capsys):
     monkeypatch.setattr(enveloping, "plane_wave_scale", lambda eps5: -scale(eps5))
     assert main(["check", "all", "--seed", "42"]) == 1
     doc = json.loads(capsys.readouterr().out)
-    assert doc["summary"]["total"] == 108
+    assert doc["summary"]["total"] == 92
     failed = {(r["check"], r["params"]["eps5"]) for r in doc["reports"] if r["status"] == "fail"}
     assert failed == {(check, e5) for e5 in (1, -1) for check in (
         "planewave_derivative", "planewave_mixed", "planewave_vacuum")}

@@ -63,6 +63,21 @@ once when the ``planewave_lemma`` relation came to read "on a nilpotent
 model", not "on a nilpotent matrix model": the model acts on polynomials
 in the symbol ``m`` and forms no matrix.  Nothing else in them changed.
 
+Eight files were rewritten once when every row that another row of the
+same report already decides left the report: ``check_all_seed42.json``,
+``check_all.csv``, the three ``verify_algebra_*`` reports,
+``verify_clifford_all_signs.json``, ``verify_planewave_all_signs.json`` and
+``demo_04.txt``.  The rows that went are ``clifford_square_g0`` to
+``clifford_square_g4``, which decide what the ``clifford_anticommutator``
+row of the same gamma decides; ``planewave_centrality``, which follows from
+``planewave_momentum``'s scalar ``[p_mu, A] = k_mu``; and
+``jacobi_orthogonal``, which follows from ``isomorphism`` and
+``jacobi_deformed``.  The ``contraction`` rows no longer re-run Jacobi on
+the two limits, a substitution that keeps the identity: their relation
+lost "Jacobi survives both limits", their ``residual`` became null and
+their two ``jacobi_violations_*`` details went.  ``demo_04.txt`` counts 15
+relations per signature, not 20.  Nothing else in them changed.
+
 ``demo_04.txt`` pins the Clifford relations of ``verify_clifford``, the
 counts of the generator proof ``modes.lorentz_covariance`` and the generator
 ``L_03`` read off the flat table; ``demo_05.txt`` the dispersion branches,
