@@ -68,7 +68,6 @@ def minkowski_square(k):
 
 
 Combo = dict  # generator index -> ParamPoly coefficient
-_PAIRS = "entries must be a list of [index, coefficient] pairs"
 
 
 class StructureConstants:
@@ -118,7 +117,10 @@ class StructureConstants:
         a, b, d) ints with distinct (q, monomial) that is sorted in place,
         and [e_j, e_i] to the same terms negated; no checks."""
         rows = self.rows
-        if terms:
+        if len(terms) == 1:  # most brackets: no sort and no comprehension
+            (q, m, a, b, d), = terms
+            rows[i][j], rows[j][i] = (terms[0],), ((q, m, -a, -b, d),)
+        elif terms:
             terms.sort()
             rows[i][j] = tuple(terms)
             rows[j][i] = tuple([(q, m, -a, -b, d) for q, m, a, b, d in terms])
@@ -184,10 +186,11 @@ class StructureConstants:
     def from_json(data: dict) -> "StructureConstants":
         """Parse the fixture format straight into the store.  A basis that
         is not a list of strings or is empty, a bracket that is not a list of
-        [index, coefficient] pairs, a malformed entry, a key not written as
-        ``to_json`` writes it ("i,j" in ASCII digits), an output index or
-        exponent that is not a JSON integer, an index outside the basis or a
-        pair given twice raises ValueError naming the bracket key."""
+        [index, coefficient] pairs, a coefficient that is not a list of
+        [exponents, re, im] terms, a malformed entry or term, a key not
+        written as ``to_json`` writes it ("i,j" in ASCII digits), an output
+        index or exponent that is not a JSON integer, an index outside the
+        basis or a pair given twice raises ValueError naming the bracket key."""
         try:
             basis, brackets = data["basis"], data["brackets"].items()
             if type(basis) is not list or not all(type(name) is str for name in basis):
@@ -196,7 +199,7 @@ class StructureConstants:
             raise ValueError("a structure-constant table is an object with a "
                              "'basis' list and a 'brackets' object") from None
         alg = StructureConstants(basis)
-        valid = frozenset(range(len(basis)))
+        n = len(basis)
         seen = {}
         for key, entries in brackets:
             try:
@@ -210,25 +213,10 @@ class StructureConstants:
                 if pair in seen:
                     raise ValueError(f"repeats the pair of key {seen[pair]!r}")
                 seen[pair] = key
-                if type(entries) is not list:
-                    raise TypeError(_PAIRS)
-                outputs, terms = [], []
-                for entry in entries:
-                    try:
-                        k, pj = entry
-                    except (TypeError, ValueError):
-                        raise TypeError(_PAIRS) from None
-                    if type(k) is not int:
-                        raise TypeError(f"output index {k!r} is not an integer")
-                    if k in outputs:
-                        raise ValueError(f"lists output index {k} twice")
-                    outputs.append(k)
-                    terms += _json_int_terms(pj, k)
-                # every index is an int here: one range test, and _store
-                # only to raise the error that names the culprit
-                if i == j or not valid.issuperset((i, j, *outputs)):
-                    alg._store(i, j, terms, outputs)
-                alg._write(i, j, terms)
+                # _store only to raise the error that names the culprit
+                if i == j or not (0 <= i < n and 0 <= j < n):
+                    alg._store(i, j, [])
+                alg._write(i, j, _json_int_terms(entries, n, key))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"bracket key {key!r}: {exc}") from None
         return alg
@@ -373,10 +361,15 @@ def jacobi_residual(alg: StructureConstants):
     each stored pair a < b, each term c_ab^m of [e_a, e_b] and each
     c not in {a, b} with [e_m, e_c] != 0, the product c_ab^m [e_m, e_c]
     belongs to the triple sorted(a, b, c).  It enters with sign -1 when
-    a < c < b, where the cyclic term is [[e_b, e_a], e_c].
+    a < c < b, where the cyclic term is [[e_b, e_a], e_c].  Unlike the
+    other kernels it sums in its own loop, not through ``_join``, keyed by
+    the int tag (i*n + j)*n + k of the sorted triple; a product of two pure
+    imaginary parts takes one multiplication.
     """
     rows = alg.rows
+    n = len(rows)
     sums = {}
+    get = sums.get
     for a, row in enumerate(rows):
         for b, left in row.items():
             if b < a:
@@ -384,15 +377,38 @@ def jacobi_residual(alg: StructureConstants):
             for m, mono, xa, xb, xd in left:
                 for c, right in rows[m].items():
                     if c > b:
-                        _join(sums, (a, b, c), mono, xa, xb, xd, right)
+                        tag, sa, sb = (a * n + b) * n + c, xa, xb
                     elif c < a:
-                        _join(sums, (c, a, b), mono, xa, xb, xd, right)
+                        tag, sa, sb = (c * n + a) * n + b, xa, xb
                     elif a < c < b:
-                        _join(sums, (a, c, b), mono, -xa, -xb, xd, right)
+                        tag, sa, sb = (a * n + c) * n + b, -xa, -xb
+                    else:
+                        continue
+                    for q, mb, ya, yb, yd in right:
+                        mm = mono + mb
+                        if mm & _GUARDS:
+                            raise _degree_overflow(mono, mb)
+                        key = (tag, q, mm)
+                        if sa or ya:
+                            pa, pb = sa * ya - sb * yb, sa * yb + sb * ya
+                        else:  # two pure imaginary parts
+                            pa, pb = -sb * yb, 0
+                        pd = xd * yd
+                        acc = get(key)
+                        if acc is None:
+                            sums[key] = [pa, pb, pd]
+                        elif acc[2] == pd:
+                            acc[0] += pa
+                            acc[1] += pb
+                        else:
+                            d = acc[2]
+                            acc[0] = acc[0] * pd + pa * d
+                            acc[1] = acc[1] * pd + pb * d
+                            acc[2] = d * pd
     residuals = _reduced_sums(sums)
     basis = alg.basis
-    return [((basis[i], basis[j], basis[k]), residuals[i, j, k])
-            for i, j, k in sorted(residuals)]
+    return [((basis[tag // n // n], basis[tag // n % n], basis[tag % n]), residuals[tag])
+            for tag in sorted(residuals)]
 
 
 def jacobi_triple_count(alg: StructureConstants) -> int:

@@ -612,7 +612,7 @@ class ParamPoly:
         """Inverse of ``to_json``.  Exponents are JSON integers (``int``,
         never ``bool`` or ``float``); coefficient parts are str or int.  A
         later term with the same exponents replaces an earlier one."""
-        return _packed_poly({m: _make(a, b, d) for _, m, a, b, d in _json_int_terms(data)})
+        return _packed_poly({m: _make(a, b, d) for _, m, a, b, d in _json_int_terms([[0, data]])})
 
     # -- dunders -----------------------------------------------------------
 
@@ -712,48 +712,77 @@ def _int_terms(p: ParamPoly) -> list:
     return [(mono, c._a, c._b, c._d) for mono, c in p._terms.items()]
 
 
-def _json_int_terms(data: list, q: int = 0) -> list:
+_PAIRS = "entries must be a list of [index, coefficient] pairs"
+
+
+def _json_int_terms(entries: list, n: int = 1, bracket: str = "0,0") -> list:
     """The canonical (q, packed monomial, a, b, d) ints of each nonzero term
-    (a + b*i)/d of a ParamPoly in its ``to_json`` form, read as
-    ``ParamPoly.from_json`` reads it but with no ExactScalar built.  A list
-    of ten int exponents and the parts "0" and "-?digits(/digits)?" are
-    read here; ``_pack`` and ``_rational_parts`` read the rest and raise
-    the error of a malformed term."""
+    (a + b*i)/d of each [q, coefficient] entry of the bracket keyed
+    ``bracket``, the coefficient a ParamPoly in its ``to_json`` form and q a
+    distinct int in 0..n-1, read with no ExactScalar built.  A list of ten
+    int exponents and the parts "0" and "-?digits(/digits)?" are read here;
+    ``_pack`` and ``_rational_parts`` read the rest and raise the error of a
+    malformed term."""
+    if type(entries) is not list:
+        raise TypeError(_PAIRS)
     read = []
-    for exps, re_s, im_s in data:
-        key = _GUARDS  # marks an exponent list left to _pack
-        if type(exps) is list and tuple(map(type, exps)) == _INT_FIELDS:
+    seen = 0  # a bit per output index read
+    tidy = False  # whether a term may repeat or be zero
+    for entry in entries:
+        try:
+            q, data = entry
+        except (TypeError, ValueError):
+            raise TypeError(_PAIRS) from None
+        if type(q) is not int:
+            raise TypeError(f"output index {q!r} is not an integer")
+        if not 0 <= q < n:
+            raise ValueError(f"output index {q} of bracket [{bracket}] is outside 0..{n - 1}")
+        if seen >> q & 1:
+            raise ValueError(f"lists output index {q} twice")
+        seen |= 1 << q
+        if type(data) is not list:
+            raise TypeError(f"coefficient {data!r} is not a list of terms")
+        tidy = tidy or len(data) > 1
+        for term in data:
             try:
-                key = int.from_bytes(bytes(exps), "big")
-            except ValueError:  # a field below 0 or above 255
-                pass
-        elif {*map(type, exps)} != {int}:  # the loop names the culprit
-            for e in exps:
-                if type(e) is not int:
-                    raise TypeError(f"exponent {e!r} is not an integer")
-        # each part read inline: this loop is the hot path of a fixture read
-        if re_s == "0":
-            rn, rd = 0, 1
-        elif type(re_s) is str and _PLAIN.fullmatch(re_s):
-            num, _, den = re_s.partition("/")
-            rn, rd = int(num), int(den or 1)
-        else:
-            rn, rd = _rational_parts(re_s)
-        if im_s == "0":
-            jn, jd = 0, 1
-        elif type(im_s) is str and _PLAIN.fullmatch(im_s):
-            num, _, den = im_s.partition("/")
-            jn, jd = int(num), int(den or 1)
-        else:
-            jn, jd = _rational_parts(im_s)
-        if key & _GUARDS:
-            key = _pack(exps)
-        a, b, d = rn * jd, jn * rd, rd * jd
-        g = gcd(a, b, d)
-        read.append((q, key, a, b, d) if g == 1 else (q, key, a // g, b // g, d // g))
-    if len(read) > 1:  # a later term with the same exponents replaces an earlier one
-        read = {term[1]: term for term in read}.values()
-    return [term for term in read if term[2] or term[3]]
+                exps, re_s, im_s = term
+            except (TypeError, ValueError):
+                raise ValueError(f"term {term!r} is not [exponents, re, im]") from None
+            key = _GUARDS  # marks an exponent list left to _pack
+            if type(exps) is list and tuple(map(type, exps)) == _INT_FIELDS:
+                try:
+                    key = int.from_bytes(bytes(exps), "big")
+                except ValueError:  # a field below 0 or above 255
+                    pass
+            elif {*map(type, exps)} != {int}:  # the loop names the culprit
+                for e in exps:
+                    if type(e) is not int:
+                        raise TypeError(f"exponent {e!r} is not an integer")
+            # each part read inline: this loop is the hot path of a fixture read
+            if re_s == "0":
+                rn, rd = 0, 1
+            elif type(re_s) is str and _PLAIN.fullmatch(re_s):
+                num, _, den = re_s.partition("/")
+                rn, rd = int(num), int(den or 1)
+            else:
+                rn, rd = _rational_parts(re_s)
+            if im_s == "0":
+                jn, jd = 0, 1
+            elif type(im_s) is str and _PLAIN.fullmatch(im_s):
+                num, _, den = im_s.partition("/")
+                jn, jd = int(num), int(den or 1)
+            else:
+                jn, jd = _rational_parts(im_s)
+            if key & _GUARDS:
+                key = _pack(exps)
+            a, b, d = rn * jd, jn * rd, rd * jd
+            g = gcd(a, b, d)
+            read.append((q, key, a, b, d) if g == 1 else (q, key, a // g, b // g, d // g))
+            if not (a or b):
+                tidy = True
+    if tidy:  # a later term with the same (q, exponents) replaces an earlier one
+        read = [term for term in {term[:2]: term for term in read}.values() if term[2] or term[3]]
+    return read
 
 
 def _join(sums: dict, tag, mono: int, xa: int, xb: int, xd: int, row):

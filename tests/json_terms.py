@@ -36,6 +36,20 @@ BAD_EXPONENTS = [
 RHO2 = [0, 2] + [0] * 8  # rho^2
 _RHO2 = tuple(RHO2)
 
+# (coefficient, error, full message) of a coefficient that is not a list of
+# [exponents, re, im] terms; {} and "" are iterable, so a loop over the
+# terms alone would read them as zero
+BAD_COEFFICIENTS = [
+    ({}, TypeError, "coefficient {} is not a list of terms"),
+    ("", TypeError, "coefficient '' is not a list of terms"),
+    ("x", TypeError, "coefficient 'x' is not a list of terms"),
+    (None, TypeError, "coefficient None is not a list of terms"),
+    ([[RHO2, "1"]], ValueError, f"term {[RHO2, '1']!r} is not [exponents, re, im]"),
+    ([[RHO2, "1", "0", "0"]], ValueError,
+     f"term {[RHO2, '1', '0', '0']!r} is not [exponents, re, im]"),
+    ([5], ValueError, "term 5 is not [exponents, re, im]"),
+]
+
 # name -> (terms, the {exponent tuple: ExactScalar} they read as)
 ACCEPTED = {
     # forms to_json never writes that the Fraction fallback accepts

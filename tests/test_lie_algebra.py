@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from json_terms import ACCEPTED, BAD_EXPONENTS, BAD_PARTS
+from json_terms import ACCEPTED, BAD_COEFFICIENTS, BAD_EXPONENTS, BAD_PARTS
 from table_edits import set_bracket
 
 from ncdirac.cli import main
@@ -421,6 +421,11 @@ _ONE = [[14, poly(1).to_json()]]
     # a malformed coefficient, rejected as ParamPoly.from_json rejects it
     *[("6,10", [[14, [[[0] * 10, value, "0"]]]], message) for value, _, message in BAD_PARTS],
     *[("6,10", [[14, [[exps, "1", "0"]]]], message) for exps, _, message in BAD_EXPONENTS],
+    # a coefficient that is not a list of terms
+    *[("6,10", [[14, data]], message) for data, _, message in BAD_COEFFICIENTS],
+    # each index is checked as its entry is read, after a valid one too
+    ("6,10", [[1, [[[1] + [0] * 9, "1", "0"]]], [99, []]],
+     "output index 99 of bracket [6,10] is outside 0..14"),
 ])
 def test_fixture_malformed_entry_names_the_key(key, entries, message):
     doc = _doc()
@@ -934,6 +939,51 @@ def test_jacobi_join_matches_reference_on_a_large_sparse_table():
     ]
     # [[e12, e20], e30] = [l e12 + e30, e30] = -l [e30, e12]; the rest vanish
     assert got[-1][1] == {20: poly(Fraction(-1, 2)) * sym("l")}
+
+
+def _nine_digit_rational(rng):
+    return Fraction(rng.choice((1, -1)) * rng.randint(10 ** 8, 10 ** 9 - 1),
+                    rng.randint(10 ** 8, 10 ** 9 - 1))
+
+
+@pytest.mark.parametrize("build", [build_deformed_algebra, build_orthogonal_algebra])
+@pytest.mark.parametrize("eps4,eps5", SIGNS)
+def test_jacobi_kernel_matches_reference_at_benchmark_scale(build, eps4, eps5):
+    # the strategies above draw denominators of at most 1000; the fixtures
+    # of the algebra-fixtures benchmark rescale every generator by a
+    # 9-digit/9-digit rational, so each sum cross-multiplies ~60-bit parts
+    rng = random.Random(f"scale:{build.__name__}:{eps4}:{eps5}")
+    base = build(eps4, eps5)
+    clean = _rescaled(base, [_nine_digit_rational(rng) for _ in base.basis])
+    read = StructureConstants.from_json(clean.to_json())
+    assert read.rows == clean.rows
+    assert _assert_matches_reference(read) == []
+    pair = rng.choice(read.pairs())
+    combo = read.bracket(*pair)
+    k = rng.choice(sorted(combo))
+    set_bracket(read, *pair, {**combo, k: combo[k] * poly(Fraction(7, 3))})
+    assert _assert_matches_reference(read)
+
+
+def test_jacobi_triple_tags_do_not_alias_past_256_generators():
+    # a seeded sparse table on seven generators, placed in a 301-generator
+    # basis where a tag of one byte per index would carry: (0, 1, 259)
+    # would meet (0, 2, 3), and (0, 258, 300) would meet (1, 2, 300)
+    small = _seeded_table(random.Random("tags"))
+    at = (0, 1, 2, 3, 258, 259, 300)
+    names = [f"f{a}" for a in range(301)]
+    for pos, name in zip(at, small.basis):
+        names[pos] = name
+    wide = StructureConstants(names)
+    for i, j in small.pairs():
+        set_bracket(wide, at[i], at[j], {at[k]: c for k, c in small.bracket(i, j).items()})
+    want = [(triple, {at[k]: c for k, c in combo.items()})
+            for triple, combo in _ref_jacobi_residual(small)]
+    got = jacobi_residual(wide)
+    assert [triple for triple, _ in got] == [triple for triple, _ in want]
+    assert got == want
+    assert {("e0", "e1", "e5"), ("e0", "e2", "e3"),
+            ("e0", "e4", "e6"), ("e1", "e2", "e6")} <= {triple for triple, _ in got}
 
 
 @settings(max_examples=15, deadline=None)

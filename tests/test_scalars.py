@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from json_terms import ACCEPTED, BAD_EXPONENTS, BAD_PARTS
+from json_terms import ACCEPTED, BAD_COEFFICIENTS, BAD_EXPONENTS, BAD_PARTS
 
 from ncdirac.scalars import (
     I,
@@ -387,6 +387,12 @@ class TestParamPoly:
             assert type(exc.value) is error and str(exc.value) == message
         top = ParamPoly.from_json([[[MAX_DEGREE] * 10, "1", "0"]])
         assert all(_degree(top, name) == MAX_DEGREE for name in SYMBOLS)
+
+    @pytest.mark.parametrize("data,error,message", BAD_COEFFICIENTS)
+    def test_json_rejects_a_coefficient_that_is_not_a_list_of_terms(self, data, error, message):
+        with pytest.raises(error) as exc:
+            ParamPoly.from_json(data)
+        assert type(exc.value) is error and str(exc.value) == message
 
     @pytest.mark.parametrize("terms,want", ACCEPTED.values(), ids=ACCEPTED)
     def test_json_accepted_forms(self, terms, want):
