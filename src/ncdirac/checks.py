@@ -43,8 +43,8 @@ from .modes import (
     heavy_mass,
     lorentz_covariance,
     massive_class,
+    operator_residual,
     reference_solutions,
-    residual as mode_residual,
     scaling_residual,
     squared_identity_residual,
 )
@@ -392,7 +392,7 @@ def cmd_modes(cfg: RunConfig):
                              ("massless", MASSLESS_CLASS)):
             try:
                 sol = reference_solutions(_MODES_ELL, e5, branch)
-                worst = max(mode_residual(sol.k, u, sol.ell, e5) for u in sol.basis)
+                worst = max(operator_residual(sol.operator, u) for u in sol.basis)
                 ok = sol.spinor_class == want and worst == 0.0
                 details = {"k": [str(c) for c in sol.k],
                            "nullspace_dim": len(sol.basis), "class": sol.spinor_class}

@@ -169,7 +169,7 @@ class StructureConstants:
                 terms.setdefault(pair, []).append((q, mono, a // g, b // g, d // g))
         out = StructureConstants(self.basis)
         for (i, j), pair_terms in terms.items():
-            out._store(i, j, pair_terms)
+            out._write(i, j, pair_terms)  # this table's indices, already checked
         return out
 
     def dim(self) -> int:
@@ -441,18 +441,18 @@ def _map_invertible(lmap: LinearMap) -> bool:
     return len(targets) == len(lmap.columns) == lmap.src.dim() == lmap.dst.dim()
 
 
-def _bracket_mismatches(lmap: LinearMap):
-    """Yield ((name_i, name_j), residual combo) for each basis pair i < j
-    with phi([a_i,a_j]_src) != [phi a_i, phi a_j]_dst, lazily; each pair's
-    difference is summed by ``_join`` and reduced once.
-    """
+def _bracket_mismatches(lmap: LinearMap) -> list:
+    """[((name_i, name_j), residual combo), ...] in ``combinations`` order for
+    each basis pair i < j with phi([a_i,a_j]_src) != [phi a_i, phi a_j]_dst:
+    one ``_join`` sum per pair, tagged by the pair, all reduced at once."""
     src, dst_rows = lmap.src, lmap.dst.rows
     columns = [_combo_ints(col) for col in lmap.columns]
-    for i, j in itertools.combinations(range(src.dim()), 2):
-        sums = {}
+    pairs = list(itertools.combinations(range(src.dim()), 2))
+    sums = {}
+    for tag, (i, j) in enumerate(pairs):
         # phi([a_i, a_j]) = sum_m c_ij^m phi(a_m)
         for m, mono, xa, xb, xd in src.rows[i].get(j, ()):
-            _join(sums, 0, mono, xa, xb, xd, columns[m])
+            _join(sums, tag, mono, xa, xb, xd, columns[m])
         # -[phi a_i, phi a_j] = sum ca cb [f_b, f_a], ca * cb taken once
         for ia, ma, a1, b1, d1 in columns[i]:
             for ib, mb, a2, b2, d2 in columns[j]:
@@ -461,10 +461,10 @@ def _bracket_mismatches(lmap: LinearMap):
                     mono = ma + mb
                     if mono & _GUARDS:
                         raise _degree_overflow(ma, mb)
-                    _join(sums, 0, mono, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2, right)
-        residual = _reduced_sums(sums).get(0)
-        if residual:
-            yield (src.basis[i], src.basis[j]), residual
+                    _join(sums, tag, mono, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2, right)
+    residuals = _reduced_sums(sums)
+    return [((src.basis[pairs[tag][0]], src.basis[pairs[tag][1]]), residuals[tag])
+            for tag in sorted(residuals)]
 
 
 def verify_linear_isomorphism(lmap: LinearMap) -> IsoCheck:
@@ -472,7 +472,7 @@ def verify_linear_isomorphism(lmap: LinearMap) -> IsoCheck:
 
     Non-invertibility is reported separately from bracket mismatches.
     """
-    mismatches = list(_bracket_mismatches(lmap))
+    mismatches = _bracket_mismatches(lmap)
     invertible = _map_invertible(lmap)
     return IsoCheck(ok=invertible and not mismatches, invertible=invertible, mismatches=mismatches)
 
@@ -545,7 +545,7 @@ def solve_isomorphism_scalings(eps4: int, eps5: int) -> IsomorphismSolution:
     dst = build_orthogonal_algebra(eps4, eps5)
     for s0 in ((1, 1, -1), (1, 1, 1)):
         lmap = scaling_map(src, dst, r, ell, poly(s0[2]) * r * ell)
-        if next(_bracket_mismatches(lmap), None) is None and _map_invertible(lmap):
+        if not _bracket_mismatches(lmap) and _map_invertible(lmap):
             break
     else:
         raise ArithmeticError("no scaling signs satisfy the bracket match")

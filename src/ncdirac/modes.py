@@ -36,7 +36,7 @@ from typing import NamedTuple
 from .clifford import VerificationError, gamma_sum, reality_class, spinor_generator_identities
 from .lie_algebra import flat_deformed_algebra, lower, minkowski_square
 from .matrices import ExactMatrix
-from .scalars import (I, MOMENTUM_SYMBOLS, P_ZERO, _poly_sum_of_products, as_fraction,
+from .scalars import (I, MOMENTUM_SYMBOLS, P_ZERO, ZERO, _poly_sum_of_products, as_fraction,
                       exact_sqrt, poly, rounded, sym)
 
 BRANCHES = ("massless", "heavy")
@@ -138,6 +138,7 @@ class SpinorSolution(NamedTuple):
     spinor_class: str
     eps5: int
     ell: object
+    operator: ExactMatrix  # D(k), whose kernel ``basis`` spans
 
 
 def heavy_mass(ell) -> Fraction:
@@ -195,9 +196,10 @@ def reference_solutions(ell, eps5: int, branch: str, energy_sign: int = 1) -> Sp
         k = frame(eps5, energy_sign * heavy_mass(ellf))
     else:
         k = (energy_sign, 0, 0, energy_sign)
-    basis, cls = spinor_kernel(dirac_matrix(eps5, k, ellf), k, eps5)
+    op = dirac_matrix(eps5, k, ellf)
+    basis, cls = spinor_kernel(op, k, eps5)
     return SpinorSolution(k=k, basis=basis, k2=minkowski_square(k),
-                          spinor_class=cls, eps5=eps5, ell=ellf)
+                          spinor_class=cls, eps5=eps5, ell=ellf, operator=op)
 
 
 def residual(k, u, ell, eps5: int) -> float:
@@ -208,7 +210,12 @@ def residual(k, u, ell, eps5: int) -> float:
     ellf = as_fraction(ell)
     if ellf <= 0:
         raise ValueError("ell must be positive")
-    op = dirac_matrix(eps5, tuple(as_fraction(c) for c in k), ellf)
+    return operator_residual(dirac_matrix(eps5, tuple(as_fraction(c) for c in k), ellf), u)
+
+
+def operator_residual(op: ExactMatrix, u) -> float:
+    """||op u|| / ||u|| for u as ``residual`` takes it, rounded once: the
+    residual of a ``SpinorSolution`` basis vector against its ``operator``."""
     uvec = ExactMatrix.from_complex_entries([[c] for c in u])
     if uvec.is_zero():
         raise ValueError("zero vector has no residual")
@@ -216,5 +223,5 @@ def residual(k, u, ell, eps5: int) -> float:
 
 
 def _norm_squared(column: ExactMatrix) -> Fraction:
-    return sum((x * x.conjugate()).to_fraction() for [x] in column.scalar_entries())
+    return sum((x * x.conjugate() for [x] in column.scalar_entries()), ZERO).to_fraction()
 

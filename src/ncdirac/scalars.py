@@ -475,9 +475,7 @@ class ParamPoly:
     @staticmethod
     def from_scalar(value: ScalarLike) -> "ParamPoly":
         value = _coerce_scalar(value)
-        if value.is_zero():
-            return ParamPoly()
-        return _packed_poly({0: value})
+        return _packed_poly({0: value} if value else {})
 
     @staticmethod
     def symbol(name: str, power: int = 1) -> "ParamPoly":
@@ -721,8 +719,8 @@ def _json_int_terms(entries: list, n: int = 1, bracket: str = "0,0") -> list:
     ``bracket``, the coefficient a ParamPoly in its ``to_json`` form and q a
     distinct int in 0..n-1, read with no ExactScalar built.  A list of ten
     int exponents and the parts "0" and "-?digits(/digits)?" are read here;
-    ``_pack`` and ``_rational_parts`` read the rest and raise the error of a
-    malformed term."""
+    ``_pack`` and ``_rational_parts`` read other lists and parts and raise
+    the error of a malformed term."""
     if type(entries) is not list:
         raise TypeError(_PAIRS)
     read = []
@@ -754,6 +752,8 @@ def _json_int_terms(entries: list, n: int = 1, bracket: str = "0,0") -> list:
                     key = int.from_bytes(bytes(exps), "big")
                 except ValueError:  # a field below 0 or above 255
                     pass
+            elif type(exps) is not list:
+                raise TypeError(f"exponents {exps!r} of term {term!r} are not a list")
             elif {*map(type, exps)} != {int}:  # the loop names the culprit
                 for e in exps:
                     if type(e) is not int:

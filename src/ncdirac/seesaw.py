@@ -40,8 +40,8 @@ from .clifford import gamma_sum
 from .lie_algebra import lower
 from .matrices import ExactMatrix
 from .modes import frame, heavy_mass, massive_class, spinor_kernel
-from .scalars import (I, ONE, ExactScalar, ParamPoly, _coerce_scalar, as_fraction, exact_sqrt,
-                      poly, rounded, sym)
+from .scalars import (I, ONE, P_ZERO, ExactScalar, ParamPoly, _coerce_scalar, as_fraction,
+                      exact_sqrt, poly, rounded, sym)
 
 _HALF = ExactScalar(Fraction(1, 2))
 
@@ -245,6 +245,14 @@ def _frame_product(e5: int) -> ExactMatrix:
     return gamma_sum(e5, frame(e5, 1)) @ gamma_sum(e5, [0, 0, 0, 0, 1])
 
 
+@cache
+def _frame_class(e5: int) -> str:
+    """The reality class of every eigenspace of P (see ``_root_class``):
+    Majorana when P is real, else Dirac."""
+    p = _frame_product(e5)
+    return "Majorana" if p == p.conjugate() else "Dirac"
+
+
 # the symbol of x, the axis component of the frame momentum frame(eps5, x)
 _X = "m"
 
@@ -255,10 +263,15 @@ def _frame_block(e5: int, big_m: Fraction, mu2: Fraction) -> ExactMatrix:
     commutes with D, so det(AD - BC) is the 8x8 determinant (Silvester,
     "Determinants of block matrices", Math. Gazette 84 (2000) 460).  With g.k = eta x g^a,
     eta = -eps5, and BC = mu^2 I it is (eta x^2 - mu^2) I + eta M x P,
-    for the dense P = g^a g^4 of ``_frame_product``."""
+    built straight from the nonzero entries of P = g^a g^4, one per row."""
     diag = poly(-e5) * sym(_X, 2) - poly(mu2)
     off = poly(-e5 * big_m) * sym(_X)
-    return ExactMatrix.identity(4).scale(diag) + _frame_product(e5).scale(off)
+    rows = [[diag if r == col else P_ZERO for col in range(4)] for r in range(4)]
+    for r, row in enumerate(_frame_product(e5).rows):
+        for col, x in enumerate(row):
+            if x:
+                rows[r][col] = rows[r][col] + off * x
+    return ExactMatrix(rows)
 
 
 def _root_class(e5: int, x, big_m: Fraction, mu2: Fraction) -> str:
@@ -274,20 +287,20 @@ def _root_class(e5: int, x, big_m: Fraction, mu2: Fraction) -> str:
     which must be 2, and ker T is an eigenspace of P.  P = g^a g^4 has one
     unit entry per row, so that eigenspace is spanned by e_r +- P_r,col e_col
     over the row pairs P swaps (and the rows it fixes): it is closed under
-    conjugation exactly when P is real."""
+    conjugation exactly when P is real, which ``_frame_class`` reads once
+    per eps5."""
     pole = e5 * (big_m * big_m - x * x)
     if not pole:
         raise RootFindingError("the light root is a pole of the heavy block: mu^2 = 2 M^2")
-    c = mu2 / pole
-    alpha, beta = (1 - c) * x, -c * big_m
+    # pole alpha = (pole - mu^2) x and pole beta = -mu^2 M: no division
+    alpha, beta = (pole - mu2) * x, -mu2 * big_m
     rank = 2 * bool(alpha + beta) + 2 * bool(alpha - beta)
     if rank != 2:
         raise RootFindingError(
             "Schur complement kernel is not two-dimensional",
             diagnostics={"rank": rank},
         )
-    p = _frame_product(e5)
-    return "Majorana" if p == p.conjugate() else "Dirac"
+    return _frame_class(e5)
 
 
 def exact_mode_spectrum(c: CouplingConfig) -> ModeSpectrum:

@@ -21,7 +21,7 @@ from itertools import combinations, product
 from math import comb, factorial
 
 from .lie_algebra import DEFORMED_BASIS, flat_deformed_algebra, lower
-from .scalars import P_I, P_ONE, LinearCombination, _accumulate, sym
+from .scalars import P_I, P_ONE, LinearCombination, _int_terms, _join, _reduced_sums, sym
 
 NVARS = 5
 _ZERO5 = (0,) * NVARS
@@ -59,42 +59,22 @@ class WeylOperator(LinearCombination):
         alpha, beta = key
         return _orders(alpha), _orders(beta)
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def unit() -> "WeylOperator":
-        return WeylOperator({(_ZERO5, _ZERO5): P_ONE})
-
-    @staticmethod
-    def coordinate(a: int) -> "WeylOperator":
-        alpha = tuple(1 if i == a else 0 for i in range(NVARS))
-        return WeylOperator({(alpha, _ZERO5): P_ONE})
-
-    @staticmethod
-    def derivative(a: int) -> "WeylOperator":
-        beta = tuple(1 if i == a else 0 for i in range(NVARS))
-        return WeylOperator({(_ZERO5, beta): P_ONE})
-
     # -- composition -------------------------------------------------------
 
     def __matmul__(self, other) -> "WeylOperator":
         """Operator composition with normal reordering."""
         if not isinstance(other, WeylOperator):
             return NotImplemented
-        acc: dict = {}
-        _compose_into(acc, self.terms, other.terms, contractions_only=False)
-        return WeylOperator._made(acc)
+        sums: dict = {}
+        _compose_into(sums, 0, _int_rows(self), _int_rows(other), contractions_only=False)
+        return _summed(sums)
 
     def commutator(self, other: "WeylOperator") -> "WeylOperator":
-        """self @ other - other @ self, from the contraction terms alone.
-
-        The nu = 0 term of a term pair is the same product of commuting
-        coefficients in both orders, so it cancels exactly and is never
-        formed."""
-        acc: dict = {}
-        _compose_into(acc, self.terms, other.terms, contractions_only=True)
-        _compose_into(acc, other.terms, self.terms, contractions_only=True, negate=True)
-        return WeylOperator._made(acc)
+        """self @ other - other @ self, from the contraction terms alone
+        (``_commutator_into``)."""
+        sums: dict = {}
+        _commutator_into(sums, 0, _int_rows(self), _int_rows(other))
+        return _summed(sums)
 
     @staticmethod
     def _render(key) -> str:
@@ -119,48 +99,68 @@ def _contraction_pattern(beta: tuple, gamma: tuple, contractions_only: bool) -> 
     return tuple(out)
 
 
-def _compose_into(acc: dict, left: dict, right: dict, contractions_only: bool,
-                  negate: bool = False):
-    """Add the normal-ordered terms of left @ right (or subtract them, with
-    ``negate``) to ``acc``; with ``contractions_only`` only the terms with
-    at least one contraction (nu != 0)."""
-    for (a1, b1), c1 in left.items():
-        for (a2, b2), c2 in right.items():
-            # contract b1 against a2 componentwise
-            pattern = _contraction_pattern(b1, a2, contractions_only)
-            if not pattern:
+def _int_rows(op: WeylOperator) -> list:
+    """(alpha, beta, support of alpha, support of beta, the (monomial, a, b,
+    d) int terms of the coefficient) per term; a support has bit c set
+    when the order of variable c is nonzero."""
+    return [(a, b, sum(1 << c for c, e in enumerate(a) if e),
+             sum(1 << c for c, e in enumerate(b) if e), _int_terms(coeff))
+            for (a, b), coeff in op.terms.items()]
+
+
+def _compose_into(sums: dict, tag, left: list, right: list, contractions_only: bool,
+                  sign: int = 1):
+    """Add ``sign`` times the normal-ordered terms of left @ right, both
+    ``_int_rows``, to the ``_join`` sums of ``tag``, keyed by operator key;
+    with ``contractions_only`` only the terms with at least one contraction
+    (nu != 0): a term pair with no variable both differentiated on the left
+    and a coordinate on the right has none and is skipped."""
+    for a1, b1, _, support1, terms1 in left:
+        for a2, b2, support2, _, terms2 in right:
+            if contractions_only and not support1 & support2:
                 continue
-            base = c1 * c2
-            if negate:
-                base = -base
-            for nu, weight in pattern:
-                alpha = tuple(x + y - n for x, y, n in zip(a1, a2, nu))
-                beta = tuple(x + y - n for x, y, n in zip(b1, b2, nu))
-                _accumulate(acc, (alpha, beta), base if weight == 1 else base * weight)
+            # contract b1 against a2 componentwise
+            for nu, weight in _contraction_pattern(b1, a2, contractions_only):
+                key = (tuple(x + y - n for x, y, n in zip(a1, a2, nu)),
+                       tuple(x + y - n for x, y, n in zip(b1, b2, nu)))
+                row = [(key, *term) for term in terms2]
+                weight *= sign
+                for mono, xa, xb, xd in terms1:
+                    _join(sums, tag, mono, weight * xa, weight * xb, xd, row)
+
+
+def _commutator_into(sums: dict, tag, left: list, right: list):
+    """Add left @ right - right @ left to the sums of ``tag``: the nu = 0
+    term of a term pair is the same product in both orders, so only the
+    contraction terms are formed."""
+    _compose_into(sums, tag, left, right, contractions_only=True)
+    _compose_into(sums, tag, right, left, contractions_only=True, sign=-1)
+
+
+def _summed(sums: dict) -> WeylOperator:
+    """The operator of the ``_join`` sums of tag 0, each coefficient reduced
+    once."""
+    return WeylOperator._made(_reduced_sums(sums).get(0, {}))
 
 
 def build_rep(eps5: int) -> dict:
-    """Generator name -> WeylOperator, symbolic in l."""
+    """Generator name -> WeylOperator, symbolic in l, each written term by
+    term from the formulas of the module docstring: every product there is
+    already normal ordered, and xi_mu = eta_munu xi^nu is ``lower``."""
     if eps5 not in (1, -1):
         raise ValueError("eps5 must be +1 or -1")
-    ell = sym("l")
-    i = P_I
-    xi_low = lower([WeylOperator.coordinate(mu) for mu in range(4)])
+    il = P_I * sym("l")
+    e = [tuple(int(i == a) for i in range(NVARS)) for a in range(NVARS)]
+    eta, eta_i, eta_il = lower((1,) * 4), lower((P_I,) * 4), lower((il,) * 4)
     rep = {}
     for mu in range(4):
-        rep[f"P{mu}"] = WeylOperator.derivative(mu).scale(i)
+        rep[f"P{mu}"] = WeylOperator({(_ZERO5, e[mu]): P_I})
+    for mu, nu in combinations(range(4), 2):
+        rep[f"M{mu}{nu}"] = WeylOperator({(e[mu], e[nu]): eta_i[mu], (e[nu], e[mu]): -eta_i[nu]})
     for mu in range(4):
-        for nu in range(mu + 1, 4):
-            op = (xi_low[mu] @ WeylOperator.derivative(nu)) - (
-                xi_low[nu] @ WeylOperator.derivative(mu)
-            )
-            rep[f"M{mu}{nu}"] = op.scale(i)
-    xi4 = WeylOperator.coordinate(4)
-    d4 = WeylOperator.derivative(4)
-    for mu in range(4):
-        correction = (xi_low[mu] @ d4) - (xi4 @ WeylOperator.derivative(mu)).scale(eps5)
-        rep[f"x{mu}"] = xi_low[mu] + correction.scale(i * ell)
-    rep["C"] = WeylOperator.unit() + d4.scale(i * ell)
+        rep[f"x{mu}"] = WeylOperator({(e[mu], _ZERO5): eta[mu], (e[mu], e[4]): eta_il[mu],
+                                      (e[4], e[mu]): il if eps5 < 0 else -il})
+    rep["C"] = WeylOperator({(_ZERO5, _ZERO5): P_ONE, (_ZERO5, e[4]): il})
     return rep
 
 
@@ -175,29 +175,34 @@ def _family(name_a: str, name_b: str) -> str:
 
 
 def closure_families(eps5: int):
-    """Residuals rep([a,b]) - [rep a, rep b] for every generator pair, one
+    """Residuals [rep a, rep b] - rep([a,b]) for every generator pair, one
     bracket family at a time.
 
     Yields (family, list of (pair names, residual WeylOperator)) for each
     entry of BRACKET_FAMILIES in turn, pairs in basis order; a family's
-    commutators are formed only when its step runs.
+    commutators are formed only when its step runs.  Each residual is one
+    ``_join`` sum, tagged by its pair, of the images' int terms and the
+    table's terms c_ab^k, and the family's sums are reduced once.
     """
     rep = build_rep(eps5)
     table = flat_deformed_algebra(eps5)
     names = DEFORMED_BASIS
+    images = [_int_rows(rep[name]) for name in names]
+    # -rep(e_k) as _join rows, for the table's terms c_ab^k
+    minus = [[((a1, b1), mono, -a, -b, d) for a1, b1, _, _, terms in image
+              for mono, a, b, d in terms] for image in images]
     pairs = {fam: [] for fam in BRACKET_FAMILIES}
     for idx_a, idx_b in combinations(range(len(names)), 2):
         pairs[_family(names[idx_a], names[idx_b])].append((idx_a, idx_b))
     for fam in BRACKET_FAMILIES:
-        rows = []
-        for idx_a, idx_b in pairs[fam]:
-            a, b = names[idx_a], names[idx_b]
-            lhs = rep[a].commutator(rep[b])
-            rhs = WeylOperator()
-            for k, coeff in table.bracket(idx_a, idx_b).items():
-                rhs = rhs + rep[names[k]].scale(coeff)
-            rows.append(((a, b), lhs - rhs))
-        yield fam, rows
+        sums: dict = {}
+        for tag, (idx_a, idx_b) in enumerate(pairs[fam]):
+            _commutator_into(sums, tag, images[idx_a], images[idx_b])
+            for k, mono, xa, xb, xd in table.rows[idx_a].get(idx_b, ()):
+                _join(sums, tag, mono, xa, xb, xd, minus[k])
+        residuals = _reduced_sums(sums)
+        yield fam, [((names[idx_a], names[idx_b]), WeylOperator._made(residuals.get(tag, {})))
+                    for tag, (idx_a, idx_b) in enumerate(pairs[fam])]
 
 
 def verify_rep_closure(eps5: int):

@@ -31,6 +31,14 @@ BAD_EXPONENTS = [
     ([MAX_DEGREE + 1] + [0] * 9, DegreeBoundError,
      f"l^{MAX_DEGREE + 1} exceeds the degree bound {MAX_DEGREE}"),
     ([0, -1] + [0] * 8, ValueError, "negative symbol powers are not stored"),
+    # an exponent field that is not a list: each was once read by iterating
+    # it, so an int or null raised "object is not iterable", a string named
+    # its first character and an object was read as its keys
+    (5, TypeError, "exponents 5 of term [5, '1', '0'] are not a list"),
+    (None, TypeError, "exponents None of term [None, '1', '0'] are not a list"),
+    ("0000000000", TypeError,
+     "exponents '0000000000' of term ['0000000000', '1', '0'] are not a list"),
+    ({"l": 1}, TypeError, "exponents {'l': 1} of term [{'l': 1}, '1', '0'] are not a list"),
 ]
 
 RHO2 = [0, 2] + [0] * 8  # rho^2

@@ -1,5 +1,6 @@
 """The exact tables are built once per sign choice and handed out as copies,
-and every gamma matrix ``gamma_sum`` builds is built fresh from the store.
+every gamma matrix ``gamma_sum`` builds is built fresh from the store, and
+the seesaw frame's P = g^a g^4 and its reality class are only read.
 
 Editing what a builder returned must never reach a later call: each test
 mutates a returned value in place and compares the next call with a build
@@ -7,13 +8,14 @@ that bypasses the caches.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from exact_gammas import exact_gammas
 from test_clifford import DENSE_GAMMAS
 from table_edits import set_bracket
 
-from ncdirac import lie_algebra
+from ncdirac import lie_algebra, seesaw
 from ncdirac.cli import main
 from ncdirac.clifford import gamma_sum
 from ncdirac.lie_algebra import (
@@ -24,6 +26,7 @@ from ncdirac.lie_algebra import (
 )
 from ncdirac.matrices import ExactMatrix
 from ncdirac.scalars import I, poly
+from ncdirac.seesaw import CouplingConfig, exact_mode_spectrum
 
 SIGNS = list(itertools.product((1, -1), repeat=2))
 
@@ -95,6 +98,29 @@ def test_gamma5_and_gamma_edits_do_not_reach_the_cache():
     g0 = exact_gammas(1)[0]
     g0.rows[1] = g0.rows[0]
     assert exact_gammas(1)[0] == want[0]
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+def test_frame_block_and_spectrum_edits_do_not_reach_the_cache(eps5):
+    # the seesaw block is built from the cached P = g^a g^4 and its cached
+    # reality class: editing a block in place leaves both as built fresh,
+    # and a spectrum holds no container to edit
+    args = (eps5, Fraction(2), Fraction(1, 100))
+    want = seesaw._frame_block(*args)
+    block = seesaw._frame_block(*args)
+    for row in block.rows:
+        row[:] = [poly(7)] * 4
+    block.rows[0] = [poly(0)] * 4
+    spectrum = exact_mode_spectrum(
+        CouplingConfig(g=1, vev=Fraction(1, 100), ell=Fraction(1), eps5=eps5))
+    hash(spectrum)  # every field is immutable
+    with pytest.raises(AttributeError):
+        spectrum.light_class = "Dirac"
+    fresh = seesaw._frame_product.__wrapped__(eps5)
+    assert seesaw._frame_product(eps5) == fresh
+    assert seesaw._frame_class(eps5) == seesaw._frame_class.__wrapped__(eps5)
+    assert seesaw._frame_class(eps5) == ("Majorana" if fresh == fresh.conjugate() else "Dirac")
+    assert seesaw._frame_block(*args).rows == want.rows
 
 
 def test_builders_keep_their_input_checks():

@@ -118,8 +118,7 @@ def test_timings_charge_each_row_its_own_work(capsys, monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(weyl.WeylOperator, "commutator",
-                        counted(weyl.WeylOperator.commutator))
+    monkeypatch.setattr(weyl, "_commutator_into", counted(weyl._commutator_into))
     monkeypatch.setattr(enveloping, "normal_form", counted(enveloping.normal_form))
     monkeypatch.setattr(checks, "time", SimpleNamespace(perf_counter=lambda: float(ticks[0])))
     code, out = run(capsys, "check", "all", "--eps5", "-1", "--timings")
@@ -447,6 +446,17 @@ def _rekeyed(key):
      "bracket key '6,10': exponent True is not an integer"),
     (lambda doc: doc["brackets"]["6,10"][0][1][0][0].__setitem__(0, 1.0),
      "bracket key '6,10': exponent 1.0 is not an integer"),
+    # an exponent field that is not a list is named with its term: these
+    # once failed with "'int' object is not iterable" or read a string or
+    # an object one character or key at a time
+    (lambda doc: doc["brackets"]["6,10"][0][1][0].__setitem__(0, 3),
+     "bracket key '6,10': exponents 3 of term [3, '0', '1'] are not a list"),
+    (lambda doc: doc["brackets"]["6,10"][0][1][0].__setitem__(0, None),
+     "bracket key '6,10': exponents None of term [None, '0', '1'] are not a list"),
+    (lambda doc: doc["brackets"]["6,10"][0][1][0].__setitem__(0, "0" * 10),
+     "bracket key '6,10': exponents '0000000000' of term"),
+    (lambda doc: doc["brackets"]["6,10"][0][1][0].__setitem__(0, {"l": 1}),
+     "bracket key '6,10': exponents {'l': 1} of term [{'l': 1}, '0', '1'] are not a list"),
     # bracket keys are read only in the form to_json writes: int() once read
     # "0,1_0" as (0, 10), " 2,+3" as (2, 3) and "\u0663,4" as (3, 4)
     (_rekeyed("0,1_0"), "bracket key '0,1_0': is not written as 0,10"),

@@ -24,6 +24,7 @@ _COEFFS = st.builds(
     st.integers(-2, 2), st.integers(-1, 1), st.integers(0, 1),
 )
 _CLASSES = pytest.mark.parametrize("cls", [NCExpression, WeylOperator])
+_UNIT_KEYS = {NCExpression: (), WeylOperator: (_Z5, _Z5)}
 
 
 def _terms(cls):
@@ -72,7 +73,7 @@ def test_shared_laws(cls, data):
 @_CLASSES
 @pytest.mark.parametrize("operand", [None, 0, 1, poly(1), "x0"])
 def test_foreign_operands(cls, operand):
-    value = cls.unit()
+    value = cls({_UNIT_KEYS[cls]: 1})
     assert (value == operand) is False
     assert (value != operand) is True
     for apply in (lambda: value + operand, lambda: value - operand,
@@ -82,9 +83,10 @@ def test_foreign_operands(cls, operand):
 
 
 def test_the_two_classes_do_not_mix():
-    assert NCExpression.unit() != WeylOperator.unit()
+    weyl_unit = WeylOperator({(_Z5, _Z5): 1})
+    assert NCExpression.unit() != weyl_unit
     with pytest.raises(TypeError):
-        NCExpression.unit() + WeylOperator.unit()
+        NCExpression.unit() + weyl_unit
 
 
 @pytest.mark.parametrize("cls, key", [

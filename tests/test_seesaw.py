@@ -175,6 +175,23 @@ def test_block_determinant_is_the_dense_one(eps5):
 
 
 @pytest.mark.parametrize("eps5", [1, -1])
+@pytest.mark.parametrize("mu2", [Fraction(0), Fraction(1, 10 ** 4), Fraction(1)],
+                         ids=["free", "seesaw", "critical"])
+def test_frame_block_is_the_dense_sum(eps5, mu2):
+    # the block built from P's one unit per row is (eta x^2 - mu^2) I + eta M x P
+    # with the dense P, entry by entry: at g = 0, inside the seesaw regime and
+    # at mu^2 = M^2/4, the critical coupling of eps5 = +1 (M = 2)
+    import ncdirac.seesaw as seesaw
+
+    big_m = Fraction(2)
+    x = sym(seesaw._X)
+    diag = poly(-eps5) * x * x - poly(mu2)
+    off = poly(-eps5 * big_m) * x
+    want = ExactMatrix.identity(4).scale(diag) + seesaw._frame_product(eps5).scale(off)
+    assert seesaw._frame_block(eps5, big_m, mu2).rows == want.rows
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
 def test_schur_rank_away_from_a_root(eps5):
     # x = 1/3 is no root at M = 2, mu^2 = 1/100: the complement is invertible
     from ncdirac.seesaw import _root_class

@@ -200,6 +200,51 @@ def test_one_function_builds_the_dirac_operator():
     assert builders == {"modes.dirac_matrix"}
 
 
+def _reached(tree, start: str) -> set:
+    """The names of the functions that the top-level function ``start`` of
+    ``tree`` calls by plain name, directly or through a top-level function
+    of ``tree``."""
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    seen, todo = set(), [start]
+    while todo:
+        for call in ast.walk(defs[todo.pop()]):
+            name = _call_name(call)
+            if name and name not in seen:
+                seen.add(name)
+                if name in defs:
+                    todo.append(name)
+    return seen
+
+
+def _method_calls(node) -> set:
+    """The attribute names ``node`` calls as methods, ``x.name(...)``."""
+    return {call.func.attr for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)}
+
+
+def test_the_route_rule_follows_calls_through_the_module():
+    tree = ast.parse("""
+def top(a):
+    return helper(a).scale(2)
+def helper(a):
+    return _join(a)
+def idle():
+    return other()
+""")
+    assert _reached(tree, "top") == {"helper", "_join"}
+    assert _method_calls(tree.body[0]) == {"scale"}
+
+
+def test_weyl_closure_sums_through_join():
+    # each pair's residual is one _join sum of int terms: no commutator,
+    # scaled image or operator sum is formed on the way
+    tree = ast.parse((PACKAGE / "weyl.py").read_text())
+    [closure] = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "closure_families"]
+    assert "_join" in _reached(tree, "closure_families")
+    assert not {"commutator", "scale"} & _method_calls(closure)
+
+
 def _constant_verdicts(tree) -> list:
     """The lines of ``tree`` that build a CheckReport with a literal ``ok``,
     as the third argument or by keyword."""

@@ -1,10 +1,15 @@
 """Differential-operator realization closes on the flat-momentum algebra."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncdirac import weyl
-from ncdirac.lie_algebra import DEFORMED_BASIS, build_deformed_algebra, contract
+from ncdirac.checks import RunConfig, cmd_verify_rep
+from ncdirac.lie_algebra import (DEFORMED_BASIS, build_deformed_algebra, contract,
+                                 flat_deformed_algebra)
 from ncdirac.scalars import I, ExactScalar, poly, sym
 from ncdirac.weyl import (
     BRACKET_FAMILIES,
@@ -12,6 +17,24 @@ from ncdirac.weyl import (
     build_rep,
     verify_rep_closure,
 )
+
+_Z5 = (0,) * 5
+_E = [tuple(int(i == a) for i in range(5)) for a in range(5)]
+
+
+def _unit():
+    return WeylOperator({(_Z5, _Z5): 1})
+
+
+def _coordinate(a):
+    """xi^a."""
+    return WeylOperator({(_E[a], _Z5): 1})
+
+
+def _derivative(a):
+    """d/dxi^a."""
+    return WeylOperator({(_Z5, _E[a]): 1})
+
 
 FAMILY_SIZES = {
     "MM": 21, "MP": 24, "Mx": 24, "PP": 6, "Px": 16, "PC": 4, "xx": 6, "xC": 4,
@@ -33,18 +56,18 @@ def test_closure_all_families(eps5):
 def test_operator_shapes(eps5):
     rep = build_rep(eps5)
     # momentum is a pure derivative, the central element a shifted derivative
-    assert rep["P2"] == WeylOperator.derivative(2).scale(poly(I))
-    assert rep["C"] == WeylOperator.unit() + WeylOperator.derivative(4).scale(
+    assert rep["P2"] == _derivative(2).scale(poly(I))
+    assert rep["C"] == _unit() + _derivative(4).scale(
         poly(I) * sym("l")
     )
     # coordinate operator: lowered-index multiplication plus an l-sized
     # rotation into the extra direction; eta11 = -1 flips the first two terms
     expected_x1 = (
-        WeylOperator.coordinate(1).scale(poly(-1))
-        + (WeylOperator.coordinate(1) @ WeylOperator.derivative(4)).scale(
+        _coordinate(1).scale(poly(-1))
+        + (_coordinate(1) @ _derivative(4)).scale(
             poly(-I) * sym("l")
         )
-        - (WeylOperator.coordinate(4) @ WeylOperator.derivative(1)).scale(
+        - (_coordinate(4) @ _derivative(1)).scale(
             poly(I * eps5) * sym("l")
         )
     )
@@ -81,8 +104,8 @@ def test_ell_to_zero_restores_multiplication_operator():
         return WeylOperator({key: c.substitute({"l": 0}) for key, c in op.terms.items()})
 
     # lowered index: eta33 = -1
-    assert at_ell_zero(rep["x3"]) == WeylOperator.coordinate(3).scale(poly(-1))
-    assert at_ell_zero(rep["C"]) == WeylOperator.unit()
+    assert at_ell_zero(rep["x3"]) == _coordinate(3).scale(poly(-1))
+    assert at_ell_zero(rep["C"]) == _unit()
 
 
 def test_weyl_product_is_associative_on_samples():
@@ -124,26 +147,75 @@ def _reference_closure(rep, eps5):
     return out
 
 
-@pytest.mark.parametrize("eps5", [1, -1])
-@pytest.mark.parametrize("name", ["x0", "x2"])
-def test_tampered_realization_gives_the_same_residuals(monkeypatch, eps5, name):
-    rep = build_rep(eps5)
-    # flip the sign of the l xi_mu d_4 term of one coordinate
-    key = next(k for k in rep[name].terms if k[1][4])
+_EDITS = ("negated", "times_l", "extra")
+
+
+def _edited(rep, rng, kind):
+    """(name, rep with one seeded edit of the image of name): one term
+    negated, one term times l, or one extra term."""
+    name = rng.choice(DEFORMED_BASIS)
     terms = dict(rep[name].terms)
-    terms[key] = -terms[key]
-    rep[name] = WeylOperator(terms)
+    key = rng.choice(sorted(terms))
+    if kind == "negated":
+        terms[key] = -terms[key]
+    elif kind == "times_l":
+        terms[key] = terms[key] * sym("l")
+    else:
+        while key in terms:
+            key = tuple(tuple(rng.randint(0, 2) for _ in range(5)) for _ in range(2))
+        terms[key] = poly(ExactScalar(rng.randint(1, 5), rng.randint(-5, 5))) * sym(
+            "l", rng.randint(0, 2))
+    return name, {**rep, name: WeylOperator(terms)}
+
+
+def _holds(table, pair, name) -> bool:
+    """Whether the image of name enters the residual of pair: as one of its
+    generators, or as a term of their bracket in ``table``."""
+    i, j = (DEFORMED_BASIS.index(g) for g in pair)
+    return name in pair or DEFORMED_BASIS.index(name) in table.bracket(i, j)
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+@pytest.mark.parametrize("kind", _EDITS)
+@pytest.mark.parametrize("seed", range(4))
+def test_tampered_realization_gives_the_same_residuals(monkeypatch, eps5, kind, seed):
+    name, rep = _edited(build_rep(eps5), random.Random(f"{eps5} {kind} {seed}"), kind)
     monkeypatch.setattr(weyl, "build_rep", lambda e: dict(rep))
     got = {pair: r for rows in verify_rep_closure(eps5).values() for pair, r in rows}
     want = _reference_closure(rep, eps5)
     assert got == want
+    # the edit shows, and only in pairs the edited image enters
     broken = [pair for pair, r in got.items() if not r.is_zero()]
-    assert ("M02", name) in broken
+    table = flat_deformed_algebra(eps5)
+    assert broken and all(_holds(table, pair, name) for pair in broken)
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+@pytest.mark.parametrize("seed", range(4))
+def test_a_flipped_image_fails_exactly_the_families_it_breaks(monkeypatch, eps5, seed):
+    # a flipped term of one image: each rep_closure row fails exactly when
+    # the oracle breaks one of its pairs, and counts and names those pairs;
+    # every family that fails holds a pair the image enters
+    name, rep = _edited(build_rep(eps5), random.Random(f"flip {eps5} {seed}"), "negated")
+    table = flat_deformed_algebra(eps5)
+    broken = {}
+    for (a, b), r in _reference_closure(rep, eps5).items():
+        if not r.is_zero():
+            broken.setdefault(weyl._family(a, b), []).append((a, b))
+    monkeypatch.setattr(weyl, "build_rep", lambda e: dict(rep))
+    reports = cmd_verify_rep(RunConfig(eps5=eps5))
+    assert [r.params["family"] for r in reports] == sorted(BRACKET_FAMILIES)
+    for report in reports:
+        bad = broken.get(report.params["family"], [])
+        assert report.passed == (not bad)
+        assert report.details["violations"] == len(bad)
+        assert report.details["first_violation"] == (list(bad[0]) if bad else None)
+    entered = {weyl._family(*pair) for pair in itertools.combinations(DEFORMED_BASIS, 2)
+               if _holds(table, pair, name)}
+    assert broken and set(broken) <= entered
 
 
 # -- malformed keys ----------------------------------------------------------
-
-_Z5 = (0,) * 5
 
 
 @pytest.mark.parametrize("key, error", [
