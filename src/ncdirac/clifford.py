@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .lie_algebra import ETA4_DIAG
 from .matrices import ExactMatrix, echelon
-from .scalars import I, ONE, _poly_sum_of_products, poly
+from .scalars import I, ONE, P_ZERO, _poly_sum_of_products, poly
 
 
 class VerificationError(RuntimeError):
@@ -52,8 +52,8 @@ def _perm_product(*factors, turn: int = 0) -> tuple:
     sends row r to the column Y gives X's column, and adds the phases."""
     out, *rest = factors
     for y in rest:
-        out = tuple((y[c][0], p + y[c][1]) for c, p in out)
-    return tuple((c, (p + turn) % 4) for c, p in out)
+        out = [(y[c][0], (p + y[c][1]) % 4) for c, p in out]
+    return tuple([(c, (p + turn) % 4) for c, p in out] if turn else out)
 
 
 @cache
@@ -80,12 +80,11 @@ def gamma_sum(eps5: int, coeffs) -> ExactMatrix:
     if len(coeffs) > 5:
         raise ValueError(f"gamma_sum takes at most five coefficients, not {len(coeffs)}")
     pairs = {}
-    for perm, coeff in zip(_gamma_perms(eps5), coeffs):
-        coeff = poly(coeff)
-        for r, (c, p) in enumerate(perm):
+    for perm, coeff in zip(_gamma_perms(eps5), map(poly, coeffs)):
+        for r, (c, p) in enumerate(perm if coeff else ()):
             pairs.setdefault((r, c), []).append((_POLY_POWERS[p], coeff))
-    return ExactMatrix([[_poly_sum_of_products(pairs.get((r, c), ())) for c in range(4)]
-                        for r in range(4)])
+    return ExactMatrix([[_poly_sum_of_products(pairs[r, c]) if (r, c) in pairs else P_ZERO
+                         for c in range(4)] for r in range(4)])
 
 
 class RelationCheck(NamedTuple):
@@ -153,23 +152,23 @@ def spinor_generator_identities(eps5: int, mu: int, nu: int, vector) -> tuple:
     ParamPoly.  How many of the five commutators were checked, stopping at
     the first failure, and that failure or None."""
     gammas = _gamma_perms(eps5)
-    if not _anticommute(gammas[mu], gammas[nu]):
-        return 0, f"g^{mu} g^{nu} != -g^{nu} g^{mu}"
     twice = _perm_product(gammas[mu], gammas[nu])  # 2 S_munu
+    if twice != _perm_product(gammas[nu], gammas[mu], turn=2):
+        return 0, f"g^{mu} g^{nu} != -g^{nu} g^{mu}"
     for sigma, g in enumerate(gammas):
         # [S_munu, g^s] = (a - b)/2 is 0 exactly when a = b; else it is
         # the phased permutation a = -b, which equals the sum
         # g^r (L_munu)^r_s when that has one term t g^r, t = i^p, and
         # a = t g^r, and for a real L only then
-        a, b = _perm_product(twice, g), _perm_product(g, twice)
         column = [(rho, row[sigma]) for rho, row in enumerate(vector)
                   if sigma < 4 and row[sigma]]
-        if not column:
-            ok = a == b
-        else:
+        # b is g^s 2 S_munu, negated when the column is not empty
+        a, b = _perm_product(twice, g), _perm_product(g, twice, turn=2 * bool(column))
+        ok = a == b
+        if column:
             (rho, t), *more = column
-            ok = (not more and t in _POLY_POWERS and a == _perm_product(b, turn=2)
-                  == _perm_product(gammas[rho], turn=_POLY_POWERS.index(t)))
+            ok = ok and not more and t in _POLY_POWERS and a == _perm_product(
+                gammas[rho], turn=_POLY_POWERS.index(t))
         if not ok:
             rhs = f"g^r (L_{mu}{nu})^r_{sigma}" if sigma < 4 else "0"
             return sigma + 1, f"[S_{mu}{nu}, g^{sigma}] != {rhs}"

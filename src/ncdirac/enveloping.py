@@ -32,18 +32,9 @@ import math
 from fractions import Fraction
 from functools import cache, cached_property
 
-from .scalars import (
-    MOMENTUM_SYMBOLS,
-    ExactScalar,
-    LinearCombination,
-    P_I,
-    P_ONE,
-    P_ZERO,
-    ParamPoly,
-    _accumulate,
-    poly,
-    sym,
-)
+from .scalars import (MOMENTUM_SYMBOLS, ExactScalar, LinearCombination, P_I, P_ONE, ParamPoly,
+                      _accumulate, _int_terms, _join, _make, _packed_poly, _reduced_sums, poly,
+                      sym)
 from .lie_algebra import flat_deformed_algebra, lower, minkowski_square
 
 _HALF = ExactScalar(Fraction(1, 2))
@@ -114,13 +105,12 @@ def _swap_rules(eps5: int) -> dict:
     whose bracket is nonzero; a pair missing here commutes.  The flat
     table's basis index k is the token TOKENS[k], and each rule of C gives
     one of Cinv: [Cinv, y] = -Cinv [C, y] Cinv."""
-    table = flat_deformed_algebra(eps5)
-    rules = {}
-    for i in range(table.dim()):
-        for j in range(i):
-            rule = NCExpression({(TOKENS[k],): c for k, c in table.bracket(i, j).items()})
-            if rule.terms:
-                rules[(TOKENS[i], TOKENS[j])] = rule.terms
+    table, rules = flat_deformed_algebra(eps5), {}
+    for j, i in table.pairs():  # i > j: [e_i, e_j] read off its integer terms
+        rule = {}
+        for q, mono, a, b, d in table.rows[i][j]:
+            rule.setdefault((TOKENS[q],), {})[mono] = _make(a, b, d)
+        rules[(TOKENS[i], TOKENS[j])] = {w: _packed_poly(t) for w, t in rule.items()}
     for (a, y), terms in list(rules.items()):
         if a == C_TOKEN:
             rules[(CINV_TOKEN, y)] = {(CINV_TOKEN, *w, CINV_TOKEN): -c for w, c in terms.items()}
@@ -373,51 +363,58 @@ def lemma_matrix_check(eps5: int) -> dict:
 
     The lemma: if [p, A] and [A, dA] are central then [p, e^A] = [p, A] e^A
     and d(e^A) = (dA + (1/2)[A, dA]) e^A.  The model acts on polynomials in
-    one coordinate x, the symbol ``m``, with l and k0..k3 symbolic:
-    A = d/dx, p_mu = -k_mu x (so [p_mu, A] = k_mu) and dA = c x with
-    c = -i eps5 l k^2 (so [A, dA] = c).  A lowers the degree, so e^A f is
-    the finite sum of A^n f / n!.  On v = 1 + x/2 + x^2/3 + x^3/4 each
-    residual, the largest |re| + |im| over the coefficients of lhs - rhs,
-    is exactly 0.  ``derivative_lemma`` takes [A, dA] from the model;
+    one coordinate x, lists of (numerator, denominator) int pairs with x^n
+    at index n, and l and k0..k3 enter as ParamPoly weights: A = d/dx,
+    p_mu = -k_mu x (so [p_mu, A] = k_mu) and dA = c x with c = -i eps5 l k^2
+    (so [A, dA] = c).  A lowers the degree, so e^A f is the finite sum of
+    A^n f / n!.  On v = 1 + x/2 + x^2/3 + x^3/4 each residual, the largest
+    |re| + |im| over the coefficients of lhs - rhs, is exactly 0; lhs - rhs
+    is summed once.  ``derivative_lemma`` takes [A, dA] from the model;
     ``plane_wave_derivative`` takes dA = i eps5 l k.p and
     [A, dA] = -i eps5 l k^2 from the plane-wave identities.
     """
     if eps5 not in (1, -1):
         raise ValueError("eps5 must be +1 or -1")
-    x = sym("m")
     scale = plane_wave_scale(eps5)
     k_low = lower(MOMENTUM_SYMBOLS)
     ksq = minkowski_square(MOMENTUM_SYMBOLS)
-    c = -scale * ksq
+    c, half, x = -scale * ksq, poly(_HALF), [(0, 1)]  # x + f is x f
 
     def a(f):
-        return f.derivative("m")
+        return [(n * p, q) for n, (p, q) in enumerate(f)][1:]
 
-    def d_a(f):
-        return c * x * f
+    def series(f, n=0, out=()):  # out + sum over j of A^j f / (n + j)!
+        out = [*out, *[(0, 1)] * (len(f) - len(out))]  # x^m: f_m+j (m+j)!/(m! (n+j)!)
+        for m in range(len(f)):
+            p, q = out[m]
+            for j, (fp, fq) in enumerate(f[m:]):
+                w = math.perm(n + j, n)
+                p, q = p * fq * w + fp * math.comb(m + j, m) * q, q * fq * w
+            out[m] = (p, q)
+        return out
 
-    def series(f, n=0):  # sum over j of A^j f / (n + j)!
-        total = P_ZERO
-        while f:
-            total, f, n = total + f * Fraction(1, math.factorial(n)), a(f), n + 1
-        return total
+    def residual(*terms):  # of the sum of w f over the (weight, coefficients) terms
+        sums = {}
+        for w, f in terms:
+            row = [(0, *term) for term in _int_terms(w)]
+            for m, (p, q) in enumerate(f):
+                if p:
+                    _join(sums, m, 0, p, 0, q, row)
+        return max((abs(z.re) + abs(z.im) for combo in _reduced_sums(sums).values()
+                    for _, z in combo[0].terms()), default=Fraction(0))
 
-    def residual(diff):
-        return max((abs(z.re) + abs(z.im) for _, z in diff.terms()), default=Fraction(0))
-
-    v = sum((x ** n * Fraction(1, n + 1) for n in range(4)), P_ZERO)
-    ev = series(v)
+    v = [(1, n + 1) for n in range(4)]
+    ev, e_xv = series(v), series(x + v)
     # [p_mu, e^A] v = k_mu e^A v with p_mu = -k_mu x
     residuals = {"momentum_commutator": max(
-        residual(-k_mu * (x * ev - series(x * v)) - k_mu * ev) for k_mu in k_low)}
+        residual((-k_mu, x + ev), (k_mu, e_xv), (-k_mu, ev)) for k_mu in k_low)}
     # d(e^A) v = sum over n of (1/n!) sum over i + j = n - 1 of A^j dA A^i v
-    de_v, power, i = P_ZERO, v, 0
+    de_v, power, n = [], v, 1
     while power:
-        de_v, power, i = de_v + series(d_a(power), i + 1), a(power), i + 1
+        de_v, power, n = series(x + power, n, de_v), a(power), n + 1
     residuals["derivative_lemma"] = residual(
-        de_v - d_a(ev) - (a(d_a(ev)) - d_a(a(ev))) * _HALF)
-    k_dot_p_ev = sum((-k_up * k_mu * x * ev for k_up, k_mu in zip(MOMENTUM_SYMBOLS, k_low)),
-                     P_ZERO)
+        (c, de_v), (-c, x + ev), (-c * half, a(x + ev)), (c * half, x + a(ev)))
     residuals["plane_wave_derivative"] = residual(
-        de_v - scale * k_dot_p_ev + scale * ksq * ev * _HALF)
+        (c, de_v), *((scale * k_up * k_mu, x + ev) for k_up, k_mu in zip(MOMENTUM_SYMBOLS, k_low)),
+        (scale * ksq * half, ev))
     return residuals

@@ -36,8 +36,8 @@ from typing import NamedTuple
 from .clifford import VerificationError, gamma_sum, reality_class, spinor_generator_identities
 from .lie_algebra import flat_deformed_algebra, lower, minkowski_square
 from .matrices import ExactMatrix
-from .scalars import (I, MOMENTUM_SYMBOLS, P_ZERO, ZERO, _poly_sum_of_products, as_fraction,
-                      exact_sqrt, poly, rounded, sym)
+from .scalars import (MOMENTUM_SYMBOLS, ZERO, _make, _packed_poly, _poly_sum_of_products,
+                      as_fraction, exact_sqrt, poly, rounded, sym)
 
 BRANCHES = ("massless", "heavy")
 
@@ -48,16 +48,13 @@ def dirac_coefficients(k, ell, eps5: int) -> list:
     return [*lower(k), Fraction(-eps5, 2) * ell * minkowski_square(k)]
 
 
-_MINUS_I = poly(-I)
-
-
 def lorentz_generator(table, mu: int, nu: int) -> tuple:
     """(L_munu)^rho_sigma as rows rho of columns sigma of ParamPoly: the
-    P_rho coefficient of [M_munu, P_sigma] in ``table``, divided by i."""
-    index = table.index
-    columns = [table.bracket(index[f"M{mu}{nu}"], index[f"P{sigma}"]) for sigma in range(4)]
-    return tuple(tuple(column.get(index[f"P{rho}"], P_ZERO) * _MINUS_I for column in columns)
-                 for rho in range(4))
+    P_rho coefficient of [M_munu, P_sigma] in ``table`` divided by i, read
+    off the table's integer terms as (a + b i)/(i d) = (b - a i)/d."""
+    momenta, row = [table.index[f"P{r}"] for r in range(4)], table.rows[table.index[f"M{mu}{nu}"]]
+    return tuple(tuple(_packed_poly({m: _make(b, -a, d) for q, m, a, b, d in row.get(p, ())
+                                     if q == r}) for p in momenta) for r in momenta)
 
 
 def lorentz_covariance(eps5: int) -> dict:
@@ -70,6 +67,7 @@ def lorentz_covariance(eps5: int) -> dict:
     table = flat_deformed_algebra(eps5)
     coeffs = [poly(c) for c in dirac_coefficients(MOMENTUM_SYMBOLS, sym("l"), eps5)]
     gradients = [[c.derivative(f"k{i}") for i in range(4)] for c in coeffs]
+    minus_coeffs = [-c for c in coeffs]
     low_k = lower(MOMENTUM_SYMBOLS)
     for mu, nu in combinations(range(4), 2):
         counts["generators"] += 1
@@ -80,9 +78,8 @@ def lorentz_covariance(eps5: int) -> dict:
             return {**counts, "failure": failure}
         counts["dirac_identities"] += 1
         moved = lower([_poly_sum_of_products(zip(row, low_k)) for row in vector])
-        rotated = [_poly_sum_of_products(zip(row, coeffs)) for row in vector]
-        for a, (grad, want) in enumerate(zip(gradients, rotated + [P_ZERO])):
-            if _poly_sum_of_products(zip(grad, moved)) != want:
+        for a, (grad, row) in enumerate(zip(gradients, [*vector, ()])):  # L: no g^4 row
+            if _poly_sum_of_products([*zip(grad, moved), *zip(row, minus_coeffs)]):
                 return {**counts, "failure": f"[S_{mu}{nu}, D(k)] != (L_{mu}{nu} k).grad D(k)"
                                              f" on g^{a}"}
     return {**counts, "failure": None}
@@ -102,19 +99,22 @@ def dispersion_polynomial(ell, eps5: int) -> tuple:
 
 
 def squared_identity_residual(eps5: int) -> ExactMatrix:
-    """D(k)^2 - (dispersion polynomial) * Id with symbolic k and l."""
-    D = dirac_matrix(eps5)
-    ksq = minkowski_square(MOMENTUM_SYMBOLS)
+    """D(k)^2 - (dispersion polynomial) * Id, k and l symbolic: one sum per entry."""
+    rows, ksq = dirac_matrix(eps5).rows, minkowski_square(MOMENTUM_SYMBOLS)
     a, b = dispersion_polynomial(sym("l"), eps5)
-    return D @ D - ExactMatrix.identity(4).scale(ksq * a + ksq * ksq * b)
+    minus = -(ksq * a + ksq * ksq * b)
+    return ExactMatrix([[_poly_sum_of_products([*zip(row, column), (one, minus)])
+                         for one, column in zip(eye, zip(*rows))]
+                        for row, eye in zip(rows, ExactMatrix.identity(4).rows)])
 
 
 def scaling_residual(eps5: int) -> ExactMatrix:
-    """s D(k; s l) - D(s k; l) with symbolic k, l and scale s, the symbol r:
-    zero says a kernel or root at one l > 0 is, rescaled, that at every l."""
+    """s D(k; s l) - D(s k; l), one gamma sum of coefficient differences, k, l
+    and s (the symbol r) symbolic: zero carries a kernel or root at one l > 0 to every l."""
     s = sym("r")
-    return (dirac_matrix(eps5, ell=s * sym("l")).scale(s)
-            - dirac_matrix(eps5, k=[s * c for c in MOMENTUM_SYMBOLS]))
+    return gamma_sum(eps5, [s * a - b for a, b in zip(
+        dirac_coefficients(MOMENTUM_SYMBOLS, s * sym("l"), eps5),
+        dirac_coefficients([s * c for c in MOMENTUM_SYMBOLS], sym("l"), eps5))])
 
 
 def dispersion_roots(ell, eps5: int) -> set:

@@ -40,7 +40,7 @@ from .clifford import gamma_sum
 from .lie_algebra import lower
 from .matrices import ExactMatrix
 from .modes import frame, heavy_mass, massive_class, spinor_kernel
-from .scalars import (I, ONE, P_ZERO, ExactScalar, ParamPoly, _coerce_scalar, as_fraction,
+from .scalars import (I, ONE, ExactScalar, ParamPoly, _coerce_scalar, as_fraction,
                       exact_sqrt, poly, rounded, sym)
 
 _HALF = ExactScalar(Fraction(1, 2))
@@ -155,19 +155,20 @@ def leading_order_reduction(c: CouplingConfig):
     """(W, effective): u2 = W u1 with W = -(l/2) eps5 g* vev g^4, and the
     effective light operator g.k + g vev W as a function of the
     four-momentum."""
-    return _reduction(c, c.vev, c.ell)
+    w_coeff, effective = _reduction(c, c.vev, c.ell)
+    return gamma_sum(c.eps5, [0, 0, 0, 0, w_coeff]), effective
 
 
 def _reduction(c: CouplingConfig, vev, ell):
-    """``leading_order_reduction`` at a vev and l that are numbers or symbols."""
+    """(W's g^4 coefficient, effective) of ``leading_order_reduction`` at a
+    vev and l that are numbers or symbols; only that function builds W."""
     w_coeff = poly(-c.eps5) * poly(c.g.conjugate() * _HALF) * poly(vev) * poly(ell)
-    W = gamma_sum(c.eps5, [0, 0, 0, 0, w_coeff])
     mass_coeff = w_coeff * poly(c.g) * poly(vev)
 
     def effective(k) -> ExactMatrix:
         return gamma_sum(c.eps5, [*lower(_momentum(k)), mass_coeff])
 
-    return W, effective
+    return w_coeff, effective
 
 
 def leading_mass(c: CouplingConfig):
@@ -255,6 +256,7 @@ def _frame_class(e5: int) -> str:
 
 # the symbol of x, the axis component of the frame momentum frame(eps5, x)
 _X = "m"
+_X1, _X2 = sym(_X), sym(_X, 2)  # x and x^2
 
 
 def _frame_block(e5: int, big_m: Fraction, mu2: Fraction) -> ExactMatrix:
@@ -262,16 +264,14 @@ def _frame_block(e5: int, big_m: Fraction, mu2: Fraction) -> ExactMatrix:
     the frame momentum frame(eps5, x), x the symbol ``_X``.  C = g* vev I
     commutes with D, so det(AD - BC) is the 8x8 determinant (Silvester,
     "Determinants of block matrices", Math. Gazette 84 (2000) 460).  With g.k = eta x g^a,
-    eta = -eps5, and BC = mu^2 I it is (eta x^2 - mu^2) I + eta M x P,
-    built straight from the nonzero entries of P = g^a g^4, one per row."""
-    diag = poly(-e5) * sym(_X, 2) - poly(mu2)
-    off = poly(-e5 * big_m) * sym(_X)
-    rows = [[diag if r == col else P_ZERO for col in range(4)] for r in range(4)]
-    for r, row in enumerate(_frame_product(e5).rows):
-        for col, x in enumerate(row):
-            if x:
-                rows[r][col] = rows[r][col] + off * x
-    return ExactMatrix(rows)
+    eta = -eps5, and BC = mu^2 I it is (eta x^2 - mu^2) I + eta M x P: the
+    cached P = g^a g^4 scaled, with the diagonal term added in place."""
+    diag = poly(-e5) * _X2 - poly(mu2)
+    off = poly(-e5 * big_m) * _X1
+    block = _frame_product(e5).scale(off)
+    for r, row in enumerate(block.rows):
+        row[r] = row[r] + diag
+    return block
 
 
 def _root_class(e5: int, x, big_m: Fraction, mu2: Fraction) -> str:
@@ -319,8 +319,7 @@ def exact_mode_spectrum(c: CouplingConfig) -> ModeSpectrum:
     e5 = c.eps5
     big_m, mu2, delta = _scales(c)
     m2 = big_m * big_m
-    x2 = sym(_X, 2)
-    quartic = x2 * x2 - x2 * poly(m2 - 2 * e5 * mu2) + poly(mu2 * mu2)
+    quartic = _X2 * _X2 - _X2 * poly(m2 - 2 * e5 * mu2) + poly(mu2 * mu2)
     if _frame_block(e5, big_m, mu2).det() != quartic * quartic:
         raise RootFindingError("determinant is not the square of the seesaw quartic",
                                diagnostics={"quartic": str(quartic)})
@@ -336,7 +335,8 @@ def exact_mode_spectrum(c: CouplingConfig) -> ModeSpectrum:
 
     root = exact_sqrt(delta)
     heavy, light, heavy_k2, light_k2, deviation = _rounded(root, frame_roots, M2=m2, mu2=mu2)
-    heavy_x, light_x, heavy_k2_exact, light_k2_exact, _ = frame_roots(root)
+    # the same two roots exact, with no division: mu^2/h = eps5 (M - sqrt(delta))/2
+    heavy_x, light_x = (big_m + root) * _HALF, (big_m - root) * _HALF * e5
     if mu2 == 0:
         # 4-D light kernel at k = 0 and u1 = 0 at the heavy root: no mass
         # to classify
@@ -355,6 +355,6 @@ def exact_mode_spectrum(c: CouplingConfig) -> ModeSpectrum:
         light_class=light_class,
         heavy_class=heavy_class,
         roots=roots,
-        light_k2_exact=light_k2_exact.to_fraction() if rational else None,
-        heavy_k2_exact=heavy_k2_exact.to_fraction() if rational else None,
+        light_k2_exact=(-e5 * light_x * light_x).to_fraction() if rational else None,
+        heavy_k2_exact=(-e5 * heavy_x * heavy_x).to_fraction() if rational else None,
     )

@@ -5,6 +5,7 @@ import json
 import random
 from fractions import Fraction
 
+import lemma_oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -196,6 +197,32 @@ def test_numeric_exponential_model(eps5):
         "momentum_commutator", "derivative_lemma", "plane_wave_derivative",
     }
     assert all(type(v) is Fraction and v == 0 for v in res.values()), res
+
+
+def _typed(residuals: dict) -> list:
+    return [(key, type(value), value) for key, value in residuals.items()]
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+def test_lemma_matches_the_param_poly_model(eps5):
+    # the coefficient-list kernel gives the residual dict of the model
+    # written on ParamPoly in x: keys in order, types and values
+    assert _typed(lemma_matrix_check(eps5)) == _typed(lemma_oracle.lemma_matrix_check(eps5))
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+@pytest.mark.parametrize("square", [
+    lambda k: k[0] * k[0],
+    lambda k: k[0] * k[0] - k[3] * k[3] + k[1] * k[2],
+])
+def test_lemma_residuals_match_the_model_when_they_are_not_zero(monkeypatch, eps5, square):
+    # a wrong k^2 in c = -i eps5 l k^2 leaves the model's lemma exact but
+    # breaks dA = i eps5 l k.p: both kernels report the same nonzero value
+    for module in (enveloping, lemma_oracle):
+        monkeypatch.setattr(module, "minkowski_square", square)
+    got = lemma_matrix_check(eps5)
+    assert got["plane_wave_derivative"] > 0
+    assert _typed(got) == _typed(lemma_oracle.lemma_matrix_check(eps5))
 
 
 def test_a_negated_plane_wave_scale_fails_its_three_rows(monkeypatch, capsys):

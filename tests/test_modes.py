@@ -30,13 +30,44 @@ from ncdirac.modes import (
     scaling_residual,
     squared_identity_residual,
 )
-from ncdirac.scalars import I, ExactScalar, poly
+from ncdirac.lie_algebra import minkowski_square
+from ncdirac.scalars import MOMENTUM_SYMBOLS, I, ExactScalar, poly, sym
 from ncdirac.seesaw import CouplingConfig
 
 
 @pytest.mark.parametrize("eps5", [1, -1])
 def test_squared_identity_symbolic(eps5):
     assert squared_identity_residual(eps5).is_zero()
+
+
+def _negated_quartic(monkeypatch):
+    """dispersion_polynomial with its (k^2)^2 coefficient b negated."""
+    true = modes.dispersion_polynomial
+    monkeypatch.setattr(modes, "dispersion_polynomial",
+                        lambda ell, eps5: (true(ell, eps5)[0], -true(ell, eps5)[1]))
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+@pytest.mark.parametrize("negated", [False, True])
+def test_squared_identity_is_the_product_less_the_scaled_identity(monkeypatch, eps5, negated):
+    # each entry is one sum of products, and the matrix is still D @ D less
+    # the dispersion polynomial times Id: zero as written, and the same
+    # nonzero matrix with b negated
+    if negated:
+        _negated_quartic(monkeypatch)
+    D = dirac_matrix(eps5)
+    ksq = minkowski_square(MOMENTUM_SYMBOLS)
+    a, b = modes.dispersion_polynomial(sym("l"), eps5)
+    got = squared_identity_residual(eps5)
+    assert got == D @ D - ExactMatrix.identity(4).scale(ksq * a + ksq * ksq * b)
+    assert got.is_zero() != negated
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+def test_a_negated_quartic_coefficient_fails_the_dispersion_identity(monkeypatch, eps5):
+    _negated_quartic(monkeypatch)
+    rows = {r.check: r for r in checks.cmd_modes(checks.RunConfig(eps5=eps5))}
+    assert not rows["dispersion_identity"].passed
 
 
 @pytest.mark.parametrize("eps5", [1, -1])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from exact_arrays import as_array
 from exact_gammas import exact_gammas
-from seesaw_oracle import coupled_matrix
+from seesaw_oracle import coupled_matrix, exact_mode_spectrum_oracle
 
 from ncdirac.matrices import ExactMatrix
 from ncdirac.modes import reference_solutions, residual
@@ -505,3 +505,64 @@ def test_swapped_roots_fail_at_mu_over_m_five():
     heavy_drift = abs(math.sqrt(abs(swapped.heavy_k2)) - 2) / 2
     assert swapped.deviation == pytest.approx(0.78, abs=0.01)
     assert heavy_drift == pytest.approx(3.5, abs=0.05)
+
+
+def _spectrum_or_error(spectrum, config):
+    """Every ModeSpectrum field, or the RootFindingError's type, message and
+    diagnostics."""
+    try:
+        return spectrum(config)
+    except RootFindingError as exc:
+        return type(exc), str(exc), exc.diagnostics
+
+
+# Gaussian rationals of modulus 1 from Pythagorean triples, so |g| and
+# with it vev = (mu/M) M / |g| stay rational
+_PHASES = [ExactScalar(Fraction(a, c), Fraction(b, c))
+           for a, b, c in ((1, 0, 1), (3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29))]
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
+def test_spectrum_sweep_matches_the_first_written_spectrum(eps5):
+    # mu/M log-uniform in [1e-6, 0.45] at seeded complex couplings, then
+    # g = 0 and the critical mu = M/2 (delta = 0 for eps5 = +1): each field
+    # or error equals the one the spectrum gave before it formed its frame
+    # roots once
+    rng = random.Random(f"spectrum-sweep-{eps5}")
+    configs = []
+    for _ in range(30):
+        ratio = Fraction(math.exp(rng.uniform(math.log(1e-6), math.log(0.45))))
+        ratio = ratio.limit_denominator(10 ** 9)
+        phase = rng.choice(_PHASES) * rng.choice([1, -1, ExactScalar(0, 1), ExactScalar(0, -1)])
+        modulus = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        ell = Fraction(rng.randint(1, 20), rng.randint(1, 20))
+        vev = ratio * (2 / ell) / modulus
+        configs.append(CouplingConfig(g=phase * ExactScalar(modulus), vev=vev, ell=ell, eps5=eps5))
+    configs.append(CouplingConfig(g=0, vev=Fraction(1, 10), ell=Fraction(1), eps5=eps5))
+    configs.append(CouplingConfig(g=1, vev=Fraction(1), ell=Fraction(1), eps5=eps5))  # mu = M/2
+    for config in configs:
+        got = _spectrum_or_error(exact_mode_spectrum, config)
+        assert got == _spectrum_or_error(exact_mode_spectrum_oracle, config), (
+            config.g, config.vev, config.ell)
+
+
+def test_a_cold_seesaw_command_makes_twelve_gamma_sums(monkeypatch):
+    # both eps5, six each: the symbolic mass term, the printed gamma5 term,
+    # the numeric W that leading_order_reduction returns, the effective
+    # operator at rest, and the two factors of P = g^a g^4; the symbolic
+    # reduction forms no W
+    import ncdirac.seesaw as seesaw
+    from ncdirac.checks import RunConfig, cmd_seesaw
+
+    calls = []
+    counted = seesaw.gamma_sum
+    monkeypatch.setattr(seesaw, "gamma_sum", lambda *args: calls.append(args) or counted(*args))
+    seesaw._frame_product.cache_clear()
+    seesaw._frame_class.cache_clear()
+    try:
+        rows = cmd_seesaw(RunConfig())
+    finally:
+        seesaw._frame_product.cache_clear()
+        seesaw._frame_class.cache_clear()
+    assert all(row.passed for row in rows)
+    assert len(calls) == 12
