@@ -103,21 +103,35 @@ class RunConfig:
         return (1, -1) if self.eps5 is None else (self.eps5,)
 
 
-# The settings each command's rows read, the one list of them: the command
-# line offers a command only these (with --format, --out and --config, and
-# --timings everywhere but scan), refuses any other as a flag or a --config
-# key, and the report's config echoes exactly these and the format (a scan
-# echoes its range for the setting it sweeps).  No check reads the seed;
-# check all echoes it.
-READS = {
-    "verify algebra": ("eps4", "eps5", "fixture"),
-    "verify rep": ("eps5",),
-    "verify clifford": ("eps5",),
-    "verify planewave": ("eps5",),
-    "modes": ("eps5",),
-    "seesaw": ("eps5", "ell", "g", "vev"),
-    "scan": ("eps5", "ell", "g", "vev"),
-    "check all": ("eps4", "eps5", "ell", "g", "vev", "fixture", "seed"),
+# Each report family once, in the order check all runs them: the command
+# that runs it alone and the settings its rows read.  ``command`` finds
+# each command's function by its name.
+FAMILIES = {
+    "algebra": ("verify algebra", ("eps4", "eps5", "fixture")),
+    "rep": ("verify rep", ("eps5",)),
+    "clifford": ("verify clifford", ("eps5",)),
+    "planewave": ("verify planewave", ("eps5",)),
+    "modes": ("modes", ("eps5",)),
+    "seesaw": ("seesaw", ("eps5", "ell", "g", "vev")),
+}
+
+# The settings each command's rows read: the command line offers a command
+# only these (with --format, --out and --config, and --timings everywhere
+# but scan), refuses any other as a flag or a --config key, and the
+# report's config echoes exactly these and the format (a scan echoes its
+# range for the setting it sweeps).  A scan reads seesaw's; check all its
+# families', and it echoes the seed, which no check reads.
+READS = dict(FAMILIES.values())
+READS["scan"] = READS["seesaw"]
+READS["check all"] = (*dict.fromkeys(chain.from_iterable(READS.values())), "seed")
+
+# the help of each verb of the command line, in the order it lists them
+VERBS = {
+    "verify": "run one family of identity checks",
+    "modes": "dispersion roots and spinor modes",
+    "seesaw": "coupled light/heavy mass checks",
+    "scan": "sweep one parameter over a range",
+    "check": "run every check family",
 }
 
 
@@ -597,21 +611,16 @@ def cmd_scan(cfg: RunConfig, param: str, start: Fraction, stop: Fraction,
 
 # -- commands -----------------------------------------------------------------
 
-# the report families in the order check all runs them; the first four are
-# the targets of ``verify``
-VERIFY_FAMILIES = ("algebra", "rep", "clifford", "planewave")
-FAMILIES = VERIFY_FAMILIES + ("modes", "seesaw")
 
-
-def command(family: str):
-    """The public command of one family, looked up when called, so that a
-    wrapper installed on this module (a profiler's span) is what runs."""
-    verb = "verify_" if family in VERIFY_FAMILIES else ""
-    return globals()[f"cmd_{verb}{family}"]
+def command(name: str):
+    """The function of the report command ``name``, looked up when called,
+    so that a wrapper installed on this module (a profiler's span) is what
+    runs."""
+    return globals()["cmd_" + name.replace(" ", "_")]
 
 
 def cmd_check_all(cfg: RunConfig) -> list[CheckReport]:
-    return sorted(chain.from_iterable(command(family)(cfg) for family in FAMILIES),
+    return sorted(chain.from_iterable(command(name)(cfg) for name, _ in FAMILIES.values()),
                   key=_order)
 
 

@@ -92,29 +92,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd")
 
-    # one subparser for four targets: resolve_config refuses a flag that
+    # one subparser per verb: a verb with targets takes one, and offers the
+    # flags of every target's settings; resolve_config refuses a flag that
     # the target does not read
-    p_verify = sub.add_parser("verify", help="run one family of identity checks")
-    p_verify.add_argument("target", choices=checks.VERIFY_FAMILIES)
-    _add_settings(p_verify, [f"verify {target}" for target in checks.VERIFY_FAMILIES])
-
-    p_modes = sub.add_parser("modes", help="dispersion roots and spinor modes")
-    _add_settings(p_modes, ["modes"])
-
-    p_seesaw = sub.add_parser("seesaw", help="coupled light/heavy mass checks")
-    _add_settings(p_seesaw, ["seesaw"])
-
-    p_scan = sub.add_parser("scan", help="sweep one parameter over a range")
-    p_scan.add_argument("--param", required=True, choices=checks.SCAN_PARAMS)
-    p_scan.add_argument("--from", dest="start", required=True, type=_rational)
-    p_scan.add_argument("--to", dest="stop", required=True, type=_rational)
-    p_scan.add_argument("--steps", required=True, type=int)
-    # scan rows carry no durations
-    _add_settings(p_scan, ["scan"], timings=False)
-
-    p_check = sub.add_parser("check", help="run every check family")
-    p_check.add_argument("target", choices=("all",))
-    _add_settings(p_check, ["check all"])
+    for verb, help_text in checks.VERBS.items():
+        commands = [name for name in checks.READS if name.partition(" ")[0] == verb]
+        sp = sub.add_parser(verb, help=help_text)
+        targets = [command.partition(" ")[2] for command in commands if " " in command]
+        if targets:
+            sp.add_argument("target", choices=targets)
+        if verb == "scan":
+            sp.add_argument("--param", required=True, choices=checks.SCAN_PARAMS)
+            sp.add_argument("--from", dest="start", required=True, type=_rational)
+            sp.add_argument("--to", dest="stop", required=True, type=_rational)
+            sp.add_argument("--steps", required=True, type=int)
+        # scan rows carry no durations
+        _add_settings(sp, commands, timings=verb != "scan")
 
     return parser
 
@@ -216,11 +209,7 @@ def main(argv=None) -> int:
                 text = checks.render_json(checks.scan_document(cfg, rows, *sweep))
             passed = all(r["status"] == "ok" for r in rows)
         else:
-            if args.cmd == "check":
-                reports = checks.cmd_check_all(cfg)
-            else:
-                family = args.target if args.cmd == "verify" else args.cmd
-                reports = checks.command(family)(cfg)
+            reports = checks.command(command)(cfg)
             if cfg.fmt == "csv":
                 text = checks.render_reports_csv(reports)
             else:

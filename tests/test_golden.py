@@ -1,20 +1,32 @@
 """Byte-for-byte pins of the exact engine's reports.
 
-The ``verify algebra`` files were written by the combo-of-ParamPoly
-bracket engine that the flat bracket kernel replaced; the ``verify rep``,
-``verify clifford`` and ``verify planewave`` files by the engine that
-rebuilt every gamma and structure-constant table per call, formed Weyl
-commutators as ``(a@b) - (b@a)`` and summed ``g.k`` by matrix adds and
-scales.  ``seesaw_default.json`` and the CSV rendering of ``verify rep``
-were written by the engine whose commands each kept their own report list
-and timers, before one runner drove every check family.
-``check_all_seed42.json`` and the planewave file were written once the
-plane-wave lemma, the boost covariance and the seesaw reality classes ran
-in exact arithmetic.  ``check_all.csv``, the CSV rendering of every
-family's rows, was written by the engine that built each row through one
-``CheckReport`` constructor and sized a failing Clifford relation on the
-gammas' phased permutations; it pins the CSV of the algebra, clifford,
-plane-wave, modes and seesaw rows, and reads the same under
+``check_all_seed42.json`` is the one golden report of the check families:
+every row of every family, once.  A command that runs one family (``verify
+algebra|rep|clifford|planewave``, ``modes``, ``seesaw``) prints a view of
+it, and ``test_a_view_prints_its_rows_of_check_all`` checks seven views
+byte for byte, with their exit codes, against documents rebuilt from it:
+the rows of the view's family, named here by a table of check-name
+prefixes, at the settings its flags set; the check all ``config``
+restricted to the settings the view reads (``checks.READS``), with its
+flags on top; and the ``summary`` counted from those rows.  The CSV view
+of ``verify rep`` is ``check_all.csv``'s header and its ``rep_closure_*``
+lines.  Seven golden files of views went when that test replaced them:
+``verify_algebra_all_signs.json``, ``verify_rep_all_signs.json`` and its
+CSV, ``verify_clifford_all_signs.json``,
+``verify_planewave_all_signs.json``, ``modes_eps5_minus.json`` and
+``seesaw_default.json``; the test rebuilt each of them byte for byte.
+``commands.txt`` lists only reports that hold a row check all does not,
+and ``test_every_listed_golden_holds_a_row_check_all_does_not`` keeps it
+so.
+
+``verify_algebra_tampered_fixture.json`` was written by the
+combo-of-ParamPoly bracket engine that the flat bracket kernel replaced.
+``check_all_seed42.json`` was written once the plane-wave lemma, the boost
+covariance and the seesaw reality classes ran in exact arithmetic.
+``check_all.csv``, the CSV rendering of every family's rows, was written
+by the engine that built each row through one ``CheckReport`` constructor
+and sized a failing Clifford relation on the gammas' phased permutations;
+it pins the CSV of every family's rows, and reads the same under
 ``PYTHONHASHSEED`` 0, 1 and 7.  Each was written with its command in
 ``tests/golden/commands.txt``, the one list of the commands and their exit
 codes, run from the repository root.  The reports carry no timings, and
@@ -22,7 +34,8 @@ every value is exact but the seesaw masses and deviations, which are exact
 values rounded once to a float, with no BLAS involved.  Change a golden
 file only together with a report change that is meant.  CI runs the same
 list with ``tests/golden/compare.sh``, which compares with ``cmp``, with and
-without numpy installed.
+without numpy installed, and runs this file under ``PYTHONHASHSEED`` 0 and
+1.
 
 ``tampered_deformed_fixture.json`` is the deformed table for
 (eps4, eps5) = (1, -1) with generator a rescaled by (-1)^a (a+2)/(2a+1),
@@ -53,23 +66,22 @@ its ``min_ell_degree`` detail, and named the critical-coupling reason in
 the scan.  Nothing else in them changed.  Every JSON report but
 ``check_all_seed42.json`` was rewritten once more when each command came to
 echo in its ``config`` only the format and the settings its rows read
-(``checks.READS``); nothing but the ``config`` changed.  The eps5 = +1 ``seesaw_spectrum``
-``heavy_k2`` of ``check_all_seed42.json`` and ``seesaw_default.json`` was
-rewritten once, from -3.99979999749987 to -3.99979999749988, when the
-spectrum came to be rounded once from one exact square root; the exact
-value is -3.99979999749987499218...  ``check_all_seed42.json``,
-``check_all.csv`` and ``verify_planewave_all_signs.json`` were rewritten
-once when the ``planewave_lemma`` relation came to read "on a nilpotent
-model", not "on a nilpotent matrix model": the model acts on polynomials
-in the symbol ``m`` and forms no matrix.  Nothing else in them changed.
+(``checks.READS``); nothing but the ``config`` changed.  The eps5 = +1
+``seesaw_spectrum`` ``heavy_k2`` of ``check_all_seed42.json`` was rewritten
+once, from -3.99979999749987 to -3.99979999749988, when the spectrum came
+to be rounded once from one exact square root; the exact value is
+-3.99979999749987499218...  ``check_all_seed42.json`` and
+``check_all.csv`` were rewritten once when the ``planewave_lemma`` relation
+came to read "on a nilpotent model", not "on a nilpotent matrix model":
+the model acts on polynomials in the symbol ``m`` and forms no matrix.
+Nothing else in them changed.
 
 Eight files were rewritten once when every row that another row of the
-same report already decides left the report: ``check_all_seed42.json``,
-``check_all.csv``, the three ``verify_algebra_*`` reports,
-``verify_clifford_all_signs.json``, ``verify_planewave_all_signs.json`` and
-``demo_04.txt``.  The rows that went are ``clifford_square_g0`` to
-``clifford_square_g4``, which decide what the ``clifford_anticommutator``
-row of the same gamma decides; ``planewave_centrality``, which follows from
+same report already decides left the report; five of them remain:
+``check_all_seed42.json``, ``check_all.csv``, the two ``verify_algebra_*``
+fixture reports and ``demo_04.txt``.  The rows that went are
+``clifford_square_g0`` to ``clifford_square_g4``, which decide what the
+``clifford_anticommutator`` row of the same gamma decides; ``planewave_centrality``, which follows from
 ``planewave_momentum``'s scalar ``[p_mu, A] = k_mu``; and
 ``jacobi_orthogonal``, which follows from ``isomorphism`` and
 ``jacobi_deformed``.  The ``contraction`` rows no longer re-run Jacobi on
@@ -90,22 +102,20 @@ counts, which read the same under ``PYTHONHASHSEED`` 0 and 1; it was
 written by the engine whose plane-wave rows passed on a zero remainder
 only, before the seesaw spectrum was rounded from one exact square root.
 
-``modes_eps5_minus.json`` and ``seesaw_complex_g_eps5_minus.json`` pin
-two examples of the README: ``modes`` alone and ``seesaw`` with a complex
-``--g``, which no other golden command passes.  The seesaw file was written
-by the engine whose ``checks`` typed the heavy branch ``-4 eps5 / l^2``
+``seesaw_complex_g_eps5_minus.json`` pins an example of the README:
+``seesaw`` with a complex ``--g``, which no other golden command passes
+(the README's ``modes --eps5 -1`` is one of the views).  It was written by
+the engine whose ``checks`` typed the heavy branch ``-4 eps5 / l^2``
 itself, before ``modes`` held the heavy mass, frame and class.
 
 Every modes and seesaw report was rewritten once when ``modes_scaling``
 came to prove ``s D(k; s l) = D(s k; l)``: ``dispersion_sweep`` gave way
 to ``modes_scaling``, ``dispersion_roots`` and ``modes_reference_*`` lost
 their ``ell`` parameter and run at ``l = 2``, with relations that say so,
-and ``modes`` lost ``--ell``, so ``modes_eps5_minus.json`` replaced the
-report of ``modes --eps5 -1 --ell 2``, whose rows it equals but for the
-parameter and the relations.  ``seesaw_leading``, which could not fail,
+and ``modes`` lost ``--ell``.  ``seesaw_leading``, which could not fail,
 went too, and its ``mass`` and ``k2`` joined the ``seesaw_effective``
-details: ``check_all_seed42.json``, ``check_all.csv`` and the three
-``seesaw`` files changed in those rows and the counts.  In the same change
+details: ``check_all_seed42.json``, ``check_all.csv`` and the ``seesaw``
+files changed in those rows and the counts.  In the same change
 ``scan_vev_eps5_plus.json`` came to echo its swept range (``param``,
 ``from``, ``to``, ``steps``) in its ``config`` in place of the base
 ``vev``; its rows and its CSV did not change.
@@ -145,6 +155,7 @@ import sys
 import pytest
 from golden_commands import COMMANDS, GOLDEN
 
+from ncdirac import checks
 from ncdirac.cli import main
 
 SCAN_VEV = ["scan", "--param", "vev", "--from", "1/2", "--to", "2", "--steps", "4",
@@ -169,6 +180,122 @@ def test_timings_change_nothing_but_the_durations(capsys):
     assert doc == json.loads((GOLDEN / "check_all_seed42.json").read_text())
 
 
+CHECK_ALL = (GOLDEN / "check_all_seed42.json").read_text()
+CHECK_ALL_CSV = (GOLDEN / "check_all.csv").read_text()
+
+# The views of check all: (command, the check-name prefixes of its family's
+# rows, the settings its flags set, its format).  The family's rows are
+# named here, not asked of the engine.  The CSV view sets no flag.
+VIEWS = [
+    ("verify algebra", ("jacobi_", "isomorphism", "contraction"), {}, "json"),
+    ("verify rep", ("rep_closure_",), {}, "json"),
+    ("verify rep", ("rep_closure_",), {}, "csv"),
+    ("verify clifford", ("clifford_",), {}, "json"),
+    ("verify planewave", ("planewave_",), {}, "json"),
+    ("modes", ("dispersion_", "modes_"), {"eps5": -1}, "json"),
+    ("seesaw", ("seesaw_",), {}, "json"),
+]
+
+
+def _argv(view) -> list:
+    command, _, flags, fmt = view
+    argv = [*command.split(), *(arg for name, value in flags.items()
+                                for arg in (f"--{name}", str(value)))]
+    return argv + ["--format", "csv"] if fmt == "csv" else argv
+
+
+VIEW_IDS = [" ".join(_argv(view)) for view in VIEWS]
+
+
+def _rows(view, report: dict) -> list:
+    """The rows of ``report``, a check all document, of the view's family
+    at the settings its flags set, in their order."""
+    _, prefixes, flags, _ = view
+    return [row for row in report["reports"] if row["check"].startswith(prefixes)
+            and all(row["params"][name] == value for name, value in flags.items())]
+
+
+def _expected(view, check_all: str = CHECK_ALL, check_all_csv: str = CHECK_ALL_CSV):
+    """(exit code, stdout) of ``view``, rebuilt from the text of the check
+    all report and of its CSV rendering."""
+    command, prefixes, flags, fmt = view
+    report = json.loads(check_all)
+    rows = _rows(view, report)
+    passed = sum(row["status"] == "pass" for row in rows)
+    code = 0 if passed == len(rows) else 1
+    if fmt == "csv":
+        header, *lines = check_all_csv.splitlines(keepends=True)
+        return code, header + "".join(line for line in lines if line.startswith(prefixes))
+    config = {name: value for name, value in report["config"].items()
+              if name == "format" or name in checks.READS[command]}
+    document = {
+        "config": {**config, **flags},
+        "reports": rows,
+        "summary": {"total": len(rows), "passed": passed, "failed": len(rows) - passed},
+    }
+    return code, json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("view", VIEWS, ids=VIEW_IDS)
+def test_a_view_prints_its_rows_of_check_all(capsys, view):
+    code = main(_argv(view))
+    assert (code, capsys.readouterr().out) == _expected(view)
+
+
+def _tampered(view, how: str) -> tuple:
+    """The check all report and CSV texts with the first row of the view's
+    family edited: its status flipped, or a detail (in the CSV, the
+    residual) changed."""
+    report = json.loads(CHECK_ALL)
+    row = _rows(view, report)[0]
+    if how == "status":
+        row["status"] = "fail"
+    else:
+        row["details"]["tampered"] = True
+    header, *lines = CHECK_ALL_CSV.splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith(view[1]))
+    check, params, status, residual, rest = lines[at].split(",", 4)
+    lines[at] = ",".join([check, params, "fail", residual, rest] if how == "status"
+                         else [check, params, status, "7", rest])
+    return json.dumps(report), header + "".join(lines)
+
+
+@pytest.mark.parametrize("how", ["status", "detail"])
+@pytest.mark.parametrize("view", VIEWS, ids=VIEW_IDS)
+def test_a_tampered_row_of_the_family_fails_the_view(capsys, view, how):
+    code = main(_argv(view))
+    assert (code, capsys.readouterr().out) != _expected(view, *_tampered(view, how))
+
+
+@pytest.mark.parametrize("view", VIEWS, ids=VIEW_IDS)
+def test_a_view_that_drops_its_last_row_fails(monkeypatch, capsys, view):
+    # checks.command looks the function up when called, so the patch runs
+    run = checks.command(view[0])
+    monkeypatch.setattr(checks, run.__name__, lambda cfg: run(cfg)[:-1])
+    code = main(_argv(view))
+    assert (code, capsys.readouterr().out) != _expected(view)
+
+
+def _golden_rows(path) -> set:
+    """The rows of the golden report at ``path``: a CSV's lines but its
+    header, a JSON report's rows as sorted JSON."""
+    text = path.read_text()
+    if path.suffix == ".csv":
+        return set(text.splitlines()[1:])
+    document = json.loads(text)
+    return {json.dumps(row, sort_keys=True)
+            for row in document.get("reports", document.get("rows"))}
+
+
+def test_every_listed_golden_holds_a_row_check_all_does_not():
+    # a report of rows check all holds is a view, checked above
+    whole = _golden_rows(GOLDEN / "check_all_seed42.json") | _golden_rows(
+        GOLDEN / "check_all.csv")
+    views = [golden for _, golden, _ in COMMANDS if not golden.startswith("check_all")
+             and _golden_rows(GOLDEN / golden) <= whole]
+    assert not views
+
+
 DEMOS = GOLDEN.parent.parent / "demos"
 DEMO_GOLDENS = {f"demo_{path.stem.split('_')[0]}.txt" for path in DEMOS.glob("*.py")}
 
@@ -190,13 +317,12 @@ def test_demo_output_matches_golden(capsys, demo):
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
-# (argv, exit code, golden file or None for the same command with numpy)
+# (argv, exit code, stdout or None for the same command with numpy)
 NUMPY_FREE = [
-    (["check", "all", "--seed", "42"], 0, "check_all_seed42.json"),
-    (["verify", "planewave"], 0, "verify_planewave_all_signs.json"),
+    (["check", "all", "--seed", "42"], 0, CHECK_ALL),
     (["modes"], 0, None),
-    (["seesaw"], 0, "seesaw_default.json"),
-    (SCAN_VEV, 1, "scan_vev_eps5_plus.json"),
+    (SCAN_VEV, 1, (GOLDEN / "scan_vev_eps5_plus.json").read_text()),
+    *((_argv(view), *_expected(view)) for view in VIEWS),
 ]
 
 
@@ -220,10 +346,10 @@ def test_commands_run_without_numpy(capsys):
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
                           capture_output=True, text=True, check=True)
-    for (argv, code, golden), (got, text) in zip(NUMPY_FREE, json.loads(done.stdout)):
+    for (argv, code, expected), (got, text) in zip(NUMPY_FREE, json.loads(done.stdout)):
         assert got == code, argv
-        if golden:
-            assert text.encode() == (GOLDEN / golden).read_bytes(), argv
+        if expected is not None:
+            assert text == expected, argv
         else:
             assert main(argv) == code
             assert text == capsys.readouterr().out, argv

@@ -149,7 +149,7 @@ class Box:
 
 def test_every_definition_has_a_use():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    commands = {checks.command(family).__name__ for family in checks.FAMILIES}
+    commands = {checks.command(name).__name__ for name in checks.READS}
     unused = _unused_definitions(trees, _outside_names(), commands)
     assert not unused, "definitions nothing uses: " + ", ".join(unused)
 
@@ -440,3 +440,13 @@ def test_every_method_runs_in_a_command_or_demo():
                     and not outside[name]:
                 idle.append(f"{path.name}: {qualname}")
     assert not idle, "methods no command or demo runs: " + ", ".join(idle)
+
+
+def test_no_cell_of_the_readme_module_table_exceeds_300_characters():
+    # the table says what each module holds; how it does it belongs in the
+    # module's own docstrings
+    section = (ROOT / "README.md").read_text().split("\n## What is inside\n")[1]
+    rows = [line for line in section.split("\n## ")[0].splitlines() if line.startswith("| ")]
+    cells = [cell.strip() for row in rows for cell in row.strip("|").split(" | ")]
+    assert len(rows) > 2
+    assert not [cell for cell in cells if len(cell) > 300]
