@@ -46,8 +46,8 @@ _LAZY = {
     **dict.fromkeys(("SpinorSolution", "dirac_matrix", "dispersion_roots",
                      "reference_solutions", "residual"), "modes"),
     **dict.fromkeys(("CouplingConfig", "ModeSpectrum", "RootFindingError",
-                     "exact_mode_spectrum", "leading_order_reduction", "light_mass_leading",
-                     "verify_effective_equation"), "seesaw"),
+                     "exact_mode_spectrum", "light_mass_leading", "verify_effective_equation"),
+                    "seesaw"),
 }
 _LAYERS = frozenset(_LAZY.values())
 

@@ -20,9 +20,9 @@ sum_a c_a gamma^a.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cache
 from itertools import combinations_with_replacement
-from typing import NamedTuple
 
 from .lie_algebra import ETA4_DIAG
 from .matrices import ExactMatrix, echelon
@@ -87,11 +87,10 @@ def gamma_sum(eps5: int, coeffs) -> ExactMatrix:
                          for c in range(4)] for r in range(4)])
 
 
-class RelationCheck(NamedTuple):
-    name: str
-    relation: str
-    ok: bool
-    residual: float
+class RelationCheck(namedtuple("RelationCheck", "name relation ok residual")):
+    """One relation's name, its text, its verdict and its float residual."""
+
+    __slots__ = ()
 
 
 def _anticommute(x, y) -> bool:

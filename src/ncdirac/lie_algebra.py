@@ -16,11 +16,12 @@ uses the symbol r with rho = r^2 substituted into the deformed table first.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from functools import cache
 from math import gcd
-from typing import NamedTuple
 
 from .scalars import (
+    MAX_DEGREE,
     P_ONE,
     ParamPoly,
     _GUARDS,
@@ -30,6 +31,7 @@ from .scalars import (
     _int_terms,
     _join,
     _json_int_terms,
+    _shift,
     _make,
     _packed_poly,
     _reduced_sums,
@@ -43,8 +45,10 @@ X_LABELS = ("x0", "x1", "x2", "x3")
 C_LABEL = "C"
 DEFORMED_BASIS = M_LABELS + P_LABELS + X_LABELS + (C_LABEL,)
 
-_M_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_M_INDEX = {pair: i for i, pair in enumerate(_M_PAIRS)}
+# the index pairs (a < b) of the rotations M_ab, basis order: four dimensions
+# in the deformed table, six in the orthogonal one
+_M_PAIRS = tuple(itertools.combinations(range(4), 2))
+_SIX_PAIRS = tuple(itertools.combinations(range(6), 2))
 
 
 # the Minkowski metric diagonal; ``lower`` and ``minkowski_square`` are the
@@ -172,6 +176,49 @@ class StructureConstants:
             out._write(i, j, pair_terms)  # this table's indices, already checked
         return out
 
+    def twist(self, phases=None, symbols=None, zero=()) -> "StructureConstants":
+        """A new table: each term (q, monomial, a, b, d) of [e_i, e_j] times
+        i^k, k = p_i + p_j - p_q + sum_s e_s deg_s(monomial) (mod 4), with
+        ``phases`` the p of each generator (None: all 0) and ``symbols`` a
+        map of symbol names to their e; a term that holds a symbol of
+        ``zero`` is dropped.  This is the table over the basis i^p_i e_i
+        with each symbol s sent to i^e_s s and each symbol of ``zero`` to 0.
+        A unit factor keeps each term canonical and the terms' order, so
+        nothing is re-sorted or reduced, and a pair that no phase touches
+        keeps its term tuple."""
+        rows = self.rows
+        p = [0] * len(rows) if phases is None else list(phases)
+        if len(p) != len(rows):
+            raise ValueError(f"{len(p)} phases for a basis of {len(rows)} generators")
+        fields = [(_shift(name), e) for name, e in (symbols or {}).items() if e % 4]
+        drop = sum(MAX_DEGREE << shift for shift in {_shift(name) for name in zero})
+        if not (fields or drop or any(p)):
+            return self.copy()
+        turns = {}  # packed monomial -> its symbols' quarter turns
+        out = StructureConstants(self.basis)
+        for i, (row, out_row) in enumerate(zip(rows, out.rows)):
+            for j, terms in row.items():
+                pij, moved, twisted = p[i] + p[j], False, []
+                for term in terms:
+                    q, mono, a, b, d = term
+                    if mono & drop:
+                        moved = True
+                        continue
+                    k = turns.get(mono)
+                    if k is None:
+                        k = turns[mono] = sum(e * (mono >> s & MAX_DEGREE) for s, e in fields)
+                    k = (pij - p[q] + k) & 3
+                    if k:
+                        moved = True
+                        a, b = (-b, a) if k == 1 else (-a, -b) if k == 2 else (b, -a)
+                        term = (q, mono, a, b, d)
+                    twisted.append(term)
+                if not moved:
+                    out_row[j] = terms
+                elif twisted:
+                    out_row[j] = tuple(twisted)
+        return out
+
     def dim(self) -> int:
         return len(self.basis)
 
@@ -200,26 +247,41 @@ class StructureConstants:
                              "'basis' list and a 'brackets' object") from None
         alg = StructureConstants(basis)
         n = len(basis)
+        keys = _bracket_keys(n) if n <= _KEYED_BASIS else {}
         seen = {}
         for key, entries in brackets:
             try:
-                if type(key) is not str:
-                    raise TypeError("is not a string")
-                i, j = map(int, key.split(","))
-                # int() also reads "+1", " 1", "1_0", "01" and non-ASCII digits
-                if key != f"{i},{j}":
-                    raise ValueError(f"is not written as {i},{j}")
-                pair = (i, j) if i < j else (j, i)
+                found = keys.get(key)
+                if found is None:  # not a key to_json writes, or a large basis
+                    if type(key) is not str:
+                        raise TypeError("is not a string")
+                    i, j = map(int, key.split(","))
+                    # int() also reads "+1", " 1", "1_0", "01" and non-ASCII digits
+                    if key != f"{i},{j}":
+                        raise ValueError(f"is not written as {i},{j}")
+                    # _store only to raise the error that names the culprit
+                    if i == j or not (0 <= i < n and 0 <= j < n):
+                        alg._store(i, j, [])
+                    found = i, j
+                i, j = found
+                pair = found if i < j else (j, i)
                 if pair in seen:
                     raise ValueError(f"repeats the pair of key {seen[pair]!r}")
                 seen[pair] = key
-                # _store only to raise the error that names the culprit
-                if i == j or not (0 <= i < n and 0 <= j < n):
-                    alg._store(i, j, [])
                 alg._write(i, j, _json_int_terms(entries, n, key))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"bracket key {key!r}: {exc}") from None
         return alg
+
+
+# the largest basis whose bracket keys ``from_json`` looks up in a map
+_KEYED_BASIS = 64
+
+
+@cache
+def _bracket_keys(n: int) -> dict:
+    """(i, j) by its key "i,j" for each pair of distinct indices in 0..n-1."""
+    return {f"{i},{j}": (i, j) for i, j in itertools.permutations(range(n), 2)}
 
 
 def _rotation_brackets(alg: StructureConstants, pairs, diag):
@@ -227,24 +289,17 @@ def _rotation_brackets(alg: StructureConstants, pairs, diag):
 
     ``pairs`` lists the index pairs (a < b) of the rotation generators in
     basis order, starting at index 0; ``diag`` is the diagonal of the
-    metric g.
+    metric g.  Two distinct pairs share at most one index, so at most one
+    term is nonzero, and it never pairs an index with itself.
     """
     index = {pair: i for i, pair in enumerate(pairs)}
-    metric = lambda x, y: diag[x] if x == y else 0
     for (a, b), (c, d) in itertools.combinations(pairs, 2):
-        im = {}  # output index -> n, for the coefficient n*i
-        for (p, q), g in (
-            ((a, d), metric(b, c)),
-            ((b, c), metric(a, d)),
-            ((b, d), -metric(a, c)),
-            ((a, c), -metric(b, d)),
-        ):
-            if g == 0:
-                continue
-            # a diagonal metric never pairs p with itself; M_qp = -M_pq
-            idx, orient = (index[(p, q)], 1) if p < q else (index[(q, p)], -1)
-            im[idx] = im.get(idx, 0) + g * orient
-        alg._store(index[(a, b)], index[(c, d)], [(k, 0, 0, n, 1) for k, n in im.items() if n])
+        for p, q, x, y, sign in ((a, d, b, c, 1), (b, c, a, d, 1),
+                                 (b, d, a, c, -1), (a, c, b, d, -1)):
+            if x == y:  # M_qp = -M_pq
+                n = sign * diag[x]
+                alg._store(index[(a, b)], index[(c, d)], [
+                    (index[(p, q)], 0, 0, n, 1) if p < q else (index[(q, p)], 0, 0, -n, 1)])
 
 
 def _check_signs(eps4: int, eps5: int):
@@ -252,9 +307,16 @@ def _check_signs(eps4: int, eps5: int):
         raise ValueError("eps4 and eps5 must be +1 or -1")
 
 
-# Each table below is built once per sign choice on first use.  The cached
-# tables are never handed out: the public builders return copies, so a
-# caller's in-place edit of ``rows`` does not reach later calls.
+def _quarter(eps: int) -> int:
+    """The quarter turns of i that square to the sign eps: 0 for +1, 1 for -1."""
+    return (1 - eps) // 2
+
+
+# Each table below is built once, at the sign pair (1, 1), on first use, and
+# the other pairs are its twists (``StructureConstants.twist``): the four
+# pairs are real forms of one complex algebra.  The cached tables are never
+# handed out: the public builders return copies, so a caller's in-place
+# edit of ``rows`` does not reach later calls.
 
 
 def build_deformed_algebra(eps4: int, eps5: int) -> StructureConstants:
@@ -284,65 +346,65 @@ def _flat_table(eps5: int) -> StructureConstants:
 
 @cache
 def _deformed_table(eps4: int, eps5: int) -> StructureConstants:
-    """Each coefficient is n*i times a monomial: the term (q, monomial,
-    0, n, 1) of e_q."""
+    """The (1, 1) table with rho -> eps4 rho and l -> i l for eps5 = -1:
+    the table holds only eps4 rho and eps5 l^2."""
+    return _deformed_base().twist(symbols={"rho": 2 * _quarter(eps4), "l": _quarter(eps5)})
+
+
+@cache
+def _deformed_base() -> StructureConstants:
+    """The table at eps4 = eps5 = 1.  Each coefficient is n*i times a
+    monomial: the term (q, monomial, 0, n, 1) of e_q."""
     alg = StructureConstants(DEFORMED_BASIS)
     rho = _int_terms(sym("rho"))[0][0]  # packed monomials
     ell2 = _int_terms(sym("l", 2))[0][0]
-    n_m = len(M_LABELS)
-    p_of = lambda mu: n_m + mu
-    x_of = lambda mu: n_m + 4 + mu
-    c_idx = n_m + 8
+    p_at, x_at, c_idx = (DEFORMED_BASIS.index(name) for name in ("P0", "x0", C_LABEL))
 
     _rotation_brackets(alg, _M_PAIRS, ETA4_DIAG)
 
-    # [M_munu, P_lam] = i(P_mu eta_nulam - P_nu eta_mulam); same pattern for x
-    for (mu, nu), lam in itertools.product(_M_PAIRS, range(4)):
-        for vec_of in (p_of, x_of):
-            terms = []
-            if nu == lam:
-                terms.append((vec_of(mu), 0, 0, ETA4_DIAG[lam], 1))
-            if mu == lam:
-                terms.append((vec_of(nu), 0, 0, -ETA4_DIAG[lam], 1))
-            alg._store(_M_INDEX[(mu, nu)], vec_of(lam), terms)
-
-    for mu, nu in itertools.combinations(range(4), 2):
-        m_idx = _M_INDEX[(mu, nu)]
-        # [P_mu, P_nu] = -i eps4 rho M_munu
-        alg._store(p_of(mu), p_of(nu), [(m_idx, rho, 0, -eps4, 1)])
-        # [x_mu, x_nu] = -i eps5 l^2 M_munu
-        alg._store(x_of(mu), x_of(nu), [(m_idx, ell2, 0, -eps5, 1)])
+    # the brackets of P and of x, one pattern: (v, w, s) is (P, x, rho), then (x, P, l^2)
+    for v, w, s, sign in ((p_at, x_at, rho, -1), (x_at, p_at, ell2, 1)):
+        # [M_munu, v_lam] = i(v_mu eta_nulam - v_nu eta_mulam): one term at most
+        for (m_idx, (mu, nu)), lam in itertools.product(enumerate(_M_PAIRS), range(4)):
+            if lam in (mu, nu):
+                other, orient = (mu, 1) if lam == nu else (nu, -1)
+                alg._store(m_idx, v + lam, [(v + other, 0, 0, orient * ETA4_DIAG[lam], 1)])
+        # [v_mu, v_nu] = -i s M_munu
+        for m_idx, (mu, nu) in enumerate(_M_PAIRS):
+            alg._store(v + mu, v + nu, [(m_idx, s, 0, -1, 1)])
+        # [P_mu, C] = -i rho x_mu ; [x_mu, C] = i l^2 P_mu
+        for mu in range(4):
+            alg._store(v + mu, c_idx, [(w + mu, s, 0, sign, 1)])
 
     for mu in range(4):
         # [P_mu, x_nu] = i eta_munu C
-        alg._store(p_of(mu), x_of(mu), [(c_idx, 0, 0, ETA4_DIAG[mu], 1)])
-
-    for mu in range(4):
-        # [P_mu, C] = -i eps4 rho x_mu ; [x_mu, C] = i eps5 l^2 P_mu
-        alg._store(p_of(mu), c_idx, [(x_of(mu), rho, 0, -eps4, 1)])
-        alg._store(x_of(mu), c_idx, [(p_of(mu), ell2, 0, eps5, 1)])
+        alg._store(p_at + mu, x_at + mu, [(c_idx, 0, 0, ETA4_DIAG[mu], 1)])
 
     return alg
 
 
 def contract(alg: StructureConstants, *, rho_to_zero=False, ell_to_zero=False) -> StructureConstants:
     """Flat and/or commutative-coordinate limits of a symbolic table, as a
-    new table; with neither limit, a copy of ``alg``."""
-    bindings = {}
-    if rho_to_zero:
-        bindings["rho"] = 0
-    if ell_to_zero:
-        bindings["l"] = 0
-    if not bindings:
-        return alg.copy()
-    return alg.substitute(bindings)
+    new table: the twist that sends each limit's symbol to 0 and turns
+    nothing; with neither limit, a copy of ``alg``."""
+    return alg.twist(zero=[name for name, limit in (("rho", rho_to_zero), ("l", ell_to_zero))
+                           if limit])
 
 
 @cache
 def _orthogonal_table(eps4: int, eps5: int) -> StructureConstants:
-    pairs = tuple(itertools.combinations(range(6), 2))
-    alg = StructureConstants(tuple(f"M{a}{b}" for a, b in pairs))
-    _rotation_brackets(alg, pairs, ETA4_DIAG + (eps4, eps5))
+    """The (1, 1) table over the basis i M_a4 for eps4 = -1 and i M_a5 for
+    eps5 = -1 (M_45 takes both): a bracket that contracts the index 4 or 5
+    picks up i^2 = -1, the sign of g_44 or g_55."""
+    return _orthogonal_base().twist(
+        [_quarter(eps4) * (4 in pair) + _quarter(eps5) * (5 in pair) for pair in _SIX_PAIRS])
+
+
+@cache
+def _orthogonal_base() -> StructureConstants:
+    """The table of the metric diag(1,-1,-1,-1,1,1)."""
+    alg = StructureConstants(tuple(f"M{a}{b}" for a, b in _SIX_PAIRS))
+    _rotation_brackets(alg, _SIX_PAIRS, ETA4_DIAG + (1, 1))
     return alg
 
 
@@ -416,19 +478,19 @@ def jacobi_triple_count(alg: StructureConstants) -> int:
     return n * (n - 1) * (n - 2) // 6
 
 
-class LinearMap(NamedTuple):
+class LinearMap(namedtuple("LinearMap", "src dst columns")):
     """A scaling map: phi(src e_i) = c_i dst f_j, one target j per
-    generator, held as columns[i] = {j: c_i} with c_i a ParamPoly."""
+    generator, held as columns[i] = {j: c_i} with c_i a ParamPoly: the
+    StructureConstants src and dst, and one Combo per src basis element."""
 
-    src: StructureConstants
-    dst: StructureConstants
-    columns: list  # one Combo per src basis element
+    __slots__ = ()
 
 
-class IsoCheck(NamedTuple):
-    ok: bool
-    invertible: bool
-    mismatches: list  # [((name_i, name_j), residual combo)]
+class IsoCheck(namedtuple("IsoCheck", "ok invertible mismatches")):
+    """The verdict, whether the map is invertible, and the mismatches as
+    [((name_i, name_j), residual combo), ...]."""
+
+    __slots__ = ()
 
 
 def _map_invertible(lmap: LinearMap) -> bool:
@@ -504,14 +566,25 @@ def scaling_map(src: StructureConstants, dst: StructureConstants,
     return LinearMap(src=src, dst=dst, columns=columns)
 
 
-class IsomorphismSolution(NamedTuple):
-    alpha: ParamPoly
-    beta: ParamPoly
-    gamma: ParamPoly
-    map: LinearMap
-    src: StructureConstants  # deformed table with rho -> r^2 substituted
-    dst: StructureConstants
-    passing_sign_choices: list  # [(s_alpha, s_beta, s_gamma), ...]
+class IsomorphismSolution(namedtuple(
+        "IsomorphismSolution", "alpha beta gamma map src dst passing_sign_choices")):
+    """The scalings alpha, beta and gamma (ParamPoly), their LinearMap from
+    src, the deformed table with rho -> r^2, to dst, the orthogonal table,
+    and passing_sign_choices, [(s_alpha, s_beta, s_gamma), ...]."""
+
+    __slots__ = ()
+
+
+def _isomorphism_source(eps4: int, eps5: int) -> StructureConstants:
+    """A new deformed table at rho = r^2: the (1, 1) one twisted by r -> i r
+    for eps4 = -1 and l -> i l for eps5 = -1, as eps4 rho = (i r)^2."""
+    return _squared_base().twist(symbols={"r": _quarter(eps4), "l": _quarter(eps5)})
+
+
+@cache
+def _squared_base() -> StructureConstants:
+    """The (1, 1) deformed table with rho -> r^2."""
+    return _deformed_base().substitute({"rho": sym("r", 2)})
 
 
 # the sign choices (s_alpha, s_beta, s_gamma); sign k goes with the
@@ -541,7 +614,7 @@ def solve_isomorphism_scalings(eps4: int, eps5: int) -> IsomorphismSolution:
     """
     r, ell = sym("r"), sym("l")
     _check_signs(eps4, eps5)
-    src = _deformed_table(eps4, eps5).substitute({"rho": r * r})
+    src = _isomorphism_source(eps4, eps5)
     dst = build_orthogonal_algebra(eps4, eps5)
     for s0 in ((1, 1, -1), (1, 1, 1)):
         lmap = scaling_map(src, dst, r, ell, poly(s0[2]) * r * ell)

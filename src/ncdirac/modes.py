@@ -29,9 +29,9 @@ and l on the whole identity component of SO(1,3).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple
 
 from .clifford import VerificationError, gamma_sum, reality_class, spinor_generator_identities
 from .lie_algebra import flat_deformed_algebra, lower, minkowski_square
@@ -129,16 +129,13 @@ def dispersion_roots(ell, eps5: int) -> set:
     return {Fraction(0), -a / b}
 
 
-class SpinorSolution(NamedTuple):
-    """Nullspace data of the operator at a fixed momentum."""
+class SpinorSolution(namedtuple("SpinorSolution",
+                                "k basis k2 spinor_class eps5 ell operator")):
+    """Nullspace data of the operator at a fixed momentum k: the kernel
+    basis (a tuple), k2, the spinor class, eps5, l and the operator D(k),
+    an ExactMatrix whose kernel ``basis`` spans."""
 
-    k: tuple
-    basis: tuple
-    k2: object
-    spinor_class: str
-    eps5: int
-    ell: object
-    operator: ExactMatrix  # D(k), whose kernel ``basis`` spans
+    __slots__ = ()
 
 
 def heavy_mass(ell) -> Fraction:

@@ -567,18 +567,14 @@ class ParamPoly:
         """Drop terms whose power of the symbol exceeds ``order``."""
         if order < 0:
             raise TruncationOrderError("truncation order must be >= 0")
-        if name not in _SYMBOL_INDEX:
-            raise UnknownSymbolError(f"unknown symbol {name!r}")
-        shift = _SHIFTS[_SYMBOL_INDEX[name]]
+        shift = _shift(name)
         return _packed_poly(
             {k: c for k, c in self._terms.items() if (k >> shift) & MAX_DEGREE <= order}
         )
 
     def derivative(self, name: str) -> "ParamPoly":
         """The partial derivative in one symbol, term by term."""
-        if name not in _SYMBOL_INDEX:
-            raise UnknownSymbolError(f"unknown symbol {name!r}")
-        shift = _SHIFTS[_SYMBOL_INDEX[name]]
+        shift = _shift(name)
         return _packed_poly({k - (1 << shift): c * ((k >> shift) & MAX_DEGREE)
                              for k, c in self._terms.items() if (k >> shift) & MAX_DEGREE})
 
@@ -677,6 +673,13 @@ def _pack(exps) -> int:
             raise DegreeBoundError(f"{name}^{e} exceeds the degree bound {MAX_DEGREE}")
         key = (key << _FIELD_BITS) | e
     return key
+
+
+def _shift(name: str) -> int:
+    """The shift of the packed field of the symbol ``name``."""
+    if name not in _SYMBOL_INDEX:
+        raise UnknownSymbolError(f"unknown symbol {name!r}")
+    return _SHIFTS[_SYMBOL_INDEX[name]]
 
 
 def _unpack(key: int) -> tuple:

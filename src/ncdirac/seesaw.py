@@ -32,9 +32,9 @@ at them, and each reported float is an exact value rounded once.
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from typing import NamedTuple
 
 from .clifford import gamma_sum
 from .lie_algebra import lower
@@ -151,17 +151,10 @@ def _momentum(k) -> list:
     return [c if isinstance(c, ParamPoly) else poly(as_fraction(c)) for c in k]
 
 
-def leading_order_reduction(c: CouplingConfig):
-    """(W, effective): u2 = W u1 with W = -(l/2) eps5 g* vev g^4, and the
-    effective light operator g.k + g vev W as a function of the
-    four-momentum."""
-    w_coeff, effective = _reduction(c, c.vev, c.ell)
-    return gamma_sum(c.eps5, [0, 0, 0, 0, w_coeff]), effective
-
-
 def _reduction(c: CouplingConfig, vev, ell):
-    """(W's g^4 coefficient, effective) of ``leading_order_reduction`` at a
-    vev and l that are numbers or symbols; only that function builds W."""
+    """(w, effective) at a vev and l that are numbers or symbols: u2 = W u1
+    with W = w g^4, w = -(l/2) eps5 g* vev, and the effective light operator
+    g.k + g vev W as a function of the four-momentum.  W is never formed."""
     w_coeff = poly(-c.eps5) * poly(c.g.conjugate() * _HALF) * poly(vev) * poly(ell)
     mass_coeff = w_coeff * poly(c.g) * poly(vev)
 
@@ -184,13 +177,13 @@ def light_mass_leading(c: CouplingConfig):
     return -c.eps5 * m * m, massive_class(c.eps5)
 
 
-class EffectiveCheck(NamedTuple):
+class EffectiveCheck(namedtuple("EffectiveCheck", "identity_ok residual rest_frame_class")):
     """Result of substituting the leading-order u2 back into the first
-    equation: the printed gamma5 mass term must be reproduced exactly."""
+    equation: the printed gamma5 mass term must be reproduced exactly.
+    The verdict, the residual ExactMatrix, and the reality class at rest
+    (a str, or None)."""
 
-    identity_ok: bool
-    residual: ExactMatrix
-    rest_frame_class: str | None
+    __slots__ = ()
 
 
 def verify_effective_equation(c: CouplingConfig) -> EffectiveCheck:
@@ -212,7 +205,7 @@ def verify_effective_equation(c: CouplingConfig) -> EffectiveCheck:
     m_lead = leading_mass(c)
     if m_lead:
         k = frame(c.eps5, m_lead)
-        _, effective = leading_order_reduction(c)
+        _, effective = _reduction(c, c.vev, c.ell)
         _, rest_class = spinor_kernel(effective(k), k, c.eps5)
     return EffectiveCheck(
         identity_ok=residual.is_zero(),
@@ -224,18 +217,14 @@ def verify_effective_equation(c: CouplingConfig) -> EffectiveCheck:
 # -- exact spectrum ------------------------------------------------------
 
 
-class ModeSpectrum(NamedTuple):
-    """Light / heavy root data of the exact 8x8 system in its rest frame."""
+class ModeSpectrum(namedtuple("ModeSpectrum", (
+        "light_k2 heavy_k2 leading_light_mass deviation light_class heavy_class roots "
+        "light_k2_exact heavy_k2_exact"))):
+    """Light / heavy root data of the exact 8x8 system in its rest frame:
+    light_k2, heavy_k2 and deviation are floats, the two classes a str or
+    None, roots a tuple, and the exact k2 a Fraction or None."""
 
-    light_k2: float
-    heavy_k2: float
-    leading_light_mass: object
-    deviation: float
-    light_class: str | None
-    heavy_class: str | None
-    roots: tuple
-    light_k2_exact: Fraction | None
-    heavy_k2_exact: Fraction | None
+    __slots__ = ()
 
 
 @cache

@@ -1,6 +1,7 @@
 """The coupled 8x8 operator written out entry by entry, as the tests'
-oracle for the seesaw spectrum and the gamma blocks, and the exact
-spectrum as it was first written, step by step."""
+oracle for the seesaw spectrum and the gamma blocks, the leading-order
+reduction with its W as a matrix, and the exact spectrum as it was first
+written, step by step."""
 
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ from ncdirac.lie_algebra import lower
 from ncdirac.matrices import ExactMatrix
 from ncdirac.scalars import P_ZERO, ExactScalar, exact_sqrt, poly, sym
 from ncdirac.seesaw import (_X, CouplingConfig, ModeSpectrum, RootFindingError,
-                            _frame_class, _frame_product, _momentum, _rounded, _scales,
-                            leading_mass)
+                            _frame_class, _frame_product, _momentum, _reduction, _rounded,
+                            _scales, leading_mass)
 
 
 def coupled_matrix(k, c: CouplingConfig) -> ExactMatrix:
@@ -34,6 +35,14 @@ def coupled_matrix(k, c: CouplingConfig) -> ExactMatrix:
             out.rows[i + 4][j] = eye.rows[i][j] * gvc
             out.rows[i + 4][j + 4] = lower_right.rows[i][j]
     return out
+
+
+def leading_order_reduction(c: CouplingConfig):
+    """(W, effective) at the configured vev and l: u2 = W u1 with
+    W = -(l/2) eps5 g* vev g^4 formed as a matrix, and the effective light
+    operator g.k + g vev W as a function of the four-momentum."""
+    w_coeff, effective = _reduction(c, c.vev, c.ell)
+    return gamma_sum(c.eps5, [0, 0, 0, 0, w_coeff]), effective
 
 
 # -- the exact spectrum as it was first written ------------------------------

@@ -1,10 +1,11 @@
-"""The exact tables are built once per sign choice and handed out as copies,
+"""The exact tables are built once and handed out as copies,
 every gamma matrix ``gamma_sum`` builds is built fresh from the store, and
 the seesaw frame's P = g^a g^4 and its reality class are only read.
 
 Editing what a builder returned must never reach a later call: each test
 mutates a returned value in place and compares the next call with a build
-that bypasses the caches.
+that bypasses the caches (for the tables, ``table_oracle``'s per-sign
+builds).
 """
 
 import itertools
@@ -14,8 +15,9 @@ import pytest
 from exact_gammas import exact_gammas
 from test_clifford import DENSE_GAMMAS
 from table_edits import set_bracket
+from table_oracle import deformed_table, orthogonal_table
 
-from ncdirac import lie_algebra, seesaw
+from ncdirac import seesaw
 from ncdirac.cli import main
 from ncdirac.clifford import gamma_sum
 from ncdirac.lie_algebra import (
@@ -33,14 +35,6 @@ SIGNS = list(itertools.product((1, -1), repeat=2))
 
 def _same_table(a, b):
     return a.basis == b.basis and a.rows == b.rows
-
-
-def _fresh_deformed(eps4, eps5):
-    return lie_algebra._deformed_table.__wrapped__(eps4, eps5)
-
-
-def _fresh_orthogonal(eps4, eps5):
-    return lie_algebra._orthogonal_table.__wrapped__(eps4, eps5)
 
 
 def _fresh_gammas(eps5):
@@ -62,14 +56,14 @@ def _vandalize(table):
 @pytest.mark.parametrize("eps4,eps5", SIGNS)
 def test_deformed_table_edits_do_not_reach_the_cache(eps4, eps5):
     _vandalize(build_deformed_algebra(eps4, eps5))
-    assert _same_table(build_deformed_algebra(eps4, eps5), _fresh_deformed(eps4, eps5))
+    assert _same_table(build_deformed_algebra(eps4, eps5), deformed_table(eps4, eps5))
 
 
 @pytest.mark.parametrize("eps4,eps5", SIGNS)
 def test_orthogonal_table_edits_do_not_reach_the_cache(eps4, eps5):
     _vandalize(build_orthogonal_algebra(eps4, eps5))
     assert _same_table(build_orthogonal_algebra(eps4, eps5),
-                       _fresh_orthogonal(eps4, eps5))
+                       orthogonal_table(eps4, eps5))
 
 
 @pytest.mark.parametrize("eps5", [1, -1])
@@ -77,7 +71,7 @@ def test_flat_table_is_the_contraction_for_either_eps4(eps5):
     _vandalize(flat_deformed_algebra(eps5))
     flat = flat_deformed_algebra(eps5)
     for eps4 in (1, -1):
-        assert _same_table(flat, contract(_fresh_deformed(eps4, eps5), rho_to_zero=True))
+        assert _same_table(flat, contract(deformed_table(eps4, eps5), rho_to_zero=True))
 
 
 @pytest.mark.parametrize("eps5", [1, -1])

@@ -195,13 +195,13 @@ def test_rest_frame_kernel_of_wrong_dimension_fails_the_effective_row(
         capsys, monkeypatch, eps5):
     # an effective operator read at twice its rest-frame momentum has no
     # kernel there: the row fails with the dimension, not a silent pass
-    reduce = seesaw.leading_order_reduction
+    reduce = seesaw._reduction
 
-    def off_shell(c):
-        w, effective = reduce(c)
+    def off_shell(c, vev, ell):
+        w, effective = reduce(c, vev, ell)
         return w, lambda k: effective(tuple(2 * x for x in k))
 
-    monkeypatch.setattr(seesaw, "leading_order_reduction", off_shell)
+    monkeypatch.setattr(seesaw, "_reduction", off_shell)
     code, out = run(capsys, "seesaw", "--eps5", str(eps5))
     assert code == 1
     rows = {r["check"]: r for r in json.loads(out)["reports"]}

@@ -15,8 +15,8 @@ from ncdirac.lie_algebra import ETA4_DIAG, minkowski_square
 from ncdirac.matrices import ExactMatrix
 from ncdirac.modes import dirac_matrix
 from ncdirac.scalars import ExactScalar, ParamPoly, poly, sym
-from ncdirac.seesaw import CouplingConfig, leading_order_reduction
-from seesaw_oracle import coupled_matrix
+from ncdirac.seesaw import CouplingConfig
+from seesaw_oracle import coupled_matrix, leading_order_reduction
 
 
 def _add_scale_chain(eps5, coeffs):

@@ -276,6 +276,19 @@ def test_a_view_that_drops_its_last_row_fails(monkeypatch, capsys, view):
     assert (code, capsys.readouterr().out) != _expected(view)
 
 
+def test_each_check_is_in_one_family_and_check_all_keeps_the_report_order():
+    # check all merges the sorted family lists on the check name alone,
+    # which is the report order only while no check name is in two families
+    cfg = checks.RunConfig()
+    owners = {}
+    for command, _ in checks.FAMILIES.values():
+        for report in checks.command(command)(cfg):
+            owners.setdefault(report.check, set()).add(command)
+    assert {check: names for check, names in owners.items() if len(names) > 1} == {}
+    keys = [checks._order(report) for report in checks.cmd_check_all(cfg)]
+    assert keys == sorted(keys) and len(keys) == 92
+
+
 def _golden_rows(path) -> set:
     """The rows of the golden report at ``path``: a CSV's lines but its
     header, a JSON report's rows as sorted JSON."""

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from json_terms import ACCEPTED, BAD_COEFFICIENTS, BAD_EXPONENTS, BAD_PARTS
 from table_edits import set_bracket
+from table_oracle import deformed_table, isomorphism_source
 
 from ncdirac.cli import main
 from ncdirac.lie_algebra import (
@@ -212,7 +213,7 @@ def _assert_solver_matches_verdicts(eps4, eps5, signs_product):
     builds when the test runs."""
     import ncdirac.lie_algebra as lie
 
-    src = lie._deformed_table(eps4, eps5).substitute({"rho": sym("r", 2)})
+    src = lie._isomorphism_source(eps4, eps5)
     dst = lie.build_orthogonal_algebra(eps4, eps5)
     r, ell = sym("r"), sym("l")
     choices = list(itertools.product((1, -1), repeat=3))
@@ -273,16 +274,14 @@ def test_sign_rule_matches_per_candidate_verdicts_on_relabelled_sources(
     # fails here
     import ncdirac.lie_algebra as lie
 
-    cached = lie._deformed_table
-    flat_before = lie._flat_table.cache_info()
-    monkeypatch.setattr(lie, "_deformed_table",
-                        lambda e4, e5: _negated(cached(e4, e5), flips))
+    source = lie._isomorphism_source
+    monkeypatch.setattr(lie, "_isomorphism_source",
+                        lambda e4, e5: _negated(source(e4, e5), flips))
     _assert_solver_matches_verdicts(eps4, eps5, signs_product)
     monkeypatch.undo()
     # the negated copies stay out of every cache
-    assert lie._flat_table.cache_info() == flat_before
-    fresh = cached.__wrapped__(eps4, eps5)
-    assert lie._deformed_table(eps4, eps5).rows == fresh.rows
+    assert lie._isomorphism_source(eps4, eps5).rows == isomorphism_source(eps4, eps5).rows
+    assert lie._deformed_table(eps4, eps5).rows == deformed_table(eps4, eps5).rows
 
 
 def test_flipped_gamma_breaks_isomorphism():
@@ -601,6 +600,28 @@ def test_from_json_builds_no_coefficient_objects(monkeypatch):
     monkeypatch.undo()
     for got, want in zip(loaded, tables):
         _assert_same_table(got, want)
+
+
+def test_keys_past_the_keyed_basis_size_read_alike():
+    # a basis past _KEYED_BASIS reads every key by the parse path, with the
+    # same table and the same messages as a small one
+    import ncdirac.lie_algebra as lie
+
+    for n in (15, lie._KEYED_BASIS + 6):
+        table = StructureConstants([f"e{a}" for a in range(n)])
+        set_bracket(table, 0, n - 1, {n - 2: sym("l")})
+        set_bracket(table, n - 3, 2, {1: poly(3)})
+        doc = table.to_json()
+        _assert_same_table(StructureConstants.from_json(doc), table)
+        entries = doc["brackets"][f"0,{n - 1}"]
+        for brackets, message in (
+                ({f"0,{n - 1}": entries, f"{n - 1},0": entries}, "repeats the pair of key"),
+                ({f"0,{n}": entries}, f"generator index {n} "),
+                ({"1,1": entries}, "with itself"),
+                ({" 1,2": entries}, "is not written as 1,2"),
+                ({3: entries}, "is not a string")):
+            with pytest.raises(ValueError, match=message):
+                StructureConstants.from_json({"basis": doc["basis"], "brackets": brackets})
 
 
 @pytest.mark.parametrize("eps4", [1, -1])

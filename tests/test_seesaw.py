@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from exact_arrays import as_array
 from exact_gammas import exact_gammas
-from seesaw_oracle import coupled_matrix, exact_mode_spectrum_oracle
+from seesaw_oracle import coupled_matrix, exact_mode_spectrum_oracle, leading_order_reduction
 
 from ncdirac.matrices import ExactMatrix
 from ncdirac.modes import reference_solutions, residual
@@ -20,7 +20,6 @@ from ncdirac.seesaw import (
     RootFindingError,
     exact_mode_spectrum,
     leading_mass,
-    leading_order_reduction,
     light_mass_leading,
     seesaw_verdict,
     verify_effective_equation,
@@ -546,11 +545,10 @@ def test_spectrum_sweep_matches_the_first_written_spectrum(eps5):
             config.g, config.vev, config.ell)
 
 
-def test_a_cold_seesaw_command_makes_twelve_gamma_sums(monkeypatch):
-    # both eps5, six each: the symbolic mass term, the printed gamma5 term,
-    # the numeric W that leading_order_reduction returns, the effective
-    # operator at rest, and the two factors of P = g^a g^4; the symbolic
-    # reduction forms no W
+def test_a_cold_seesaw_command_makes_ten_gamma_sums(monkeypatch):
+    # both eps5, five each: the symbolic mass term, the printed gamma5 term,
+    # the effective operator at rest, and the two factors of P = g^a g^4;
+    # neither reduction forms a W
     import ncdirac.seesaw as seesaw
     from ncdirac.checks import RunConfig, cmd_seesaw
 
@@ -565,4 +563,4 @@ def test_a_cold_seesaw_command_makes_twelve_gamma_sums(monkeypatch):
         seesaw._frame_product.cache_clear()
         seesaw._frame_class.cache_clear()
     assert all(row.passed for row in rows)
-    assert len(calls) == 12
+    assert len(calls) == 10
