@@ -14,7 +14,6 @@ from .scalars import (
     DegreeBoundError,
     ExactScalar,
     ParamPoly,
-    SubstitutionError,
     TruncationOrderError,
     UnknownSymbolError,
     poly,

@@ -29,10 +29,11 @@ from .lie_algebra import (
     jacobi_triple_count,
     solve_isomorphism_scalings,
 )
-from .weyl import closure_families
-from .enveloping import lemma_matrix_check, verify_plane_wave_relations
+from .weyl import closure_families, rep_continuation
+from .enveloping import lemma_matrix_check, planewave_continuation, verify_plane_wave_relations
 from .clifford import (
     VerificationError,
+    clifford_continuation,
     clifford_relations,
     gamma5_product_check,
     majorana_imaginary_check,
@@ -44,6 +45,7 @@ from .modes import (
     heavy_mass,
     lorentz_covariance,
     massive_class,
+    modes_continuation,
     operator_residual,
     reference_solutions,
     scaling_residual,
@@ -109,9 +111,9 @@ class RunConfig:
 # each command's function by its name.
 FAMILIES = {
     "algebra": ("verify algebra", ("eps4", "eps5", "fixture")),
-    "rep": ("verify rep", ("eps5",)),
-    "clifford": ("verify clifford", ("eps5",)),
-    "planewave": ("verify planewave", ("eps5",)),
+    "rep": ("verify rep", ()),
+    "clifford": ("verify clifford", ()),
+    "planewave": ("verify planewave", ()),
     "modes": ("modes", ("eps5",)),
     "seesaw": ("seesaw", ("eps5", "ell", "g", "vev")),
 }
@@ -202,15 +204,16 @@ def _commute(table: StructureConstants, labels) -> bool:
 
 
 def _jacobi_row(check: str, params: dict, table: StructureConstants,
-                details) -> CheckReport:
+                details, carried: str = "") -> CheckReport:
     """The Jacobi row of ``table``: it passes when no triple is violated,
     and ``details(violations)`` adds to the counts what the row reports of
-    the violations, ``jacobi_residual``'s list."""
+    the violations, ``jacobi_residual``'s list; ``carried`` ends the
+    relation."""
     violations = jacobi_residual(table)
     return CheckReport(
         check, params,
         ok=not violations,
-        relation="[[a,b],c] + [[b,c],a] + [[c,a],b] = 0",
+        relation="[[a,b],c] + [[b,c],a] + [[c,a],b] = 0" + carried,
         residual=len(violations),
         details={"triples": jacobi_triple_count(table), "violations": len(violations),
                  **details(violations)},
@@ -221,16 +224,58 @@ def _first_violation(violations) -> dict:
     return {"first_violation": list(violations[0][0]) if violations else None}
 
 
+# The four sign pairs are real forms of one complex algebra.  A complex
+# identity is decided once, at eps5 = +1 (eps4 = eps5 = 1 for the algebra),
+# and says in its relation what carries it to the other signs: for the
+# tables, the twist that builds them; elsewhere the family's continuation
+# row, which proves that the eps5 = -1 data is the twist of the +1 data.
+# Such a row keeps the params it ran at and is in every view of its family.
+_TWISTED = ("; at eps4 = eps5 = 1: every other sign pair's table is its twist "
+            "rho -> eps4*rho, l -> i*l, which keeps it")
+
+
+def _continued(family: str, rows, relation: str, continuation):
+    """The ``rows`` of ``family``, decided at eps5 = 1, each relation naming
+    the row that carries it to eps5 = -1; then that row,
+    ``{family}_continuation``: ``continuation()`` gives how many pieces of
+    the eps5 = -1 data it compared with the twist of the +1 data and the
+    names of those that differ, and the row passes when none does."""
+    for row in rows:
+        row.relation += f"; at eps5 = 1, {family}_continuation carries it to eps5 = -1"
+        yield row
+    count, mismatches = continuation()
+    yield CheckReport(
+        f"{family}_continuation", {"eps5": -1}, ok=not mismatches, relation=relation,
+        residual=len(mismatches),
+        details={"compared": count, "mismatches": len(mismatches),
+                 "first_mismatch": mismatches[0] if mismatches else None},
+    )
+
+
 @_command
 def cmd_verify_algebra(cfg: RunConfig):
+    params = {"eps4": 1, "eps5": 1}
+    # the orthogonal table's Jacobi identity is not a row of its own:
+    # isomorphism maps this table, at rho = r^2, onto it invertibly
+    alg = build_deformed_algebra(1, 1)
+    yield _jacobi_row("jacobi_deformed", params, alg, _first_violation, _TWISTED)
+
+    # a contraction is a substitution, a ring homomorphism, so each limit
+    # keeps the Jacobi identity jacobi_deformed proves
+    pp_vanish = _commute(flat_deformed_algebra(1), P_LABELS)
+    xx_vanish = _commute(contract(alg, ell_to_zero=True), X_LABELS)
+    yield CheckReport(
+        "contraction", params,
+        ok=pp_vanish and xx_vanish,
+        relation="rho -> 0 flattens [p,p]; l -> 0 flattens [x,x]" + _TWISTED,
+        details={
+            "momentum_brackets_vanish": pp_vanish,
+            "coordinate_brackets_vanish": xx_vanish,
+        },
+    )
+
+    # the real scalings differ from pair to pair
     for e4, e5 in cfg.sign_pairs():
-        params = {"eps4": e4, "eps5": e5}
-
-        # the orthogonal table's Jacobi identity is not a row of its own:
-        # isomorphism maps this table, at rho = r^2, onto it invertibly
-        alg = build_deformed_algebra(e4, e5)
-        yield _jacobi_row("jacobi_deformed", params, alg, _first_violation)
-
         try:
             sol = solve_isomorphism_scalings(e4, e5)
         except ArithmeticError as exc:
@@ -248,25 +293,10 @@ def cmd_verify_algebra(cfg: RunConfig):
                 "mismatched_brackets": 0,
             }
         yield CheckReport(
-            "isomorphism", params, ok=ok,
+            "isomorphism", {"eps4": e4, "eps5": e5}, ok=ok,
             relation="phi([a,b]) = [phi(a), phi(b)] with P -> alpha*M_mu4, "
                      "x -> beta*M_mu5, C -> gamma*M45",
             residual=residual, details=details,
-        )
-
-        # a contraction is a substitution, a ring homomorphism, so each
-        # limit keeps the Jacobi identity jacobi_deformed proves; the rho
-        # -> 0 table is the contraction of either eps4 table
-        pp_vanish = _commute(flat_deformed_algebra(e5), P_LABELS)
-        xx_vanish = _commute(contract(alg, ell_to_zero=True), X_LABELS)
-        yield CheckReport(
-            "contraction", params,
-            ok=pp_vanish and xx_vanish,
-            relation="rho -> 0 flattens [p,p]; l -> 0 flattens [x,x]",
-            details={
-                "momentum_brackets_vanish": pp_vanish,
-                "coordinate_brackets_vanish": xx_vanish,
-            },
         )
 
     if cfg.fixture:
@@ -292,19 +322,24 @@ def cmd_verify_algebra(cfg: RunConfig):
 # -- differential realization ----------------------------------------------
 
 
+def _closure_rows():
+    for fam, rows in closure_families(1):
+        bad = [pair for pair, r in rows if not r.is_zero()]
+        yield CheckReport(
+            f"rep_closure_{fam}", {"eps5": 1, "family": fam},
+            ok=not bad,
+            relation="[rep(a), rep(b)] = rep([a, b])",
+            residual=len(bad),
+            details={"pairs": len(rows), "violations": len(bad),
+                     "first_violation": list(bad[0]) if bad else None},
+        )
+
+
 @_command
 def cmd_verify_rep(cfg: RunConfig):
-    for e5 in cfg.eps5_values():
-        for fam, rows in closure_families(e5):
-            bad = [pair for pair, r in rows if not r.is_zero()]
-            yield CheckReport(
-                f"rep_closure_{fam}", {"eps5": e5, "family": fam},
-                ok=not bad,
-                relation="[rep(a), rep(b)] = rep([a, b])",
-                residual=len(bad),
-                details={"pairs": len(rows), "violations": len(bad),
-                         "first_violation": list(bad[0]) if bad else None},
-            )
+    return _continued("rep", _closure_rows(),
+                    "rep(a) at eps5 = -1 is tau(rep(a) at eps5 = 1) for the 15 generators, "
+                    "tau: l -> i*l, xi4 -> i*xi4, d4 -> -i*d4", rep_continuation)
 
 
 # -- gamma matrices ----------------------------------------------------------
@@ -312,17 +347,17 @@ def cmd_verify_rep(cfg: RunConfig):
 
 @_command
 def cmd_verify_clifford(cfg: RunConfig):
-    for e5 in cfg.eps5_values():
-        # each relation and each product check runs in its own step
-        results = chain(
-            clifford_relations(e5),
-            (check(e5) for check in (gamma5_product_check, majorana_imaginary_check)),
-        )
-        for rc in results:
-            yield CheckReport(
-                f"clifford_{rc.name}", {"eps5": e5},
-                ok=rc.ok, relation=rc.relation, residual=rc.residual,
-            )
+    # each relation and each product check runs in its own step
+    results = chain(
+        clifford_relations(1),
+        (check(1) for check in (gamma5_product_check, majorana_imaginary_check)),
+    )
+    return _continued(
+        "clifford",
+        (CheckReport(f"clifford_{rc.name}", {"eps5": 1}, ok=rc.ok, relation=rc.relation,
+                     residual=rc.residual) for rc in results),
+        "g_mu at eps5 = -1 is g_mu at eps5 = 1 for mu in 0..3, "
+        "and g4 at eps5 = -1 is i*g4 at eps5 = 1", clifford_continuation)
 
 
 # -- plane wave ---------------------------------------------------------------
@@ -335,66 +370,89 @@ def _remainder_row(check: str, params: dict, relation: str, rems) -> CheckReport
                        details={"exactly_zero": zero})
 
 
+def _plane_wave_rows():
+    params = {"eps5": 1}
+    # the check computes each identity when its row reads it; once
+    # [p_mu, A] is the scalar k_mu, [[p_mu, A], X] = 0 needs no row
+    chk = verify_plane_wave_relations(1)
+    yield _remainder_row("planewave_momentum", params, "[p_mu, A] = k_mu",
+                         chk.momentum_remainders)
+
+    yield _remainder_row("planewave_derivative", params, "d4(A) = i*eps5*l*(k.p)",
+                         [chk.derivative_remainder])
+
+    yield _remainder_row("planewave_mixed", params, "[A, d4(A)] = -i*eps5*l*k^2",
+                         [chk.mixed_remainder])
+
+    yield CheckReport(
+        "planewave_vacuum", params, ok=chk.vacuum_remainder.is_zero(),
+        relation="(d4(A) + (1/2)[A, d4(A)]) on the vacuum = i*eps5*l*k^2/2",
+        details={"value": str(chk.vacuum_scalar)},
+    )
+
+    res = lemma_matrix_check(1)
+    worst = max(res.values())
+    yield CheckReport(
+        "planewave_lemma", params,
+        ok=worst == 0,
+        relation="[p, e^A] = [p, A] e^A and d(e^A) = (dA + (1/2)[A, dA]) e^A "
+                 "on a nilpotent model",
+        residual=worst,
+        details=res,
+    )
+
+
 @_command
 def cmd_verify_planewave(cfg: RunConfig):
-    for e5 in cfg.eps5_values():
-        params = {"eps5": e5}
-        # the check computes each identity when its row reads it; once
-        # [p_mu, A] is the scalar k_mu, [[p_mu, A], X] = 0 needs no row
-        chk = verify_plane_wave_relations(e5)
-        yield _remainder_row("planewave_momentum", params, "[p_mu, A] = k_mu",
-                             chk.momentum_remainders)
-
-        yield _remainder_row("planewave_derivative", params, "d4(A) = i*eps5*l*(k.p)",
-                             [chk.derivative_remainder])
-
-        yield _remainder_row("planewave_mixed", params, "[A, d4(A)] = -i*eps5*l*k^2",
-                             [chk.mixed_remainder])
-
-        yield CheckReport(
-            "planewave_vacuum", params, ok=chk.vacuum_remainder.is_zero(),
-            relation="(d4(A) + (1/2)[A, d4(A)]) on the vacuum = i*eps5*l*k^2/2",
-            details={"value": str(chk.vacuum_scalar)},
-        )
-
-        res = lemma_matrix_check(e5)
-        worst = max(res.values())
-        yield CheckReport(
-            "planewave_lemma", params,
-            ok=worst == 0,
-            relation="[p, e^A] = [p, A] e^A and d(e^A) = (dA + (1/2)[A, dA]) e^A "
-                     "on a nilpotent model",
-            residual=worst,
-            details=res,
-        )
+    return _continued("planewave", _plane_wave_rows(),
+                    "the swap rules at eps5 = -1 are tau(those at eps5 = 1), and d4 and "
+                    "i*eps5*l at eps5 = -1 are i*tau(those at eps5 = 1), tau: l -> i*l",
+                    planewave_continuation)
 
 
 # -- dispersion and modes -----------------------------------------------------
 
 
-# every modes row runs at l = 2, M = 1: modes_scaling carries it to
-# every l > 0, and the massless reference, at k^2 = 0, reads no l
+# every per-sign modes row runs at l = 2, M = 1: modes_scaling carries it
+# to every l > 0, and the massless reference, at k^2 = 0, reads no l
 _MODES_ELL = Fraction(2)
 _CARRIED = "at l = 2; modes_scaling carries it to every l > 0"
 
 
+def _operator_rows():
+    params = {"eps5": 1}
+    yield CheckReport(
+        "dispersion_identity", params,
+        ok=squared_identity_residual(1).is_zero(),
+        relation="D(k)^2 = (k^2 + eps5*(l^2/4)*(k^2)^2) * Id",
+    )
+
+    yield CheckReport(
+        "modes_scaling", params,
+        ok=scaling_residual(1).is_zero(),
+        relation="s*D(k; s*l) = D(s*k; l) with k, l and s symbolic",
+    )
+
+    covariance = lorentz_covariance(1)
+    yield CheckReport(
+        "modes_lorentz_generators", params,
+        ok=covariance["failure"] is None,
+        relation="S_munu = (1/4)[g^mu, g^nu]: [S_munu, g^s] = g^r (L_munu)^r_s,"
+                 " [S_munu, g^4] = 0 and [S_munu, D(k)] = (L_munu k).grad D(k),"
+                 " k and l symbolic",
+        details=covariance,
+    )
+
+
 @_command
 def cmd_modes(cfg: RunConfig):
+    yield from _continued("modes", _operator_rows(),
+                        "D(k) and its dispersion polynomial at eps5 = -1 are those at "
+                        "eps5 = 1 with l -> -i*l, k and l symbolic", modes_continuation)
+
+    # the roots and the kernels are real-form facts: one set per sign
     for e5 in cfg.eps5_values():
         params = {"eps5": e5}
-
-        yield CheckReport(
-            "dispersion_identity", params,
-            ok=squared_identity_residual(e5).is_zero(),
-            relation="D(k)^2 = (k^2 + eps5*(l^2/4)*(k^2)^2) * Id",
-        )
-
-        yield CheckReport(
-            "modes_scaling", params,
-            ok=scaling_residual(e5).is_zero(),
-            relation="s*D(k; s*l) = D(s*k; l) with k, l and s symbolic",
-        )
-
         roots = dispersion_roots(_MODES_ELL, e5)
         yield CheckReport(
             "dispersion_roots", params,
@@ -420,16 +478,6 @@ def cmd_modes(cfg: RunConfig):
                 relation=f"D(k) u = 0 with dim ker = 2 on the {branch} branch {_CARRIED}",
                 residual=worst, details=details,
             )
-
-        covariance = lorentz_covariance(e5)
-        yield CheckReport(
-            "modes_lorentz_generators", params,
-            ok=covariance["failure"] is None,
-            relation="S_munu = (1/4)[g^mu, g^nu]: [S_munu, g^s] = g^r (L_munu)^r_s,"
-                     " [S_munu, g^4] = 0 and [S_munu, D(k)] = (L_munu k).grad D(k),"
-                     " k and l symbolic",
-            details=covariance,
-        )
 
 
 # -- seesaw -------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
 configuration error.  Flags override values from --config; a missing sign
-flag means "sweep both signs" for the verification commands.
+flag means "sweep both signs" for the commands that read one.
 """
 
 from __future__ import annotations

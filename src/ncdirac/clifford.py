@@ -174,6 +174,17 @@ def spinor_generator_identities(eps5: int, mu: int, nu: int, vector) -> tuple:
     return len(gammas), None
 
 
+def clifford_continuation() -> tuple:
+    """(5, the gammas g^a at eps5 = -1 other than g^a at +1 for a < 4
+    and i g^4 at +1 for a = 4).  With none, every relation at eps5 = +1
+    carries to -1: g^4 -> i g^4 keeps each anticommutator and turns
+    (g^4)^2 = 1 into -1, the new eta_44."""
+    plus, minus = _gamma_perms(1), _gamma_perms(-1)
+    turned = (*plus[:4], _perm_product(plus[4], turn=1))
+    return len(turned), [f"g{a}" for a, (got, want) in enumerate(zip(minus, turned))
+                         if got != want]
+
+
 def gamma5_product_check(eps5: int) -> RelationCheck:
     """g0 g1 g2 g3 = -i gamma5, with gamma5 read from g^4: g^4 itself for
     eps5 = +1 and -i g^4 for eps5 = -1."""

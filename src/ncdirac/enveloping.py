@@ -155,6 +155,8 @@ def normal_form(expr: NCExpression, eps5: int, order: int | None = None,
     the formal inverse included.  Every rule is exact; with an ``order``
     the result's coefficients are truncated to that l-degree.
     """
+    if eps5 not in (1, -1):
+        raise ValueError("eps5 must be +1 or -1")
     acc: dict = {}
     for word, coeff in expr.terms.items():
         for w, c in _nf_word(eps5, word, leftmost).terms.items():
@@ -232,6 +234,25 @@ def plane_wave_scale(eps5: int) -> ParamPoly:
     """i eps5 l, the scale of the plane-wave identities d_4(A) = i eps5 l k.p
     and [A, d_4(A)] = -i eps5 l k^2."""
     return I * eps5 * sym("l")
+
+
+def planewave_continuation() -> tuple:
+    """(how many were compared, the swap rules, d_4 images and plane-wave
+    scale at eps5 = -1 other than the twist of those at +1): each rule
+    with l -> i l, and d_4 and the scale as i times their image under
+    l -> i l.  With none, the twist carries every normal form, and so
+    every plane-wave identity, at eps5 = +1 to the one at -1; the
+    exponent A holds no l."""
+    ell = {"l": 1}
+    plus, minus = _swap_rules(1), _swap_rules(-1)
+    pairs = sorted(plus.keys() | minus.keys())
+    bad = [f"[{a}, {b}]" for a, b in pairs
+           if minus.get((a, b)) != {w: c.twist(ell) for w, c in plus.get((a, b), {}).items()}]
+    d_plus, d_minus = Derivation(1, 4).action, Derivation(-1, 4).action
+    bad += [f"d4({t})" for t in TOKENS if d_minus[t] != d_plus[t].twist(ell, lambda w: 1)]
+    if plane_wave_scale(-1) != plane_wave_scale(1).twist(ell, 1):
+        bad.append("plane_wave_scale")
+    return len(pairs) + len(TOKENS) + 1, bad
 
 
 def plane_wave_exponent() -> NCExpression:

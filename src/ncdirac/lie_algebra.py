@@ -10,7 +10,7 @@ The same 15 generators span a pseudo-orthogonal algebra in six dimensions
 with metric diag(1,-1,-1,-1,eps4,eps5); ``solve_isomorphism_scalings`` finds
 the exact rescalings P_mu -> alpha*M_mu4, x_mu -> beta*M_mu5, C -> gamma*M_45
 identifying the two.  Matching [P,P] forces alpha^2 = rho, so the solution
-uses the symbol r with rho = r^2 substituted into the deformed table first.
+reads the deformed table built with r^2 in place of rho.
 """
 
 from __future__ import annotations
@@ -18,15 +18,12 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from functools import cache
-from math import gcd
 
 from .scalars import (
     MAX_DEGREE,
     P_ONE,
     ParamPoly,
     _GUARDS,
-    _bindings,
-    _bound_part,
     _degree_overflow,
     _int_terms,
     _join,
@@ -35,6 +32,9 @@ from .scalars import (
     _make,
     _packed_poly,
     _reduced_sums,
+    _turn_fields,
+    _turned,
+    _turns,
     poly,
     sym,
 )
@@ -151,31 +151,6 @@ class StructureConstants:
         out.rows = [dict(row) for row in self.rows]
         return out
 
-    def substitute(self, bindings) -> "StructureConstants":
-        """A new table, each coefficient substituted as by
-        ``ParamPoly.substitute``, on the integer rows: the bindings are
-        checked first, each distinct bound part of a packed monomial is
-        evaluated once, and each (pair, output, monomial) sum of ``_join``
-        is reduced once."""
-        values, bound_fields = _bindings(bindings)
-        parts, sums = {}, {}
-        for i, j in self.pairs():
-            for q, mono, a, b, d in self.rows[i][j]:
-                bound = mono & bound_fields
-                part = parts.get(bound)
-                if part is None:
-                    part = parts[bound] = _int_terms(_bound_part(values, bound))
-                _join(sums, (i, j), mono - bound, a, b, d, [(q, *term) for term in part])
-        terms = {}
-        for (pair, q, mono), (a, b, d) in sums.items():
-            if a or b:
-                g = gcd(a, b, d)
-                terms.setdefault(pair, []).append((q, mono, a // g, b // g, d // g))
-        out = StructureConstants(self.basis)
-        for (i, j), pair_terms in terms.items():
-            out._write(i, j, pair_terms)  # this table's indices, already checked
-        return out
-
     def twist(self, phases=None, symbols=None, zero=()) -> "StructureConstants":
         """A new table: each term (q, monomial, a, b, d) of [e_i, e_j] times
         i^k, k = p_i + p_j - p_q + sum_s e_s deg_s(monomial) (mod 4), with
@@ -190,7 +165,7 @@ class StructureConstants:
         p = [0] * len(rows) if phases is None else list(phases)
         if len(p) != len(rows):
             raise ValueError(f"{len(p)} phases for a basis of {len(rows)} generators")
-        fields = [(_shift(name), e) for name, e in (symbols or {}).items() if e % 4]
+        fields = _turn_fields(symbols or {})
         drop = sum(MAX_DEGREE << shift for shift in {_shift(name) for name in zero})
         if not (fields or drop or any(p)):
             return self.copy()
@@ -206,12 +181,11 @@ class StructureConstants:
                         continue
                     k = turns.get(mono)
                     if k is None:
-                        k = turns[mono] = sum(e * (mono >> s & MAX_DEGREE) for s, e in fields)
+                        k = turns[mono] = _turns(fields, mono)
                     k = (pij - p[q] + k) & 3
                     if k:
                         moved = True
-                        a, b = (-b, a) if k == 1 else (-a, -b) if k == 2 else (b, -a)
-                        term = (q, mono, a, b, d)
+                        term = (q, mono, *_turned(a, b, k), d)
                     twisted.append(term)
                 if not moved:
                     out_row[j] = terms
@@ -339,6 +313,11 @@ def build_orthogonal_algebra(eps4: int, eps5: int) -> StructureConstants:
     return _orthogonal_table(eps4, eps5).copy()
 
 
+# packed monomials: the curvature rho, or r^2 where the isomorphism needs
+# its square root r, and l^2
+_RHO, _R2, _L2 = (_int_terms(sym(*power))[0][0] for power in (("rho",), ("r", 2), ("l", 2)))
+
+
 @cache
 def _flat_table(eps5: int) -> StructureConstants:
     return contract(_deformed_table(1, eps5), rho_to_zero=True)
@@ -348,22 +327,21 @@ def _flat_table(eps5: int) -> StructureConstants:
 def _deformed_table(eps4: int, eps5: int) -> StructureConstants:
     """The (1, 1) table with rho -> eps4 rho and l -> i l for eps5 = -1:
     the table holds only eps4 rho and eps5 l^2."""
-    return _deformed_base().twist(symbols={"rho": 2 * _quarter(eps4), "l": _quarter(eps5)})
+    return _deformed_base(_RHO).twist(symbols={"rho": 2 * _quarter(eps4), "l": _quarter(eps5)})
 
 
 @cache
-def _deformed_base() -> StructureConstants:
-    """The table at eps4 = eps5 = 1.  Each coefficient is n*i times a
-    monomial: the term (q, monomial, 0, n, 1) of e_q."""
+def _deformed_base(rho: int) -> StructureConstants:
+    """The table at eps4 = eps5 = 1 with the curvature the packed monomial
+    ``rho``.  Each coefficient is n*i times a monomial: the term
+    (q, monomial, 0, n, 1) of e_q."""
     alg = StructureConstants(DEFORMED_BASIS)
-    rho = _int_terms(sym("rho"))[0][0]  # packed monomials
-    ell2 = _int_terms(sym("l", 2))[0][0]
     p_at, x_at, c_idx = (DEFORMED_BASIS.index(name) for name in ("P0", "x0", C_LABEL))
 
     _rotation_brackets(alg, _M_PAIRS, ETA4_DIAG)
 
     # the brackets of P and of x, one pattern: (v, w, s) is (P, x, rho), then (x, P, l^2)
-    for v, w, s, sign in ((p_at, x_at, rho, -1), (x_at, p_at, ell2, 1)):
+    for v, w, s, sign in ((p_at, x_at, rho, -1), (x_at, p_at, _L2, 1)):
         # [M_munu, v_lam] = i(v_mu eta_nulam - v_nu eta_mulam): one term at most
         for (m_idx, (mu, nu)), lam in itertools.product(enumerate(_M_PAIRS), range(4)):
             if lam in (mu, nu):
@@ -578,13 +556,7 @@ class IsomorphismSolution(namedtuple(
 def _isomorphism_source(eps4: int, eps5: int) -> StructureConstants:
     """A new deformed table at rho = r^2: the (1, 1) one twisted by r -> i r
     for eps4 = -1 and l -> i l for eps5 = -1, as eps4 rho = (i r)^2."""
-    return _squared_base().twist(symbols={"r": _quarter(eps4), "l": _quarter(eps5)})
-
-
-@cache
-def _squared_base() -> StructureConstants:
-    """The (1, 1) deformed table with rho -> r^2."""
-    return _deformed_base().substitute({"rho": sym("r", 2)})
+    return _deformed_base(_R2).twist(symbols={"r": _quarter(eps4), "l": _quarter(eps5)})
 
 
 # the sign choices (s_alpha, s_beta, s_gamma); sign k goes with the

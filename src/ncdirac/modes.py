@@ -36,7 +36,7 @@ from itertools import combinations
 from .clifford import VerificationError, gamma_sum, reality_class, spinor_generator_identities
 from .lie_algebra import flat_deformed_algebra, lower, minkowski_square
 from .matrices import ExactMatrix
-from .scalars import (MOMENTUM_SYMBOLS, ZERO, _make, _packed_poly, _poly_sum_of_products,
+from .scalars import (MOMENTUM_SYMBOLS, P_I, ZERO, _make, _packed_poly, _poly_sum_of_products,
                       as_fraction, exact_sqrt, poly, rounded, sym)
 
 BRANCHES = ("massless", "heavy")
@@ -115,6 +115,18 @@ def scaling_residual(eps5: int) -> ExactMatrix:
     return gamma_sum(eps5, [s * a - b for a, b in zip(
         dirac_coefficients(MOMENTUM_SYMBOLS, s * sym("l"), eps5),
         dirac_coefficients([s * c for c in MOMENTUM_SYMBOLS], sym("l"), eps5))])
+
+
+def modes_continuation() -> tuple:
+    """(2, which of D(k) and its dispersion polynomial at eps5 = -1 is not
+    the one at eps5 = +1 with l -> -i l), k and l symbolic: with none,
+    every identity of D at eps5 = +1 carries to -1."""
+    ell, turned = sym("l"), -P_I * sym("l")
+    return 2, [name for name, minus, plus in (
+        ("D(k)", dirac_matrix(-1), dirac_matrix(1, ell=turned)),
+        ("dispersion_polynomial", dispersion_polynomial(ell, -1),
+         dispersion_polynomial(turned, 1)),
+    ) if minus != plus]
 
 
 def dispersion_roots(ell, eps5: int) -> set:

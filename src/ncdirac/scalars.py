@@ -63,10 +63,6 @@ class UnknownSymbolError(ValueError):
     """Raised for a symbol name outside the fixed alphabet."""
 
 
-class SubstitutionError(ValueError):
-    """Raised for an inconsistent substitution request."""
-
-
 class TruncationOrderError(ValueError):
     """Raised when a required truncation order is missing or invalid."""
 
@@ -578,21 +574,16 @@ class ParamPoly:
         return _packed_poly({k - (1 << shift): c * ((k >> shift) & MAX_DEGREE)
                              for k, c in self._terms.items() if (k >> shift) & MAX_DEGREE})
 
-    def substitute(self, bindings: Mapping[str, PolyLike]) -> "ParamPoly":
-        """Simultaneous substitution of symbols by exact values or polynomials.
-
-        A binding whose value mentions any bound symbol is rejected: the
-        substitution must not reintroduce what it eliminates.
-        """
-        values, bound_fields = _bindings(bindings)
-        total = ParamPoly()
-        for key, coeff in self._terms.items():
-            term = _bound_part(values, key, ParamPoly.from_scalar(coeff))
-            rest = key & ~bound_fields
-            if rest:
-                term = term * _packed_poly({rest: ONE})
-            total = total + term
-        return total
+    def twist(self, symbols: Mapping[str, int], turn: int = 0) -> "ParamPoly":
+        """i^turn times this polynomial with each symbol s of ``symbols``
+        sent to i^e s, e its value: each term times i^k, k = turn +
+        sum_s e_s deg_s (``_turns``), a unit that keeps it canonical."""
+        fields = _turn_fields(symbols)
+        out = {}
+        for mono, c in self._terms.items():
+            a, b = _turned(c._a, c._b, turn + _turns(fields, mono))
+            out[mono] = _make(a, b, c._d)
+        return _packed_poly(out)
 
     # -- serialization ------------------------------------------------------
 
@@ -685,6 +676,28 @@ def _shift(name: str) -> int:
 def _unpack(key: int) -> tuple:
     """Exponent tuple of a packed monomial."""
     return tuple((key >> s) & MAX_DEGREE for s in _SHIFTS)
+
+
+# The twist s -> i^e s of a map ``symbols`` of names to their e is written
+# once here: ``ParamPoly.twist``, ``LinearCombination.twist`` and
+# ``lie_algebra.StructureConstants.twist`` read it.
+
+
+def _turn_fields(symbols: Mapping[str, int]) -> tuple:
+    """(field shift, e mod 4) of each symbol of ``symbols`` that the twist turns."""
+    return tuple((_shift(name), e % 4) for name, e in symbols.items() if e % 4)
+
+
+def _turns(fields: tuple, mono: int) -> int:
+    """The quarter turns sum_s e_s deg_s that the twist of ``_turn_fields``
+    puts on the packed monomial ``mono``."""
+    return sum(e * (mono >> shift & MAX_DEGREE) for shift, e in fields)
+
+
+def _turned(a: int, b: int, k: int) -> tuple:
+    """(a', b') with a' + b' i = (a + b i) i^k."""
+    k &= 3
+    return (a, b) if not k else (-b, a) if k == 1 else (-a, -b) if k == 2 else (b, -a)
 
 
 def _degree_overflow(ka: int, kb: int) -> DegreeBoundError:
@@ -876,32 +889,6 @@ def sym(name: str, power: int = 1) -> ParamPoly:
     return ParamPoly.symbol(name, power)
 
 
-def _bindings(bindings: Mapping[str, PolyLike]) -> tuple:
-    """(symbol index -> ParamPoly value in index order, the packed fields
-    of the bound symbols) of a request ``ParamPoly.substitute`` accepts;
-    it raises what that raises."""
-    values = {}
-    for name, value in bindings.items():
-        if name not in _SYMBOL_INDEX:
-            raise UnknownSymbolError(f"unknown symbol {name!r}")
-        values[_SYMBOL_INDEX[name]] = poly(value)
-    bound_fields = sum(MAX_DEGREE << _SHIFTS[i] for i in values)
-    for value in values.values():
-        if any(k & bound_fields for k in value._terms):
-            raise SubstitutionError("substitution value reintroduces a bound symbol")
-    return dict(sorted(values.items())), bound_fields
-
-
-def _bound_part(values: dict, key: int, factor: ParamPoly = P_ONE) -> ParamPoly:
-    """``factor`` times value**e for each bound symbol of ``_bindings``,
-    e its power in the packed monomial ``key``."""
-    for i, value in values.items():
-        e = (key >> _SHIFTS[i]) & MAX_DEGREE
-        if e:
-            factor = factor * value ** e
-    return factor
-
-
 # the momentum symbols k0..k3 as an upper-index four-vector
 MOMENTUM_SYMBOLS = tuple(sym(f"k{mu}") for mu in range(4))
 
@@ -972,6 +959,11 @@ class LinearCombination:
         if not f._terms:
             return self._made({})
         return self._made({k: f * c for k, c in self.terms.items()})
+
+    def twist(self, symbols: Mapping[str, int], turns):
+        """Each coefficient twisted by ``symbols`` (``ParamPoly.twist``) and
+        times i^turns(key): the image of a twist that also turns the keys."""
+        return self._made({k: c.twist(symbols, turns(k)) for k, c in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -205,6 +205,20 @@ def closure_families(eps5: int):
                     for tag, (idx_a, idx_b) in enumerate(pairs[fam])]
 
 
+def rep_continuation() -> tuple:
+    """(15, the generators a with rep(a) at eps5 = -1 other than tau of
+    rep(a) at eps5 = +1), tau the twist l -> i l, xi^4 -> i xi^4,
+    d_4 -> -i d_4: a term xi^alpha d^beta turns by i^(alpha_4 - beta_4).
+
+    tau keeps [d_4, xi^4] = 1, and l -> i l is the twist that makes the
+    flat table at eps5 = -1 of the one at +1, so with no mismatch tau
+    carries every closure residual at eps5 = +1 to the one at -1."""
+    plus, minus = build_rep(1), build_rep(-1)
+    return len(DEFORMED_BASIS), [
+        name for name in DEFORMED_BASIS
+        if minus[name] != plus[name].twist({"l": 1}, lambda key: key[0][4] - key[1][4])]
+
+
 def verify_rep_closure(eps5: int):
     """Dict family -> rows of `closure_families`; the representation is
     faithful to the flat table iff every residual is zero."""

@@ -8,6 +8,8 @@ store through its checked write, and with no cache.
 
 import itertools
 
+from substitution import substituted_table
+
 from ncdirac.lie_algebra import DEFORMED_BASIS, ETA4_DIAG, StructureConstants
 from ncdirac.scalars import _int_terms, sym
 
@@ -72,4 +74,4 @@ def orthogonal_table(eps4: int, eps5: int) -> StructureConstants:
 
 def isomorphism_source(eps4: int, eps5: int) -> StructureConstants:
     """The deformed table at (eps4, eps5) with rho -> r^2."""
-    return deformed_table(eps4, eps5).substitute({"rho": sym("r", 2)})
+    return substituted_table(deformed_table(eps4, eps5), {"rho": sym("r", 2)})

@@ -32,6 +32,10 @@ def test_verify_algebra_single_pair(capsys):
     assert doc["summary"]["failed"] == 0
     checks = sorted({r["check"] for r in doc["reports"]})
     assert checks == ["contraction", "isomorphism", "jacobi_deformed"]
+    # Jacobi and the limits run at (1, 1) whatever the flags; isomorphism
+    # at the pair asked for
+    assert {(r["check"], r["params"]["eps4"], r["params"]["eps5"]) for r in doc["reports"]} == {
+        ("jacobi_deformed", 1, 1), ("contraction", 1, 1), ("isomorphism", 1, -1)}
 
 
 def test_all_signs_sweep(capsys):
@@ -39,7 +43,7 @@ def test_all_signs_sweep(capsys):
     code, out = run(capsys, "verify", "algebra")
     assert code == 0
     doc = json.loads(out)
-    assert doc["summary"]["total"] == 12  # 3 checks x 4 sign pairs
+    assert doc["summary"]["total"] == 6  # isomorphism x 4 sign pairs, Jacobi, contraction
     assert main(["verify", "algebra", "--all-signs"]) == 2
 
 
@@ -93,18 +97,33 @@ def test_missing_subcommand(capsys):
 
 
 def test_rep_family_count(capsys):
-    code, out = run(capsys, "verify", "rep", "--eps5", "-1")
+    code, out = run(capsys, "verify", "rep")
     assert code == 0
     doc = json.loads(out)
-    assert doc["summary"] == {"failed": 0, "passed": 8, "total": 8}
+    assert doc["summary"] == {"failed": 0, "passed": 9, "total": 9}  # 8 families, continuation
 
 
 def test_clifford_relation_count(capsys):
-    code, out = run(capsys, "verify", "clifford", "--eps5", "+1")
+    code, out = run(capsys, "verify", "clifford")
     assert code == 0
     doc = json.loads(out)
     relation_reports = [r for r in doc["reports"] if "anticommutator" in r["check"]]
-    assert len(relation_reports) == 15 == len(doc["reports"]) - 2
+    # two product checks and the continuation
+    assert len(relation_reports) == 15 == len(doc["reports"]) - 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "rep", "--eps5", "1"),
+    ("verify", "clifford", "--eps5", "1"),
+    ("verify", "planewave", "--eps5", "1"),
+])
+def test_a_sign_free_family_takes_no_sign(capsys, argv):
+    # these families run once, at eps5 = 1, and their continuation row
+    # carries them to -1: a sign would only pick which copy to print
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"{argv[0]} {argv[1]} reads no eps5" in captured.err
 
 
 def test_timings_charge_each_row_its_own_work(capsys, monkeypatch):
@@ -136,6 +155,7 @@ def test_timings_charge_each_row_its_own_work(capsys, monkeypatch):
         "planewave_mixed": 1,  # [A, d4(A)], which the vacuum row reuses
         "planewave_vacuum": 0,
         "planewave_lemma": 0,
+        "planewave_continuation": 0,
     }
 
 
@@ -232,7 +252,7 @@ def test_a_swapped_frame_fails_every_massive_row(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True)
     assert done.returncode == 1, done.stderr
     doc = json.loads(done.stdout)
-    assert doc["summary"]["total"] == 92
+    assert doc["summary"]["total"] == 57
     failed = {(r["check"], r["params"]["eps5"]) for r in doc["reports"] if r["status"] == "fail"}
     assert failed == {(check, e5) for e5 in (1, -1) for check in (
         "modes_reference_heavy", "seesaw_spectrum", "seesaw_effective",
@@ -282,7 +302,7 @@ def test_a_float_past_its_range_fails_only_the_seesaw_rows(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 1
     reports = json.loads(out)["reports"]
-    assert len(reports) == (92 if argv[0] == "check" else 4)
+    assert len(reports) == (57 if argv[0] == "check" else 4)
     failed = [r for r in reports if r["status"] != "pass"]
     assert failed and all(r["check"].startswith("seesaw_") for r in failed)
     spectra = [r for r in reports if r["check"] == "seesaw_spectrum"]

@@ -235,12 +235,13 @@ def test_each_clifford_relation_is_its_own_step(monkeypatch):
         return true_product(*factors, turn=turn)
 
     monkeypatch.setattr(clifford, "_perm_product", counted)
-    rows = checks.cmd_verify_clifford.__wrapped__(checks.RunConfig(eps5=1))
+    rows = checks.cmd_verify_clifford.__wrapped__(checks.RunConfig())
     assert next(rows).check == "clifford_anticommutator_g0_g0"
     assert calls == [(0, 0)]
     assert next(rows).check == "clifford_anticommutator_g0_g1"
     assert calls == [(0, 0), (0, 1), (1, 0)]
-    assert len(list(rows)) == 15
+    # 13 relations, two product checks and the continuation
+    assert len(list(rows)) == 16
 
 
 def _axis_boost(y):
@@ -569,7 +570,7 @@ def tampered(eps5):
 clifford._gamma_perms = tampered
 buf = io.StringIO()
 with contextlib.redirect_stdout(buf):
-    code = main(["verify", "clifford", "--eps5", "1"])
+    code = main(["verify", "clifford"])
 rows = json.loads(buf.getvalue())["reports"]
 print(json.dumps([code, {r["check"]: [r["status"], r["residual"]] for r in rows}]))
 print(repr(residual((1, 0, 0, 1), (1, 0, 0, 0), 1, 1)))

@@ -233,9 +233,11 @@ def test_a_negated_plane_wave_scale_fails_its_three_rows(monkeypatch, capsys):
     monkeypatch.setattr(enveloping, "plane_wave_scale", lambda eps5: -scale(eps5))
     assert main(["check", "all", "--seed", "42"]) == 1
     doc = json.loads(capsys.readouterr().out)
-    assert doc["summary"]["total"] == 92
+    assert doc["summary"]["total"] == 57
+    # the rows run at eps5 = 1; the scale negated at both signs is still
+    # the twist of itself, so planewave_continuation passes
     failed = {(r["check"], r["params"]["eps5"]) for r in doc["reports"] if r["status"] == "fail"}
-    assert failed == {(check, e5) for e5 in (1, -1) for check in (
+    assert failed == {(check, 1) for check in (
         "planewave_derivative", "planewave_mixed", "planewave_vacuum")}
 
 
@@ -276,15 +278,25 @@ def _own_enveloping():
 @pytest.mark.parametrize("eps5", [1, -1])
 def test_flipped_swap_rule_fails_the_plane_wave_rows(monkeypatch, eps5, mu):
     # [x_mu, p_mu] is the rule the momentum and mixed identities rest on;
-    # the Cinv rule and [x_mu, C] cancel out of every plane-wave row
+    # the Cinv rule and [x_mu, C] cancel out of every plane-wave row.
+    # Flipped at eps5 it breaks those identities there, run directly; the
+    # rows run at eps5 = 1 and fail when it is flipped there, and at either
+    # sign the rules are no longer each other's twist
     own = _own_enveloping()
     rules = own._swap_rules(eps5)
     key = (f"x{mu}", f"p{mu}")
     monkeypatch.setitem(rules, key, {w: -c for w, c in rules[key].items()})
+    direct = own.verify_plane_wave_relations(eps5)
+    assert not all(r.is_zero() for r in direct.momentum_remainders)
+    assert not direct.mixed_remainder.is_zero()
     monkeypatch.setattr(checks, "verify_plane_wave_relations", own.verify_plane_wave_relations)
-    rows = checks.cmd_verify_planewave(checks.RunConfig(eps5=eps5))
+    monkeypatch.setattr(checks, "planewave_continuation", own.planewave_continuation)
+    rows = checks.cmd_verify_planewave(checks.RunConfig())
     failed = {r.check for r in rows if not r.passed}
-    assert {"planewave_momentum", "planewave_mixed"} <= failed
+    if eps5 == 1:
+        assert {"planewave_momentum", "planewave_mixed", "planewave_continuation"} <= failed
+    else:
+        assert failed == {"planewave_continuation"}
 
 
 def _overlaps(module, eps5) -> tuple:
@@ -358,6 +370,17 @@ def test_a_remainder_of_high_ell_degree_fails_its_row(monkeypatch, eps5):
     assert not rows["planewave_vacuum"].passed
     assert rows["planewave_vacuum"].details["value"].endswith("l^9")
     assert rows["planewave_momentum"].passed
+
+
+@pytest.mark.parametrize("eps5", [7, "a", 0, -2])
+def test_normal_form_refuses_a_bad_sign_before_the_memo(eps5):
+    # a word no swap rule reads once came back as itself at any eps5, and
+    # the memo kept an entry under the bad key
+    enveloping._nf_word.cache_clear()
+    for expr in (NCExpression({("p0", "x1"): 1}), NCExpression({("x1", "p0"): 1})):
+        with pytest.raises(ValueError, match="eps5 must be"):
+            normal_form(expr, eps5)
+    assert enveloping._nf_word.cache_info().currsize == 0
 
 
 def test_normal_form_memo_has_an_owner():

@@ -23,12 +23,15 @@ def _generator_rows(cfg=None):
 
 
 def test_lorentz_generator_rows_pass_with_their_counts():
-    rows = _generator_rows()
-    assert sorted(rows) == [-1, 1]
-    for eps5, row in rows.items():
-        assert row.status == "pass" and row.params == {"eps5": eps5}
-        assert row.details == {"generators": 6, "gamma_identities": 30,
-                               "dirac_identities": 6, "failure": None}
+    # the row runs once, at eps5 = 1, whatever the flags: modes_continuation
+    # carries it to -1, where the proof, run directly, passes with the
+    # same counts
+    counts = {"generators": 6, "gamma_identities": 30, "dirac_identities": 6, "failure": None}
+    for cfg in (RunConfig(), RunConfig(eps5=-1)):
+        [(eps5, row)] = _generator_rows(cfg).items()
+        assert eps5 == 1 and row.status == "pass" and row.params == {"eps5": 1}
+        assert row.details == counts
+    assert modes.lorentz_covariance(-1) == counts
 
 
 @pytest.mark.parametrize("eps5", [1, -1])
@@ -119,9 +122,12 @@ def test_each_gamma_identity_fails_on_its_own_tamper(monkeypatch, turned, counts
 @pytest.mark.parametrize("mu", range(4))
 @pytest.mark.parametrize("row_index", range(4))
 def test_one_flipped_gamma_sign_fails_the_generator_row(monkeypatch, eps5, mu, row_index):
+    # the flip is made at both signs: the row fails, and so does the proof
+    # run at eps5 directly
     monkeypatch.setattr(clifford, "_gamma_perms", _turned(mu, 2, row_index))
-    row = _generator_rows(RunConfig(eps5=eps5))[eps5]
+    row = _generator_rows()[1]
     assert row.status == "fail" and row.details["failure"] is not None
+    assert modes.lorentz_covariance(eps5)["failure"] is not None
 
 
 def test_flipped_table_coefficient_fails_the_generator_row(monkeypatch):

@@ -65,9 +65,17 @@ def test_squared_identity_is_the_product_less_the_scaled_identity(monkeypatch, e
 
 @pytest.mark.parametrize("eps5", [1, -1])
 def test_a_negated_quartic_coefficient_fails_the_dispersion_identity(monkeypatch, eps5):
-    _negated_quartic(monkeypatch)
-    rows = {r.check: r for r in checks.cmd_modes(checks.RunConfig(eps5=eps5))}
-    assert not rows["dispersion_identity"].passed
+    # negated at one sign only: the identity, run there directly, fails; the
+    # identity row runs at eps5 = 1 and fails when the sign is 1, and at
+    # either sign the polynomial is no longer the twist of the other's
+    true = modes.dispersion_polynomial
+    monkeypatch.setattr(modes, "dispersion_polynomial", lambda ell, e5: (
+        (true(ell, e5)[0], -true(ell, e5)[1]) if e5 == eps5 else true(ell, e5)))
+    assert not squared_identity_residual(eps5).is_zero()
+    rows = {r.check: r for r in checks.cmd_modes(checks.RunConfig())}
+    assert rows["dispersion_identity"].passed == (eps5 == -1)
+    assert not rows["modes_continuation"].passed
+    assert rows["modes_continuation"].details["first_mismatch"] == "dispersion_polynomial"
 
 
 @pytest.mark.parametrize("eps5", [1, -1])
@@ -89,8 +97,9 @@ _D_SCALE = "Fraction(-eps5, 2) * ell * minkowski_square(k)"
 
 def test_a_length_squared_in_d_fails_modes_scaling(tmp_path):
     # D(k) is written once, in dirac_coefficients: with l squared there, in
-    # a copy of the package, D is not homogeneous and modes_scaling fails
-    # for both eps5, beside the rows that read D at l = 2
+    # a copy of the package, D is not homogeneous and modes_scaling fails,
+    # beside the rows that read D at l = 2; and l -> -i l no longer takes D
+    # at eps5 = 1 to D at -1
     mutant = tmp_path / "ncdirac"
     shutil.copytree(Path(modes.__file__).parent, mutant,
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -104,8 +113,8 @@ def test_a_length_squared_in_d_fails_modes_scaling(tmp_path):
     assert done.returncode == 1, done.stderr
     failed = {(r["check"], r["params"]["eps5"])
               for r in json.loads(done.stdout)["reports"] if r["status"] == "fail"}
-    assert failed == {(check, e5) for e5 in (1, -1) for check in (
-        "dispersion_identity", "modes_scaling", "modes_reference_heavy")}
+    assert failed == {("dispersion_identity", 1), ("modes_scaling", 1), ("modes_continuation", -1),
+                      ("modes_reference_heavy", 1), ("modes_reference_heavy", -1)}
 
 
 @pytest.mark.parametrize("eps5", [1, -1])

@@ -293,10 +293,25 @@ class TestParamPoly:
     def test_derivative_product_rule(self, p, q):
         assert (p * q).derivative("l") == p.derivative("l") * q + p * q.derivative("l")
 
-    def test_substitute_rho_with_r_squared(self):
-        p = sym("rho") * poly(3) + sym("l")
-        q = p.substitute({"rho": sym("r") ** 2})
-        assert q == sym("r") ** 2 * poly(3) + sym("l")
+    def test_twist_turns_each_term_by_its_symbols(self):
+        # l -> i l, rho -> -rho (two turns), times i: a term l^a rho^b turns
+        # by i^(1 + a + 2b), and a symbol left out is fixed
+        p = sym("l", 3) * sym("rho") * poly(ExactScalar(Fraction(1, 2), 2)) + sym("k0") - poly(5)
+        got = p.twist({"l": 1, "rho": 2, "k1": 7}, 1)
+        want = (sym("l", 3) * sym("rho") * poly(ExactScalar(Fraction(1, 2), 2)) * poly(I) ** 6
+                + sym("k0") * poly(I) - poly(5) * poly(I))
+        assert got == want
+        assert p.twist({}) == p and p.twist({"l": 4, "rho": -4}) == p
+        with pytest.raises(UnknownSymbolError):
+            p.twist({"zeta": 1})
+
+    @given(small_polys(), small_polys(), st.integers(-5, 5), st.integers(-5, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_twist_is_a_ring_homomorphism(self, p, q, e, f):
+        symbols = {"l": e, "k0": f}
+        assert (p * q).twist(symbols) == p.twist(symbols) * q.twist(symbols)
+        assert (p + q).twist(symbols) == p.twist(symbols) + q.twist(symbols)
+        assert p.twist(symbols).twist({"l": -e, "k0": -f}) == p
 
     def test_degree_bound(self):
         assert _degree(sym("l", MAX_DEGREE), "l") == MAX_DEGREE

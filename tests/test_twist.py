@@ -2,7 +2,9 @@
 pairs and the contractions are its exact twists.
 
 The references are ``table_oracle``'s per-sign builds and, on arbitrary
-tables, a change of basis and two substitutions through a spare symbol.
+tables and polynomials, a change of basis and two substitutions through a
+spare symbol (``substitution``, the tests' coefficient-by-coefficient
+oracle: the engine substitutes nothing).
 """
 
 import itertools
@@ -10,6 +12,7 @@ import random
 
 import pytest
 from table_edits import set_bracket
+from substitution import substitute, substituted_table
 from table_oracle import deformed_table, isomorphism_source, orthogonal_table
 from test_lie_algebra import SIGNS, _arbitrary_poly, _assert_same_table, _rescaled
 
@@ -22,7 +25,7 @@ from ncdirac.scalars import I, UnknownSymbolError, sym
 
 def _clear_tables():
     for builder in (lie._deformed_base, lie._deformed_table, lie._flat_table,
-                    lie._orthogonal_base, lie._orthogonal_table, lie._squared_base):
+                    lie._orthogonal_base, lie._orthogonal_table):
         builder.cache_clear()
 
 
@@ -40,12 +43,12 @@ def test_every_twisted_table_equals_its_per_sign_build(eps4, eps5):
     _assert_same_table(build_deformed_algebra(eps4, eps5), deformed)
     _assert_same_table(build_orthogonal_algebra(eps4, eps5), orthogonal_table(eps4, eps5))
     _assert_same_table(lie._isomorphism_source(eps4, eps5), isomorphism_source(eps4, eps5))
-    _assert_same_table(flat_deformed_algebra(eps5), deformed.substitute({"rho": 0}))
+    _assert_same_table(flat_deformed_algebra(eps5), substituted_table(deformed, {"rho": 0}))
     for limit, bindings in (({"rho_to_zero": True}, {"rho": 0}),
                             ({"ell_to_zero": True}, {"l": 0}),
                             ({"rho_to_zero": True, "ell_to_zero": True}, {"rho": 0, "l": 0})):
         _assert_same_table(contract(build_deformed_algebra(eps4, eps5), **limit),
-                           deformed.substitute(bindings))
+                           substituted_table(deformed, bindings))
 
 
 def _seeded_table(rng):
@@ -64,8 +67,9 @@ def _reference_twist(table, phases, symbols, zero):
     symbol v, then each symbol of ``zero`` -> 0."""
     out = _rescaled(table, [I ** (p % 4) for p in phases])
     for name, e in symbols.items():
-        out = out.substitute({name: sym("v") * I ** (e % 4)}).substitute({"v": sym(name)})
-    return out.substitute(dict.fromkeys(zero, 0)) if zero else out
+        out = substituted_table(substituted_table(out, {name: sym("v") * I ** (e % 4)}),
+                                {"v": sym(name)})
+    return substituted_table(out, dict.fromkeys(zero, 0)) if zero else out
 
 
 def test_twist_matches_a_change_of_basis_and_substitutions():
@@ -112,7 +116,7 @@ def test_a_symbol_named_twice_in_zero_is_sent_to_zero_once():
     for _ in range(5):
         table = _seeded_table(rng)
         _assert_same_table(table.twist(zero=("l", "rho", "l")),
-                           table.substitute({"l": 0, "rho": 0}))
+                           substituted_table(table, {"l": 0, "rho": 0}))
 
 
 def test_twist_checks_its_phases_and_symbols():
@@ -154,12 +158,32 @@ def test_a_wrong_phase_fails_the_per_sign_builds_and_the_isomorphism_row(
     assert len(rows) == 4 and not any(r.passed for r in rows)
 
 
-def test_a_cold_check_all_builds_two_rotation_tables_and_substitutes_once(
-        monkeypatch, cold_tables):
-    # the deformed and the orthogonal table at (1, 1) each set their
-    # rotations once, and rho -> r^2 is the one substitution: every other
-    # sign pair and every limit is a twist
-    calls = {"rotations": 0, "substitute": 0}
+def test_the_curvature_r_squared_base_is_the_substituted_one(cold_tables):
+    # the isomorphism's source is built with r^2 for rho, not substituted
+    _assert_same_table(lie._deformed_base(lie._R2),
+                       substituted_table(lie._deformed_base(lie._RHO), {"rho": sym("r", 2)}))
+
+
+def test_poly_twist_matches_substitutions_through_a_spare_symbol():
+    rng = random.Random("poly twist")
+    for _ in range(40):
+        p = _arbitrary_poly(rng)
+        symbols = {name: rng.randint(-3, 6)
+                   for name in rng.sample(("l", "rho", "r", "m", "k0"), rng.randint(0, 3))}
+        turn = rng.randint(-5, 5)
+        want = p * I ** (turn % 4)
+        for name, e in symbols.items():
+            want = substitute(substitute(want, {name: sym("v") * I ** (e % 4)}),
+                              {"v": sym(name)})
+        assert p.twist(symbols, turn) == want
+
+
+def test_a_cold_check_all_sets_three_rotation_tables_and_one_l_limit(monkeypatch, cold_tables):
+    # the deformed table at (1, 1), with rho and with r^2 for rho, and the
+    # orthogonal one each set their rotations once, and nothing is
+    # substituted: every other sign pair and every limit is a twist.  The
+    # contraction row runs once, so one twist sends l to 0
+    calls = {"rotations": 0, "l_limits": 0}
 
     def counted(name, function):
         def run(*args, **kwargs):
@@ -167,8 +191,14 @@ def test_a_cold_check_all_builds_two_rotation_tables_and_substitutes_once(
             return function(*args, **kwargs)
         return run
 
+    twist = StructureConstants.twist
+
+    def counted_twist(self, phases=None, symbols=None, zero=()):
+        calls["l_limits"] += "l" in zero
+        return twist(self, phases, symbols, zero)
+
     monkeypatch.setattr(lie, "_rotation_brackets", counted("rotations", lie._rotation_brackets))
-    monkeypatch.setattr(StructureConstants, "substitute",
-                        counted("substitute", StructureConstants.substitute))
+    monkeypatch.setattr(StructureConstants, "twist", counted_twist)
     assert all(r.passed for r in cmd_check_all(RunConfig(seed=42)))
-    assert calls == {"rotations": 2, "substitute": 1}
+    assert calls == {"rotations": 3, "l_limits": 1}
+    assert not hasattr(StructureConstants, "substitute")

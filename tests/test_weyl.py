@@ -5,6 +5,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from substitution import substitute
 
 from ncdirac import weyl
 from ncdirac.checks import RunConfig, cmd_verify_rep
@@ -101,7 +102,7 @@ def test_ell_to_zero_restores_multiplication_operator():
     rep = build_rep(-1)
 
     def at_ell_zero(op):
-        return WeylOperator({key: c.substitute({"l": 0}) for key, c in op.terms.items()})
+        return WeylOperator({key: substitute(c, {"l": 0}) for key, c in op.terms.items()})
 
     # lowered index: eta33 = -1
     assert at_ell_zero(rep["x3"]) == _coordinate(3).scale(poly(-1))
@@ -193,23 +194,34 @@ def test_tampered_realization_gives_the_same_residuals(monkeypatch, eps5, kind, 
 @pytest.mark.parametrize("eps5", [1, -1])
 @pytest.mark.parametrize("seed", range(4))
 def test_a_flipped_image_fails_exactly_the_families_it_breaks(monkeypatch, eps5, seed):
-    # a flipped term of one image: each rep_closure row fails exactly when
-    # the oracle breaks one of its pairs, and counts and names those pairs;
-    # every family that fails holds a pair the image enters
+    # a flipped term of one image: each closure family fails exactly when
+    # the oracle breaks one of its pairs, and at eps5 = 1, where the
+    # rep_closure rows run, each row counts and names those pairs; every
+    # family that fails holds a pair the image enters.  At either sign the
+    # image is no longer the twist of the other sign's, and rep_continuation
+    # fails and names it
     name, rep = _edited(build_rep(eps5), random.Random(f"flip {eps5} {seed}"), "negated")
     table = flat_deformed_algebra(eps5)
     broken = {}
     for (a, b), r in _reference_closure(rep, eps5).items():
         if not r.is_zero():
             broken.setdefault(weyl._family(a, b), []).append((a, b))
-    monkeypatch.setattr(weyl, "build_rep", lambda e: dict(rep))
-    reports = cmd_verify_rep(RunConfig(eps5=eps5))
-    assert [r.params["family"] for r in reports] == sorted(BRACKET_FAMILIES)
-    for report in reports:
-        bad = broken.get(report.params["family"], [])
+    real = weyl.build_rep
+    monkeypatch.setattr(weyl, "build_rep", lambda e: dict(rep) if e == eps5 else real(e))
+    families = dict(weyl.closure_families(eps5))
+    assert {fam: [pair for pair, r in rows if not r.is_zero()]
+            for fam, rows in families.items()} == {fam: broken.get(fam, []) for fam in families}
+    reports = cmd_verify_rep(RunConfig())
+    rows = [r for r in reports if r.check.startswith("rep_closure_")]
+    assert [r.params["family"] for r in rows] == sorted(BRACKET_FAMILIES)
+    for report in rows:
+        bad = broken.get(report.params["family"], []) if eps5 == 1 else []
         assert report.passed == (not bad)
         assert report.details["violations"] == len(bad)
         assert report.details["first_violation"] == (list(bad[0]) if bad else None)
+    [continuation] = [r for r in reports if r.check == "rep_continuation"]
+    assert not continuation.passed
+    assert continuation.details == {"compared": 15, "mismatches": 1, "first_mismatch": name}
     entered = {weyl._family(*pair) for pair in itertools.combinations(DEFORMED_BASIS, 2)
                if _holds(table, pair, name)}
     assert broken and set(broken) <= entered
