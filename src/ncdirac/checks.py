@@ -10,7 +10,6 @@ Timings are opt-in (null by default) to keep that reproducibility.
 from __future__ import annotations
 
 import functools
-import io
 import json
 import time
 from fractions import Fraction
@@ -127,6 +126,7 @@ FAMILIES = {
 READS = dict(FAMILIES.values())
 READS["scan"] = READS["seesaw"]
 READS["check all"] = (*dict.fromkeys(chain.from_iterable(READS.values())), "seed")
+SCAN_PARAMS = ("ell", "g", "vev")  # the settings a scan sweeps, one per run
 
 # the help of each verb of the command line, in the order it lists them
 VERBS = {
@@ -158,22 +158,22 @@ class CheckReport:
         return self.status == "pass"
 
 
-def _fmt(value):
+def json_value(value):
     """Deterministic JSON rendering of numbers and containers; an exact number as its str."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
         return format(value, ".15g")
     if isinstance(value, dict):
-        return {str(k): _fmt(v) for k, v in value.items()}
+        return {str(k): json_value(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_fmt(v) for v in value]
+        return [json_value(v) for v in value]
     return str(value)
 
 
 def _order(report: CheckReport) -> tuple:
     """The sort key of every report list: check name, then params."""
-    return report.check, json.dumps(_fmt(report.params), sort_keys=True)
+    return report.check, json.dumps(json_value(report.params), sort_keys=True)
 
 
 def _command(family):
@@ -483,7 +483,7 @@ def cmd_modes(cfg: RunConfig):
 # -- seesaw -------------------------------------------------------------------
 
 
-def _judged(coupling: CouplingConfig) -> tuple:
+def judged(coupling: CouplingConfig) -> tuple:
     """(ok, deviation, details) of the ``seesaw_spectrum`` row of
     ``coupling``, or on RootFindingError (False, None, its error and
     diagnostics).  The one place a configured coupling's spectrum is
@@ -492,7 +492,7 @@ def _judged(coupling: CouplingConfig) -> tuple:
         spectrum = exact_mode_spectrum(coupling)
         ok, tol, ratio, reason = seesaw_verdict(coupling, spectrum)
     except RootFindingError as exc:
-        return False, None, {"error": str(exc), "diagnostics": _fmt(exc.diagnostics)}
+        return False, None, {"error": str(exc), "diagnostics": json_value(exc.diagnostics)}
     details = {
         "deviation_tolerance": tol,
         "leading_light_mass": spectrum.leading_light_mass,
@@ -537,7 +537,7 @@ def cmd_seesaw(cfg: RunConfig):
             details=details,
         )
 
-        ok, residual, details = _judged(coupling)
+        ok, residual, details = judged(coupling)
         yield CheckReport(
             "seesaw_spectrum", params, ok=ok,
             relation="light root of det(coupled matrix) matches "
@@ -604,67 +604,16 @@ def cmd_seesaw(cfg: RunConfig):
         )
 
 
-# -- scans --------------------------------------------------------------------
-
-SCAN_PARAMS = ("ell", "g", "vev")
-SCAN_COLUMNS = (
-    "param", "value", "eps5", "dispersion_heavy_k2", "light_k2", "heavy_k2",
-    "leading_light_mass", "deviation", "status", "error",
-)
-
-
-def cmd_scan(cfg: RunConfig, param: str, start: Fraction, stop: Fraction,
-             steps: int) -> list[dict]:
-    """One row per parameter value; root-finder failures do not abort."""
-    if param not in SCAN_PARAMS:
-        raise ValueError(f"scan parameter must be one of {SCAN_PARAMS}")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if cfg.eps5 is None:
-        raise ValueError("a scan runs at one eps5, not a sweep of both")
-    e5 = cfg.eps5
-    start, stop = Fraction(start), Fraction(stop)
-    if steps == 1 and start != stop:
-        raise ValueError("one step needs --from equal to --to")
-    values = [
-        start + (stop - start) * Fraction(i, max(steps - 1, 1))
-        for i in range(steps)
-    ]
-    rows = []
-    for value in values:
-        fields = {"ell": cfg.ell, "g": cfg.g, "vev": cfg.vev}
-        fields[param] = value
-        ell = Fraction(fields["ell"])
-        row = {
-            "param": param,
-            "value": str(value),
-            "eps5": e5,
-            # no dispersion branch at ell <= 0, which CouplingConfig refuses
-            "dispersion_heavy_k2": str(heavy_k2(ell, e5)) if ell > 0 else None,
-        }
-        try:
-            coupling = CouplingConfig(**fields, eps5=e5)
-        except ValueError as exc:  # a refused coupling, such as ell <= 0
-            ok, deviation, details = False, None, {"error": str(exc)}
-        else:
-            ok, deviation, details = _judged(coupling)
-        row.update(
-            {key: details.get(key) for key in ("light_k2", "heavy_k2", "leading_light_mass")},
-            deviation=deviation,
-            status="error" if "error" in details else "ok" if ok else "fail",
-            error=details.get("error", details.get("reason")),
-        )
-        rows.append(row)
-    return rows
-
-
 # -- commands -----------------------------------------------------------------
 
 
 def command(name: str):
-    """The function of the report command ``name``, looked up when called,
-    so that a wrapper installed on this module (a profiler's span) is what
-    runs."""
+    """The function of the command ``name``, looked up when called, so that
+    a wrapper installed on its module (a profiler's span) is what runs.
+    The scan's module loads here, on first use."""
+    if name == "scan":
+        from . import scan
+        return scan.cmd_scan
     return globals()["cmd_" + name.replace(" ", "_")]
 
 
@@ -686,12 +635,12 @@ def config_dict(cfg: RunConfig, command: str) -> dict:
     for name in READS[command]:
         value = getattr(cfg, name)
         if value is not None or name != "fixture":
-            out[name] = _fmt(value)
+            out[name] = json_value(value)
     return out
 
 
 def report_dict(report: CheckReport) -> dict:
-    return {name: _fmt(getattr(report, name)) for name in CheckReport.__slots__}
+    return {name: json_value(getattr(report, name)) for name in CheckReport.__slots__}
 
 
 def reports_document(cfg: RunConfig, command: str, reports: list[CheckReport]) -> dict:
@@ -709,41 +658,3 @@ def reports_document(cfg: RunConfig, command: str, reports: list[CheckReport]) -
 
 def render_json(document: dict) -> str:
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
-
-
-def _render_csv(header, rows) -> str:
-    """The CSV text of a header row and then ``rows``."""
-    import csv  # only --format csv needs it
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def render_reports_csv(reports: list[CheckReport]) -> str:
-    return _render_csv(
-        ("check", "params", "status", "residual", "relation", "duration_ms"),
-        ([r.check, ";".join(f"{k}={_fmt(v)}" for k, v in sorted(r.params.items())),
-          r.status, _fmt(r.residual), r.relation, _fmt(r.duration_ms)]
-         for r in reports),
-    )
-
-
-def scan_document(cfg: RunConfig, rows: list[dict], param: str, start: Fraction,
-                  stop: Fraction, steps: int) -> dict:
-    """The scan's rows, and a config that echoes the swept range in place
-    of the base value of the swept setting, which no row reads."""
-    config = config_dict(cfg, "scan")
-    del config[param]
-    config.update({"param": param, "from": _fmt(start), "to": _fmt(stop), "steps": steps})
-    return {
-        "config": config,
-        "rows": [{k: _fmt(v) for k, v in row.items()} for row in rows],
-    }
-
-
-def render_scan_csv(rows: list[dict]) -> str:
-    return _render_csv(SCAN_COLUMNS,
-                       ([_fmt(row.get(col)) for col in SCAN_COLUMNS] for row in rows))

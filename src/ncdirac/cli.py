@@ -84,20 +84,28 @@ def _add_settings(sp: argparse.ArgumentParser, commands, timings: bool = True) -
                         help="include wall-clock durations in reports")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser of the command line ``argv``: with the subparser of the
+    verb ``argv[0]`` names only, or of every verb when it names none, so
+    that --help and a usage error list them all."""
     parser = _Parser(
         prog="ncdirac",
         description="verification suite for the deformed relativistic algebra "
                     "and its Dirac sector",
     )
-    sub = parser.add_subparsers(dest="cmd")
+    verbs = [argv[0]] if argv and argv[0] in checks.VERBS else list(checks.VERBS)
+    # one verb's usage still lists every verb: an error of this parser,
+    # such as an unrecognized argument, prints it (with every verb, the
+    # default metavar lists them, and an invalid one is named as "cmd")
+    metavar = "{" + ",".join(checks.VERBS) + "}" if len(verbs) == 1 else None
+    sub = parser.add_subparsers(dest="cmd", metavar=metavar)
 
     # one subparser per verb: a verb with targets takes one, and offers the
     # flags of every target's settings; resolve_config refuses a flag that
     # the target does not read
-    for verb, help_text in checks.VERBS.items():
+    for verb in verbs:
         commands = [name for name in checks.READS if name.partition(" ")[0] == verb]
-        sp = sub.add_parser(verb, help=help_text)
+        sp = sub.add_parser(verb, help=checks.VERBS[verb])
         targets = [command.partition(" ")[2] for command in commands if " " in command]
         if targets:
             sp.add_argument("target", choices=targets)
@@ -180,7 +188,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -201,17 +211,19 @@ def main(argv=None) -> int:
 
     try:
         if args.cmd == "scan":
+            from . import scan  # the scan and the CSV renderers load on first use
             sweep = (args.param, args.start, args.stop, args.steps)
-            rows = checks.cmd_scan(cfg, *sweep)
+            rows = scan.cmd_scan(cfg, *sweep)
             if cfg.fmt == "csv":
-                text = checks.render_scan_csv(rows)
+                text = scan.render_scan_csv(rows)
             else:
-                text = checks.render_json(checks.scan_document(cfg, rows, *sweep))
+                text = checks.render_json(scan.scan_document(cfg, rows, *sweep))
             passed = all(r["status"] == "ok" for r in rows)
         else:
             reports = checks.command(command)(cfg)
             if cfg.fmt == "csv":
-                text = checks.render_reports_csv(reports)
+                from .scan import render_reports_csv
+                text = render_reports_csv(reports)
             else:
                 text = checks.render_json(checks.reports_document(cfg, command, reports))
             passed = all(r.passed for r in reports)

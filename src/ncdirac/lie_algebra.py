@@ -27,7 +27,6 @@ from .scalars import (
     _degree_overflow,
     _int_terms,
     _join,
-    _json_int_terms,
     _shift,
     _make,
     _packed_poly,
@@ -196,66 +195,17 @@ class StructureConstants:
     def dim(self) -> int:
         return len(self.basis)
 
-    # -- serialization (fixture file format) -----------------------------
+    # -- serialization: the fixture file format, in ``fixture`` ------------
 
     def to_json(self) -> dict:
-        brackets = {f"{i},{j}": [[k, c.to_json()] for k, c in self.bracket(i, j).items()]
-                    for i, j in self.pairs()}
-        return {"basis": list(self.basis), "brackets": brackets}
+        from .fixture import write_table  # the format loads on first use
+        return write_table(self)
 
     @staticmethod
     def from_json(data: dict) -> "StructureConstants":
-        """Parse the fixture format straight into the store.  A basis that
-        is not a list of strings or is empty, a bracket that is not a list of
-        [index, coefficient] pairs, a coefficient that is not a list of
-        [exponents, re, im] terms, a malformed entry or term, a key not
-        written as ``to_json`` writes it ("i,j" in ASCII digits), an output
-        index or exponent that is not a JSON integer, an index outside the
-        basis or a pair given twice raises ValueError naming the bracket key."""
-        try:
-            basis, brackets = data["basis"], data["brackets"].items()
-            if type(basis) is not list or not all(type(name) is str for name in basis):
-                raise TypeError
-        except (AttributeError, KeyError, TypeError):
-            raise ValueError("a structure-constant table is an object with a "
-                             "'basis' list and a 'brackets' object") from None
-        alg = StructureConstants(basis)
-        n = len(basis)
-        keys = _bracket_keys(n) if n <= _KEYED_BASIS else {}
-        seen = {}
-        for key, entries in brackets:
-            try:
-                found = keys.get(key)
-                if found is None:  # not a key to_json writes, or a large basis
-                    if type(key) is not str:
-                        raise TypeError("is not a string")
-                    i, j = map(int, key.split(","))
-                    # int() also reads "+1", " 1", "1_0", "01" and non-ASCII digits
-                    if key != f"{i},{j}":
-                        raise ValueError(f"is not written as {i},{j}")
-                    # _store only to raise the error that names the culprit
-                    if i == j or not (0 <= i < n and 0 <= j < n):
-                        alg._store(i, j, [])
-                    found = i, j
-                i, j = found
-                pair = found if i < j else (j, i)
-                if pair in seen:
-                    raise ValueError(f"repeats the pair of key {seen[pair]!r}")
-                seen[pair] = key
-                alg._write(i, j, _json_int_terms(entries, n, key))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"bracket key {key!r}: {exc}") from None
-        return alg
-
-
-# the largest basis whose bracket keys ``from_json`` looks up in a map
-_KEYED_BASIS = 64
-
-
-@cache
-def _bracket_keys(n: int) -> dict:
-    """(i, j) by its key "i,j" for each pair of distinct indices in 0..n-1."""
-    return {f"{i},{j}": (i, j) for i, j in itertools.permutations(range(n), 2)}
+        """The table of the fixture document ``data``: ``fixture.read_table``."""
+        from .fixture import read_table
+        return read_table(data)
 
 
 def _rotation_brackets(alg: StructureConstants, pairs, diag):

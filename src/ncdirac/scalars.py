@@ -21,7 +21,6 @@ needed, equations are cleared of denominators.
 from __future__ import annotations
 
 import operator
-import re
 from fractions import Fraction
 from math import gcd, isqrt
 from numbers import Integral, Number
@@ -50,13 +49,10 @@ _NSYM = len(SYMBOLS)
 # monomials is then one integer addition, and a symbol's power overflows
 # exactly when the sum sets that symbol's guard bit; no carry can reach the
 # next field.
-_FIELD_BITS = 8  # _pack and _json_int_terms read one byte per field
+_FIELD_BITS = 8  # _pack and fixture's reader read one byte per field
 MAX_DEGREE = (1 << (_FIELD_BITS - 1)) - 1
 _SHIFTS = tuple(_FIELD_BITS * (_NSYM - 1 - i) for i in range(_NSYM))
 _GUARDS = sum((MAX_DEGREE + 1) << shift for shift in _SHIFTS)
-_INT_FIELDS = (int,) * _NSYM
-# the coefficient parts str(Fraction) writes: -?digits, -?digits/nonzero
-_PLAIN = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?")
 
 
 class UnknownSymbolError(ValueError):
@@ -588,16 +584,14 @@ class ParamPoly:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> list:
-        return [
-            [list(e), str(c.re), str(c.im)] for e, c in self.terms()
-        ]
+        from .fixture import write_poly  # the format loads on first use
+        return write_poly(self)
 
     @staticmethod
     def from_json(data: list) -> "ParamPoly":
-        """Inverse of ``to_json``.  Exponents are JSON integers (``int``,
-        never ``bool`` or ``float``); coefficient parts are str or int.  A
-        later term with the same exponents replaces an earlier one."""
-        return _packed_poly({m: _make(a, b, d) for _, m, a, b, d in _json_int_terms([[0, data]])})
+        """Inverse of ``to_json``: ``fixture.read_poly``."""
+        from .fixture import read_poly
+        return read_poly(data)
 
     # -- dunders -----------------------------------------------------------
 
@@ -726,81 +720,6 @@ def _int_terms(p: ParamPoly) -> list:
     return [(mono, c._a, c._b, c._d) for mono, c in p._terms.items()]
 
 
-_PAIRS = "entries must be a list of [index, coefficient] pairs"
-
-
-def _json_int_terms(entries: list, n: int = 1, bracket: str = "0,0") -> list:
-    """The canonical (q, packed monomial, a, b, d) ints of each nonzero term
-    (a + b*i)/d of each [q, coefficient] entry of the bracket keyed
-    ``bracket``, the coefficient a ParamPoly in its ``to_json`` form and q a
-    distinct int in 0..n-1, read with no ExactScalar built.  A list of ten
-    int exponents and the parts "0" and "-?digits(/digits)?" are read here;
-    ``_pack`` and ``_rational_parts`` read other lists and parts and raise
-    the error of a malformed term."""
-    if type(entries) is not list:
-        raise TypeError(_PAIRS)
-    read = []
-    seen = 0  # a bit per output index read
-    tidy = False  # whether a term may repeat or be zero
-    for entry in entries:
-        try:
-            q, data = entry
-        except (TypeError, ValueError):
-            raise TypeError(_PAIRS) from None
-        if type(q) is not int:
-            raise TypeError(f"output index {q!r} is not an integer")
-        if not 0 <= q < n:
-            raise ValueError(f"output index {q} of bracket [{bracket}] is outside 0..{n - 1}")
-        if seen >> q & 1:
-            raise ValueError(f"lists output index {q} twice")
-        seen |= 1 << q
-        if type(data) is not list:
-            raise TypeError(f"coefficient {data!r} is not a list of terms")
-        tidy = tidy or len(data) > 1
-        for term in data:
-            try:
-                exps, re_s, im_s = term
-            except (TypeError, ValueError):
-                raise ValueError(f"term {term!r} is not [exponents, re, im]") from None
-            key = _GUARDS  # marks an exponent list left to _pack
-            if type(exps) is list and tuple(map(type, exps)) == _INT_FIELDS:
-                try:
-                    key = int.from_bytes(bytes(exps), "big")
-                except ValueError:  # a field below 0 or above 255
-                    pass
-            elif type(exps) is not list:
-                raise TypeError(f"exponents {exps!r} of term {term!r} are not a list")
-            elif {*map(type, exps)} != {int}:  # the loop names the culprit
-                for e in exps:
-                    if type(e) is not int:
-                        raise TypeError(f"exponent {e!r} is not an integer")
-            # each part read inline: this loop is the hot path of a fixture read
-            if re_s == "0":
-                rn, rd = 0, 1
-            elif type(re_s) is str and _PLAIN.fullmatch(re_s):
-                num, _, den = re_s.partition("/")
-                rn, rd = int(num), int(den or 1)
-            else:
-                rn, rd = _rational_parts(re_s)
-            if im_s == "0":
-                jn, jd = 0, 1
-            elif type(im_s) is str and _PLAIN.fullmatch(im_s):
-                num, _, den = im_s.partition("/")
-                jn, jd = int(num), int(den or 1)
-            else:
-                jn, jd = _rational_parts(im_s)
-            if key & _GUARDS:
-                key = _pack(exps)
-            a, b, d = rn * jd, jn * rd, rd * jd
-            g = gcd(a, b, d)
-            read.append((q, key, a, b, d) if g == 1 else (q, key, a // g, b // g, d // g))
-            if not (a or b):
-                tidy = True
-    if tidy:  # a later term with the same (q, exponents) replaces an earlier one
-        read = [term for term in {term[:2]: term for term in read}.values() if term[2] or term[3]]
-    return read
-
-
 def _join(sums: dict, tag, mono: int, xa: int, xb: int, xd: int, row):
     """Add (xa + xb*i)/xd times each term of ``row`` to ``sums``.
 
@@ -854,23 +773,6 @@ def _poly_sum_of_products(pairs) -> ParamPoly:
             _join(sums, 0, mono, c._a, c._b, c._d, row)
     return _packed_poly({mono: _reduced(a, b, d) for (_, _, mono), (a, b, d) in sums.items()
                          if a or b})
-
-
-def _rational_parts(value) -> tuple:
-    """(numerator, denominator > 0) of a JSON coefficient part in a form
-    ``_json_int_terms`` leaves to it: an int, or a str that ``Fraction``
-    accepts.  Floats are rejected, as by ``as_fraction``."""
-    if type(value) is int:
-        return value, 1
-    if type(value) is not str:
-        raise TypeError(
-            f"expected a str or int coefficient, got {type(value).__name__}"
-        )
-    try:
-        q = Fraction(value)
-    except ZeroDivisionError:
-        raise ValueError(f"coefficient {value!r} has a zero denominator") from None
-    return q.numerator, q.denominator
 
 
 P_ZERO = ParamPoly()

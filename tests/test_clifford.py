@@ -17,6 +17,7 @@ import pytest
 from cayley_oracle import cayley_boost
 from exact_arrays import as_array
 from exact_gammas import exact_gammas
+from golden_commands import COMMANDS
 
 import ncdirac
 from ncdirac import checks, clifford
@@ -425,14 +426,25 @@ def test_cayley_identities_fire_on_a_corrupted_table(monkeypatch, field):
         assert str(info.value) == message
 
 
-def _run_python(code: str) -> list[str]:
+def _start_python(code: str) -> subprocess.Popen:
+    """A fresh interpreter that runs ``code`` with the package on its path."""
     src = str(Path(ncdirac.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
-    ).stdout
+    return subprocess.Popen([sys.executable, "-c", code], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def _lines(proc: subprocess.Popen) -> list[str]:
+    """The stdout lines of ``proc`` once it exits, which it must with 0."""
+    out, err = proc.communicate()
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args, out, err)
     return out.splitlines()
+
+
+def _run_python(code: str) -> list[str]:
+    return _lines(_start_python(code))
 
 
 _QUIET_MAIN = """
@@ -469,14 +481,29 @@ def test_import_leaves_scipy_unloaded():
     assert out == ["[]", "[1, 0, 0, 0, 2, 0, 0, 0, 0, 1]", "[]", "[]"]
 
 
-def test_cli_import_loads_every_package_module():
-    # every module of the package is on the CLI's path: a module that no
-    # command loads is code only the tests call, and belongs in the tests
-    loaded = "print(sorted(m for m in sys.modules if m.startswith('ncdirac.')))"
+def test_each_command_loads_the_modules_it_runs():
+    # every module of the package loads in some golden command: a module
+    # that none loads is code only the tests call, and belongs in the
+    # tests.  Two load on first use: the fixture format for --fixture, and
+    # the scan command with the CSV renderers for scan and --format csv;
+    # check all loads every other module and neither of them
     package = Path(ncdirac.__file__).resolve().parent
-    modules = sorted(f"ncdirac.{path.stem}" for path in package.glob("*.py")
-                     if path.stem not in ("__init__", "__main__"))
-    assert _run_python(f"import sys, ncdirac.cli\n{loaded}\n") == [repr(modules)]
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__", "__main__"}
+    loaded = ("print(sorted(m.removeprefix('ncdirac.') for m in sys.modules "
+              "if m.startswith('ncdirac.')))")
+    runs = {" ".join(argv): _start_python(f"import os\nos.chdir({str(package.parents[1])!r})\n"
+                                          f"{_QUIET_MAIN}\nmain({argv!r})\n{loaded}\n")
+            for argv, _, _ in COMMANDS}  # each in a fresh interpreter, side by side
+    loads = {command: set(ast.literal_eval(*_lines(run))) for command, run in runs.items()}
+    assert set().union(*loads.values()) == modules
+    assert loads["check all --seed 42"] == modules - {"fixture", "scan"}
+    first_use = {"fixture": [command for command in loads if "--fixture" in command],
+                 "scan": [command for command in loads
+                          if command.startswith("scan ") or "--format csv" in command]}
+    for module, commands in first_use.items():
+        assert commands, module
+        for command in commands:
+            assert loads[command] == modules - (first_use.keys() - {module}), command
 
 
 _LAZY_LAYERS = """

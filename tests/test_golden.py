@@ -140,7 +140,12 @@ files changed in those rows and the counts.  In the same change
 
 Every file in this folder is a golden of ``commands.txt``, a demo's
 golden, or an input a listed command reads; the list, ``commands.txt``,
-and its runner ``compare.sh`` are the two others.
+and its runner ``compare.sh`` are two others.  The last, ``usage.json``,
+pins the help and usage text: ``--help`` for the program and each verb,
+an empty command line, an unknown verb, a missing target, a refused flag
+value, a flag the target does not read and an unrecognized argument.  It
+was written under Python 3.11 by the parser that registered every verb
+for every command, before a command came to build only the verb it names.
 
 ``seesaw_from_config.json`` is the report of ``seesaw --config
 tests/golden/seesaw_config.json``, the one golden command that reads its
@@ -173,7 +178,7 @@ import sys
 import pytest
 from golden_commands import COMMANDS, GOLDEN
 
-from ncdirac import checks
+from ncdirac import checks, cli
 from ncdirac.cli import main
 
 SCAN_VEV = ["scan", "--param", "vev", "--from", "1/2", "--to", "2", "--steps", "4",
@@ -196,6 +201,32 @@ def test_timings_change_nothing_but_the_durations(capsys):
     for r in doc["reports"]:
         r["duration_ms"] = None
     assert doc == json.loads((GOLDEN / "check_all_seed42.json").read_text())
+
+
+# the help and usage text of the command line: per run its argv, exit code,
+# stdout and stderr, written at COLUMNS=80 on the Python named in "python"
+# by the parser that registered every verb for every command
+USAGE = json.loads((GOLDEN / "usage.json").read_text())
+
+
+@pytest.mark.parametrize("run", USAGE["runs"], ids=lambda run: " ".join(run["argv"]) or "none")
+def test_help_and_usage_text_match_their_goldens(monkeypatch, capsys, run):
+    # the parser registers only the verb the command names, and reads as
+    # one with every verb.  argparse words some messages differently from
+    # one Python to the next, so the golden bytes are compared on the
+    # Python that wrote them, and the two parsers on every Python
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def text():
+        code = main(list(run["argv"]))
+        return code, *capsys.readouterr()
+
+    got = text()
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv: build(()))
+    assert text() == got
+    if list(sys.version_info[:2]) == USAGE["python"]:
+        assert got == (run["exit"], run["stdout"], run["stderr"])
 
 
 CHECK_ALL = (GOLDEN / "check_all_seed42.json").read_text()
@@ -349,7 +380,9 @@ def test_every_golden_file_is_read():
     inputs = {arg.rpartition("/")[2] for argv, _, _ in COMMANDS for arg in argv
               if arg.startswith("tests/golden/")}
     tooling = {"commands.txt", "compare.sh"}
-    stray = {path.name for path in GOLDEN.iterdir()} - listed - inputs - DEMO_GOLDENS - tooling
+    pinned_here = {"usage.json"}  # test_help_and_usage_text_match_their_goldens reads it
+    stray = ({path.name for path in GOLDEN.iterdir()} - listed - inputs - DEMO_GOLDENS
+             - tooling - pinned_here)
     assert not stray, sorted(stray)
 
 

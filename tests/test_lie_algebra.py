@@ -582,6 +582,7 @@ def test_set_bracket_and_both_json_forms_give_one_store():
 
 
 def test_from_json_builds_no_coefficient_objects(monkeypatch):
+    import ncdirac.fixture as fixture
     import ncdirac.lie_algebra as lie
     import ncdirac.scalars as scalars
 
@@ -594,7 +595,8 @@ def test_from_json_builds_no_coefficient_objects(monkeypatch):
 
     for owner, name in ((ParamPoly, "__init__"), (ExactScalar, "__init__"),
                         (scalars, "_make"), (scalars, "_packed_poly"), (scalars, "_reduced"),
-                        (lie, "_make"), (lie, "_packed_poly")):
+                        (lie, "_make"), (lie, "_packed_poly"),
+                        (fixture, "_make"), (fixture, "_packed_poly")):
         monkeypatch.setattr(owner, name, forbidden)
     loaded = [StructureConstants.from_json(doc) for doc in docs]
     monkeypatch.undo()
@@ -605,9 +607,9 @@ def test_from_json_builds_no_coefficient_objects(monkeypatch):
 def test_keys_past_the_keyed_basis_size_read_alike():
     # a basis past _KEYED_BASIS reads every key by the parse path, with the
     # same table and the same messages as a small one
-    import ncdirac.lie_algebra as lie
+    import ncdirac.fixture as fixture
 
-    for n in (15, lie._KEYED_BASIS + 6):
+    for n in (15, fixture._KEYED_BASIS + 6):
         table = StructureConstants([f"e{a}" for a in range(n)])
         set_bracket(table, 0, n - 1, {n - 2: sym("l")})
         set_bracket(table, n - 3, 2, {1: poly(3)})

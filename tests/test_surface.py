@@ -5,12 +5,13 @@ must be referenced from ``src/`` outside its own definition, from
 ``demos/`` or from ``perfbench/``, or be a ``cmd_*`` command that
 ``checks.command`` looks up by name.  An export in ``ncdirac.__all__`` is
 no use by itself: code only the tests call belongs in the tests.
-References are matched by name: a ``Name`` or an attribute in ``src/``
-(the strings of ``__all__`` are not).  In ``demos/`` and ``perfbench/``
-only a use of the package counts: a name imported from it, an attribute
-read that is not on another module the file imports, and the last part
-of a dotted string (the benchmark's tracer names functions as
-``"module.function"``); a local variable or a word of prose does not.
+References are matched by name: a ``Name``, an attribute or a name a
+``from`` import takes in ``src/`` (the strings of ``__all__`` are not).
+In ``demos/`` and ``perfbench/`` only a use of the package counts: a name
+imported from it, an attribute read that is not on another module the
+file imports, and the last part of a dotted string (the benchmark's
+tracer names functions as ``"module.function"``); a local variable or a
+word of prose does not.
 
 Matching by name lets a method live on a namesake in another class, so
 methods also meet a run-time rule: each must run in some golden command
@@ -38,12 +39,16 @@ PACKAGE = ROOT / "src" / "ncdirac"
 
 
 def _names(tree) -> Counter:
+    """The names ``tree`` reads: each ``Name``, each attribute, and the
+    name each ``from`` import takes from its module, under any alias."""
     out = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out[node.id] += 1
         elif isinstance(node, ast.Attribute):
             out[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
     return out
 
 
@@ -177,11 +182,12 @@ def _callers(tree, name: str) -> set:
 
 def test_one_function_judges_a_seesaw_coupling():
     # the seesaw_spectrum row and every scan row read one judgement of a
-    # coupling: the scan computes no spectrum or verdict of its own
+    # coupling, checks.judged: the scan module computes no spectrum or
+    # verdict of its own
     tree = ast.parse((PACKAGE / "checks.py").read_text())
-    assert len(_callers(tree, "seesaw_verdict")) == 1
-    [scan] = [node for node in tree.body
-              if isinstance(node, ast.FunctionDef) and node.name == "cmd_scan"]
+    assert _callers(tree, "seesaw_verdict") == {"judged"}
+    scan = ast.parse((PACKAGE / "scan.py").read_text())
+    assert "judged" in _reached(scan, "cmd_scan")
     assert not {"exact_mode_spectrum", "seesaw_verdict", "RootFindingError"} & set(_names(scan))
 
 
@@ -325,8 +331,6 @@ def test_only_clifford_reads_the_gamma_store():
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         names = _names(tree)
-        names.update(alias.name for node in ast.walk(tree)
-                     if isinstance(node, ast.ImportFrom) for alias in node.names)
         if _STORE_NAMES & set(names):
             readers[path.stem] = sorted(_STORE_NAMES & set(names))
     assert set(readers) == {"clifford"}, readers
@@ -376,6 +380,13 @@ clifford._gamma_perms(1), s._join, clifford.__name__, _self_only
 """)
     assert sorted(_foreign_private_names("modes", tree)) == [
         "clifford._gamma_perms", "clifford._perm_product", "matrices._rows"]
+
+
+def test_the_use_rule_sees_a_name_imported_under_an_alias():
+    # a function-level import under another name is a use of the original
+    trees = {"m.py": ast.parse("def f():\n    return 1\n"),
+             "n.py": ast.parse("def h():\n    from .m import f as g\n    return g()\n")}
+    assert _unused_definitions(trees, Counter(), ()) == ["n.py: h"]
 
 
 # run in a fresh interpreter: every golden command and every demo, with a
