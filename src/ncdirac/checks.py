@@ -28,11 +28,10 @@ from .lie_algebra import (
     jacobi_triple_count,
     solve_isomorphism_scalings,
 )
-from .weyl import closure_families, rep_continuation
-from .enveloping import lemma_matrix_check, planewave_continuation, verify_plane_wave_relations
+from .weyl import closure_families
+from .enveloping import lemma_matrix_check, verify_plane_wave_relations
 from .clifford import (
     VerificationError,
-    clifford_continuation,
     clifford_relations,
     gamma5_product_check,
     majorana_imaginary_check,
@@ -44,7 +43,6 @@ from .modes import (
     heavy_mass,
     lorentz_covariance,
     massive_class,
-    modes_continuation,
     operator_residual,
     reference_solutions,
     scaling_residual,
@@ -226,30 +224,19 @@ def _first_violation(violations) -> dict:
 
 # The four sign pairs are real forms of one complex algebra.  A complex
 # identity is decided once, at eps5 = +1 (eps4 = eps5 = 1 for the algebra),
-# and says in its relation what carries it to the other signs: for the
-# tables, the twist that builds them; elsewhere the family's continuation
-# row, which proves that the eps5 = -1 data is the twist of the +1 data.
-# Such a row keeps the params it ran at and is in every view of its family.
+# and says in its relation what carries it to the other signs: the twist
+# by which its family builds the data there from the data at +1.  Such a
+# row keeps the params it ran at and is in every view of its family.
 _TWISTED = ("; at eps4 = eps5 = 1: every other sign pair's table is its twist "
             "rho -> eps4*rho, l -> i*l, which keeps it")
 
 
-def _continued(family: str, rows, relation: str, continuation):
-    """The ``rows`` of ``family``, decided at eps5 = 1, each relation naming
-    the row that carries it to eps5 = -1; then that row,
-    ``{family}_continuation``: ``continuation()`` gives how many pieces of
-    the eps5 = -1 data it compared with the twist of the +1 data and the
-    names of those that differ, and the row passes when none does."""
+def _twisted(rows, twist: str):
+    """The ``rows``, decided at eps5 = 1, each relation naming the ``twist``
+    that builds the eps5 = -1 data from the +1 data."""
     for row in rows:
-        row.relation += f"; at eps5 = 1, {family}_continuation carries it to eps5 = -1"
+        row.relation += f"; at eps5 = 1: the eps5 = -1 data is its twist {twist}, which keeps it"
         yield row
-    count, mismatches = continuation()
-    yield CheckReport(
-        f"{family}_continuation", {"eps5": -1}, ok=not mismatches, relation=relation,
-        residual=len(mismatches),
-        details={"compared": count, "mismatches": len(mismatches),
-                 "first_mismatch": mismatches[0] if mismatches else None},
-    )
 
 
 @_command
@@ -337,9 +324,7 @@ def _closure_rows():
 
 @_command
 def cmd_verify_rep(cfg: RunConfig):
-    return _continued("rep", _closure_rows(),
-                    "rep(a) at eps5 = -1 is tau(rep(a) at eps5 = 1) for the 15 generators, "
-                    "tau: l -> i*l, xi4 -> i*xi4, d4 -> -i*d4", rep_continuation)
+    return _twisted(_closure_rows(), "l -> i*l, xi4 -> i*xi4, d4 -> -i*d4")
 
 
 # -- gamma matrices ----------------------------------------------------------
@@ -352,12 +337,9 @@ def cmd_verify_clifford(cfg: RunConfig):
         clifford_relations(1),
         (check(1) for check in (gamma5_product_check, majorana_imaginary_check)),
     )
-    return _continued(
-        "clifford",
-        (CheckReport(f"clifford_{rc.name}", {"eps5": 1}, ok=rc.ok, relation=rc.relation,
-                     residual=rc.residual) for rc in results),
-        "g_mu at eps5 = -1 is g_mu at eps5 = 1 for mu in 0..3, "
-        "and g4 at eps5 = -1 is i*g4 at eps5 = 1", clifford_continuation)
+    return _twisted((CheckReport(f"clifford_{rc.name}", {"eps5": 1}, ok=rc.ok,
+                                 relation=rc.relation, residual=rc.residual) for rc in results),
+                    "g4 -> i*g4")
 
 
 # -- plane wave ---------------------------------------------------------------
@@ -404,10 +386,7 @@ def _plane_wave_rows():
 
 @_command
 def cmd_verify_planewave(cfg: RunConfig):
-    return _continued("planewave", _plane_wave_rows(),
-                    "the swap rules at eps5 = -1 are tau(those at eps5 = 1), and d4 and "
-                    "i*eps5*l at eps5 = -1 are i*tau(those at eps5 = 1), tau: l -> i*l",
-                    planewave_continuation)
+    return _twisted(_plane_wave_rows(), "l -> i*l, d4 -> i*d4")
 
 
 # -- dispersion and modes -----------------------------------------------------
@@ -446,9 +425,7 @@ def _operator_rows():
 
 @_command
 def cmd_modes(cfg: RunConfig):
-    yield from _continued("modes", _operator_rows(),
-                        "D(k) and its dispersion polynomial at eps5 = -1 are those at "
-                        "eps5 = 1 with l -> -i*l, k and l symbolic", modes_continuation)
+    yield from _twisted(_operator_rows(), "l -> -i*l")
 
     # the roots and the kernels are real-form facts: one set per sign
     for e5 in cfg.eps5_values():

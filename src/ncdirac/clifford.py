@@ -24,7 +24,7 @@ from collections import namedtuple
 from functools import cache
 from itertools import combinations_with_replacement
 
-from .lie_algebra import ETA4_DIAG
+from .lie_algebra import ETA4_DIAG, quarter
 from .matrices import ExactMatrix, echelon
 from .scalars import I, ONE, P_ZERO, _poly_sum_of_products, poly
 
@@ -59,12 +59,10 @@ def _perm_product(*factors, turn: int = 0) -> tuple:
 @cache
 def _gamma_perms(eps5: int) -> tuple:
     """g^0..g^4 of the eps5 signature as phased permutations: gamma5 =
-    i g0 g1 g2 g3 is their phased product, and g^4 is gamma5 (eps5 = +1)
-    or i gamma5 (eps5 = -1)."""
-    if eps5 not in (1, -1):
-        raise ValueError("eps5 must be +1 or -1")
+    i g0 g1 g2 g3 is their phased product, g^4 is gamma5 at eps5 = +1, and
+    at eps5 = -1 it is the twist g^4 -> i g^4."""
     g5 = _perm_product(*_GAMMA_PERMS, turn=1)
-    return (*_GAMMA_PERMS, g5 if eps5 == 1 else _perm_product(g5, turn=1))
+    return (*_GAMMA_PERMS, _perm_product(g5, turn=quarter(eps5)))
 
 
 def gamma_sum(eps5: int, coeffs) -> ExactMatrix:
@@ -174,23 +172,12 @@ def spinor_generator_identities(eps5: int, mu: int, nu: int, vector) -> tuple:
     return len(gammas), None
 
 
-def clifford_continuation() -> tuple:
-    """(5, the gammas g^a at eps5 = -1 other than g^a at +1 for a < 4
-    and i g^4 at +1 for a = 4).  With none, every relation at eps5 = +1
-    carries to -1: g^4 -> i g^4 keeps each anticommutator and turns
-    (g^4)^2 = 1 into -1, the new eta_44."""
-    plus, minus = _gamma_perms(1), _gamma_perms(-1)
-    turned = (*plus[:4], _perm_product(plus[4], turn=1))
-    return len(turned), [f"g{a}" for a, (got, want) in enumerate(zip(minus, turned))
-                         if got != want]
-
-
 def gamma5_product_check(eps5: int) -> RelationCheck:
     """g0 g1 g2 g3 = -i gamma5, with gamma5 read from g^4: g^4 itself for
     eps5 = +1 and -i g^4 for eps5 = -1."""
     gammas = _gamma_perms(eps5)
     prod = _perm_product(*gammas[:4])
-    i_g5 = _perm_product(gammas[4], turn=1 if eps5 == 1 else 0)
+    i_g5 = _perm_product(gammas[4], turn=1 - quarter(eps5))
     # the gap prod - (-i gamma5) is prod + i gamma5
     return _check("gamma5_product", "g5 = i*g0*g1*g2*g3", prod == _perm_product(i_g5, turn=2),
                   lambda: [((prod, i_g5),)])

@@ -35,7 +35,7 @@ from functools import cache, cached_property
 from .scalars import (MOMENTUM_SYMBOLS, ExactScalar, LinearCombination, P_I, P_ONE, ParamPoly,
                       _accumulate, _int_terms, _join, _make, _packed_poly, _reduced_sums, poly,
                       sym)
-from .lie_algebra import flat_deformed_algebra, lower, minkowski_square
+from .lie_algebra import flat_deformed_algebra, lower, minkowski_square, quarter
 
 _HALF = ExactScalar(Fraction(1, 2))
 
@@ -155,8 +155,7 @@ def normal_form(expr: NCExpression, eps5: int, order: int | None = None,
     the formal inverse included.  Every rule is exact; with an ``order``
     the result's coefficients are truncated to that l-degree.
     """
-    if eps5 not in (1, -1):
-        raise ValueError("eps5 must be +1 or -1")
+    quarter(eps5)  # a bad eps5 raises
     acc: dict = {}
     for word, coeff in expr.terms.items():
         for w, c in _nf_word(eps5, word, leftmost).terms.items():
@@ -205,13 +204,13 @@ class Derivation:
 
     d_mu = -i[p_mu, .], read from the flat table: it sends x_nu to
     eta_munu C and rotations to their momentum gradient.  d_4 sends x_mu to
-    -eps5 l p_mu C.  Momenta, C and the formal inverse are annihilated, so
-    d(Cinv) = -Cinv d(C) Cinv = 0 automatically.
+    -l p_mu C at eps5 = +1, and at eps5 = -1 to i times the image of that
+    under l -> i l, +l p_mu C.  Momenta, C and the formal inverse are
+    annihilated, so d(Cinv) = -Cinv d(C) Cinv = 0 automatically.
     """
 
     def __init__(self, eps5: int, index: int):
-        if eps5 not in (1, -1):
-            raise ValueError("eps5 must be +1 or -1")
+        turns = quarter(eps5)
         if index not in (0, 1, 2, 3, 4):
             raise ValueError("derivation index must be 0..4")
         self.eps5 = eps5
@@ -222,8 +221,9 @@ class Derivation:
                 self.action[t] = NCExpression._made(
                     _letter_bracket(eps5, P_TOKENS[index], t)).scale(-I)
         else:
+            coeff = (-sym("l")).twist({"l": turns}, turns)
             for mu in range(4):
-                self.action[f"x{mu}"] = NCExpression({(f"p{mu}", C_TOKEN): -eps5 * sym("l")})
+                self.action[f"x{mu}"] = NCExpression({(f"p{mu}", C_TOKEN): coeff})
 
     def __call__(self, expr: NCExpression, order: int | None = None) -> NCExpression:
         acc = _leibniz(expr, lambda token: self.action[token].terms)
@@ -232,27 +232,10 @@ class Derivation:
 
 def plane_wave_scale(eps5: int) -> ParamPoly:
     """i eps5 l, the scale of the plane-wave identities d_4(A) = i eps5 l k.p
-    and [A, d_4(A)] = -i eps5 l k^2."""
-    return I * eps5 * sym("l")
-
-
-def planewave_continuation() -> tuple:
-    """(how many were compared, the swap rules, d_4 images and plane-wave
-    scale at eps5 = -1 other than the twist of those at +1): each rule
-    with l -> i l, and d_4 and the scale as i times their image under
-    l -> i l.  With none, the twist carries every normal form, and so
-    every plane-wave identity, at eps5 = +1 to the one at -1; the
-    exponent A holds no l."""
-    ell = {"l": 1}
-    plus, minus = _swap_rules(1), _swap_rules(-1)
-    pairs = sorted(plus.keys() | minus.keys())
-    bad = [f"[{a}, {b}]" for a, b in pairs
-           if minus.get((a, b)) != {w: c.twist(ell) for w, c in plus.get((a, b), {}).items()}]
-    d_plus, d_minus = Derivation(1, 4).action, Derivation(-1, 4).action
-    bad += [f"d4({t})" for t in TOKENS if d_minus[t] != d_plus[t].twist(ell, lambda w: 1)]
-    if plane_wave_scale(-1) != plane_wave_scale(1).twist(ell, 1):
-        bad.append("plane_wave_scale")
-    return len(pairs) + len(TOKENS) + 1, bad
+    and [A, d_4(A)] = -i eps5 l k^2: i l at eps5 = +1, and at eps5 = -1 i
+    times its image under l -> i l, as for d_4."""
+    turns = quarter(eps5)
+    return (I * sym("l")).twist({"l": turns}, turns)
 
 
 def plane_wave_exponent() -> NCExpression:
@@ -299,11 +282,13 @@ class PlaneWaveCheck:
 
     Each remainder is formed on first access, so ``momentum_remainders``
     costs the four ``[p_mu, A]`` normal forms and ``centrality_remainders``
-    adds only its sweep over the generators.  The identities are exact; an
-    ``order`` truncates each normal form to that l-degree.
+    adds only its sweep over the generators; a bad eps5 raises at once.
+    The identities are exact; an ``order`` truncates each normal form to
+    that l-degree.
     """
 
     def __init__(self, eps5: int, order: int | None = None):
+        self._scale = plane_wave_scale(eps5)
         self.eps5 = eps5
         self.order = order
         self._exponent = plane_wave_exponent()
@@ -340,7 +325,7 @@ class PlaneWaveCheck:
     @cached_property
     def derivative_remainder(self) -> NCExpression:
         """(ii) d_4(A) - i eps5 l k.p"""
-        return self._derivative - momentum_dot(plane_wave_scale(self.eps5))
+        return self._derivative - momentum_dot(self._scale)
 
     @cached_property
     def _mixed_commutator(self) -> NCExpression:
@@ -349,7 +334,7 @@ class PlaneWaveCheck:
     @cached_property
     def _central_scalar(self) -> ParamPoly:
         """i eps5 l k^2, the central value -[A, d_4(A)]"""
-        return plane_wave_scale(self.eps5) * minkowski_square(MOMENTUM_SYMBOLS)
+        return self._scale * minkowski_square(MOMENTUM_SYMBOLS)
 
     @cached_property
     def mixed_remainder(self) -> NCExpression:
@@ -394,9 +379,7 @@ def lemma_matrix_check(eps5: int) -> dict:
     ``plane_wave_derivative`` takes dA = i eps5 l k.p and
     [A, dA] = -i eps5 l k^2 from the plane-wave identities.
     """
-    if eps5 not in (1, -1):
-        raise ValueError("eps5 must be +1 or -1")
-    scale = plane_wave_scale(eps5)
+    scale = plane_wave_scale(eps5)  # a bad eps5 raises here
     k_low = lower(MOMENTUM_SYMBOLS)
     ksq = minkowski_square(MOMENTUM_SYMBOLS)
     c, half, x = -scale * ksq, poly(_HALF), [(0, 1)]  # x + f is x f

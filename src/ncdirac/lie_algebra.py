@@ -226,13 +226,12 @@ def _rotation_brackets(alg: StructureConstants, pairs, diag):
                     (index[(p, q)], 0, 0, n, 1) if p < q else (index[(q, p)], 0, 0, -n, 1)])
 
 
-def _check_signs(eps4: int, eps5: int):
-    if eps4 not in (1, -1) or eps5 not in (1, -1):
-        raise ValueError("eps4 and eps5 must be +1 or -1")
-
-
-def _quarter(eps: int) -> int:
-    """The quarter turns of i that square to the sign eps: 0 for +1, 1 for -1."""
+def quarter(eps: int, name: str = "eps5") -> int:
+    """The quarter turns of i that square to the sign eps, 0 for +1 and 1
+    for -1: the twist that carries the data at +1 to eps.  Any other value
+    of the sign ``name`` raises ValueError before any work is done."""
+    if eps not in (1, -1):
+        raise ValueError(f"{name} must be +1 or -1")
     return (1 - eps) // 2
 
 
@@ -240,26 +239,23 @@ def _quarter(eps: int) -> int:
 # the other pairs are its twists (``StructureConstants.twist``): the four
 # pairs are real forms of one complex algebra.  The cached tables are never
 # handed out: the public builders return copies, so a caller's in-place
-# edit of ``rows`` does not reach later calls.
+# edit of ``rows`` does not reach later calls.  A sign is checked by
+# ``quarter`` when its table is first built.
 
 
 def build_deformed_algebra(eps4: int, eps5: int) -> StructureConstants:
     """Symbolic bracket table; coefficients are polynomials in l and rho."""
-    _check_signs(eps4, eps5)
     return _deformed_table(eps4, eps5).copy()
 
 
 def flat_deformed_algebra(eps5: int) -> StructureConstants:
     """The rho -> 0 contraction of the deformed table.  It does not depend
     on eps4, which only ever multiplies rho."""
-    if eps5 not in (1, -1):
-        raise ValueError("eps5 must be +1 or -1")
     return _flat_table(eps5).copy()
 
 
 def build_orthogonal_algebra(eps4: int, eps5: int) -> StructureConstants:
     """so-type algebra of the 6-d metric diag(1,-1,-1,-1,eps4,eps5)."""
-    _check_signs(eps4, eps5)
     return _orthogonal_table(eps4, eps5).copy()
 
 
@@ -277,7 +273,8 @@ def _flat_table(eps5: int) -> StructureConstants:
 def _deformed_table(eps4: int, eps5: int) -> StructureConstants:
     """The (1, 1) table with rho -> eps4 rho and l -> i l for eps5 = -1:
     the table holds only eps4 rho and eps5 l^2."""
-    return _deformed_base(_RHO).twist(symbols={"rho": 2 * _quarter(eps4), "l": _quarter(eps5)})
+    return _deformed_base(_RHO).twist(symbols={"rho": 2 * quarter(eps4, "eps4"),
+                                                      "l": quarter(eps5)})
 
 
 @cache
@@ -325,7 +322,7 @@ def _orthogonal_table(eps4: int, eps5: int) -> StructureConstants:
     eps5 = -1 (M_45 takes both): a bracket that contracts the index 4 or 5
     picks up i^2 = -1, the sign of g_44 or g_55."""
     return _orthogonal_base().twist(
-        [_quarter(eps4) * (4 in pair) + _quarter(eps5) * (5 in pair) for pair in _SIX_PAIRS])
+        [quarter(eps4, "eps4") * (4 in pair) + quarter(eps5) * (5 in pair) for pair in _SIX_PAIRS])
 
 
 @cache
@@ -506,7 +503,7 @@ class IsomorphismSolution(namedtuple(
 def _isomorphism_source(eps4: int, eps5: int) -> StructureConstants:
     """A new deformed table at rho = r^2: the (1, 1) one twisted by r -> i r
     for eps4 = -1 and l -> i l for eps5 = -1, as eps4 rho = (i r)^2."""
-    return _deformed_base(_R2).twist(symbols={"r": _quarter(eps4), "l": _quarter(eps5)})
+    return _deformed_base(_R2).twist(symbols={"r": quarter(eps4, "eps4"), "l": quarter(eps5)})
 
 
 # the sign choices (s_alpha, s_beta, s_gamma); sign k goes with the
@@ -534,9 +531,8 @@ def solve_isomorphism_scalings(eps4: int, eps5: int) -> IsomorphismSolution:
     canonical (r, l, -r*l), is returned.  When neither canonical candidate
     is an invertible homomorphism, ArithmeticError is raised.
     """
-    r, ell = sym("r"), sym("l")
-    _check_signs(eps4, eps5)
     src = _isomorphism_source(eps4, eps5)
+    r, ell = sym("r"), sym("l")
     dst = build_orthogonal_algebra(eps4, eps5)
     for s0 in ((1, 1, -1), (1, 1, 1)):
         lmap = scaling_map(src, dst, r, ell, poly(s0[2]) * r * ell)

@@ -2,18 +2,22 @@
 dispersion branches, and reference-frame spinor solutions.
 
 The operator is D(k) = g^mu k_mu - eps5 * g^4 * (l/2) k^2 in the Majorana
-representation, i.e. g.k - g5 (l/2) k^2 for eps5 = +1 and g.k + i g5 (l/2)
-k^2 for eps5 = -1.  Squaring gives the dispersion polynomial
-k^2 + eps5 (l^2/4)(k^2)^2, written once in ``dispersion_polynomial``; its
-roots, the branches, are k^2 = 0 and k^2 = -eps5 4/l^2.  D is homogeneous,
-s D(k; s l) = D(s k; l) (``scaling_residual``), so what holds at one l
-holds, rescaled, at every l > 0.
+representation.  It is written once, at eps5 = +1, as g.k - g5 (l/2) k^2
+on the gammas of that signature, g5 = g^4 there; at eps5 = -1 it is the
+twist l -> -i l of that, g.k + i g5 (l/2) k^2, as g^4 = i g5 there.  The
+same twist carries the dispersion polynomial k^2 + (l^2/4)(k^2)^2, which
+D(k)^2 equals, to k^2 + eps5 (l^2/4)(k^2)^2 (``dispersion_polynomial``);
+its roots, the branches, are k^2 = 0 and k^2 = -eps5 4/l^2.  D is
+homogeneous, s D(k; s l) = D(s k; l) (``scaling_residual``), so what holds
+at one l holds, rescaled, at every l > 0.
 
 The heavy branch is written here once: its mass scale M = 2/l
 (``heavy_mass``), its k^2 = -eps5 M^2 (``heavy_k2``), the frame a massive
 mode rests in (``frame``), that mode's reality class (``massive_class``)
 and the one guarded kernel of a mode, two-dimensional or an error
 (``spinor_kernel``).  ``seesaw`` reads them for its light and heavy modes.
+These are facts of each real form, written per sign.  Every function here
+refuses an eps5 other than +1 or -1, and a length l <= 0.
 
 Momenta are stored upper-index; ``dirac_coefficients``, the one place D(k)
 is written, lowers them with ``lie_algebra.lower``.  Everything is exact:
@@ -34,18 +38,26 @@ from fractions import Fraction
 from itertools import combinations
 
 from .clifford import VerificationError, gamma_sum, reality_class, spinor_generator_identities
-from .lie_algebra import flat_deformed_algebra, lower, minkowski_square
+from .lie_algebra import flat_deformed_algebra, lower, minkowski_square, quarter
 from .matrices import ExactMatrix
-from .scalars import (MOMENTUM_SYMBOLS, P_I, ZERO, _make, _packed_poly, _poly_sum_of_products,
+from .scalars import (I, MOMENTUM_SYMBOLS, ZERO, _make, _packed_poly, _poly_sum_of_products,
                       as_fraction, exact_sqrt, poly, rounded, sym)
 
 BRANCHES = ("massless", "heavy")
 
 
+def _turned_length(ell, eps5: int):
+    """l at eps5 = +1 and -i l at eps5 = -1: the twist that carries D(k)
+    and its dispersion polynomial from +1 to -1, on a number or a ParamPoly."""
+    return ell * (-I) ** quarter(eps5)
+
+
 def dirac_coefficients(k, ell, eps5: int) -> list:
-    """The gamma^0..gamma^4 coefficients of D(k) = g^mu k_mu - eps5 g^4
-    (l/2) k^2: lower(k) and -eps5 (l/2) k^2, for exact numbers or ParamPoly."""
-    return [*lower(k), Fraction(-eps5, 2) * ell * minkowski_square(k)]
+    """The coefficients of D(k) on the eps5 = +1 gammas g^0..g^4: lower(k)
+    and -(l/2) k^2, with l turned (``_turned_length``), for exact numbers or
+    ParamPoly."""
+    ell = _turned_length(ell, eps5)
+    return [*lower(k), Fraction(-1, 2) * ell * minkowski_square(k)]
 
 
 def lorentz_generator(table, mu: int, nu: int) -> tuple:
@@ -88,14 +100,15 @@ def lorentz_covariance(eps5: int) -> dict:
 def dirac_matrix(eps5: int, k=MOMENTUM_SYMBOLS, ell=sym("l")) -> ExactMatrix:
     """D(k) at exact numbers or ParamPoly k and l, by default the symbols
     k0..k3 and l.  A float raises TypeError and a bad eps5 ValueError."""
-    return gamma_sum(eps5, dirac_coefficients(k, ell, eps5))
+    return gamma_sum(1, dirac_coefficients(k, ell, eps5))
 
 
 def dispersion_polynomial(ell, eps5: int) -> tuple:
     """(a, b) of the dispersion polynomial a k^2 + b (k^2)^2 =
-    k^2 + eps5 (l^2/4)(k^2)^2, which D(k)^2 equals times Id; l is an exact
-    number or a ParamPoly."""
-    return 1, ell * ell * Fraction(eps5, 4)
+    k^2 + eps5 (l^2/4)(k^2)^2, which D(k)^2 equals times Id: (1, l^2/4)
+    with l turned (``_turned_length``); l is an exact number or a ParamPoly."""
+    ell = _turned_length(ell, eps5)
+    return 1, ell * ell * Fraction(1, 4)
 
 
 def squared_identity_residual(eps5: int) -> ExactMatrix:
@@ -112,33 +125,16 @@ def scaling_residual(eps5: int) -> ExactMatrix:
     """s D(k; s l) - D(s k; l), one gamma sum of coefficient differences, k, l
     and s (the symbol r) symbolic: zero carries a kernel or root at one l > 0 to every l."""
     s = sym("r")
-    return gamma_sum(eps5, [s * a - b for a, b in zip(
+    return gamma_sum(1, [s * a - b for a, b in zip(
         dirac_coefficients(MOMENTUM_SYMBOLS, s * sym("l"), eps5),
         dirac_coefficients([s * c for c in MOMENTUM_SYMBOLS], sym("l"), eps5))])
 
 
-def modes_continuation() -> tuple:
-    """(2, which of D(k) and its dispersion polynomial at eps5 = -1 is not
-    the one at eps5 = +1 with l -> -i l), k and l symbolic: with none,
-    every identity of D at eps5 = +1 carries to -1."""
-    ell, turned = sym("l"), -P_I * sym("l")
-    return 2, [name for name, minus, plus in (
-        ("D(k)", dirac_matrix(-1), dirac_matrix(1, ell=turned)),
-        ("dispersion_polynomial", dispersion_polynomial(ell, -1),
-         dispersion_polynomial(turned, 1)),
-    ) if minus != plus]
-
-
 def dispersion_roots(ell, eps5: int) -> set:
     """Exact root set in k^2 of the dispersion polynomial
-    k^2 (a + b k^2): {0, -a/b}."""
-    if eps5 not in (1, -1):
-        raise ValueError("eps5 must be +1 or -1")
-    ellf = as_fraction(ell)
-    if ellf <= 0:
-        raise ValueError("ell must be positive")
-    a, b = dispersion_polynomial(ellf, eps5)
-    return {Fraction(0), -a / b}
+    k^2 (a + b k^2): {0, -a/b}, as Fractions."""
+    a, b = dispersion_polynomial(_length(ell), eps5)
+    return {Fraction(0), as_fraction(-a / b)}
 
 
 class SpinorSolution(namedtuple("SpinorSolution",
@@ -150,26 +146,36 @@ class SpinorSolution(namedtuple("SpinorSolution",
     __slots__ = ()
 
 
+def _length(ell) -> Fraction:
+    """l as an exact rational; l <= 0 raises ValueError."""
+    ellf = as_fraction(ell)
+    if ellf <= 0:
+        raise ValueError("ell must be positive")
+    return ellf
+
+
 def heavy_mass(ell) -> Fraction:
     """M = 2/l, the mass scale of the heavy branch."""
-    return 2 / as_fraction(ell)
+    return 2 / _length(ell)
 
 
 def heavy_k2(ell, eps5: int) -> Fraction:
     """The heavy branch k^2 = -eps5 M^2."""
+    quarter(eps5)  # a bad eps5 raises
     return -eps5 * heavy_mass(ell) ** 2
 
 
 def frame(eps5: int, x) -> tuple:
     """The four-vector with x on the axis of the massive frame: a massive
-    mode with k^2 = -eps5 x^2 rests on the time axis for eps5 = -1
-    (timelike) and on the z-axis for eps5 = +1 (spacelike)."""
-    return (x, 0, 0, 0) if eps5 == -1 else (0, 0, 0, x)
+    mode with k^2 = -eps5 x^2 rests on the z-axis for eps5 = +1
+    (spacelike) and on the time axis for eps5 = -1 (timelike)."""
+    return ((0, 0, 0, x), (x, 0, 0, 0))[quarter(eps5)]
 
 
 def massive_class(eps5: int) -> str:
-    """The reality class of a massive mode at rest in its ``frame``."""
-    return "Dirac" if eps5 == -1 else "Majorana"
+    """The reality class of a massive mode at rest in its ``frame``:
+    Majorana for eps5 = +1, Dirac for eps5 = -1."""
+    return ("Majorana", "Dirac")[quarter(eps5)]
 
 
 MASSLESS_CLASS = "Majorana"  # of a massless mode, for either eps5
@@ -179,6 +185,7 @@ def spinor_kernel(operator: ExactMatrix, k, eps5: int) -> tuple:
     """(basis, reality class) of the kernel of ``operator``, the Dirac-type
     operator at momentum k.  A mode's kernel must be two-dimensional:
     anything else signals a convention error and raises VerificationError."""
+    quarter(eps5)  # a bad eps5 raises before the kernel is formed
     basis = tuple(tuple(vec) for vec in operator.kernel())
     if len(basis) != 2:
         raise VerificationError(f"nullspace dimension {len(basis)} != 2 at "
@@ -196,11 +203,8 @@ def reference_solutions(ell, eps5: int, branch: str, energy_sign: int = 1) -> Sp
     """
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}")
-    if energy_sign not in (1, -1):
-        raise ValueError("energy_sign must be +1 or -1")
-    ellf = as_fraction(ell)
-    if ellf <= 0:
-        raise ValueError("ell must be positive")
+    quarter(energy_sign, "energy_sign")  # a bad sign raises
+    ellf = _length(ell)
     if branch == "heavy":
         k = frame(eps5, energy_sign * heavy_mass(ellf))
     else:
@@ -216,9 +220,7 @@ def residual(k, u, ell, eps5: int) -> float:
     exactly when D(k) u = 0.  k and l > 0 are exact rationals (strings like
     "1/10" too); the entries of u are exact numbers or Python complex
     numbers with integer parts."""
-    ellf = as_fraction(ell)
-    if ellf <= 0:
-        raise ValueError("ell must be positive")
+    ellf = _length(ell)
     return operator_residual(dirac_matrix(eps5, tuple(as_fraction(c) for c in k), ellf), u)
 
 

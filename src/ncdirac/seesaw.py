@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cache
 
 from .clifford import gamma_sum
-from .lie_algebra import lower
+from .lie_algebra import lower, quarter
 from .matrices import ExactMatrix
 from .modes import frame, heavy_mass, massive_class, spinor_kernel
 from .scalars import (I, ONE, ExactScalar, ParamPoly, _coerce_scalar, as_fraction,
@@ -63,8 +63,7 @@ class CouplingConfig:
     __slots__ = ("g", "vev", "ell", "eps5")
 
     def __init__(self, g: ExactScalar, vev: Fraction, ell: Fraction, eps5: int):
-        if eps5 not in (1, -1):
-            raise ValueError("eps5 must be +1 or -1")
+        quarter(eps5)  # a bad eps5 raises
         self.eps5 = eps5
         self.g = ExactScalar.parse(g) if isinstance(g, str) else _coerce_scalar(g)
         self.vev = as_fraction(vev)

@@ -5,13 +5,17 @@ xi^0..xi^4 as polynomial coefficient times partial derivative words,
 
     P_mu   = i d_mu
     M_munu = i (xi_mu d_nu - xi_nu d_mu)
-    x_mu   = xi_mu + i l (xi_mu d_4 - eps5 xi^4 d_mu)
+    x_mu   = xi_mu + i l (xi_mu d_4 - xi^4 d_mu)
     C      = 1 + i l d_4
 
-with xi_mu = eta_munu xi^nu (index lowered) while d_mu = d/dxi^mu stays
-unlowered and xi^4 is the raw fifth variable.  The commutators close on the
-flat (rho = 0) deformed table; that closure certifies the sign and index
-placement used everywhere else in the package.
+at eps5 = +1, with xi_mu = eta_munu xi^nu (index lowered) while
+d_mu = d/dxi^mu stays unlowered and xi^4 is the raw fifth variable.  At
+eps5 = -1 each image is the twist tau of its formula: l -> i l,
+xi^4 -> i xi^4, d_4 -> -i d_4, which keeps [d_4, xi^4] = 1 and turns the
+flat table at +1 into the one at -1, so x_mu there reads
+xi_mu + i l (xi_mu d_4 + xi^4 d_mu).
+The commutators close on the flat (rho = 0) deformed table; that closure
+certifies the sign and index placement used everywhere else in the package.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from functools import cache
 from itertools import combinations, product
 from math import comb, factorial
 
-from .lie_algebra import DEFORMED_BASIS, flat_deformed_algebra, lower
+from .lie_algebra import DEFORMED_BASIS, flat_deformed_algebra, lower, quarter
 from .scalars import P_I, P_ONE, LinearCombination, _int_terms, _join, _reduced_sums, sym
 
 NVARS = 5
@@ -145,10 +149,11 @@ def _summed(sums: dict) -> WeylOperator:
 
 def build_rep(eps5: int) -> dict:
     """Generator name -> WeylOperator, symbolic in l, each written term by
-    term from the formulas of the module docstring: every product there is
-    already normal ordered, and xi_mu = eta_munu xi^nu is ``lower``."""
-    if eps5 not in (1, -1):
-        raise ValueError("eps5 must be +1 or -1")
+    term at eps5 = +1 from the formulas of the module docstring: every
+    product there is already normal ordered, and xi_mu = eta_munu xi^nu is
+    ``lower``.  At eps5 = -1 each image is its twist tau, which turns a
+    term xi^alpha d^beta by i^(alpha_4 - beta_4)."""
+    turns = quarter(eps5)
     il = P_I * sym("l")
     e = [tuple(int(i == a) for i in range(NVARS)) for a in range(NVARS)]
     eta, eta_i, eta_il = lower((1,) * 4), lower((P_I,) * 4), lower((il,) * 4)
@@ -159,9 +164,10 @@ def build_rep(eps5: int) -> dict:
         rep[f"M{mu}{nu}"] = WeylOperator({(e[mu], e[nu]): eta_i[mu], (e[nu], e[mu]): -eta_i[nu]})
     for mu in range(4):
         rep[f"x{mu}"] = WeylOperator({(e[mu], _ZERO5): eta[mu], (e[mu], e[4]): eta_il[mu],
-                                      (e[4], e[mu]): il if eps5 < 0 else -il})
+                                      (e[4], e[mu]): -il})
     rep["C"] = WeylOperator({(_ZERO5, _ZERO5): P_ONE, (_ZERO5, e[4]): il})
-    return rep
+    return {name: image.twist({"l": turns}, lambda key: turns * (key[0][4] - key[1][4]))
+            for name, image in rep.items()}
 
 
 # the eight bracket lines of the deformed table; pairs outside them
@@ -203,20 +209,6 @@ def closure_families(eps5: int):
         residuals = _reduced_sums(sums)
         yield fam, [((names[idx_a], names[idx_b]), WeylOperator._made(residuals.get(tag, {})))
                     for tag, (idx_a, idx_b) in enumerate(pairs[fam])]
-
-
-def rep_continuation() -> tuple:
-    """(15, the generators a with rep(a) at eps5 = -1 other than tau of
-    rep(a) at eps5 = +1), tau the twist l -> i l, xi^4 -> i xi^4,
-    d_4 -> -i d_4: a term xi^alpha d^beta turns by i^(alpha_4 - beta_4).
-
-    tau keeps [d_4, xi^4] = 1, and l -> i l is the twist that makes the
-    flat table at eps5 = -1 of the one at +1, so with no mismatch tau
-    carries every closure residual at eps5 = +1 to the one at -1."""
-    plus, minus = build_rep(1), build_rep(-1)
-    return len(DEFORMED_BASIS), [
-        name for name in DEFORMED_BASIS
-        if minus[name] != plus[name].twist({"l": 1}, lambda key: key[0][4] - key[1][4])]
 
 
 def verify_rep_closure(eps5: int):

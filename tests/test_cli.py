@@ -5,7 +5,6 @@ import copy
 import json
 import math
 import os
-import shutil
 import subprocess
 import sys
 from itertools import chain
@@ -13,8 +12,9 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from package_mutant import failed, mutant_report
 
-from ncdirac import checks, enveloping, modes, seesaw, weyl
+from ncdirac import checks, enveloping, seesaw, weyl
 from ncdirac.cli import main
 from ncdirac.lie_algebra import build_deformed_algebra
 
@@ -100,7 +100,7 @@ def test_rep_family_count(capsys):
     code, out = run(capsys, "verify", "rep")
     assert code == 0
     doc = json.loads(out)
-    assert doc["summary"] == {"failed": 0, "passed": 9, "total": 9}  # 8 families, continuation
+    assert doc["summary"] == {"failed": 0, "passed": 8, "total": 8}  # 8 families
 
 
 def test_clifford_relation_count(capsys):
@@ -108,8 +108,8 @@ def test_clifford_relation_count(capsys):
     assert code == 0
     doc = json.loads(out)
     relation_reports = [r for r in doc["reports"] if "anticommutator" in r["check"]]
-    # two product checks and the continuation
-    assert len(relation_reports) == 15 == len(doc["reports"]) - 3
+    # and two product checks
+    assert len(relation_reports) == 15 == len(doc["reports"]) - 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -118,8 +118,8 @@ def test_clifford_relation_count(capsys):
     ("verify", "planewave", "--eps5", "1"),
 ])
 def test_a_sign_free_family_takes_no_sign(capsys, argv):
-    # these families run once, at eps5 = 1, and their continuation row
-    # carries them to -1: a sign would only pick which copy to print
+    # these families run once, at eps5 = 1, and the twist that builds the
+    # eps5 = -1 data carries them there: a sign would pick nothing to print
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
@@ -155,7 +155,6 @@ def test_timings_charge_each_row_its_own_work(capsys, monkeypatch):
         "planewave_mixed": 1,  # [A, d4(A)], which the vacuum row reuses
         "planewave_vacuum": 0,
         "planewave_lemma": 0,
-        "planewave_continuation": 0,
     }
 
 
@@ -233,28 +232,18 @@ def test_rest_frame_kernel_of_wrong_dimension_fails_the_effective_row(
     assert all(r["status"] == "pass" for r in rows.values())
 
 
-_FRAME = "(x, 0, 0, 0) if eps5 == -1 else (0, 0, 0, x)"
+_FRAME = "((0, 0, 0, x), (x, 0, 0, 0))[quarter(eps5)]"
 
 
 def test_a_swapped_frame_fails_every_massive_row(tmp_path):
     # the massive frame is written once, in modes.frame: swap its two axes
     # in a copy of the package, and every row that reads a massive mode at
     # rest fails for both eps5, while check all still prints every row
-    package = Path(modes.__file__).parent
-    mutant = tmp_path / "ncdirac"
-    shutil.copytree(package, mutant, ignore=shutil.ignore_patterns("__pycache__"))
-    source = (mutant / "modes.py").read_text()
-    assert source.count(_FRAME) == 1
-    (mutant / "modes.py").write_text(
-        source.replace(_FRAME, "(0, 0, 0, x) if eps5 == -1 else (x, 0, 0, 0)"))
-    env = dict(os.environ, PYTHONPATH=str(tmp_path))
-    done = subprocess.run([sys.executable, "-m", "ncdirac", "check", "all", "--seed", "42"],
-                          cwd=tmp_path, env=env, capture_output=True, text=True)
-    assert done.returncode == 1, done.stderr
-    doc = json.loads(done.stdout)
-    assert doc["summary"]["total"] == 57
-    failed = {(r["check"], r["params"]["eps5"]) for r in doc["reports"] if r["status"] == "fail"}
-    assert failed == {(check, e5) for e5 in (1, -1) for check in (
+    report = mutant_report(tmp_path, "modes.py", _FRAME,
+                           "((x, 0, 0, 0), (0, 0, 0, x))[quarter(eps5)]",
+                           "check", "all", "--seed", "42")
+    assert report["summary"]["total"] == len(report["reports"]) == 53
+    assert failed(report) == {(check, e5) for e5 in (1, -1) for check in (
         "modes_reference_heavy", "seesaw_spectrum", "seesaw_effective",
         "seesaw_convergence", "seesaw_decoupling")}
 
@@ -302,7 +291,7 @@ def test_a_float_past_its_range_fails_only_the_seesaw_rows(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 1
     reports = json.loads(out)["reports"]
-    assert len(reports) == (57 if argv[0] == "check" else 4)
+    assert len(reports) == (53 if argv[0] == "check" else 4)
     failed = [r for r in reports if r["status"] != "pass"]
     assert failed and all(r["check"].startswith("seesaw_") for r in failed)
     spectra = [r for r in reports if r["check"] == "seesaw_spectrum"]

@@ -241,8 +241,8 @@ def test_each_clifford_relation_is_its_own_step(monkeypatch):
     assert calls == [(0, 0)]
     assert next(rows).check == "clifford_anticommutator_g0_g1"
     assert calls == [(0, 0), (0, 1), (1, 0)]
-    # 13 relations, two product checks and the continuation
-    assert len(list(rows)) == 16
+    # 13 relations and two product checks
+    assert len(list(rows)) == 15
 
 
 def _axis_boost(y):

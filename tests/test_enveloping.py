@@ -233,9 +233,9 @@ def test_a_negated_plane_wave_scale_fails_its_three_rows(monkeypatch, capsys):
     monkeypatch.setattr(enveloping, "plane_wave_scale", lambda eps5: -scale(eps5))
     assert main(["check", "all", "--seed", "42"]) == 1
     doc = json.loads(capsys.readouterr().out)
-    assert doc["summary"]["total"] == 57
-    # the rows run at eps5 = 1; the scale negated at both signs is still
-    # the twist of itself, so planewave_continuation passes
+    assert doc["summary"]["total"] == 53
+    # the rows run at eps5 = 1, and the scale at -1 is the twist of the one
+    # at +1, so the negation reaches both signs alike
     failed = {(r["check"], r["params"]["eps5"]) for r in doc["reports"] if r["status"] == "fail"}
     assert failed == {(check, 1) for check in (
         "planewave_derivative", "planewave_mixed", "planewave_vacuum")}
@@ -280,8 +280,8 @@ def test_flipped_swap_rule_fails_the_plane_wave_rows(monkeypatch, eps5, mu):
     # [x_mu, p_mu] is the rule the momentum and mixed identities rest on;
     # the Cinv rule and [x_mu, C] cancel out of every plane-wave row.
     # Flipped at eps5 it breaks those identities there, run directly; the
-    # rows run at eps5 = 1 and fail when it is flipped there, and at either
-    # sign the rules are no longer each other's twist
+    # rows run at eps5 = 1 and fail when it is flipped there.  The rules at
+    # -1 are read off the twist of the table at +1, and no row reads them
     own = _own_enveloping()
     rules = own._swap_rules(eps5)
     key = (f"x{mu}", f"p{mu}")
@@ -290,13 +290,9 @@ def test_flipped_swap_rule_fails_the_plane_wave_rows(monkeypatch, eps5, mu):
     assert not all(r.is_zero() for r in direct.momentum_remainders)
     assert not direct.mixed_remainder.is_zero()
     monkeypatch.setattr(checks, "verify_plane_wave_relations", own.verify_plane_wave_relations)
-    monkeypatch.setattr(checks, "planewave_continuation", own.planewave_continuation)
     rows = checks.cmd_verify_planewave(checks.RunConfig())
     failed = {r.check for r in rows if not r.passed}
-    if eps5 == 1:
-        assert {"planewave_momentum", "planewave_mixed", "planewave_continuation"} <= failed
-    else:
-        assert failed == {"planewave_continuation"}
+    assert ({"planewave_momentum", "planewave_mixed"} <= failed) if eps5 == 1 else not failed
 
 
 def _overlaps(module, eps5) -> tuple:

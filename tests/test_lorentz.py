@@ -23,9 +23,9 @@ def _generator_rows(cfg=None):
 
 
 def test_lorentz_generator_rows_pass_with_their_counts():
-    # the row runs once, at eps5 = 1, whatever the flags: modes_continuation
-    # carries it to -1, where the proof, run directly, passes with the
-    # same counts
+    # the row runs once, at eps5 = 1, whatever the flags: the twist
+    # l -> -i l carries it to -1, where the proof, run directly, passes
+    # with the same counts
     counts = {"generators": 6, "gamma_identities": 30, "dirac_identities": 6, "failure": None}
     for cfg in (RunConfig(), RunConfig(eps5=-1)):
         [(eps5, row)] = _generator_rows(cfg).items()

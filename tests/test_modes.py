@@ -1,15 +1,9 @@
 """Dispersion branches, exact nullspaces, and exact boost covariance by the
 Cayley boost oracle."""
 
-import json
-import os
 import random
-import shutil
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import combinations
-from pathlib import Path
 
 import cayley_oracle
 import numpy as np
@@ -18,6 +12,7 @@ from cayley_oracle import boost_defect, cayley_boost
 from exact_arrays import as_array
 from exact_gammas import exact_gammas
 from hypothesis import given, settings, strategies as st
+from package_mutant import failed_rows
 
 from ncdirac import checks, clifford, modes
 from ncdirac.clifford import VerificationError, reality_class
@@ -66,16 +61,16 @@ def test_squared_identity_is_the_product_less_the_scaled_identity(monkeypatch, e
 @pytest.mark.parametrize("eps5", [1, -1])
 def test_a_negated_quartic_coefficient_fails_the_dispersion_identity(monkeypatch, eps5):
     # negated at one sign only: the identity, run there directly, fails; the
-    # identity row runs at eps5 = 1 and fails when the sign is 1, and at
-    # either sign the polynomial is no longer the twist of the other's
+    # identity row runs at eps5 = 1 and fails when the sign is 1, and the
+    # roots row of the negated sign fails at either
     true = modes.dispersion_polynomial
     monkeypatch.setattr(modes, "dispersion_polynomial", lambda ell, e5: (
         (true(ell, e5)[0], -true(ell, e5)[1]) if e5 == eps5 else true(ell, e5)))
     assert not squared_identity_residual(eps5).is_zero()
-    rows = {r.check: r for r in checks.cmd_modes(checks.RunConfig())}
-    assert rows["dispersion_identity"].passed == (eps5 == -1)
-    assert not rows["modes_continuation"].passed
-    assert rows["modes_continuation"].details["first_mismatch"] == "dispersion_polynomial"
+    rows = checks.cmd_modes(checks.RunConfig())
+    failed = {(r.check, r.params["eps5"]) for r in rows if not r.passed}
+    assert failed == {("dispersion_roots", eps5)} | ({("dispersion_identity", 1)} if eps5 == 1
+                                                     else set())
 
 
 @pytest.mark.parametrize("eps5", [1, -1])
@@ -92,28 +87,16 @@ def test_scaling_identity_means_what_it_says(eps5, s, ell, k):
     assert lhs == rhs
 
 
-_D_SCALE = "Fraction(-eps5, 2) * ell * minkowski_square(k)"
+_D_SCALE = "Fraction(-1, 2) * ell * minkowski_square(k)"
 
 
 def test_a_length_squared_in_d_fails_modes_scaling(tmp_path):
     # D(k) is written once, in dirac_coefficients: with l squared there, in
     # a copy of the package, D is not homogeneous and modes_scaling fails,
-    # beside the rows that read D at l = 2; and l -> -i l no longer takes D
-    # at eps5 = 1 to D at -1
-    mutant = tmp_path / "ncdirac"
-    shutil.copytree(Path(modes.__file__).parent, mutant,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    source = (mutant / "modes.py").read_text()
-    assert source.count(_D_SCALE) == 1
-    (mutant / "modes.py").write_text(
-        source.replace(_D_SCALE, _D_SCALE.replace("ell", "ell ** 2")))
-    env = dict(os.environ, PYTHONPATH=str(tmp_path))
-    done = subprocess.run([sys.executable, "-m", "ncdirac", "modes"],
-                          cwd=tmp_path, env=env, capture_output=True, text=True)
-    assert done.returncode == 1, done.stderr
-    failed = {(r["check"], r["params"]["eps5"])
-              for r in json.loads(done.stdout)["reports"] if r["status"] == "fail"}
-    assert failed == {("dispersion_identity", 1), ("modes_scaling", 1), ("modes_continuation", -1),
+    # beside the rows that read D at l = 2 at either sign
+    failed = failed_rows(tmp_path, "modes.py", _D_SCALE, _D_SCALE.replace("ell", "ell ** 2"),
+                         "modes")
+    assert failed == {("dispersion_identity", 1), ("modes_scaling", 1),
                       ("modes_reference_heavy", 1), ("modes_reference_heavy", -1)}
 
 
@@ -226,6 +209,25 @@ def test_float_length_is_rejected():
         reference_solutions(0.1, -1, "heavy")
     sol = reference_solutions(Fraction(1, 10), -1, "heavy")
     assert sol.k == (Fraction(20), 0, 0, 0)
+
+
+# every function of modes that reads the length l, at valid other arguments
+_AT_LENGTH = {
+    "heavy_mass": modes.heavy_mass,
+    "heavy_k2": lambda ell: modes.heavy_k2(ell, 1),
+    "dispersion_roots": lambda ell: dispersion_roots(ell, -1),
+    "reference_solutions": lambda ell: reference_solutions(ell, -1, "heavy"),
+    "residual": lambda ell: residual((1, 0, 0, 1), (1, 0, 0, 0), ell, 1),
+}
+
+
+@pytest.mark.parametrize("ell", [0, -2, "-1/3"])
+@pytest.mark.parametrize("name", _AT_LENGTH)
+def test_a_length_that_is_not_positive_is_refused(name, ell):
+    # heavy_mass(-2) once gave the negative mass -1, and heavy_mass(0)
+    # divided by zero
+    with pytest.raises(ValueError, match="ell must be positive"):
+        _AT_LENGTH[name](ell)
 
 
 def test_residual_rejects_zero_vector():

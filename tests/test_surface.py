@@ -31,6 +31,7 @@ from collections import Counter
 from pathlib import Path
 
 from golden_commands import COMMANDS
+from signed_calls import SIGNED
 
 from ncdirac import checks
 
@@ -196,7 +197,7 @@ def _call_name(node) -> str | None:
 
 
 def test_one_function_builds_the_dirac_operator():
-    # D(k) = gamma_sum(eps5, dirac_coefficients(k, l, eps5)) is built once,
+    # D(k) = gamma_sum(1, dirac_coefficients(k, l, eps5)) is built once,
     # at exact numbers and at polynomials alike
     builders = {f"{path.stem}.{node.name}" for path in sorted(PACKAGE.glob("*.py"))
                 for node in ast.walk(ast.parse(path.read_text()))
@@ -319,6 +320,75 @@ def test_every_module_level_import_is_used():
     unused = {path.name: _unused_imports(ast.parse(path.read_text()), exports(path.stem))
               for path in sorted(PACKAGE.glob("*.py"))}
     assert not any(unused.values()), {m: names for m, names in unused.items() if names}
+
+
+def _has_eps5(node) -> bool:
+    return any(arg.arg == "eps5" for arg in node.args.args + node.args.kwonlyargs)
+
+
+def test_the_bad_sign_list_names_every_signed_definition():
+    # tests/test_signs.py calls each of them at eps5 = 0, 2 and -2: a new
+    # public function or class with an eps5 parameter joins the list
+    signed = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                inits = [item for item in node.body if getattr(item, "name", None) == "__init__"]
+            elif isinstance(node, ast.FunctionDef):
+                inits = [node]
+            else:
+                continue
+            if not node.name.startswith("_") and any(map(_has_eps5, inits)):
+                signed.add(f"{path.stem}.{node.name}")
+    assert signed == set(SIGNED)
+
+
+def _sign_reads(node, functions) -> list:
+    """The lines where ``node`` reads eps5, as a name or an attribute, other
+    than whole, as an argument of a call of one of ``functions`` or as the
+    value an assignment stores: each such read is a branch or a factor."""
+    parents = {child: parent for parent in ast.walk(node) for child in ast.iter_child_nodes(parent)}
+    return sorted(read.lineno for read in ast.walk(node)
+            if getattr(read, "id", getattr(read, "attr", None)) == "eps5"
+            and isinstance(read.ctx, ast.Load)
+            and not (isinstance(parents[read], ast.Assign)
+                     or read in getattr(parents[read], "args", ())
+                     and _call_name(parents[read]) in functions))
+
+
+def test_the_sign_rule_sees_branches_and_factors():
+    tree = ast.parse("""
+def f(eps5, x):
+    turns = quarter(eps5)
+    self.eps5 = eps5
+    y = normal_form(x, self.eps5)
+    a = x if eps5 < 0 else -x
+    b = Fraction(-eps5, 2), Fraction(eps5, 4)
+    if self.eps5 == 1:
+        return -eps5 * x
+""")
+    assert _sign_reads(tree.body[0], {"quarter", "normal_form"}) == [6, 7, 7, 8, 9]
+
+
+# the functions that write their data at eps5 = 1 and reach -1 by its twist
+_TWISTING = {"weyl": {"build_rep"}, "enveloping": {"Derivation", "plane_wave_scale"},
+             "modes": {"dirac_coefficients", "dispersion_polynomial"},
+             "clifford": {"_gamma_perms"}}
+
+
+def test_the_twisting_functions_branch_on_no_sign():
+    # eps5 reaches each only whole, through quarter or another function of
+    # the package: no branch and no factor types the eps5 = -1 data there
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    functions = {node.name for tree in trees.values() for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    found = {}
+    for module, names in _TWISTING.items():
+        nodes = [node for node in trees[module].body if getattr(node, "name", None) in names]
+        assert len(nodes) == len(names), module
+        for node in nodes:
+            found[f"{module}.{node.name}"] = _sign_reads(node, functions)
+    assert not any(found.values()), found
 
 
 _STORE_NAMES = {"_gamma_perms", "_perm_product", "_POLY_POWERS", "_anticommute"}
