@@ -26,6 +26,7 @@ from .lie_algebra import (
     flat_deformed_algebra,
     jacobi_residual,
     jacobi_triple_count,
+    quarter,
     solve_isomorphism_scalings,
 )
 from .weyl import closure_families
@@ -58,24 +59,20 @@ from .seesaw import (
     verify_effective_equation,
 )
 
-SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
 class RunConfig:
-    """Shared knobs for every check command.  A None sign means
-    "sweep both values" (both eps4 values where eps4 matters).  The default
-    background vev sits well inside the seesaw regime mu/M << 1."""
+    """Shared knobs for every check command.  A None eps5 means "sweep both
+    signs".  The default background vev sits well inside the seesaw regime
+    mu/M << 1."""
 
-    __slots__ = ("eps4", "eps5", "ell", "g", "vev", "seed", "fmt", "out", "fixture",
-                 "timings")
+    __slots__ = ("eps5", "ell", "g", "vev", "seed", "fmt", "out", "fixture", "timings")
 
-    def __init__(self, eps4: int | None = None, eps5: int | None = None,
+    def __init__(self, eps5: int | None = None,
                  ell: Fraction = Fraction(1), g: ExactScalar = ExactScalar(Fraction(1)),
                  vev: Fraction = Fraction(1, 100), seed: int = 0,
                  fmt: str = "json", out: str | None = None, fixture: str | None = None,
                  timings: bool = False):
-        if eps4 not in (None, 1, -1) or eps5 not in (None, 1, -1):
-            raise ValueError("sign parameters must be +1 or -1")
+        if eps5 is not None:
+            quarter(eps5)
         if not ell > 0:
             raise ValueError("ell must be positive")
         if vev < 0:
@@ -87,17 +84,9 @@ class RunConfig:
         for name, path in (("out", out), ("fixture", fixture)):
             if path == "":
                 raise ValueError(f"{name} must name a file, not be empty")
-        self.eps4, self.eps5, self.ell, self.g, self.vev = eps4, eps5, ell, g, vev
+        self.eps5, self.ell, self.g, self.vev = eps5, ell, g, vev
         self.seed, self.fmt, self.out = seed, fmt, out
         self.fixture, self.timings = fixture, timings
-
-    def sign_pairs(self):
-        return tuple(
-            (e4, e5)
-            for e4, e5 in SIGN_PAIRS
-            if (self.eps4 is None or e4 == self.eps4)
-            and (self.eps5 is None or e5 == self.eps5)
-        )
 
     def eps5_values(self):
         return (1, -1) if self.eps5 is None else (self.eps5,)
@@ -107,7 +96,7 @@ class RunConfig:
 # that runs it alone and the settings its rows read.  ``command`` finds
 # each command's function by its name.
 FAMILIES = {
-    "algebra": ("verify algebra", ("eps4", "eps5", "fixture")),
+    "algebra": ("verify algebra", ("fixture",)),
     "rep": ("verify rep", ()),
     "clifford": ("verify clifford", ()),
     "planewave": ("verify planewave", ()),
@@ -261,30 +250,33 @@ def cmd_verify_algebra(cfg: RunConfig):
         },
     )
 
-    # the real scalings differ from pair to pair
-    for e4, e5 in cfg.sign_pairs():
-        try:
-            sol = solve_isomorphism_scalings(e4, e5)
-        except ArithmeticError as exc:
-            # no sign choice passes: a fail row, and the run goes on
-            ok, residual = False, None
-            details = {"passing_sign_choices": [], "error": str(exc)}
-        else:
-            # a returned solution is an invertible map that matches every
-            # bracket; the row fails only when a sign choice is missing
-            ok, residual = len(sol.passing_sign_choices) == 4, 0
-            details = {
-                "alpha": str(sol.alpha), "beta": str(sol.beta), "gamma": str(sol.gamma),
-                "invertible": True,
-                "passing_sign_choices": [list(s) for s in sol.passing_sign_choices],
-                "mismatched_brackets": 0,
-            }
-        yield CheckReport(
-            "isomorphism", {"eps4": e4, "eps5": e5}, ok=ok,
-            relation="phi([a,b]) = [phi(a), phi(b)] with P -> alpha*M_mu4, "
-                     "x -> beta*M_mu5, C -> gamma*M45",
-            residual=residual, details=details,
-        )
+    # the map keeps its formula (r, l, -r*l) at every pair: the twist of the
+    # source's r and l turns each image by its target's basis phase
+    try:
+        sol = solve_isomorphism_scalings(1, 1)
+    except ArithmeticError as exc:
+        # no sign choice passes: a fail row, and the run goes on
+        ok, residual = False, None
+        details = {"passing_sign_choices": [], "error": str(exc)}
+    else:
+        # a returned solution is an invertible map that matches every
+        # bracket; the row fails only when a sign choice is missing
+        ok, residual = len(sol.passing_sign_choices) == 4, 0
+        details = {
+            "alpha": str(sol.alpha), "beta": str(sol.beta), "gamma": str(sol.gamma),
+            "invertible": True,
+            "passing_sign_choices": [list(s) for s in sol.passing_sign_choices],
+            "mismatched_brackets": 0,
+        }
+    yield CheckReport(
+        "isomorphism", params, ok=ok,
+        relation="phi([a,b]) = [phi(a), phi(b)] with P -> alpha*M_mu4, "
+                 "x -> beta*M_mu5, C -> gamma*M45; at eps4 = eps5 = 1: every other "
+                 "sign pair's source is its twist r -> i*r (eps4 = -1), l -> i*l "
+                 "(eps5 = -1), its target the twist M_a4 -> i*M_a4 (eps4 = -1), "
+                 "M_a5 -> i*M_a5 (eps5 = -1), and the map keeps its formula",
+        residual=residual, details=details,
+    )
 
     if cfg.fixture:
         with open(cfg.fixture, "r", encoding="utf-8") as fh:
@@ -392,8 +384,8 @@ def cmd_verify_planewave(cfg: RunConfig):
 # -- dispersion and modes -----------------------------------------------------
 
 
-# every per-sign modes row runs at l = 2, M = 1: modes_scaling carries it
-# to every l > 0, and the massless reference, at k^2 = 0, reads no l
+# the roots and the reference kernels run at l = 2, M = 1: modes_scaling
+# carries them to every l > 0, and the massless kernel, at k^2 = 0, reads no l
 _MODES_ELL = Fraction(2)
 _CARRIED = "at l = 2; modes_scaling carries it to every l > 0"
 
@@ -422,39 +414,45 @@ def _operator_rows():
         details=covariance,
     )
 
+    # at k^2 = 0 the g^4 term of D(k) vanishes: the massless kernel is the
+    # same at either eps5
+    yield _reference_row(1, "massless", MASSLESS_CLASS)
+
+
+def _reference_row(eps5: int, branch: str, want: str) -> CheckReport:
+    """The row of the reference kernel of ``branch`` at ``eps5``, whose
+    class must be ``want``."""
+    try:
+        sol = reference_solutions(_MODES_ELL, eps5, branch)
+        worst = max(operator_residual(sol.operator, u) for u in sol.basis)
+        ok = sol.spinor_class == want and worst == 0.0
+        details = {"k": [str(c) for c in sol.k],
+                   "nullspace_dim": len(sol.basis), "class": sol.spinor_class}
+        if branch == "heavy":
+            details.update(k2=str(sol.k2), expected_class=want)
+    except VerificationError as exc:
+        ok, worst, details = False, None, {"error": str(exc)}
+    return CheckReport(
+        f"modes_reference_{branch}", {"eps5": eps5}, ok=ok,
+        relation=f"D(k) u = 0 with dim ker = 2 on the {branch} branch {_CARRIED}",
+        residual=worst, details=details,
+    )
+
 
 @_command
 def cmd_modes(cfg: RunConfig):
     yield from _twisted(_operator_rows(), "l -> -i*l")
 
-    # the roots and the kernels are real-form facts: one set per sign
+    # the roots and the heavy kernel are real-form facts: one set per sign
     for e5 in cfg.eps5_values():
-        params = {"eps5": e5}
         roots = dispersion_roots(_MODES_ELL, e5)
         yield CheckReport(
-            "dispersion_roots", params,
+            "dispersion_roots", {"eps5": e5},
             ok=roots == {0, heavy_k2(_MODES_ELL, e5)},
             relation=f"k^2 * (1 + eps5*(l^2/4)*k^2) = 0 {_CARRIED}",
             details={"roots": sorted(str(r) for r in roots)},
         )
-
-        for branch, want in (("heavy", massive_class(e5)),
-                             ("massless", MASSLESS_CLASS)):
-            try:
-                sol = reference_solutions(_MODES_ELL, e5, branch)
-                worst = max(operator_residual(sol.operator, u) for u in sol.basis)
-                ok = sol.spinor_class == want and worst == 0.0
-                details = {"k": [str(c) for c in sol.k],
-                           "nullspace_dim": len(sol.basis), "class": sol.spinor_class}
-                if branch == "heavy":
-                    details.update(k2=str(sol.k2), expected_class=want)
-            except VerificationError as exc:
-                ok, worst, details = False, None, {"error": str(exc)}
-            yield CheckReport(
-                f"modes_reference_{branch}", params, ok=ok,
-                relation=f"D(k) u = 0 with dim ker = 2 on the {branch} branch {_CARRIED}",
-                residual=worst, details=details,
-            )
+        yield _reference_row(e5, "heavy", massive_class(e5))
 
 
 # -- seesaw -------------------------------------------------------------------

@@ -53,7 +53,6 @@ class _Parser(argparse.ArgumentParser):
 
 # the flag type, --config reader and help of each setting of checks.READS
 _SETTINGS = {
-    "eps4": (_sign, int, "time-like sector sign (+1 or -1); default: sweep both"),
     "eps5": (_sign, int, "extra-direction sign (+1 or -1); default: sweep both, "
                          "but -1 for scan"),
     "ell": (_rational, lambda v: Fraction(str(v)),

@@ -26,30 +26,37 @@ def run(capsys, *argv):
 
 
 def test_verify_algebra_single_pair(capsys):
-    code, out = run(capsys, "verify", "algebra", "--eps4", "+1", "--eps5", "-1")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["summary"]["failed"] == 0
-    checks = sorted({r["check"] for r in doc["reports"]})
-    assert checks == ["contraction", "isomorphism", "jacobi_deformed"]
-    # Jacobi and the limits run at (1, 1) whatever the flags; isomorphism
-    # at the pair asked for
-    assert {(r["check"], r["params"]["eps4"], r["params"]["eps5"]) for r in doc["reports"]} == {
-        ("jacobi_deformed", 1, 1), ("contraction", 1, 1), ("isomorphism", 1, -1)}
-
-
-def test_all_signs_sweep(capsys):
-    # no sign flag sweeps every sign, so verify takes no --all-signs
     code, out = run(capsys, "verify", "algebra")
     assert code == 0
     doc = json.loads(out)
-    assert doc["summary"]["total"] == 6  # isomorphism x 4 sign pairs, Jacobi, contraction
-    assert main(["verify", "algebra", "--all-signs"]) == 2
+    assert doc["summary"]["failed"] == 0
+    # Jacobi, the limits and the isomorphism each run once, at (1, 1)
+    assert sorted((r["check"], r["params"]["eps4"], r["params"]["eps5"])
+                  for r in doc["reports"]) == [
+        ("contraction", 1, 1), ("isomorphism", 1, 1), ("jacobi_deformed", 1, 1)]
+
+
+def test_all_signs_sweep(capsys):
+    # no sign flag sweeps every sign, so modes takes no --all-signs
+    code, out = run(capsys, "modes")
+    assert code == 0
+    doc = json.loads(out)
+    # 4 rows once, and dispersion_roots and modes_reference_heavy per sign
+    assert doc["summary"]["total"] == 8
+    assert main(["modes", "--all-signs"]) == 2
 
 
 def test_invalid_sign_is_usage_error(capsys):
-    code, _ = run(capsys, "verify", "algebra", "--eps4", "+1", "--eps5", "0")
+    code, _ = run(capsys, "modes", "--eps5", "0")
     assert code == 2
+
+
+def test_a_config_sign_that_is_no_sign_names_its_key(tmp_path, capsys):
+    # the sign is checked by lie_algebra.quarter, the package's one sign check
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"eps5": 2}))
+    assert main(["modes", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "ncdirac: error: eps5 must be +1 or -1\n"
 
 
 def test_invalid_coupling_is_usage_error(capsys):
@@ -113,17 +120,20 @@ def test_clifford_relation_count(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("verify", "algebra", "--eps4", "1"),
+    ("verify", "algebra", "--eps5", "1"),
     ("verify", "rep", "--eps5", "1"),
     ("verify", "clifford", "--eps5", "1"),
     ("verify", "planewave", "--eps5", "1"),
 ])
 def test_a_sign_free_family_takes_no_sign(capsys, argv):
-    # these families run once, at eps5 = 1, and the twist that builds the
-    # eps5 = -1 data carries them there: a sign would pick nothing to print
+    # these families run once, at eps5 = 1 (eps4 = eps5 = 1 for the
+    # algebra), and the twist that builds the data at the other signs
+    # carries them there: a sign would pick nothing to print
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert f"{argv[0]} {argv[1]} reads no eps5" in captured.err
+    assert f"unrecognized arguments: {argv[2]} 1" in captured.err
 
 
 def test_timings_charge_each_row_its_own_work(capsys, monkeypatch):
@@ -242,7 +252,7 @@ def test_a_swapped_frame_fails_every_massive_row(tmp_path):
     report = mutant_report(tmp_path, "modes.py", _FRAME,
                            "((x, 0, 0, 0), (0, 0, 0, x))[quarter(eps5)]",
                            "check", "all", "--seed", "42")
-    assert report["summary"]["total"] == len(report["reports"]) == 53
+    assert report["summary"]["total"] == len(report["reports"]) == 49
     assert failed(report) == {(check, e5) for e5 in (1, -1) for check in (
         "modes_reference_heavy", "seesaw_spectrum", "seesaw_effective",
         "seesaw_convergence", "seesaw_decoupling")}
@@ -291,7 +301,7 @@ def test_a_float_past_its_range_fails_only_the_seesaw_rows(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 1
     reports = json.loads(out)["reports"]
-    assert len(reports) == (53 if argv[0] == "check" else 4)
+    assert len(reports) == (49 if argv[0] == "check" else 4)
     failed = [r for r in reports if r["status"] != "pass"]
     assert failed and all(r["check"].startswith("seesaw_") for r in failed)
     spectra = [r for r in reports if r["check"] == "seesaw_spectrum"]
@@ -409,8 +419,7 @@ def test_tampered_fixture_names_triple(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
     code, out = run(
-        capsys, "verify", "algebra", "--eps4", "1", "--eps5", "-1",
-        "--fixture", str(path),
+        capsys, "verify", "algebra", "--fixture", str(path),
     )
     assert code == 1
     report = json.loads(out)
@@ -486,8 +495,7 @@ def test_malformed_fixture_is_usage_error(tmp_path, capsys, edit, message):
     edit(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    code = main(["verify", "algebra", "--eps4", "1", "--eps5", "-1",
-                 "--fixture", str(path)])
+    code = main(["verify", "algebra", "--fixture", str(path)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -499,8 +507,7 @@ def test_fixture_basis_that_is_not_a_list_of_names_is_usage_error(tmp_path, caps
     # an empty basis once passed jacobi_fixture over 0 triples and exited 0
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"basis": basis, "brackets": {}}))
-    code = main(["verify", "algebra", "--eps4", "1", "--eps5", "-1",
-                 "--fixture", str(path)])
+    code = main(["verify", "algebra", "--fixture", str(path)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -535,8 +542,7 @@ def test_fixture_key_that_is_not_a_string_is_usage_error(tmp_path, capsys, monke
     path = tmp_path / "bad.json"
     path.write_text("{}")
     monkeypatch.setattr(json, "load", lambda fh: doc)
-    code = main(["verify", "algebra", "--eps4", "1", "--eps5", "-1",
-                 "--fixture", str(path)])
+    code = main(["verify", "algebra", "--fixture", str(path)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -580,8 +586,7 @@ def test_intact_fixture_passes(tmp_path, capsys):
     path = tmp_path / "good.json"
     path.write_text(json.dumps(alg.to_json()))
     code, _ = run(
-        capsys, "verify", "algebra", "--eps4", "1", "--eps5", "-1",
-        "--fixture", str(path),
+        capsys, "verify", "algebra", "--fixture", str(path),
     )
     assert code == 0
 
@@ -599,7 +604,6 @@ _ARGV = {
     "check all": ("check", "all"),
 }
 _VALUES = {  # setting: (flag value, config key value, echoed value)
-    "eps4": ("-1", -1, -1),
     "eps5": ("+1", 1, 1),
     "ell": ("2", "2", "2"),
     "g": ("3/5+4/5i", "0.6+0.8i", "3/5+4/5i"),
@@ -611,6 +615,8 @@ _VALUES = {  # setting: (flag value, config key value, echoed value)
 
 def _setting_value(setting, tmp_path):
     """(flag value, config key value, echoed value) of ``setting``."""
+    if setting == "eps4":
+        return "-1", -1, None
     if setting != "fixture":
         return _VALUES[setting]
     path = tmp_path / "good.json"
@@ -648,7 +654,8 @@ def test_a_command_echoes_exactly_the_settings_it_reads(tmp_path, capsys, comman
     assert json.loads(out)["config"] == echoed
 
 
-_UNREAD = [(command, setting) for command in _ARGV for setting in _VALUES
+# eps4 is read by no command: the isomorphism, its last reader, runs once
+_UNREAD = [(command, setting) for command in _ARGV for setting in (*_VALUES, "eps4")
            if setting not in checks.READS[command]]
 
 
@@ -673,7 +680,8 @@ def test_a_setting_the_command_does_not_read_is_usage_error(tmp_path, capsys, co
     assert captured.out == ""
     line = captured.err.splitlines()[-1]
     assert line.startswith("ncdirac: error: ")
-    assert f"--{setting} " in line or f" reads no {setting} " in line, line
+    assert (f"--{setting} " in line or f" reads no {setting} " in line
+            or line.endswith(f"unknown config keys: ['{setting}']")), line
 
 
 def test_scan_takes_no_timings(capsys):
@@ -731,7 +739,7 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key,value", [
-    ("seed", 1.9), ("eps5", True), ("eps4", 1.0), ("seed", "7"),
+    ("seed", 1.9), ("eps5", True), ("eps5", -1.0), ("seed", "7"),
 ])
 def test_integer_config_key_takes_only_json_integers(tmp_path, capsys, key, value):
     # int() would run seed 1 and eps5 = +1 from the first two
@@ -772,7 +780,7 @@ def test_missing_config_file(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("check", "all"),
-    ("verify", "algebra", "--eps4", "1", "--eps5", "-1"),
+    ("verify", "algebra"),
     ("modes",),
     ("seesaw",),
     ("scan", "--param", "vev", "--from", "1/2", "--to", "2", "--steps", "2", "--eps5", "1"),
@@ -790,8 +798,8 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, argv, target):
 
 
 @pytest.mark.parametrize("argv,config,name", [
-    (("verify", "algebra", "--eps4", "1", "--eps5", "1", "--fixture", ""), None, "fixture"),
-    (("verify", "algebra", "--eps4", "1", "--eps5", "1"), {"fixture": ""}, "fixture"),
+    (("verify", "algebra", "--fixture", ""), None, "fixture"),
+    (("verify", "algebra"), {"fixture": ""}, "fixture"),
     (("verify", "clifford", "--out", ""), None, "out"),
 ], ids=["fixture_flag", "fixture_key", "out_flag"])
 def test_empty_path_is_usage_error(tmp_path, capsys, argv, config, name):

@@ -233,7 +233,7 @@ def test_a_negated_plane_wave_scale_fails_its_three_rows(monkeypatch, capsys):
     monkeypatch.setattr(enveloping, "plane_wave_scale", lambda eps5: -scale(eps5))
     assert main(["check", "all", "--seed", "42"]) == 1
     doc = json.loads(capsys.readouterr().out)
-    assert doc["summary"]["total"] == 53
+    assert doc["summary"]["total"] == 49
     # the rows run at eps5 = 1, and the scale at -1 is the twist of the one
     # at +1, so the negation reaches both signs alike
     failed = {(r["check"], r["params"]["eps5"]) for r in doc["reports"] if r["status"] == "fail"}

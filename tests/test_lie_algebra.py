@@ -156,7 +156,7 @@ def test_scaled_coefficient_gives_a_failed_isomorphism_row(monkeypatch, capsys):
     # the search's ArithmeticError becomes a fail row; every other row of
     # the run is still reported and the run exits 1
     _double_one_coefficient(monkeypatch, 0)
-    code = main(["verify", "algebra", "--eps4", "1", "--eps5", "-1"])
+    code = main(["verify", "algebra"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 1
     rows = {r["check"]: r for r in doc["reports"]}

@@ -28,13 +28,20 @@ from ncdirac.clifford import (clifford_relations, gamma5_product_check,
                               majorana_imaginary_check)
 from ncdirac.enveloping import Derivation, lemma_matrix_check, verify_plane_wave_relations
 from ncdirac.lie_algebra import (DEFORMED_BASIS, P_LABELS, X_LABELS, build_deformed_algebra,
-                                 contract, flat_deformed_algebra, jacobi_residual)
-from ncdirac.modes import (dirac_matrix, lorentz_covariance, scaling_residual,
-                           squared_identity_residual)
+                                 contract, flat_deformed_algebra, jacobi_residual,
+                                 solve_isomorphism_scalings, verify_linear_isomorphism)
+from ncdirac.modes import (dirac_matrix, lorentz_covariance, operator_residual,
+                           reference_solutions, scaling_residual, squared_identity_residual)
 from ncdirac.scalars import P_I, sym
 from ncdirac.weyl import build_rep, closure_families
 
 OTHER_PAIRS = [(1, -1), (-1, 1), (-1, -1)]
+
+
+def _row(command, check: str):
+    """The one row ``check`` of ``command``'s report, run at its defaults."""
+    [row] = [r for r in command(RunConfig()) if r.check == check]
+    return row
 
 
 # -- each carried check, run at the signs the report does not print ----------
@@ -48,6 +55,13 @@ def test_jacobi_and_the_limits_hold_at_every_other_sign_pair(eps4, eps5):
                          (contract(table, ell_to_zero=True), X_LABELS)):
         index = [flat.index[name] for name in labels]
         assert not any(flat.bracket(i, j) for i, j in itertools.combinations(index, 2))
+    # the isomorphism row, decided at (1, 1), holds here with the same map
+    sol, row = solve_isomorphism_scalings(eps4, eps5), _row(checks.cmd_verify_algebra, "isomorphism")
+    assert row.params == {"eps4": 1, "eps5": 1}
+    assert {"alpha": str(sol.alpha), "beta": str(sol.beta), "gamma": str(sol.gamma),
+            "passing_sign_choices": [list(s) for s in sol.passing_sign_choices]} == {
+        key: row.details[key] for key in ("alpha", "beta", "gamma", "passing_sign_choices")}
+    assert verify_linear_isomorphism(sol.map).ok
 
 
 def test_the_carried_checks_pass_at_eps5_minus_one():
@@ -61,18 +75,41 @@ def test_the_carried_checks_pass_at_eps5_minus_one():
     assert squared_identity_residual(-1).is_zero()
     assert scaling_residual(-1).is_zero()
     assert lorentz_covariance(-1)["failure"] is None
+    # the massless kernel, decided at eps5 = 1, is the same at -1
+    sol, row = reference_solutions(Fraction(2), -1, "massless"), _row(
+        checks.cmd_modes, "modes_reference_massless")
+    assert row.params == {"eps5": 1}
+    assert {"k": [str(c) for c in sol.k], "nullspace_dim": len(sol.basis),
+            "class": sol.spinor_class} == row.details
+    assert max(operator_residual(sol.operator, u) for u in sol.basis) == 0 == row.residual
 
 
 TWISTS = {"rep": "l -> i*l, xi4 -> i*xi4, d4 -> -i*d4", "clifford": "g4 -> i*g4",
           "planewave": "l -> i*l, d4 -> i*d4", "modes": "l -> -i*l"}
 
+# what carries each algebra row from (1, 1) to the other sign pairs
+ALGEBRA_TWISTS = {
+    "jacobi_deformed": "every other sign pair's table is its twist rho -> eps4*rho, "
+                       "l -> i*l, which keeps it",
+    "contraction": "every other sign pair's table is its twist rho -> eps4*rho, "
+                   "l -> i*l, which keeps it",
+    "isomorphism": "every other sign pair's source is its twist r -> i*r (eps4 = -1), "
+                   "l -> i*l (eps5 = -1), its target the twist M_a4 -> i*M_a4 "
+                   "(eps4 = -1), M_a5 -> i*M_a5 (eps5 = -1), and the map keeps its formula",
+}
+
 
 def test_the_carried_rows_name_the_twist_that_carries_them():
     rows = checks.cmd_check_all(RunConfig())
-    assert len(rows) == 53 and not [r for r in rows if r.check.endswith("_continuation")]
+    assert len(rows) == 49 and not [r for r in rows if r.check.endswith("_continuation")]
+    algebra = [r for r in rows if "eps4" in r.params]
+    assert sorted(r.check for r in algebra) == sorted(ALGEBRA_TWISTS)
+    for r in algebra:
+        assert r.params == {"eps4": 1, "eps5": 1}, r.check
+        assert r.relation.endswith(f"; at eps4 = eps5 = 1: {ALGEBRA_TWISTS[r.check]}"), r.check
     once = [r for r in rows if "eps4" not in r.params and r.params.get("eps5") == 1
-            and not r.check.startswith(("dispersion_roots", "modes_reference_", "seesaw_"))]
-    assert len(once) == 33  # 8 rep, 17 clifford, 5 planewave and 3 modes rows
+            and not r.check.startswith(("dispersion_roots", "modes_reference_heavy", "seesaw_"))]
+    assert len(once) == 34  # 8 rep, 17 clifford, 5 planewave and 4 modes rows
     for r in once:
         family = r.check.split("_")[0].replace("dispersion", "modes")
         assert r.relation.endswith(f"; at eps5 = 1: the eps5 = -1 data is its twist "

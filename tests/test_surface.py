@@ -537,3 +537,19 @@ def test_no_cell_of_the_readme_module_table_exceeds_300_characters():
     cells = [cell.strip() for row in rows for cell in row.strip("|").split(" | ")]
     assert len(rows) > 2
     assert not [cell for cell in cells if len(cell) > 300]
+
+
+def test_the_readme_settings_table_is_the_settings_each_command_reads():
+    # the "command | reads" table of the README, row for row, is
+    # checks.READS: a command it lists twice, misses or gives a setting the
+    # command does not read (or misses one it does) fails
+    section = (ROOT / "README.md").read_text().split("\n| command | reads |\n|---|---|\n")[1]
+    rows = []
+    for line in section.splitlines():
+        if not line.startswith("| "):
+            break
+        commands, reads = line.strip("|").split(" | ")
+        rows += [(command, sorted(re.findall(r"`([^`]+)`", reads)))
+                 for command in re.findall(r"`([^`]+)`", commands)]
+    assert sorted(rows) == sorted((command, sorted(names))
+                                  for command, names in checks.READS.items())
