@@ -32,10 +32,10 @@ import math
 from fractions import Fraction
 from functools import cache, cached_property
 
-from .scalars import (MOMENTUM_SYMBOLS, ExactScalar, LinearCombination, P_I, P_ONE, ParamPoly,
-                      _accumulate, _int_terms, _join, _make, _packed_poly, _reduced_sums, poly,
-                      sym)
+from .scalars import (MOMENTUM_SYMBOLS, ExactScalar, P_I, P_ONE, ParamPoly, _accumulate,
+                      _int_terms, _join, _make, _packed_poly, _reduced_sums, poly, sym)
 from .lie_algebra import flat_deformed_algebra, lower, minkowski_square, quarter
+from .weyl import LinearCombination
 
 _HALF = ExactScalar(Fraction(1, 2))
 

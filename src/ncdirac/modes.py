@@ -29,6 +29,9 @@ their gamma identities against the vector generators L_munu read from the
 flat table (``clifford.spinor_generator_identities``), then [S_munu, D(k)]
 = (L_munu k).grad D(k).  That gives D(Lambda k) S = S D(k) for every k
 and l on the whole identity component of SO(1,3).
+
+``exact_sqrt`` writes sqrt(q) exactly, a ``QuadraticScalar`` when q is no
+rational square, and ``rounded`` rounds its values once, for ``seesaw`` too.
 """
 
 from __future__ import annotations
@@ -36,12 +39,14 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
+from numbers import Integral
 
 from .clifford import VerificationError, gamma_sum, reality_class, spinor_generator_identities
 from .lie_algebra import flat_deformed_algebra, lower, minkowski_square, quarter
 from .matrices import ExactMatrix
-from .scalars import (I, MOMENTUM_SYMBOLS, ZERO, _make, _packed_poly, _poly_sum_of_products,
-                      as_fraction, exact_sqrt, poly, rounded, sym)
+from .scalars import (I, MOMENTUM_SYMBOLS, ONE, ZERO, ExactScalar, _coerce_scalar, _make,
+                      _packed_poly, _poly_sum_of_products, as_fraction, poly, sym)
 
 BRANCHES = ("massless", "heavy")
 
@@ -236,3 +241,99 @@ def operator_residual(op: ExactMatrix, u) -> float:
 def _norm_squared(column: ExactMatrix) -> Fraction:
     return sum((x * x.conjugate() for [x] in column.scalar_entries()), ZERO).to_fraction()
 
+
+class QuadraticScalar:
+    """a + b*sqrt(delta): ExactScalar parts a, b and a positive rational
+    delta that is not a square (``exact_sqrt`` makes the first one).
+
+    sqrt(delta) is then real and outside Q(i), so the element is zero
+    exactly when a = b = 0, and the inverse goes through the conjugate
+    a - b*sqrt(delta) with the nonzero norm a^2 - b^2 delta.  Exact numbers
+    combine as b = 0; both operands of a binary operation share delta."""
+
+    __slots__ = ("a", "b", "delta")
+
+    def __init__(self, a, b, delta: Fraction):
+        self.a, self.b, self.delta = _coerce_scalar(a), _coerce_scalar(b), delta
+
+    def _parts(self, other) -> tuple:
+        if type(other) is not QuadraticScalar:
+            return _coerce_scalar(other), ZERO
+        if other.delta is not self.delta and other.delta != self.delta:
+            raise ValueError("operands lie in different quadratic fields")
+        return other.a, other.b
+
+    def __add__(self, other) -> "QuadraticScalar":
+        a, b = self._parts(other)
+        return QuadraticScalar(self.a + a, self.b + b, self.delta)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "QuadraticScalar":
+        return QuadraticScalar(-self.a, -self.b, self.delta)
+
+    def __sub__(self, other) -> "QuadraticScalar":
+        return self + -other
+
+    def __rsub__(self, other) -> "QuadraticScalar":
+        return -self + other
+
+    def __mul__(self, other) -> "QuadraticScalar":
+        a, b = self._parts(other)
+        if not b:
+            return QuadraticScalar(self.a * a, self.b * a, self.delta)
+        return QuadraticScalar(self.a * a + self.b * b * self.delta,
+                               self.a * b + self.b * a, self.delta)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "QuadraticScalar":
+        a, b = self._parts(other)
+        norm = a * a - b * b * self.delta
+        return self * QuadraticScalar(a / norm, -b / norm, self.delta)
+
+    def __rtruediv__(self, other) -> "QuadraticScalar":
+        return QuadraticScalar(other, ZERO, self.delta) / self
+
+    def __bool__(self) -> bool:
+        return bool(self.a or self.b)
+
+    def __eq__(self, other) -> bool:
+        """Equal by value; an exact number is the element with b = 0."""
+        if not isinstance(other, (QuadraticScalar, ExactScalar, Integral, Fraction)):
+            return NotImplemented
+        return (self.a, self.b) == self._parts(other)
+
+    def __hash__(self):
+        # an element with b = 0 hashes like the exact number it equals
+        return hash((self.a, self.b, self.delta)) if self.b else hash(self.a)
+
+
+def exact_sqrt(q: Fraction):
+    """sqrt(q) of a rational q >= 0: an ExactScalar when q is a rational
+    square, the QuadraticScalar sqrt(q) otherwise."""
+    n, d = isqrt(q.numerator), isqrt(q.denominator)
+    if n * n == q.numerator and d * d == q.denominator:
+        return _make(n, 0, d)
+    return QuadraticScalar(ZERO, ONE, q)
+
+
+def rounded(root, values=lambda r: (r,)) -> tuple:
+    """The floats nearest values(root), each rounded once, for root =
+    ``exact_sqrt(q)`` and values a map from a rational r >= 0 to a tuple of
+    rationals, each monotone in r and irrational when r is.
+
+    An irrational root is bracketed as isqrt(q 4^s) 2^-s <= sqrt(q) <
+    (isqrt(q 4^s) + 1) 2^-s, first to about 70 bits, and s grows until both
+    ends of every value round alike; they do once the bracket is narrow
+    enough, since no float or midpoint of two floats is irrational."""
+    if type(root) is not QuadraticScalar:
+        return tuple(map(float, values(root.to_fraction())))
+    p, q = root.delta.numerator, root.delta.denominator
+    shift = max(0, (140 - p.bit_length() + q.bit_length()) // 2)
+    while True:
+        r = isqrt((p << 2 * shift) // q)
+        ends = [tuple(map(float, values(Fraction(n, 1 << shift)))) for n in (r, r + 1)]
+        if ends[0] == ends[1]:
+            return ends[0]
+        shift += 32

@@ -11,8 +11,9 @@ Two layers, both on plain Python ints:
   integer addition; powers above ``MAX_DEGREE`` raise ``DegreeBoundError``.
   The public API still speaks exponent tuples.
 
-``LinearCombination``, a sum of keys with ParamPoly coefficients, is shared
-by ``enveloping`` words and ``weyl`` operators.
+This and ``lie_algebra`` are all ``import ncdirac`` compiles, and with
+``fixture`` all a table check does; so ``QuadraticScalar``, ``exact_sqrt``
+and ``rounded`` live in ``modes``, and ``LinearCombination`` in ``weyl``.
 
 Negative powers of ``l`` are never stored: where a rest mass 2/l is
 needed, equations are cleared of denominators.
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from numbers import Integral, Number
 from typing import Iterable, Mapping, Union
 
@@ -336,102 +337,6 @@ ONE = _make(1, 0, 1)
 I = _make(0, 1, 1)
 
 
-class QuadraticScalar:
-    """a + b*sqrt(delta): ExactScalar parts a, b and a positive rational
-    delta that is not a square (``exact_sqrt`` makes the first one).
-
-    sqrt(delta) is then real and outside Q(i), so the element is zero
-    exactly when a = b = 0, and the inverse goes through the conjugate
-    a - b*sqrt(delta) with the nonzero norm a^2 - b^2 delta.  Exact numbers
-    combine as b = 0; both operands of a binary operation share delta."""
-
-    __slots__ = ("a", "b", "delta")
-
-    def __init__(self, a, b, delta: Fraction):
-        self.a, self.b, self.delta = _coerce_scalar(a), _coerce_scalar(b), delta
-
-    def _parts(self, other) -> tuple:
-        if type(other) is not QuadraticScalar:
-            return _coerce_scalar(other), ZERO
-        if other.delta is not self.delta and other.delta != self.delta:
-            raise ValueError("operands lie in different quadratic fields")
-        return other.a, other.b
-
-    def __add__(self, other) -> "QuadraticScalar":
-        a, b = self._parts(other)
-        return QuadraticScalar(self.a + a, self.b + b, self.delta)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QuadraticScalar":
-        return QuadraticScalar(-self.a, -self.b, self.delta)
-
-    def __sub__(self, other) -> "QuadraticScalar":
-        return self + -other
-
-    def __rsub__(self, other) -> "QuadraticScalar":
-        return -self + other
-
-    def __mul__(self, other) -> "QuadraticScalar":
-        a, b = self._parts(other)
-        if not b:
-            return QuadraticScalar(self.a * a, self.b * a, self.delta)
-        return QuadraticScalar(self.a * a + self.b * b * self.delta,
-                               self.a * b + self.b * a, self.delta)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "QuadraticScalar":
-        a, b = self._parts(other)
-        norm = a * a - b * b * self.delta
-        return self * QuadraticScalar(a / norm, -b / norm, self.delta)
-
-    def __rtruediv__(self, other) -> "QuadraticScalar":
-        return QuadraticScalar(other, ZERO, self.delta) / self
-
-    def __bool__(self) -> bool:
-        return bool(self.a or self.b)
-
-    def __eq__(self, other) -> bool:
-        """Equal by value; an exact number is the element with b = 0."""
-        if not isinstance(other, (QuadraticScalar, ExactScalar, Integral, Fraction)):
-            return NotImplemented
-        return (self.a, self.b) == self._parts(other)
-
-    def __hash__(self):
-        # an element with b = 0 hashes like the exact number it equals
-        return hash((self.a, self.b, self.delta)) if self.b else hash(self.a)
-
-
-def exact_sqrt(q: Fraction):
-    """sqrt(q) of a rational q >= 0: an ExactScalar when q is a rational
-    square, the QuadraticScalar sqrt(q) otherwise."""
-    n, d = isqrt(q.numerator), isqrt(q.denominator)
-    if n * n == q.numerator and d * d == q.denominator:
-        return _make(n, 0, d)
-    return QuadraticScalar(ZERO, ONE, q)
-
-
-def rounded(root, values=lambda r: (r,)) -> tuple:
-    """The floats nearest values(root), each rounded once, for root =
-    ``exact_sqrt(q)`` and values a map from a rational r >= 0 to a tuple of
-    rationals, each monotone in r and irrational when r is.
-
-    An irrational root is bracketed as isqrt(q 4^s) 2^-s <= sqrt(q) <
-    (isqrt(q 4^s) + 1) 2^-s, first to about 70 bits, and s grows until both
-    ends of every value round alike; they do once the bracket is narrow
-    enough, since no float or midpoint of two floats is irrational."""
-    if type(root) is not QuadraticScalar:
-        return tuple(map(float, values(root.to_fraction())))
-    p, q = root.delta.numerator, root.delta.denominator
-    shift = max(0, (140 - p.bit_length() + q.bit_length()) // 2)
-    while True:
-        r = isqrt((p << 2 * shift) // q)
-        ends = [tuple(map(float, values(Fraction(n, 1 << shift)))) for n in (r, r + 1)]
-        if ends[0] == ends[1]:
-            return ends[0]
-        shift += 32
-
 ScalarLike = Union[int, Fraction, ExactScalar]
 PolyLike = Union[int, Fraction, ExactScalar, "ParamPoly"]
 
@@ -673,7 +578,7 @@ def _unpack(key: int) -> tuple:
 
 
 # The twist s -> i^e s of a map ``symbols`` of names to their e is written
-# once here: ``ParamPoly.twist``, ``LinearCombination.twist`` and
+# once here: ``ParamPoly.twist``, ``weyl.LinearCombination.twist`` and
 # ``lie_algebra.StructureConstants.twist`` read it.
 
 
@@ -805,82 +710,3 @@ def _accumulate(acc: dict, key, coeff: ParamPoly):
         acc[key] = coeff
     else:
         acc.pop(key, None)
-
-
-class LinearCombination:
-    """Finite sum  sum_key coeff * key  with nonzero ParamPoly coefficients.
-
-    ``terms`` maps each key to its coefficient.  The constructor coerces
-    coefficients with ``poly``, drops zeros, merges repeated keys and checks
-    each key with the subclass's static ``_key``; a subclass adds its
-    product and writes a key with ``_render``.  Scalars act through
-    ``scale`` only: ``+``, ``-`` and ``==`` take an operand of the same
-    class, and anything else gives NotImplemented.  Instances are never
-    changed after construction, so results may share them.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean: dict = {}
-        if terms:
-            key_of = self._key
-            for key, coeff in terms.items():
-                _accumulate(clean, key_of(key), poly(coeff))
-        self.terms = clean
-
-    @staticmethod
-    def _sort_key(key):
-        return key
-
-    @classmethod
-    def _made(cls, terms: dict):
-        """An instance over ``terms``, already checked and zero-free."""
-        made = _new(cls)
-        made.terms = terms
-        return made
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            _accumulate(out, key, coeff)
-        return self._made(out)
-
-    def __sub__(self, other):
-        return self + -other if type(other) is type(self) else NotImplemented
-
-    def __neg__(self):
-        return self._made({k: -c for k, c in self.terms.items()})
-
-    def scale(self, factor):
-        """factor * self.  Q(i)[SYMBOLS] has no zero divisors, so only a
-        zero factor can cancel a term."""
-        f = poly(factor)
-        if not f._terms:
-            return self._made({})
-        return self._made({k: f * c for k, c in self.terms.items()})
-
-    def twist(self, symbols: Mapping[str, int], turns):
-        """Each coefficient twisted by ``symbols`` (``ParamPoly.twist``) and
-        times i^turns(key): the image of a twist that also turns the keys."""
-        return self._made({k: c.twist(symbols, turns(k)) for k, c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __str__(self) -> str:
-        """(coeff)*key + ... in ``_sort_key`` order; "1" for the empty key."""
-        items = sorted(self.terms.items(), key=lambda kv: self._sort_key(kv[0]))
-        return " + ".join(f"({c})*{self._render(k) or '1'}" for k, c in items) or "0"
-
-    __repr__ = __str__

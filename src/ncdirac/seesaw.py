@@ -39,9 +39,8 @@ from functools import cache
 from .clifford import gamma_sum
 from .lie_algebra import lower, quarter
 from .matrices import ExactMatrix
-from .modes import frame, heavy_mass, massive_class, spinor_kernel
-from .scalars import (I, ONE, ExactScalar, ParamPoly, _coerce_scalar, as_fraction,
-                      exact_sqrt, poly, rounded, sym)
+from .modes import exact_sqrt, frame, heavy_mass, massive_class, rounded, spinor_kernel
+from .scalars import I, ONE, ExactScalar, ParamPoly, _coerce_scalar, as_fraction, poly, sym
 
 _HALF = ExactScalar(Fraction(1, 2))
 
@@ -85,7 +84,7 @@ def _scales(c: CouplingConfig) -> tuple:
 
 
 def _rounded(root, values=lambda r: (r,), **diagnostics) -> tuple:
-    """``scalars.rounded``, raised as a RootFindingError carrying the
+    """``modes.rounded``, raised as a RootFindingError carrying the
     diagnostics when a value is past the float range, or when a value that
     is not exactly zero rounds to 0 or to a subnormal float."""
     try:
@@ -300,7 +299,7 @@ def exact_mode_spectrum(c: CouplingConfig) -> ModeSpectrum:
     4x4 ``_frame_block``; its discriminant in x^2 is M^2 delta.  The heavy
     frame root is h = (M + sqrt(delta))/2, the light one mu^2/h =
     m_lead (1 + d) with d = eps5 mu^2/h^2, and k^2 = -eps5 x^2.  Each is a
-    sum or quotient of nonnegative terms, so ``scalars.rounded`` rounds
+    sum or quotient of nonnegative terms, so ``modes.rounded`` rounds
     them once from the one exact sqrt(delta), with no cancellation at any
     mu/M.  The k^2 values stay exact when delta is a rational square.
     """

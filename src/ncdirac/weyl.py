@@ -16,6 +16,8 @@ flat table at +1 into the one at -1, so x_mu there reads
 xi_mu + i l (xi_mu d_4 + xi^4 d_mu).
 The commutators close on the flat (rho = 0) deformed table; that closure
 certifies the sign and index placement used everywhere else in the package.
+``LinearCombination``, the sum of keys with ParamPoly coefficients that
+``WeylOperator`` and the ``enveloping`` words subclass, is written here.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations, product
 from math import comb, factorial
+from typing import Mapping
 
 from .lie_algebra import DEFORMED_BASIS, flat_deformed_algebra, lower, quarter
-from .scalars import P_I, P_ONE, LinearCombination, _int_terms, _join, _reduced_sums, sym
+from .scalars import (P_I, P_ONE, _accumulate, _int_terms, _join, _new, _reduced_sums, poly,
+                      sym)
 
 NVARS = 5
 _ZERO5 = (0,) * NVARS
@@ -43,6 +47,85 @@ def _orders(orders) -> tuple:
         if e < 0:
             raise ValueError(f"negative order {e} in {orders!r}")
     return orders
+
+
+class LinearCombination:
+    """Finite sum  sum_key coeff * key  with nonzero ParamPoly coefficients.
+
+    ``terms`` maps each key to its coefficient.  The constructor coerces
+    coefficients with ``poly``, drops zeros, merges repeated keys and checks
+    each key with the subclass's static ``_key``; a subclass adds its
+    product and writes a key with ``_render``.  Scalars act through
+    ``scale`` only: ``+``, ``-`` and ``==`` take an operand of the same
+    class, and anything else gives NotImplemented.  Instances are never
+    changed after construction, so results may share them.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        clean: dict = {}
+        if terms:
+            key_of = self._key
+            for key, coeff in terms.items():
+                _accumulate(clean, key_of(key), poly(coeff))
+        self.terms = clean
+
+    @staticmethod
+    def _sort_key(key):
+        return key
+
+    @classmethod
+    def _made(cls, terms: dict):
+        """An instance over ``terms``, already checked and zero-free."""
+        made = _new(cls)
+        made.terms = terms
+        return made
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            _accumulate(out, key, coeff)
+        return self._made(out)
+
+    def __sub__(self, other):
+        return self + -other if type(other) is type(self) else NotImplemented
+
+    def __neg__(self):
+        return self._made({k: -c for k, c in self.terms.items()})
+
+    def scale(self, factor):
+        """factor * self.  Q(i)[SYMBOLS] has no zero divisors, so only a
+        zero factor can cancel a term."""
+        f = poly(factor)
+        if not f._terms:
+            return self._made({})
+        return self._made({k: f * c for k, c in self.terms.items()})
+
+    def twist(self, symbols: Mapping[str, int], turns):
+        """Each coefficient twisted by ``symbols`` (``ParamPoly.twist``) and
+        times i^turns(key): the image of a twist that also turns the keys."""
+        return self._made({k: c.twist(symbols, turns(k)) for k, c in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __str__(self) -> str:
+        """(coeff)*key + ... in ``_sort_key`` order; "1" for the empty key."""
+        items = sorted(self.terms.items(), key=lambda kv: self._sort_key(kv[0]))
+        return " + ".join(f"({c})*{self._render(k) or '1'}" for k, c in items) or "0"
+
+    __repr__ = __str__
 
 
 class WeylOperator(LinearCombination):

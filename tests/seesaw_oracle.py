@@ -8,7 +8,8 @@ from fractions import Fraction
 from ncdirac.clifford import gamma_sum
 from ncdirac.lie_algebra import lower
 from ncdirac.matrices import ExactMatrix
-from ncdirac.scalars import P_ZERO, ExactScalar, exact_sqrt, poly, sym
+from ncdirac.modes import exact_sqrt
+from ncdirac.scalars import P_ZERO, ExactScalar, poly, sym
 from ncdirac.seesaw import (_X, CouplingConfig, ModeSpectrum, RootFindingError,
                             _frame_class, _frame_product, _momentum, _reduction, _rounded,
                             _scales, leading_mass)
@@ -106,7 +107,7 @@ def exact_mode_spectrum_oracle(c: CouplingConfig) -> ModeSpectrum:
     4x4 ``_frame_block``; its discriminant in x^2 is M^2 delta.  The heavy
     frame root is h = (M + sqrt(delta))/2, the light one mu^2/h =
     m_lead (1 + d) with d = eps5 mu^2/h^2, and k^2 = -eps5 x^2.  Each is a
-    sum or quotient of nonnegative terms, so ``scalars.rounded`` rounds
+    sum or quotient of nonnegative terms, so ``modes.rounded`` rounds
     them once from the one exact sqrt(delta), with no cancellation at any
     mu/M.  The k^2 values stay exact when delta is a rational square.
     """

@@ -563,6 +563,29 @@ def test_import_loads_the_exact_core_and_each_layer_on_first_use():
     ]
 
 
+_TABLE_ROUND = """
+import sys
+import ncdirac
+from ncdirac import (StructureConstants, build_deformed_algebra, contract, jacobi_residual,
+                     solve_isomorphism_scalings, verify_linear_isomorphism)
+table = StructureConstants.from_json(build_deformed_algebra(1, -1).to_json())
+jacobi_residual(table)
+verify_linear_isomorphism(solve_isomorphism_scalings(1, 1).map)
+jacobi_residual(contract(table, rho_to_zero=True))
+jacobi_residual(contract(table, ell_to_zero=True))
+print(sorted(m.removeprefix("ncdirac.") for m in sys.modules if m.startswith("ncdirac.")))
+print(sorted(name for core in (ncdirac.scalars, ncdirac.lie_algebra) for name in vars(core)
+             if name in {"QuadraticScalar", "exact_sqrt", "rounded", "LinearCombination"}))
+"""
+
+
+def test_a_table_round_compiles_only_the_exact_core_and_the_fixture_format():
+    # reading a table and deciding Jacobi, the isomorphism and the
+    # contractions load scalars, lie_algebra and fixture alone, and neither
+    # core module holds the surds of modes or the LinearCombination of weyl
+    assert _run_python(_TABLE_ROUND) == [repr(["fixture", "lie_algebra", "scalars"]), "[]"]
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # no class is a dataclass, so importing the CLI loads neither dataclasses
     # nor inspect; csv is loaded only when a CSV report is rendered

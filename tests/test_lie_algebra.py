@@ -27,8 +27,9 @@ from ncdirac.lie_algebra import (
     verify_linear_isomorphism,
     StructureConstants,
 )
+from ncdirac.modes import QuadraticScalar
 from ncdirac.scalars import (I, MAX_DEGREE, P_ONE, DegreeBoundError, ExactScalar, ParamPoly,
-                             QuadraticScalar, UnknownSymbolError, poly, sym)
+                             UnknownSymbolError, poly, sym)
 from substitution import SubstitutionError, substitute, substituted_table
 
 SIGNS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]

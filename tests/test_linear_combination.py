@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncdirac.enveloping import Derivation, NCExpression, normal_form
-from ncdirac.scalars import P_ZERO, ExactScalar, LinearCombination, poly, sym
-from ncdirac.weyl import WeylOperator
+from ncdirac.scalars import P_ZERO, ExactScalar, poly, sym
+from ncdirac.weyl import LinearCombination, WeylOperator
 
 _Z5 = (0,) * 5
 _E0 = (1, 0, 0, 0, 0)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from json_terms import ACCEPTED, BAD_COEFFICIENTS, BAD_EXPONENTS, BAD_PARTS
 
+from ncdirac.modes import QuadraticScalar, exact_sqrt, rounded
 from ncdirac.scalars import (
     I,
     MAX_DEGREE,
@@ -19,14 +20,11 @@ from ncdirac.scalars import (
     DegreeBoundError,
     ExactScalar,
     ParamPoly,
-    QuadraticScalar,
     SYMBOLS,
     UnknownSymbolError,
     _poly_sum_of_products,
     as_fraction,
-    exact_sqrt,
     poly,
-    rounded,
     sym,
 )
 
