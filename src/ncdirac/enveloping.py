@@ -19,7 +19,8 @@ Every rewrite strictly decreases (#x letters, word length, #inversions)
 lexicographically, so reduction terminates; the relations are consistent
 (they close on the flat deformed table), so the normal form is unique.
 Every rule is exact, so a normal form drops nothing unless its caller asks
-for an l-truncation.
+for an l-truncation.  The derivation d_4 of the plane-wave identities is
+inner, -(i/2l)[C^2, .], so it too is read off these rules.
 
 ``lemma_matrix_check`` verifies the exponential lemma behind the plane-wave
 identities exactly on a nilpotent model, polynomials in one coordinate with
@@ -38,6 +39,7 @@ from .lie_algebra import flat_deformed_algebra, lower, minkowski_square, quarter
 from .weyl import LinearCombination
 
 _HALF = ExactScalar(Fraction(1, 2))
+_MINUS_HALF_I = ExactScalar(0, Fraction(-1, 2))
 
 M_TOKENS = ("M01", "M02", "M03", "M12", "M13", "M23")
 P_TOKENS = ("p0", "p1", "p2", "p3")
@@ -199,41 +201,29 @@ def _bracket_expansion(a: NCExpression, b: NCExpression, eps5: int) -> NCExpress
     return NCExpression._made(_leibniz(a, ad_b.__getitem__))
 
 
-class Derivation:
-    """Leibniz extension of a generator action; the basis is x_mu and xi4.
-
-    d_mu = -i[p_mu, .], read from the flat table: it sends x_nu to
-    eta_munu C and rotations to their momentum gradient.  d_4 sends x_mu to
-    -l p_mu C at eps5 = +1, and at eps5 = -1 to i times the image of that
-    under l -> i l, +l p_mu C.  Momenta, C and the formal inverse are
-    annihilated, so d(Cinv) = -Cinv d(C) Cinv = 0 automatically.
-    """
-
-    def __init__(self, eps5: int, index: int):
-        turns = quarter(eps5)
-        if index not in (0, 1, 2, 3, 4):
-            raise ValueError("derivation index must be 0..4")
-        self.eps5 = eps5
-        self.index = index
-        self.action: dict[str, NCExpression] = {t: NCExpression() for t in TOKENS}
-        if index < 4:
-            for t in TOKENS:
-                self.action[t] = NCExpression._made(
-                    _letter_bracket(eps5, P_TOKENS[index], t)).scale(-I)
-        else:
-            coeff = (-sym("l")).twist({"l": turns}, turns)
-            for mu in range(4):
-                self.action[f"x{mu}"] = NCExpression({(f"p{mu}", C_TOKEN): coeff})
-
-    def __call__(self, expr: NCExpression, order: int | None = None) -> NCExpression:
-        acc = _leibniz(expr, lambda token: self.action[token].terms)
-        return normal_form(NCExpression._made(acc), self.eps5, order=order)
+def _d4(expr: NCExpression, eps5: int, order: int | None = None) -> NCExpression:
+    """d_4(expr) = -(i/2l)[C^2, expr], the inner derivation -i ad Y_4 with
+    Y_4 = C^2/(2l), read off the rewriting rules by one exact normal form.
+    Every term of [C^2, .] carries l^2, as [C, x_mu] = -i eps5 l^2 p_mu, so
+    the division by l (the first symbol) is exact and a term without l
+    raises; an ``order`` truncates after it."""
+    square, acc = NCExpression({(C_TOKEN, C_TOKEN): 1}), {}
+    for word, c in normal_form(_bracket_expansion(square, expr, eps5), eps5).terms.items():
+        if not all(exps[0] for exps, _ in c.terms()):
+            raise ValueError(f"[C^2, .] has a term without l at {word}: {c}")
+        c = ParamPoly({(exps[0] - 1, *exps[1:]): v * _MINUS_HALF_I for exps, v in c.terms()})
+        if order is not None:
+            c = c.truncate_in("l", order)
+        if c:
+            acc[word] = c
+    return NCExpression._made(acc)
 
 
 def plane_wave_scale(eps5: int) -> ParamPoly:
     """i eps5 l, the scale of the plane-wave identities d_4(A) = i eps5 l k.p
     and [A, d_4(A)] = -i eps5 l k^2: i l at eps5 = +1, and at eps5 = -1 i
-    times its image under l -> i l, as for d_4."""
+    times its image under l -> i l.  It is the one turned datum here: d_4
+    comes from the rules, which the table at -1 already carries."""
     turns = quarter(eps5)
     return (I * sym("l")).twist({"l": turns}, turns)
 
@@ -320,7 +310,7 @@ class PlaneWaveCheck:
 
     @cached_property
     def _derivative(self) -> NCExpression:
-        return Derivation(self.eps5, 4)(self._exponent, order=self.order)
+        return _d4(self._exponent, self.eps5, self.order)
 
     @cached_property
     def derivative_remainder(self) -> NCExpression:

@@ -25,7 +25,6 @@ SIGNED = {
     "clifford.majorana_imaginary_check": clifford.majorana_imaginary_check,
     "enveloping.normal_form": lambda e: enveloping.normal_form(
         enveloping.NCExpression({("p0", "x0"): 1}), e),
-    "enveloping.Derivation": lambda e: enveloping.Derivation(e, 4),
     "enveloping.plane_wave_scale": enveloping.plane_wave_scale,
     "enveloping.PlaneWaveCheck": enveloping.PlaneWaveCheck,
     "enveloping.verify_plane_wave_relations": enveloping.verify_plane_wave_relations,

@@ -16,9 +16,9 @@ from ncdirac.enveloping import (
     C_TOKEN,
     P_TOKENS,
     TOKENS,
-    Derivation,
     NCExpression,
     _bracket_expansion,
+    _d4,
     commutator,
     lemma_matrix_check,
     normal_form,
@@ -88,12 +88,6 @@ def test_known_commutators(eps5):
                 {(gens[k],): c for k, c in table.bracket(i, j).items()}
             )
             assert nf(commutator(word(a), word(b))) == bracket, (a, b)
-    # d_mu = -i [p_mu, .] on every generator, the formal inverse included
-    for mu, p in enumerate(P_TOKENS):
-        action = Derivation(eps5, mu).action
-        for t in TOKENS:
-            minus_i_comm = normal_form(commutator(word(p), word(t)), eps5, order=4)
-            assert action[t] == minus_i_comm.scale(poly(-I)), (p, t)
 
 
 @pytest.mark.parametrize("leftmost", [True, False])
@@ -129,31 +123,37 @@ def test_confluence_random_words(tokens, eps5):
 
 @pytest.mark.parametrize("eps5", [1, -1])
 def test_derivations_commute_and_leibniz(eps5):
-    ds = [Derivation(eps5, a) for a in range(5)]
-    probe = word("x0", "x1") + word("M01", "x2").scale(sym("l"))
-    for da in ds:
-        for db in ds:
-            lhs = normal_form(da(db(probe)) - db(da(probe)), eps5, order=6)
-            assert lhs.is_zero()
+    # d_a = -i [Y_a, .] with Y = (p_0, ..., p_3, C^2/(2l)): the derivations
+    # commute because the Y_a do
+    frame = [word(p) for p in P_TOKENS] + [word(C_TOKEN, C_TOKEN)]
+    for ya in frame:
+        for yb in frame:
+            assert normal_form(commutator(ya, yb), eps5).is_zero()
     # Leibniz on a product of two coordinates
-    d0 = ds[0]
-    lhs = normal_form(d0(word("x0", "x1")), eps5, order=6)
-    rhs = normal_form(
-        d0(word("x0")) * word("x1") + word("x0") * d0(word("x1")), eps5, order=6
-    )
+    lhs = _d4(word("x0", "x1"), eps5)
+    rhs = normal_form(_d4(word("x0"), eps5) * word("x1") + word("x0") * _d4(word("x1"), eps5),
+                      eps5)
     assert lhs == rhs
 
 
 @pytest.mark.parametrize("eps5", [1, -1])
 def test_derivative_action_values(eps5):
-    d0 = Derivation(eps5, 0)
-    d4 = Derivation(eps5, 4)
-    assert normal_form(d0(word("x0")), eps5) == word(C_TOKEN)
-    assert normal_form(d0(word("x1")), eps5).is_zero()
-    got = normal_form(d4(word("x2")), eps5)
-    assert got == word("p2", C_TOKEN).scale(poly(-eps5) * sym("l"))
-    # the inverse letter is annihilated by every derivation
-    assert normal_form(d4(word(CINV_TOKEN)), eps5, order=4).is_zero()
+    assert _d4(word("x2"), eps5) == word("p2", C_TOKEN).scale(poly(-eps5) * sym("l"))
+    assert _d4(word("x2"), eps5, order=0).is_zero()  # truncated after the division by l
+    # momenta, rotations, C and the inverse letter are annihilated
+    assert all(_d4(word(t), eps5).is_zero() for t in TOKENS if t[0] != "x")
+
+
+def test_d4_needs_l_in_every_term_of_the_bracket(monkeypatch):
+    # with [C, x_0] read as -i p_0, [C^2, x_0] has no l to divide by
+    rules = enveloping._swap_rules(1)
+    monkeypatch.setitem(rules, (C_TOKEN, "x0"), {("p0",): poly(-I)})
+    enveloping._nf_word.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="without l"):
+            _d4(word("x0"), 1)
+    finally:
+        enveloping._nf_word.cache_clear()
 
 
 def _adjoint(expr: NCExpression) -> NCExpression:
@@ -278,7 +278,7 @@ def _own_enveloping():
 @pytest.mark.parametrize("eps5", [1, -1])
 def test_flipped_swap_rule_fails_the_plane_wave_rows(monkeypatch, eps5, mu):
     # [x_mu, p_mu] is the rule the momentum and mixed identities rest on;
-    # the Cinv rule and [x_mu, C] cancel out of every plane-wave row.
+    # the Cinv rule cancels out of every plane-wave row.
     # Flipped at eps5 it breaks those identities there, run directly; the
     # rows run at eps5 = 1 and fail when it is flipped there.  The rules at
     # -1 are read off the twist of the table at +1, and no row reads them
@@ -293,6 +293,23 @@ def test_flipped_swap_rule_fails_the_plane_wave_rows(monkeypatch, eps5, mu):
     rows = checks.cmd_verify_planewave(checks.RunConfig())
     failed = {r.check for r in rows if not r.passed}
     assert ({"planewave_momentum", "planewave_mixed"} <= failed) if eps5 == 1 else not failed
+
+
+@pytest.mark.parametrize("mu", range(4))
+def test_flipped_c_rule_fails_the_rows_that_read_d4(mu):
+    # d_4 = -(i/2l)[C^2, .] is read off [C, x_mu], so the report's rows that
+    # read d_4(A) fail when that rule is flipped in the shared rules
+    rules, key = enveloping._swap_rules(1), (C_TOKEN, f"x{mu}")
+    rule = rules[key]
+    rules[key] = {w: -c for w, c in rule.items()}
+    enveloping._nf_word.cache_clear()
+    try:
+        rows = list(checks.cmd_verify_planewave(checks.RunConfig()))
+    finally:
+        rules[key] = rule
+        enveloping._nf_word.cache_clear()
+    failed = {r.check for r in rows if not r.passed}
+    assert {"planewave_derivative", "planewave_mixed", "planewave_vacuum"} <= failed
 
 
 def _overlaps(module, eps5) -> tuple:

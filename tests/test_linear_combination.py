@@ -7,7 +7,7 @@ coefficients key by key and never calls the classes' own arithmetic.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncdirac.enveloping import Derivation, NCExpression, normal_form
+from ncdirac.enveloping import NCExpression, _d4, normal_form
 from ncdirac.scalars import P_ZERO, ExactScalar, poly, sym
 from ncdirac.weyl import LinearCombination, WeylOperator
 
@@ -105,7 +105,7 @@ def test_unknown_tokens_never_reach_the_rewriting():
     with pytest.raises(ValueError, match="unknown generator 'foo'"):
         normal_form(NCExpression({("foo",): 1}), 1)
     with pytest.raises(ValueError, match="unknown generator 'bogus'"):
-        Derivation(1, 0)(NCExpression({("x0", "bogus"): 1}))
+        _d4(NCExpression({("x0", "bogus"): 1}), 1)
     with pytest.raises(ValueError, match="unknown generator"):
         NCExpression.gen("bogus")
 

@@ -26,7 +26,7 @@ from ncdirac import checks, enveloping, modes
 from ncdirac.checks import RunConfig
 from ncdirac.clifford import (clifford_relations, gamma5_product_check,
                               majorana_imaginary_check)
-from ncdirac.enveloping import Derivation, lemma_matrix_check, verify_plane_wave_relations
+from ncdirac.enveloping import _d4, lemma_matrix_check, normal_form, verify_plane_wave_relations
 from ncdirac.lie_algebra import (DEFORMED_BASIS, P_LABELS, X_LABELS, build_deformed_algebra,
                                  contract, flat_deformed_algebra, jacobi_residual,
                                  solve_isomorphism_scalings, verify_linear_isomorphism)
@@ -121,10 +121,17 @@ def test_the_carried_rows_name_the_twist_that_carries_them():
 
 _K, _ELL = (3, 1, 0, Fraction(2, 5)), Fraction(1, 3)
 
+
+def _d4_action(eps5: int) -> dict:
+    """Token -> d_4 of that one letter, as the engine forms it."""
+    return {t: _d4(enveloping.NCExpression.gen(t), eps5) for t in enveloping.TOKENS}
+
+
 # name -> (the engine's datum at eps5, the same datum read off an oracle module)
 DERIVED = {
     "weyl images": (build_rep, lambda oracle, e: oracle.weyl_images(e)),
-    "d4": (lambda e: Derivation(e, 4).action, lambda oracle, e: oracle.d4_action(e)),
+    "d4": (_d4_action, lambda oracle, e: {
+        t: normal_form(image, e) for t, image in oracle.d4_action(e).items()}),
     "plane-wave scale": (enveloping.plane_wave_scale,
                          lambda oracle, e: oracle.plane_wave_scale(e)),
     "g4": (lambda e: exact_gammas(e)[4], lambda oracle, e: oracle.g4(e)),
@@ -200,7 +207,7 @@ def test_only_one_phase_choice_takes_the_realization_at_plus_one_to_minus_one():
 
 
 def test_only_the_factor_i_takes_d4_at_plus_one_to_minus_one():
-    plus, minus = Derivation(1, 4).action, sign_oracle.d4_action(-1)
+    plus, minus = _d4_action(1), sign_oracle.d4_action(-1)
     for turn in range(4):
         same = all(minus[t] == plus[t].twist({"l": 1}, lambda w: turn) for t in enveloping.TOKENS)
         assert same == (turn == 1), turn
@@ -219,7 +226,8 @@ def test_g4_at_minus_one_is_i_g4_at_plus_one_and_no_other_turn():
 BASE_EDITS = {
     "weyl images": ("weyl.py", "(e[4], e[mu]): -il}", "(e[4], e[mu]): il}",
                     {("rep_closure_xC", 1), ("rep_closure_xx", 1)}),
-    "d4": ("enveloping.py", 'coeff = (-sym("l"))', 'coeff = (sym("l"))',
+    # Y_4 = C^2/(2l) read as C^2/l
+    "d4": ("enveloping.py", "ExactScalar(0, Fraction(-1, 2))", "ExactScalar(0, Fraction(-1))",
            {("planewave_derivative", 1), ("planewave_mixed", 1), ("planewave_vacuum", 1)}),
     "plane-wave scale": ("enveloping.py", 'return (I * sym("l"))', 'return (-I * sym("l"))',
                          {("planewave_derivative", 1), ("planewave_mixed", 1),

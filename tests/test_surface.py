@@ -371,7 +371,7 @@ def f(eps5, x):
 
 
 # the functions that write their data at eps5 = 1 and reach -1 by its twist
-_TWISTING = {"weyl": {"build_rep"}, "enveloping": {"Derivation", "plane_wave_scale"},
+_TWISTING = {"weyl": {"build_rep"}, "enveloping": {"plane_wave_scale"},
              "modes": {"dirac_coefficients", "dispersion_polynomial"},
              "clifford": {"_gamma_perms"}}
 
