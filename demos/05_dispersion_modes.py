@@ -9,7 +9,8 @@ Run:  python3 demos/05_dispersion_modes.py
 
 from fractions import Fraction
 
-from ncdirac import dispersion_roots, reference_solutions, residual
+from ncdirac import dispersion_roots, reference_solutions
+from ncdirac.modes import operator_residual
 
 for eps5 in (-1, 1):
     print(f"== eps5 = {eps5:+d} ==")
@@ -26,7 +27,7 @@ for eps5 in (-1, 1):
     light = reference_solutions(Fraction(1), eps5, "massless")
     print(f"  massless branch: class {light.spinor_class}")
 
-    worst = max(residual(sol.k, u, sol.ell, eps5) for sol in (heavy, light)
+    worst = max(operator_residual(sol.operator, u) for sol in (heavy, light)
                 for u in sol.basis)
     print(f"  |D(k) u| / |u| over both bases: {worst}")
     print(f"  k^2 = {heavy.k2} (heavy) and {light.k2} (massless), both Lorentz invariant")

@@ -39,10 +39,9 @@ _LAZY = {
     **dict.fromkeys(("WeylOperator", "build_rep", "verify_rep_closure"), "weyl"),
     **dict.fromkeys(("NCExpression", "plane_wave_exponent", "commutator", "lemma_matrix_check",
                      "normal_form", "verify_plane_wave_relations"), "enveloping"),
-    **dict.fromkeys(("VerificationError", "gamma_sum", "reality_class", "verify_clifford"),
-                    "clifford"),
+    **dict.fromkeys(("VerificationError", "gamma_sum", "verify_clifford"), "clifford"),
     **dict.fromkeys(("SpinorSolution", "dirac_matrix", "dispersion_roots",
-                     "reference_solutions", "residual"), "modes"),
+                     "reference_solutions"), "modes"),
     **dict.fromkeys(("CouplingConfig", "ModeSpectrum", "RootFindingError",
                      "exact_mode_spectrum", "light_mass_leading", "verify_effective_equation"),
                     "seesaw"),

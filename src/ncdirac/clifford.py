@@ -1,5 +1,5 @@
-"""Gamma matrices in the Majorana imaginary representation, Clifford
-relation checks, and the Dirac vs Majorana reality classifier.
+"""Gamma matrices in the Majorana imaginary representation and Clifford
+relation checks.
 
 The five-dimensional Clifford relations {g^a, g^b} = 2 eta^ab with
 eta = diag(1,-1,-1,-1,eps5) are realized on 4x4 matrices: gamma0..gamma3
@@ -25,7 +25,7 @@ from functools import cache
 from itertools import combinations_with_replacement
 
 from .lie_algebra import ETA4_DIAG, quarter
-from .matrices import ExactMatrix, echelon
+from .matrices import ExactMatrix
 from .scalars import I, ONE, P_ZERO, _poly_sum_of_products, poly
 
 
@@ -190,36 +190,3 @@ def majorana_imaginary_check(eps5: int) -> RelationCheck:
     return _check("majorana_imaginary", "conj(g_mu) = -g_mu for mu in 0..3",
                   all(p % 2 for g in gammas for _, p in g),
                   lambda: [((g, tuple((c, -p % 4) for c, p in g)),) for g in gammas])
-
-
-def conjugation_closed(rows) -> bool:
-    """Whether the span of ``rows``, rows of ExactScalar, is closed under
-    entrywise conjugation.
-
-    The reduced row echelon form (RREF) of a span is unique, and its
-    entrywise conjugate is the RREF of the conjugate span; so the span is
-    closed exactly when conjugation fixes every entry of its RREF.  The
-    RREF comes from one ``echelon`` of a copy of ``rows``, which costs
-    next to nothing when they are reduced already."""
-    rows = [list(row) for row in rows]
-    echelon(rows)
-    return not any(x.conjugate() - x for row in rows for x in row if x)
-
-
-def reality_class(basis) -> str:
-    """'Majorana' if span(basis) is closed under componentwise conjugation
-    (equivalently, admits an all-real basis), 'Dirac' otherwise, by exact
-    Gaussian elimination over the coefficient field.
-
-    Entries are exact numbers, or Python complex numbers with integer
-    parts; a float raises TypeError.  Rank-deficient input is rejected
-    because the classification is about the spanned subspace, so the basis
-    must actually be one.
-    """
-    rows = [list(v) for v in basis]
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("basis must be a nonempty list of equal-length vectors")
-    entries = ExactMatrix.from_complex_entries(rows).scalar_entries()
-    if len(echelon(entries)) != len(rows):
-        raise ValueError("basis is rank-deficient")
-    return "Majorana" if conjugation_closed(entries) else "Dirac"

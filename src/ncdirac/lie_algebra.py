@@ -229,8 +229,9 @@ def _rotation_brackets(alg: StructureConstants, pairs, diag):
 def quarter(eps: int, name: str = "eps5") -> int:
     """The quarter turns of i that square to the sign eps, 0 for +1 and 1
     for -1: the twist that carries the data at +1 to eps.  Any other value
-    of the sign ``name`` raises ValueError before any work is done."""
-    if eps not in (1, -1):
+    of the sign ``name``, or one that is no int (1.0, True), raises
+    ValueError before any work is done."""
+    if type(eps) is not int or eps not in (1, -1):
         raise ValueError(f"{name} must be +1 or -1")
     return (1 - eps) // 2
 

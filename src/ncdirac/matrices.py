@@ -10,8 +10,7 @@ memoization, which is cheap at the 4x4 and 8x8 sizes used here.
 from __future__ import annotations
 
 from .scalars import (
-    ONE, ZERO, ExactScalar, P_ONE, P_ZERO, ParamPoly, _inexact, _int_terms, _join, _reduced_sums,
-    poly,
+    ONE, ZERO, ExactScalar, P_ONE, P_ZERO, ParamPoly, _int_terms, _join, _reduced_sums, poly,
 )
 
 
@@ -37,15 +36,6 @@ class ExactMatrix:
         for i in range(n):
             out.rows[i][i] = P_ONE
         return out
-
-    @staticmethod
-    def from_complex_entries(entries) -> "ExactMatrix":
-        """Build from nested lists of exact numbers and Python complex
-        numbers with integer parts, such as a basis ``reality_class`` is
-        given.  Any other complex raises TypeError: its float parts are not
-        exact."""
-        return ExactMatrix([[_gaussian_integer(x) if isinstance(x, complex) else x
-                             for x in row] for row in entries])
 
     # -- ring operations --------------------------------------------------
 
@@ -112,7 +102,9 @@ class ExactMatrix:
     # -- exact linear algebra (constant entries) -----------------------------
 
     def kernel(self) -> list[list[ExactScalar]]:
-        """Exact right-kernel basis (one vector per free column)."""
+        """Exact right-kernel basis, one vector per free column: 1 there, 0
+        at the other free columns.  It is read off the reduced row echelon
+        form, so every matrix with the same row space gives the same basis."""
         rows = self.scalar_entries()
         pivots = echelon(rows)
         pivot_set = set(pivots)
@@ -165,19 +157,13 @@ class ExactMatrix:
     __repr__ = __str__
 
 
-def _gaussian_integer(x: complex) -> ExactScalar:
-    if not (x.real.is_integer() and x.imag.is_integer()):
-        raise _inexact(x, "number")
-    return ExactScalar(int(x.real), int(x.imag))
-
-
 def echelon(rows: list) -> list[int]:
     """Bring ``rows``, a list of lists of field scalars, to reduced row
     echelon form in place and return the pivot columns.
 
     The scalars need ``bool`` (nonzero), ``-``, ``*`` and ``/``, as
     ExactScalar gives: the entries of a constant ExactMatrix, for its
-    kernel, and the bases ``clifford.reality_class`` classifies.
+    kernel.
     """
     nrows, pivots, r = len(rows), [], 0
     for c in range(len(rows[0]) if rows else 0):

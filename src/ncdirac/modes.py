@@ -14,8 +14,9 @@ at one l holds, rescaled, at every l > 0.
 The heavy branch is written here once: its mass scale M = 2/l
 (``heavy_mass``), its k^2 = -eps5 M^2 (``heavy_k2``), the frame a massive
 mode rests in (``frame``), that mode's reality class (``massive_class``)
-and the one guarded kernel of a mode, two-dimensional or an error
-(``spinor_kernel``).  ``seesaw`` reads them for its light and heavy modes.
+and the one guarded kernel of a mode, two-dimensional or an error, with
+the class read off its canonical basis (``spinor_kernel``).  ``seesaw``
+reads them for its light and heavy modes.
 These are facts of each real form, written per sign.  Every function here
 refuses an eps5 other than +1 or -1, and a length l <= 0.
 
@@ -42,7 +43,7 @@ from itertools import combinations
 from math import isqrt
 from numbers import Integral
 
-from .clifford import VerificationError, gamma_sum, reality_class, spinor_generator_identities
+from .clifford import VerificationError, gamma_sum, spinor_generator_identities
 from .lie_algebra import flat_deformed_algebra, lower, minkowski_square, quarter
 from .matrices import ExactMatrix
 from .scalars import (I, MOMENTUM_SYMBOLS, ONE, ZERO, ExactScalar, _coerce_scalar, _make,
@@ -188,51 +189,45 @@ MASSLESS_CLASS = "Majorana"  # of a massless mode, for either eps5
 
 def spinor_kernel(operator: ExactMatrix, k, eps5: int) -> tuple:
     """(basis, reality class) of the kernel of ``operator``, the Dirac-type
-    operator at momentum k.  A mode's kernel must be two-dimensional:
-    anything else signals a convention error and raises VerificationError."""
+    operator at momentum k: the canonical basis ``ExactMatrix.kernel``
+    gives, and "Majorana" if its span is closed under conjugation, "Dirac"
+    otherwise.  A mode's kernel must be two-dimensional: anything else
+    signals a convention error and raises VerificationError."""
     quarter(eps5)  # a bad eps5 raises before the kernel is formed
     basis = tuple(tuple(vec) for vec in operator.kernel())
     if len(basis) != 2:
         raise VerificationError(f"nullspace dimension {len(basis)} != 2 at "
                                 f"k=({', '.join(map(str, k))}) (eps5={eps5})")
-    return basis, reality_class(basis)
+    # a kernel vector is fixed by its free coordinates, real (1 and 0) on
+    # this basis: the span is closed under conjugation exactly when it is real
+    real = all(x == x.conjugate() for vec in basis for x in vec)
+    return basis, "Majorana" if real else "Dirac"
 
 
-def reference_solutions(ell, eps5: int, branch: str, energy_sign: int = 1) -> SpinorSolution:
+def reference_solutions(ell, eps5: int, branch: str) -> SpinorSolution:
     """Reference-frame solutions with exact nullspaces.
 
-    Heavy branch: k = frame(eps5, +-M), M = 2/l, the rest frame for
+    Heavy branch: k = frame(eps5, M), M = 2/l, the rest frame for
     eps5 = -1 (timelike branch) and the z-frame for eps5 = +1 (spacelike
-    branch).  Massless branch: k = energy_sign (1, 0, 0, 1).  The nullspace
-    must come out two-dimensional (``spinor_kernel``).
+    branch).  Massless branch: k = (1, 0, 0, 1).  The nullspace must come
+    out two-dimensional (``spinor_kernel``).
     """
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}")
-    quarter(energy_sign, "energy_sign")  # a bad sign raises
     ellf = _length(ell)
-    if branch == "heavy":
-        k = frame(eps5, energy_sign * heavy_mass(ellf))
-    else:
-        k = (energy_sign, 0, 0, energy_sign)
+    k = frame(eps5, heavy_mass(ellf)) if branch == "heavy" else (1, 0, 0, 1)
     op = dirac_matrix(eps5, k, ellf)
     basis, cls = spinor_kernel(op, k, eps5)
     return SpinorSolution(k=k, basis=basis, k2=minkowski_square(k),
                           spinor_class=cls, eps5=eps5, ell=ellf, operator=op)
 
 
-def residual(k, u, ell, eps5: int) -> float:
-    """||D(k) u|| / ||u||, formed exactly and rounded once to a float: 0.0
-    exactly when D(k) u = 0.  k and l > 0 are exact rationals (strings like
-    "1/10" too); the entries of u are exact numbers or Python complex
-    numbers with integer parts."""
-    ellf = _length(ell)
-    return operator_residual(dirac_matrix(eps5, tuple(as_fraction(c) for c in k), ellf), u)
-
-
 def operator_residual(op: ExactMatrix, u) -> float:
-    """||op u|| / ||u|| for u as ``residual`` takes it, rounded once: the
-    residual of a ``SpinorSolution`` basis vector against its ``operator``."""
-    uvec = ExactMatrix.from_complex_entries([[c] for c in u])
+    """||op u|| / ||u||, formed exactly and rounded once to a float: 0.0
+    exactly when op u = 0, as for a ``SpinorSolution`` basis vector against
+    its ``operator``.  The entries of u are exact numbers; a float or a
+    complex raises TypeError."""
+    uvec = ExactMatrix([[c] for c in u])
     if uvec.is_zero():
         raise ValueError("zero vector has no residual")
     return rounded(exact_sqrt(_norm_squared(op @ uvec) / _norm_squared(uvec)))[0]

@@ -47,7 +47,6 @@ SIGNED = {
     "modes.spinor_kernel": lambda e: modes.spinor_kernel(
         modes.dirac_matrix(1, _MASSLESS, 2), _MASSLESS, e),
     "modes.reference_solutions": lambda e: modes.reference_solutions(2, e, "heavy"),
-    "modes.residual": lambda e: modes.residual(_MASSLESS, [1, 0, 0, 0], 2, e),
     "seesaw.CouplingConfig": lambda e: seesaw.CouplingConfig(1, Fraction(1, 100), 1, e),
     "weyl.build_rep": weyl.build_rep,
     "weyl.closure_families": lambda e: next(weyl.closure_families(e)),

@@ -25,9 +25,10 @@ from ncdirac.lie_algebra import (
     verify_linear_isomorphism,
 )
 from ncdirac.modes import (
+    dirac_matrix,
     dispersion_roots,
+    operator_residual,
     reference_solutions,
-    residual as mode_residual,
     squared_identity_residual,
 )
 from ncdirac.scalars import I, ExactScalar, poly
@@ -155,8 +156,8 @@ def test_criterion_08_boost_covariance():
             drift = k[0] ** 2 - k[1] ** 2 - k[2] ** 2 - k[3] ** 2 - sol.k2
             # denom * S u: the scale leaves the residual's zero in place
             worst = max(
-                mode_residual(k, [sum(x * c for x, c in zip(row, u)) for row in b.numer],
-                              sol.ell, eps5)
+                operator_residual(dirac_matrix(eps5, k, sol.ell),
+                                  [sum(x * c for x, c in zip(row, u)) for row in b.numer])
                 for u in sol.basis
             )
             ok = ok and worst == 0 and drift == 0

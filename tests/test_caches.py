@@ -27,7 +27,7 @@ from ncdirac.lie_algebra import (
     flat_deformed_algebra,
 )
 from ncdirac.matrices import ExactMatrix
-from ncdirac.scalars import I, poly
+from ncdirac.scalars import I, ExactScalar, poly
 from ncdirac.seesaw import CouplingConfig, exact_mode_spectrum
 
 SIGNS = list(itertools.product((1, -1), repeat=2))
@@ -39,7 +39,8 @@ def _same_table(a, b):
 
 def _fresh_gammas(eps5):
     """g0..g3 from their dense block forms and g4 from the product, uncached."""
-    g = [ExactMatrix.from_complex_entries(dense) for dense in DENSE_GAMMAS]
+    g = [ExactMatrix([[ExactScalar(int(x.real), int(x.imag)) for x in row] for row in dense])
+         for dense in DENSE_GAMMAS]
     i = poly(I)
     g5 = (g[0] @ g[1] @ g[2] @ g[3]).scale(i)
     return g + [g5 if eps5 == 1 else g5.scale(i)], g5

@@ -1,4 +1,4 @@
-"""Gamma matrices, the Cayley boost oracle, and the conjugation-closure classifier."""
+"""Gamma matrices, the Cayley boost oracle, and the reality class of a kernel basis."""
 
 import ast
 import json
@@ -18,19 +18,18 @@ from cayley_oracle import cayley_boost
 from exact_arrays import as_array
 from exact_gammas import exact_gammas
 from golden_commands import COMMANDS
+from spans import stacked_rank_closed
 
 import ncdirac
-from ncdirac import checks, clifford
+from ncdirac import checks, clifford, modes
 from ncdirac.clifford import (
     VerificationError,
-    conjugation_closed,
     gamma5_product_check,
     majorana_imaginary_check,
-    reality_class,
     verify_clifford,
 )
-from ncdirac.matrices import ExactMatrix, echelon
-from ncdirac.scalars import ExactScalar, poly
+from ncdirac.matrices import ExactMatrix
+from ncdirac.scalars import I, ExactScalar, poly
 
 J = 1j
 ETA = (1, -1, -1, -1)
@@ -475,7 +474,7 @@ def test_import_leaves_scipy_unloaded():
         "import sys, ncdirac\n"
         f"{loaded}\n{_QUIET_MAIN}\n"
         f"print([main(argv) for argv in {commands!r}])\n{loaded}\n"
-        "assert ncdirac.reality_class([(1, 1, 0, 0), (0, 0, 1, -1)]) == 'Majorana'\n"
+        "assert ncdirac.reference_solutions(1, 1, 'heavy').spinor_class == 'Majorana'\n"
         f"{loaded}\n"
     )
     assert out == ["[]", "[1, 0, 0, 0, 2, 0, 0, 0, 0, 1]", "[]", "[]"]
@@ -607,7 +606,7 @@ import contextlib, io, json, sys
 sys.modules["numpy"] = None
 from ncdirac import clifford
 from ncdirac.cli import main
-from ncdirac.modes import residual
+from ncdirac.modes import dirac_matrix, operator_residual
 
 true_perms = clifford._gamma_perms
 
@@ -623,7 +622,7 @@ with contextlib.redirect_stdout(buf):
     code = main(["verify", "clifford"])
 rows = json.loads(buf.getvalue())["reports"]
 print(json.dumps([code, {r["check"]: [r["status"], r["residual"]] for r in rows}]))
-print(repr(residual((1, 0, 0, 1), (1, 0, 0, 0), 1, 1)))
+print(repr(operator_residual(dirac_matrix(1, (1, 0, 0, 1), 1), (1, 0, 0, 0))))
 """
 
 
@@ -659,64 +658,58 @@ def test_failing_relation_reports_without_numpy():
     assert float(size) == np.sqrt(2.0)
 
 
-class TestRealityClass:
-    def test_real_basis_is_majorana(self):
-        assert reality_class([(1, 1, 0, 0), (0, 0, 1, -1)]) == "Majorana"
-        # a numpy integer entry is exact too
-        assert reality_class([(np.int64(1), 1, 0, 0), (0, 0, 1, -1)]) == "Majorana"
+def _is_real(basis) -> bool:
+    return all(x == x.conjugate() for vec in basis for x in vec)
 
-    def test_paired_imaginary_is_dirac(self):
-        assert reality_class([(1, 0, J, 0), (0, 1, 0, J)]) == "Dirac"
 
-    def test_complex_span_with_real_form(self):
-        # (i, i, 0, 0) spans the same line as (1, 1, 0, 0)
-        assert reality_class([(J, J, 0, 0)]) == "Majorana"
+def _with_kernel(span):
+    """An operator whose kernel is the span of ``span``: the rows of the
+    annihilator of the span, whose own annihilator it is."""
+    return ExactMatrix(ExactMatrix(span).kernel())
 
-    def test_basis_recombination_invariance(self):
-        base = [(1, 0, J, 0), (0, 1, 0, J)]
-        mixed = [
-            tuple(3 * a + (2 + J) * b for a, b in zip(base[0], base[1])),
-            tuple((1 - J) * a - 5 * b for a, b in zip(base[0], base[1])),
-        ]
-        assert reality_class(mixed) == reality_class(base) == "Dirac"
 
-    def test_rank_deficient_rejected(self):
-        with pytest.raises(ValueError):
-            reality_class([(1, 0, 0, 0), (2, 0, 0, 0)])
+_PAIRED = [(1, 0, I, 0), (0, 1, 0, I)]
+_MIXED = [  # 3 a - 5 b and (2 + i) a + (1 - i) b of the paired a, b
+    (3, -5, 3 * I, -5 * I),
+    (2 + I, 1 - I, -1 + 2 * I, 1 + I),
+]
 
-    def test_full_space_is_majorana(self):
-        basis = [tuple(int(i == j) for j in range(4)) for i in range(4)]
-        assert reality_class(basis) == "Majorana"
+
+@pytest.mark.parametrize("span, cls", [
+    ([(1, 1, 0, 0), (0, 0, 1, -1)], "Majorana"),  # real
+    ([(I, I, 0, 0), (0, 0, I, -I)], "Majorana"),  # i times real: the same span
+    ([(1, I, 0, 0), (1, -I, 0, 0)], "Majorana"),  # a vector and its conjugate
+    (_PAIRED, "Dirac"),                           # paired +-i blocks
+    (_MIXED, "Dirac"),                            # the same span
+])
+def test_a_kernel_class_is_a_property_of_its_span(span, cls):
+    assert modes.spinor_kernel(_with_kernel(span), (0, 0, 0, 0), 1)[1] == cls
 
 
 @pytest.mark.parametrize("rows, closed", [
-    ([[1, 0], [0, 1]], True),
-    ([[1, 1j]], False),
-    ([[1j, 1j]], True),                  # i times a real row
-    ([[1, 1j, 0], [1, -1j, 0]], True),   # a row with its conjugate
-    ([[1, 1j, 0], [0, 0, 1]], False),
+    ([[1, 0], [0, 1]], True),           # the full span: an empty kernel
+    ([[0, 0, 0]], True),                # no span: the whole space is the kernel
+    ([[1, I]], False),
+    ([[I, I]], True),                   # i times a real row
+    ([[1, I, 0], [1, -I, 0]], True),    # a row with its conjugate
+    ([[1, I, 0], [0, 0, 1]], False),
 ])
-def test_conjugation_closed(rows, closed):
-    rows = ExactMatrix.from_complex_entries(rows).scalar_entries()
-    assert conjugation_closed(rows) is closed
+def test_the_kernel_of_rows_is_real_when_their_span_is_closed(rows, closed):
+    assert _is_real(ExactMatrix(rows).kernel()) is closed
 
 
-def _stacked_rank_closed(rows) -> bool:
-    """The verdict conjugation_closed gave before: adding the conjugate
-    rows leaves the rank unchanged."""
-    rank = len(echelon([list(row) for row in rows]))
-    stacked = [list(row) for row in rows] + [[x.conjugate() for x in row] for row in rows]
-    return len(echelon(stacked)) == rank
-
-
-def _seeded_subspaces(rng, scalar):
+def _seeded_subspaces(rng, scalar, shape=None):
     """Row lists of three kinds: random rows (rarely closed), random
     combinations of real rows, and rows next to their conjugates (both
     closed, though no row need be real).  ``scalar(real)`` draws a field
-    element, real or not."""
+    element, real or not; ``shape`` fixes (columns, rows), else both are
+    drawn (a paired list has two rows)."""
     for _ in range(40):
-        ncols = rng.randint(1, 4)
-        k = rng.randint(1, ncols)
+        if shape:
+            ncols, k = shape
+        else:
+            ncols = rng.randint(1, 4)
+            k = rng.randint(1, ncols)
         kind = rng.choice(("random", "real span", "paired"))
         if kind == "random":
             rows = [[scalar(False) for _ in range(ncols)] for _ in range(k)]
@@ -738,20 +731,42 @@ def _seeded_subspaces(rng, scalar):
         yield kind, rows
 
 
-def test_conjugation_closed_matches_the_stacked_rank():
-    rng = random.Random("conjugation_closed:Q(i)")
-
+def _gaussian_scalar(rng):
+    """``scalar(real)`` for ``_seeded_subspaces``: small Gaussian rationals."""
     def scalar(real):
         im = 0 if real else Fraction(rng.randint(-3, 3), rng.randint(1, 2))
         return ExactScalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), im)
+    return scalar
 
+
+def test_the_kernel_basis_is_real_exactly_when_the_span_is_closed():
+    # the rows' span and their kernel annihilate each other, and conjugation
+    # carries the pair to the conjugate pair: the two are closed together,
+    # and the stacked rank decides it without the kernel
+    rng = random.Random("conjugation_closed:Q(i)")
     verdicts = {}
-    for kind, rows in _seeded_subspaces(rng, scalar):
-        want = _stacked_rank_closed(rows)
-        assert conjugation_closed(rows) is want
-        reduced = [list(row) for row in rows]
-        echelon(reduced)
-        assert conjugation_closed(reduced) is want
+    for kind, rows in _seeded_subspaces(rng, _gaussian_scalar(rng)):
+        want = stacked_rank_closed(rows)
+        assert _is_real(ExactMatrix(rows).kernel()) is want
         verdicts.setdefault(kind, set()).add(want)
     assert verdicts["real span"] == verdicts["paired"] == {True}
     assert False in verdicts["random"]
+
+
+def test_spinor_kernel_classes_seeded_rank_two_operators():
+    # a 4x2 mixing of two seeded rows: the operator's rows span what they
+    # do, and its kernel is two-dimensional whenever both have rank 2
+    rng = random.Random("spinor_kernel:Q(i)")
+    scalar = _gaussian_scalar(rng)
+    classes = []
+    for _, rows in _seeded_subspaces(rng, scalar, shape=(4, 2)):
+        op = ExactMatrix([[scalar(False) for _ in range(2)] for _ in range(4)]) @ ExactMatrix(rows)
+        try:
+            basis, cls = modes.spinor_kernel(op, (0, 0, 0, 0), 1)
+        except VerificationError:
+            continue  # rank below 2
+        want = "Majorana" if stacked_rank_closed(basis) else "Dirac"
+        assert cls == want
+        assert stacked_rank_closed(op.scalar_entries()) is (want == "Majorana")
+        classes.append(cls)
+    assert len(classes) >= 30 and set(classes) == {"Majorana", "Dirac"}

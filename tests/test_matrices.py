@@ -1,11 +1,12 @@
 """Exact linear algebra over the polynomial scalars."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncdirac.matrices import ExactMatrix
+from ncdirac.matrices import ExactMatrix, echelon
 from ncdirac.scalars import I, MAX_DEGREE, DegreeBoundError, ExactScalar, ParamPoly, poly, sym
 
 
@@ -29,6 +30,40 @@ def test_kernel_of_full_rank_is_empty():
     assert ExactMatrix([[2, 0], [1, 1]]).kernel() == []
 
 
+def _free_columns(rows) -> list:
+    """The columns that raise no rank over the ones before them."""
+    ranks = [len(echelon([row[:c] for row in rows])) for c in range(len(rows[0]) + 1)]
+    return [c for c in range(len(rows[0])) if ranks[c + 1] == ranks[c]]
+
+
+def test_the_kernel_basis_is_canonical():
+    # one vector per free column, 1 there and 0 at the other free columns,
+    # each in the kernel; and an invertible recombination of the rows,
+    # which keeps their span, keeps the basis
+    rng = random.Random("kernel:canonical")
+
+    def scalar(nonzero=False):
+        x = ExactScalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                        Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+        return scalar(nonzero) if nonzero and not x else x
+
+    def matrix(nrows, ncols, entry=lambda i, j: scalar()):
+        return ExactMatrix([[entry(i, j) for j in range(ncols)] for i in range(nrows)])
+
+    for _ in range(60):
+        nrows, ncols, rank = rng.randint(1, 4), rng.randint(1, 5), rng.randint(1, 4)
+        m = matrix(nrows, rank) @ matrix(rank, ncols)  # rank at most ``rank``
+        basis = m.kernel()
+        free = _free_columns(m.scalar_entries())
+        assert [[vec[c] for c in free] for vec in basis] == [
+            [int(i == j) for j in range(len(free))] for i in range(len(free))]
+        assert all((m @ ExactMatrix([[x] for x in vec])).is_zero() for vec in basis)
+        # unit lower triangular times upper triangular with a nonzero diagonal
+        lower = matrix(nrows, nrows, lambda i, j: scalar() if j < i else int(i == j))
+        upper = matrix(nrows, nrows, lambda i, j: scalar(j == i) if j >= i else 0)
+        assert (lower @ upper @ m).kernel() == basis
+
+
 def test_det_2x2_symbolic():
     m = ExactMatrix([[sym("l"), poly(1)], [poly(1), sym("l")]])
     assert m.det() == sym("l") ** 2 - poly(1)
@@ -43,13 +78,17 @@ def test_det_matches_laplace_on_3x3():
     assert a.det() == expect
 
 
-def test_complex_entries_and_conjugate():
-    m = ExactMatrix.from_complex_entries([[1j, 0], [0, -1j]])
+def test_gaussian_entries_and_conjugate():
+    m = ExactMatrix([[I, 0], [0, -I]])
     c = m.conjugate()
     assert (m + c).is_zero()
     assert m.scalar_entries()[0][0] == I
+
+
+@pytest.mark.parametrize("entry", [1j, 0.5j, 0.5])
+def test_a_python_float_or_complex_entry_raises(entry):
     with pytest.raises(TypeError, match="convert floats explicitly"):
-        ExactMatrix.from_complex_entries([[0.5j]])
+        ExactMatrix([[1, entry]])
 
 
 def test_shape_mismatch():

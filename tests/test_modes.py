@@ -2,6 +2,7 @@
 Cayley boost oracle."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,15 +14,16 @@ from exact_arrays import as_array
 from exact_gammas import exact_gammas
 from hypothesis import given, settings, strategies as st
 from package_mutant import failed_rows
+from spans import stacked_rank_closed
 
 from ncdirac import checks, clifford, modes
-from ncdirac.clifford import VerificationError, reality_class
-from ncdirac.matrices import ExactMatrix
+from ncdirac.clifford import VerificationError
+from ncdirac.matrices import ExactMatrix, echelon
 from ncdirac.modes import (
     dirac_matrix,
     dispersion_roots,
+    operator_residual,
     reference_solutions,
-    residual,
     scaling_residual,
     squared_identity_residual,
 )
@@ -160,7 +162,7 @@ def test_heavy_solutions(eps5):
     assert sol.k2 == Fraction(-4 * eps5)
     assert sol.spinor_class == ("Dirac" if eps5 == -1 else "Majorana")
     for vec in sol.basis:
-        assert residual(sol.k, vec, Fraction(1), eps5) == 0.0
+        assert operator_residual(dirac_matrix(eps5, sol.k, Fraction(1)), vec) == 0.0
     for vec in FROZEN_SPANS[(eps5, "heavy")]:
         assert _in_kernel(eps5, sol.k, vec)
 
@@ -176,30 +178,29 @@ def test_massless_solutions(eps5):
 
 
 @pytest.mark.parametrize("eps5", [1, -1])
+@pytest.mark.parametrize("branch", ["heavy", "massless"])
+def test_a_reference_solution_runs_one_elimination(monkeypatch, eps5, branch):
+    # the kernel's and no other: the class is read off the basis it gives
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return echelon(rows)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ncdirac") and getattr(module, "echelon", None) is echelon:
+            monkeypatch.setattr(module, "echelon", counted)
+    reference_solutions(Fraction(1), eps5, branch)
+    assert calls == [4]
+
+
+@pytest.mark.parametrize("eps5", [1, -1])
 def test_a_mode_kernel_of_other_dimension_raises(eps5):
     # D(0) = 0: the whole spinor space is the kernel, no mode to classify
     k = modes.frame(eps5, 0)
     with pytest.raises(VerificationError,
                        match=rf"^nullspace dimension 4 != 2 at k=\(0, 0, 0, 0\) \(eps5={eps5}\)$"):
         modes.spinor_kernel(dirac_matrix(eps5, k, Fraction(1)), k, eps5)
-
-
-def test_negative_energy_branch():
-    sol = reference_solutions(Fraction(1), -1, "heavy", energy_sign=-1)
-    assert len(sol.basis) == 2
-    assert float(sol.k[0]) < 0
-    assert sol.k2 == Fraction(4)
-
-
-@pytest.mark.parametrize("eps5", [1, -1])
-def test_negative_energy_massless_branch(eps5):
-    # energy_sign was once ignored here: both signs gave k = (1, 0, 0, 1)
-    sol = reference_solutions(Fraction(1), eps5, "massless", energy_sign=-1)
-    assert sol.k == (-1, 0, 0, -1)
-    assert sol.k2 == 0
-    assert len(sol.basis) == 2
-    for vec in sol.basis:
-        assert residual(sol.k, vec, Fraction(1), eps5) == 0.0
 
 
 def test_float_length_is_rejected():
@@ -217,7 +218,6 @@ _AT_LENGTH = {
     "heavy_k2": lambda ell: modes.heavy_k2(ell, 1),
     "dispersion_roots": lambda ell: dispersion_roots(ell, -1),
     "reference_solutions": lambda ell: reference_solutions(ell, -1, "heavy"),
-    "residual": lambda ell: residual((1, 0, 0, 1), (1, 0, 0, 0), ell, 1),
 }
 
 
@@ -230,9 +230,14 @@ def test_a_length_that_is_not_positive_is_refused(name, ell):
         _AT_LENGTH[name](ell)
 
 
+def _massless_residual(u):
+    """The residual of u against D(k) at k = (1, 0, 0, 1), l = 1, eps5 = +1."""
+    return operator_residual(dirac_matrix(1, (1, 0, 0, 1), 1), u)
+
+
 def test_residual_rejects_zero_vector():
     with pytest.raises(ValueError):
-        residual((1, 0, 0, 0), (0, 0, 0, 0), Fraction(1), -1)
+        operator_residual(dirac_matrix(-1, (1, 0, 0, 0), 1), (0, 0, 0, 0))
 
 
 _NOT_EXACT = {
@@ -242,11 +247,11 @@ _NOT_EXACT = {
     "CouplingConfig-complex-g": lambda: CouplingConfig(g=1j, vev=1, ell=1, eps5=1),
     "CouplingConfig-vev": lambda: CouplingConfig(g=1, vev=0.01, ell=1, eps5=1),
     "reference_solutions": lambda: reference_solutions(0.5, 1, "massless"),
-    "residual-u": lambda: residual((1, 0, 0, 1), (1 + 1e-13j, 0, 0, 1), 1, 1),
-    "residual-k": lambda: residual((1.0, 0, 0, 1), (1, 0, 0, 1), 1, 1),
+    "operator_residual-float": lambda: _massless_residual((0.5, 0, 0, 1)),
+    "operator_residual-complex": lambda: _massless_residual((1 + 1e-13j, 0, 0, 1)),
+    # a complex with integer parts too: the exact unit is I
+    "operator_residual-integer-complex": lambda: _massless_residual((1j, 0, 0, -1j)),
     "dispersion_roots": lambda: dispersion_roots(0.5, 1),
-    "reality_class": lambda: reality_class([(1 + 1e-13j, 0, 0, 0)]),
-    "reality_class-float": lambda: reality_class([(0.5, 1, 0, 0)]),
     "cayley_boost": lambda: cayley_boost([[0, 0.5, 0, 0], [-0.5, 0, 0, 0], [0] * 4, [0] * 4]),
 }
 
@@ -259,20 +264,19 @@ def test_float_inputs_raise(case):
         _NOT_EXACT[case]()
 
 
-def test_integer_complex_entries_are_exact():
-    assert reality_class([(1j, 1j, 0, 0)]) == "Majorana"
-    assert residual((1, 0, 0, 1), (1j, 0, 0, -1j), 1, 1) == 0.0
+def test_gaussian_entries_are_exact():
+    assert _massless_residual((I, 0, 0, -I)) == 0.0
 
 
 def test_residual_is_rounded_once():
     # |D(k) u|^2 / |u|^2 is a rational; the float is its correctly rounded
     # square root, which the float norms meet to a few ulps
-    k, u = (Fraction(3, 2), Fraction(1, 3), 0, Fraction(-1, 2)), (1, 2j, -3, 1 + 1j)
-    got = residual(k, u, Fraction(1, 4), -1)
-    op = as_array(dirac_matrix(-1, k, Fraction(1, 4)))
-    want = np.linalg.norm(op @ np.array(u)) / np.linalg.norm(u)
-    assert got == pytest.approx(want, rel=1e-15, abs=0)
-    assert residual((1, 0, 0, 1), (1, 0, 0, 0), 1, 1) == np.sqrt(2.0)
+    k, u = (Fraction(3, 2), Fraction(1, 3), 0, Fraction(-1, 2)), (1, 2 * I, -3, 1 + I)
+    op = dirac_matrix(-1, k, Fraction(1, 4))
+    floats = np.array([complex(x) for x in u])
+    want = np.linalg.norm(as_array(op) @ floats) / np.linalg.norm(floats)
+    assert operator_residual(op, u) == pytest.approx(want, rel=1e-15, abs=0)
+    assert _massless_residual((1, 0, 0, 0)) == np.sqrt(2.0)
 
 
 def _axis_boost(rapidity):
@@ -287,7 +291,8 @@ def _moved_class(sol, boost):
     spinor = ExactMatrix([[ExactScalar(Fraction(x, boost.denom)) for x in row]
                           for row in boost.numer])
     columns = ExactMatrix([list(u) for u in zip(*sol.basis)])
-    return reality_class(list(zip(*(spinor @ columns).scalar_entries())))
+    moved = list(zip(*(spinor @ columns).scalar_entries()))
+    return "Majorana" if stacked_rank_closed(moved) else "Dirac"
 
 
 def _moved_k(sol, boost):

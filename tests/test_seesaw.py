@@ -13,7 +13,7 @@ from exact_gammas import exact_gammas
 from seesaw_oracle import coupled_matrix, exact_mode_spectrum_oracle, leading_order_reduction
 
 from ncdirac.matrices import ExactMatrix
-from ncdirac.modes import reference_solutions, residual
+from ncdirac.modes import operator_residual, reference_solutions
 from ncdirac.scalars import ExactScalar, poly, sym
 from ncdirac.seesaw import (
     CouplingConfig,
@@ -204,12 +204,12 @@ def test_schur_rank_away_from_a_root(eps5):
 def test_exact_string_parameters():
     sol = reference_solutions("1/10", -1, "heavy")
     assert sol.ell == Fraction(1, 10) and sol.k2 == 400
-    assert all(residual(sol.k, u, "1/10", -1) == 0.0 for u in sol.basis)
+    assert all(operator_residual(sol.operator, u) == 0.0 for u in sol.basis)
     config = CouplingConfig(g=1, vev="1/100", ell="1/10", eps5=1)
     assert leading_mass(config) == Fraction(1, 200000)
     assert exact_mode_spectrum(config).light_class == "Majorana"
     with pytest.raises(ValueError):
-        residual((1, 0, 0, 0), (1, 0, 0, 0), "-1/10", -1)
+        reference_solutions("-1/10", -1, "heavy")
     with pytest.raises(ValueError):
         CouplingConfig(g=1, vev="-1/100", ell="1/10", eps5=1)
 

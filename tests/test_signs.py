@@ -28,7 +28,7 @@ from ncdirac.clifford import (clifford_relations, gamma5_product_check,
                               majorana_imaginary_check)
 from ncdirac.enveloping import _d4, lemma_matrix_check, normal_form, verify_plane_wave_relations
 from ncdirac.lie_algebra import (DEFORMED_BASIS, P_LABELS, X_LABELS, build_deformed_algebra,
-                                 contract, flat_deformed_algebra, jacobi_residual,
+                                 contract, flat_deformed_algebra, jacobi_residual, quarter,
                                  solve_isomorphism_scalings, verify_linear_isomorphism)
 from ncdirac.modes import (dirac_matrix, lorentz_covariance, operator_residual,
                            reference_solutions, scaling_residual, squared_identity_residual)
@@ -255,5 +255,21 @@ def test_a_sign_flip_in_the_plus_one_data_fails_check_all(tmp_path, name):
 def test_every_signed_definition_refuses_a_bad_sign(name, eps5):
     call = SIGNED[name]
     call(1), call(-1)  # the other arguments are valid
+    with pytest.raises(ValueError, match=r"must be \+1 or -1"):
+        call(eps5)
+
+
+# the definitions that read their sign before any cache; a cached builder,
+# such as gamma_sum or build_deformed_algebra, may answer 1.0 with the +1 data
+_UNCACHED = ("checks.RunConfig", "seesaw.CouplingConfig", "modes.heavy_k2",
+             "modes.reference_solutions", "modes.dispersion_roots", "weyl.build_rep")
+
+
+@pytest.mark.parametrize("eps5", [1.0, -1.0, True])
+@pytest.mark.parametrize("name", ["lie_algebra.quarter", *_UNCACHED])
+def test_a_sign_that_is_no_int_is_refused(name, eps5):
+    # a value equal to +1 or -1 once passed: heavy_k2(2, -1.0) gave the
+    # float 1.0, and RunConfig(eps5=1.0) failed later with a TypeError
+    call = quarter if name == "lie_algebra.quarter" else SIGNED[name]
     with pytest.raises(ValueError, match=r"must be \+1 or -1"):
         call(eps5)
