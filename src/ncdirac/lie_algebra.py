@@ -240,23 +240,30 @@ def quarter(eps: int, name: str = "eps5") -> int:
 # the other pairs are its twists (``StructureConstants.twist``): the four
 # pairs are real forms of one complex algebra.  The cached tables are never
 # handed out: the public builders return copies, so a caller's in-place
-# edit of ``rows`` does not reach later calls.  A sign is checked by
-# ``quarter`` when its table is first built.
+# edit of ``rows`` does not reach later calls.  Each public builder checks
+# its signs with ``quarter``, eps4 first, before the cached call: the cache
+# keys 1.0 and True as 1, so a bad sign would otherwise be answered once
+# the int table is cached.
 
 
 def build_deformed_algebra(eps4: int, eps5: int) -> StructureConstants:
     """Symbolic bracket table; coefficients are polynomials in l and rho."""
+    quarter(eps4, "eps4")
+    quarter(eps5)
     return _deformed_table(eps4, eps5).copy()
 
 
 def flat_deformed_algebra(eps5: int) -> StructureConstants:
     """The rho -> 0 contraction of the deformed table.  It does not depend
     on eps4, which only ever multiplies rho."""
+    quarter(eps5)
     return _flat_table(eps5).copy()
 
 
 def build_orthogonal_algebra(eps4: int, eps5: int) -> StructureConstants:
     """so-type algebra of the 6-d metric diag(1,-1,-1,-1,eps4,eps5)."""
+    quarter(eps4, "eps4")
+    quarter(eps5)
     return _orthogonal_table(eps4, eps5).copy()
 
 

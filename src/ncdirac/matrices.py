@@ -84,9 +84,6 @@ class ExactMatrix:
 
     # -- structure ----------------------------------------------------------
 
-    def conjugate(self) -> "ExactMatrix":
-        return ExactMatrix([[a.conjugate() for a in row] for row in self.rows])
-
     def is_zero(self) -> bool:
         return all(a.is_zero() for row in self.rows for a in row)
 

@@ -457,9 +457,6 @@ class ParamPoly:
         """Terms in canonical order: lexicographic on the exponent vector."""
         return [(_unpack(k), c) for k, c in sorted(self._terms.items())]
 
-    def conjugate(self) -> "ParamPoly":
-        return _packed_poly({k: c.conjugate() for k, c in self._terms.items()})
-
     def truncate_in(self, name: str, order: int) -> "ParamPoly":
         """Drop terms whose power of the symbol exceeds ``order``."""
         if order < 0:

@@ -20,13 +20,17 @@ The heavy branch, its mass scale M = 2/l, its frame and its reality class
 are read from ``modes`` (``heavy_mass``, ``frame``, ``massive_class``).
 The exact spectrum works in that frame, k = frame(eps5, x): the rest frame
 k = (x,0,0,0) for eps5 = -1 and the z-frame k = (0,0,0,x) for eps5 = +1.
-There the determinant of the 8x8 matrix, taken as the 4x4 determinant of
-AD - BC, is exactly the square of a quartic that is a quadratic in k^2.
+There the determinant of the 8x8 matrix is the 4x4 determinant of
+AD - BC = (eta x^2 - mu^2) I + eta M x P, eta = -eps5, and P = g^axis g^4
+has the eigenvalues +1 and -1 twice each, which ``modes.spinor_kernel``
+proves once per eps5 on P - I and P + I: so the determinant is exactly the
+square of a quartic that is a quadratic in k^2.
 Its frame roots x = (+-M +- sqrt(delta))/2, delta = M^2 - 4 eps5 mu^2,
 all come from one exact sqrt(delta), in
 Q(i, sqrt(delta)) (QuadraticScalar), or in Q(i) when delta is a rational
-square; the reality classes come from the kernel of a 4x4 Schur complement
-at them, and each reported float is an exact value rounded once.
+square.  At each root the kernel of the 4x4 Schur complement is one of the
+two eigenspaces of P, and the root's reality class is that eigenspace's;
+each reported float is an exact value rounded once.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
-from .clifford import gamma_sum
+from .clifford import VerificationError, gamma_sum
 from .lie_algebra import lower, quarter
 from .matrices import ExactMatrix
 from .modes import exact_sqrt, frame, heavy_mass, massive_class, rounded, spinor_kernel
@@ -226,39 +230,21 @@ class ModeSpectrum(namedtuple("ModeSpectrum", (
 
 
 @cache
-def _frame_product(e5: int) -> ExactMatrix:
-    """P = g^a g^4, a the axis of ``modes.frame`` (0 for eps5 = -1, 3 for
-    +1), as one product of two ``gamma_sum`` matrices.  Only read: the
-    cache hands out this one."""
-    return gamma_sum(e5, frame(e5, 1)) @ gamma_sum(e5, [0, 0, 0, 0, 1])
-
-
-@cache
-def _frame_class(e5: int) -> str:
-    """The reality class of every eigenspace of P (see ``_root_class``):
-    Majorana when P is real, else Dirac."""
-    p = _frame_product(e5)
-    return "Majorana" if p == p.conjugate() else "Dirac"
-
-
-# the symbol of x, the axis component of the frame momentum frame(eps5, x)
-_X = "m"
-_X1, _X2 = sym(_X), sym(_X, 2)  # x and x^2
-
-
-def _frame_block(e5: int, big_m: Fraction, mu2: Fraction) -> ExactMatrix:
-    """AD - BC for the blocks [[A, B], [C, D]] of the coupled 8x8 matrix at
-    the frame momentum frame(eps5, x), x the symbol ``_X``.  C = g* vev I
-    commutes with D, so det(AD - BC) is the 8x8 determinant (Silvester,
-    "Determinants of block matrices", Math. Gazette 84 (2000) 460).  With g.k = eta x g^a,
-    eta = -eps5, and BC = mu^2 I it is (eta x^2 - mu^2) I + eta M x P: the
-    cached P = g^a g^4 scaled, with the diagonal term added in place."""
-    diag = poly(-e5) * _X2 - poly(mu2)
-    off = poly(-e5 * big_m) * _X1
-    block = _frame_product(e5).scale(off)
-    for r, row in enumerate(block.rows):
-        row[r] = row[r] + diag
-    return block
+def _eigenspace_classes(e5: int) -> tuple:
+    """The reality classes of the +1 and the -1 eigenspace of P = g^a g^4,
+    a the axis of ``modes.frame`` (0 for eps5 = -1, 3 for +1), each read by
+    ``modes.spinor_kernel`` off the kernel of P - I or P + I.  Both kernels
+    must be two-dimensional, so P is diagonalisable with eigenvalues +1 and
+    -1 twice each; else RootFindingError.  Proved once per eps5: a failure
+    is not cached, so it raises on every call."""
+    axis = frame(e5, 1)
+    p = gamma_sum(e5, axis) @ gamma_sum(e5, [0, 0, 0, 0, 1])
+    try:
+        return tuple(spinor_kernel(p - ExactMatrix.identity(4).scale(s), axis, e5)[1]
+                     for s in (1, -1))
+    except VerificationError as exc:
+        raise RootFindingError("P = g^a g^4 does not have eigenvalues +1 and -1 twice each: "
+                               f"{exc}") from exc
 
 
 def _root_class(e5: int, x, big_m: Fraction, mu2: Fraction) -> str:
@@ -269,13 +255,12 @@ def _root_class(e5: int, x, big_m: Fraction, mu2: Fraction) -> str:
     k^2 + eps5 M^2 = eps5 (M^2 - x^2) vanishes only at mu = 0 (heavy root)
     and at mu^2 = 2 M^2, eps5 = -1 (light root), which raises.  In the
     frame T = eta g^a (alpha I + beta P) with alpha = (1 - c) x and
-    beta = -c M.  The certificate shows P has eigenvalues +1 and -1 twice
-    each, so P^2 = I, T has rank 2 [alpha + beta != 0] + 2 [alpha - beta != 0],
-    which must be 2, and ker T is an eigenspace of P.  P = g^a g^4 has one
-    unit entry per row, so that eigenspace is spanned by e_r +- P_r,col e_col
-    over the row pairs P swaps (and the rows it fixes): it is closed under
-    conjugation exactly when P is real, which ``_frame_class`` reads once
-    per eps5."""
+    beta = -c M.  P is diagonalisable with eigenvalues +1 and -1 twice each
+    (``_eigenspace_classes``), so T has rank
+    2 [alpha + beta != 0] + 2 [alpha - beta != 0], which must be 2, and
+    ker T is the eigenspace of P on which alpha + beta P vanishes: the +1
+    eigenspace when alpha + beta = 0, the -1 one when alpha - beta = 0.
+    Its class is the one ``_eigenspace_classes`` read for that eigenspace."""
     pole = e5 * (big_m * big_m - x * x)
     if not pole:
         raise RootFindingError("the light root is a pole of the heavy block: mu^2 = 2 M^2")
@@ -287,29 +272,30 @@ def _root_class(e5: int, x, big_m: Fraction, mu2: Fraction) -> str:
             "Schur complement kernel is not two-dimensional",
             diagnostics={"rank": rank},
         )
-    return _frame_class(e5)
+    return _eigenspace_classes(e5)[bool(alpha + beta)]
 
 
 def exact_mode_spectrum(c: CouplingConfig) -> ModeSpectrum:
     """Light and heavy roots of the coupled 8x8 determinant along the frame axis,
     their reality classes, and the light mass's deviation from leading order.
 
-    With M = 2/l and mu^2 = |g|^2 vev^2 the determinant is exactly q(x)^2,
-    q = x^4 - (M^2 - 2 eps5 mu^2) x^2 + mu^4, checked on every call on the
-    4x4 ``_frame_block``; its discriminant in x^2 is M^2 delta.  The heavy
-    frame root is h = (M + sqrt(delta))/2, the light one mu^2/h =
-    m_lead (1 + d) with d = eps5 mu^2/h^2, and k^2 = -eps5 x^2.  Each is a
-    sum or quotient of nonnegative terms, so ``modes.rounded`` rounds
-    them once from the one exact sqrt(delta), with no cancellation at any
-    mu/M.  The k^2 values stay exact when delta is a rational square.
+    With M = 2/l and mu^2 = |g|^2 vev^2 the determinant is the 4x4
+    determinant of AD - BC = (eta x^2 - mu^2) I + eta M x P, eta = -eps5,
+    for the blocks [[A, B], [C, D]], since C = g* vev I commutes with D
+    (Silvester, "Determinants of block matrices", Math. Gazette 84 (2000)
+    460).  The eigenspaces of P, certified by ``_eigenspace_classes`` on
+    every call, g = 0 included, make it exactly q(x)^2 for every x, M and
+    mu^2, with q = x^4 - (M^2 - 2 eps5 mu^2) x^2 + mu^4; its discriminant in
+    x^2 is M^2 delta.  The heavy frame root is h = (M + sqrt(delta))/2, the light
+    one mu^2/h = m_lead (1 + d) with d = eps5 mu^2/h^2, and k^2 = -eps5 x^2.
+    Each is a sum or quotient of nonnegative terms, so ``modes.rounded``
+    rounds them once from the one exact sqrt(delta), with no cancellation
+    at any mu/M.  The k^2 values stay exact when delta is a rational square.
     """
     e5 = c.eps5
     big_m, mu2, delta = _scales(c)
     m2 = big_m * big_m
-    quartic = _X2 * _X2 - _X2 * poly(m2 - 2 * e5 * mu2) + poly(mu2 * mu2)
-    if _frame_block(e5, big_m, mu2).det() != quartic * quartic:
-        raise RootFindingError("determinant is not the square of the seesaw quartic",
-                               diagnostics={"quartic": str(quartic)})
+    _eigenspace_classes(e5)  # certifies det = q^2, or raises
     if delta < 0:
         raise RootFindingError("no real determinant roots: the coupling is overcritical",
                                diagnostics={"discriminant": m2 * delta, "mu2": mu2, "M2": m2})

@@ -5,14 +5,15 @@ written, step by step."""
 
 from fractions import Fraction
 
+from conjugation import conjugate
+
 from ncdirac.clifford import gamma_sum
 from ncdirac.lie_algebra import lower
 from ncdirac.matrices import ExactMatrix
-from ncdirac.modes import exact_sqrt
+from ncdirac.modes import exact_sqrt, frame
 from ncdirac.scalars import P_ZERO, ExactScalar, poly, sym
-from ncdirac.seesaw import (_X, CouplingConfig, ModeSpectrum, RootFindingError,
-                            _frame_class, _frame_product, _momentum, _reduction, _rounded,
-                            _scales, leading_mass)
+from ncdirac.seesaw import (CouplingConfig, ModeSpectrum, RootFindingError, _momentum,
+                            _reduction, _rounded, _scales, leading_mass)
 
 
 def coupled_matrix(k, c: CouplingConfig) -> ExactMatrix:
@@ -47,9 +48,27 @@ def leading_order_reduction(c: CouplingConfig):
 
 
 # -- the exact spectrum as it was first written ------------------------------
-# ``exact_mode_spectrum`` before it formed its frame roots once, kept with
-# the block and rank helpers it called then: the tests' oracle for every
-# ModeSpectrum field and every RootFindingError of the rewrite.
+# ``exact_mode_spectrum`` before it formed its frame roots once and before
+# it certified the eigenspaces of P, kept with the block, product, class
+# and rank helpers it called then: the tests' oracle for every ModeSpectrum
+# field and every RootFindingError of the rewrite.  Its certificate is the
+# determinant of the 4x4 block against the quartic squared.
+
+# the symbol of x, the axis component of the frame momentum frame(eps5, x)
+_X = "m"
+
+
+def _frame_product(e5: int) -> ExactMatrix:
+    """P = g^a g^4, a the axis of ``modes.frame`` (0 for eps5 = -1, 3 for
+    +1), as one product of two ``gamma_sum`` matrices."""
+    return gamma_sum(e5, frame(e5, 1)) @ gamma_sum(e5, [0, 0, 0, 0, 1])
+
+
+def _frame_class(e5: int) -> str:
+    """The reality class of every eigenspace of P (see ``_root_class``):
+    Majorana when P is real, else Dirac."""
+    p = _frame_product(e5)
+    return "Majorana" if p == conjugate(p) else "Dirac"
 
 
 def _frame_block(e5: int, big_m: Fraction, mu2: Fraction) -> ExactMatrix:

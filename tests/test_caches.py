@@ -1,6 +1,6 @@
 """The exact tables are built once and handed out as copies,
 every gamma matrix ``gamma_sum`` builds is built fresh from the store, and
-the seesaw frame's P = g^a g^4 and its reality class are only read.
+the seesaw certificate caches only a tuple of reality classes.
 
 Editing what a builder returned must never reach a later call: each test
 mutates a returned value in place and compares the next call with a build
@@ -96,26 +96,17 @@ def test_gamma5_and_gamma_edits_do_not_reach_the_cache():
 
 
 @pytest.mark.parametrize("eps5", [1, -1])
-def test_frame_block_and_spectrum_edits_do_not_reach_the_cache(eps5):
-    # the seesaw block is built from the cached P = g^a g^4 and its cached
-    # reality class: editing a block in place leaves both as built fresh,
-    # and a spectrum holds no container to edit
-    args = (eps5, Fraction(2), Fraction(1, 100))
-    want = seesaw._frame_block(*args)
-    block = seesaw._frame_block(*args)
-    for row in block.rows:
-        row[:] = [poly(7)] * 4
-    block.rows[0] = [poly(0)] * 4
+def test_the_eigenspace_classes_and_a_spectrum_hold_nothing_to_edit(eps5):
+    # the seesaw certificate caches the classes of P's two eigenspaces as a
+    # tuple, equal to a fresh proof, and a spectrum holds no container to edit
     spectrum = exact_mode_spectrum(
         CouplingConfig(g=1, vev=Fraction(1, 100), ell=Fraction(1), eps5=eps5))
     hash(spectrum)  # every field is immutable
     with pytest.raises(AttributeError):
         spectrum.light_class = "Dirac"
-    fresh = seesaw._frame_product.__wrapped__(eps5)
-    assert seesaw._frame_product(eps5) == fresh
-    assert seesaw._frame_class(eps5) == seesaw._frame_class.__wrapped__(eps5)
-    assert seesaw._frame_class(eps5) == ("Majorana" if fresh == fresh.conjugate() else "Dirac")
-    assert seesaw._frame_block(*args).rows == want.rows
+    classes = seesaw._eigenspace_classes(eps5)
+    assert type(classes) is tuple
+    assert classes == seesaw._eigenspace_classes.__wrapped__(eps5)
 
 
 def test_builders_keep_their_input_checks():
@@ -124,6 +115,21 @@ def test_builders_keep_their_input_checks():
                         (build_orthogonal_algebra, (-2, 1))):
         with pytest.raises(ValueError):
             build(*args)
+
+
+@pytest.mark.parametrize("build,bad,name", [
+    (build_deformed_algebra, (1, 1.0), "eps5"), (build_deformed_algebra, (1, True), "eps5"),
+    (build_deformed_algebra, (1.0, 1), "eps4"),
+    (build_orthogonal_algebra, (1, 1.0), "eps5"), (build_orthogonal_algebra, (1, True), "eps5"),
+    (build_orthogonal_algebra, (True, 1), "eps4"),
+    (flat_deformed_algebra, (1.0,), "eps5"), (flat_deformed_algebra, (True,), "eps5"),
+])
+def test_a_cached_table_still_refuses_a_sign_that_is_no_int(build, bad, name):
+    # the cache keys 1.0 and True as 1: with the int table cached, the bad
+    # sign must still raise quarter's error, as in a fresh process
+    build(*[1] * len(bad))
+    with pytest.raises(ValueError, match=f"^{name} must be \\+1 or -1$"):
+        build(*bad)
 
 
 def test_check_all_repeats_byte_for_byte_in_one_process(tmp_path):

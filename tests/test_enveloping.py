@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import lemma_oracle
 import pytest
+from conjugation import conjugate_poly
 from hypothesis import given, settings, strategies as st
 
 from ncdirac import checks, enveloping
@@ -159,7 +160,7 @@ def test_d4_needs_l_in_every_term_of_the_bracket(monkeypatch):
 def _adjoint(expr: NCExpression) -> NCExpression:
     """The formal adjoint: every generator is self-conjugate, so a word
     conjugates to its reversal and i goes to -i in the coefficients."""
-    return NCExpression({tuple(reversed(w)): c.conjugate() for w, c in expr.terms.items()})
+    return NCExpression({tuple(reversed(w)): conjugate_poly(c) for w, c in expr.terms.items()})
 
 
 @pytest.mark.parametrize("eps5", [1, -1])

@@ -8,12 +8,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import seesaw_oracle
 from exact_arrays import as_array
 from exact_gammas import exact_gammas
 from seesaw_oracle import coupled_matrix, exact_mode_spectrum_oracle, leading_order_reduction
 
-from ncdirac.matrices import ExactMatrix
-from ncdirac.modes import operator_residual, reference_solutions
+from ncdirac.clifford import gamma_sum
+from ncdirac.matrices import ExactMatrix, echelon
+from ncdirac.modes import frame, operator_residual, reference_solutions
 from ncdirac.scalars import ExactScalar, poly, sym
 from ncdirac.seesaw import (
     CouplingConfig,
@@ -131,43 +133,22 @@ def test_hierarchy_sweep(eps5):
         assert roots[2:] == pytest.approx((light, heavy), rel=1e-15)
 
 
-def test_determinant_certificate(monkeypatch):
-    import ncdirac.seesaw as seesaw
-
-    exact = seesaw._frame_block
-
-    def perturbed(*args):
-        out = exact(*args)
-        out.rows[0][0] = out.rows[0][0] + poly(ExactScalar(Fraction(1, 10 ** 6)))
-        return out
-
-    monkeypatch.setattr(seesaw, "_frame_block", perturbed)
-    config = CouplingConfig(
-        g=ExactScalar(Fraction(1)), vev=Fraction(1, 10), ell=Fraction(1), eps5=-1
-    )
-    with pytest.raises(RootFindingError) as err:
-        exact_mode_spectrum(config)
-    assert "quartic" in err.value.diagnostics
-
-
 @pytest.mark.parametrize("eps5", [1, -1])
 def test_block_determinant_is_the_dense_one(eps5):
-    # Silvester's AD - BC against the dense 8x8 expansion, at seeded real,
-    # complex and zero couplings: both are q^2 along the frame axis
-    import ncdirac.seesaw as seesaw
-
+    # the oracle's Silvester AD - BC against the dense 8x8 expansion, at
+    # seeded real, complex and zero couplings: both are q^2 along the frame axis
     rng = random.Random(f"block-{eps5}")
     couplings = ["0", "1", "3+4i"] + [
         f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}{rng.randint(-9, 9):+d}/{rng.randint(1, 9)}i"
         for _ in range(3)]
-    x = sym(seesaw._X)  # the block's coordinate on the frame axis
+    x = sym(seesaw_oracle._X)  # the block's coordinate on the frame axis
     k = (x, 0, 0, 0) if eps5 == -1 else (0, 0, 0, x)
     for g in couplings:
         config = CouplingConfig(g=g, vev=Fraction(rng.randint(0, 9), rng.randint(1, 9)),
                                 ell=Fraction(rng.randint(1, 9), rng.randint(1, 9)), eps5=eps5)
         big_m, mu2 = 2 / config.ell, config.coupling_squared() * config.vev ** 2
         dense = coupled_matrix(k, config).det()
-        block = seesaw._frame_block(eps5, big_m, mu2).det()
+        block = seesaw_oracle._frame_block(eps5, big_m, mu2).det()
         x2 = x * x
         quartic = x2 * x2 - x2 * poly(big_m ** 2 - 2 * eps5 * mu2) + poly(mu2 * mu2)
         assert dense == block == quartic * quartic, g
@@ -177,17 +158,87 @@ def test_block_determinant_is_the_dense_one(eps5):
 @pytest.mark.parametrize("mu2", [Fraction(0), Fraction(1, 10 ** 4), Fraction(1)],
                          ids=["free", "seesaw", "critical"])
 def test_frame_block_is_the_dense_sum(eps5, mu2):
-    # the block built from P's one unit per row is (eta x^2 - mu^2) I + eta M x P
-    # with the dense P, entry by entry: at g = 0, inside the seesaw regime and
-    # at mu^2 = M^2/4, the critical coupling of eps5 = +1 (M = 2)
-    import ncdirac.seesaw as seesaw
-
+    # the oracle's block, built from P's one unit per row, is
+    # (eta x^2 - mu^2) I + eta M x P with the dense P, entry by entry: at
+    # g = 0, inside the seesaw regime and at mu^2 = M^2/4, the critical
+    # coupling of eps5 = +1 (M = 2)
     big_m = Fraction(2)
-    x = sym(seesaw._X)
+    x = sym(seesaw_oracle._X)
     diag = poly(-eps5) * x * x - poly(mu2)
     off = poly(-eps5 * big_m) * x
-    want = ExactMatrix.identity(4).scale(diag) + seesaw._frame_product(eps5).scale(off)
-    assert seesaw._frame_block(eps5, big_m, mu2).rows == want.rows
+    want = (ExactMatrix.identity(4).scale(diag)
+            + seesaw_oracle._frame_product(eps5).scale(off))
+    assert seesaw_oracle._frame_block(eps5, big_m, mu2).rows == want.rows
+
+
+@pytest.mark.parametrize("eps5,vev,sqrt_delta,eigenvalues", [
+    (1, Fraction(3, 5), Fraction(8, 5), (1, 1)),
+    (-1, Fraction(3, 4), Fraction(5, 2), (-1, 1)),
+], ids=["eps5=+1", "eps5=-1"])
+def test_each_root_kernel_is_the_eigenspace_its_class_is_read_from(
+        monkeypatch, eps5, vev, sqrt_delta, eigenvalues):
+    # l = g = 1, so M = 2, and delta = M^2 - 4 eps5 vev^2 is a rational
+    # square: the frame roots are exact.  At each, the dense 8x8 kernel is
+    # two-dimensional and its u1 components span the eigenspace of
+    # P = g^a g^4 that _root_class reads its class from (the +1 one when
+    # alpha + beta = 0, the -1 one when alpha - beta = 0)
+    import ncdirac.seesaw as seesaw
+
+    config = CouplingConfig(g=1, vev=vev, ell=Fraction(1), eps5=eps5)
+    big_m, mu2 = Fraction(2), vev * vev
+    assert sqrt_delta ** 2 == big_m ** 2 - 4 * eps5 * mu2
+    heavy = (big_m + sqrt_delta) / 2
+    light = mu2 / heavy
+    spectrum = exact_mode_spectrum(config)
+    assert (spectrum.light_k2_exact, spectrum.heavy_k2_exact) == (
+        -eps5 * light * light, -eps5 * heavy * heavy)
+    p = seesaw_oracle._frame_product(eps5)
+    # name each eigenspace by its eigenvalue in place of its class
+    monkeypatch.setattr(seesaw, "_eigenspace_classes", lambda e5: (1, -1))
+    for x, eigenvalue in zip((light, heavy), eigenvalues):
+        kernel = coupled_matrix(frame(eps5, x), config).kernel()
+        assert len(kernel) == 2
+        u1 = [vec[:4] for vec in kernel]
+        assert len(echelon([list(u) for u in u1])) == 2
+        for u in u1:
+            column = ExactMatrix([[c] for c in u])
+            assert p @ column == column.scale(eigenvalue)
+        assert seesaw._root_class(eps5, ExactScalar(x), big_m, mu2) == eigenvalue
+
+
+def test_a_swapped_frame_axis_fails_the_eigenspace_certificate(monkeypatch, capsys):
+    # with the frame axis swapped P = g^a g^4 squares to -I, so P - I and
+    # P + I are invertible: every spectrum raises, at g = 0 and before an
+    # overcritical coupling's own error too, and check all still prints
+    # every row, each seesaw row failing
+    import ncdirac.seesaw as seesaw
+    from ncdirac import modes
+    from ncdirac.cli import main
+
+    monkeypatch.setattr(seesaw, "frame", lambda eps5, x: modes.frame(-eps5, x))
+    seesaw._eigenspace_classes.cache_clear()
+    try:
+        for eps5 in (1, -1):
+            p = gamma_sum(eps5, seesaw.frame(eps5, 1)) @ gamma_sum(eps5, [0, 0, 0, 0, 1])
+            assert p @ p == ExactMatrix.identity(4).scale(-1)
+            # free, inside the seesaw regime, and overcritical at eps5 = +1
+            for g, vev in ((0, Fraction(1, 10)), (1, Fraction(1, 100)), (1, Fraction(2))):
+                with pytest.raises(RootFindingError, match=r"^P = g\^a g\^4 does not have "
+                                                           r"eigenvalues \+1 and -1 twice each: "
+                                                           r"nullspace dimension 0 != 2"):
+                    exact_mode_spectrum(CouplingConfig(g=g, vev=vev, ell=Fraction(1),
+                                                       eps5=eps5))
+        assert main(["check", "all", "--seed", "42"]) == 1
+    finally:
+        seesaw._eigenspace_classes.cache_clear()
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert len(reports) == 49
+    failed = {(r["check"], r["params"]["eps5"]) for r in reports if r["status"] == "fail"}
+    assert failed == {(check, e5) for e5 in (1, -1) for check in (
+        "seesaw_spectrum", "seesaw_effective", "seesaw_convergence", "seesaw_decoupling")}
+    for r in reports:
+        if r["check"] in ("seesaw_spectrum", "seesaw_decoupling"):
+            assert r["details"]["error"].startswith("P = g^a g^4 does not have"), r
 
 
 @pytest.mark.parametrize("eps5", [1, -1])
@@ -555,12 +606,10 @@ def test_a_cold_seesaw_command_makes_ten_gamma_sums(monkeypatch):
     calls = []
     counted = seesaw.gamma_sum
     monkeypatch.setattr(seesaw, "gamma_sum", lambda *args: calls.append(args) or counted(*args))
-    seesaw._frame_product.cache_clear()
-    seesaw._frame_class.cache_clear()
+    seesaw._eigenspace_classes.cache_clear()
     try:
         rows = cmd_seesaw(RunConfig())
     finally:
-        seesaw._frame_product.cache_clear()
-        seesaw._frame_class.cache_clear()
+        seesaw._eigenspace_classes.cache_clear()
     assert all(row.passed for row in rows)
     assert len(calls) == 10
