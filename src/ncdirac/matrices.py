@@ -2,15 +2,14 @@
 
 Entries are ParamPoly (constants embed), so the same class carries both the
 purely numeric gamma matrices and symbolic operators like the momentum-space
-Dirac matrix.  The kernel requires constant entries (a field); the
-determinant works over polynomial entries via expansion with subset
-memoization, which is cheap at the 4x4 and 8x8 sizes used here.
+Dirac matrix.  The kernel requires constant entries (a field), and is
+the one solver: the package forms no determinant.
 """
 
 from __future__ import annotations
 
 from .scalars import (
-    ONE, ZERO, ExactScalar, P_ONE, P_ZERO, ParamPoly, _int_terms, _join, _reduced_sums, poly,
+    ONE, ZERO, ExactScalar, P_ONE, P_ZERO, _int_terms, _join, _reduced_sums, poly,
 )
 
 
@@ -114,39 +113,6 @@ class ExactMatrix:
                 vec[pc] = -rows[r][fc]
             basis.append(vec)
         return basis
-
-    def det(self) -> ParamPoly:
-        """Determinant over polynomial entries.
-
-        Expansion column by column with memoization on the used-row subset:
-        O(2^n * n) polynomial operations, fine for n <= 8.
-        """
-        n = self.nrows
-        if n != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        # state: bitmask of rows already consumed by the first popcount(mask)
-        # columns; value: signed sum of products
-        current = {0: P_ONE}
-        for col in range(n):
-            nxt: dict[int, ParamPoly] = {}
-            for mask, acc in current.items():
-                seen = 0
-                for row in range(n):
-                    bit = 1 << row
-                    if mask & bit:
-                        continue
-                    entry = self.rows[row][col]
-                    if not entry.is_zero():
-                        sign = -1 if (seen & 1) else 1
-                        term = acc * entry if sign == 1 else acc * -entry
-                        new_mask = mask | bit
-                        prev = nxt.get(new_mask)
-                        nxt[new_mask] = term if prev is None else prev + term
-                    seen += 1
-            current = nxt
-            if not current:
-                return P_ZERO
-        return current.get((1 << n) - 1, P_ZERO)
 
     def __str__(self) -> str:
         return "[" + ",\n ".join("[" + ", ".join(map(str, r)) + "]" for r in self.rows) + "]"

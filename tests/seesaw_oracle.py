@@ -6,6 +6,7 @@ written, step by step."""
 from fractions import Fraction
 
 from conjugation import conjugate
+from determinant import det
 
 from ncdirac.clifford import gamma_sum
 from ncdirac.lie_algebra import lower
@@ -135,7 +136,7 @@ def exact_mode_spectrum_oracle(c: CouplingConfig) -> ModeSpectrum:
     m2 = big_m * big_m
     x2 = sym(_X, 2)
     quartic = x2 * x2 - x2 * poly(m2 - 2 * e5 * mu2) + poly(mu2 * mu2)
-    if _frame_block(e5, big_m, mu2).det() != quartic * quartic:
+    if det(_frame_block(e5, big_m, mu2)) != quartic * quartic:
         raise RootFindingError("determinant is not the square of the seesaw quartic",
                                diagnostics={"quartic": str(quartic)})
     if delta < 0:

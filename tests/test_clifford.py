@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from cayley_oracle import cayley_boost
 from conjugation import conjugate
+from determinant import det
 from exact_arrays import as_array
 from exact_gammas import exact_gammas
 from golden_commands import COMMANDS
@@ -237,9 +238,12 @@ def test_each_clifford_relation_is_its_own_step(monkeypatch):
 
     monkeypatch.setattr(clifford, "_perm_product", counted)
     rows = checks.cmd_verify_clifford.__wrapped__(checks.RunConfig())
-    assert next(rows).check == "clifford_anticommutator_g0_g0"
+    # the family names its twist before the rows it decides, and decides none
+    assert next(rows) == "g4 -> i*g4"
+    assert calls == []
+    assert next(rows)[0] == "clifford_anticommutator_g0_g0"
     assert calls == [(0, 0)]
-    assert next(rows).check == "clifford_anticommutator_g0_g1"
+    assert next(rows)[0] == "clifford_anticommutator_g0_g1"
     assert calls == [(0, 0), (0, 1), (1, 0)]
     # 13 relations and two product checks
     assert len(list(rows)) == 15
@@ -303,7 +307,7 @@ def test_boost_pairing_rapidity_one():
     assert S_inv @ g[0] @ S == expect
     # spinor boosts are real in this basis and unimodular
     assert S == conjugate(S)
-    assert S.det() == poly(1)
+    assert det(S) == poly(1)
 
 
 def test_vector_boost_preserves_metric():

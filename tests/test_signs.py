@@ -58,8 +58,8 @@ def test_jacobi_and_the_limits_hold_at_every_other_sign_pair(eps4, eps5):
     # the isomorphism row, decided at (1, 1), holds here with the same map
     sol, row = solve_isomorphism_scalings(eps4, eps5), _row(checks.cmd_verify_algebra, "isomorphism")
     assert row.params == {"eps4": 1, "eps5": 1}
-    assert {"alpha": str(sol.alpha), "beta": str(sol.beta), "gamma": str(sol.gamma),
-            "passing_sign_choices": [list(s) for s in sol.passing_sign_choices]} == {
+    assert {"alpha": sol.alpha, "beta": sol.beta, "gamma": sol.gamma,
+            "passing_sign_choices": sol.passing_sign_choices} == {
         key: row.details[key] for key in ("alpha", "beta", "gamma", "passing_sign_choices")}
     assert verify_linear_isomorphism(sol.map).ok
 

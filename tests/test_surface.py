@@ -253,22 +253,36 @@ def test_weyl_closure_sums_through_join():
 
 
 def _constant_verdicts(tree) -> list:
-    """The lines of ``tree`` that build a CheckReport with a literal ``ok``,
-    as the third argument or by keyword."""
-    return [call.lineno for call in ast.walk(tree) if isinstance(call, ast.Call)
-            and getattr(call.func, "id", None) == "CheckReport"
-            and any(isinstance(ok, ast.Constant) for ok in (
-                *call.args[2:3], *(kw.value for kw in call.keywords if kw.arg == "ok")))]
+    """The lines of ``tree`` that give a row a literal ``ok``: a CheckReport
+    call with one as its fourth argument or by keyword, or a row a family
+    yields or a function returns, ``(check, params, relation, ok, residual,
+    details)``, with one fourth."""
+    oks = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CheckReport":
+            oks += [(node.lineno, ok) for ok in (
+                *node.args[3:4], *(kw.value for kw in node.keywords if kw.arg == "ok"))]
+        elif (isinstance(node, (ast.Yield, ast.Return)) and isinstance(node.value, ast.Tuple)
+              and len(node.value.elts) == 6):
+            oks.append((node.lineno, node.value.elts[3]))
+    return sorted(line for line, ok in oks if isinstance(ok, ast.Constant))
 
 
 def test_the_constant_verdict_rule_sees_both_forms():
     tree = ast.parse("""
-CheckReport("a", {}, True, "r")
-CheckReport("b", {}, ok=False, relation="r")
-CheckReport("c", {}, ok=x == 0, relation="r")
-CheckReport("d", {}, ok, "r")
+CheckReport("a", {}, "r", True)
+CheckReport("b", {}, "r", ok=False)
+CheckReport("c", {}, "r", ok=x == 0)
+CheckReport("d", {}, "r", ok)
+def family(cfg):
+    yield "e", {}, "r", True, None, {}
+    yield "f", {}, "r", x == 0, None, {}
+    yield "g", {}, "r", *_flags(x=True)
+    yield "h", {}, "r", *verdict, None, {}
+def reference_row(eps5):
+    return ("i", {"eps5": eps5}, "r", False, None, {})
 """)
-    assert _constant_verdicts(tree) == [2, 3]
+    assert _constant_verdicts(tree) == [2, 3, 7, 12]
 
 
 def test_no_row_passes_by_construction():
@@ -276,6 +290,23 @@ def test_no_row_passes_by_construction():
     found = {path.name: _constant_verdicts(ast.parse(path.read_text()))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert not any(found.values()), {m: lines for m, lines in found.items() if lines}
+
+
+def test_one_runner_builds_every_report():
+    # each family yields plain rows, and the runner of checks._command
+    # alone turns them into reports: a hook on every row is written there
+    def builds(node) -> bool:
+        return isinstance(node, ast.Call) and "CheckReport" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    calls = [(path.name, node.lineno) for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if builds(node)]
+    tree = ast.parse((PACKAGE / "checks.py").read_text())
+    [command] = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_command"]
+    [run] = [node for node in command.body if isinstance(node, ast.FunctionDef)]
+    assert len(calls) == 1
+    assert calls == [("checks.py", node.lineno) for node in ast.walk(run) if builds(node)]
 
 
 def _unused_imports(tree, exports=()) -> list:
