@@ -37,8 +37,8 @@ __version__ = "0.1.0"
 _LAZY = {
     "ExactMatrix": "matrices",
     **dict.fromkeys(("WeylOperator", "build_rep", "verify_rep_closure"), "weyl"),
-    **dict.fromkeys(("NCExpression", "plane_wave_exponent", "commutator", "lemma_matrix_check",
-                     "normal_form", "verify_plane_wave_relations"), "enveloping"),
+    **dict.fromkeys(("NCExpression", "plane_wave_exponent", "lemma_matrix_check", "normal_form",
+                     "verify_plane_wave_relations"), "enveloping"),
     **dict.fromkeys(("VerificationError", "gamma_sum", "verify_clifford"), "clifford"),
     **dict.fromkeys(("SpinorSolution", "dirac_matrix", "dispersion_roots",
                      "reference_solutions"), "modes"),

@@ -167,11 +167,6 @@ def normal_form(expr: NCExpression, eps5: int, order: int | None = None,
     return NCExpression._made(acc)
 
 
-def commutator(a: NCExpression, b: NCExpression) -> NCExpression:
-    """a*b - b*a, the definition (``PlaneWaveCheck`` expands brackets instead)."""
-    return a * b - b * a
-
-
 def _leibniz(expr: NCExpression, action) -> dict:
     """Terms of the sum over words w of expr and their letters of
     c_w w_<i action(w_i) w_>i, with ``action`` giving a letter's terms."""

@@ -19,10 +19,9 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
-from .scalars import ParamPoly, _GUARDS, _NSYM, _make, _pack, _packed_poly
+from .scalars import ParamPoly, _GUARDS, _INT_FIELDS, _make, _pack, _packed_poly
 from .lie_algebra import StructureConstants
 
-_INT_FIELDS = (int,) * _NSYM
 # the coefficient parts str(Fraction) writes: -?digits, -?digits/nonzero
 _PLAIN = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?")
 
@@ -144,10 +143,8 @@ def _json_int_terms(entries: list, n: int = 1, bracket: str = "0,0") -> list:
                     pass
             elif type(exps) is not list:
                 raise TypeError(f"exponents {exps!r} of term {term!r} are not a list")
-            elif {*map(type, exps)} != {int}:  # the loop names the culprit
-                for e in exps:
-                    if type(e) is not int:
-                        raise TypeError(f"exponent {e!r} is not an integer")
+            if key & _GUARDS:  # _pack raises the error of a malformed list
+                key = _pack(exps)
             # each part read inline: this loop is the hot path of a fixture read
             if re_s == "0":
                 rn, rd = 0, 1
@@ -163,8 +160,6 @@ def _json_int_terms(entries: list, n: int = 1, bracket: str = "0,0") -> list:
                 jn, jd = int(num), int(den or 1)
             else:
                 jn, jd = _rational_parts(im_s)
-            if key & _GUARDS:
-                key = _pack(exps)
             a, b, d = rn * jd, jn * rd, rd * jd
             g = gcd(a, b, d)
             read.append((q, key, a, b, d) if g == 1 else (q, key, a // g, b // g, d // g))

@@ -33,8 +33,8 @@ from typing import Iterable, Mapping, Union
 #   rho  curvature parameter 1/R^2
 #   r    1/R, with rho = r^2 (needed by the isomorphism scaling map); also
 #        the scale s of modes.scaling_residual, where no other symbol is r
-#   m    the one free coordinate: the seesaw frame axis and the x of the
-#        plane-wave lemma's model
+#   m    unused by the package: the tests' free coordinate (the seesaw
+#        frame axis and the x of the plane-wave lemma's model)
 #   k0..k3  plane-wave momentum components (upper index)
 #   mu   unused: it holds a slot, since fixture files and
 #        perfbench/workloads.py write exponent tuples of all ten
@@ -54,6 +54,7 @@ _FIELD_BITS = 8  # _pack and fixture's reader read one byte per field
 MAX_DEGREE = (1 << (_FIELD_BITS - 1)) - 1
 _SHIFTS = tuple(_FIELD_BITS * (_NSYM - 1 - i) for i in range(_NSYM))
 _GUARDS = sum((MAX_DEGREE + 1) << shift for shift in _SHIFTS)
+_INT_FIELDS = (int,) * _NSYM  # the exponent types of a valid tuple
 
 
 class UnknownSymbolError(ValueError):
@@ -355,16 +356,13 @@ class ParamPoly:
         """`terms` maps exponent tuples aligned with SYMBOLS to scalars."""
         clean = {}
         if terms:
+            # distinct exponent tuples pack to distinct monomials, so no
+            # two terms meet
             for exps, coeff in terms.items():
                 key = _pack(exps)
                 coeff = _coerce_scalar(coeff)
                 if not coeff.is_zero():
-                    prev = clean.get(key)
-                    total = coeff if prev is None else prev + coeff
-                    if total.is_zero():
-                        clean.pop(key, None)
-                    else:
-                        clean[key] = total
+                    clean[key] = coeff
         self._terms = clean
 
     # -- constructors ---------------------------------------------------
@@ -378,8 +376,6 @@ class ParamPoly:
     def symbol(name: str, power: int = 1) -> "ParamPoly":
         if name not in _SYMBOL_INDEX:
             raise UnknownSymbolError(f"unknown symbol {name!r}; alphabet is {SYMBOLS}")
-        if power < 0:
-            raise ValueError("negative symbol powers are not stored")
         exps = [0] * _NSYM
         exps[_SYMBOL_INDEX[name]] = power
         return ParamPoly({tuple(exps): ONE})
@@ -536,20 +532,25 @@ class ParamPoly:
 
 
 def _pack(exps) -> int:
-    """Packed monomial of an exponent tuple aligned with SYMBOLS."""
+    """Packed monomial of an exponent tuple aligned with SYMBOLS.  Every
+    exponent is an ``int``: a bool or a float is rejected, whatever its
+    value, ahead of the length and range checks."""
     exps = tuple(exps)
-    if len(exps) == _NSYM:
+    if tuple(map(type, exps)) == _INT_FIELDS:
         # fast path: with 8-bit fields the packed int is the big-endian
-        # bytes of the exponents; bytes() rejects non-ints and values
-        # outside 0..255, and the guard bits catch 128..255
+        # bytes of the exponents; bytes() rejects values outside 0..255,
+        # and the guard bits catch 128..255
         try:
             key = int.from_bytes(bytes(exps), "big")
-        except (TypeError, ValueError):
+        except ValueError:
             pass
         else:
             if not key & _GUARDS:
                 return key
     # slow path: the same checks one by one, for the error message
+    for e in exps:
+        if type(e) is not int:
+            raise TypeError(f"exponent {e!r} is not an integer")
     if len(exps) != _NSYM:
         raise ValueError("exponent tuple has wrong length")
     key = 0

@@ -132,11 +132,13 @@ class WeylOperator(LinearCombination):
     """Normal-ordered sum  sum_terms  coeff * xi^alpha * d^beta.
 
     Keys are (alpha, beta) pairs of 5-tuples of non-negative ints, checked
-    on construction; coefficients are ParamPoly.
-    Multiplication applies the full normal-ordering contraction
+    on construction; coefficients are ParamPoly.  The commutator reorders
+    through the normal-ordering contraction
 
         d^beta xi^gamma = sum_nu prod_c C(beta_c,nu_c) C(gamma_c,nu_c) nu_c!
-                            xi^(gamma-nu) d^(beta-nu)
+                            xi^(gamma-nu) d^(beta-nu),
+
+    whose nu = 0 term cancels between the two orders.
     """
 
     __slots__ = ()
@@ -146,22 +148,12 @@ class WeylOperator(LinearCombination):
         alpha, beta = key
         return _orders(alpha), _orders(beta)
 
-    # -- composition -------------------------------------------------------
-
-    def __matmul__(self, other) -> "WeylOperator":
-        """Operator composition with normal reordering."""
-        if not isinstance(other, WeylOperator):
-            return NotImplemented
-        sums: dict = {}
-        _compose_into(sums, 0, _int_rows(self), _int_rows(other), contractions_only=False)
-        return _summed(sums)
-
     def commutator(self, other: "WeylOperator") -> "WeylOperator":
-        """self @ other - other @ self, from the contraction terms alone
-        (``_commutator_into``)."""
+        """self other - other self, from the contraction terms alone
+        (``_commutator_into``), each coefficient reduced once."""
         sums: dict = {}
         _commutator_into(sums, 0, _int_rows(self), _int_rows(other))
-        return _summed(sums)
+        return WeylOperator._made(_reduced_sums(sums).get(0, {}))
 
     @staticmethod
     def _render(key) -> str:
@@ -171,18 +163,17 @@ class WeylOperator(LinearCombination):
 
 
 @cache
-def _contraction_pattern(beta: tuple, gamma: tuple, contractions_only: bool) -> tuple:
-    """The (nu, weight) pairs of d^beta xi^gamma: every nu <= min(beta, gamma)
-    componentwise with weight prod_c C(beta_c,nu_c) C(gamma_c,nu_c) nu_c!,
-    nu = 0 left out under ``contractions_only``."""
+def _contraction_pattern(beta: tuple, gamma: tuple) -> tuple:
+    """The (nu, weight) pairs of the contraction terms of d^beta xi^gamma:
+    every nu != 0 with nu <= min(beta, gamma) componentwise, of weight
+    prod_c C(beta_c,nu_c) C(gamma_c,nu_c) nu_c!."""
     out = []
     for nu in product(*(range(min(b, g) + 1) for b, g in zip(beta, gamma))):
-        if contractions_only and not any(nu):
-            continue
-        weight = 1
-        for bc, gc, nc in zip(beta, gamma, nu):
-            weight *= comb(bc, nc) * comb(gc, nc) * factorial(nc)
-        out.append((nu, weight))
+        if any(nu):
+            weight = 1
+            for bc, gc, nc in zip(beta, gamma, nu):
+                weight *= comb(bc, nc) * comb(gc, nc) * factorial(nc)
+            out.append((nu, weight))
     return tuple(out)
 
 
@@ -195,39 +186,26 @@ def _int_rows(op: WeylOperator) -> list:
             for (a, b), coeff in op.terms.items()]
 
 
-def _compose_into(sums: dict, tag, left: list, right: list, contractions_only: bool,
-                  sign: int = 1):
-    """Add ``sign`` times the normal-ordered terms of left @ right, both
-    ``_int_rows``, to the ``_join`` sums of ``tag``, keyed by operator key;
-    with ``contractions_only`` only the terms with at least one contraction
-    (nu != 0): a term pair with no variable both differentiated on the left
-    and a coordinate on the right has none and is skipped."""
-    for a1, b1, _, support1, terms1 in left:
-        for a2, b2, support2, _, terms2 in right:
-            if contractions_only and not support1 & support2:
-                continue
-            # contract b1 against a2 componentwise
-            for nu, weight in _contraction_pattern(b1, a2, contractions_only):
-                key = (tuple(x + y - n for x, y, n in zip(a1, a2, nu)),
-                       tuple(x + y - n for x, y, n in zip(b1, b2, nu)))
-                row = [(key, *term) for term in terms2]
-                weight *= sign
-                for mono, xa, xb, xd in terms1:
-                    _join(sums, tag, mono, weight * xa, weight * xb, xd, row)
-
-
 def _commutator_into(sums: dict, tag, left: list, right: list):
-    """Add left @ right - right @ left to the sums of ``tag``: the nu = 0
-    term of a term pair is the same product in both orders, so only the
-    contraction terms are formed."""
-    _compose_into(sums, tag, left, right, contractions_only=True)
-    _compose_into(sums, tag, right, left, contractions_only=True, sign=-1)
-
-
-def _summed(sums: dict) -> WeylOperator:
-    """The operator of the ``_join`` sums of tag 0, each coefficient reduced
-    once."""
-    return WeylOperator._made(_reduced_sums(sums).get(0, {}))
+    """Add left right - right left, both ``_int_rows``, to the ``_join``
+    sums of ``tag``, keyed by operator key.  The nu = 0 term of a term pair
+    is the same product in both orders, so each order adds, with its sign,
+    only its contraction terms: a term pair with no variable both
+    differentiated in the first factor and a coordinate in the second has
+    none and is skipped."""
+    for sign, first, second in ((1, left, right), (-1, right, left)):
+        for a1, b1, _, support1, terms1 in first:
+            for a2, b2, support2, _, terms2 in second:
+                if not support1 & support2:
+                    continue
+                # contract b1 against a2 componentwise
+                for nu, weight in _contraction_pattern(b1, a2):
+                    key = (tuple(x + y - n for x, y, n in zip(a1, a2, nu)),
+                           tuple(x + y - n for x, y, n in zip(b1, b2, nu)))
+                    row = [(key, *term) for term in terms2]
+                    weight *= sign
+                    for mono, xa, xb, xd in terms1:
+                        _join(sums, tag, mono, weight * xa, weight * xb, xd, row)
 
 
 def build_rep(eps5: int) -> dict:

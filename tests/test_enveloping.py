@@ -20,7 +20,6 @@ from ncdirac.enveloping import (
     NCExpression,
     _bracket_expansion,
     _d4,
-    commutator,
     lemma_matrix_check,
     normal_form,
     plane_wave_exponent,
@@ -29,6 +28,12 @@ from ncdirac.enveloping import (
 )
 from ncdirac.lie_algebra import DEFORMED_BASIS, build_deformed_algebra, contract
 from ncdirac.scalars import I, ExactScalar, poly, sym
+
+
+def commutator(a: NCExpression, b: NCExpression) -> NCExpression:
+    """a*b - b*a, the definition: the oracle of ``_bracket_expansion``,
+    which the package brackets words with instead."""
+    return a * b - b * a
 
 
 def word(*tokens) -> NCExpression:

@@ -319,6 +319,22 @@ class TestParamPoly:
         with pytest.raises(DegreeBoundError):
             ParamPoly({(0, MAX_DEGREE + 1) + (0,) * 8: 1})
 
+    @pytest.mark.parametrize("exps, error, message",
+                             [case for case in BAD_EXPONENTS if type(case[0]) is list])
+    def test_exponents_have_the_fixture_readers_rule(self, exps, error, message):
+        # the constructor and the JSON reader share one exponent rule, and
+        # an exponent that is no int is named ahead of the length check
+        for terms in ({tuple(exps): 1}, {tuple(exps): 0}):
+            with pytest.raises(error, match=f"^{re_escape(message)}$"):
+                ParamPoly(terms)
+
+    @pytest.mark.parametrize("power", [True, False, 1.0, 2.5])
+    def test_a_power_that_is_no_int_is_rejected(self, power):
+        with pytest.raises(TypeError, match=f"^exponent {power!r} is not an integer$"):
+            sym("l", power)
+        with pytest.raises(TypeError, match=f"^exponent {power!r} is not an integer$"):
+            ParamPoly({(power,): 1})
+
     @pytest.mark.parametrize("name", SYMBOLS)
     def test_product_past_bound_raises(self, name):
         # the overflow must raise, not carry into the neighbouring field

@@ -1,7 +1,9 @@
 """Differential-operator realization closes on the flat-momentum algebra."""
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,7 @@ from ncdirac import weyl
 from ncdirac.checks import RunConfig, cmd_verify_rep
 from ncdirac.lie_algebra import (DEFORMED_BASIS, build_deformed_algebra, contract,
                                  flat_deformed_algebra)
-from ncdirac.scalars import I, ExactScalar, poly, sym
+from ncdirac.scalars import I, P_ZERO, ExactScalar, poly, sym
 from ncdirac.weyl import (
     BRACKET_FAMILIES,
     WeylOperator,
@@ -63,16 +65,11 @@ def test_operator_shapes(eps5):
     )
     # coordinate operator: lowered-index multiplication plus an l-sized
     # rotation into the extra direction; eta11 = -1 flips the first two terms
-    expected_x1 = (
-        _coordinate(1).scale(poly(-1))
-        + (_coordinate(1) @ _derivative(4)).scale(
-            poly(-I) * sym("l")
-        )
-        - (_coordinate(4) @ _derivative(1)).scale(
-            poly(I * eps5) * sym("l")
-        )
-    )
-    assert rep["x1"] == expected_x1
+    assert rep["x1"] == WeylOperator({
+        (_E[1], _Z5): -1,
+        (_E[1], _E[4]): poly(-I) * sym("l"),
+        (_E[4], _E[1]): poly(-I * eps5) * sym("l"),
+    })
 
 
 @pytest.mark.parametrize("eps5", [1, -1])
@@ -109,13 +106,34 @@ def test_ell_to_zero_restores_multiplication_operator():
     assert at_ell_zero(rep["C"]) == _unit()
 
 
-def test_weyl_product_is_associative_on_samples():
-    rep = build_rep(1)
-    a, b, c = rep["x0"], rep["M01"], rep["C"]
-    assert ((a @ b) @ c - a @ (b @ c)).is_zero()
+# -- the commutator against direct differentiation --------------------------
+
+def _apply(op, f):
+    """op applied to f, a dict exponent 5-tuple -> ParamPoly coefficient:
+    each term differentiates each monomial, d^n xi^g = g!/(g-n)! xi^(g-n)
+    in each variable, then multiplies by its coordinate monomial."""
+    out = {}
+    for (alpha, beta), coeff in op.terms.items():
+        for gamma, c in f.items():
+            factor = math.prod(map(math.perm, gamma, beta))
+            if factor:
+                key = tuple(g - b + a for g, b, a in zip(gamma, beta, alpha))
+                out[key] = out.get(key, P_ZERO) + c * coeff * factor
+    return {k: c for k, c in out.items() if not c.is_zero()}
 
 
-# -- the contraction-only commutator against the full compositions ----------
+def _difference(f, g):
+    """f - g, for two functions in the form ``_apply`` takes."""
+    out = dict(f)
+    for key, c in g.items():
+        out[key] = out.get(key, P_ZERO) - c
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def _bracket_applied(a, b, f):
+    """a(b(f)) - b(a(f)): [a, b] f with no product of operators formed."""
+    return _difference(_apply(a, _apply(b, f)), _apply(b, _apply(a, f)))
+
 
 _ORDERS = st.tuples(*[st.integers(0, 3)] * 5)
 _COEFFS = st.builds(
@@ -128,23 +146,55 @@ _OPERATORS = st.dictionaries(st.tuples(_ORDERS, _ORDERS), _COEFFS, max_size=4).m
 
 
 @settings(max_examples=60, deadline=None)
-@given(_OPERATORS, _OPERATORS)
-def test_commutator_equals_difference_of_compositions(a, b):
-    assert a.commutator(b) == (a @ b) - (b @ a)
-    assert b.commutator(a) == (b @ a) - (a @ b)
+@given(_OPERATORS, _OPERATORS, st.lists(st.tuples(*[st.integers(0, 6)] * 5),
+                                        min_size=3, max_size=3))
+def test_commutator_matches_applying_both_orders(a, b, gammas):
+    # orders up to 3 reach the contraction weights with nu_c >= 2, which
+    # the realization's images, of order <= 1, never do
+    ab, ba = a.commutator(b), b.commutator(a)
+    for gamma in gammas:
+        f = {gamma: poly(1)}
+        assert _apply(ab, f) == _bracket_applied(a, b, f)
+        assert _apply(ba, f) == _bracket_applied(b, a, f)
+
+
+def _top(op):
+    """The largest order of each derivative in op."""
+    return [max((beta[c] for _, beta in op.terms), default=0) for c in range(5)]
+
+
+def _operator_of(action, top):
+    """The operator with derivative orders at most ``top`` that sends each
+    monomial f to ``action(f)``: its d^gamma coefficient, times gamma!, is
+    what is left of action(xi^gamma) after the coefficients of every
+    lower d^beta act, and lexicographic order puts those first."""
+    op = WeylOperator()
+    for gamma in itertools.product(*(range(t + 1) for t in top)):
+        f = {gamma: poly(1)}
+        scale = Fraction(1, math.prod(map(math.factorial, gamma)))
+        op = op + WeylOperator({(alpha, gamma): c * scale
+                                for alpha, c in _difference(action(f), _apply(op, f)).items()})
+    return op
 
 
 def _reference_closure(rep, eps5):
-    """verify_rep_closure's residuals with (a@b) - (b@a) commutators."""
+    """verify_rep_closure's residuals [rep a, rep b] - rep([a, b]), each read
+    off its action on monomials (``_operator_of``), which applies the images
+    one at a time and forms no product of operators."""
     table = contract(build_deformed_algebra(1, eps5), rho_to_zero=True)
     out = {}
-    for i, a in enumerate(DEFORMED_BASIS):
-        for j in range(i + 1, len(DEFORMED_BASIS)):
-            b = DEFORMED_BASIS[j]
-            rhs = WeylOperator()
-            for k, coeff in table.bracket(i, j).items():
-                rhs = rhs + rep[DEFORMED_BASIS[k]].scale(coeff)
-            out[(a, b)] = (rep[a] @ rep[b]) - (rep[b] @ rep[a]) - rhs
+    for (i, a), (j, b) in itertools.combinations(enumerate(DEFORMED_BASIS), 2):
+        rhs = [rep[DEFORMED_BASIS[k]].scale(c) for k, c in table.bracket(i, j).items()]
+        # a product's derivative orders are at most the sums of its factors'
+        top = [max([x + y, *z]) for x, y, *z in zip(_top(rep[a]), _top(rep[b]), *map(_top, rhs))]
+
+        def action(f, x=rep[a], y=rep[b], rhs=rhs):
+            acted = _bracket_applied(x, y, f)
+            for image in rhs:
+                acted = _difference(acted, _apply(image, f))
+            return acted
+
+        out[(a, b)] = _operator_of(action, top)
     return out
 
 
@@ -237,36 +287,3 @@ def test_a_flipped_image_fails_exactly_the_families_it_breaks(monkeypatch, eps5,
 def test_malformed_key_is_rejected(key, error):
     with pytest.raises(error):
         WeylOperator({key: 1})
-
-
-# -- composition against direct differentiation ------------------------------
-
-def _apply(op, f):
-    """op applied to f, a dict exponent 5-tuple -> ParamPoly coefficient:
-    each term differentiates f one variable, one order at a time, then
-    multiplies by its coordinate monomial."""
-    out = {}
-    for (alpha, beta), coeff in op.terms.items():
-        for gamma, c in f.items():
-            gamma, c = list(gamma), c * coeff
-            for var, order in enumerate(beta):
-                for _ in range(order):
-                    c = c * gamma[var]
-                    gamma[var] -= 1
-            if c.is_zero():
-                continue
-            key = tuple(g + a for g, a in zip(gamma, alpha))
-            out[key] = out.get(key, poly(0)) + c
-    return {k: c for k, c in out.items() if not c.is_zero()}
-
-
-@settings(max_examples=60, deadline=None)
-@given(_OPERATORS, _OPERATORS, st.lists(st.tuples(*[st.integers(0, 6)] * 5),
-                                        min_size=1, max_size=4))
-def test_composition_matches_applying_each_factor(a, b, gammas):
-    # the oracle never forms a normal-ordered product: it applies b, then
-    # a, to each monomial xi^gamma
-    composed = a @ b
-    for gamma in gammas:
-        f = {gamma: poly(1)}
-        assert _apply(composed, f) == _apply(a, _apply(b, f))
